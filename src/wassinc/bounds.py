@@ -34,6 +34,17 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def product(*factors: float) -> float:
+    """Left-to-right product; a zero factor gives 0 even beside an inf,
+    which stands for a finite value past the float range (``_exp``)."""
+    out = 1.0
+    for f in factors:
+        if f == 0.0:
+            return 0.0
+        out *= f
+    return out
+
+
 def C_p(p: float) -> float:
     return 2.0 ** ((p - 1.0) / p)
 

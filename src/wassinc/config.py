@@ -80,6 +80,13 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _check_seed(seed) -> int:
+    """A seed is an integer in [0, 2^64), the range of the Philox key."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ConfigError(f"'seed' must be an integer in [0, 2^64), got {seed!r}")
+    return int(seed)
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     with open(path) as fh:
         return parse_config(json.load(fh))
@@ -96,7 +103,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     N = int(_require(raw, "N", "config"))
     if d < 1 or N < 1:
         raise ConfigError("'d' and 'N' must be >= 1")
-    seed = int(_require(raw, "seed", "config"))
+    seed = _check_seed(_require(raw, "seed", "config"))
     initial = _require(raw, "initial", "config")
     _require(initial, "kind", "config.initial")
     grid = _require(raw, "grid", "config")
@@ -179,7 +186,7 @@ def sample_initial(spec: dict, N: int, d: int, seed: int) -> ParticleCloud:
     atoms:         explicit list, must match (N, d)
     """
     kind = _require(spec, "kind", "initial")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(_check_seed(seed))))
     if kind == "gaussian":
         sigma = float(_require(spec, "sigma", "initial(gaussian)"))
         return ParticleCloud(sigma * rng.standard_normal((N, d)))

@@ -123,10 +123,6 @@ class NonlocalField:
     def __call__(self, t: float, cloud: ParticleCloud, points: np.ndarray) -> np.ndarray:
         return self.rule(t, cloud, points)
 
-    def slice_at(self, t: float, cloud: ParticleCloud) -> Callable[[np.ndarray], np.ndarray]:
-        """Freeze time and measure arguments, leaving a map on points."""
-        return lambda points: self.rule(t, cloud, points)
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -282,6 +278,15 @@ def dsup_probe(
         raise ValueError("probe set must be nonempty")
     diff = np.asarray(f(pts)) - np.asarray(g(pts))
     return float(np.max(np.linalg.norm(diff, axis=1)))
+
+
+def velocity_gap(v, w, mu: ParticleCloud, nu: ParticleCloud, t: float, R: float = math.inf) -> float:
+    """Max over the atoms x of nu with |x| <= R of |v(t, mu, x) - w(t, nu, x)|,
+    the exact ball-restricted sup gap; 0 when the ball holds no atom."""
+    pts = nu.points if math.isinf(R) else nu.points[nu.norms() <= R]
+    if pts.shape[0] == 0:
+        return 0.0
+    return float(np.max(np.linalg.norm(v.rule(t, mu, pts) - w.rule(t, nu, pts), axis=1)))
 
 
 def ball_grid(radius: float, dim: int, spacing: float) -> np.ndarray:

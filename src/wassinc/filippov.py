@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .dynamics import FrozenMeasure, NonlocalField, RateFunctions, Trajectory, ball_grid, dsup_probe, integrate, union_probes
+from .dynamics import FrozenMeasure, NonlocalField, RateFunctions, Trajectory, ball_grid, dsup_probe, integrate, union_probes, velocity_gap
 from .inclusion import ControlledFamily, ControlSignal, signal_field
-from .measure import ParticleCloud, moment, tail_norm, wasserstein_cost
+from .measure import ParticleCloud, moment, sup_wasserstein_cost, tail_norm, wasserstein_cost
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +61,16 @@ class FilippovCertificate:
         return bool(np.all(self.velocity_gap <= bound * (1.0 + slack) + 1e-15))
 
 
+def _gap_table(family: ControlledFamily, ref: Trajectory, w: NonlocalField, R: float) -> np.ndarray:
+    """(controls x nodes) largest velocity gap between w and each control
+    on the reference atoms of norm <= R."""
+    if not (R > 0):
+        raise ValueError(f"radius R must be positive (or inf), got {R}")
+    fields = [family.field_for(i) for i in range(family.size)]
+    nodes = list(zip(ref.grid, ref.clouds))
+    return np.array([[velocity_gap(w, f, nu, nu, float(t), R) for t, nu in nodes] for f in fields])
+
+
 def mismatch(
     family: ControlledFamily,
     ref: Trajectory,
@@ -74,22 +84,7 @@ def mismatch(
     since the essential sup is a max over atoms.  Empty balls contribute
     zero.  R = inf gives the global variant.
     """
-    if not (R > 0):
-        raise ValueError(f"radius R must be positive (or inf), got {R}")
-    out = np.empty(ref.grid.size)
-    for k, t in enumerate(ref.grid):
-        nu = ref.clouds[k]
-        pts = nu.points if math.isinf(R) else nu.points[nu.norms() <= R]
-        if pts.shape[0] == 0:
-            out[k] = 0.0
-            continue
-        wvals = w.rule(float(t), nu, pts)
-        best = math.inf
-        for u in family.controls:
-            gap = float(np.max(np.linalg.norm(wvals - family.rule(float(t), nu, u, pts), axis=1)))
-            best = min(best, gap)
-        out[k] = best
-    return out
+    return _gap_table(family, ref, w, R).min(axis=0)
 
 
 def compute_bound(
@@ -137,13 +132,10 @@ def compute_bound(
         l_int = rates.integral("l", 0.0, t)
         L_int = rates.integral("L", 0.0, t)
         m_int = rates.integral("m", 0.0, t)
-        growth = math.exp(cpp * l_int**p)
-        chi[k] = cp * L_int * growth
-        if math.isinf(R) or tail == 0.0 or m_int == 0.0:
-            E[k] = 0.0
-        else:
-            E[k] = 2.0 * m_int * (1.0 + script_ct) * tail
-        D[k] = cp * (w0_dist + eta_int + E[k]) * math.exp(cpp * l_int**p + chi[k])
+        growth = bounds._exp(cpp * l_int**p)
+        chi[k] = bounds.product(cp, L_int, growth)
+        E[k] = bounds.product(2.0, m_int, 1.0 + script_ct, tail)
+        D[k] = bounds.product(cp, w0_dist + eta_int + E[k], bounds._exp(cpp * l_int**p + chi[k]))
     L_at_nodes = np.array([rates.at("L", float(t)) for t in grid])
     return {
         "D_p": D,
@@ -199,25 +191,13 @@ def filippov_track(
         probe_spacing = R / 8.0
 
     # initial selection: mismatch argmin along the reference
-    sel = np.zeros(n_int, dtype=int)
-    for j in range(n_int):
-        t = float(grid[j])
-        nu = ref.clouds[j]
-        pts = nu.points if math.isinf(R) else nu.points[nu.norms() <= R]
-        if pts.shape[0] == 0:
-            sel[j] = 0
-            continue
-        wvals = w.rule(t, nu, pts)
-        objective = [
-            float(np.max(np.linalg.norm(wvals - family.rule(t, nu, u, pts), axis=1)))
-            for u in family.controls
-        ]
-        sel[j] = int(np.argmin(objective))
+    table = _gap_table(family, ref, w, R)
+    sel = table[:, :n_int].argmin(axis=0)
 
     sig = ControlSignal(grid=grid, indices=sel)
     meas = ref  # measure argument the current iterate's field is bound to
     cur = integrate(signal_field(family, sig), start, grid, "euler", FrozenMeasure(ref, 0.0))
-    gaps = [max(wasserstein_cost(cur.clouds[k], ref.clouds[k], p) for k in range(grid.size))]
+    gaps = [sup_wasserstein_cost(zip(cur.clouds, ref.clouds), p)]
     iterations = 1
     while gaps[-1] > tol and iterations < max_iter:
         new_sel = np.empty(n_int, dtype=int)
@@ -232,12 +212,12 @@ def filippov_track(
             new_sel[j] = int(np.argmin(values))
         new_sig = ControlSignal(grid=grid, indices=new_sel)
         nxt = integrate(signal_field(family, new_sig), start, grid, "euler", FrozenMeasure(cur, 0.0))
-        gaps.append(max(wasserstein_cost(nxt.clouds[k], cur.clouds[k], p) for k in range(grid.size)))
+        gaps.append(sup_wasserstein_cost(zip(nxt.clouds, cur.clouds), p))
         sig, meas, cur = new_sig, cur, nxt
         iterations += 1
     converged = gaps[-1] <= tol
 
-    eta = mismatch(family, ref, w, R)
+    eta = table.min(axis=0)
     bound = compute_bound(
         grid=grid,
         eta=eta,
@@ -252,17 +232,10 @@ def filippov_track(
     measured = np.array(
         [wasserstein_cost(cur.clouds[k], ref.clouds[k], p) for k in range(grid.size)]
     )
-    vel_gap = np.empty(grid.size)
-    for k in range(grid.size):
-        t = float(grid[k])
-        nu = ref.clouds[k]
-        pts = nu.points if math.isinf(R) else nu.points[nu.norms() <= R]
-        if pts.shape[0] == 0:
-            vel_gap[k] = 0.0
-            continue
-        j = min(k, n_int - 1)  # node M reuses the last interval's control
-        slice_vals = family.rule(t, meas.clouds[k], family.controls[int(sig.indices[j])], pts)
-        vel_gap[k] = float(np.max(np.linalg.norm(slice_vals - w.rule(t, nu, pts), axis=1)))
+    field = signal_field(family, sig)  # node M reuses the last interval's control
+    vel_gap = np.array(
+        [velocity_gap(field, w, meas.clouds[k], ref.clouds[k], float(t), R) for k, t in enumerate(grid)]
+    )
 
     cert = FilippovCertificate(
         grid=grid,

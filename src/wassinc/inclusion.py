@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import NonlocalField, RateFunctions, Trajectory, dsup_probe, union_probes
 from .errors import BlowUpError, ShapeMismatchError
-from .measure import ParticleCloud, wasserstein_cost
+from .measure import ParticleCloud, sup_wasserstein_cost
 
 FamilyRule = Callable[[float, ParticleCloud, Any, np.ndarray], np.ndarray]
 
@@ -257,10 +257,7 @@ def refinement_study(
         raise ValueError("n_list must be strictly increasing with at least two entries")
     solutions = [peano_solve(family, start, n, substeps, strategy, seed)[0] for n in ns]
     common = solutions[0].grid
-    rows = []
-    for (n_a, traj_a), (n_b, traj_b) in zip(
-        zip(ns, solutions), zip(ns[1:], solutions[1:])
-    ):
-        sup = max(wasserstein_cost(traj_a.at(t), traj_b.at(t), p) for t in common)
-        rows.append((n_a, n_b, sup))
-    return rows
+    return [
+        (n_a, n_b, sup_wasserstein_cost([(a.at(t), b.at(t)) for t in common], p))
+        for n_a, n_b, a, b in zip(ns, ns[1:], solutions, solutions[1:])
+    ]

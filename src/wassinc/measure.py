@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from .errors import ShapeMismatchError
 
@@ -59,9 +60,6 @@ class ParticleCloud:
     def mean(self) -> np.ndarray:
         return self.points.mean(axis=0)
 
-    def translated(self, shift: np.ndarray) -> "ParticleCloud":
-        return ParticleCloud(self.points + np.asarray(shift, dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
 class TransportPlan:
@@ -98,15 +96,27 @@ def moment(cloud: ParticleCloud, p: float) -> float:
     return _power_mean(norms, p, cloud.n)
 
 
-def _power_mean(values: np.ndarray, p: float, n: int) -> float:
-    """(fsum(values^p) / n)^(1/p), with exact p = 1 and p = 2 paths."""
-    if values.size == 0:
-        return 0.0
+def _pow(x, p: float):
+    """x^p elementwise, with exact p = 1 and p = 2 paths."""
     if p == 1.0:
-        return math.fsum(values.tolist()) / n
+        return x
     if p == 2.0:
-        return math.sqrt(math.fsum((values * values).tolist()) / n)
-    return (math.fsum((values**p).tolist()) / n) ** (1.0 / p)
+        return x * x
+    return x**p
+
+
+def _root(x: float, p: float) -> float:
+    """x^(1/p), with exact p = 1 and p = 2 paths."""
+    if p == 1.0:
+        return x
+    if p == 2.0:
+        return math.sqrt(x)
+    return x ** (1.0 / p)
+
+
+def _power_mean(values: np.ndarray, p: float, n: int) -> float:
+    """(fsum(values^p) / n)^(1/p); 0 for no values."""
+    return _root(math.fsum(_pow(values, p).tolist()) / n, p)
 
 
 def tail_norm(cloud: ParticleCloud, R: float, p: float, shifted: bool = False) -> float:
@@ -132,19 +142,29 @@ def pairwise_cost(a: ParticleCloud, b: ParticleCloud, p: float) -> np.ndarray:
     permutations in tests) share the exact same arithmetic.
     """
     p = _check_p(p)
-    diff = a.points[:, None, :] - b.points[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    if p == 1.0:
-        return dist
-    if p == 2.0:
-        return dist * dist
-    return dist**p
+    return _pow(cdist(a.points, b.points), p)
 
 
 def assignment_cost(D: np.ndarray, assignment: np.ndarray) -> float:
     """Exactly rounded sum of the matched entries (order independent)."""
     rows = np.arange(D.shape[0])
     return math.fsum(D[rows, np.asarray(assignment, dtype=int)].tolist())
+
+
+def _check_pair(a: ParticleCloud, b: ParticleCloud) -> None:
+    if a.n != b.n or a.d != b.d:
+        raise ShapeMismatchError(
+            f"clouds must match in size and dimension, got ({a.n},{a.d}) and ({b.n},{b.d})"
+        )
+
+
+def _solve(a: ParticleCloud, b: ParticleCloud, p: float):
+    """Cost matrix, an optimal assignment sigma, and its exactly rounded total."""
+    _check_pair(a, b)
+    D = pairwise_cost(a, b, p)
+    # rows come back as arange(N) for a square matrix, so cols is sigma
+    _, sigma = linear_sum_assignment(D)
+    return D, sigma, assignment_cost(D, sigma)
 
 
 def wasserstein(a: ParticleCloud, b: ParticleCloud, p: float) -> TransportPlan:
@@ -156,42 +176,43 @@ def wasserstein(a: ParticleCloud, b: ParticleCloud, p: float) -> TransportPlan:
     W_p = (min total / N)^(1/p).
     """
     p = _check_p(p)
-    if a.n != b.n:
-        raise ShapeMismatchError(f"clouds must have equal size, got {a.n} and {b.n}")
-    if a.d != b.d:
-        raise ShapeMismatchError(f"clouds must share the dimension, got {a.d} and {b.d}")
-    D = pairwise_cost(a, b, p)
-    rows, cols = linear_sum_assignment(D)
-    sigma = np.empty(a.n, dtype=int)
-    sigma[rows] = cols
-    total = assignment_cost(D, sigma)
+    D, sigma, total = _solve(a, b, p)
     sigma = _lexmin_refine(D, sigma, total)
-    n = a.n
-    if p == 1.0:
-        cost = total / n
-    elif p == 2.0:
-        cost = math.sqrt(total / n)
-    else:
-        cost = (total / n) ** (1.0 / p)
-    return TransportPlan(assignment=sigma, cost=cost)
+    return TransportPlan(assignment=sigma, cost=_root(total / a.n, p))
 
 
 def wasserstein_cost(a: ParticleCloud, b: ParticleCloud, p: float) -> float:
     """W_p value only, skipping the lexicographic plan refinement."""
     p = _check_p(p)
-    if a.n != b.n or a.d != b.d:
-        raise ShapeMismatchError(
-            f"clouds must match in size and dimension, got ({a.n},{a.d}) and ({b.n},{b.d})"
-        )
-    D = pairwise_cost(a, b, p)
-    rows, cols = linear_sum_assignment(D)
-    total = math.fsum(D[rows, cols].tolist())
-    n = a.n
-    if p == 1.0:
-        return total / n
-    if p == 2.0:
-        return math.sqrt(total / n)
-    return (total / n) ** (1.0 / p)
+    _, _, total = _solve(a, b, p)
+    return _root(total / a.n, p)
+
+
+def sup_wasserstein_cost(pairs, p: float) -> float:
+    """max_k W_p(a_k, b_k) over a nonempty sequence of equal-size cloud pairs.
+
+    Pairing particle i with particle i is a coupling, so
+    U_k = (mean_i |x_i - y_i|^p)^(1/p) >= W_p(a_k, b_k).  Pairs are solved
+    exactly in descending U_k until U_k <= the largest exact value so far.
+    U_k is inflated by a relative 1e-9, far above the rounding of U_k and of
+    the solver's total, so every pair skipped has W_p <= that value and the
+    result equals max_k wasserstein_cost(a_k, b_k, p) bit for bit.
+    """
+    p = _check_p(p)
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("sup over an empty sequence of pairs")
+    upper = []
+    for a, b in pairs:
+        _check_pair(a, b)
+        gaps = np.linalg.norm(a.points - b.points, axis=1)
+        upper.append((1.0 + 1e-9) * _power_mean(gaps, p, a.n))
+    best = -math.inf
+    for k in sorted(range(len(pairs)), key=upper.__getitem__, reverse=True):
+        if upper[k] <= best:
+            break
+        best = max(best, wasserstein_cost(*pairs[k], p))
+    return best
 
 
 def _optimal_duals(D: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,6 @@ from .dynamics import Trajectory, integrate
 from .errors import ConfigError
 from .filippov import filippov_track
 from .inclusion import ControlSignal, inclusion_residual, peano_solve, refinement_study, signal_field
-from .measure import wasserstein_cost
 from .relax import ChatteringControl, convexify, relax_approximate
 from .verify import BoundReport, verify
 
@@ -226,9 +225,7 @@ def _run_relax(config: ScenarioConfig, out: Path):
     )
     write_trajectory_csv(out / "trajectory.csv", tracked)
     write_signal_csv(out / "signal.csv", signal)
-    measured = np.array(
-        [wasserstein_cost(relaxed_traj.at(t), tracked.at(t), config.p) for t in tracked.grid]
-    )
+    measured = report.measured_W_p
     write_report_csv(out / "report.csv", tracked.grid, measured, np.full_like(measured, delta))
     verdicts = {"density_raw_target": report.meets_raw}
     constants = {

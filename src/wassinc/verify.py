@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bounds
 from .config import ScenarioConfig, build_family, build_field, sample_initial
-from .dynamics import Trajectory, integrate, union_probes, dsup_probe
+from .dynamics import Trajectory, dsup_probe, integrate, union_probes, velocity_gap
 from .errors import ConfigError
 from .measure import ParticleCloud, moment, tail_norm, wasserstein_cost
 
@@ -85,7 +85,7 @@ def momentum_bound_series(
             seg = rates.integral("m", float(grid[k - 1]), float(t))
             growth_int += (1.0 + envelope[k - 1]) * seg
         m_int = rates.integral("m", 0.0, float(t))
-        bound[k] = cp * (measured[0] + growth_int) * math.exp(cpp * m_int**p)
+        bound[k] = bounds.product(cp, measured[0] + growth_int, bounds._exp(cpp * m_int**p))
     return bound
 
 
@@ -179,39 +179,45 @@ def _two_curves(config: ScenarioConfig):
     return v, w, mu, nu
 
 
-def _velocity_gap(v, w, mu_cloud, nu_cloud, t, R=math.inf):
-    pts = nu_cloud.points if math.isinf(R) else nu_cloud.points[nu_cloud.norms() <= R]
-    if pts.shape[0] == 0:
-        return 0.0
-    gap = v.rule(t, mu_cloud, pts) - w.rule(t, nu_cloud, pts)
-    return float(np.max(np.linalg.norm(gap, axis=1)))
-
-
-def verify_gronwall_global(config: ScenarioConfig) -> BoundReport:
-    """W_p between two curves against the global stability estimate."""
+def _gronwall(config: ScenarioConfig, R: float = math.inf):
+    """W_p between the two curves and the stability bound with and without
+    the tail term E, which vanishes for R = inf."""
     v, w, mu, nu = _two_curves(config)
     p = config.p
     cp, cpp = bounds.C_p(p), bounds.C_p_prime(p)
+    joint = v.rates.maximum(w.rates)
+    ct = bounds.horizon_factor(joint.integral("m", 0.0, config.T))
+    tail = 0.0 if math.isinf(R) else tail_norm(nu.clouds[0], max(0.0, R / ct - 1.0), p, shifted=True)
     w0 = wasserstein_cost(mu.clouds[0], nu.clouds[0], p)
     grid = mu.grid
     measured = np.array(
         [wasserstein_cost(mu.clouds[k], nu.clouds[k], p) for k in range(grid.size)]
     )
-    bound = np.empty_like(measured)
+    bound, bare, e_term = (np.empty_like(measured) for _ in range(3))
     disc_int = 0.0
     for k, t in enumerate(grid):
         if k > 0:
             prev_t = float(grid[k - 1])
-            gap = _velocity_gap(v, w, mu.clouds[k - 1], nu.clouds[k - 1], prev_t)
+            gap = velocity_gap(v, w, mu.clouds[k - 1], nu.clouds[k - 1], prev_t, R)
             disc_int += gap * (float(t) - prev_t)
         l_int = v.rates.integral("l", 0.0, float(t))
-        bound[k] = cp * (w0 + disc_int) * math.exp(cpp * l_int**p)
+        e_term[k] = bounds.product(2.0, joint.integral("m", 0.0, float(t)), 1.0 + ct, tail)
+        growth = bounds._exp(cpp * l_int**p)
+        bound[k] = bounds.product(cp, w0 + disc_int + e_term[k], growth)
+        bare[k] = bounds.product(cp, w0 + disc_int, growth)
+    constants = {"C_p": cp, "C_p_prime": cpp, "W_p_initial": w0}
+    return grid, measured, bound, bare, e_term, ct, constants
+
+
+def verify_gronwall_global(config: ScenarioConfig) -> BoundReport:
+    """W_p between two curves against the global stability estimate."""
+    grid, measured, _, bare, _, _, constants = _gronwall(config)
     return BoundReport(
         kind="gronwall_global",
         times=grid,
         measured=measured,
-        bound=bound,
-        constants={"C_p": cp, "C_p_prime": cpp, "W_p_initial": w0},
+        bound=bare,
+        constants=constants,
         slack=config.slack,
     )
 
@@ -224,37 +230,13 @@ def verify_gronwall_local(config: ScenarioConfig) -> BoundReport:
     if R is None:
         raise ConfigError("missing field 'R' in config.experiment (observation radius)")
     R = float(R)
-    v, w, mu, nu = _two_curves(config)
-    p = config.p
-    cp, cpp = bounds.C_p(p), bounds.C_p_prime(p)
-    joint = v.rates.maximum(w.rates)
-    ct = bounds.horizon_factor(joint.integral("m", 0.0, config.T))
-    tail = tail_norm(nu.clouds[0], max(0.0, R / ct - 1.0), p, shifted=True)
-    w0 = wasserstein_cost(mu.clouds[0], nu.clouds[0], p)
-    grid = mu.grid
-    measured = np.array(
-        [wasserstein_cost(mu.clouds[k], nu.clouds[k], p) for k in range(grid.size)]
-    )
-    bound = np.empty_like(measured)
-    bare = np.empty_like(measured)
-    e_term = np.empty_like(measured)
-    disc_int = 0.0
-    for k, t in enumerate(grid):
-        if k > 0:
-            prev_t = float(grid[k - 1])
-            gap = _velocity_gap(v, w, mu.clouds[k - 1], nu.clouds[k - 1], prev_t, R)
-            disc_int += gap * (float(t) - prev_t)
-        l_int = v.rates.integral("l", 0.0, float(t))
-        e_term[k] = 2.0 * joint.integral("m", 0.0, float(t)) * (1.0 + ct) * tail
-        growth = math.exp(cpp * l_int**p)
-        bound[k] = cp * (w0 + disc_int + e_term[k]) * growth
-        bare[k] = cp * (w0 + disc_int) * growth
+    grid, measured, bound, bare, e_term, ct, constants = _gronwall(config, R)
     return BoundReport(
         kind="gronwall_local",
         times=grid,
         measured=measured,
         bound=bound,
-        constants={"C_p": cp, "C_p_prime": cpp, "C_T": ct, "R": R, "W_p_initial": w0},
+        constants={**constants, "C_T": ct, "R": R},
         slack=config.slack,
         extras={"E_term": e_term, "bound_without_tail": bare},
     )

@@ -76,6 +76,23 @@ class TestComputeBound:
         assert out["constants"]["C_p_prime"] == 1.0
         np.testing.assert_allclose(out["D_p"], math.sqrt(2.0) * np.ones(3))
 
+    def test_overflow_saturates_without_nan(self):
+        # exp(C_p' (l t)^p) leaves the float range; L = 0 and a zero
+        # distance term must still give 0, not 0 * inf = nan
+        out = compute_bound(
+            grid=np.linspace(0, 10, 5),
+            eta=np.zeros(5),
+            rates=const_rates(0.0, 100.0, 0.0, T=10.0),
+            p=2,
+            R=INF,
+            nu0=delta(0.0),
+            w0_dist=0.0,
+            moment_mu0=0.0,
+            moment_nu0=0.0,
+        )
+        np.testing.assert_array_equal(out["chi_p"], np.zeros(5))
+        np.testing.assert_array_equal(out["D_p"], np.zeros(5))
+
     def test_constants_exact_p1(self):
         from wassinc import bounds as bnd
 

@@ -49,6 +49,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="rates"):
             run_scenario(cfg(field={"label": "zero"}), "/tmp/wassinc-bad2")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7", True])
+    def test_seed_must_be_u64(self, seed):
+        with pytest.raises(ConfigError, match="'seed'"):
+            cfg(seed=seed)
+
+    def test_largest_seed_accepted(self):
+        assert cfg(seed=2**64 - 1).seed == 2**64 - 1
+
     def test_atoms_shape_checked(self):
         with pytest.raises(ConfigError, match="atoms"):
             sample_initial({"kind": "atoms", "atoms": [[1.0, 2.0]]}, 1, 1, 0)
@@ -236,6 +244,37 @@ class TestCli:
             ["simulate", "--config", self._write(tmp_path, raw), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--seed", "-1"]])
+    def test_negative_seed_exits_two(self, tmp_path, capsys, flags):
+        raw = json.loads(json.dumps(BASE))
+        if not flags:
+            raw["seed"] = -1
+        code = cli_main(
+            ["simulate", "--config", self._write(tmp_path, raw), "--out", str(tmp_path / "o")]
+            + flags
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: 'seed'")
+
+    def test_overflowing_bound_saturates(self, tmp_path, capsys):
+        # exp(C_p' (l T)^p) = exp(5e5) is past the float range
+        raw = json.loads(json.dumps(BASE))
+        raw.update(p=2, T=10.0)
+        raw["field"]["rates"]["l"] = 100.0
+        raw["experiment"] = {
+            "kind": "verify",
+            "what": "gronwall_global",
+            "w": {"label": "linear_decay", "rates": {"m": 1.0, "l": 1.0, "L": 0.0}},
+            "ref_initial": {"kind": "atoms", "atoms": [[0.0]]},
+        }
+        out = tmp_path / "o"
+        code = cli_main(["verify", "--config", self._write(tmp_path, raw), "--out", str(out)])
+        verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
+        assert code == (0 if all(verdicts.values()) else 1)
+        assert "Traceback" not in capsys.readouterr().err
+        bounds = [float(r.split(",")[2]) for r in (out / "report.csv").read_text().split()[1:]]
+        assert not any(math.isnan(b) for b in bounds) and bounds[-1] == math.inf
 
     def test_command_overrides_experiment(self, tmp_path):
         raw = json.loads(json.dumps(BASE))

@@ -8,7 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from wassinc import ParticleCloud, moment, tail_norm, wasserstein, wasserstein_cost
 from wassinc.errors import ShapeMismatchError
-from wassinc.measure import assignment_cost, pairwise_cost
+from wassinc import measure
+from wassinc.measure import assignment_cost, pairwise_cost, sup_wasserstein_cost
 
 from conftest import cloud, delta, random_cloud
 
@@ -182,3 +183,87 @@ class TestMetricAxioms:
         w1 = wasserstein_cost(a, b, 1.0)
         assert phi_a - phi_b <= lip * w1 + 1e-9
         assert lip * w1 <= lip * wasserstein_cost(a, b, p) + 1e-9
+
+
+def norm_tensor_cost(a, b, p):
+    """The difference-tensor formula pairwise_cost replaced."""
+    dist = np.linalg.norm(a.points[:, None, :] - b.points[None, :, :], axis=2)
+    if p == 1.0:
+        return dist
+    if p == 2.0:
+        return dist * dist
+    return dist**p
+
+
+@st.composite
+def cloud_pairs(draw, n_max=8, tight=False):
+    """1-6 pairs of (n, d) clouds; ``tight`` pairs differ by tiny moves,
+    so the identity coupling is close to optimal."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, n_max))
+    d = draw(st.integers(1, 3))
+    moves = st.floats(-1e-3, 1e-3, allow_nan=False, width=64)
+    pairs = []
+    for _ in range(k):
+        a = draw(hnp.arrays(np.float64, (n, d), elements=coords))
+        if tight:
+            b = a + draw(hnp.arrays(np.float64, (n, d), elements=moves))
+        else:
+            b = draw(hnp.arrays(np.float64, (n, d), elements=coords))
+        pairs.append((ParticleCloud(a), ParticleCloud(b)))
+    return pairs
+
+
+class TestFastPaths:
+    @given(
+        data=st.data(),
+        n=st.integers(1, 12),
+        d=st.sampled_from([1, 2, 3, 5]),
+        p=st.sampled_from([1.0, 2.0, 3.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_pairwise_cost_matches_norm_tensor_bitwise(self, data, n, d, p):
+        a, b = (
+            ParticleCloud(data.draw(hnp.arrays(np.float64, (n, d), elements=coords)))
+            for _ in range(2)
+        )
+        np.testing.assert_array_equal(pairwise_cost(a, b, p), norm_tensor_cost(a, b, p))
+
+    def test_pairwise_cost_matches_norm_tensor_at_size(self, rng):
+        for d in (1, 2, 3, 5):
+            a, b = random_cloud(rng, 300, d), random_cloud(rng, 300, d)
+            for p in (1.0, 2.0, 3.0):
+                np.testing.assert_array_equal(pairwise_cost(a, b, p), norm_tensor_cost(a, b, p))
+
+    @given(
+        pairs=st.one_of(cloud_pairs(tight=True), cloud_pairs(), cloud_pairs(n_max=1)),
+        p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_sup_equals_max_of_exact_solves(self, pairs, p):
+        assert sup_wasserstein_cost(pairs, p) == max(wasserstein_cost(a, b, p) for a, b in pairs)
+
+    @given(clouds=cloud_triple(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_plan_cost_equals_value_only_cost(self, clouds, p):
+        a, b, _ = clouds
+        assert wasserstein(a, b, p).cost == wasserstein_cost(a, b, p)
+
+    def test_sup_solves_only_the_widest_translation(self, rng, monkeypatch):
+        # a translated cloud is matched optimally by the identity, so the
+        # largest shift gives the sup and every other node is screened out
+        calls = []
+        solve = measure.wasserstein_cost
+        monkeypatch.setattr(
+            measure, "wasserstein_cost", lambda a, b, p: calls.append(1) or solve(a, b, p)
+        )
+        base = random_cloud(rng, 16, 2)
+        pairs = [(base, ParticleCloud(base.points + [0.1 * k, 0.0])) for k in (3, 1, 4, 2)]
+        assert sup_wasserstein_cost(pairs, 2) == solve(*pairs[2], 2)
+        assert len(calls) == 1
+
+    def test_sup_rejects_mismatch_and_empty(self):
+        with pytest.raises(ShapeMismatchError):
+            sup_wasserstein_cost([(delta(0.0), delta(1.0)), (delta(0.0), delta(0.0, 0.0))], 1)
+        with pytest.raises(ValueError):
+            sup_wasserstein_cost([], 1)

@@ -135,6 +135,8 @@ class TestRelaxApproximate:
         assert report.meets_raw
         assert report.measured_sup <= delta_target
         assert report.certificate.converged
+        assert report.measured_W_p.shape == tracked.grid.shape
+        assert report.measured_sup == report.measured_W_p.max()
 
     def test_pure_signal_returns_input(self):
         fam, chat, _, _ = mixture_setup(T=0.25, steps=64)
