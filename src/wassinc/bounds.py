@@ -34,6 +34,16 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def exp_power(c: float, x: float, p: float, shift: float = 0.0) -> float:
+    """exp(c x^p + shift) for c, x >= 0, saturating to +inf: an x^p past
+    the float range counts as inf, like the exp it feeds."""
+    try:
+        xp = x**p
+    except OverflowError:
+        xp = math.inf
+    return _exp(c * xp + shift)
+
+
 def product(*factors: float) -> float:
     """Left-to-right product; a zero factor gives 0 even beside an inf,
     which stands for a finite value past the float range (``_exp``)."""
@@ -55,7 +65,7 @@ def C_p_prime(p: float) -> float:
 
 def moment_bound(p: float, moment0: float, m_total: float) -> float:
     """A priori p-th moment bound C_p (M_p(mu0) + ||m||_1) exp(C_p' ||m||_1^p)."""
-    return C_p(p) * (moment0 + m_total) * _exp(C_p_prime(p) * m_total**p)
+    return product(C_p(p), moment0 + m_total, exp_power(C_p_prime(p), m_total, p))
 
 
 def abs_continuity_constant(p: float, moment0: float, m_total: float) -> float:
@@ -76,9 +86,10 @@ def horizon_factor(m_total: float) -> float:
 def uniform_moment(p: float, moment_mu0: float, moment_nu0: float, m_total: float) -> float:
     """Uniform moment bound over all iterates of a tracking construction."""
     cp, cpp = C_p(p), C_p_prime(p)
-    f0 = cp * (moment_nu0 + m_total) * _exp(cpp * m_total**p)
-    alpha = cp * (1.0 + moment_mu0 + m_total * (1.0 + f0)) * _exp(cpp * m_total**p)
-    return (alpha + f0) * _exp(alpha * m_total)
+    growth = exp_power(cpp, m_total, p)
+    f0 = product(cp, moment_nu0 + m_total, growth)
+    alpha = product(cp, 1.0 + moment_mu0 + m_total * (1.0 + f0), growth)
+    return product(alpha + f0, _exp(alpha * m_total))
 
 
 def script_horizon_factor(uniform_moment_bound: float, m_total: float) -> float:

@@ -22,6 +22,7 @@ files must still declare rates explicitly.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .dynamics import NonlocalField, RateFunctions
 from .errors import ConfigError
@@ -70,12 +71,35 @@ def mean_attraction_field(kappa: float, rates: RateFunctions) -> NonlocalField:
 
 
 def bounded_kernel_field(rates: RateFunctions) -> NonlocalField:
-    """Saturating pairwise attraction; natural rates m = 1, l = 1, L = 1."""
+    """Saturating pairwise attraction; natural rates m = 1, l = 1, L = 1.
+
+    The reference form of the rule is ``mean(axis=1)`` of the (points,
+    cloud, d) tensor -(x_i - y_j) / (1 + |x_i - y_j|); the tests keep it
+    as the oracle.  The rule itself takes the distances from ``cdist``
+    and lays its terms out so that numpy's sum over the cloud rows j adds
+    the same terms in the same order as that reference, hence gives the
+    same bits with no (points, cloud, d) tensor and no length-d norm loop:
+
+    * d >= 2: numpy sums the tensor sequentially in j, so the terms form
+      a (j, c, i) slab summed over its leading axis, which numpy also
+      does sequentially because the trailing (c, i) block has at least
+      two entries, even for a single probe row;
+    * d = 1: numpy drops the unit axis and sums each row pairwise, so the
+      terms form an (i, j) slab summed over its contiguous last axis.
+
+    ``cdist`` adds the d squares in order, as ``np.linalg.norm`` does for
+    d < 8; from d = 8 on numpy sums them pairwise and the two may differ
+    in the last bit.
+    """
 
     def rule(t, cloud, X):
-        diff = X[:, None, :] - cloud.points[None, :, :]
-        norms = np.linalg.norm(diff, axis=2, keepdims=True)
-        return (-diff / (1.0 + norms)).mean(axis=1)
+        Y = cloud.points
+        if X.shape[1] == 1:
+            q = (Y.T - X) / (1.0 + cdist(X, Y))  # laid out (i, j)
+            return q.sum(axis=1, keepdims=True) / len(Y)
+        q = Y[:, :, None] - np.ascontiguousarray(X.T)  # -(x_i - y_j), laid out (j, c, i)
+        q /= 1.0 + cdist(Y, X)[:, None, :]
+        return np.ascontiguousarray(q.sum(axis=0).T) / len(Y)
 
     return NonlocalField(rule=rule, rates=rates, label="bounded_kernel", measure_dependent=True)
 

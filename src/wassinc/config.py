@@ -63,11 +63,20 @@ class ScenarioConfig:
     family: dict | None = None
     slack: float = 0.05
 
+    def __post_init__(self):
+        self.steps()  # a grid without a single step would check nothing
+
     def steps(self) -> int:
         if "steps" in self.grid:
-            return int(self.grid["steps"])
+            steps = int(self.grid["steps"])
+            if steps < 1:
+                raise ConfigError(f"grid 'steps' must be >= 1, got {steps}")
+            return steps
         if "dt" in self.grid:
-            return max(1, int(round(self.T / float(self.grid["dt"]))))
+            dt = float(self.grid["dt"])
+            if not dt > 0:
+                raise ConfigError(f"grid 'dt' must be positive, got {dt}")
+            return max(1, int(round(self.T / dt)))
         raise ConfigError("grid needs either 'steps' or 'dt'")
 
     def time_grid(self) -> np.ndarray:

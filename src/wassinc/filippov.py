@@ -132,10 +132,10 @@ def compute_bound(
         l_int = rates.integral("l", 0.0, t)
         L_int = rates.integral("L", 0.0, t)
         m_int = rates.integral("m", 0.0, t)
-        growth = bounds._exp(cpp * l_int**p)
+        growth = bounds.exp_power(cpp, l_int, p)
         chi[k] = bounds.product(cp, L_int, growth)
         E[k] = bounds.product(2.0, m_int, 1.0 + script_ct, tail)
-        D[k] = bounds.product(cp, w0_dist + eta_int + E[k], bounds._exp(cpp * l_int**p + chi[k]))
+        D[k] = bounds.product(cp, w0_dist + eta_int + E[k], bounds.exp_power(cpp, l_int, p, chi[k]))
     L_at_nodes = np.array([rates.at("L", float(t)) for t in grid])
     return {
         "D_p": D,
@@ -218,6 +218,9 @@ def filippov_track(
     converged = gaps[-1] <= tol
 
     eta = table.min(axis=0)
+    measured = np.array(
+        [wasserstein_cost(cur.clouds[k], ref.clouds[k], p) for k in range(grid.size)]
+    )
     bound = compute_bound(
         grid=grid,
         eta=eta,
@@ -225,12 +228,9 @@ def filippov_track(
         p=p,
         R=R,
         nu0=ref.clouds[0],
-        w0_dist=wasserstein_cost(start, ref.clouds[0], p),
+        w0_dist=float(measured[0]),  # cur starts at ``start``
         moment_mu0=moment(start, p),
         moment_nu0=moment(ref.clouds[0], p),
-    )
-    measured = np.array(
-        [wasserstein_cost(cur.clouds[k], ref.clouds[k], p) for k in range(grid.size)]
     )
     field = signal_field(family, sig)  # node M reuses the last interval's control
     vel_gap = np.array(

@@ -276,7 +276,7 @@ def relax_approximate(
     )
     measured_sup = float(measured.max())
     l_total = rates.integral("l", 0.0, rates.duration)
-    growth = bounds._exp(bounds.C_p_prime(p) * l_total**p)
+    growth = bounds.exp_power(bounds.C_p_prime(p), l_total, p)
     chi_bar = bounds.product(bounds.C_p(p), rates.integral("L", 0.0, rates.duration), growth)
     chi_growth = bounds._exp(chi_bar)
     amplification = bounds.product(

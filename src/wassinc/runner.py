@@ -17,6 +17,7 @@ byte for byte.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -32,34 +33,33 @@ from .relax import ChatteringControl, convexify, relax_approximate
 from .verify import BoundReport, verify
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_rows(path: Path, header: str, template: str, rows) -> None:
+    """Write ``header`` and then ``template % row`` for every row, one line
+    each.  ``%.17g`` prints the same text as ``format(x, ".17g")``."""
+    path.write_text("\n".join([header, *(template % row for row in rows)]) + "\n")
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    d = traj.dim
-    header = "t,particle," + ",".join(f"x{i + 1}" for i in range(d))
-    lines = [header]
-    for k, t in enumerate(traj.grid):
-        pts = traj.clouds[k].points
-        for i in range(traj.n_particles):
-            coords = ",".join(_fmt(c) for c in pts[i])
-            lines.append(f"{_fmt(t)},{i},{coords}")
-    path.write_text("\n".join(lines) + "\n")
+    n, d = traj.n_particles, traj.dim
+    times = [format(t, ".17g") for t in traj.grid.tolist()]
+    coords = traj.positions().reshape(-1, d).tolist()
+    rows = ((t, i, *x) for (t, i), x in zip(itertools.product(times, range(n)), coords))
+    header = "t,particle," + ",".join(f"x{c + 1}" for c in range(d))
+    _write_rows(path, header, "%s,%d" + ",%.17g" * d, rows)
 
 
 def write_signal_csv(path: Path, signal: ControlSignal) -> None:
-    lines = ["t_start,t_end,control_index"]
-    for k in range(signal.n_intervals):
-        lines.append(f"{_fmt(signal.grid[k])},{_fmt(signal.grid[k + 1])},{int(signal.indices[k])}")
-    path.write_text("\n".join(lines) + "\n")
+    grid = signal.grid.tolist()
+    rows = zip(grid[:-1], grid[1:], signal.indices.tolist())
+    _write_rows(path, "t_start,t_end,control_index", "%.17g,%.17g,%d", rows)
 
 
 def write_report_csv(path: Path, times, measured, bound) -> None:
-    lines = ["t,measured,bound,margin"]
-    for t, m, b in zip(times, measured, bound):
-        lines.append(f"{_fmt(t)},{_fmt(m)},{_fmt(b)},{_fmt(b - m)}")
-    path.write_text("\n".join(lines) + "\n")
+    measured = np.asarray(measured, dtype=float)
+    bound = np.asarray(bound, dtype=float)
+    rows = zip(np.asarray(times, dtype=float).tolist(), measured.tolist(), bound.tolist(),
+               (bound - measured).tolist())
+    _write_rows(path, "t,measured,bound,margin", "%.17g,%.17g,%.17g,%.17g", rows)
 
 
 def _digest(path: Path) -> str:
@@ -141,9 +141,7 @@ def _run_peano(config: ScenarioConfig, out: Path):
             family, start, [int(v) for v in exp["n_list"]], substeps, strategy, config.p,
             seed=config.seed,
         )
-        lines = ["n_coarse,n_fine,sup_wp"]
-        lines += [f"{a},{b},{_fmt(v)}" for a, b, v in rows]
-        (out / "refinement.csv").write_text("\n".join(lines) + "\n")
+        _write_rows(out / "refinement.csv", "n_coarse,n_fine,sup_wp", "%d,%d,%.17g", rows)
         files.append("refinement.csv")
         constants["refinement_max"] = max(v for _, _, v in rows)
     return files, verdicts, constants

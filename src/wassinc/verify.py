@@ -42,7 +42,11 @@ class BoundReport:
 
     @property
     def passed(self) -> bool:
-        return bool(np.all(self.margins >= -self.slack * self.bound - _ATOL))
+        """True when every margin is within slack; an empty series checks
+        nothing and does not pass."""
+        return self.measured.size > 0 and bool(
+            np.all(self.margins >= -self.slack * self.bound - _ATOL)
+        )
 
 
 def verify(kind: str, config: ScenarioConfig) -> BoundReport:
@@ -85,7 +89,7 @@ def momentum_bound_series(
             seg = rates.integral("m", float(grid[k - 1]), float(t))
             growth_int += (1.0 + envelope[k - 1]) * seg
         m_int = rates.integral("m", 0.0, float(t))
-        bound[k] = bounds.product(cp, measured[0] + growth_int, bounds._exp(cpp * m_int**p))
+        bound[k] = bounds.product(cp, measured[0] + growth_int, bounds.exp_power(cpp, m_int, p))
     return bound
 
 
@@ -188,11 +192,11 @@ def _gronwall(config: ScenarioConfig, R: float = math.inf):
     joint = v.rates.maximum(w.rates)
     ct = bounds.horizon_factor(joint.integral("m", 0.0, config.T))
     tail = 0.0 if math.isinf(R) else tail_norm(nu.clouds[0], max(0.0, R / ct - 1.0), p, shifted=True)
-    w0 = wasserstein_cost(mu.clouds[0], nu.clouds[0], p)
     grid = mu.grid
     measured = np.array(
         [wasserstein_cost(mu.clouds[k], nu.clouds[k], p) for k in range(grid.size)]
     )
+    w0 = float(measured[0])
     bound, bare, e_term = (np.empty_like(measured) for _ in range(3))
     disc_int = 0.0
     for k, t in enumerate(grid):
@@ -202,7 +206,7 @@ def _gronwall(config: ScenarioConfig, R: float = math.inf):
             disc_int += gap * (float(t) - prev_t)
         l_int = v.rates.integral("l", 0.0, float(t))
         e_term[k] = bounds.product(2.0, joint.integral("m", 0.0, float(t)), 1.0 + ct, tail)
-        growth = bounds._exp(cpp * l_int**p)
+        growth = bounds.exp_power(cpp, l_int, p)
         bound[k] = bounds.product(cp, w0 + disc_int + e_term[k], growth)
         bare[k] = bounds.product(cp, w0 + disc_int, growth)
     constants = {"C_p": cp, "C_p_prime": cpp, "W_p_initial": w0}
@@ -240,6 +244,14 @@ def verify_gronwall_local(config: ScenarioConfig) -> BoundReport:
         slack=config.slack,
         extras={"E_term": e_term, "bound_without_tail": bare},
     )
+
+
+def _ratio(num: float, den: float) -> float:
+    """num / den for a hypothesis ratio: 0 for a vanishing numerator, inf
+    for a nonzero one over a zero declared rate (the hypothesis fails)."""
+    if num <= _ATOL:
+        return 0.0
+    return num / den if den > 0 else math.inf
 
 
 def verify_hypotheses_probe(config: ScenarioConfig) -> BoundReport:
@@ -291,7 +303,7 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> BoundReport:
         vx = eval_rule(t, cloud, u, x)
         den = mval * (1.0 + float(np.linalg.norm(x)) + moment(cloud, p))
         num = float(np.linalg.norm(vx))
-        r_m = 0.0 if num <= _ATOL else num / den
+        r_m = _ratio(num, den)
         times.append(t)
         ratios.append(r_m)
         labels.append("m")
@@ -301,7 +313,7 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> BoundReport:
         lval = rates.at("l", t)
         num = float(np.linalg.norm(vx - eval_rule(t, cloud, u, y)))
         den = lval * float(np.linalg.norm(x - y))
-        r_l = 0.0 if num <= _ATOL else num / den
+        r_l = _ratio(num, den)
         times.append(t)
         ratios.append(r_l)
         labels.append("l")
@@ -319,7 +331,7 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> BoundReport:
                 for uu in controls
             )
             den = rates.at("L", t) * wasserstein_cost(cloud, other, p)
-            r_L = 0.0 if best <= _ATOL else best / den
+            r_L = _ratio(best, den)
             times.append(t)
             ratios.append(r_L)
             labels.append("L")

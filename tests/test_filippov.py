@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wassinc import compute_bound, filippov_track, integrate, mismatch, moment
+from wassinc import bounds, compute_bound, filippov, filippov_track, integrate, mismatch, moment
 from wassinc.catalog import constants_family, gain_family, linear_decay_field, zero_field
 
 from conftest import cloud, delta, random_cloud, const_rates
@@ -93,6 +93,29 @@ class TestComputeBound:
         np.testing.assert_array_equal(out["chi_p"], np.zeros(5))
         np.testing.assert_array_equal(out["D_p"], np.zeros(5))
 
+    def test_power_overflow_saturates_without_nan(self):
+        # (l t)^p itself leaves the float range, before exp sees it
+        out = compute_bound(
+            grid=np.linspace(0, 10, 5),
+            eta=np.zeros(5),
+            rates=const_rates(0.0, 1e100, 1.0, T=10.0),
+            p=4,
+            R=INF,
+            nu0=delta(0.0),
+            w0_dist=1.0,
+            moment_mu0=0.0,
+            moment_nu0=0.0,
+        )
+        assert out["D_p"][0] == bounds.C_p(4.0)
+        np.testing.assert_array_equal(out["D_p"][1:], np.full(4, INF))
+        np.testing.assert_array_equal(out["chi_p"][1:], np.full(4, INF))
+
+    def test_moment_envelopes_saturate(self):
+        assert bounds.moment_bound(4.0, 1.0, 1e100) == INF
+        assert bounds.uniform_moment(4.0, 1.0, 1.0, 1e100) == INF
+        assert bounds.exp_power(1.0, 1e100, 4.0) == INF
+        assert bounds.exp_power(1.0, 0.0, 4.0) == 1.0
+
     def test_constants_exact_p1(self):
         from wassinc import bounds as bnd
 
@@ -127,6 +150,23 @@ class TestTracking:
         assert cert.iterations == 1 and cert.converged
         assert np.all(cert.measured_W_p == 0.0)
         np.testing.assert_array_equal(traj.positions(), ref.positions())
+
+    def test_initial_distance_is_the_first_measured_node(self, rng, monkeypatch):
+        # W_p(mu0, nu0) is measured once, at node 0, and the bound reuses it
+        calls = []
+        solve = filippov.wasserstein_cost
+        monkeypatch.setattr(
+            filippov, "wasserstein_cost", lambda a, b, p: calls.append(1) or solve(a, b, p)
+        )
+        fam = bang_bang()
+        w = zero_field(const_rates(1.0, 0.0, 0.0))
+        grid = np.linspace(0, 1, 11)
+        ref = integrate(w, random_cloud(rng, 5, 1), grid)
+        start = random_cloud(rng, 5, 1)
+        _, _, cert = filippov_track(fam, ref, w, start, INF, 1e-9, 10, p=2)
+        assert len(calls) == grid.size
+        assert cert.measured_W_p[0] == solve(start, ref.clouds[0], 2)
+        assert cert.D_p[0] == bounds.C_p(2.0) * cert.measured_W_p[0]
 
     def test_constants_scenario_tight(self):
         fam = bang_bang()

@@ -1,7 +1,9 @@
+import importlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from wassinc import parse_config, run_scenario, sample_initial, verify
 from wassinc.cli import main as cli_main
 from wassinc.errors import ConfigError
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 BASE = {
     "p": 1,
@@ -56,6 +60,11 @@ class TestConfigParsing:
 
     def test_largest_seed_accepted(self):
         assert cfg(seed=2**64 - 1).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("grid", [{"steps": 0}, {"steps": -3}, {"dt": 0.0}, {"dt": -0.1}])
+    def test_grid_needs_a_step(self, grid):
+        with pytest.raises(ConfigError, match="grid"):
+            cfg(grid=grid)
 
     def test_atoms_shape_checked(self):
         with pytest.raises(ConfigError, match="atoms"):
@@ -144,6 +153,35 @@ class TestVerifyKinds:
         closed = np.exp(-report.times)
         assert np.max(np.abs(report.measured - closed)) < 1e-3
         np.testing.assert_allclose(report.bound, np.exp(report.times), rtol=1e-12)
+
+    def test_empty_series_does_not_pass(self):
+        report = verify(
+            "equi_integrability",
+            cfg(experiment={"kind": "verify", "what": "equi_integrability", "R_list": []}),
+        )
+        assert report.measured.size == 0 and not report.passed
+
+    def test_gronwall_reuses_initial_distance(self, monkeypatch):
+        verify_module = importlib.import_module("wassinc.verify")  # the package exports verify()
+        calls = []
+        solve = verify_module.wasserstein_cost
+        monkeypatch.setattr(
+            verify_module, "wasserstein_cost", lambda a, b, p: calls.append(1) or solve(a, b, p)
+        )
+        report = verify(
+            "gronwall_global",
+            cfg(
+                grid={"steps": 10},
+                experiment={
+                    "kind": "verify",
+                    "what": "gronwall_global",
+                    "w": {"label": "linear_decay", "rates": {"m": 1.0, "l": 1.0, "L": 0.0}},
+                    "ref_initial": {"kind": "atoms", "atoms": [[0.0]]},
+                },
+            ),
+        )
+        assert len(calls) == 11  # one W_p solve per node, none repeated
+        assert report.constants["W_p_initial"] == report.measured[0]
 
     def test_missing_kind_parameter_named(self):
         with pytest.raises(ConfigError, match="'w'"):
@@ -275,6 +313,45 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
         bounds = [float(r.split(",")[2]) for r in (out / "report.csv").read_text().split()[1:]]
         assert not any(math.isnan(b) for b in bounds) and bounds[-1] == math.inf
+
+    def test_overflowing_power_saturates(self, tmp_path, capsys):
+        # (l t)^p = (1e100 t)^4 is past the float range before exp sees it
+        raw = json.loads(json.dumps(BASE))
+        raw.update(p=4, T=10.0, grid={"steps": 20})
+        raw["field"]["rates"]["l"] = 1e100
+        raw["experiment"] = {
+            "kind": "verify",
+            "what": "gronwall_global",
+            "w": {"label": "linear_decay", "rates": {"m": 1.0, "l": 1.0, "L": 0.0}},
+            "ref_initial": {"kind": "atoms", "atoms": [[0.0]]},
+        }
+        out = tmp_path / "o"
+        code = cli_main(["verify", "--config", self._write(tmp_path, raw), "--out", str(out)])
+        verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
+        assert code == (0 if all(verdicts.values()) else 1)
+        assert "Traceback" not in capsys.readouterr().err
+        bounds = [float(r.split(",")[2]) for r in (out / "report.csv").read_text().split()[1:]]
+        assert not any(math.isnan(b) for b in bounds) and bounds[-1] == math.inf
+
+    def test_zero_declared_rate_fails_honestly(self, tmp_path, capsys):
+        # the bundled catalog probe with m = 0 and a nonzero rule
+        raw = json.loads((SCENARIOS / "verify_hypotheses_probe_catalog.json").read_text())
+        raw["field"]["rates"]["m"] = 0.0
+        out = tmp_path / "o"
+        code = cli_main(["verify", "--config", self._write(tmp_path, raw), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().out == "hypotheses_probe: FAIL\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["verdicts"] == {"hypotheses_probe": False}
+        assert manifest["constants"]["max_ratio_m"] == "inf"
+        assert manifest["constants"]["max_ratio_l"] <= 1.0 + 1e-9
+
+    def test_zero_steps_flag_exits_two(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(BASE))
+        raw["experiment"] = {"kind": "verify", "what": "momentum"}
+        args = ["verify", "--config", self._write(tmp_path, raw), "--out", str(tmp_path / "o")]
+        assert cli_main(args + ["--steps", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: grid 'steps'")
 
     def test_command_overrides_experiment(self, tmp_path):
         raw = json.loads(json.dumps(BASE))

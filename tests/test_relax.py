@@ -160,6 +160,17 @@ class TestRelaxApproximate:
         with pytest.raises(ResolutionError, match="finer"):
             relax_approximate(fam, traj, sig, chat, delta=0.01, p=1)
 
+    def test_amplification_saturates_past_float_range(self):
+        # (l T)^p = (2.5e199)^2 overflows as a float power
+        fam = constants_family([[-1.0], [1.0]], const_rates(1.0, 1e200, 0.0, 0.25))
+        chat = convexify(fam, q=2, weight_steps=2)
+        idx = chat.controls.index(ChatteringControl((0, 1), (1, 1), 2))
+        grid = np.linspace(0.0, 0.25, 257)
+        sig = ControlSignal(grid=grid, indices=np.full(grid.size - 1, idx, dtype=int))
+        traj = integrate(signal_field(chat, sig), delta(0.0), grid)
+        _, _, report = relax_approximate(fam, traj, sig, chat, delta=0.3, p=2)
+        assert report.amplification == np.inf and report.guaranteed_target == np.inf
+
     def test_report_carries_both_targets(self):
         fam, chat, sig, traj = mixture_setup()
         _, _, report = relax_approximate(fam, traj, sig, chat, 0.1, p=1)
