@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def _exp(x: float) -> float:
     """exp saturating to +inf; the envelopes stay valid bounds either way."""
@@ -53,6 +55,29 @@ def product(*factors: float) -> float:
             return 0.0
         out *= f
     return out
+
+
+def gronwall_series(*, p, w0, increments, l_int, L_int=0.0, m_int=0.0, horizon=0.0, tail=0.0):
+    """The arrays (D_p, chi_p, E), one entry per grid node t_k, where
+
+        D_p(t_k) = C_p (w0 + sum_{j<k} increments_j + E) exp(C_p' l^p + chi_p),
+        chi_p = C_p L exp(C_p' l^p),   E = 2 m (1 + horizon) tail,
+
+    and l, L, m are the rate integrals over [0, t_k] (``l_int``, ``L_int``,
+    ``m_int``, scalars broadcast).  L = 0 gives the plain Gronwall bound,
+    tail = 0 drops E."""
+    cp, cpp = C_p(p), C_p_prime(p)
+    rows = zip(*(np.broadcast_to(a, np.shape(l_int)).tolist() for a in (l_int, L_int, m_int)))
+    increments = np.asarray(increments).tolist()
+    D, chi, E = (np.empty(np.shape(l_int)) for _ in range(3))
+    total = 0.0
+    for k, (l, L, m) in enumerate(rows):
+        if k > 0:
+            total += increments[k - 1]
+        chi[k] = product(cp, L, exp_power(cpp, l, p))
+        E[k] = product(2.0, m, 1.0 + horizon, tail)
+        D[k] = product(cp, w0 + total + E[k], exp_power(cpp, l, p, chi[k]))
+    return D, chi, E
 
 
 def C_p(p: float) -> float:

@@ -9,7 +9,8 @@ Labels understood by scenario files:
 * ``bounded_kernel``            v(x) = (1/N) sum_j -(x - y_j) / (1 + |x - y_j|)
 * ``rotation``                  v = (-x2, x1), d = 2 only
 
-Control families:
+Control families (each rule evaluates a stack of control indices at
+once, see ``ControlledFamily``):
 
 * ``constants``  controls are vectors u, v = u
 * ``gain``       controls are scalars k, v = -k x
@@ -147,9 +148,11 @@ def field_from_label(label: str, rates: RateFunctions, params: dict | None = Non
 def constants_family(controls, rates: RateFunctions) -> ControlledFamily:
     """Finite set of constant velocities; natural rates m = max |u|, l = L = 0."""
     vecs = tuple(np.asarray(u, dtype=float) for u in controls)
+    table = np.array(vecs)  # (U,) scalars or (U, d) vectors
 
-    def rule(t, cloud, u, X):
-        return np.broadcast_to(u, X.shape).copy()
+    def rule(t, cloud, idx, X):
+        u = table[idx].reshape(len(idx), 1, -1)
+        return np.broadcast_to(u, (len(idx),) + X.shape).copy()
 
     return ControlledFamily(controls=vecs, rule=rule, rates=rates, label="constants")
 
@@ -157,9 +160,10 @@ def constants_family(controls, rates: RateFunctions) -> ControlledFamily:
 def gain_family(controls, rates: RateFunctions) -> ControlledFamily:
     """v = -k x for gains k; natural rates m = l = max k, L = 0."""
     gains = tuple(float(u) for u in controls)
+    table = np.array(gains)
 
-    def rule(t, cloud, u, X):
-        return -u * X
+    def rule(t, cloud, idx, X):
+        return -table[idx][:, None, None] * X
 
     return ControlledFamily(controls=gains, rule=rule, rates=rates, label="gain")
 
@@ -167,9 +171,10 @@ def gain_family(controls, rates: RateFunctions) -> ControlledFamily:
 def mean_gain_family(controls, rates: RateFunctions) -> ControlledFamily:
     """v = k (mean(mu) - x) for gains k; natural rates m = l = L = max k."""
     gains = tuple(float(u) for u in controls)
+    table = np.array(gains)
 
-    def rule(t, cloud: ParticleCloud, u, X):
-        return u * (cloud.mean()[None, :] - X)
+    def rule(t, cloud: ParticleCloud, idx, X):
+        return table[idx][:, None, None] * (cloud.mean()[None, :] - X)
 
     return ControlledFamily(
         controls=gains, rule=rule, rates=rates, label="mean_gain", measure_dependent=True

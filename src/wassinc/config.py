@@ -27,6 +27,7 @@ given (config, seed) pair reproduces byte-identical outputs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,6 +65,14 @@ class ScenarioConfig:
     slack: float = 0.05
 
     def __post_init__(self):
+        # checked here, not in parse_config, so CLI overrides are checked too
+        if not 1 <= self.p < math.inf:
+            raise ConfigError(f"'p' must be finite and >= 1, got {self.p}")
+        if not 0 < self.T < math.inf:
+            raise ConfigError(f"'T' must be finite and positive, got {self.T}")
+        if self.d < 1 or self.N < 1:
+            raise ConfigError("'d' and 'N' must be >= 1")
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         self.steps()  # a grid without a single step would check nothing
 
     def steps(self) -> int:
@@ -103,16 +112,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def parse_config(raw: dict) -> ScenarioConfig:
     p = float(_require(raw, "p", "config"))
-    if p < 1:
-        raise ConfigError(f"'p' must be >= 1, got {p}")
     T = float(_require(raw, "T", "config"))
-    if T <= 0:
-        raise ConfigError(f"'T' must be positive, got {T}")
     d = int(_require(raw, "d", "config"))
     N = int(_require(raw, "N", "config"))
-    if d < 1 or N < 1:
-        raise ConfigError("'d' and 'N' must be >= 1")
-    seed = _check_seed(_require(raw, "seed", "config"))
+    seed = _require(raw, "seed", "config")
     initial = _require(raw, "initial", "config")
     _require(initial, "kind", "config.initial")
     grid = _require(raw, "grid", "config")

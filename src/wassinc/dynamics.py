@@ -16,7 +16,7 @@ over growing balls, reported together with its truncation tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,20 +75,20 @@ class RateFunctions:
         idx = min(max(idx, 0), vals.size - 1)
         return float(vals[idx])
 
-    def integral(self, which: str, a: float, b: float) -> float:
-        """Exact integral of the chosen rate over [a, b] ∩ [0, T]."""
-        if b < a:
+    def integral(self, which: str, a, b):
+        """Exact integral of the chosen rate over [a, b] ∩ [0, T]; for arrays
+        a, b (broadcast together) an array with each entry as a scalar call."""
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        if np.any(b < a):
             raise ValueError("integration bounds must satisfy a <= b")
         bp = self.breakpoints
         vals = self._values(which)
-        a = max(a, bp[0])
-        b = min(b, bp[-1])
-        if b <= a:
-            return 0.0
-        lo = np.maximum(bp[:-1], a)
-        hi = np.minimum(bp[1:], b)
-        overlap = np.clip(hi - lo, 0.0, None)
-        return float(math.fsum((vals * overlap).tolist()))
+        a = np.maximum(a, bp[0])[..., None]
+        b = np.minimum(b, bp[-1])[..., None]
+        overlap = np.clip(np.minimum(bp[1:], b) - np.maximum(bp[:-1], a), 0.0, None)
+        terms = (vals * overlap).reshape(-1, vals.size).tolist()
+        sums = [math.fsum(row) if hi > lo else 0.0 for row, lo, hi in zip(terms, a.ravel(), b.ravel())]
+        return sums[0] if a.ndim == 1 else np.array(sums).reshape(a.shape[:-1])
 
     def maximum(self, other: "RateFunctions") -> "RateFunctions":
         """Pointwise max of the m/l/L rates of two families of rates."""
@@ -100,6 +100,17 @@ class RateFunctions:
             l_values=np.array([max(self.at("l", t), other.at("l", t)) for t in mids]),
             L_values=np.array([max(self.at("L", t), other.at("L", t)) for t in mids]),
         )
+
+
+def grid_snap(grid: np.ndarray) -> float:
+    """Lookup tolerance of a time grid: 1e-9 of its smallest step, 0 for
+    a single node."""
+    return 1e-9 * float(np.min(np.diff(grid))) if grid.size > 1 else 0.0
+
+
+def snapped_index(grid: np.ndarray, t: float, snap: float) -> int:
+    """Index of the last node of ``grid`` at or before t + snap, at least 0."""
+    return max(int(np.searchsorted(grid, t + snap, side="right")) - 1, 0)
 
 
 FieldRule = Callable[[float, ParticleCloud, np.ndarray], np.ndarray]
@@ -135,6 +146,7 @@ class Trajectory:
 
     grid: np.ndarray
     clouds: tuple
+    snap: float = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -151,6 +163,7 @@ class Trajectory:
                 raise ShapeMismatchError("all clouds must share particle count and dimension")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "clouds", clouds)
+        object.__setattr__(self, "snap", grid_snap(g))
 
     @property
     def n_particles(self) -> int:
@@ -160,15 +173,9 @@ class Trajectory:
     def dim(self) -> int:
         return self.clouds[0].d
 
-    def _snap(self) -> float:
-        if self.grid.size < 2:
-            return 0.0
-        return 1e-9 * float(np.min(np.diff(self.grid)))
-
     def node_index(self, t: float) -> int:
         """Index of the nearest node at or before t (snapped within 1e-9 dt)."""
-        idx = int(np.searchsorted(self.grid, t + self._snap(), side="right")) - 1
-        return min(max(idx, 0), self.grid.size - 1)
+        return snapped_index(self.grid, t, self.snap)
 
     def at(self, t: float) -> ParticleCloud:
         return self.clouds[self.node_index(t)]
@@ -276,17 +283,28 @@ def dsup_probe(
         pts = pts[:, None]
     if pts.size == 0:
         raise ValueError("probe set must be nonempty")
-    diff = np.asarray(f(pts)) - np.asarray(g(pts))
-    return float(np.max(np.linalg.norm(diff, axis=1)))
+    return float(sup_norm(np.asarray(f(pts)) - np.asarray(g(pts))))
+
+
+def sup_norm(diff: np.ndarray) -> np.ndarray:
+    """Max over the probe rows of |diff| for velocity differences of shape
+    (..., P, d): a (P, d) array gives one value, a control stack (U, P, d)
+    one value per control, so a selection is an argmin over axis 0."""
+    return np.linalg.norm(diff, axis=-1).max(axis=-1)
+
+
+def ball_atoms(cloud: ParticleCloud, R: float) -> np.ndarray:
+    """The atoms x of ``cloud`` with |x| <= R (all of them for R = inf)."""
+    return cloud.points if math.isinf(R) else cloud.points[cloud.norms() <= R]
 
 
 def velocity_gap(v, w, mu: ParticleCloud, nu: ParticleCloud, t: float, R: float = math.inf) -> float:
     """Max over the atoms x of nu with |x| <= R of |v(t, mu, x) - w(t, nu, x)|,
     the exact ball-restricted sup gap; 0 when the ball holds no atom."""
-    pts = nu.points if math.isinf(R) else nu.points[nu.norms() <= R]
+    pts = ball_atoms(nu, R)
     if pts.shape[0] == 0:
         return 0.0
-    return float(np.max(np.linalg.norm(v.rule(t, mu, pts) - w.rule(t, nu, pts), axis=1)))
+    return float(sup_norm(v.rule(t, mu, pts) - w.rule(t, nu, pts)))
 
 
 def ball_grid(radius: float, dim: int, spacing: float) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .dynamics import FrozenMeasure, NonlocalField, RateFunctions, Trajectory, ball_grid, dsup_probe, integrate, union_probes, velocity_gap
+from .dynamics import FrozenMeasure, NonlocalField, RateFunctions, Trajectory, ball_atoms, ball_grid, integrate, sup_norm, union_probes, velocity_gap
 from .inclusion import ControlledFamily, ControlSignal, signal_field
 from .measure import ParticleCloud, moment, sup_wasserstein_cost, tail_norm, wasserstein_cost
 
@@ -66,9 +66,13 @@ def _gap_table(family: ControlledFamily, ref: Trajectory, w: NonlocalField, R: f
     on the reference atoms of norm <= R."""
     if not (R > 0):
         raise ValueError(f"radius R must be positive (or inf), got {R}")
-    fields = [family.field_for(i) for i in range(family.size)]
-    nodes = list(zip(ref.grid, ref.clouds))
-    return np.array([[velocity_gap(w, f, nu, nu, float(t), R) for t, nu in nodes] for f in fields])
+    every = np.arange(family.size)
+    table = np.zeros((family.size, ref.grid.size))  # an empty ball leaves 0
+    for k, (t, nu) in enumerate(zip(ref.grid.tolist(), ref.clouds)):
+        pts = ball_atoms(nu, R)
+        if pts.shape[0]:
+            table[:, k] = sup_norm(w.rule(t, nu, pts) - family.rule(t, nu, every, pts))
+    return table
 
 
 def mismatch(
@@ -107,8 +111,6 @@ def compute_bound(
     threshold R/C_T - 1 falls below zero clamps to zero, so the full
     shifted moment of the reference start is charged.
     """
-    cp = bounds.C_p(p)
-    cpp = bounds.C_p_prime(p)
     m_total = rates.integral("m", 0.0, rates.duration)
     script_c = bounds.uniform_moment(p, moment_mu0, moment_nu0, m_total)
     script_ct = bounds.script_horizon_factor(script_c, m_total)
@@ -120,30 +122,19 @@ def compute_bound(
         threshold = 0.0 if math.isinf(script_ct) else max(0.0, R / script_ct - 1.0)
         tail = tail_norm(nu0, threshold, p, shifted=True)
 
-    n = grid.size
-    D = np.empty(n)
-    chi = np.empty(n)
-    E = np.empty(n)
-    eta_int = 0.0
-    for k in range(n):
-        t = float(grid[k])
-        if k > 0:
-            eta_int += float(eta[k - 1]) * float(grid[k] - grid[k - 1])
-        l_int = rates.integral("l", 0.0, t)
-        L_int = rates.integral("L", 0.0, t)
-        m_int = rates.integral("m", 0.0, t)
-        growth = bounds.exp_power(cpp, l_int, p)
-        chi[k] = bounds.product(cp, L_int, growth)
-        E[k] = bounds.product(2.0, m_int, 1.0 + script_ct, tail)
-        D[k] = bounds.product(cp, w0_dist + eta_int + E[k], bounds.exp_power(cpp, l_int, p, chi[k]))
+    l_int, L_int, m_int = (rates.integral(r, 0.0, grid) for r in ("l", "L", "m"))
+    D, chi, E = bounds.gronwall_series(
+        p=p, w0=w0_dist, increments=eta[:-1] * np.diff(grid), l_int=l_int, L_int=L_int,
+        m_int=m_int, horizon=script_ct, tail=tail,
+    )
     L_at_nodes = np.array([rates.at("L", float(t)) for t in grid])
     return {
         "D_p": D,
         "chi_p": chi,
         "E_term": E,
         "constants": {
-            "C_p": cp,
-            "C_p_prime": cpp,
+            "C_p": bounds.C_p(p),
+            "C_p_prime": bounds.C_p_prime(p),
             "uniform_moment": script_c,
             "horizon_factor": script_ct,
             "R": R,
@@ -151,13 +142,6 @@ def compute_bound(
             "L_at_nodes": L_at_nodes,
         },
     }
-
-
-def _tracking_probes(cloud_a: ParticleCloud, cloud_b: ParticleCloud, R: float, spacing):
-    pieces = [cloud_a.points, cloud_b.points]
-    if not math.isinf(R) and spacing:
-        pieces.append(ball_grid(R, cloud_a.d, spacing))
-    return union_probes(*pieces)
 
 
 def filippov_track(
@@ -189,11 +173,14 @@ def filippov_track(
     n_int = grid.size - 1
     if probe_spacing is None and not math.isinf(R):
         probe_spacing = R / 8.0
+    # re-selection probes: both clouds' atoms plus, for finite R, one lattice on the ball
+    lattice = [ball_grid(R, start.d, probe_spacing)] if not math.isinf(R) and probe_spacing else []
 
     # initial selection: mismatch argmin along the reference
     table = _gap_table(family, ref, w, R)
     sel = table[:, :n_int].argmin(axis=0)
 
+    every = np.arange(family.size)
     sig = ControlSignal(grid=grid, indices=sel)
     meas = ref  # measure argument the current iterate's field is bound to
     cur = integrate(signal_field(family, sig), start, grid, "euler", FrozenMeasure(ref, 0.0))
@@ -203,13 +190,9 @@ def filippov_track(
         new_sel = np.empty(n_int, dtype=int)
         for j in range(n_int):
             t = float(grid[j])
-            prev_slice = family.slice_at(t, meas.clouds[j], int(sig.indices[j]))
-            probes = _tracking_probes(cur.clouds[j], ref.clouds[j], R, probe_spacing)
-            values = [
-                dsup_probe(prev_slice, family.slice_at(t, cur.clouds[j], i), probes)
-                for i in range(family.size)
-            ]
-            new_sel[j] = int(np.argmin(values))
+            probes = union_probes(cur.clouds[j].points, ref.clouds[j].points, *lattice)
+            prev = family.rule(t, meas.clouds[j], [sig.indices[j]], probes)
+            new_sel[j] = sup_norm(prev - family.rule(t, cur.clouds[j], every, probes)).argmin()
         new_sig = ControlSignal(grid=grid, indices=new_sel)
         nxt = integrate(signal_field(family, new_sig), start, grid, "euler", FrozenMeasure(cur, 0.0))
         gaps.append(sup_wasserstein_cost(zip(nxt.clouds, cur.clouds), p))

@@ -1,9 +1,12 @@
 """Set-valued dynamics over finite control sets and the delayed Euler scheme.
 
 An admissible-velocity set is discretized as a finite list of controls
-plus a rule (t, cloud, u, x) -> vector sharing one set of rate functions.
-A measurable velocity selection becomes a piecewise-constant control
-index per sub-interval of a fine grid.
+plus a rule (t, cloud, idx, X) -> velocities sharing one set of rate
+functions.  The rule evaluates a stack of control indices at once, shape
+(len(idx), n, d); one control is the stack ``[k]``, and every selection
+evaluates ``np.arange(family.size)`` and takes an argmin over axis 0 (ties
+to the lowest index).  A measurable velocity selection becomes a
+piecewise-constant control index per sub-interval of a fine grid.
 
 ``peano_solve`` builds a trajectory-selection pair by splitting the
 horizon into n blocks and, on every euler sub-interval, choosing a
@@ -17,25 +20,28 @@ exact by construction and can be re-certified with
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, field as dc_field
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import NonlocalField, RateFunctions, Trajectory, dsup_probe, union_probes
+from .dynamics import NonlocalField, RateFunctions, Trajectory, grid_snap, snapped_index, sup_norm, union_probes
 from .errors import BlowUpError, ShapeMismatchError
 from .measure import ParticleCloud, sup_wasserstein_cost
 
-FamilyRule = Callable[[float, ParticleCloud, Any, np.ndarray], np.ndarray]
+FamilyRule = Callable[[float, ParticleCloud, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
 class ControlledFamily:
     """Finite control set U with a shared rule and rate functions.
 
-    Each fixed-u slice is a valid velocity field under the shared rates.
-    ``convex_images`` is informational: the delayed Euler scheme still
-    runs without it, but its existence guarantee may fail.
+    ``rule(t, cloud, idx, X)`` takes a 1-d integer array (or list) of
+    control indices and returns the stacked velocities, shape
+    (len(idx), n, d); entry i must not depend on the other entries of
+    ``idx``.  Each fixed-control slice is a valid velocity field under the
+    shared rates.  ``convex_images`` is informational: the delayed Euler
+    scheme still runs without it, but its existence guarantee may fail.
     """
 
     controls: tuple
@@ -56,10 +62,9 @@ class ControlledFamily:
 
     def field_for(self, index: int) -> NonlocalField:
         """The fixed-control slice as a standalone velocity field."""
-        u = self.controls[index]
 
         def rule(t, cloud, X):
-            return self.rule(t, cloud, u, X)
+            return self.rule(t, cloud, [index], X)[0]
 
         return NonlocalField(
             rule=rule,
@@ -68,10 +73,6 @@ class ControlledFamily:
             measure_dependent=self.measure_dependent,
         )
 
-    def slice_at(self, t: float, cloud: ParticleCloud, index: int):
-        u = self.controls[index]
-        return lambda X: self.rule(t, cloud, u, X)
-
 
 @dataclass(frozen=True, eq=False)
 class ControlSignal:
@@ -79,6 +80,7 @@ class ControlSignal:
 
     grid: np.ndarray
     indices: np.ndarray
+    snap: float = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -95,17 +97,15 @@ class ControlSignal:
         idx.setflags(write=False)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "snap", grid_snap(g))
 
     @property
     def n_intervals(self) -> int:
         return self.indices.size
 
-    def _snap(self) -> float:
-        return 1e-9 * float(np.min(np.diff(self.grid)))
-
     def index_at(self, t: float) -> int:
-        k = int(np.searchsorted(self.grid, t + self._snap(), side="right")) - 1
-        return int(self.indices[min(max(k, 0), self.indices.size - 1)])
+        k = snapped_index(self.grid, t, self.snap)
+        return int(self.indices[min(k, self.indices.size - 1)])
 
 
 def signal_field(family: ControlledFamily, signal: ControlSignal) -> NonlocalField:
@@ -115,8 +115,7 @@ def signal_field(family: ControlledFamily, signal: ControlSignal) -> NonlocalFie
             raise ValueError(f"signal index {k} outside family of size {family.size}")
 
     def rule(t, cloud, X):
-        u = family.controls[signal.index_at(t)]
-        return family.rule(t, cloud, u, X)
+        return family.rule(t, cloud, [signal.index_at(t)], X)[0]
 
     return NonlocalField(
         rule=rule,
@@ -138,12 +137,7 @@ def _select_control(
         return 0
     if strategy == "min_norm":
         probes = union_probes(delayed_cloud.points, current_cloud.points)
-        zero = lambda X: np.zeros_like(X)
-        values = [
-            dsup_probe(family.slice_at(t, delayed_cloud, i), zero, probes)
-            for i in range(family.size)
-        ]
-        return int(np.argmin(values))
+        return int(sup_norm(family.rule(t, delayed_cloud, np.arange(family.size), probes)).argmin())
     if strategy == "random":
         return int(rng.integers(family.size))
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -195,7 +189,7 @@ def peano_solve(
         # delay of one block == exactly `substeps` grid nodes
         delayed = clouds[max(0, k - substeps)]
         u_idx = _select_control(family, t0, delayed, clouds[-1], strategy, rng)
-        vel = family.rule(t0, delayed, family.controls[u_idx], X)
+        vel = family.rule(t0, delayed, [u_idx], X)[0]
         X = X + dt * vel
         if not np.all(np.isfinite(X)):
             raise BlowUpError(f"non-finite coordinate after sub-interval {k + 1} (t = {grid[k + 1]:.6g})")
@@ -224,15 +218,16 @@ def inclusion_residual(
     a pair produced by different dynamics against this family.
     """
     src = used_family if used_family is not None else family
+    every = np.arange(family.size)
+    if probes is not None:  # a 1-d array lists points on the line
+        probes = np.asarray(probes, dtype=float).reshape(len(probes), -1)
     out = np.empty(signal.n_intervals)
     for k in range(signal.n_intervals):
         t0 = float(signal.grid[k])
         delayed = traj.at(t0 - delay)
         pts = probes if probes is not None else union_probes(traj.at(t0).points, delayed.points)
-        used = src.slice_at(t0, delayed, int(signal.indices[k]))
-        out[k] = min(
-            dsup_probe(used, family.slice_at(t0, delayed, i), pts) for i in range(family.size)
-        )
+        used = src.rule(t0, delayed, [signal.indices[k]], pts)
+        out[k] = sup_norm(used - family.rule(t0, delayed, every, pts)).min()
     return out
 
 

@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import bounds
-from .dynamics import NonlocalField, Trajectory, integrate
+from .dynamics import NonlocalField, Trajectory, integrate, snapped_index
 from .errors import ResolutionError
 from .filippov import FilippovCertificate, filippov_track
 from .inclusion import ControlledFamily, ControlSignal
@@ -79,12 +79,17 @@ def convexify(family: ControlledFamily, q: int = 2, weight_steps: int = 4) -> Co
                 ChatteringControl(base_indices=base, weight_numerators=comp, weight_den=weight_steps)
             )
 
-    def rule(t, cloud, chat, X):
-        acc = np.zeros_like(X)
-        for b, k in zip(chat.base_indices, chat.weight_numerators):
-            if k:
-                acc += k * family.rule(t, cloud, family.controls[b], X)
-        return acc / chat.weight_den
+    bases = np.array([c.base_indices for c in controls])  # (M, q)
+    numerators = np.array([c.weight_numerators for c in controls])  # (M, q)
+    parents = np.arange(family.size)
+
+    def rule(t, cloud, idx, X):
+        vels = family.rule(t, cloud, parents, X)
+        acc = np.zeros((len(idx),) + X.shape)
+        for b, k in zip(bases[idx].T, numerators[idx].T):  # in slot order, as one mixture's sum
+            k = k[:, None, None]
+            acc += k * np.where(k != 0, vels[b], 0.0)  # a zero weight never meets an inf
+        return acc / weight_steps
 
     return ControlledFamily(
         controls=tuple(controls),
@@ -124,9 +129,9 @@ def aumann_realize(
     out_indices = []
     n_majority = 0
     for a, b in zip(snapped[:-1], snapped[1:]):
-        lo = chattering_signal.grid.searchsorted(a + chattering_signal._snap(), "right") - 1
-        hi = chattering_signal.grid.searchsorted(b - chattering_signal._snap(), "right") - 1
-        block_idx = chattering_signal.indices[max(lo, 0) : max(hi, 0) + 1]
+        lo = snapped_index(grid, a, chattering_signal.snap)
+        hi = snapped_index(grid, b, -chattering_signal.snap)
+        block_idx = chattering_signal.indices[lo : hi + 1]
         values, counts = np.unique(block_idx, return_counts=True)
         if values.size > 1:
             n_majority += 1
@@ -251,8 +256,7 @@ def relax_approximate(
 
     # the realized field reads its measure argument from the mixture curve
     def realized_rule(t, cloud, X):
-        u = family.controls[realized_sig.index_at(t)]
-        return family.rule(t, relaxed_traj.at(t), u, X)
+        return family.rule(t, relaxed_traj.at(t), [realized_sig.index_at(t)], X)[0]
 
     w_realized = NonlocalField(rule=realized_rule, rates=rates, label=f"{family.label}|realized")
 

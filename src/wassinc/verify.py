@@ -17,8 +17,9 @@ import numpy as np
 
 from . import bounds
 from .config import ScenarioConfig, build_family, build_field, sample_initial
-from .dynamics import Trajectory, dsup_probe, integrate, union_probes, velocity_gap
+from .dynamics import Trajectory, integrate, sup_norm, union_probes, velocity_gap
 from .errors import ConfigError
+from .inclusion import ControlledFamily
 from .measure import ParticleCloud, moment, tail_norm, wasserstein_cost
 
 _ATOL = 1e-15
@@ -80,17 +81,10 @@ def momentum_bound_series(
     the velocity growth actually saw (it dominates the moment of any
     current or delayed measure argument).
     """
-    cp, cpp = bounds.C_p(p), bounds.C_p_prime(p)
     envelope = np.maximum.accumulate(measured) if measure_dependent else np.zeros_like(measured)
-    bound = np.empty_like(measured)
-    growth_int = 0.0
-    for k, t in enumerate(grid):
-        if k > 0:
-            seg = rates.integral("m", float(grid[k - 1]), float(t))
-            growth_int += (1.0 + envelope[k - 1]) * seg
-        m_int = rates.integral("m", 0.0, float(t))
-        bound[k] = bounds.product(cp, measured[0] + growth_int, bounds.exp_power(cpp, m_int, p))
-    return bound
+    growth = (1.0 + envelope[:-1]) * rates.integral("m", grid[:-1], grid[1:])
+    m_int = rates.integral("m", 0.0, grid)
+    return bounds.gronwall_series(p=p, w0=measured[0], increments=growth, l_int=m_int)[0]
 
 
 def verify_momentum(config: ScenarioConfig) -> BoundReport:
@@ -147,17 +141,13 @@ def verify_abs_continuity(config: ScenarioConfig) -> BoundReport:
     p = config.p
     m_total = field.rates.integral("m", 0.0, config.T)
     c_p = bounds.abs_continuity_constant(p, moment(traj.clouds[0], p), m_total)
-    times, measured, bound = [], [], []
-    for k in range(traj.grid.size - 1):
-        a, b = float(traj.grid[k]), float(traj.grid[k + 1])
-        times.append(b)
-        measured.append(wasserstein_cost(traj.clouds[k], traj.clouds[k + 1], p))
-        bound.append(c_p * field.rates.integral("m", a, b))
+    grid = traj.grid
+    measured = [wasserstein_cost(a, b, p) for a, b in zip(traj.clouds, traj.clouds[1:])]
     return BoundReport(
         kind="abs_continuity",
-        times=np.array(times),
+        times=grid[1:],
         measured=np.array(measured),
-        bound=np.array(bound),
+        bound=c_p * field.rates.integral("m", grid[:-1], grid[1:]),
         constants={"c_p": c_p},
         slack=config.slack,
     )
@@ -183,47 +173,46 @@ def _two_curves(config: ScenarioConfig):
     return v, w, mu, nu
 
 
-def _gronwall(config: ScenarioConfig, R: float = math.inf):
-    """W_p between the two curves and the stability bound with and without
-    the tail term E, which vanishes for R = inf."""
+def _gronwall(config: ScenarioConfig, kind: str, R: float) -> BoundReport:
+    """W_p between the two curves against ``bounds.gronwall_series`` with
+    L = 0; its tail term E vanishes for R = inf."""
     v, w, mu, nu = _two_curves(config)
     p = config.p
-    cp, cpp = bounds.C_p(p), bounds.C_p_prime(p)
     joint = v.rates.maximum(w.rates)
     ct = bounds.horizon_factor(joint.integral("m", 0.0, config.T))
     tail = 0.0 if math.isinf(R) else tail_norm(nu.clouds[0], max(0.0, R / ct - 1.0), p, shifted=True)
     grid = mu.grid
-    measured = np.array(
-        [wasserstein_cost(mu.clouds[k], nu.clouds[k], p) for k in range(grid.size)]
-    )
+    measured = np.array([wasserstein_cost(a, b, p) for a, b in zip(mu.clouds, nu.clouds)])
     w0 = float(measured[0])
-    bound, bare, e_term = (np.empty_like(measured) for _ in range(3))
-    disc_int = 0.0
-    for k, t in enumerate(grid):
-        if k > 0:
-            prev_t = float(grid[k - 1])
-            gap = velocity_gap(v, w, mu.clouds[k - 1], nu.clouds[k - 1], prev_t, R)
-            disc_int += gap * (float(t) - prev_t)
-        l_int = v.rates.integral("l", 0.0, float(t))
-        e_term[k] = bounds.product(2.0, joint.integral("m", 0.0, float(t)), 1.0 + ct, tail)
-        growth = bounds.exp_power(cpp, l_int, p)
-        bound[k] = bounds.product(cp, w0 + disc_int + e_term[k], growth)
-        bare[k] = bounds.product(cp, w0 + disc_int, growth)
-    constants = {"C_p": cp, "C_p_prime": cpp, "W_p_initial": w0}
-    return grid, measured, bound, bare, e_term, ct, constants
+    gaps = [velocity_gap(v, w, mu.clouds[k], nu.clouds[k], t, R) for k, t in enumerate(grid[:-1].tolist())]
+    l_int, m_int = v.rates.integral("l", 0.0, grid), joint.integral("m", 0.0, grid)
+
+    def series(tail):
+        return bounds.gronwall_series(
+            p=p, w0=w0, increments=np.array(gaps) * np.diff(grid), l_int=l_int, m_int=m_int,
+            horizon=ct, tail=tail,
+        )
+
+    bound, _, e_term = series(tail)
+    constants = {"C_p": bounds.C_p(p), "C_p_prime": bounds.C_p_prime(p), "W_p_initial": w0}
+    extras = {}
+    if kind == "gronwall_local":
+        constants.update(C_T=ct, R=R)
+        extras = {"E_term": e_term, "bound_without_tail": series(0.0)[0]}
+    return BoundReport(
+        kind=kind,
+        times=grid,
+        measured=measured,
+        bound=bound,
+        constants=constants,
+        slack=config.slack,
+        extras=extras,
+    )
 
 
 def verify_gronwall_global(config: ScenarioConfig) -> BoundReport:
     """W_p between two curves against the global stability estimate."""
-    grid, measured, _, bare, _, _, constants = _gronwall(config)
-    return BoundReport(
-        kind="gronwall_global",
-        times=grid,
-        measured=measured,
-        bound=bare,
-        constants=constants,
-        slack=config.slack,
-    )
+    return _gronwall(config, "gronwall_global", math.inf)
 
 
 def verify_gronwall_local(config: ScenarioConfig) -> BoundReport:
@@ -233,17 +222,7 @@ def verify_gronwall_local(config: ScenarioConfig) -> BoundReport:
     R = config.experiment.get("R")
     if R is None:
         raise ConfigError("missing field 'R' in config.experiment (observation radius)")
-    R = float(R)
-    grid, measured, bound, bare, e_term, ct, constants = _gronwall(config, R)
-    return BoundReport(
-        kind="gronwall_local",
-        times=grid,
-        measured=measured,
-        bound=bound,
-        constants={**constants, "C_T": ct, "R": R},
-        slack=config.slack,
-        extras={"E_term": e_term, "bound_without_tail": bare},
-    )
+    return _gronwall(config, "gronwall_local", float(R))
 
 
 def _ratio(num: float, den: float) -> float:
@@ -264,24 +243,18 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> BoundReport:
     n_samples = max(1000, int(config.experiment.get("samples", 1000)))
     if config.family is not None:
         family = build_family(config.family, config.T)
-        rates = family.rates
-        controls = family.controls
-        measure_dependent = family.measure_dependent
-
-        def eval_rule(t, cloud, u, X):
-            return family.rule(t, cloud, u, X)
-
-    elif config.field is not None:
+    elif config.field is not None:  # a field is a family of one control
         field = build_field(config.field, config.T)
-        rates = field.rates
-        controls = (None,)
-        measure_dependent = field.measure_dependent
-
-        def eval_rule(t, cloud, u, X):
-            return field.rule(t, cloud, X)
-
+        family = ControlledFamily(
+            controls=(0,),
+            rule=lambda t, cloud, idx, X: field.rule(t, cloud, X)[None],
+            rates=field.rates,
+            measure_dependent=field.measure_dependent,
+        )
     else:
         raise ConfigError("hypotheses_probe needs a 'field' or 'family' block")
+    rates = family.rates
+    every = np.arange(family.size)
 
     rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))
     p = config.p
@@ -292,62 +265,41 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> BoundReport:
         shift = rng.normal(0.0, 0.5, config.d)
         return ParticleCloud(scale * base + shift)
 
-    times, ratios, labels = [], [], []
-    max_ratio = {"m": 0.0, "l": 0.0, "L": 0.0}
+    samples = []  # (t, rate, ratio)
     for _ in range(n_samples):
         t = float(rng.uniform(0.0, config.T))
         cloud = jitter_cloud()
-        u = controls[int(rng.integers(len(controls)))]
+        u = [int(rng.integers(family.size))]
         x = cloud.points[int(rng.integers(cloud.n))][None, :]
-        mval = rates.at("m", t)
-        vx = eval_rule(t, cloud, u, x)
-        den = mval * (1.0 + float(np.linalg.norm(x)) + moment(cloud, p))
-        num = float(np.linalg.norm(vx))
-        r_m = _ratio(num, den)
-        times.append(t)
-        ratios.append(r_m)
-        labels.append("m")
-        max_ratio["m"] = max(max_ratio["m"], r_m)
+        vx = family.rule(t, cloud, u, x)[0]
+        den = rates.at("m", t) * (1.0 + float(np.linalg.norm(x)) + moment(cloud, p))
+        samples.append((t, "m", _ratio(float(np.linalg.norm(vx)), den)))
 
         y = x + rng.normal(0.0, 0.3, config.d)
-        lval = rates.at("l", t)
-        num = float(np.linalg.norm(vx - eval_rule(t, cloud, u, y)))
-        den = lval * float(np.linalg.norm(x - y))
-        r_l = _ratio(num, den)
-        times.append(t)
-        ratios.append(r_l)
-        labels.append("l")
-        max_ratio["l"] = max(max_ratio["l"], r_l)
+        num = float(np.linalg.norm(vx - family.rule(t, cloud, u, y)[0]))
+        samples.append((t, "l", _ratio(num, rates.at("l", t) * float(np.linalg.norm(x - y)))))
 
-        if measure_dependent:
+        if family.measure_dependent:
             other = jitter_cloud()
             probes = union_probes(cloud.points, other.points)
-            best = min(
-                dsup_probe(
-                    lambda X: eval_rule(t, cloud, u, X),
-                    lambda X, uu=uu: eval_rule(t, other, uu, X),
-                    probes,
-                )
-                for uu in controls
-            )
+            used = family.rule(t, cloud, u, probes)
+            best = float(sup_norm(used - family.rule(t, other, every, probes)).min())
             den = rates.at("L", t) * wasserstein_cost(cloud, other, p)
-            r_L = _ratio(best, den)
-            times.append(t)
-            ratios.append(r_L)
-            labels.append("L")
-            max_ratio["L"] = max(max_ratio["L"], r_L)
+            samples.append((t, "L", _ratio(best, den)))
 
-    measured = np.array(ratios)
-    constants = {"max_ratio_" + k: v for k, v in max_ratio.items()}
+    times, labels, measured = (np.array(column) for column in zip(*samples))
+    constants = {
+        f"max_ratio_{k}": max([0.0] + [r for _, rate, r in samples if rate == k]) for k in "mlL"
+    }
     constants["n_triples"] = n_samples
     return BoundReport(
         kind="hypotheses_probe",
-        times=np.array(times),
+        times=times,
         measured=measured,
         bound=np.ones_like(measured),
         constants=constants,
         slack=config.slack,
-        extras={"rate": np.array(labels)},
+        extras={"rate": labels},
     )
 
 

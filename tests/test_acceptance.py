@@ -255,13 +255,13 @@ def test_criterion_09_relaxation_density():
     c = delta(0.0)
     identity_gap = 0.0
     for a, b in zip(blocks[:-1], blocks[1:]):
-        mix = (b - a) * chat.rule(a, c, chat.controls[idx], x)
+        mix = (b - a) * chat.rule(a, c, [idx], x)[0]
         total = np.zeros_like(x)
         for k in range(realized.n_intervals):
             lo, hi = realized.grid[k], realized.grid[k + 1]
             ov = max(0.0, min(hi, b) - max(lo, a))
             if ov > 0:
-                total += ov * fam.rule(lo, c, fam.controls[realized.indices[k]], x)
+                total += ov * fam.rule(lo, c, [realized.indices[k]], x)[0]
         identity_gap = max(identity_gap, abs(float(total[0, 0]) - float(mix[0, 0])))
     record(9, "relaxation density", density_ok and identity_gap <= 1e-12,
            "sup deviations " + ", ".join(f"{s:.2e}" for s in sups)

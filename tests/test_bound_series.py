@@ -1,0 +1,129 @@
+"""Rate integrals over arrays and the one Gronwall-type series behind
+``compute_bound``, the gronwall checks and ``momentum_bound_series``,
+against the per-node formulas written out here."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wassinc import RateFunctions, bounds, compute_bound, tail_norm
+from wassinc.verify import momentum_bound_series
+
+from conftest import cloud
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def scalar_integral(rates, which, a, b):
+    """Integral over [a, b] ∩ [0, T], one fsum over the segments."""
+    bp = rates.breakpoints
+    vals = {"m": rates.m_values, "l": rates.l_values, "L": rates.L_values}[which]
+    a, b = max(a, bp[0]), min(b, bp[-1])
+    if b <= a:
+        return 0.0
+    overlap = np.clip(np.minimum(bp[1:], b) - np.maximum(bp[:-1], a), 0.0, None)
+    return float(math.fsum((vals * overlap).tolist()))
+
+
+def random_rates(rng, segments, T):
+    inner = np.sort(rng.choice(np.arange(1, 64), segments - 1, replace=False)) * (T / 64)
+    values = rng.uniform(0.0, 3.0, (3, segments))
+    values[rng.random((3, segments)) < 0.2] = 0.0
+    return RateFunctions(np.concatenate([[0.0], inner, [T]]), *values)
+
+
+def assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.integers(1, 4), st.sampled_from(["m", "l", "L"]))
+def test_array_integral_equals_scalar_calls(seed, segments, which):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rates = random_rates(rng, segments, T=2.0)
+    a = np.concatenate([rng.uniform(-0.5, 2.5, 30), rates.breakpoints])
+    b = a + np.concatenate([rng.uniform(0.0, 1.0, 30), np.zeros(segments + 1)])
+    got = rates.integral(which, a, b)
+    assert_bitwise(got, [scalar_integral(rates, which, x, y) for x, y in zip(a, b)])
+    grid = np.linspace(0.0, 2.0, 1001)
+    assert_bitwise(rates.integral(which, 0.0, grid), [scalar_integral(rates, which, 0.0, t) for t in grid])
+    assert_bitwise(rates.integral(which, grid[:-1], grid[1:]),
+                   [scalar_integral(rates, which, x, y) for x, y in zip(grid[:-1], grid[1:])])
+    scalar = rates.integral(which, float(a[0]), float(b[0]))
+    assert type(scalar) is float and scalar == got[0]
+
+
+def test_array_integral_rejects_reversed_bounds():
+    rates = RateFunctions.constant(1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        rates.integral("m", np.array([0.0, 0.5]), np.array([0.2, 0.4]))
+
+
+def loop_compute_bound(grid, eta, rates, p, tail, script_ct, w0):
+    """The per-node D_p loop: (D, chi, E)."""
+    cp, cpp = bounds.C_p(p), bounds.C_p_prime(p)
+    D, chi, E = np.empty(grid.size), np.empty(grid.size), np.empty(grid.size)
+    eta_int = 0.0
+    for k in range(grid.size):
+        t = float(grid[k])
+        if k > 0:
+            eta_int += float(eta[k - 1]) * float(grid[k] - grid[k - 1])
+        l_int = scalar_integral(rates, "l", 0.0, t)
+        growth = bounds.exp_power(cpp, l_int, p)
+        chi[k] = bounds.product(cp, scalar_integral(rates, "L", 0.0, t), growth)
+        E[k] = bounds.product(2.0, scalar_integral(rates, "m", 0.0, t), 1.0 + script_ct, tail)
+        D[k] = bounds.product(cp, w0 + eta_int + E[k], bounds.exp_power(cpp, l_int, p, chi[k]))
+    return D, chi, E
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.integers(1, 4), st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       st.sampled_from([math.inf, 0.5, 3.0]))
+def test_compute_bound_equals_node_loop(seed, segments, p, R):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rates = random_rates(rng, segments, T=1.0)
+    grid = np.linspace(0.0, 1.0, int(rng.integers(2, 30)))
+    eta = rng.uniform(0.0, 2.0, grid.size) * (rng.random(grid.size) < 0.8)
+    nu0 = cloud(*rng.standard_normal((5, 2)).tolist())
+    w0 = float(rng.uniform(0.0, 1.0))
+    out = compute_bound(grid=grid, eta=eta, rates=rates, p=p, R=R, nu0=nu0, w0_dist=w0,
+                        moment_mu0=0.3, moment_nu0=0.7)
+    ct = out["constants"]["horizon_factor"]
+    threshold = 0.0 if math.isinf(ct) else max(0.0, R / ct - 1.0)
+    tail = 0.0 if math.isinf(R) else tail_norm(nu0, threshold, p, shifted=True)
+    D, chi, E = loop_compute_bound(grid, eta, rates, p, tail, ct, w0)
+    assert_bitwise(out["D_p"], D)
+    assert_bitwise(out["chi_p"], chi)
+    assert_bitwise(out["E_term"], E)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.integers(1, 4), st.sampled_from([1.0, 2.0, 2.5]), st.booleans())
+def test_momentum_series_equals_node_loop(seed, segments, p, measure_dependent):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rates = random_rates(rng, segments, T=1.0)
+    grid = np.linspace(0.0, 1.0, int(rng.integers(2, 30)))
+    measured = rng.uniform(0.0, 3.0, grid.size)
+    cp, cpp = bounds.C_p(p), bounds.C_p_prime(p)
+    envelope = np.maximum.accumulate(measured) if measure_dependent else np.zeros_like(measured)
+    expected = np.empty_like(measured)
+    growth_int = 0.0
+    for k, t in enumerate(grid):
+        if k > 0:
+            seg = scalar_integral(rates, "m", float(grid[k - 1]), float(t))
+            growth_int += (1.0 + envelope[k - 1]) * seg
+        m_int = scalar_integral(rates, "m", 0.0, float(t))
+        expected[k] = bounds.product(cp, measured[0] + growth_int, bounds.exp_power(cpp, m_int, p))
+    assert_bitwise(momentum_bound_series(grid, measured, rates, p, measure_dependent), expected)
+
+
+def test_gronwall_series_saturates_to_inf():
+    D, chi, E = bounds.gronwall_series(
+        p=4.0, w0=1.0, increments=[0.5], l_int=np.array([0.0, 1e100]), L_int=np.array([0.0, 1.0])
+    )
+    assert D[0] == bounds.C_p(4.0) and chi[0] == 0.0 and D[1] == math.inf
+    assert not np.any(np.isnan(E)) and np.all(E == 0.0)

@@ -58,6 +58,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="'seed'"):
             cfg(seed=seed)
 
+    @pytest.mark.parametrize(
+        "key, value", [("p", 0.5), ("p", math.nan), ("p", math.inf), ("T", 0.0), ("T", math.nan),
+                       ("T", math.inf), ("d", 0), ("N", 0)]
+    )
+    def test_scalars_checked(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            cfg(**{key: value})
+
     def test_largest_seed_accepted(self):
         assert cfg(seed=2**64 - 1).seed == 2**64 - 1
 
@@ -352,6 +360,23 @@ class TestCli:
         args = ["verify", "--config", self._write(tmp_path, raw), "--out", str(tmp_path / "o")]
         assert cli_main(args + ["--steps", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: grid 'steps'")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p", "0.5"], "error: 'p' must be finite and >= 1"),
+            (["--p", "inf"], "error: 'p' must be finite and >= 1"),
+            (["--particles", "0"], "error: 'd' and 'N'"),
+        ],
+    )
+    def test_invalid_flag_override_exits_two(self, tmp_path, capsys, flags, message):
+        # the overrides go through the same checks as the config file
+        args = ["simulate", "--config", str(SCENARIOS / "simulate_linear_decay.json"),
+                "--out", str(tmp_path / "o")]
+        assert cli_main(args + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_command_overrides_experiment(self, tmp_path):
         raw = json.loads(json.dumps(BASE))

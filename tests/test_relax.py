@@ -43,7 +43,7 @@ class TestConvexify:
         chat = convexify(fam, q=2, weight_steps=2)
         target = ChatteringControl((0, 1), (1, 1), 2)
         idx = chat.controls.index(target)
-        vals = chat.rule(0.0, delta(0.0), chat.controls[idx], np.array([[0.3]]))
+        vals = chat.rule(0.0, delta(0.0), [idx], np.array([[0.3]]))[0]
         assert vals[0, 0] == 0.0
 
     def test_weight_steps_one_gives_vertices(self):
@@ -66,13 +66,13 @@ class TestConvexify:
         chat = convexify(fam, q=2, weight_steps=4)
         c = random_cloud(rng, 6, 2)
         for _ in range(30):
-            u = chat.controls[int(rng.integers(chat.size))]
+            u = [int(rng.integers(chat.size))]
             x = 2.0 * rng.standard_normal((1, 2))
             y = 2.0 * rng.standard_normal((1, 2))
-            vx = chat.rule(0.3, c, u, x)
+            vx = chat.rule(0.3, c, u, x)[0]
             m = chat.rates.at("m", 0.3)
             assert np.linalg.norm(vx) <= m * (1 + np.linalg.norm(x) + moment(c, 2)) + 1e-12
-            gap = np.linalg.norm(vx - chat.rule(0.3, c, u, y))
+            gap = np.linalg.norm(vx - chat.rule(0.3, c, u, y)[0])
             assert gap <= chat.rates.at("l", 0.3) * np.linalg.norm(x - y) + 1e-12
 
 
@@ -104,14 +104,14 @@ class TestAumannRealize:
         x = np.array([[0.37]])
         c = delta(0.0)
         for a, b in zip(blocks[:-1], blocks[1:]):
-            mix = (b - a) * chat.rule(0.5 * (a + b), c, chat.controls[sig.index_at(a)], x)
+            mix = (b - a) * chat.rule(0.5 * (a + b), c, [sig.index_at(a)], x)[0]
             seg_nodes = realized.grid
             total = np.zeros_like(x)
             for k in range(realized.n_intervals):
                 lo, hi = seg_nodes[k], seg_nodes[k + 1]
                 ov = max(0.0, min(hi, b) - max(lo, a))
                 if ov > 0:
-                    total += ov * fam.rule(lo, c, fam.controls[realized.indices[k]], x)
+                    total += ov * fam.rule(lo, c, [realized.indices[k]], x)[0]
             assert abs(total[0, 0] - mix[0, 0]) <= 1e-12
 
     def test_boundaries_snap_to_grid(self):
