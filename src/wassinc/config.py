@@ -15,13 +15,15 @@ A scenario file is a JSON object with the fields
     family   {"label": ..., "controls": [...], "rates": {...}}
     grid     {"steps": M} or {"dt": x}
     experiment  {"kind": "simulate" | "peano" | "filippov" | "relax" | "verify", ...}
-    slack    relative slack for verdicts, default 0.05
+    slack    relative slack for verdicts, finite in [0, 1), default 0.05
 
 Rates must be declared explicitly (scalars for constant rates, or
 {"breakpoints": [...], "values": [...]} per rate); they are never inferred
-from the rule.  Samplers draw from a Philox counter-based generator keyed
-by the seed, one (N, d) standard-normal or uniform block per cloud, so a
-given (config, seed) pair reproduces byte-identical outputs.
+from the rule.  Each rate's breakpoints run strictly increasing from 0 to
+T, with one finite, nonnegative value per segment.  Samplers draw from a
+Philox counter-based generator keyed by the seed, one (N, d)
+standard-normal or uniform block per cloud, so a given (config, seed) pair
+reproduces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -39,14 +41,6 @@ from .errors import ConfigError
 from .inclusion import ControlledFamily
 from .measure import ParticleCloud
 
-VERIFY_KINDS = (
-    "momentum",
-    "equi_integrability",
-    "abs_continuity",
-    "gronwall_global",
-    "gronwall_local",
-    "hypotheses_probe",
-)
 EXPERIMENT_KINDS = ("simulate", "peano", "filippov", "relax", "verify")
 
 
@@ -70,6 +64,8 @@ class ScenarioConfig:
             raise ConfigError(f"'p' must be finite and >= 1, got {self.p}")
         if not 0 < self.T < math.inf:
             raise ConfigError(f"'T' must be finite and positive, got {self.T}")
+        if not 0 <= self.slack < 1:  # a slack of 1 accepts twice the bound
+            raise ConfigError(f"'slack' must be in [0, 1), got {self.slack}")
         if self.d < 1 or self.N < 1:
             raise ConfigError("'d' and 'N' must be >= 1")
         object.__setattr__(self, "seed", _check_seed(self.seed))
@@ -98,11 +94,19 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _check_seed(seed) -> int:
+def _check_seed(seed, name: str = "seed") -> int:
     """A seed is an integer in [0, 2^64), the range of the Philox key."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise ConfigError(f"'seed' must be an integer in [0, 2^64), got {seed!r}")
+        raise ConfigError(f"'{name}' must be an integer in [0, 2^64), got {seed!r}")
     return int(seed)
+
+
+def ref_seed(config: ScenarioConfig) -> int:
+    """Seed of the reference curve's start: the experiment's 'ref_seed',
+    by default (seed + 1) mod 2^64."""
+    if "ref_seed" in config.experiment:
+        return _check_seed(config.experiment["ref_seed"], "ref_seed")
+    return (config.seed + 1) % 2**64
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -139,39 +143,32 @@ def parse_config(raw: dict) -> ScenarioConfig:
 
 
 def parse_rates(spec: dict, T: float, context: str) -> RateFunctions:
-    """Rates from a config block; scalars mean constant-in-time."""
+    """Rates from a config block; scalars mean constant-in-time.
+
+    Each rate is checked on its own breakpoints, which must run strictly
+    increasing from 0 to T with one finite, nonnegative value per segment;
+    the three rates then share the union of their breakpoints.
+    """
     if spec is None:
         raise ConfigError(f"missing field 'rates' in {context} (rates are never inferred)")
-    pieces = {}
+    rates = []
     for name in ("m", "l", "L"):
+        where = f"{context}.rates.{name}"
         val = _require(spec, name, f"{context}.rates")
-        if isinstance(val, (int, float)):
-            pieces[name] = (np.array([0.0, T]), np.array([float(val)]))
+        if isinstance(val, dict):
+            bp, vv = _require(val, "breakpoints", where), _require(val, "values", where)
         else:
-            bp = np.asarray(_require(val, "breakpoints", f"{context}.rates.{name}"), dtype=float)
-            vv = np.asarray(_require(val, "values", f"{context}.rates.{name}"), dtype=float)
-            pieces[name] = (bp, vv)
-    bps = [bp for bp, _ in pieces.values()]
-    if not all(np.array_equal(bps[0], b) for b in bps[1:]):
-        merged = np.unique(np.concatenate(bps))
-        def resample(bp, vv):
-            out = []
-            for t in 0.5 * (merged[:-1] + merged[1:]):
-                k = min(max(int(np.searchsorted(bp, t, "right")) - 1, 0), vv.size - 1)
-                out.append(vv[k])
-            return np.array(out)
-        return RateFunctions(
-            breakpoints=merged,
-            m_values=resample(*pieces["m"]),
-            l_values=resample(*pieces["l"]),
-            L_values=resample(*pieces["L"]),
-        )
-    return RateFunctions(
-        breakpoints=bps[0],
-        m_values=pieces["m"][1],
-        l_values=pieces["l"][1],
-        L_values=pieces["L"][1],
-    )
+            bp, vv = [0.0, T], [val]
+        try:
+            rate = RateFunctions(bp, vv, vv, vv)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        if rate.duration != T:
+            raise ConfigError(f"{where}: breakpoints must end at T = {T}, got {rate.duration}")
+        rates.append(rate)
+    # resampled as in RateFunctions.maximum: each merged segment read at its left end
+    merged = np.unique(np.concatenate([rate.breakpoints for rate in rates]))
+    return RateFunctions(merged, *(rate.at(name, merged[:-1]) for rate, name in zip(rates, "mlL")))
 
 
 def build_field(spec: dict, T: float, context: str = "config.field") -> NonlocalField:

@@ -41,15 +41,17 @@ class RateFunctions:
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
-        if bp.ndim != 1 or bp.size < 2 or not np.all(np.diff(bp) > 0):
-            raise ValueError("breakpoints must be strictly increasing with at least two entries")
+        if bp.ndim != 1 or bp.size < 2 or not np.all(np.diff(bp) > 0) or not np.isfinite(bp[-1]):
+            raise ValueError("need at least two finite, strictly increasing breakpoints")
+        if bp[0] != 0.0:
+            raise ValueError(f"breakpoints must start at 0, got {bp[0]}")
         object.__setattr__(self, "breakpoints", bp)
         for name in ("m_values", "l_values", "L_values"):
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (bp.size - 1,):
-                raise ValueError(f"{name} must hold one value per segment")
-            if np.any(v < 0):
-                raise ValueError(f"{name} must be nonnegative")
+                raise ValueError(f"need one value per segment ({bp.size - 1}), got {v.tolist()}")
+            if not np.all((v >= 0) & (v < np.inf)):
+                raise ValueError(f"values must be finite and nonnegative, got {v.tolist()}")
             object.__setattr__(self, name, v)
 
     @classmethod
@@ -68,12 +70,12 @@ class RateFunctions:
     def _values(self, which: str) -> np.ndarray:
         return {"m": self.m_values, "l": self.l_values, "L": self.L_values}[which]
 
-    def at(self, which: str, t: float) -> float:
-        """Left-constant evaluation, clamped to [0, T]."""
+    def at(self, which: str, t):
+        """Left-constant evaluation, clamped to [0, T]; for an array t an
+        array with each entry as a scalar call."""
         vals = self._values(which)
-        idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        idx = min(max(idx, 0), vals.size - 1)
-        return float(vals[idx])
+        idx = np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1, 0, vals.size - 1)
+        return vals[idx] if np.ndim(t) else float(vals[idx])
 
     def integral(self, which: str, a, b):
         """Exact integral of the chosen rate over [a, b] ∩ [0, T]; for arrays
@@ -91,15 +93,11 @@ class RateFunctions:
         return sums[0] if a.ndim == 1 else np.array(sums).reshape(a.shape[:-1])
 
     def maximum(self, other: "RateFunctions") -> "RateFunctions":
-        """Pointwise max of the m/l/L rates of two families of rates."""
-        bp = np.unique(np.concatenate([self.breakpoints, other.breakpoints]))
-        mids = 0.5 * (bp[:-1] + bp[1:])
-        return RateFunctions(
-            breakpoints=bp,
-            m_values=np.array([max(self.at("m", t), other.at("m", t)) for t in mids]),
-            l_values=np.array([max(self.at("l", t), other.at("l", t)) for t in mids]),
-            L_values=np.array([max(self.at("L", t), other.at("L", t)) for t in mids]),
-        )
+        """Pointwise max of the m/l/L rates of two families of rates, on the
+        union of their breakpoints (each segment read at its left end)."""
+        bp = np.union1d(self.breakpoints, other.breakpoints)
+        left = bp[:-1]
+        return RateFunctions(bp, *(np.maximum(self.at(r, left), other.at(r, left)) for r in "mlL"))
 
 
 def grid_snap(grid: np.ndarray) -> float:

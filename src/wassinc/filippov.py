@@ -127,7 +127,7 @@ def compute_bound(
         p=p, w0=w0_dist, increments=eta[:-1] * np.diff(grid), l_int=l_int, L_int=L_int,
         m_int=m_int, horizon=script_ct, tail=tail,
     )
-    L_at_nodes = np.array([rates.at("L", float(t)) for t in grid])
+    L_at_nodes = rates.at("L", grid)
     return {
         "D_p": D,
         "chi_p": chi,
@@ -153,17 +153,18 @@ def filippov_track(
     tol: float,
     max_iter: int,
     p: float,
-    probe_spacing: float | None = None,
 ) -> tuple[Trajectory, ControlSignal, FilippovCertificate]:
     """Iteratively track the reference curve inside the admissible set.
 
     The first selection minimizes the mismatch objective along the
     reference; each further selection minimizes, per grid time, the probe
     sup distance to the previous iterate's field slice, evaluated on the
-    current iterate's measure.  Stops when consecutive iterates are
-    within ``tol`` in sup-W_p or after ``max_iter`` iterations, in which
-    case the certificate is flagged ``iteration_not_converged`` (the last
-    iterate is still an admissible trajectory).
+    current iterate's measure; its probes are the atoms of both clouds
+    plus, for finite R, a lattice of spacing R/8 on the ball of radius R.
+    Stops when consecutive iterates are within ``tol`` in sup-W_p or after
+    ``max_iter`` iterations, in which case the certificate is flagged
+    ``iteration_not_converged`` (the last iterate is still an admissible
+    trajectory).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -171,14 +172,10 @@ def filippov_track(
         raise ValueError("max_iter must be at least 1")
     grid = ref.grid
     n_int = grid.size - 1
-    if probe_spacing is None and not math.isinf(R):
-        probe_spacing = R / 8.0
-    # re-selection probes: both clouds' atoms plus, for finite R, one lattice on the ball
-    lattice = [ball_grid(R, start.d, probe_spacing)] if not math.isinf(R) and probe_spacing else []
-
     # initial selection: mismatch argmin along the reference
     table = _gap_table(family, ref, w, R)
     sel = table[:, :n_int].argmin(axis=0)
+    lattice = [] if math.isinf(R) else [ball_grid(R, start.d, R / 8.0)]
 
     every = np.arange(family.size)
     sig = ControlSignal(grid=grid, indices=sel)

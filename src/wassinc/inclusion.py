@@ -204,28 +204,26 @@ def inclusion_residual(
     signal: ControlSignal,
     family: ControlledFamily,
     delay: float,
-    probes: np.ndarray | None = None,
     used_family: ControlledFamily | None = None,
 ) -> np.ndarray:
     """Probe-level membership defect of a trajectory-selection pair.
 
-    For every signal sub-interval, the distance (sup over probes) from the
-    field slice the pair actually used to the nearest admissible slice of
-    ``family`` evaluated on the delayed cloud.  Zero certifies membership
-    at probe level.  By default the used slice is reconstructed from
-    ``signal`` over ``family`` itself, which makes the residual vanish
-    identically for ``peano_solve`` output; pass ``used_family`` to check
-    a pair produced by different dynamics against this family.
+    For every signal sub-interval, the distance (sup over the atoms of the
+    current and the delayed cloud) from the field slice the pair actually
+    used to the nearest admissible slice of ``family`` evaluated on the
+    delayed cloud.  Zero certifies membership at probe level.  By default
+    the used slice is reconstructed from ``signal`` over ``family`` itself,
+    which makes the residual vanish identically for ``peano_solve``
+    output; pass ``used_family`` to check a pair produced by different
+    dynamics against this family.
     """
     src = used_family if used_family is not None else family
     every = np.arange(family.size)
-    if probes is not None:  # a 1-d array lists points on the line
-        probes = np.asarray(probes, dtype=float).reshape(len(probes), -1)
     out = np.empty(signal.n_intervals)
     for k in range(signal.n_intervals):
         t0 = float(signal.grid[k])
         delayed = traj.at(t0 - delay)
-        pts = probes if probes is not None else union_probes(traj.at(t0).points, delayed.points)
+        pts = union_probes(traj.at(t0).points, delayed.points)
         used = src.rule(t0, delayed, [signal.indices[k]], pts)
         out[k] = sup_norm(used - family.rule(t0, delayed, every, pts)).min()
     return out

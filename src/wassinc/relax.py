@@ -162,7 +162,7 @@ def _equal_mass_boundaries(rates, n_blocks: int) -> np.ndarray:
     targets = np.linspace(0.0, total, n_blocks + 1)[1:-1]
     bp = rates.breakpoints
     vals = rates.m_values
-    cum = np.concatenate([[0.0], np.cumsum(vals * np.diff(bp))])
+    cum = rates.integral("m", 0.0, bp)  # cum[-1] == total
     out = [0.0]
     for tgt in targets:
         seg = int(np.searchsorted(cum, tgt, side="right")) - 1

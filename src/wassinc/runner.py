@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, build_family, build_field, sample_initial
+from .config import ScenarioConfig, build_family, build_field, ref_seed, sample_initial
 from .dynamics import Trajectory, integrate
 from .errors import ConfigError
 from .filippov import filippov_track
@@ -157,8 +157,7 @@ def _run_filippov(config: ScenarioConfig, out: Path):
     family = build_family(config.family, config.T)
     w = build_field(exp["w"], config.T, context="config.experiment.w")
     start = sample_initial(config.initial, config.N, config.d, config.seed)
-    ref_seed = int(exp.get("ref_seed", config.seed + 1))
-    nu0 = sample_initial(exp["ref_initial"], config.N, config.d, ref_seed)
+    nu0 = sample_initial(exp["ref_initial"], config.N, config.d, ref_seed(config))
     ref = integrate(w, nu0, config.time_grid(), method="euler")
     R = exp.get("R", "inf")
     R = math.inf if R in ("inf", None) else float(R)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import bounds
-from .config import ScenarioConfig, build_family, build_field, sample_initial
+from .config import ScenarioConfig, build_family, build_field, ref_seed, sample_initial
 from .dynamics import Trajectory, integrate, sup_norm, union_probes, velocity_gap
 from .errors import ConfigError
 from .inclusion import ControlledFamily
@@ -165,8 +165,7 @@ def _two_curves(config: ScenarioConfig):
     v = build_field(config.field, config.T)
     w = build_field(w_spec, config.T, context="config.experiment.w")
     mu0 = sample_initial(config.initial, config.N, config.d, config.seed)
-    ref_seed = int(config.experiment.get("ref_seed", config.seed + 1))
-    nu0 = sample_initial(ref_init, config.N, config.d, ref_seed)
+    nu0 = sample_initial(ref_init, config.N, config.d, ref_seed(config))
     grid = config.time_grid()
     mu = integrate(v, mu0, grid, method="euler")
     nu = integrate(w, nu0, grid, method="euler")

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from wassinc import ParticleCloud, RateFunctions
+from wassinc.cli import main as cli_main
 
 
 def cloud(*points) -> ParticleCloud:
@@ -23,3 +26,26 @@ def rng():
 
 def const_rates(m, l, L, T=1.0) -> RateFunctions:
     return RateFunctions.constant(m, l, L, T)
+
+
+def fast_constant_field(rates=None, **top):
+    """Momentum check of a constant field of speed 5 on four particles;
+    its default declared m = 0.01 is far too small, so the check fails."""
+    raw = {
+        "p": 1, "T": 1.0, "d": 1, "N": 4, "seed": 7,
+        "initial": {"kind": "gaussian", "sigma": 1.0},
+        "field": {"label": "constant", "vector": [5.0],
+                  "rates": rates or {"m": 0.01, "l": 0.0, "L": 0.0}},
+        "grid": {"steps": 10},
+        "experiment": {"kind": "verify", "what": "momentum"},
+    }
+    raw.update(top)
+    return raw
+
+
+def run_cli(tmp_path, command, raw, *flags):
+    """Write ``raw`` as a config file and run the CLI on it: (exit code, output dir)."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    return cli_main([command, "--config", str(path), "--out", str(out), *flags]), out
