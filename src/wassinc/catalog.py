@@ -1,13 +1,15 @@
 """Built-in velocity fields and control families addressable by label.
 
-Labels understood by scenario files:
+Labels understood by scenario files, each naming the builder
+``<label>_field`` or ``<label>_family`` whose parameters the config's
+schema checks:
 
-* ``zero``                      v = 0
-* ``constant:<c1,..,cd>``       v = c
-* ``linear_decay``              v = -x
-* ``mean_attraction:<kappa>``   v = kappa (mean(mu) - x)
-* ``bounded_kernel``            v(x) = (1/N) sum_j -(x - y_j) / (1 + |x - y_j|)
-* ``rotation``                  v = (-x2, x1), d = 2 only
+* ``zero``                 v = 0
+* ``constant``             v = c, parameter ``vector``
+* ``linear_decay``         v = -x
+* ``mean_attraction``      v = kappa (mean(mu) - x), parameter ``kappa``
+* ``bounded_kernel``       v(x) = (1/N) sum_j -(x - y_j) / (1 + |x - y_j|)
+* ``rotation``             v = (-x2, x1), d = 2 only
 
 Control families (each rule evaluates a stack of control indices at
 once, see ``ControlledFamily``):
@@ -116,35 +118,6 @@ def rotation_field(rates: RateFunctions) -> NonlocalField:
     return NonlocalField(rule=rule, rates=rates, label="rotation")
 
 
-def field_from_label(label: str, rates: RateFunctions, params: dict | None = None) -> NonlocalField:
-    """Instantiate a catalog field; raises ConfigError for unknown labels."""
-    params = params or {}
-    name, _, inline = label.partition(":")
-    if name == "zero":
-        return zero_field(rates)
-    if name == "constant":
-        vec = params.get("vector")
-        if vec is None and inline:
-            vec = [float(v) for v in inline.split(",")]
-        if vec is None:
-            raise ConfigError("constant field needs a 'vector' parameter")
-        return constant_field(np.asarray(vec, dtype=float), rates)
-    if name == "linear_decay":
-        return linear_decay_field(rates)
-    if name == "mean_attraction":
-        kappa = params.get("kappa")
-        if kappa is None and inline:
-            kappa = float(inline)
-        if kappa is None:
-            raise ConfigError("mean_attraction field needs a 'kappa' parameter")
-        return mean_attraction_field(float(kappa), rates)
-    if name == "bounded_kernel":
-        return bounded_kernel_field(rates)
-    if name == "rotation":
-        return rotation_field(rates)
-    raise ConfigError(f"unknown field label {label!r}")
-
-
 def constants_family(controls, rates: RateFunctions) -> ControlledFamily:
     """Finite set of constant velocities; natural rates m = max |u|, l = L = 0."""
     vecs = tuple(np.asarray(u, dtype=float) for u in controls)
@@ -179,13 +152,3 @@ def mean_gain_family(controls, rates: RateFunctions) -> ControlledFamily:
     return ControlledFamily(
         controls=gains, rule=rule, rates=rates, label="mean_gain", measure_dependent=True
     )
-
-
-def family_from_label(label: str, controls, rates: RateFunctions) -> ControlledFamily:
-    if label == "constants":
-        return constants_family(controls, rates)
-    if label == "gain":
-        return gain_family(controls, rates)
-    if label == "mean_gain":
-        return mean_gain_family(controls, rates)
-    raise ConfigError(f"unknown family label {label!r}")

@@ -4,26 +4,30 @@
             [--seed <u64>] [--particles <N>] [--steps <M>] [--p <real>]
 
 The command selects (and overrides) the experiment kind declared in the
-config; the optional flags override the corresponding config values.
-Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 configuration
-or runtime error.
+config, and its parameters are the ones checked; the optional flags
+override the corresponding config values before any check.  Nothing is
+written before the config passes.  Exit codes: 0 all verdicts pass, 1
+some verdict failed, 2 configuration or runtime error (which leaves no
+new output directory and no stale manifest).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
-from .config import EXPERIMENT_KINDS, load_config
+from .config import EXPERIMENTS, load_config
 from .errors import ConfigError
 from .runner import run_scenario
+
+# what exits 2: bad input, or a runtime error the package raises on purpose
+RUN_ERRORS = (ConfigError, OSError, ValueError, RuntimeError)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wassinc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in EXPERIMENT_KINDS:
+    for kind in EXPERIMENTS:
         cmd = sub.add_parser(kind, help=f"run the {kind} experiment")
         cmd.add_argument("--config", required=True, help="scenario JSON file")
         cmd.add_argument("--out", required=True, help="output directory")
@@ -37,21 +41,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        experiment = dict(config.experiment)
-        experiment["kind"] = args.command
-        overrides = {"experiment": experiment}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.particles is not None:
-            overrides["N"] = args.particles
-        if args.steps is not None:
-            overrides["grid"] = {"steps": args.steps}
-        if args.p is not None:
-            overrides["p"] = args.p
-        config = dataclasses.replace(config, **overrides)
+        config = load_config(
+            args.config, args.command, seed=args.seed, N=args.particles, steps=args.steps, p=args.p
+        )
         manifest = run_scenario(config, args.out)
-    except (ConfigError, OSError, ValueError, RuntimeError) as exc:
+    except RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     verdicts = manifest.get("verdicts", {})

@@ -1,21 +1,13 @@
-"""Scenario configuration: JSON schema, parsing, and initial samplers.
+"""Scenario configuration: one checked schema, parsing, and initial samplers.
 
-A scenario file is a JSON object with the fields
-
-    p        moment order, real >= 1
-    T        time horizon, real > 0
-    d, N     dimension and particle count, ints >= 1
-    seed     unsigned int feeding the counter-based generator
-    initial  sampler spec, one of
-               {"kind": "gaussian", "sigma": s}
-               {"kind": "uniform", "halfwidth": h}
-               {"kind": "two_clusters", "gap": g, "sigma": s}
-               {"kind": "atoms", "atoms": [[...], ...]}
-    field    {"label": ..., "rates": {"m": ..., "l": ..., "L": ...}, ...params}
-    family   {"label": ..., "controls": [...], "rates": {...}}
-    grid     {"steps": M} or {"dt": x}
-    experiment  {"kind": "simulate" | "peano" | "filippov" | "relax" | "verify", ...}
-    slack    relative slack for verdicts, finite in [0, 1), default 0.05
+``parse_config`` reads a scenario's JSON object through the schema's tables
+in one pass: each value is typed (an integer is never a bool or fractional,
+a real is a JSON number) and range-checked, an absent key takes its
+default, and the field, family and ``w`` arrive built.  A sampler, field,
+family or experiment has the keys of its "kind" or "label", a ``verify``
+experiment also those of its ``what``.  A seed is an integer in [0, 2^64),
+a null ``ref_seed`` (seed + 1) mod 2^64.  A grid has its ``steps``, or
+round(T / dt) steps, at least 1.
 
 Rates must be declared explicitly (scalars for constant rates, or
 {"breakpoints": [...], "values": [...]} per rate); they are never inferred
@@ -24,74 +16,66 @@ T, with one finite, nonnegative value per segment.  Samplers draw from a
 Philox counter-based generator keyed by the seed, one (N, d)
 standard-normal or uniform block per cloud, so a given (config, seed) pair
 reproduces byte-identical outputs.
+
+Every key, rendered from the schema (null: no default):
+
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import family_from_label, field_from_label
+from . import catalog
 from .dynamics import NonlocalField, RateFunctions
 from .errors import ConfigError
 from .inclusion import ControlledFamily
 from .measure import ParticleCloud
 
-EXPERIMENT_KINDS = ("simulate", "peano", "filippov", "relax", "verify")
+_REQUIRED = object()
+
+
+class Key(NamedTuple):
+    """One config key.  ``kind`` "int" or "real" is a number from ``lo`` to
+    ``hi``, its ends as ``ends`` shows (a real closed at inf takes "inf");
+    "str" is one of ``choices`` if any, which a real also takes; "list" a
+    list of ``item``; else a builder ``kind(value, path, top)``.  An absent
+    key, or a null one built with a None default, takes ``default``."""
+
+    kind: object
+    lo: float = -math.inf
+    hi: float = math.inf
+    ends: str = "[)"
+    default: object = _REQUIRED
+    choices: tuple = ()
+    item: Key | None = None
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A checked scenario, as ``parse_config`` builds it; ``experiment``
+    holds the kind's parameters with their defaults filled in."""
+
     p: float
     T: float
     d: int
     N: int
     seed: int
     initial: dict
-    grid: dict
+    steps: int
     experiment: dict
-    field: dict | None = None
-    family: dict | None = None
+    field: NonlocalField | None = None
+    family: ControlledFamily | None = None
     slack: float = 0.05
 
-    def __post_init__(self):
-        # checked here, not in parse_config, so CLI overrides are checked too
-        if not 1 <= self.p < math.inf:
-            raise ConfigError(f"'p' must be finite and >= 1, got {self.p}")
-        if not 0 < self.T < math.inf:
-            raise ConfigError(f"'T' must be finite and positive, got {self.T}")
-        if not 0 <= self.slack < 1:  # a slack of 1 accepts twice the bound
-            raise ConfigError(f"'slack' must be in [0, 1), got {self.slack}")
-        if self.d < 1 or self.N < 1:
-            raise ConfigError("'d' and 'N' must be >= 1")
-        object.__setattr__(self, "seed", _check_seed(self.seed))
-        self.steps()  # a grid without a single step would check nothing
-
-    def steps(self) -> int:
-        if "steps" in self.grid:
-            steps = int(self.grid["steps"])
-            if steps < 1:
-                raise ConfigError(f"grid 'steps' must be >= 1, got {steps}")
-            return steps
-        if "dt" in self.grid:
-            dt = float(self.grid["dt"])
-            if not dt > 0:
-                raise ConfigError(f"grid 'dt' must be positive, got {dt}")
-            return max(1, int(round(self.T / dt)))
-        raise ConfigError("grid needs either 'steps' or 'dt'")
-
     def time_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.steps() + 1)
-
-
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"missing field '{key}' in {context}")
-    return mapping[key]
+        return np.linspace(0.0, self.T, self.steps + 1)
 
 
 def _check_seed(seed, name: str = "seed") -> int:
@@ -101,45 +85,228 @@ def _check_seed(seed, name: str = "seed") -> int:
     return int(seed)
 
 
+def _subject(path: str) -> str:
+    """How errors name the key at ``path``: config.grid.steps is "grid 'steps'"."""
+    block, _, name = path.rpartition(".")
+    return f"{block.partition('.')[2]} '{name}'".lstrip()
+
+
+def _describe(key: Key) -> str:
+    """What ``key`` accepts, in the words of its error message."""
+    if callable(key.kind):
+        return key.kind.__name__.strip("_")
+    if key.kind == "list":
+        return f"a list, each entry {_describe(key.item)}"
+    choices = [f'"{c}"' for c in key.choices]
+    if key.kind == "str":
+        return " or ".join(choices) or "a string"
+    bound = f"{'>' if key.ends[0] == '(' else '>='} {key.lo:g}"
+    if key.kind == "int":
+        text = f"an integer {bound}"
+    elif key.ends[1] == "]":
+        text = f'{bound} or "inf"'
+    elif key.hi < math.inf:
+        text = f"in {key.ends[0]}{key.lo:g}, {key.hi:g}{key.ends[1]}"
+    else:
+        text = f"finite and {bound}" if key.lo > -math.inf else "finite"
+    return " or ".join([text, *choices])
+
+
+def _value(key: Key, value, path: str, subject: str, top: dict):
+    """``value`` checked against ``key`` and converted to its type."""
+    if callable(key.kind):
+        return key.kind(value, path, top)
+    if key.kind == "list" and isinstance(value, (list, tuple)):
+        return tuple(_value(key.item, v, path, f"{subject}[{i}]", top) for i, v in enumerate(value))
+    if key.ends[1] == "]" and value == "inf":
+        value = math.inf
+    if isinstance(value, str) and (value in key.choices or key.kind == "str" and not key.choices):
+        return value
+    number = isinstance(value, numbers.Integral if key.kind == "int" else numbers.Real)
+    if key.kind in ("int", "real") and number and not isinstance(value, bool):
+        lo_ok = value > key.lo if key.ends[0] == "(" else value >= key.lo
+        if lo_ok and (value < key.hi if key.ends[1] == ")" else value <= key.hi):
+            return int(value) if key.kind == "int" else float(value)
+    raise ConfigError(f"{subject} must be {_describe(key)}, got {value!r}")
+
+
+def _check(table: dict, raw, path: str, top: dict | None = None) -> dict:
+    """The keys of ``table`` read from the object ``raw`` at ``path``; a tuple
+    of names shares one entry.  Top-level builders see the values so far."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{_subject(path)} must be an object, got {raw!r}")
+    out = {}
+    for names, key in table.items():
+        names = (names,) if isinstance(names, str) else names
+        subject = " and ".join(_subject(f"{path}.{name}") for name in names)
+        for name in names:
+            if name not in raw or (raw[name] is None and key.default is None and callable(key.kind)):
+                if key.default is _REQUIRED:
+                    raise ConfigError(f"missing field '{name}' in {path}")
+                out[name] = key.default
+            else:
+                out[name] = _value(key, raw[name], f"{path}.{name}", subject, out if top is None else top)
+    return out
+
+
+def _tagged(raw, path: str, top: dict, tag: str, tables: dict) -> dict:
+    """A block whose ``tag`` key names the table of its other keys."""
+    name = _check({tag: Key("str")}, raw, path, top)[tag]
+    if name not in tables:
+        raise ConfigError(f"unknown {path.rpartition('.')[2]} {tag} {name!r}, not one of {list(tables)}")
+    return {tag: name, **_check(tables[name], raw, path, top)}
+
+
+def _seed(value, path: str, top: dict) -> int:
+    return _check_seed(value, path.rpartition(".")[2])
+
+
+def _sampler(spec, path: str, top: dict) -> dict:
+    spec = _tagged(spec, path, top, "kind", SAMPLERS)
+    if spec["kind"] == "atoms" and [len(row) for row in spec["atoms"]] != [top["d"]] * top["N"]:
+        raise ConfigError(f"{_subject(path + '.atoms')} must be N = {top['N']} rows of d = {top['d']} entries")
+    return spec
+
+
+def _grid(raw, path: str, top: dict) -> int:
+    grid = _check(GRID, raw, path)
+    if grid["steps"] is None and grid["dt"] is None:
+        raise ConfigError("grid needs either 'steps' or 'dt'")
+    if grid["steps"] is None and top["T"] / grid["dt"] == math.inf:
+        raise ConfigError(f"grid 'dt' must leave T / dt finite, got {grid['dt']!r}")
+    return grid["steps"] or max(1, round(top["T"] / grid["dt"]))
+
+
+def _field(spec, path: str, top: dict) -> NonlocalField:
+    return build_field(spec, top["T"], path)
+
+
+def _family(spec, path: str, top: dict) -> ControlledFamily:
+    return build_family(spec, top["T"], path)
+
+
+def _experiment(raw, path: str, top: dict) -> dict:
+    exp = _tagged(raw, path, top, "kind", EXPERIMENTS)
+    if exp["kind"] == "verify":
+        exp.update(_tagged(raw, path, top, "what", CHECKS))
+    name = exp.get("what", exp["kind"])
+    needs = NEEDS.get(name, ("field",))
+    if all(top[block] is None for block in needs):
+        raise ConfigError(f"{name} needs a {' or '.join(map(repr, needs))} block")
+    return exp
+
+
+FINITE, NONNEGATIVE, POSITIVE = Key("real", ends="()"), Key("real", 0), Key("real", 0, ends="()")
+COUNT, INDEX, RADIUS = Key("int", 1), Key("int", 0), Key("real", 0, ends="(]")
+ANY = Key(lambda value, path, top: value)  # checked where it is read
+TOP = {
+    "p": Key("real", 1),
+    "T": POSITIVE,
+    ("d", "N"): COUNT,
+    "seed": Key(_seed),
+    "slack": Key("real", 0, 1, default=0.05),
+    "initial": Key(_sampler),
+    "grid": Key(_grid),
+    "field": Key(_field, default=None),
+    "family": Key(_family, default=None),
+    "experiment": Key(_experiment),
+}
+GRID = {"steps": COUNT._replace(default=None), "dt": POSITIVE._replace(default=None)}
+SAMPLERS = {
+    "gaussian": {"sigma": NONNEGATIVE},
+    "uniform": {"halfwidth": NONNEGATIVE},
+    "two_clusters": {"gap": NONNEGATIVE, "sigma": NONNEGATIVE},
+    "atoms": {"atoms": Key("list", item=Key("list", item=FINITE))},
+}
+# a field label names its catalog builder <label>_field, a family label <label>_family
+FIELDS = {
+    "zero": {},
+    "constant": {"vector": Key("list", item=FINITE)},
+    "linear_decay": {},
+    "mean_attraction": {"kappa": FINITE},
+    "bounded_kernel": {},
+    "rotation": {},
+}
+FAMILIES = {
+    "constants": {"controls": Key("list", item=Key("list", item=FINITE))},
+    "gain": {"controls": Key("list", item=FINITE)},
+    "mean_gain": {"controls": Key("list", item=FINITE)},
+}
+TWO_CURVES = {"w": Key(_field), "ref_initial": Key(_sampler), "ref_seed": Key(_seed, default=None)}
+TRACKING = {"tol": POSITIVE._replace(default=1e-9), "max_iter": COUNT._replace(default=25)}
+EXPERIMENTS = {
+    "simulate": {"method": Key("str", choices=("euler", "rk4"), default="euler")},
+    "peano": {
+        "n": COUNT,
+        "substeps": COUNT._replace(default=1),
+        "strategy": Key("str", choices=("first", "min_norm", "random"), default="first"),
+        "n_list": Key("list", item=COUNT, default=None),
+    },
+    "filippov": {**TWO_CURVES, "R": RADIUS._replace(default=math.inf), **TRACKING},
+    "relax": {
+        "delta": POSITIVE,
+        "bases": Key("list", item=INDEX),
+        "weights": Key("list", item=INDEX),
+        "weight_steps": COUNT,
+        "radius_policy": POSITIVE._replace(default="tail_rule", choices=("tail_rule",)),
+        **TRACKING,
+        "integration_substeps": COUNT._replace(default=1),
+    },
+    "verify": {},
+}
+CHECKS = {
+    "momentum": {},
+    "equi_integrability": {"R_list": Key("list", item=NONNEGATIVE, default=(1.0, 2.0, 5.0))},
+    "abs_continuity": {},
+    "gronwall_global": TWO_CURVES,
+    "gronwall_local": {**TWO_CURVES, "R": RADIUS},
+    "hypotheses_probe": {"samples": COUNT._replace(default=1000)},
+}
+# the blocks a kind or check can run on (the first one present); the others need a field
+NEEDS = {
+    "peano": ("family",), "filippov": ("family",), "relax": ("family",), "hypotheses_probe": ("family", "field"),
+}
+
+
+def _schema_rows():
+    """(block, key, default, what it accepts) for every key of the schema."""
+    tables = {"config": TOP, "grid": GRID, **SAMPLERS, **FIELDS, **FAMILIES, **EXPERIMENTS, **CHECKS}
+    for block, table in tables.items():
+        for names, key in table.items():
+            default = "required" if key.default is _REQUIRED else json.dumps(key.default)
+            yield block, ", ".join([names] if isinstance(names, str) else names), default, _describe(key)
+
+
+if __doc__:  # None under python -OO
+    __doc__ += "".join(
+        "    %-19s %-20s %-16s %s\n" % row for row in [("block", "key", "default", "accepts"), *_schema_rows()]
+    )
+
+
 def ref_seed(config: ScenarioConfig) -> int:
     """Seed of the reference curve's start: the experiment's 'ref_seed',
     by default (seed + 1) mod 2^64."""
-    if "ref_seed" in config.experiment:
-        return _check_seed(config.experiment["ref_seed"], "ref_seed")
-    return (config.seed + 1) % 2**64
+    seed = config.experiment["ref_seed"]
+    return (config.seed + 1) % 2**64 if seed is None else seed
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
-    with open(path) as fh:
-        return parse_config(json.load(fh))
+def load_config(path: str | Path, kind: str | None = None, **overrides) -> ScenarioConfig:
+    return parse_config(json.loads(Path(path).read_text()), kind, **overrides)
 
 
-def parse_config(raw: dict) -> ScenarioConfig:
-    p = float(_require(raw, "p", "config"))
-    T = float(_require(raw, "T", "config"))
-    d = int(_require(raw, "d", "config"))
-    N = int(_require(raw, "N", "config"))
-    seed = _require(raw, "seed", "config")
-    initial = _require(raw, "initial", "config")
-    _require(initial, "kind", "config.initial")
-    grid = _require(raw, "grid", "config")
-    experiment = _require(raw, "experiment", "config")
-    kind = _require(experiment, "kind", "config.experiment")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    return ScenarioConfig(
-        p=p,
-        T=T,
-        d=d,
-        N=N,
-        seed=seed,
-        initial=dict(initial),
-        grid=dict(grid),
-        experiment=dict(experiment),
-        field=dict(raw["field"]) if raw.get("field") is not None else None,
-        family=dict(raw["family"]) if raw.get("family") is not None else None,
-        slack=float(raw.get("slack", 0.05)),
-    )
+def parse_config(raw: dict, kind: str | None = None, **overrides) -> ScenarioConfig:
+    """Check ``raw`` against the schema in one pass and build its values.
+    ``kind`` replaces the declared experiment kind, and ``overrides`` (seed,
+    N, p, or steps for the whole grid; None: not given) the config's values."""
+    given = {key: value for key, value in overrides.items() if value is not None}
+    if "steps" in given:
+        given["grid"] = {"steps": given.pop("steps")}
+    if isinstance(raw, dict):
+        if kind is not None and isinstance(raw.get("experiment"), dict):
+            given["experiment"] = {**raw["experiment"], "kind": kind}
+        raw = {**raw, **given}
+    top = _check(TOP, raw, "config")
+    return ScenarioConfig(steps=top.pop("grid"), **top)
 
 
 def parse_rates(spec: dict, T: float, context: str) -> RateFunctions:
@@ -149,17 +316,16 @@ def parse_rates(spec: dict, T: float, context: str) -> RateFunctions:
     increasing from 0 to T with one finite, nonnegative value per segment;
     the three rates then share the union of their breakpoints.
     """
-    if spec is None:
-        raise ConfigError(f"missing field 'rates' in {context} (rates are never inferred)")
     rates = []
-    for name in ("m", "l", "L"):
+    for name, val in _check(dict.fromkeys("mlL", ANY), spec, f"{context}.rates").items():
         where = f"{context}.rates.{name}"
-        val = _require(spec, name, f"{context}.rates")
         if isinstance(val, dict):
-            bp, vv = _require(val, "breakpoints", where), _require(val, "values", where)
+            bp, vv = _check({"breakpoints": ANY, "values": ANY}, val, where).values()
         else:
             bp, vv = [0.0, T], [val]
         try:
+            if any(np.asarray(x).dtype.kind not in "iuf" for x in (bp, vv)):  # no strings or bools
+                raise TypeError(f"must be a number, or breakpoints and values of numbers, got {val!r}")
             rate = RateFunctions(bp, vv, vv, vv)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
@@ -172,17 +338,15 @@ def parse_rates(spec: dict, T: float, context: str) -> RateFunctions:
 
 
 def build_field(spec: dict, T: float, context: str = "config.field") -> NonlocalField:
-    label = _require(spec, "label", context)
-    rates = parse_rates(spec.get("rates"), T, context)
-    params = {k: v for k, v in spec.items() if k not in ("label", "rates")}
-    return field_from_label(label, rates, params)
+    params = _tagged(spec, context, {}, "label", FIELDS)
+    builder = getattr(catalog, params.pop("label") + "_field")
+    return builder(**params, rates=parse_rates(spec.get("rates"), T, context))
 
 
 def build_family(spec: dict, T: float, context: str = "config.family") -> ControlledFamily:
-    label = _require(spec, "label", context)
-    controls = _require(spec, "controls", context)
-    rates = parse_rates(spec.get("rates"), T, context)
-    return family_from_label(label, controls, rates)
+    params = _tagged(spec, context, {}, "label", FAMILIES)
+    builder = getattr(catalog, params.pop("label") + "_family")
+    return builder(**params, rates=parse_rates(spec.get("rates"), T, context))
 
 
 def sample_initial(spec: dict, N: int, d: int, seed: int) -> ParticleCloud:
@@ -192,31 +356,21 @@ def sample_initial(spec: dict, N: int, d: int, seed: int) -> ParticleCloud:
     uniform:       one uniform(-h, h, (N, d)) block
     two_clusters:  first ceil(N/2) rows centered at +gap/2 e1, the rest at
                    -gap/2 e1, plus sigma * standard_normal((N, d))
-    atoms:         explicit list, must match (N, d)
+    atoms:         explicit list of N rows of d coordinates
+
+    ``spec`` is checked as the config's 'initial' sampler is.
     """
-    kind = _require(spec, "kind", "initial")
+    spec = _sampler(spec, "config.initial", {"N": N, "d": d})
     rng = np.random.Generator(np.random.Philox(key=np.uint64(_check_seed(seed))))
+    kind = spec["kind"]
     if kind == "gaussian":
-        sigma = float(_require(spec, "sigma", "initial(gaussian)"))
-        return ParticleCloud(sigma * rng.standard_normal((N, d)))
+        return ParticleCloud(spec["sigma"] * rng.standard_normal((N, d)))
     if kind == "uniform":
-        half = float(_require(spec, "halfwidth", "initial(uniform)"))
-        return ParticleCloud(rng.uniform(-half, half, (N, d)))
-    if kind == "two_clusters":
-        gap = float(_require(spec, "gap", "initial(two_clusters)"))
-        sigma = float(_require(spec, "sigma", "initial(two_clusters)"))
-        centers = np.zeros((N, d))
-        n_right = (N + 1) // 2
-        centers[:n_right, 0] = gap / 2.0
-        centers[n_right:, 0] = -gap / 2.0
-        return ParticleCloud(centers + sigma * rng.standard_normal((N, d)))
+        return ParticleCloud(rng.uniform(-spec["halfwidth"], spec["halfwidth"], (N, d)))
     if kind == "atoms":
-        atoms = np.asarray(_require(spec, "atoms", "initial(atoms)"), dtype=float)
-        if atoms.ndim == 1:
-            atoms = atoms[:, None]
-        if atoms.shape != (N, d):
-            raise ConfigError(
-                f"initial atoms have shape {atoms.shape}, config declares (N, d) = ({N}, {d})"
-            )
-        return ParticleCloud(atoms)
-    raise ConfigError(f"unknown initial sampler kind {kind!r}")
+        return ParticleCloud(np.array(spec["atoms"], dtype=float))
+    centers = np.zeros((N, d))
+    n_right = (N + 1) // 2
+    centers[:n_right, 0] = spec["gap"] / 2.0
+    centers[n_right:, 0] = -spec["gap"] / 2.0
+    return ParticleCloud(centers + spec["sigma"] * rng.standard_normal((N, d)))

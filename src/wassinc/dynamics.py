@@ -215,8 +215,8 @@ def integrate(
     own current cloud (for rk4, each stage sees the stage's intermediate
     cloud).  A FrozenMeasure source instead reads a fixed trajectory at
     t - delay, which is how delayed and iterated constructions reuse this
-    routine.  Raises BlowUpError naming the step if a coordinate leaves
-    the finite range.
+    routine.  Raises BlowUpError (see ``_check_finite``) if a coordinate
+    leaves the finite range.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size < 1:
@@ -231,20 +231,26 @@ def integrate(
 
     X = start.points.copy()
     clouds = [ParticleCloud(X)]
-    for k in range(g.size - 1):
-        t0, t1 = float(g[k]), float(g[k + 1])
-        dt = t1 - t0
-        if method == "euler":
-            M0 = frozen.at(t0) if frozen else clouds[-1]
-            X = X + dt * field.rule(t0, M0, X)
-        else:
-            X = _rk4_step(field, X, t0, dt, frozen, clouds[-1])
-        if not np.all(np.isfinite(X)):
-            raise BlowUpError(
-                f"non-finite coordinate after step {k + 1} (t = {t1:.6g}) of field {field.label!r}"
-            )
-        clouds.append(ParticleCloud(X))
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
+        for k in range(g.size - 1):
+            t0, t1 = float(g[k]), float(g[k + 1])
+            dt = t1 - t0
+            if method == "euler":
+                M0 = frozen.at(t0) if frozen else clouds[-1]
+                X = X + dt * field.rule(t0, M0, X)
+            else:
+                X = _rk4_step(field, X, t0, dt, frozen, clouds[-1])
+            _check_finite(X, clouds[-1].points, k + 1, t1)
+            clouds.append(ParticleCloud(X))
     return Trajectory(grid=g, clouds=tuple(clouds))
+
+
+def _check_finite(X: np.ndarray, last: np.ndarray, step: int, t: float) -> None:
+    """BlowUpError naming the step, t, and the first non-finite particle with its ``last`` position."""
+    if not np.all(np.isfinite(X)):
+        i = int(np.isfinite(X).all(axis=1).argmin())
+        raise BlowUpError(f"non-finite coordinate after step {step} (t = {t:.6g}): particle {i}, "
+                          f"last finite position {last[i].tolist()}")
 
 
 def _rk4_step(field, X, t0, dt, frozen, current_cloud):

@@ -166,8 +166,8 @@ def filippov_track(
     ``iteration_not_converged`` (the last iterate is still an admissible
     trajectory).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     grid = ref.grid

@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import NonlocalField, RateFunctions, Trajectory, grid_snap, snapped_index, sup_norm, union_probes
-from .errors import BlowUpError, ShapeMismatchError
+from .dynamics import NonlocalField, RateFunctions, Trajectory, _check_finite, grid_snap, snapped_index, sup_norm, union_probes
+from .errors import ShapeMismatchError
 from .measure import ParticleCloud, sup_wasserstein_cost
 
 FamilyRule = Callable[[float, ParticleCloud, np.ndarray, np.ndarray], np.ndarray]
@@ -183,18 +183,18 @@ def peano_solve(
     X = start.points.copy()
     clouds = [ParticleCloud(X)]
     indices = np.empty(steps, dtype=int)
-    for k in range(steps):
-        t0 = float(grid[k])
-        dt = float(grid[k + 1] - grid[k])
-        # delay of one block == exactly `substeps` grid nodes
-        delayed = clouds[max(0, k - substeps)]
-        u_idx = _select_control(family, t0, delayed, clouds[-1], strategy, rng)
-        vel = family.rule(t0, delayed, [u_idx], X)[0]
-        X = X + dt * vel
-        if not np.all(np.isfinite(X)):
-            raise BlowUpError(f"non-finite coordinate after sub-interval {k + 1} (t = {grid[k + 1]:.6g})")
-        clouds.append(ParticleCloud(X))
-        indices[k] = u_idx
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
+        for k in range(steps):
+            t0 = float(grid[k])
+            dt = float(grid[k + 1] - grid[k])
+            # delay of one block == exactly `substeps` grid nodes
+            delayed = clouds[max(0, k - substeps)]
+            u_idx = _select_control(family, t0, delayed, clouds[-1], strategy, rng)
+            vel = family.rule(t0, delayed, [u_idx], X)[0]
+            X = X + dt * vel
+            _check_finite(X, clouds[-1].points, k + 1, float(grid[k + 1]))
+            clouds.append(ParticleCloud(X))
+            indices[k] = u_idx
     traj = Trajectory(grid=grid, clouds=tuple(clouds))
     return traj, ControlSignal(grid=grid, indices=indices)
 

@@ -218,7 +218,7 @@ def relax_approximate(
     the integral of m into parts of at most delta / (2 (1+C) (1+R)); the
     realized signal is integrated against the mixture curve's measures and
     tracked back into the pure solution set.  ``radius_policy`` is
-    ``"tail_rule"`` for that choice or an explicit positive radius.
+    ``"tail_rule"`` for that choice or a finite radius > 0, not a bool.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -229,9 +229,7 @@ def relax_approximate(
     script_c = bounds.uniform_moment(p, mp0, mp0, m_total)
     script_ct = bounds.script_horizon_factor(script_c, m_total)
 
-    if isinstance(radius_policy, (int, float)):
-        radius = float(radius_policy)
-    elif radius_policy == "tail_rule":
+    if radius_policy == "tail_rule":
         tail_cap = delta / (2.0 * (1.0 + script_c) * (1.0 + script_ct) * (1.0 + m_total))
         norms = np.unique(mu0.norms())
         radius = None
@@ -241,11 +239,15 @@ def relax_approximate(
                 break
         if radius is None:  # tail past the largest atom is exactly zero
             radius = script_ct * (1.0 + float(norms[-1]) * (1.0 + 1e-9) + 1e-12)
+    elif (isinstance(radius_policy, (int, float)) and not isinstance(radius_policy, bool)
+          and 0 < radius_policy < math.inf):
+        radius = float(radius_policy)
     else:
-        raise ValueError(f"unknown radius policy {radius_policy!r}")
+        raise ValueError(f"radius_policy must be 'tail_rule' or a finite radius > 0, got {radius_policy!r}")
 
     block_cap = delta / (2.0 * (1.0 + script_c) * (1.0 + radius))
-    n_blocks = 1 if m_total == 0.0 else int(math.ceil(m_total / block_cap))
+    ratio = m_total / block_cap if block_cap > 0 else math.inf  # block_cap is 0 once C overflows
+    n_blocks = 1 if m_total == 0.0 else math.ceil(ratio) if ratio < math.inf else ratio
     if n_blocks > relaxed_signal.n_intervals:
         raise ResolutionError(
             f"delta = {delta} needs {n_blocks} blocks but the signal grid has only "

@@ -20,11 +20,12 @@ import hashlib
 import itertools
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, build_family, build_field, ref_seed, sample_initial
+from .config import ScenarioConfig, ref_seed, sample_initial
 from .dynamics import Trajectory, integrate
 from .errors import ConfigError
 from .filippov import filippov_track
@@ -81,9 +82,13 @@ def _jsonable(value):
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> dict:
-    """Run the configured experiment, write its artifacts, return the manifest."""
+    """Run the configured experiment, write its artifacts, return the manifest.
+    The manifest is removed first and written last: a failed run leaves none,
+    and no ``out_dir`` if it made it."""
     out = Path(out_dir)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
     kind = config.experiment["kind"]
     handler = {
         "simulate": _run_simulate,
@@ -91,10 +96,13 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> dict:
         "filippov": _run_filippov,
         "relax": _run_relax,
         "verify": _run_verify,
-    }.get(kind)
-    if handler is None:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    files, verdicts, constants = handler(config, out)
+    }[kind]
+    try:
+        files, verdicts, constants = handler(config, out)
+    except BaseException:
+        if made:
+            shutil.rmtree(out)
+        raise
     manifest = {
         "experiment": kind,
         "seed": config.seed,
@@ -107,26 +115,16 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> dict:
 
 
 def _run_simulate(config: ScenarioConfig, out: Path):
-    if config.field is None:
-        raise ConfigError("simulate needs a 'field' block")
-    field = build_field(config.field, config.T)
     start = sample_initial(config.initial, config.N, config.d, config.seed)
-    method = config.experiment.get("method", "euler")
-    traj = integrate(field, start, config.time_grid(), method=method)
+    method = config.experiment["method"]
+    traj = integrate(config.field, start, config.time_grid(), method=method)
     write_trajectory_csv(out / "trajectory.csv", traj)
-    return ["trajectory.csv"], {}, {"method": method, "field": field.label}
+    return ["trajectory.csv"], {}, {"method": method, "field": config.field.label}
 
 
 def _run_peano(config: ScenarioConfig, out: Path):
-    if config.family is None:
-        raise ConfigError("peano needs a 'family' block")
-    family = build_family(config.family, config.T)
-    exp = config.experiment
-    if "n" not in exp:
-        _missing("n", "peano")
-    n = int(exp["n"])
-    substeps = int(exp.get("substeps", 1))
-    strategy = exp.get("strategy", "first")
+    exp, family = config.experiment, config.family
+    n, substeps, strategy = exp["n"], exp["substeps"], exp["strategy"]
     start = sample_initial(config.initial, config.N, config.d, config.seed)
     traj, signal = peano_solve(family, start, n, substeps, strategy, seed=config.seed)
     residual = inclusion_residual(traj, signal, family, delay=config.T / n)
@@ -136,11 +134,8 @@ def _run_peano(config: ScenarioConfig, out: Path):
     files = ["trajectory.csv", "signal.csv", "report.csv"]
     verdicts = {"delayed_membership": bool(np.all(residual <= 1e-15))}
     constants = {"n": n, "substeps": substeps, "strategy": strategy}
-    if "n_list" in exp:
-        rows = refinement_study(
-            family, start, [int(v) for v in exp["n_list"]], substeps, strategy, config.p,
-            seed=config.seed,
-        )
+    if exp["n_list"] is not None:
+        rows = refinement_study(family, start, exp["n_list"], substeps, strategy, config.p, seed=config.seed)
         _write_rows(out / "refinement.csv", "n_coarse,n_fine,sup_wp", "%d,%d,%.17g", rows)
         files.append("refinement.csv")
         constants["refinement_max"] = max(v for _, _, v in rows)
@@ -148,23 +143,12 @@ def _run_peano(config: ScenarioConfig, out: Path):
 
 
 def _run_filippov(config: ScenarioConfig, out: Path):
-    if config.family is None:
-        raise ConfigError("filippov needs a 'family' block")
     exp = config.experiment
-    for key in ("w", "ref_initial"):
-        if key not in exp:
-            _missing(key, "filippov")
-    family = build_family(config.family, config.T)
-    w = build_field(exp["w"], config.T, context="config.experiment.w")
     start = sample_initial(config.initial, config.N, config.d, config.seed)
     nu0 = sample_initial(exp["ref_initial"], config.N, config.d, ref_seed(config))
-    ref = integrate(w, nu0, config.time_grid(), method="euler")
-    R = exp.get("R", "inf")
-    R = math.inf if R in ("inf", None) else float(R)
-    tol = float(exp.get("tol", 1e-9))
-    max_iter = int(exp.get("max_iter", 25))
+    ref = integrate(exp["w"], nu0, config.time_grid(), method="euler")
     traj, signal, cert = filippov_track(
-        family, ref, w, start, R, tol, max_iter, config.p
+        config.family, ref, exp["w"], start, exp["R"], exp["tol"], exp["max_iter"], config.p
     )
     write_trajectory_csv(out / "trajectory.csv", traj)
     write_signal_csv(out / "signal.csv", signal)
@@ -185,19 +169,10 @@ def _run_filippov(config: ScenarioConfig, out: Path):
 
 
 def _run_relax(config: ScenarioConfig, out: Path):
-    if config.family is None:
-        raise ConfigError("relax needs a 'family' block")
-    exp = config.experiment
-    for key in ("delta", "bases", "weights", "weight_steps"):
-        if key not in exp:
-            _missing(key, "relax")
-    family = build_family(config.family, config.T)
-    delta = float(exp["delta"])
-    bases = tuple(int(b) for b in exp["bases"])
-    weights = tuple(int(wq) for wq in exp["weights"])
-    weight_steps = int(exp["weight_steps"])
-    chat = convexify(family, q=len(bases), weight_steps=weight_steps)
-    target = ChatteringControl(bases, weights, weight_steps)
+    exp, family = config.experiment, config.family
+    delta, bases, weights = exp["delta"], exp["bases"], exp["weights"]
+    chat = convexify(family, q=len(bases), weight_steps=exp["weight_steps"])
+    target = ChatteringControl(bases, weights, exp["weight_steps"])
     try:
         idx = chat.controls.index(target)
     except ValueError:
@@ -215,10 +190,10 @@ def _run_relax(config: ScenarioConfig, out: Path):
         chat,
         delta,
         config.p,
-        radius_policy=exp.get("radius_policy", "tail_rule"),
-        tol=float(exp.get("tol", 1e-9)),
-        max_iter=int(exp.get("max_iter", 25)),
-        integration_substeps=int(exp.get("integration_substeps", 1)),
+        radius_policy=exp["radius_policy"],
+        tol=exp["tol"],
+        max_iter=exp["max_iter"],
+        integration_substeps=exp["integration_substeps"],
     )
     write_trajectory_csv(out / "trajectory.csv", tracked)
     write_signal_csv(out / "signal.csv", signal)
@@ -238,8 +213,6 @@ def _run_relax(config: ScenarioConfig, out: Path):
 
 
 def _run_verify(config: ScenarioConfig, out: Path):
-    if "what" not in config.experiment:
-        _missing("what", "verify")
     what = config.experiment["what"]
     report: BoundReport = verify(what, config)
     write_report_csv(out / "report.csv", report.times, report.measured, report.bound)
@@ -247,7 +220,3 @@ def _run_verify(config: ScenarioConfig, out: Path):
     constants = dict(report.constants)
     constants["slack"] = report.slack
     return ["report.csv"], verdicts, constants
-
-
-def _missing(key: str, context: str):
-    raise ConfigError(f"missing field '{key}' in config.experiment ({context})")

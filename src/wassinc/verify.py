@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import bounds
-from .config import ScenarioConfig, build_family, build_field, ref_seed, sample_initial
+from .config import ScenarioConfig, ref_seed, sample_initial
 from .dynamics import Trajectory, integrate, sup_norm, union_probes, velocity_gap
 from .errors import ConfigError
 from .inclusion import ControlledFamily
@@ -59,12 +59,8 @@ def verify(kind: str, config: ScenarioConfig) -> BoundReport:
 
 
 def _simulate(config: ScenarioConfig) -> tuple[Trajectory, "NonlocalField"]:
-    if config.field is None:
-        raise ConfigError("this verify kind needs a 'field' block")
-    field = build_field(config.field, config.T)
     start = sample_initial(config.initial, config.N, config.d, config.seed)
-    traj = integrate(field, start, config.time_grid(), method="euler")
-    return traj, field
+    return integrate(config.field, start, config.time_grid(), method="euler"), config.field
 
 
 def momentum_bound_series(
@@ -111,7 +107,7 @@ def verify_equi_integrability(config: ScenarioConfig) -> BoundReport:
     """Tail mass of the evolved cloud against the shifted tail of the start."""
     traj, field = _simulate(config)
     p = config.p
-    radii = [float(r) for r in config.experiment.get("R_list", [1.0, 2.0, 5.0])]
+    radii = config.experiment["R_list"]
     m_total = field.rates.integral("m", 0.0, config.T)
     ct = bounds.horizon_factor(m_total)
     start = traj.clouds[0]
@@ -154,18 +150,9 @@ def verify_abs_continuity(config: ScenarioConfig) -> BoundReport:
 
 
 def _two_curves(config: ScenarioConfig):
-    if config.field is None:
-        raise ConfigError("gronwall kinds need a 'field' block for the first curve")
-    w_spec = config.experiment.get("w")
-    if w_spec is None:
-        raise ConfigError("missing field 'w' in config.experiment (second velocity field)")
-    ref_init = config.experiment.get("ref_initial")
-    if ref_init is None:
-        raise ConfigError("missing field 'ref_initial' in config.experiment")
-    v = build_field(config.field, config.T)
-    w = build_field(w_spec, config.T, context="config.experiment.w")
+    v, w = config.field, config.experiment["w"]
     mu0 = sample_initial(config.initial, config.N, config.d, config.seed)
-    nu0 = sample_initial(ref_init, config.N, config.d, ref_seed(config))
+    nu0 = sample_initial(config.experiment["ref_initial"], config.N, config.d, ref_seed(config))
     grid = config.time_grid()
     mu = integrate(v, mu0, grid, method="euler")
     nu = integrate(w, nu0, grid, method="euler")
@@ -218,10 +205,7 @@ def verify_gronwall_local(config: ScenarioConfig) -> BoundReport:
     """Localised stability estimate: ball-restricted discrepancy plus the
     tail error term, which is what keeps the bound valid when the curves
     separate outside the observation ball."""
-    R = config.experiment.get("R")
-    if R is None:
-        raise ConfigError("missing field 'R' in config.experiment (observation radius)")
-    return _gronwall(config, "gronwall_local", float(R))
+    return _gronwall(config, "gronwall_local", config.experiment["R"])
 
 
 def _ratio(num: float, den: float) -> float:
@@ -239,19 +223,15 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> BoundReport:
     the scenario's initial sampler and reports each observed ratio against
     the declared rate; the bound row is the constant 1.
     """
-    n_samples = max(1000, int(config.experiment.get("samples", 1000)))
-    if config.family is not None:
-        family = build_family(config.family, config.T)
-    elif config.field is not None:  # a field is a family of one control
-        field = build_field(config.field, config.T)
+    n_samples = max(1000, config.experiment["samples"])
+    family, field = config.family, config.field
+    if family is None:  # a field is a family of one control
         family = ControlledFamily(
             controls=(0,),
             rule=lambda t, cloud, idx, X: field.rule(t, cloud, X)[None],
             rates=field.rates,
             measure_dependent=field.measure_dependent,
         )
-    else:
-        raise ConfigError("hypotheses_probe needs a 'field' or 'family' block")
     rates = family.rates
     every = np.arange(family.size)
 

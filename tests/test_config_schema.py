@@ -1,0 +1,247 @@
+"""One checked config schema: every value a scenario declares is typed,
+range-checked and built by ``parse_config`` before anything runs or is
+written, so bad input exits 2 with one ``error:`` line naming the key and
+leaves no output directory.  Also the library guards for callers that skip
+the schema, the blow-up report, the suite script's exit codes, and the
+README table against the schema it is rendered from."""
+
+import contextlib
+import importlib.util
+import io
+import json
+import math
+import shutil
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import wassinc.config as config_module
+from wassinc import NonlocalField, ParticleCloud, RateFunctions, integrate, parse_config
+from wassinc.catalog import constants_family, gain_family, zero_field
+from wassinc.errors import BlowUpError, ConfigError
+from wassinc.filippov import filippov_track
+from wassinc.inclusion import ControlSignal, peano_solve, signal_field
+from wassinc.relax import ChatteringControl, convexify, relax_approximate
+
+from conftest import fast_constant_field, run_cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+
+
+def scenario(name):
+    return json.loads((SCENARIOS / f"{name}.json").read_text())
+
+
+def mutate(raw, path, value=None, drop=False):
+    """``raw`` with the value at the dotted ``path`` replaced (or dropped)."""
+    *blocks, key = path.split(".")
+    node = raw
+    for block in blocks:
+        node = node[block]
+    if drop:
+        del node[key]
+    else:
+        node[key] = value
+    return raw
+
+
+# (scenario, path, value, the key the error must name); each of these
+# ended in a traceback or ran on a truncated or coerced value before
+CASES = {
+    "steps_list": ("simulate_linear_decay", "grid.steps", [3], "grid 'steps'"),
+    "grid_null": ("simulate_linear_decay", "grid", None, "'grid'"),
+    "initial_null": ("simulate_linear_decay", "initial", None, "'initial'"),
+    "sigma_list": ("peano_mean_gain", "initial.sigma", [1, 2], "initial 'sigma'"),
+    "label_number": ("simulate_linear_decay", "field.label", 3, "field 'label'"),
+    "controls_number": ("peano_mean_gain", "family.controls", 5, "family 'controls'"),
+    "w_null": ("filippov_gain", "experiment.w", None, "experiment 'w'"),
+    "R_list": ("filippov_gain", "experiment.R", [1], "experiment 'R'"),
+    "n_list_null": ("peano_mean_gain", "experiment.n_list", None, "experiment 'n_list'"),
+    "dt_underflow": ("simulate_linear_decay", "grid", {"dt": 1e-320}, "grid 'dt'"),
+    "radius_negative": ("relax_bangbang", "experiment.radius_policy", -1, "experiment 'radius_policy'"),
+    "N_fraction": ("simulate_linear_decay", "N", 2.9, "'d' and 'N'"),
+    "steps_fraction": ("simulate_linear_decay", "grid.steps", 20.9, "grid 'steps'"),
+    "max_iter_fraction": ("filippov_gain", "experiment.max_iter", 2.5, "experiment 'max_iter'"),
+    "n_fraction": ("peano_mean_gain", "experiment.n", 8.7, "experiment 'n'"),
+    "T_string": ("simulate_linear_decay", "T", "1", "'T'"),
+    "slack_string": ("verify_momentum_mean_attraction", "slack", "0.1", "'slack'"),
+    "dt_string": ("simulate_linear_decay", "grid", {"dt": "0.1"}, "grid 'dt'"),
+    "radius_bool": ("relax_bangbang", "experiment.radius_policy", True, "experiment 'radius_policy'"),
+    "tol_nan": ("filippov_gain", "experiment.tol", math.nan, "experiment 'tol'"),
+    "n_list_fraction": ("peano_mean_gain", "experiment.n_list", [4, 4.5], "experiment 'n_list'[1]"),
+    "weights_fraction": ("relax_bangbang", "experiment.weights", [1.5, 0.5], "experiment 'weights'[0]"),
+    "rate_string": ("relax_bangbang", "family.rates.m", "7", "config.family.rates.m:"),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_bad_value_exits_two_naming_the_key(tmp_path, capsys, case):
+    name, path, value, key = CASES[case]
+    raw = mutate(scenario(name), path, value)
+    code, out = run_cli(tmp_path, raw["experiment"]["kind"], raw)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_config_error_leaves_no_directory(tmp_path, capsys):
+    raw = mutate(scenario("peano_mean_gain"), "experiment.n", drop=True)
+    code, out = run_cli(tmp_path, "peano", raw)
+    assert code == 2 and capsys.readouterr().err == "error: missing field 'n' in config.experiment\n"
+    assert not out.exists()
+
+
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path, capsys):
+    raw = scenario("simulate_linear_decay")
+    assert run_cli(tmp_path, "simulate", raw)[0] == 0
+    raw["T"] = 100.0
+    raw["field"] = {"label": "constant", "vector": [1e308], "rates": {"m": 1e308, "l": 0.0, "L": 0.0}}
+    code, out = run_cli(tmp_path, "simulate", raw)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: non-finite coordinate after step ") and err.count("\n") == 1, err
+    assert "particle 0, last finite position [" in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("m, message", [(1.0, "needs 80 blocks"), (7.0, "needs inf blocks")])
+def test_runtime_error_leaves_no_new_directory(tmp_path, capsys, m, message):
+    # with m = 7 the moment constant overflows, which once divided by zero
+    raw = mutate(scenario("relax_bangbang"), "grid.steps", 40)
+    raw["family"]["rates"]["m"] = m
+    code, out = run_cli(tmp_path, "relax", raw)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"error: delta = 0.1 {message} but the signal grid has only 40")
+    assert not out.exists()
+
+
+def test_subcommand_kind_is_the_one_checked(tmp_path, capsys):
+    # a verify config run as peano: peano's keys are checked, verify's ignored
+    raw = mutate(scenario("verify_momentum_mean_attraction"), "experiment.n", 4)
+    assert run_cli(tmp_path, "peano", raw)[0] == 2
+    assert capsys.readouterr().err == "error: peano needs a 'family' block\n"
+    config = parse_config(scenario("verify_momentum_mean_attraction"), "simulate", steps=4)
+    assert config.experiment == {"kind": "simulate", "method": "euler"}
+    assert config.steps == 4
+
+
+def test_defaults_filled_in_and_typed():
+    config = parse_config(mutate(scenario("relax_bangbang"), "experiment.max_iter", drop=True))
+    exp = config.experiment
+    assert exp["max_iter"] == 25 and exp["integration_substeps"] == 1 and exp["tol"] == 1e-9
+    assert exp["bases"] == (0, 1) and exp["delta"] == 0.1
+    config = parse_config(scenario("verify_equi_two_clusters"))
+    assert config.experiment["R_list"] == (1.0, 2.0, 5.0)
+    assert parse_config(mutate(scenario("filippov_gain"), "experiment.R", drop=True)).experiment["R"] == math.inf
+    assert parse_config(mutate(scenario("simulate_linear_decay"), "grid", {"dt": 0.3})).steps == 3
+
+
+def test_atoms_checked_against_N_and_d():
+    with pytest.raises(ConfigError, match=r"^initial 'atoms' must be N = 1 rows of d = 2 entries"):
+        parse_config(mutate(scenario("simulate_linear_decay"), "d", 2))
+    with pytest.raises(ConfigError, match=r"^initial 'atoms'\[0\]\[0\] must be finite"):
+        parse_config(mutate(scenario("simulate_linear_decay"), "initial.atoms", [[math.inf]]))
+
+
+def test_unknown_kinds_and_labels_named():
+    for path, value, message in [
+        ("initial.kind", "cauchy", "unknown initial kind 'cauchy'"),
+        ("family.label", "gains", "unknown family label 'gains'"),
+        ("experiment.what", "energy", "unknown experiment what 'energy'"),
+    ]:
+        name = "verify_momentum_mean_attraction" if path.endswith("what") else "peano_mean_gain"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(mutate(scenario(name), path, value))
+
+
+def test_readme_table_is_the_schema():
+    text = (ROOT / "README.md").read_text()
+    rows = [
+        tuple(cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        for line in text.splitlines()
+        if line.startswith("| ") and line.count("|") == 5
+    ]
+    assert rows[0] == ("block", "key", "default", "accepts")
+    assert rows[2:] == list(config_module._schema_rows())
+    doc_lines = [line.split() for line in config_module.__doc__.splitlines()]
+    for row in config_module._schema_rows():
+        assert " ".join(row).split() in doc_lines
+
+
+# -- library guards for callers that bypass the schema -----------------------
+
+
+def test_filippov_track_rejects_nan_tol():
+    family = constants_family([[-1.0], [1.0]], RateFunctions.constant(1.0, 0.0, 0.0, 1.0))
+    w = zero_field(RateFunctions.constant(0.0, 0.0, 0.0, 1.0))
+    start = ParticleCloud(np.zeros((1, 1)))
+    ref = integrate(w, start, np.linspace(0.0, 1.0, 5))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        filippov_track(family, ref, w, start, math.inf, math.nan, 5, 1.0)
+
+
+@pytest.mark.parametrize("policy", [-1, 0, math.inf, math.nan, True, "tail"])
+def test_relax_rejects_bad_radius_policy(policy):
+    family = constants_family([[-1.0], [1.0]], RateFunctions.constant(1.0, 0.0, 0.0, 0.25))
+    chat = convexify(family, q=2, weight_steps=2)
+    grid = np.linspace(0.0, 0.25, 101)
+    idx = chat.controls.index(ChatteringControl((0, 1), (1, 1), 2))
+    signal = ControlSignal(grid=grid, indices=np.full(100, idx))
+    traj = integrate(signal_field(chat, signal), ParticleCloud(np.zeros((1, 1))), grid)
+    with pytest.raises(ValueError, match="radius_policy must be 'tail_rule' or a finite radius > 0"):
+        relax_approximate(family, traj, signal, chat, 0.1, 1.0, radius_policy=policy)
+    assert relax_approximate(family, traj, signal, chat, 0.1, 1.0, radius_policy=2)[2].radius == 2.0
+
+
+# -- the blow-up report --------------------------------------------------------
+
+
+def test_blow_up_names_particle_and_last_position():
+    field = NonlocalField(rule=lambda t, c, X: X * 1e308, rates=RateFunctions.constant(1, 0, 0, 1.0))
+    start = ParticleCloud(np.array([[0.0], [1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning besides the error
+        with pytest.raises(BlowUpError) as info:
+            integrate(field, start, np.linspace(0.0, 1.0, 5))
+    assert str(info.value) == (
+        "non-finite coordinate after step 2 (t = 0.5): particle 1, last finite position [2.5e+307]"
+    )
+
+
+def test_peano_blow_up_uses_the_same_report():
+    family = gain_family([-1e308], RateFunctions.constant(1, 0, 0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the convexity warning
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BlowUpError, match=r"after step 2 \(t = 0\.5\): particle 1, last finite"):
+            peano_solve(family, ParticleCloud(np.array([[0.0], [1.0]])), 4)
+
+
+# -- the suite script ----------------------------------------------------------
+
+
+def test_run_suite_reports_errors_and_goes_on(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("run_suite", ROOT / "scripts" / "run_suite.py")
+    run_suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_suite)
+    (tmp_path / "scenarios").mkdir()
+    shutil.copy(SCENARIOS / "simulate_linear_decay.json", tmp_path / "scenarios" / "b_good.json")
+    bad = mutate(scenario("simulate_linear_decay"), "N", 2.9)
+    (tmp_path / "scenarios" / "a_bad.json").write_text(json.dumps(bad))
+    (tmp_path / "scenarios" / "c_fail.json").write_text(json.dumps(fast_constant_field()))
+    monkeypatch.setattr(run_suite, "ROOT", tmp_path)
+    monkeypatch.setattr(sys, "argv", ["run_suite.py", str(tmp_path / "out")])
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        assert run_suite.main() == 2
+    assert err.getvalue() == "error: a_bad: 'd' and 'N' must be an integer >= 1, got 2.9\n"
+    assert out.getvalue().split()[:2] == ["b_good", "pass"]
+    assert "c_fail" in out.getvalue() and "FAIL" in out.getvalue()
+    (tmp_path / "scenarios" / "a_bad.json").unlink()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_suite.main() == 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wassinc import ParticleCloud, run_scenario
-from wassinc.config import build_family, parse_config, sample_initial
+from wassinc.config import parse_config, sample_initial
 from wassinc.dynamics import Trajectory
 from wassinc.inclusion import ControlSignal, refinement_study
 from wassinc.runner import write_report_csv, write_signal_csv, write_trajectory_csv
@@ -75,7 +75,7 @@ class TestWritersMatchPerRowFormat:
         run_scenario(config, tmp_path)
         exp = config.experiment
         rows = refinement_study(
-            build_family(config.family, config.T),
+            config.family,
             sample_initial(config.initial, config.N, config.d, config.seed),
             exp["n_list"], exp["substeps"], exp["strategy"], config.p, seed=config.seed,
         )

@@ -44,14 +44,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="experiment kind"):
             cfg(experiment={"kind": "does_not_exist"})
 
-    def test_unknown_field_label(self):
-        bad = cfg(field={"label": "does_not_exist", "rates": {"m": 0, "l": 0, "L": 0}})
+    def test_unknown_field_label(self, tmp_path):
         with pytest.raises(ConfigError, match="does_not_exist"):
-            run_scenario(bad, "/tmp/wassinc-bad")
+            run_scenario(cfg(field={"label": "does_not_exist", "rates": {"m": 0, "l": 0, "L": 0}}), tmp_path)
 
-    def test_rates_required(self):
+    def test_rates_required(self, tmp_path):
         with pytest.raises(ConfigError, match="rates"):
-            run_scenario(cfg(field={"label": "zero"}), "/tmp/wassinc-bad2")
+            run_scenario(cfg(field={"label": "zero"}), tmp_path)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7", True])
     def test_seed_must_be_u64(self, seed):

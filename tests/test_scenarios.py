@@ -32,5 +32,5 @@ def test_verify_pass_stable_under_refinement(path):
     config = load_config(path)
     what = config.experiment["what"]
     assert verify(what, config).passed
-    refined = dataclasses.replace(config, grid={"steps": 2 * config.steps()})
+    refined = dataclasses.replace(config, steps=2 * config.steps)
     assert verify(what, refined).passed
