@@ -3,12 +3,17 @@
 
 Usage: python scripts/run_suite.py [out_dir]
 
+Each row gives the scenario, its status, the wall time of loading and
+running it, and its verdicts; a last line gives the total wall time.  The
+times go to stdout only, never into an output file.
+
 A scenario that cannot run prints ``error: <scenario>: <reason>`` and the
 suite goes on.  Exit codes follow the CLI: 2 if any scenario errored, else
 1 if some verdict failed, else 0.
 """
 
 import sys
+import time
 from pathlib import Path
 
 from wassinc import load_config, run_scenario
@@ -20,7 +25,9 @@ ROOT = Path(__file__).resolve().parent.parent
 def main() -> int:
     out_root = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "out"
     failures = errors = 0
+    total = 0.0
     for path in sorted((ROOT / "scenarios").glob("*.json")):
+        start = time.perf_counter()
         try:
             manifest = run_scenario(load_config(path), out_root / path.stem)
         except RUN_ERRORS as exc:
@@ -31,7 +38,10 @@ def main() -> int:
         status = "pass" if all(verdicts.values()) else "FAIL"
         failures += status == "FAIL"
         detail = ", ".join(f"{k}={'ok' if v else 'BAD'}" for k, v in verdicts.items()) or "-"
-        print(f"{path.stem:42s} {status:4s}  {detail}")
+        seconds = time.perf_counter() - start
+        total += seconds
+        print(f"{path.stem:42s} {status:4s} {seconds:7.3f} s  {detail}")
+    print(f"{'total':42s} {'':4s} {total:7.3f} s")
     return 2 if errors else 1 if failures else 0
 
 

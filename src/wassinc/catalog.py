@@ -124,8 +124,9 @@ def constants_family(controls, rates: RateFunctions) -> ControlledFamily:
     table = np.array(vecs)  # (U,) scalars or (U, d) vectors
 
     def rule(t, cloud, idx, X):
-        u = table[idx].reshape(len(idx), 1, -1)
-        return np.broadcast_to(u, (len(idx),) + X.shape).copy()
+        out = np.empty((len(idx),) + X.shape)
+        out[:] = table[idx].reshape(len(idx), 1, -1)
+        return out
 
     return ControlledFamily(controls=vecs, rule=rule, rates=rates, label="constants")
 

@@ -7,7 +7,8 @@ default, and the field, family and ``w`` arrive built.  A sampler, field,
 family or experiment has the keys of its "kind" or "label", a ``verify``
 experiment also those of its ``what``.  A seed is an integer in [0, 2^64),
 a null ``ref_seed`` (seed + 1) mod 2^64.  A grid has its ``steps``, or
-round(T / dt) steps, at least 1.
+round(T / dt) steps, at least 1.  The largest arrays a run allocates must
+fit ``MAX_ENTRIES`` entries (see ``_check_sizes``).
 
 Rates must be declared explicitly (scalars for constant rates, or
 {"breakpoints": [...], "values": [...]} per rate); they are never inferred
@@ -26,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -39,6 +41,11 @@ from .inclusion import ControlledFamily
 from .measure import ParticleCloud
 
 _REQUIRED = object()
+# Ceiling on the entries of the largest arrays a run allocates: the
+# trajectory's (steps + 1) x N x d positions, and the N x N cost matrix of a
+# W_p solve, N x N x d in the kernel field's slab.  2^26 doubles are 512 MiB;
+# past it a run would exhaust memory, or numpy could not index the array.
+MAX_ENTRIES = 2**26
 
 
 class Key(NamedTuple):
@@ -123,6 +130,8 @@ def _value(key: Key, value, path: str, subject: str, top: dict):
     if isinstance(value, str) and (value in key.choices or key.kind == "str" and not key.choices):
         return value
     number = isinstance(value, numbers.Integral if key.kind == "int" else numbers.Real)
+    if key.kind == "real" and isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
+        number = False  # float() would overflow
     if key.kind in ("int", "real") and number and not isinstance(value, bool):
         lo_ok = value > key.lo if key.ends[0] == "(" else value >= key.lo
         if lo_ok and (value < key.hi if key.ends[1] == ")" else value <= key.hi):
@@ -163,7 +172,7 @@ def _seed(value, path: str, top: dict) -> int:
 
 def _sampler(spec, path: str, top: dict) -> dict:
     spec = _tagged(spec, path, top, "kind", SAMPLERS)
-    if spec["kind"] == "atoms" and [len(row) for row in spec["atoms"]] != [top["d"]] * top["N"]:
+    if spec["kind"] == "atoms" and (len(spec["atoms"]), {len(row) for row in spec["atoms"]}) != (top["N"], {top["d"]}):
         raise ConfigError(f"{_subject(path + '.atoms')} must be N = {top['N']} rows of d = {top['d']} entries")
     return spec
 
@@ -306,7 +315,23 @@ def parse_config(raw: dict, kind: str | None = None, **overrides) -> ScenarioCon
             given["experiment"] = {**raw["experiment"], "kind": kind}
         raw = {**raw, **given}
     top = _check(TOP, raw, "config")
+    _check_sizes(top)
     return ScenarioConfig(steps=top.pop("grid"), **top)
+
+
+def _check_sizes(top: dict) -> None:
+    """ConfigError unless the trajectory and the N x N x d arrays fit MAX_ENTRIES.
+    A peano run has n * substeps steps, each n of ``n_list`` too; a relax run's
+    tracked grid up to one node per weight slot and substep of each step."""
+    exp, N, d = top["experiment"], top["N"], top["d"]
+    steps = top["grid"]
+    if exp["kind"] == "peano":
+        steps = max([exp["n"], *(exp["n_list"] or ())]) * exp["substeps"]
+    elif exp["kind"] == "relax":
+        steps *= len(exp["bases"]) * exp["integration_substeps"]
+    for what, entries in (("(steps + 1) x 'N' x 'd'", (steps + 1) * N * d), ("'N' x 'N' x 'd'", N * N * d)):
+        if entries > MAX_ENTRIES:
+            raise ConfigError(f"{what} must be at most {MAX_ENTRIES} array entries")
 
 
 def parse_rates(spec: dict, T: float, context: str) -> RateFunctions:

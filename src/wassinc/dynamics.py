@@ -4,8 +4,8 @@ A velocity field here is a rule (t, cloud, x) -> vector together with
 declared rate functions: a growth rate m, a spatial Lipschitz rate l, and a
 measure-Lipschitz rate L, all piecewise constant in time with exact
 interval integrals.  Moving every particle of a cloud along the field's
-characteristics advances the empirical measure itself, and a Trajectory
-records the grid of clouds produced this way.
+characteristics advances the empirical measure itself; a Trajectory holds
+the positions in one read-only (nodes, N, d) array, its clouds views of it.
 
 Two probe metrics between fields at a fixed time are provided: the
 supremum gap over a finite probe set (a lower estimate of the true uniform
@@ -16,6 +16,7 @@ over growing balls, reported together with its truncation tail.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -38,6 +39,7 @@ class RateFunctions:
     m_values: np.ndarray
     l_values: np.ndarray
     L_values: np.ndarray
+    times: list = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -46,6 +48,7 @@ class RateFunctions:
         if bp[0] != 0.0:
             raise ValueError(f"breakpoints must start at 0, got {bp[0]}")
         object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "times", bp.tolist())
         for name in ("m_values", "l_values", "L_values"):
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (bp.size - 1,):
@@ -67,15 +70,13 @@ class RateFunctions:
     def duration(self) -> float:
         return float(self.breakpoints[-1])
 
-    def _values(self, which: str) -> np.ndarray:
-        return {"m": self.m_values, "l": self.l_values, "L": self.L_values}[which]
-
     def at(self, which: str, t):
         """Left-constant evaluation, clamped to [0, T]; for an array t an
         array with each entry as a scalar call."""
-        vals = self._values(which)
-        idx = np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1, 0, vals.size - 1)
-        return vals[idx] if np.ndim(t) else float(vals[idx])
+        vals = getattr(self, f"{which}_values")
+        if np.ndim(t):
+            return vals[np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1, 0, vals.size - 1)]
+        return float(vals[min(snapped_index(self.times, t, 0.0), vals.size - 1)])
 
     def integral(self, which: str, a, b):
         """Exact integral of the chosen rate over [a, b] ∩ [0, T]; for arrays
@@ -84,7 +85,7 @@ class RateFunctions:
         if np.any(b < a):
             raise ValueError("integration bounds must satisfy a <= b")
         bp = self.breakpoints
-        vals = self._values(which)
+        vals = getattr(self, f"{which}_values")
         a = np.maximum(a, bp[0])[..., None]
         b = np.minimum(b, bp[-1])[..., None]
         overlap = np.clip(np.minimum(bp[1:], b) - np.maximum(bp[:-1], a), 0.0, None)
@@ -106,9 +107,9 @@ def grid_snap(grid: np.ndarray) -> float:
     return 1e-9 * float(np.min(np.diff(grid))) if grid.size > 1 else 0.0
 
 
-def snapped_index(grid: np.ndarray, t: float, snap: float) -> int:
-    """Index of the last node of ``grid`` at or before t + snap, at least 0."""
-    return max(int(np.searchsorted(grid, t + snap, side="right")) - 1, 0)
+def snapped_index(times: list, t: float, snap: float) -> int:
+    """Index of the last of the increasing ``times`` at or before t + snap, at least 0."""
+    return max(bisect_right(times, t + snap) - 1, 0)
 
 
 FieldRule = Callable[[float, ParticleCloud, np.ndarray], np.ndarray]
@@ -135,52 +136,44 @@ class NonlocalField:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A time grid with one cloud per node, particle identity preserved.
+    """A time grid and the particle positions at every node, one array.
 
-    Row i of every cloud is the same characteristic path throughout.
-    Off-grid evaluation returns the nearest node at or before t (left
-    constant); times before the grid start return the initial cloud.
+    ``points`` is a read-only (nodes, N, d) copy of the positions given,
+    checked finite once; row i of every node is the same characteristic
+    path throughout.  ``clouds[k]`` is a ParticleCloud viewing ``points[k]``,
+    built with no copy and no re-check.  Off-grid evaluation returns the
+    nearest node at or before t (left constant); times before the grid
+    start return the initial cloud.
     """
 
     grid: np.ndarray
-    clouds: tuple
+    points: np.ndarray
     snap: float = dc_field(init=False, repr=False)
+    times: list = dc_field(init=False, repr=False)
+    clouds: tuple = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
         if g.ndim != 1 or g.size < 1 or not np.all(np.diff(g) > 0):
             raise ShapeMismatchError("grid must be one-dimensional and strictly increasing")
-        clouds = tuple(self.clouds)
-        if len(clouds) != g.size:
-            raise ShapeMismatchError(
-                f"need one cloud per grid node, got {len(clouds)} clouds for {g.size} nodes"
-            )
-        n, d = clouds[0].n, clouds[0].d
-        for c in clouds:
-            if c.n != n or c.d != d:
-                raise ShapeMismatchError("all clouds must share particle count and dimension")
+        pts = np.array(self.points, dtype=float)
+        if pts.ndim != 3 or pts.shape[0] != g.size or 0 in pts.shape:
+            raise ShapeMismatchError(f"need (nodes, N, d) positions for {g.size} nodes, got shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("trajectory coordinates must be finite")
+        pts.setflags(write=False)
         object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "clouds", clouds)
+        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "snap", grid_snap(g))
-
-    @property
-    def n_particles(self) -> int:
-        return self.clouds[0].n
-
-    @property
-    def dim(self) -> int:
-        return self.clouds[0].d
+        object.__setattr__(self, "times", g.tolist())
+        object.__setattr__(self, "clouds", tuple(map(ParticleCloud._view, pts)))
 
     def node_index(self, t: float) -> int:
         """Index of the nearest node at or before t (snapped within 1e-9 dt)."""
-        return snapped_index(self.grid, t, self.snap)
+        return snapped_index(self.times, t, self.snap)
 
     def at(self, t: float) -> ParticleCloud:
         return self.clouds[self.node_index(t)]
-
-    def positions(self) -> np.ndarray:
-        """Stacked positions, shape (nodes, N, d)."""
-        return np.stack([c.points for c in self.clouds])
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +194,12 @@ class FrozenMeasure:
     def at(self, t: float) -> ParticleCloud:
         return self.trajectory.at(t - self.delay)
 
+    def along(self, times: list) -> list:
+        """``at(t)`` for every t of ``times``, the nodes found in one pass."""
+        grid, snap, clouds = self.trajectory.grid, self.trajectory.snap, self.trajectory.clouds
+        nodes = np.searchsorted(grid, np.asarray(times) - self.delay + snap, side="right") - 1
+        return [clouds[k] for k in np.maximum(nodes, 0).tolist()]
+
 
 def integrate(
     field: NonlocalField,
@@ -219,55 +218,52 @@ def integrate(
     leaves the finite range.
     """
     g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 1:
-        raise ShapeMismatchError("grid must be a nonempty one-dimensional array")
-    if g.size >= 2 and not np.all(np.diff(g) > 0):
-        raise ShapeMismatchError("grid must be strictly increasing")
+    if g.ndim != 1 or g.size < 1 or not np.all(np.diff(g) > 0):
+        raise ShapeMismatchError("grid must be nonempty, one-dimensional and strictly increasing")
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
     frozen = measure_source if isinstance(measure_source, FrozenMeasure) else None
     if frozen is None and measure_source != "self":
         raise ValueError("measure_source must be 'self' or a FrozenMeasure")
 
-    X = start.points.copy()
-    clouds = [ParticleCloud(X)]
+    times = g.tolist()
+    buf = np.empty((g.size,) + start.points.shape)  # step k + 1 is written from row k
+    buf[0] = start.points
+    measures = frozen.along(times) if frozen else None
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
         for k in range(g.size - 1):
-            t0, t1 = float(g[k]), float(g[k + 1])
-            dt = t1 - t0
+            t0, t1, X = times[k], times[k + 1], buf[k]
             if method == "euler":
-                M0 = frozen.at(t0) if frozen else clouds[-1]
-                X = X + dt * field.rule(t0, M0, X)
+                M0 = measures[k] if frozen else ParticleCloud._view(X)
+                buf[k + 1] = X + (t1 - t0) * field.rule(t0, M0, X)
             else:
-                X = _rk4_step(field, X, t0, dt, frozen, clouds[-1])
-            _check_finite(X, clouds[-1].points, k + 1, t1)
-            clouds.append(ParticleCloud(X))
-    return Trajectory(grid=g, clouds=tuple(clouds))
+                buf[k + 1] = _rk4_step(field, X, t0, t1 - t0, frozen, k + 1)
+            _check_finite(buf[k + 1], X, k + 1, t1)
+    return Trajectory(grid=g, points=buf)
 
 
 def _check_finite(X: np.ndarray, last: np.ndarray, step: int, t: float) -> None:
     """BlowUpError naming the step, t, and the first non-finite particle with its ``last`` position."""
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         i = int(np.isfinite(X).all(axis=1).argmin())
         raise BlowUpError(f"non-finite coordinate after step {step} (t = {t:.6g}): particle {i}, "
                           f"last finite position {last[i].tolist()}")
 
 
-def _rk4_step(field, X, t0, dt, frozen, current_cloud):
-    def measure_for(stage_t, stage_points):
-        if frozen is not None:
-            return frozen.at(stage_t)
-        return ParticleCloud(stage_points)
+def _rk4_step(field, X, t0, dt, frozen, step):
+    """One rk4 step from X; a stage leaving the finite range raises the step's BlowUpError."""
+
+    def stage(t, Y):
+        if frozen:
+            return field.rule(t, frozen.at(t), Y)
+        _check_finite(Y, X, step, t0 + dt)
+        return field.rule(t, ParticleCloud._view(Y), Y)
 
     th = t0 + 0.5 * dt
-    t1 = t0 + dt
-    k1 = field.rule(t0, measure_for(t0, X) if frozen else current_cloud, X)
-    Y2 = X + 0.5 * dt * k1
-    k2 = field.rule(th, measure_for(th, Y2), Y2)
-    Y3 = X + 0.5 * dt * k2
-    k3 = field.rule(th, measure_for(th, Y3), Y3)
-    Y4 = X + dt * k3
-    k4 = field.rule(t1, measure_for(t1, Y4), Y4)
+    k1 = stage(t0, X)
+    k2 = stage(th, X + 0.5 * dt * k1)
+    k3 = stage(th, X + 0.5 * dt * k2)
+    k4 = stage(t0 + dt, X + dt * k3)
     return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

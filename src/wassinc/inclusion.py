@@ -81,6 +81,7 @@ class ControlSignal:
     grid: np.ndarray
     indices: np.ndarray
     snap: float = dc_field(init=False, repr=False)
+    times: list = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -91,20 +92,19 @@ class ControlSignal:
             raise ShapeMismatchError("need one control index per grid interval")
         if np.any(idx < 0):
             raise ValueError("control indices must be nonnegative")
-        g = g.copy()
-        g.setflags(write=False)
-        idx = idx.copy()
-        idx.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "indices", idx)
+        for name, a in (("grid", g), ("indices", idx)):
+            a = a.copy()
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "snap", grid_snap(g))
+        object.__setattr__(self, "times", g.tolist())
 
     @property
     def n_intervals(self) -> int:
         return self.indices.size
 
     def index_at(self, t: float) -> int:
-        k = snapped_index(self.grid, t, self.snap)
+        k = snapped_index(self.times, t, self.snap)
         return int(self.indices[min(k, self.indices.size - 1)])
 
 
@@ -129,14 +129,14 @@ def _select_control(
     family: ControlledFamily,
     t: float,
     delayed_cloud: ParticleCloud,
-    current_cloud: ParticleCloud,
+    current: np.ndarray,
     strategy: str,
     rng,
 ) -> int:
     if strategy == "first":
         return 0
     if strategy == "min_norm":
-        probes = union_probes(delayed_cloud.points, current_cloud.points)
+        probes = union_probes(delayed_cloud.points, current)
         return int(sup_norm(family.rule(t, delayed_cloud, np.arange(family.size), probes)).argmin())
     if strategy == "random":
         return int(rng.integers(family.size))
@@ -180,23 +180,19 @@ def peano_solve(
     T = family.rates.duration
     steps = n * substeps
     grid = np.linspace(0.0, T, steps + 1)
-    X = start.points.copy()
-    clouds = [ParticleCloud(X)]
+    times = grid.tolist()
+    buf = np.empty((steps + 1,) + start.points.shape)  # step k + 1 is written from row k
+    buf[0] = start.points
     indices = np.empty(steps, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
         for k in range(steps):
-            t0 = float(grid[k])
-            dt = float(grid[k + 1] - grid[k])
+            t0, X = times[k], buf[k]
             # delay of one block == exactly `substeps` grid nodes
-            delayed = clouds[max(0, k - substeps)]
-            u_idx = _select_control(family, t0, delayed, clouds[-1], strategy, rng)
-            vel = family.rule(t0, delayed, [u_idx], X)[0]
-            X = X + dt * vel
-            _check_finite(X, clouds[-1].points, k + 1, float(grid[k + 1]))
-            clouds.append(ParticleCloud(X))
-            indices[k] = u_idx
-    traj = Trajectory(grid=grid, clouds=tuple(clouds))
-    return traj, ControlSignal(grid=grid, indices=indices)
+            delayed = ParticleCloud._view(buf[max(0, k - substeps)])
+            indices[k] = u_idx = _select_control(family, t0, delayed, X, strategy, rng)
+            buf[k + 1] = X + (times[k + 1] - t0) * family.rule(t0, delayed, [u_idx], X)[0]
+            _check_finite(buf[k + 1], X, k + 1, times[k + 1])
+    return Trajectory(grid=grid, points=buf), ControlSignal(grid=grid, indices=indices)
 
 
 def inclusion_residual(
@@ -220,8 +216,7 @@ def inclusion_residual(
     src = used_family if used_family is not None else family
     every = np.arange(family.size)
     out = np.empty(signal.n_intervals)
-    for k in range(signal.n_intervals):
-        t0 = float(signal.grid[k])
+    for k, t0 in enumerate(signal.times[:-1]):
         delayed = traj.at(t0 - delay)
         pts = union_probes(traj.at(t0).points, delayed.points)
         used = src.rule(t0, delayed, [signal.indices[k]], pts)
@@ -249,7 +244,7 @@ def refinement_study(
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing with at least two entries")
     solutions = [peano_solve(family, start, n, substeps, strategy, seed)[0] for n in ns]
-    common = solutions[0].grid
+    common = solutions[0].times
     return [
         (n_a, n_b, sup_wasserstein_cost([(a.at(t), b.at(t)) for t in common], p))
         for n_a, n_b, a, b in zip(ns, ns[1:], solutions, solutions[1:])

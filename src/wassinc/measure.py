@@ -45,6 +45,14 @@ class ParticleCloud:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
+    @classmethod
+    def _view(cls, points: np.ndarray) -> "ParticleCloud":
+        """A cloud over an (N, d) float array checked finite, made read-only, not copied."""
+        points.setflags(write=False)
+        cloud = object.__new__(cls)
+        object.__setattr__(cloud, "points", points)
+        return cloud
+
     @property
     def n(self) -> int:
         return self.points.shape[0]
@@ -162,8 +170,8 @@ def _solve(a: ParticleCloud, b: ParticleCloud, p: float):
     """Cost matrix, an optimal assignment sigma, and its exactly rounded total."""
     _check_pair(a, b)
     D = pairwise_cost(a, b, p)
-    # rows come back as arange(N) for a square matrix, so cols is sigma
-    _, sigma = linear_sum_assignment(D)
+    # one permutation for N = 1 (the solver only rejects an inf cost); else cols is sigma
+    sigma = np.zeros(1, dtype=int) if a.n == 1 and D[0, 0] < math.inf else linear_sum_assignment(D)[1]
     return D, sigma, assignment_cost(D, sigma)
 
 

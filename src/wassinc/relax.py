@@ -129,8 +129,8 @@ def aumann_realize(
     out_indices = []
     n_majority = 0
     for a, b in zip(snapped[:-1], snapped[1:]):
-        lo = snapped_index(grid, a, chattering_signal.snap)
-        hi = snapped_index(grid, b, -chattering_signal.snap)
+        lo = snapped_index(chattering_signal.times, a, chattering_signal.snap)
+        hi = snapped_index(chattering_signal.times, b, -chattering_signal.snap)
         block_idx = chattering_signal.indices[lo : hi + 1]
         values, counts = np.unique(block_idx, return_counts=True)
         if values.size > 1:
@@ -278,7 +278,7 @@ def relax_approximate(
     # the tracked grid carries every realized switch point, where the
     # deviation from the mixture curve peaks
     measured = np.array(
-        [wasserstein_cost(relaxed_traj.at(t), tracked.at(t), p) for t in tracked.grid]
+        [wasserstein_cost(relaxed_traj.at(t), tracked.at(t), p) for t in tracked.times]
     )
     measured_sup = float(measured.max())
     l_total = rates.integral("l", 0.0, rates.duration)

@@ -41,9 +41,9 @@ def _write_rows(path: Path, header: str, template: str, rows) -> None:
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    n, d = traj.n_particles, traj.dim
-    times = [format(t, ".17g") for t in traj.grid.tolist()]
-    coords = traj.positions().reshape(-1, d).tolist()
+    _, n, d = traj.points.shape
+    times = [format(t, ".17g") for t in traj.times]
+    coords = traj.points.reshape(-1, d).tolist()
     rows = ((t, i, *x) for (t, i), x in zip(itertools.product(times, range(n)), coords))
     header = "t,particle," + ",".join(f"x{c + 1}" for c in range(d))
     _write_rows(path, header, "%s,%d" + ",%.17g" * d, rows)

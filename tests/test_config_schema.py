@@ -75,6 +75,9 @@ CASES = {
     "n_list_fraction": ("peano_mean_gain", "experiment.n_list", [4, 4.5], "experiment 'n_list'[1]"),
     "weights_fraction": ("relax_bangbang", "experiment.weights", [1.5, 0.5], "experiment 'weights'[0]"),
     "rate_string": ("relax_bangbang", "family.rates.m", "7", "config.family.rates.m:"),
+    "T_huge_integer": ("simulate_linear_decay", "T", 10**400, "'T'"),
+    "p_huge_integer": ("verify_momentum_mean_attraction", "p", 10**400, "'p'"),
+    "R_huge_integer": ("filippov_gain", "experiment.R", 10**400, "experiment 'R'"),
 }
 
 
@@ -139,6 +142,46 @@ def test_defaults_filled_in_and_typed():
     assert config.experiment["R_list"] == (1.0, 2.0, 5.0)
     assert parse_config(mutate(scenario("filippov_gain"), "experiment.R", drop=True)).experiment["R"] == math.inf
     assert parse_config(mutate(scenario("simulate_linear_decay"), "grid", {"dt": 0.3})).steps == 3
+
+
+# (scenario, path, value); each asked numpy for an array it could not index
+# or allocate, and ended in a traceback with exit 1 or a numpy error
+TOO_LARGE = {
+    "N_huge_atoms": ("simulate_linear_decay", "N", 10**400),
+    "N_huge": ("verify_momentum_mean_attraction", "N", 10**400),
+    "N_1e10": ("verify_momentum_mean_attraction", "N", 10**10),
+    "steps_huge": ("verify_momentum_mean_attraction", "grid.steps", 10**400),
+    "d_huge": ("verify_momentum_mean_attraction", "d", 10**12),
+    "peano_n": ("peano_mean_gain", "experiment.n", 10**9),
+    "n_list_entry": ("peano_mean_gain", "experiment.n_list", [4, 10**9]),
+    "relax_substeps": ("relax_bangbang", "experiment.integration_substeps", 10**9),
+}
+
+
+@pytest.mark.parametrize("case", list(TOO_LARGE))
+def test_arrays_past_the_ceiling_exit_two(tmp_path, capsys, case):
+    name, path, value = TOO_LARGE[case]
+    raw = mutate(scenario(name), path, value)
+    code, out = run_cli(tmp_path, raw["experiment"]["kind"], raw)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_ceiling_bounds_the_trajectory_and_the_n_by_n_arrays():
+    limit = config_module.MAX_ENTRIES
+    raw = scenario("verify_momentum_mean_attraction")  # d = 2
+    parse_config(mutate(raw, "grid.steps", limit // 2 - 1), N=1)
+    with pytest.raises(ConfigError, match=r"^\(steps \+ 1\) x 'N' x 'd' must be at most 67108864 array entries$"):
+        parse_config(mutate(raw, "grid.steps", limit // 2), N=1)
+    N = math.isqrt(limit // 2)
+    parse_config(mutate(raw, "grid.steps", 1), N=N)
+    with pytest.raises(ConfigError, match=r"^'N' x 'N' x 'd' must be at most"):
+        parse_config(mutate(raw, "grid.steps", 1), N=N + 1)
+    # every bundled scenario is far below the ceiling
+    for path in SCENARIOS.glob("*.json"):
+        config = parse_config(scenario(path.stem))
+        assert (config.steps + 1) * config.N * config.d < limit // 100 and config.N**2 * config.d < limit // 100
 
 
 def test_atoms_checked_against_N_and_d():
@@ -213,6 +256,30 @@ def test_blow_up_names_particle_and_last_position():
     )
 
 
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_rk4_stage_blow_up_uses_the_same_report(tmp_path, capsys, method):
+    # an rk4 stage overflowed inside ParticleCloud: "cloud coordinates must be finite"
+    raw = mutate(scenario("simulate_linear_decay"), "initial.atoms", [[1e308]])
+    raw.update(T=10, grid={"steps": 1}, experiment={"kind": "simulate", "method": method})
+    code, out = run_cli(tmp_path, "simulate", raw)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == (
+        "error: non-finite coordinate after step 1 (t = 10): particle 0, last finite position [1e+308]\n"
+    )
+
+
+def test_rk4_rule_never_sees_a_non_finite_stage():
+    def rule(t, cloud, X):
+        assert np.isfinite(cloud.points).all() and np.isfinite(X).all()
+        return -X
+
+    field = NonlocalField(rule=rule, rates=RateFunctions.constant(1, 1, 0, 10.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning besides the error
+        with pytest.raises(BlowUpError, match=r"^non-finite coordinate after step 1 \(t = 10\): particle 0"):
+            integrate(field, ParticleCloud(np.array([[1e308]])), np.array([0.0, 10.0]), method="rk4")
+
+
 def test_peano_blow_up_uses_the_same_report():
     family = gain_family([-1e308], RateFunctions.constant(1, 0, 0, 1.0))
     with warnings.catch_warnings():
@@ -242,6 +309,11 @@ def test_run_suite_reports_errors_and_goes_on(tmp_path, monkeypatch):
     assert err.getvalue() == "error: a_bad: 'd' and 'N' must be an integer >= 1, got 2.9\n"
     assert out.getvalue().split()[:2] == ["b_good", "pass"]
     assert "c_fail" in out.getvalue() and "FAIL" in out.getvalue()
+    # each row, and a last total line, give a wall time in seconds
+    rows = [line.split() for line in out.getvalue().splitlines()]
+    assert [row[0] for row in rows] == ["b_good", "c_fail", "total"]
+    assert all(float(row[2]) >= 0.0 and row[3] == "s" for row in rows[:2])
+    assert float(rows[2][1]) >= float(rows[0][2]) and rows[2][2:] == ["s"]
     (tmp_path / "scenarios" / "a_bad.json").unlink()
     with contextlib.redirect_stdout(io.StringIO()):
         assert run_suite.main() == 1

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wassinc import ParticleCloud, run_scenario
+from wassinc import run_scenario
 from wassinc.config import parse_config, sample_initial
 from wassinc.dynamics import Trajectory
 from wassinc.inclusion import ControlSignal, refinement_study
@@ -20,7 +20,7 @@ def _fmt(x):
 
 def reference_trajectory(traj):
     """Per-row, per-coordinate ``format(x, ".17g")``."""
-    lines = ["t,particle," + ",".join(f"x{i + 1}" for i in range(traj.dim))]
+    lines = ["t,particle," + ",".join(f"x{i + 1}" for i in range(traj.points.shape[2]))]
     for k, t in enumerate(traj.grid):
         for i, row in enumerate(traj.clouds[k].points):
             lines.append(f"{_fmt(t)},{i}," + ",".join(_fmt(c) for c in row))
@@ -39,7 +39,7 @@ def special_trajectory(nodes, n, d, rng):
     pts = rng.standard_normal((nodes, n, d)) * rng.choice([1e-9, 1.0, 1e9], size=(nodes, n, d))
     flat = pts.reshape(-1)
     flat[: min(len(SPECIAL), flat.size)] = SPECIAL[: flat.size]
-    return Trajectory(grid=grid, clouds=[ParticleCloud(p) for p in pts])
+    return Trajectory(grid=grid, points=pts)
 
 
 class TestWritersMatchPerRowFormat:

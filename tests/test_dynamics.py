@@ -148,7 +148,7 @@ class TestTrajectoryLookup:
         clouds = tuple(delta(float(k)) for k in range(5))
         from wassinc import Trajectory
 
-        traj = Trajectory(grid=grid, clouds=clouds)
+        traj = Trajectory(grid=grid, points=[c.points for c in clouds])
         assert traj.node_index(0.3) == 1
         assert traj.node_index(0.25) == 1
         assert traj.node_index(0.25 - 1e-13) == 1  # snaps up to the node
@@ -188,7 +188,7 @@ class TestCertifiedEnvelopes:
         start = random_cloud(rng, 12, 1)
         traj = integrate(field, start, np.linspace(0, 1, 101))
         ct = horizon_factor(field.rates.integral("m", 0, 1))
-        paths = traj.positions()  # (nodes, N, d)
+        paths = traj.points  # (nodes, N, d)
         max_norm = np.linalg.norm(paths, axis=2).max(axis=0)
         start_norm = np.linalg.norm(start.points, axis=1)
         assert np.all(max_norm <= ct * (1.0 + start_norm) * 1.05)

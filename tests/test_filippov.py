@@ -149,7 +149,7 @@ class TestTracking:
         traj, signal, cert = filippov_track(fam, ref, w, delta(0.0), INF, 1e-9, 10, p=1)
         assert cert.iterations == 1 and cert.converged
         assert np.all(cert.measured_W_p == 0.0)
-        np.testing.assert_array_equal(traj.positions(), ref.positions())
+        np.testing.assert_array_equal(traj.points, ref.points)
 
     def test_initial_distance_is_the_first_measured_node(self, rng, monkeypatch):
         # W_p(mu0, nu0) is measured once, at node 0, and the bound reuses it

@@ -25,7 +25,7 @@ class TestPeanoSolve:
         traj, signal = peano_solve(bang_bang(), delta(0.0), n=4, substeps=2, strategy="first")
         assert np.all(signal.indices == 0)
         np.testing.assert_allclose(
-            traj.positions()[:, 0, 0], -traj.grid, rtol=0, atol=0
+            traj.points[:, 0, 0], -traj.grid, rtol=0, atol=0
         )
 
     def test_singleton_family_constant_trajectory(self):
@@ -48,7 +48,7 @@ class TestPeanoSolve:
         out2 = peano_solve(fam, delta(0.0), n=4, substeps=4, strategy="random", seed=99)
         np.testing.assert_array_equal(out1[1].indices, out2[1].indices)
         np.testing.assert_array_equal(
-            out1[0].positions(), out2[0].positions()
+            out1[0].points, out2[0].points
         )
 
     def test_empty_controls_rejected(self):
@@ -160,5 +160,5 @@ class TestPeanoEstimates:
         start = random_cloud(rng, 4, 1)
         a = peano_solve(fam, start, n=6, substeps=2, strategy="min_norm")
         b = peano_solve(fam, start, n=6, substeps=2, strategy="min_norm")
-        np.testing.assert_array_equal(a[0].positions(), b[0].positions())
+        np.testing.assert_array_equal(a[0].points, b[0].points)
         np.testing.assert_array_equal(a[1].indices, b[1].indices)
