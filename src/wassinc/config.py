@@ -7,8 +7,8 @@ default, and the field, family and ``w`` arrive built.  A sampler, field,
 family or experiment has the keys of its "kind" or "label", a ``verify``
 experiment also those of its ``what``.  A seed is an integer in [0, 2^64),
 a null ``ref_seed`` (seed + 1) mod 2^64.  A grid has its ``steps``, or
-round(T / dt) steps, at least 1.  The largest arrays a run allocates must
-fit ``MAX_ENTRIES`` entries (see ``_check_sizes``).
+round(T / dt) steps, at least 1.  A run's grid must fit ``MAX_NODES``
+nodes and its largest arrays ``MAX_ENTRIES`` entries (see ``_check_sizes``).
 
 Rates must be declared explicitly (scalars for constant rates, or
 {"breakpoints": [...], "values": [...]} per rate); they are never inferred
@@ -41,11 +41,17 @@ from .inclusion import ControlledFamily
 from .measure import ParticleCloud
 
 _REQUIRED = object()
-# Ceiling on the entries of the largest arrays a run allocates: the
-# trajectory's (steps + 1) x N x d positions, and the N x N cost matrix of a
-# W_p solve, N x N x d in the kernel field's slab.  2^26 doubles are 512 MiB;
-# past it a run would exhaust memory, or numpy could not index the array.
-MAX_ENTRIES = 2**26
+# Ceilings on a run's size, so that a config too large to run exits 2 before
+# anything is allocated.  MAX_ENTRIES bounds the trajectory's (steps + 1) x N
+# x d positions and the N x N x d of a W_p cost matrix and the kernel field's
+# slab; the trajectory dominates, since the CSV writer holds every entry as
+# text (about 270 bytes each at peak).  MAX_NODES bounds the steps + 1 grid
+# nodes, each of which carries Python objects of its own (a cloud view, a
+# time, per-node results; about 650 bytes).  Measured on Python 3.11 with
+# numpy 2.4: a run at either ceiling peaks below 360 MiB resident and
+# completes under `ulimit -v 786432` (768 MiB).
+MAX_ENTRIES = 2**20
+MAX_NODES = 2**17
 
 
 class Key(NamedTuple):
@@ -320,7 +326,8 @@ def parse_config(raw: dict, kind: str | None = None, **overrides) -> ScenarioCon
 
 
 def _check_sizes(top: dict) -> None:
-    """ConfigError unless the trajectory and the N x N x d arrays fit MAX_ENTRIES.
+    """ConfigError unless the grid fits MAX_NODES and the trajectory and the
+    N x N x d arrays fit MAX_ENTRIES.
     A peano run has n * substeps steps, each n of ``n_list`` too; a relax run's
     tracked grid up to one node per weight slot and substep of each step."""
     exp, N, d = top["experiment"], top["N"], top["d"]
@@ -329,6 +336,8 @@ def _check_sizes(top: dict) -> None:
         steps = max([exp["n"], *(exp["n_list"] or ())]) * exp["substeps"]
     elif exp["kind"] == "relax":
         steps *= len(exp["bases"]) * exp["integration_substeps"]
+    if steps + 1 > MAX_NODES:
+        raise ConfigError(f"steps + 1 must be at most {MAX_NODES} grid nodes")
     for what, entries in (("(steps + 1) x 'N' x 'd'", (steps + 1) * N * d), ("'N' x 'N' x 'd'", N * N * d)):
         if entries > MAX_ENTRIES:
             raise ConfigError(f"{what} must be at most {MAX_ENTRIES} array entries")

@@ -120,7 +120,8 @@ class NonlocalField:
     """Velocity field rule (t, cloud, points) -> velocities with its rates.
 
     ``rule`` must be pure: given the same arguments it returns the same
-    array, with no hidden state.  ``measure_dependent`` records whether the
+    array, with no hidden state.  The integrators pass it read-only
+    positions.  ``measure_dependent`` records whether the
     rule actually reads its cloud argument; measure-independent fields
     admit the tighter moment bounds.
     """
@@ -138,9 +139,11 @@ class NonlocalField:
 class Trajectory:
     """A time grid and the particle positions at every node, one array.
 
-    ``points`` is a read-only (nodes, N, d) copy of the positions given,
-    checked finite once; row i of every node is the same characteristic
-    path throughout.  ``clouds[k]`` is a ParticleCloud viewing ``points[k]``,
+    ``points`` is a read-only (nodes, N, d) array; row i of every node is
+    the same characteristic path throughout.  The constructor copies the
+    positions given and checks them finite; ``integrate`` and
+    ``peano_solve``, which check every step, hand over their buffer
+    uncopied.  ``clouds[k]`` is a ParticleCloud viewing ``points[k]``,
     built with no copy and no re-check.  Off-grid evaluation returns the
     nearest node at or before t (left constant); times before the grid
     start return the initial cloud.
@@ -161,6 +164,17 @@ class Trajectory:
             raise ShapeMismatchError(f"need (nodes, N, d) positions for {g.size} nodes, got shape {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("trajectory coordinates must be finite")
+        self._freeze(g, pts)
+
+    @classmethod
+    def _own(cls, grid: np.ndarray, points: np.ndarray) -> "Trajectory":
+        """A trajectory over an integrator's finished buffer, already checked
+        finite step by step: frozen in place, not copied or re-checked."""
+        traj = object.__new__(cls)
+        traj._freeze(grid, points)
+        return traj
+
+    def _freeze(self, g: np.ndarray, pts: np.ndarray) -> None:
         pts.setflags(write=False)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "points", pts)
@@ -194,12 +208,6 @@ class FrozenMeasure:
     def at(self, t: float) -> ParticleCloud:
         return self.trajectory.at(t - self.delay)
 
-    def along(self, times: list) -> list:
-        """``at(t)`` for every t of ``times``, the nodes found in one pass."""
-        grid, snap, clouds = self.trajectory.grid, self.trajectory.snap, self.trajectory.clouds
-        nodes = np.searchsorted(grid, np.asarray(times) - self.delay + snap, side="right") - 1
-        return [clouds[k] for k in np.maximum(nodes, 0).tolist()]
-
 
 def integrate(
     field: NonlocalField,
@@ -218,8 +226,10 @@ def integrate(
     leaves the finite range.
     """
     g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 1 or not np.all(np.diff(g) > 0):
-        raise ShapeMismatchError("grid must be nonempty, one-dimensional and strictly increasing")
+    if g.ndim != 1 or g.size < 1:
+        raise ShapeMismatchError("grid must be a nonempty one-dimensional array")
+    if g.size >= 2 and not np.all(np.diff(g) > 0):
+        raise ShapeMismatchError("grid must be strictly increasing")
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
     frozen = measure_source if isinstance(measure_source, FrozenMeasure) else None
@@ -227,19 +237,28 @@ def integrate(
         raise ValueError("measure_source must be 'self' or a FrozenMeasure")
 
     times = g.tolist()
-    buf = np.empty((g.size,) + start.points.shape)  # step k + 1 is written from row k
-    buf[0] = start.points
-    measures = frozen.along(times) if frozen else None
+    buf, rows = step_buffer(g.size, start.points)
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
         for k in range(g.size - 1):
-            t0, t1, X = times[k], times[k + 1], buf[k]
+            t0, t1, X = times[k], times[k + 1], rows[k]
             if method == "euler":
-                M0 = measures[k] if frozen else ParticleCloud._view(X)
+                M0 = frozen.at(t0) if frozen else ParticleCloud._view(X)
                 buf[k + 1] = X + (t1 - t0) * field.rule(t0, M0, X)
             else:
                 buf[k + 1] = _rk4_step(field, X, t0, t1 - t0, frozen, k + 1)
             _check_finite(buf[k + 1], X, k + 1, t1)
-    return Trajectory(grid=g, points=buf)
+    return Trajectory._own(g, buf)
+
+
+def step_buffer(nodes: int, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (nodes, N, d) buffer holding ``start`` in row 0, and a read-only
+    view of it: a step loop writes row k + 1 of the buffer and hands the
+    rule row k of the view, so no rule can change a stored row."""
+    buf = np.empty((nodes,) + start.shape)
+    buf[0] = start
+    rows = buf.view()
+    rows.setflags(write=False)
+    return buf, rows
 
 
 def _check_finite(X: np.ndarray, last: np.ndarray, step: int, t: float) -> None:
@@ -254,6 +273,7 @@ def _rk4_step(field, X, t0, dt, frozen, step):
     """One rk4 step from X; a stage leaving the finite range raises the step's BlowUpError."""
 
     def stage(t, Y):
+        Y.setflags(write=False)
         if frozen:
             return field.rule(t, frozen.at(t), Y)
         _check_finite(Y, X, step, t0 + dt)

@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import NonlocalField, RateFunctions, Trajectory, _check_finite, grid_snap, snapped_index, sup_norm, union_probes
+from .dynamics import (NonlocalField, RateFunctions, Trajectory, _check_finite, grid_snap, snapped_index,
+                       step_buffer, sup_norm, union_probes)
 from .errors import ShapeMismatchError
 from .measure import ParticleCloud, sup_wasserstein_cost
 
@@ -92,10 +93,12 @@ class ControlSignal:
             raise ShapeMismatchError("need one control index per grid interval")
         if np.any(idx < 0):
             raise ValueError("control indices must be nonnegative")
-        for name, a in (("grid", g), ("indices", idx)):
-            a = a.copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        g = g.copy()
+        g.setflags(write=False)
+        idx = idx.copy()
+        idx.setflags(write=False)
+        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "snap", grid_snap(g))
         object.__setattr__(self, "times", g.tolist())
 
@@ -181,18 +184,18 @@ def peano_solve(
     steps = n * substeps
     grid = np.linspace(0.0, T, steps + 1)
     times = grid.tolist()
-    buf = np.empty((steps + 1,) + start.points.shape)  # step k + 1 is written from row k
-    buf[0] = start.points
+    buf, rows = step_buffer(steps + 1, start.points)
     indices = np.empty(steps, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
         for k in range(steps):
-            t0, X = times[k], buf[k]
+            t0, X = times[k], rows[k]
             # delay of one block == exactly `substeps` grid nodes
-            delayed = ParticleCloud._view(buf[max(0, k - substeps)])
-            indices[k] = u_idx = _select_control(family, t0, delayed, X, strategy, rng)
+            delayed = ParticleCloud._view(rows[max(0, k - substeps)])
+            u_idx = _select_control(family, t0, delayed, X, strategy, rng)
             buf[k + 1] = X + (times[k + 1] - t0) * family.rule(t0, delayed, [u_idx], X)[0]
             _check_finite(buf[k + 1], X, k + 1, times[k + 1])
-    return Trajectory(grid=grid, points=buf), ControlSignal(grid=grid, indices=indices)
+            indices[k] = u_idx
+    return Trajectory._own(grid, buf), ControlSignal(grid=grid, indices=indices)
 
 
 def inclusion_residual(

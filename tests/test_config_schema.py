@@ -168,20 +168,44 @@ def test_arrays_past_the_ceiling_exit_two(tmp_path, capsys, case):
     assert not out.exists()
 
 
-def test_ceiling_bounds_the_trajectory_and_the_n_by_n_arrays():
-    limit = config_module.MAX_ENTRIES
+def test_ceilings_bound_the_grid_the_trajectory_and_the_n_by_n_arrays():
+    nodes, entries = config_module.MAX_NODES, config_module.MAX_ENTRIES
     raw = scenario("verify_momentum_mean_attraction")  # d = 2
-    parse_config(mutate(raw, "grid.steps", limit // 2 - 1), N=1)
-    with pytest.raises(ConfigError, match=r"^\(steps \+ 1\) x 'N' x 'd' must be at most 67108864 array entries$"):
-        parse_config(mutate(raw, "grid.steps", limit // 2), N=1)
-    N = math.isqrt(limit // 2)
+    parse_config(mutate(raw, "grid.steps", nodes - 1), N=1)
+    with pytest.raises(ConfigError, match=r"^steps \+ 1 must be at most 131072 grid nodes$"):
+        parse_config(mutate(raw, "grid.steps", nodes), N=1)
+    parse_config(mutate(raw, "grid.steps", 2047), N=entries // 4096)
+    with pytest.raises(ConfigError, match=r"^\(steps \+ 1\) x 'N' x 'd' must be at most 1048576 array entries$"):
+        parse_config(mutate(raw, "grid.steps", 2047), N=entries // 4096 + 1)
+    N = math.isqrt(entries // 2)
     parse_config(mutate(raw, "grid.steps", 1), N=N)
     with pytest.raises(ConfigError, match=r"^'N' x 'N' x 'd' must be at most"):
         parse_config(mutate(raw, "grid.steps", 1), N=N + 1)
-    # every bundled scenario is far below the ceiling
+    # every bundled scenario is far below the ceilings
     for path in SCENARIOS.glob("*.json"):
         config = parse_config(scenario(path.stem))
-        assert (config.steps + 1) * config.N * config.d < limit // 100 and config.N**2 * config.d < limit // 100
+        assert config.steps + 1 < nodes // 50
+        assert (config.steps + 1) * config.N * config.d < entries // 50 and config.N**2 * config.d < entries // 50
+
+
+# a run at each ceiling: N = d = 1 on MAX_NODES nodes, and one particle in
+# d = MAX_ENTRIES / 2 on two nodes
+AT_THE_CEILING = {
+    "nodes": ({"grid": {"steps": config_module.MAX_NODES - 1}}, config_module.MAX_NODES),
+    "entries": ({"grid": {"steps": 1}, "d": config_module.MAX_ENTRIES // 2,
+                 "initial": {"kind": "uniform", "halfwidth": 1.0}}, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(AT_THE_CEILING))
+def test_a_run_at_the_ceiling_completes(tmp_path, case):
+    changes, rows = AT_THE_CEILING[case]
+    raw = {**scenario("simulate_linear_decay"), **changes}
+    code, out = run_cli(tmp_path, "simulate", raw)
+    assert code == 0
+    with open(out / "trajectory.csv") as f:
+        assert len(f.readline().split(",")) == 2 + raw["d"]
+        assert sum(1 for _ in f) == rows
 
 
 def test_atoms_checked_against_N_and_d():

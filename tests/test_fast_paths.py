@@ -22,7 +22,7 @@ from wassinc import measure
 from wassinc.catalog import bounded_kernel_field, mean_attraction_field, rotation_field
 from wassinc.dynamics import grid_snap, snapped_index
 from wassinc.errors import ShapeMismatchError
-from wassinc.inclusion import ControlSignal
+from wassinc.inclusion import ControlledFamily, ControlSignal, peano_solve
 from wassinc.measure import assignment_cost, pairwise_cost, wasserstein, wasserstein_cost
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -2.5]
@@ -133,15 +133,6 @@ def test_rate_lookup_equals_searchsorted(rng, segments):
             assert rates.at(which, np.array(times)).tolist() == got
 
 
-def test_frozen_measure_along_equals_at(rng):
-    grid = random_grid(rng, 30)
-    traj = Trajectory(grid=grid, points=rng.standard_normal((30, 3, 2)))
-    for delay in (0.0, float(grid[7]), 0.37 * float(grid[-1]), 2.0 * float(grid[-1])):
-        frozen = FrozenMeasure(traj, delay)
-        times = probe_times(grid, rng)
-        assert frozen.along(times) == [frozen.at(t) for t in times]
-
-
 # -- a Trajectory is one array ------------------------------------------------------
 
 
@@ -233,6 +224,8 @@ def test_buffer_loop_equals_per_step_loop(rng, name, method):
 
 
 def test_rules_see_read_only_rows():
+    """Own and frozen measure, euler and rk4, and the delayed scheme: a rule
+    writing its arguments in place would change the stored trajectory."""
     seen = []
 
     def rule(t, cloud, X):
@@ -240,6 +233,14 @@ def test_rules_see_read_only_rows():
         return -X
 
     field = NonlocalField(rule=rule, rates=RateFunctions.constant(1, 1, 0, 1.0))
+    start, grid = ParticleCloud([[1.0], [2.0]]), np.linspace(0.0, 1.0, 4)
+    trajectories = []
     for method in ("euler", "rk4"):
-        integrate(field, ParticleCloud([[1.0]]), np.linspace(0.0, 1.0, 4), method=method)
-    assert seen and not any(flag for pair in seen for flag in pair)
+        traj = integrate(field, start, grid, method=method)
+        frozen = FrozenMeasure(traj, 0.4)
+        trajectories += [traj, integrate(field, start, grid, method=method, measure_source=frozen)]
+    family = ControlledFamily(controls=(0, 1), rule=lambda t, cloud, idx, X: np.stack([rule(t, cloud, X)] * len(idx)),
+                              rates=field.rates)
+    trajectories.append(peano_solve(family, start, 3, 2, "first")[0])
+    assert len(seen) == 2 * 3 + 2 * 12 + 6 and not any(flag for pair in seen for flag in pair)
+    assert not any(traj.points.flags.writeable for traj in trajectories)
