@@ -70,13 +70,12 @@ def gronwall_series(*, p, w0, increments, l_int, L_int=0.0, m_int=0.0, horizon=0
     rows = zip(*(np.broadcast_to(a, np.shape(l_int)).tolist() for a in (l_int, L_int, m_int)))
     increments = np.asarray(increments).tolist()
     D, chi, E = (np.empty(np.shape(l_int)) for _ in range(3))
-    total = 0.0
+    total, w0 = 0.0, float(w0)  # Python floats: a product past the range is inf, with no numpy warning
     for k, (l, L, m) in enumerate(rows):
         if k > 0:
             total += increments[k - 1]
-        chi[k] = product(cp, L, exp_power(cpp, l, p))
-        E[k] = product(2.0, m, 1.0 + horizon, tail)
-        D[k] = product(cp, w0 + total + E[k], exp_power(cpp, l, p, chi[k]))
+        chi_k, E_k = product(cp, L, exp_power(cpp, l, p)), product(2.0, m, 1.0 + horizon, tail)
+        chi[k], E[k], D[k] = chi_k, E_k, product(cp, w0 + total + E_k, exp_power(cpp, l, p, chi_k))
     return D, chi, E
 
 

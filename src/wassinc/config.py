@@ -49,7 +49,8 @@ _REQUIRED = object()
 # nodes, each of which carries Python objects of its own (a cloud view, a
 # time, per-node results; about 650 bytes).  Measured on Python 3.11 with
 # numpy 2.4: a run at either ceiling peaks below 360 MiB resident and
-# completes under `ulimit -v 786432` (768 MiB).
+# completes under `ulimit -v 786432` (768 MiB).  A probe sample (up to three
+# report rows) and a relax mixture count as nodes; at those ceilings < 130 MiB.
 MAX_ENTRIES = 2**20
 MAX_NODES = 2**17
 
@@ -115,7 +116,7 @@ def _describe(key: Key) -> str:
         return " or ".join(choices) or "a string"
     bound = f"{'>' if key.ends[0] == '(' else '>='} {key.lo:g}"
     if key.kind == "int":
-        text = f"an integer {bound}"
+        text = f"an integer {bound}" if key.hi == math.inf else f"an integer in [{key.lo:g}, {key.hi:g}]"
     elif key.ends[1] == "]":
         text = f'{bound} or "inf"'
     elif key.hi < math.inf:
@@ -262,7 +263,7 @@ EXPERIMENTS = {
         "delta": POSITIVE,
         "bases": Key("list", item=INDEX),
         "weights": Key("list", item=INDEX),
-        "weight_steps": COUNT,
+        "weight_steps": COUNT._replace(hi=MAX_NODES - 1, ends="[]"),
         "radius_policy": POSITIVE._replace(default="tail_rule", choices=("tail_rule",)),
         **TRACKING,
         "integration_substeps": COUNT._replace(default=1),
@@ -275,7 +276,7 @@ CHECKS = {
     "abs_continuity": {},
     "gronwall_global": TWO_CURVES,
     "gronwall_local": {**TWO_CURVES, "R": RADIUS},
-    "hypotheses_probe": {"samples": COUNT._replace(default=1000)},
+    "hypotheses_probe": {"samples": COUNT._replace(default=1000, hi=MAX_NODES // 3, ends="[]")},
 }
 # the blocks a kind or check can run on (the first one present); the others need a field
 NEEDS = {
@@ -326,8 +327,8 @@ def parse_config(raw: dict, kind: str | None = None, **overrides) -> ScenarioCon
 
 
 def _check_sizes(top: dict) -> None:
-    """ConfigError unless the grid fits MAX_NODES and the trajectory and the
-    N x N x d arrays fit MAX_ENTRIES.
+    """ConfigError unless the grid and a relax run's mixtures fit MAX_NODES
+    and the trajectory and the N x N x d arrays fit MAX_ENTRIES.
     A peano run has n * substeps steps, each n of ``n_list`` too; a relax run's
     tracked grid up to one node per weight slot and substep of each step."""
     exp, N, d = top["experiment"], top["N"], top["d"]
@@ -335,12 +336,24 @@ def _check_sizes(top: dict) -> None:
     if exp["kind"] == "peano":
         steps = max([exp["n"], *(exp["n_list"] or ())]) * exp["substeps"]
     elif exp["kind"] == "relax":
-        steps *= len(exp["bases"]) * exp["integration_substeps"]
+        q = len(exp["bases"])
+        if len(exp["weights"]) != q or sum(exp["weights"]) != exp["weight_steps"]:
+            raise ConfigError("experiment 'weights' must be one per base, summing to 'weight_steps'")
+        steps *= q * exp["integration_substeps"]
     if steps + 1 > MAX_NODES:
         raise ConfigError(f"steps + 1 must be at most {MAX_NODES} grid nodes")
     for what, entries in (("(steps + 1) x 'N' x 'd'", (steps + 1) * N * d), ("'N' x 'N' x 'd'", N * N * d)):
         if entries > MAX_ENTRIES:
             raise ConfigError(f"{what} must be at most {MAX_ENTRIES} array entries")
+    if exp["kind"] == "relax" and _mixtures(top["family"].size, q, exp["weight_steps"]) > MAX_NODES:
+        raise ConfigError(f"relax must enumerate at most {MAX_NODES} mixtures of 'bases' over 'weight_steps'")
+
+
+def _mixtures(controls: int, q: int, weight_steps: int) -> int:
+    """How many mixtures ``relax.convexify`` enumerates, or MAX_NODES + 1 where that
+    is a lower bound (comb(n, k) >= comb(20, 10) > MAX_NODES once min(k, n - k) >= 10)."""
+    pairs = ((controls + q - 1, q), (weight_steps + q - 1, q - 1))
+    return math.prod(math.comb(n, k) if min(k, n - k) < 10 else MAX_NODES + 1 for n, k in pairs)
 
 
 def parse_rates(spec: dict, T: float, context: str) -> RateFunctions:

@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds
 from .dynamics import FrozenMeasure, NonlocalField, RateFunctions, Trajectory, ball_atoms, ball_grid, integrate, sup_norm, union_probes, velocity_gap
 from .inclusion import ControlledFamily, ControlSignal, signal_field
-from .measure import ParticleCloud, moment, sup_wasserstein_cost, tail_norm, wasserstein_cost
+from .measure import ParticleCloud, moment, sup_wasserstein_cost, tail_norm, wasserstein_costs
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,9 +198,7 @@ def filippov_track(
     converged = gaps[-1] <= tol
 
     eta = table.min(axis=0)
-    measured = np.array(
-        [wasserstein_cost(cur.clouds[k], ref.clouds[k], p) for k in range(grid.size)]
-    )
+    measured = wasserstein_costs(zip(cur.clouds, ref.clouds), p)
     bound = compute_bound(
         grid=grid,
         eta=eta,

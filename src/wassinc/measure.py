@@ -5,12 +5,14 @@ measure with finite p-th moment.  Between two clouds of equal size the
 p-Wasserstein distance reduces to an optimal assignment problem over
 permutations, which is solved exactly; among cost-equal permutations the
 lexicographically smallest one is returned so transport plans are
-reproducible.
+reproducible.  A W_p series runs on every usable core for N >= 64, same bits.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,6 +196,22 @@ def wasserstein_cost(a: ParticleCloud, b: ParticleCloud, p: float) -> float:
     p = _check_p(p)
     _, _, total = _solve(a, b, p)
     return _root(total / a.n, p)
+
+
+def wasserstein_costs(pairs, p: float) -> np.ndarray:
+    """wasserstein_cost(a_k, b_k, p) of every pair, in input order, bit for
+    bit; every pair is checked before any solve."""
+    p, pairs = _check_p(p), list(pairs)
+    for a, b in pairs:
+        _check_pair(a, b)
+    # The solver releases the GIL: two or more pairs of N >= 64 run on a thread per
+    # usable core.  Pooled / serial time of a 21-pair series, pool start included,
+    # 2-core x86_64: N = 32 1.8-3.9, 48 1.0-2.1, 64 0.8-1.6 (even), 96 0.7-1.0, 256 0.5-0.7.
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if len(pairs) < 2 or min(a.n for a, _ in pairs) < 64 or cores < 2:
+        return np.array([wasserstein_cost(a, b, p) for a, b in pairs])
+    with ThreadPoolExecutor(cores) as pool:
+        return np.array(list(pool.map(lambda pair: wasserstein_cost(*pair, p), pairs)))
 
 
 def sup_wasserstein_cost(pairs, p: float) -> float:

@@ -25,7 +25,7 @@ from .dynamics import NonlocalField, Trajectory, integrate, snapped_index
 from .errors import ResolutionError
 from .filippov import FilippovCertificate, filippov_track
 from .inclusion import ControlledFamily, ControlSignal
-from .measure import moment, tail_norm, wasserstein_cost
+from .measure import moment, tail_norm, wasserstein_costs
 
 
 @dataclass(frozen=True)
@@ -277,9 +277,7 @@ def relax_approximate(
 
     # the tracked grid carries every realized switch point, where the
     # deviation from the mixture curve peaks
-    measured = np.array(
-        [wasserstein_cost(relaxed_traj.at(t), tracked.at(t), p) for t in tracked.times]
-    )
+    measured = wasserstein_costs([(relaxed_traj.at(t), tracked.at(t)) for t in tracked.times], p)
     measured_sup = float(measured.max())
     l_total = rates.integral("l", 0.0, rates.duration)
     growth = bounds.exp_power(bounds.C_p_prime(p), l_total, p)

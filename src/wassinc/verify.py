@@ -20,7 +20,7 @@ from .config import ScenarioConfig, ref_seed, sample_initial
 from .dynamics import Trajectory, integrate, sup_norm, union_probes, velocity_gap
 from .errors import ConfigError
 from .inclusion import ControlledFamily
-from .measure import ParticleCloud, moment, tail_norm, wasserstein_cost
+from .measure import ParticleCloud, moment, tail_norm, wasserstein_cost, wasserstein_costs
 
 _ATOL = 1e-15
 
@@ -138,11 +138,10 @@ def verify_abs_continuity(config: ScenarioConfig) -> BoundReport:
     m_total = field.rates.integral("m", 0.0, config.T)
     c_p = bounds.abs_continuity_constant(p, moment(traj.clouds[0], p), m_total)
     grid = traj.grid
-    measured = [wasserstein_cost(a, b, p) for a, b in zip(traj.clouds, traj.clouds[1:])]
     return BoundReport(
         kind="abs_continuity",
         times=grid[1:],
-        measured=np.array(measured),
+        measured=wasserstein_costs(zip(traj.clouds, traj.clouds[1:]), p),
         bound=c_p * field.rates.integral("m", grid[:-1], grid[1:]),
         constants={"c_p": c_p},
         slack=config.slack,
@@ -168,7 +167,7 @@ def _gronwall(config: ScenarioConfig, kind: str, R: float) -> BoundReport:
     ct = bounds.horizon_factor(joint.integral("m", 0.0, config.T))
     tail = 0.0 if math.isinf(R) else tail_norm(nu.clouds[0], max(0.0, R / ct - 1.0), p, shifted=True)
     grid = mu.grid
-    measured = np.array([wasserstein_cost(a, b, p) for a, b in zip(mu.clouds, nu.clouds)])
+    measured = wasserstein_costs(zip(mu.clouds, nu.clouds), p)
     w0 = float(measured[0])
     gaps = [velocity_gap(v, w, mu.clouds[k], nu.clouds[k], t, R) for k, t in enumerate(grid[:-1].tolist())]
     l_int, m_int = v.rates.integral("l", 0.0, grid), joint.integral("m", 0.0, grid)

@@ -3,6 +3,7 @@
 against the per-node formulas written out here."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,3 +128,16 @@ def test_gronwall_series_saturates_to_inf():
     )
     assert D[0] == bounds.C_p(4.0) and chi[0] == 0.0 and D[1] == math.inf
     assert not np.any(np.isnan(E)) and np.all(E == 0.0)
+
+
+def test_gronwall_series_overflows_without_a_numpy_warning():
+    # w0, E and chi are Python floats in the loop, so a D past the float
+    # range is a silent inf; momentum_bound_series passes a numpy w0
+    for w0 in (1e200, np.float64(1e200)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            D, _, _ = bounds.gronwall_series(
+                p=1.0, w0=w0, increments=[0.0], l_int=np.array([0.0, 400.0]),
+                m_int=np.array([1.0, 1.0]), horizon=1.0, tail=1.0,
+            )
+        assert D[1] == math.inf

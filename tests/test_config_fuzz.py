@@ -2,9 +2,10 @@
 
 Each example takes a bundled scenario with its grid shortened, and drops
 one key or replaces one value (a key's or a list entry's) by a wrong type,
-a fractional integer, NaN, inf or a negative number.  Whatever the mutation,
-exit 1 means the written manifest holds a False verdict; exit 2 means one
-``error:`` line and no output directory; exit 0 reruns byte for byte.
+a fractional or huge (10^400) integer, NaN, inf or a negative number.
+Whatever the mutation, exit 1 means the written manifest holds a False
+verdict; exit 2 means one ``error:`` line and no output directory; exit 0
+reruns byte for byte.
 """
 
 import contextlib
@@ -45,7 +46,7 @@ def replacements(value):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         out.append(("negative", -value if value else -1))
         if isinstance(value, int):
-            out.append(("fraction", value + 0.5))
+            out += [("fraction", value + 0.5), ("huge", 10**400)]
     return out
 
 

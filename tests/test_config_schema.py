@@ -8,10 +8,12 @@ README table against the schema it is rendered from."""
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import shutil
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -187,6 +189,54 @@ def test_ceilings_bound_the_grid_the_trajectory_and_the_n_by_n_arrays():
         assert config.steps + 1 < nodes // 50
         assert (config.steps + 1) * config.N * config.d < entries // 50 and config.N**2 * config.d < entries // 50
 
+
+# (scenario, path, the key the error names); with no ceiling, each value
+# drove a loop that was still running when `timeout 20` killed it
+UNBOUNDED_LOOPS = {
+    "samples": ("verify_hypotheses_probe_catalog", "experiment.samples", "experiment 'samples'"),
+    "weight_steps": ("relax_bangbang", "experiment.weight_steps", "experiment 'weight_steps'"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNBOUNDED_LOOPS))
+def test_loop_counts_past_the_ceiling_exit_two_at_once(tmp_path, capsys, case):
+    name, path, key = UNBOUNDED_LOOPS[case]
+    raw = mutate(scenario(name), path, 10**400)
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, raw["experiment"]["kind"], raw)
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"error: {key} must be an integer in [1, ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_probe_samples_and_relax_mixtures_have_ceilings():
+    nodes = config_module.MAX_NODES
+    probe = scenario("verify_hypotheses_probe_catalog")
+    parse_config(mutate(probe, "experiment.samples", nodes // 3))
+    with pytest.raises(ConfigError, match=r"^experiment 'samples' must be an integer in \[1, 43690\], got 43691$"):
+        parse_config(mutate(probe, "experiment.samples", nodes // 3 + 1))
+    # two controls and two bases: 3 x (weight_steps + 1) mixtures
+    relax = scenario("relax_bangbang")
+    steps = nodes // 3 - 1
+    parse_config(mutate(mutate(relax, "experiment.weight_steps", steps), "experiment.weights", [steps - 1, 1]))
+    with pytest.raises(ConfigError, match=r"^relax must enumerate at most 131072 mixtures"):
+        parse_config(mutate(mutate(relax, "experiment.weight_steps", steps + 1), "experiment.weights", [steps, 1]))
+    for weights in ([1, 2], [2], [1, 1, 0]):
+        with pytest.raises(ConfigError, match=r"^experiment 'weights' must be one per base, summing to 'weight_steps'$"):
+            parse_config(mutate(scenario("relax_bangbang"), "experiment.weights", weights))
+
+
+def test_mixture_count_is_what_convexify_enumerates():
+    rates = RateFunctions.constant(1.0, 0.0, 0.0, 1.0)
+    for size, q, steps in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 5)):
+        family = constants_family([[float(k)] for k in range(size)], rates)
+        assert config_module._mixtures(size, q, steps) == len(convexify(family, q, steps).controls)
+    # past the exact range the count is MAX_NODES + 1, a lower bound
+    cap = config_module.MAX_NODES + 1
+    for size, q, steps in itertools.product((1, 2, 19, 40), (1, 2, 10, 11, 19, 40), (1, 9, 10, 18, 40, 10**400)):
+        exact = math.comb(size + q - 1, q) * math.comb(steps + q - 1, q - 1)
+        assert min(config_module._mixtures(size, q, steps), cap) == min(exact, cap)
 
 # a run at each ceiling: N = d = 1 on MAX_NODES nodes, and one particle in
 # d = MAX_ENTRIES / 2 on two nodes

@@ -2,6 +2,9 @@
 
 * N = 1 W_p skips the assignment solver: bitwise equal to the solver path,
   including the inf cost the solver rejects.
+* A per-node W_p series runs on a thread per usable core for N >= 64:
+  bitwise equal to one ``wasserstein_cost`` per pair, in input order, with
+  the checks before any solve and the solver's error from a worker.
 * Scalar time lookups bisect a Python list: equal to the ``np.searchsorted``
   formulas they replace, on nodes, one ulp either side and outside [0, T].
 * A Trajectory is one read-only array whose clouds are views: equal bit
@@ -11,6 +14,9 @@
 """
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +29,7 @@ from wassinc.catalog import bounded_kernel_field, mean_attraction_field, rotatio
 from wassinc.dynamics import grid_snap, snapped_index
 from wassinc.errors import ShapeMismatchError
 from wassinc.inclusion import ControlledFamily, ControlSignal, peano_solve
-from wassinc.measure import assignment_cost, pairwise_cost, wasserstein, wasserstein_cost
+from wassinc.measure import assignment_cost, pairwise_cost, wasserstein, wasserstein_cost, wasserstein_costs
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -2.5]
 
@@ -71,6 +77,107 @@ def test_single_atom_wp_calls_no_solver(monkeypatch):
     assert wasserstein(ParticleCloud([[1.0]]), ParticleCloud([[-1.0]]), 1.0).cost == 2.0
     with pytest.raises(AssertionError, match=r"\(2, 2\) matrix"):
         wasserstein_cost(ParticleCloud([[0.0], [1.0]]), ParticleCloud([[1.0], [0.0]]), 1.0)
+
+
+# -- a per-node W_p series on every usable core --------------------------------------
+
+
+def series_pairs(rng, n, d, count=3):
+    """``count`` pairs of n-point clouds with coincident atoms and +-0.0."""
+    pairs = []
+    for _ in range(count):
+        a, b = rng.standard_normal((2, n, d))
+        a[: n // 3] = a[0]  # coincident atoms: many cost-equal assignments
+        a[n // 3 : n // 2] = rng.choice([0.0, -0.0], (n // 2 - n // 3, d))
+        b[: n // 4] = -0.0
+        pairs.append((ParticleCloud(a), ParticleCloud(b)))
+    return pairs
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Set the usable-core count the series sees."""
+    def set_cores(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    return set_cores
+
+
+@pytest.fixture
+def solver_threads(monkeypatch):
+    """The thread of every assignment solve, in call order."""
+    seen, solve = [], measure.linear_sum_assignment
+    monkeypatch.setattr(measure, "linear_sum_assignment", lambda D: seen.append(threading.get_ident()) or solve(D))
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 256])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_series_is_bitwise_equal_to_one_solve_per_pair(rng, cores, n, d, p):
+    cores(2)
+    pairs = series_pairs(rng, n, d)
+    series = wasserstein_costs(iter(pairs), p)
+    assert series.dtype == np.float64 and series.shape == (len(pairs),)
+    assert [bits(x) for x in series] == [bits(wasserstein_cost(a, b, p)) for a, b in pairs]
+
+
+def test_series_under_more_threads_than_cores_and_fast_switching(rng, cores):
+    cores(8)
+    pairs = series_pairs(rng, 64, 2, 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        series = wasserstein_costs(pairs, 1.5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [bits(x) for x in series] == [bits(wasserstein_cost(a, b, 1.5)) for a, b in pairs]
+
+
+@pytest.mark.parametrize("count, n, usable, pooled", [
+    (2, 64, 2, True), (5, 256, 4, True),  # the pool: >= 2 pairs, N >= 64, > 1 core
+    (1, 256, 2, False), (2, 63, 2, False), (2, 64, 1, False), (0, 64, 2, False),
+])
+def test_pool_only_for_two_pairs_of_64_on_two_cores(rng, cores, solver_threads, count, n, usable, pooled):
+    cores(usable)
+    pairs = series_pairs(rng, n, 1, count)
+    assert wasserstein_costs(pairs, 2.0).shape == (count,)
+    main = threading.get_ident()
+    assert len(solver_threads) == count
+    assert main not in solver_threads if pooled else set(solver_threads) <= {main}
+
+
+def test_series_checks_every_pair_before_any_solve(rng, cores, solver_threads):
+    cores(2)
+    pairs = series_pairs(rng, 64, 2, 4)
+    pairs.append((pairs[0][0], ParticleCloud(np.zeros((64, 1)))))
+    with pytest.raises(ShapeMismatchError, match=r"got \(64,2\) and \(64,1\)"):
+        wasserstein_costs(pairs, 1.0)
+    with pytest.raises(ValueError, match="order p must satisfy p >= 1"):
+        wasserstein_costs(pairs[:2], 0.5)
+    assert solver_threads == []
+
+
+def test_solver_error_raised_from_a_worker(cores, solver_threads):
+    cores(2)
+    # |1e300 - (-1e300)|^2 overflows: every entry of the last cost matrix is inf
+    far = (ParticleCloud(np.full((64, 1), 1e300)), ParticleCloud(np.full((64, 1), -1e300)))
+    with pytest.raises(ValueError) as expected:
+        linear_sum_assignment(pairwise_cost(*far, 2.0))
+    near = (ParticleCloud(np.zeros((64, 1))), ParticleCloud(np.ones((64, 1))))
+    with pytest.raises(ValueError, match=str(expected.value)):
+        wasserstein_costs([near, far], 2.0)
+    assert len(solver_threads) == 2 and threading.get_ident() not in solver_threads
+
+
+def test_series_keeps_input_order(rng, cores):
+    cores(2)
+    # a slow pair first and fast ones after: they finish out of input order
+    pairs = [(ParticleCloud(rng.standard_normal((384, 1))), ParticleCloud(rng.standard_normal((384, 1))))]
+    start = ParticleCloud(rng.standard_normal((64, 1)))
+    pairs += [(start, ParticleCloud(start.points + shift)) for shift in (3.0, 2.0, 1.0, 0.0)]
+    series = wasserstein_costs(pairs, 1.0)
+    assert series.tolist() == [wasserstein_cost(a, b, 1.0) for a, b in pairs]
+    assert series[1:].tolist() == [3.0, 2.0, 1.0, 0.0]
 
 
 # -- scalar lookups by bisection ---------------------------------------------------

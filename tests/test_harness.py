@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 import subprocess
@@ -8,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wassinc import parse_config, run_scenario, sample_initial, verify
+from wassinc import measure, parse_config, run_scenario, sample_initial, verify
 from wassinc.cli import main as cli_main
 from wassinc.errors import ConfigError
 
@@ -169,11 +168,10 @@ class TestVerifyKinds:
         assert report.measured.size == 0 and not report.passed
 
     def test_gronwall_reuses_initial_distance(self, monkeypatch):
-        verify_module = importlib.import_module("wassinc.verify")  # the package exports verify()
         calls = []
-        solve = verify_module.wasserstein_cost
+        solve = measure.wasserstein_cost
         monkeypatch.setattr(
-            verify_module, "wasserstein_cost", lambda a, b, p: calls.append(1) or solve(a, b, p)
+            measure, "wasserstein_cost", lambda a, b, p: calls.append(1) or solve(a, b, p)
         )
         report = verify(
             "gronwall_global",
