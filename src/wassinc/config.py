@@ -92,10 +92,17 @@ class ScenarioConfig:
         return np.linspace(0.0, self.T, self.steps + 1)
 
 
+def _shown(value) -> str:
+    """``value`` as an error message echoes it; an integer past 20 digits by its length."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and abs(value) >= 10**20:
+        return f"an integer of {len(str(abs(value)))} digits"
+    return repr(value)
+
+
 def _check_seed(seed, name: str = "seed") -> int:
     """A seed is an integer in [0, 2^64), the range of the Philox key."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise ConfigError(f"'{name}' must be an integer in [0, 2^64), got {seed!r}")
+        raise ConfigError(f"'{name}' must be an integer in [0, 2^64), got {_shown(seed)}")
     return int(seed)
 
 
@@ -143,14 +150,14 @@ def _value(key: Key, value, path: str, subject: str, top: dict):
         lo_ok = value > key.lo if key.ends[0] == "(" else value >= key.lo
         if lo_ok and (value < key.hi if key.ends[1] == ")" else value <= key.hi):
             return int(value) if key.kind == "int" else float(value)
-    raise ConfigError(f"{subject} must be {_describe(key)}, got {value!r}")
+    raise ConfigError(f"{subject} must be {_describe(key)}, got {_shown(value)}")
 
 
 def _check(table: dict, raw, path: str, top: dict | None = None) -> dict:
     """The keys of ``table`` read from the object ``raw`` at ``path``; a tuple
     of names shares one entry.  Top-level builders see the values so far."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{_subject(path)} must be an object, got {raw!r}")
+        raise ConfigError(f"{_subject(path)} must be an object, got {_shown(raw)}")
     out = {}
     for names, key in table.items():
         names = (names,) if isinstance(names, str) else names
@@ -180,7 +187,8 @@ def _seed(value, path: str, top: dict) -> int:
 def _sampler(spec, path: str, top: dict) -> dict:
     spec = _tagged(spec, path, top, "kind", SAMPLERS)
     if spec["kind"] == "atoms" and (len(spec["atoms"]), {len(row) for row in spec["atoms"]}) != (top["N"], {top["d"]}):
-        raise ConfigError(f"{_subject(path + '.atoms')} must be N = {top['N']} rows of d = {top['d']} entries")
+        rows, entries = _shown(top["N"]), _shown(top["d"])
+        raise ConfigError(f"{_subject(path + '.atoms')} must be N = {rows} rows of d = {entries} entries")
     return spec
 
 
@@ -328,7 +336,8 @@ def parse_config(raw: dict, kind: str | None = None, **overrides) -> ScenarioCon
 
 def _check_sizes(top: dict) -> None:
     """ConfigError unless the grid and a relax run's mixtures fit MAX_NODES
-    and the trajectory and the N x N x d arrays fit MAX_ENTRIES.
+    and the trajectory and the N x N x d arrays fit MAX_ENTRIES (and a relax
+    run's weights and bases fit its weight grid and family).
     A peano run has n * substeps steps, each n of ``n_list`` too; a relax run's
     tracked grid up to one node per weight slot and substep of each step."""
     exp, N, d = top["experiment"], top["N"], top["d"]
@@ -339,6 +348,8 @@ def _check_sizes(top: dict) -> None:
         q = len(exp["bases"])
         if len(exp["weights"]) != q or sum(exp["weights"]) != exp["weight_steps"]:
             raise ConfigError("experiment 'weights' must be one per base, summing to 'weight_steps'")
+        if max(exp["bases"]) >= top["family"].size:
+            raise ConfigError(f"experiment 'bases' must be control indices below {top['family'].size}")
         steps *= q * exp["integration_substeps"]
     if steps + 1 > MAX_NODES:
         raise ConfigError(f"steps + 1 must be at most {MAX_NODES} grid nodes")

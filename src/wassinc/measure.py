@@ -218,11 +218,15 @@ def sup_wasserstein_cost(pairs, p: float) -> float:
     """max_k W_p(a_k, b_k) over a nonempty sequence of equal-size cloud pairs.
 
     Pairing particle i with particle i is a coupling, so
-    U_k = (mean_i |x_i - y_i|^p)^(1/p) >= W_p(a_k, b_k).  Pairs are solved
-    exactly in descending U_k until U_k <= the largest exact value so far.
-    U_k is inflated by a relative 1e-9, far above the rounding of U_k and of
-    the solver's total, so every pair skipped has W_p <= that value and the
-    result equals max_k wasserstein_cost(a_k, b_k, p) bit for bit.
+    U_k = (mean_i |x_i - y_i|^p)^(1/p) >= W_p(a_k, b_k).  Pairs are taken
+    in descending U_k until U_k <= the largest exact value so far.  Pairing
+    i with sigma(i), for the optimal sigma of the last pair solved, is a
+    coupling too, and close to optimal, since particles keep their identity
+    along a curve: a pair whose bound under sigma is <= the largest value so
+    far is skipped, any other solved exactly.  Both bounds are inflated by a
+    relative 1e-9, far above their rounding and that of the solver's total,
+    so every pair skipped has W_p <= that value and the result equals
+    max_k wasserstein_cost(a_k, b_k, p) bit for bit.
     """
     p = _check_p(p)
     pairs = list(pairs)
@@ -233,11 +237,17 @@ def sup_wasserstein_cost(pairs, p: float) -> float:
         _check_pair(a, b)
         gaps = np.linalg.norm(a.points - b.points, axis=1)
         upper.append((1.0 + 1e-9) * _power_mean(gaps, p, a.n))
-    best = -math.inf
+    best, sigma = -math.inf, None
     for k in sorted(range(len(pairs)), key=upper.__getitem__, reverse=True):
         if upper[k] <= best:
             break
-        best = max(best, wasserstein_cost(*pairs[k], p))
+        a, b = pairs[k]
+        if sigma is not None:
+            gaps = np.linalg.norm(a.points - b.points[sigma], axis=1)
+            if (1.0 + 1e-9) * _power_mean(gaps, p, a.n) <= best:
+                continue
+        _, sigma, total = _solve(a, b, p)
+        best = max(best, _root(total / a.n, p))
     return best
 
 

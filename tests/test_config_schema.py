@@ -210,6 +210,42 @@ def test_loop_counts_past_the_ceiling_exit_two_at_once(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def integer_keys():
+    """(scenario, path) of every integer of the bundled scenarios, list entries
+    too, but those that take 10^400: ``max_iter`` caps iterations that stop at
+    convergence, and a peano run's grid is n x substeps, not ``grid.steps``."""
+    def paths(node, prefix=()):
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, value in items:
+            if isinstance(value, int) and not isinstance(value, bool):
+                yield prefix + (key,)
+            yield from paths(value, prefix + (key,))
+
+    for name in sorted(path.stem for path in SCENARIOS.glob("*.json")):
+        for path in paths(scenario(name)):
+            if path[-1] != "max_iter" and (name, path) != ("peano_mean_gain", ("grid", "steps")):
+                yield name, path
+
+
+INTEGER_KEYS = list(integer_keys())
+
+
+@pytest.mark.parametrize(
+    "name, path", INTEGER_KEYS, ids=[f"{n}:{'.'.join(map(str, p))}" for n, p in INTEGER_KEYS]
+)
+def test_a_huge_integer_is_echoed_by_its_length(tmp_path, capsys, name, path):
+    raw = scenario(name)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 10**400
+    code, out = run_cli(tmp_path, raw["experiment"]["kind"], raw)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert len(err) < 200 and "0" * 21 not in err, err
+    assert not out.exists()
+
+
 def test_probe_samples_and_relax_mixtures_have_ceilings():
     nodes = config_module.MAX_NODES
     probe = scenario("verify_hypotheses_probe_catalog")

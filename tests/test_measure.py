@@ -214,6 +214,39 @@ def cloud_pairs(draw, n_max=8, tight=False):
     return pairs
 
 
+specials = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
+
+
+def relabelled_series(data, n, d):
+    """2-8 nodes of a_k = a_0 + k v and b_k = a_k[pi] + drift_k for one
+    permutation pi.  The drifts are s_k c for one c and scales s_k in [0, 1],
+    so node values lie close, or drawn one by one; c or a drift is one shift,
+    or one per particle.  Coordinates repeat and take +-0.0, so points, drifts
+    and scales tie."""
+    elements = st.one_of(specials, coords)
+    a0 = data.draw(hnp.arrays(np.float64, (n, d), elements=elements))
+    v = data.draw(hnp.arrays(np.float64, (n, d), elements=st.one_of(specials, st.floats(-1, 1))))
+    perm = np.array(data.draw(st.permutations(range(n))), dtype=int)
+    shifts = st.sampled_from([(1, d), (n, d)]).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=elements)
+    )
+    scales = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+    c = data.draw(shifts) if data.draw(st.booleans()) else None
+    pairs = []
+    for k in range(data.draw(st.integers(2, 8))):
+        drift = data.draw(shifts) if c is None else data.draw(scales) * c
+        a = a0 + k * v
+        pairs.append((ParticleCloud(a), ParticleCloud(a[perm] + drift)))
+    return pairs
+
+
+def count_cost_matrices(monkeypatch):
+    """A list that grows by one entry per ``measure.pairwise_cost`` call."""
+    calls, cost = [], measure.pairwise_cost
+    monkeypatch.setattr(measure, "pairwise_cost", lambda a, b, p: calls.append(1) or cost(a, b, p))
+    return calls
+
+
 class TestFastPaths:
     @given(
         data=st.data(),
@@ -252,14 +285,42 @@ class TestFastPaths:
     def test_sup_solves_only_the_widest_translation(self, rng, monkeypatch):
         # a translated cloud is matched optimally by the identity, so the
         # largest shift gives the sup and every other node is screened out
-        calls = []
-        solve = measure.wasserstein_cost
-        monkeypatch.setattr(
-            measure, "wasserstein_cost", lambda a, b, p: calls.append(1) or solve(a, b, p)
-        )
         base = random_cloud(rng, 16, 2)
         pairs = [(base, ParticleCloud(base.points + [0.1 * k, 0.0])) for k in (3, 1, 4, 2)]
-        assert sup_wasserstein_cost(pairs, 2) == solve(*pairs[2], 2)
+        widest = wasserstein_cost(*pairs[2], 2)
+        calls = count_cost_matrices(monkeypatch)
+        assert sup_wasserstein_cost(pairs, 2) == widest
+        assert len(calls) == 1
+
+    @given(
+        data=st.data(),
+        n=st.sampled_from([1, 2, 16, 64]),
+        d=st.sampled_from([1, 2]),
+        p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sup_of_a_relabelled_series_equals_max_of_exact_solves(self, data, n, d, p):
+        # b_k = a_k[pi] + drift_k: the identity bound is loose at every node,
+        # the bound under a solved node's sigma tight where the drift is a shift
+        pairs = relabelled_series(data, n, d)
+        assert sup_wasserstein_cost(pairs, p) == max(wasserstein_cost(a, b, p) for a, b in pairs)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_sup_of_a_relabelled_series_solves_one_node(self, rng, monkeypatch, p):
+        # a shrinking cloud against its relabelled copy shifted by less at each
+        # node: the identity bound exceeds every W_p, so it would solve all K
+        # nodes; the sigma of the first (and widest) solve bounds every other
+        K, base = 8, random_cloud(rng, 16, 2)
+        perm = rng.permutation(16)
+        pairs = []
+        for k in range(K):
+            a = base.points * (1.0 - 0.05 * k)
+            pairs.append((ParticleCloud(a), ParticleCloud(a[perm] + [0.2 - 0.01 * k, 0.0])))
+        exact = [wasserstein_cost(a, b, p) for a, b in pairs]
+        identity = [measure.moment(ParticleCloud(a.points - b.points), p) for a, b in pairs]
+        assert min(identity) > max(exact)
+        calls = count_cost_matrices(monkeypatch)
+        assert sup_wasserstein_cost(pairs, p) == max(exact)
         assert len(calls) == 1
 
     def test_sup_rejects_mismatch_and_empty(self):
