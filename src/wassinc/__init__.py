@@ -4,7 +4,6 @@ bounds."""
 
 from .measure import ParticleCloud, TransportPlan, moment, tail_norm, wasserstein, wasserstein_cost
 from .dynamics import (
-    FrozenMeasure,
     NonlocalField,
     RateFunctions,
     Trajectory,
@@ -34,7 +33,6 @@ __all__ = [
     "tail_norm",
     "wasserstein",
     "wasserstein_cost",
-    "FrozenMeasure",
     "NonlocalField",
     "RateFunctions",
     "Trajectory",

@@ -118,5 +118,4 @@ def uniform_moment(p: float, moment_mu0: float, moment_nu0: float, m_total: floa
 
 def script_horizon_factor(uniform_moment_bound: float, m_total: float) -> float:
     """Travel envelope with m inflated by the uniform moment bound."""
-    inflated = (1.0 + uniform_moment_bound) * m_total
-    return max(1.0, inflated) * _exp(inflated)
+    return horizon_factor((1.0 + uniform_moment_bound) * m_total)

@@ -338,10 +338,11 @@ def _check_sizes(top: dict) -> None:
     """ConfigError unless the grid and a relax run's mixtures fit MAX_NODES
     and the trajectory and the N x N x d arrays fit MAX_ENTRIES (and a relax
     run's weights and bases fit its weight grid and family).
-    A peano run has n * substeps steps, each n of ``n_list`` too; a relax run's
-    tracked grid up to one node per weight slot and substep of each step."""
+    A peano run has n * substeps steps, each n of ``n_list`` too, and its unused
+    grid is checked all the same; a relax run's tracked grid up to one node per
+    weight slot and substep of each step."""
     exp, N, d = top["experiment"], top["N"], top["d"]
-    steps = top["grid"]
+    steps = declared = top["grid"]
     if exp["kind"] == "peano":
         steps = max([exp["n"], *(exp["n_list"] or ())]) * exp["substeps"]
     elif exp["kind"] == "relax":
@@ -351,7 +352,7 @@ def _check_sizes(top: dict) -> None:
         if max(exp["bases"]) >= top["family"].size:
             raise ConfigError(f"experiment 'bases' must be control indices below {top['family'].size}")
         steps *= q * exp["integration_substeps"]
-    if steps + 1 > MAX_NODES:
+    if max(steps, declared) + 1 > MAX_NODES:
         raise ConfigError(f"steps + 1 must be at most {MAX_NODES} grid nodes")
     for what, entries in (("(steps + 1) x 'N' x 'd'", (steps + 1) * N * d), ("'N' x 'N' x 'd'", N * N * d)):
         if entries > MAX_ENTRIES:

@@ -6,6 +6,8 @@ measure-Lipschitz rate L, all piecewise constant in time with exact
 interval integrals.  Moving every particle of a cloud along the field's
 characteristics advances the empirical measure itself; a Trajectory holds
 the positions in one read-only (nodes, N, d) array, its clouds views of it.
+The integrator hands the rule the evolving cloud; a field that reads its
+measure from an earlier curve binds it (``inclusion.signal_field``).
 
 Two probe metrics between fields at a fixed time are provided: the
 supremum gap over a finite probe set (a lower estimate of the true uniform
@@ -131,9 +133,6 @@ class NonlocalField:
     label: str = ""
     measure_dependent: bool = False
 
-    def __call__(self, t: float, cloud: ParticleCloud, points: np.ndarray) -> np.ndarray:
-        return self.rule(t, cloud, points)
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -190,40 +189,19 @@ class Trajectory:
         return self.clouds[self.node_index(t)]
 
 
-@dataclass(frozen=True, eq=False)
-class FrozenMeasure:
-    """Measure source that reads a fixed trajectory at time t - delay.
-
-    For t < delay the lookup lands below the grid start and yields the
-    trajectory's initial cloud.
-    """
-
-    trajectory: Trajectory
-    delay: float = 0.0
-
-    def __post_init__(self):
-        if self.delay < 0:
-            raise ValueError("delay must be nonnegative")
-
-    def at(self, t: float) -> ParticleCloud:
-        return self.trajectory.at(t - self.delay)
-
-
 def integrate(
     field: NonlocalField,
     start: ParticleCloud,
     grid: Sequence[float],
     method: str = "euler",
-    measure_source: str | FrozenMeasure = "self",
 ) -> Trajectory:
     """Advance every particle of ``start`` along the field over ``grid``.
 
-    In ``self`` mode the measure argument of the rule is the integrator's
-    own current cloud (for rk4, each stage sees the stage's intermediate
-    cloud).  A FrozenMeasure source instead reads a fixed trajectory at
-    t - delay, which is how delayed and iterated constructions reuse this
-    routine.  Raises BlowUpError (see ``_check_finite``) if a coordinate
-    leaves the finite range.
+    The measure argument handed to the rule is the integrator's own
+    current cloud (for rk4, each stage's intermediate cloud); a field bound
+    to another curve (``inclusion.signal_field`` with a ``measure``) reads
+    that curve instead and ignores it.  Raises BlowUpError (see
+    ``_check_finite``) if a coordinate leaves the finite range.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size < 1:
@@ -232,9 +210,6 @@ def integrate(
         raise ShapeMismatchError("grid must be strictly increasing")
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
-    frozen = measure_source if isinstance(measure_source, FrozenMeasure) else None
-    if frozen is None and measure_source != "self":
-        raise ValueError("measure_source must be 'self' or a FrozenMeasure")
 
     times = g.tolist()
     buf, rows = step_buffer(g.size, start.points)
@@ -242,10 +217,9 @@ def integrate(
         for k in range(g.size - 1):
             t0, t1, X = times[k], times[k + 1], rows[k]
             if method == "euler":
-                M0 = frozen.at(t0) if frozen else ParticleCloud._view(X)
-                buf[k + 1] = X + (t1 - t0) * field.rule(t0, M0, X)
+                buf[k + 1] = X + (t1 - t0) * field.rule(t0, ParticleCloud._view(X), X)
             else:
-                buf[k + 1] = _rk4_step(field, X, t0, t1 - t0, frozen, k + 1)
+                buf[k + 1] = _rk4_step(field, X, t0, t1 - t0, k + 1)
             _check_finite(buf[k + 1], X, k + 1, t1)
     return Trajectory._own(g, buf)
 
@@ -269,13 +243,11 @@ def _check_finite(X: np.ndarray, last: np.ndarray, step: int, t: float) -> None:
                           f"last finite position {last[i].tolist()}")
 
 
-def _rk4_step(field, X, t0, dt, frozen, step):
+def _rk4_step(field, X, t0, dt, step):
     """One rk4 step from X; a stage leaving the finite range raises the step's BlowUpError."""
 
     def stage(t, Y):
         Y.setflags(write=False)
-        if frozen:
-            return field.rule(t, frozen.at(t), Y)
         _check_finite(Y, X, step, t0 + dt)
         return field.rule(t, ParticleCloud._view(Y), Y)
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .dynamics import FrozenMeasure, NonlocalField, RateFunctions, Trajectory, ball_atoms, ball_grid, integrate, sup_norm, union_probes, velocity_gap
+from .dynamics import NonlocalField, RateFunctions, Trajectory, ball_atoms, ball_grid, integrate, sup_norm, union_probes, velocity_gap
 from .inclusion import ControlledFamily, ControlSignal, signal_field
-from .measure import ParticleCloud, moment, sup_wasserstein_cost, tail_norm, wasserstein_costs
+from .measure import ParticleCloud, localisation_tail, moment, sup_wasserstein_cost, wasserstein_costs
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,13 +114,9 @@ def compute_bound(
     m_total = rates.integral("m", 0.0, rates.duration)
     script_c = bounds.uniform_moment(p, moment_mu0, moment_nu0, m_total)
     script_ct = bounds.script_horizon_factor(script_c, m_total)
-    if math.isinf(R):
-        tail = 0.0
-    else:
-        if not R > 0:
-            raise ValueError(f"radius R must be positive (or inf), got {R}")
-        threshold = 0.0 if math.isinf(script_ct) else max(0.0, R / script_ct - 1.0)
-        tail = tail_norm(nu0, threshold, p, shifted=True)
+    if not R > 0:
+        raise ValueError(f"radius R must be positive (or inf), got {R}")
+    tail = localisation_tail(nu0, R, script_ct, p)
 
     l_int, L_int, m_int = (rates.integral(r, 0.0, grid) for r in ("l", "L", "m"))
     D, chi, E = bounds.gronwall_series(
@@ -161,6 +157,8 @@ def filippov_track(
     sup distance to the previous iterate's field slice, evaluated on the
     current iterate's measure; its probes are the atoms of both clouds
     plus, for finite R, a lattice of spacing R/8 on the ball of radius R.
+    Each iterate's field is ``signal_field(family, signal, previous curve)``;
+    its integration, the next re-selection and the velocity gap all read it.
     Stops when consecutive iterates are within ``tol`` in sup-W_p or after
     ``max_iter`` iterations, in which case the certificate is flagged
     ``iteration_not_converged`` (the last iterate is still an admissible
@@ -178,23 +176,21 @@ def filippov_track(
     lattice = [] if math.isinf(R) else [ball_grid(R, start.d, R / 8.0)]
 
     every = np.arange(family.size)
-    sig = ControlSignal(grid=grid, indices=sel)
-    meas = ref  # measure argument the current iterate's field is bound to
-    cur = integrate(signal_field(family, sig), start, grid, "euler", FrozenMeasure(ref, 0.0))
-    gaps = [sup_wasserstein_cost(zip(cur.clouds, ref.clouds), p)]
-    iterations = 1
-    while gaps[-1] > tol and iterations < max_iter:
-        new_sel = np.empty(n_int, dtype=int)
+    prior, gaps = ref, []
+    while True:  # each iterate's field is bound to the curve before it
+        sig = ControlSignal(grid=grid, indices=sel)
+        field = signal_field(family, sig, prior)
+        cur = integrate(field, start, grid)
+        gaps.append(sup_wasserstein_cost(zip(cur.clouds, prior.clouds), p))
+        if not (gaps[-1] > tol and len(gaps) < max_iter):
+            break
+        sel = np.empty(n_int, dtype=int)
         for j in range(n_int):
             t = float(grid[j])
             probes = union_probes(cur.clouds[j].points, ref.clouds[j].points, *lattice)
-            prev = family.rule(t, meas.clouds[j], [sig.indices[j]], probes)
-            new_sel[j] = sup_norm(prev - family.rule(t, cur.clouds[j], every, probes)).argmin()
-        new_sig = ControlSignal(grid=grid, indices=new_sel)
-        nxt = integrate(signal_field(family, new_sig), start, grid, "euler", FrozenMeasure(cur, 0.0))
-        gaps.append(sup_wasserstein_cost(zip(nxt.clouds, cur.clouds), p))
-        sig, meas, cur = new_sig, cur, nxt
-        iterations += 1
+            prev = field.rule(t, cur.clouds[j], probes)
+            sel[j] = sup_norm(prev - family.rule(t, cur.clouds[j], every, probes)).argmin()
+        prior = cur
     converged = gaps[-1] <= tol
 
     eta = table.min(axis=0)
@@ -210,10 +206,8 @@ def filippov_track(
         moment_mu0=moment(start, p),
         moment_nu0=moment(ref.clouds[0], p),
     )
-    field = signal_field(family, sig)  # node M reuses the last interval's control
-    vel_gap = np.array(
-        [velocity_gap(field, w, meas.clouds[k], ref.clouds[k], float(t), R) for k, t in enumerate(grid)]
-    )
+    # node M reuses the last interval's control; field ignores the cloud it is handed
+    vel_gap = np.array([velocity_gap(field, w, nu, nu, t, R) for t, nu in zip(grid.tolist(), ref.clouds)])
 
     cert = FilippovCertificate(
         grid=grid,
@@ -225,7 +219,7 @@ def filippov_track(
         velocity_gap=vel_gap,
         constants=bound["constants"],
         iterate_gaps=tuple(gaps),
-        iterations=iterations,
+        iterations=len(gaps),
         converged=converged,
         flags=() if converged else ("iteration_not_converged",),
     )

@@ -111,14 +111,16 @@ class ControlSignal:
         return int(self.indices[min(k, self.indices.size - 1)])
 
 
-def signal_field(family: ControlledFamily, signal: ControlSignal) -> NonlocalField:
-    """Velocity field that follows the signal's control on each interval."""
+def signal_field(family: ControlledFamily, signal: ControlSignal, measure: Trajectory | None = None) -> NonlocalField:
+    """Velocity field that follows the signal's control on each interval;
+    given a ``measure`` Trajectory, its rule reads ``measure.at(t)`` in place
+    of the cloud it is handed."""
     for k in signal.indices:
         if k >= family.size:
             raise ValueError(f"signal index {k} outside family of size {family.size}")
 
     def rule(t, cloud, X):
-        return family.rule(t, cloud, [signal.index_at(t)], X)[0]
+        return family.rule(t, cloud if measure is None else measure.at(t), [signal.index_at(t)], X)[0]
 
     return NonlocalField(
         rule=rule,

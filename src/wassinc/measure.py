@@ -145,6 +145,13 @@ def tail_norm(cloud: ParticleCloud, R: float, p: float, shifted: bool = False) -
     return _power_mean(vals, p, cloud.n)
 
 
+def localisation_tail(cloud: ParticleCloud, R: float, horizon: float, p: float) -> float:
+    """Shifted tail of ``cloud`` beyond max(0, R / horizon - 1), the mass the
+    localisation error charges for a ball of radius R under the travel
+    envelope ``horizon``; 0 for R = inf."""
+    return 0.0 if math.isinf(R) else tail_norm(cloud, max(0.0, R / horizon - 1.0), p, shifted=True)
+
+
 def pairwise_cost(a: ParticleCloud, b: ParticleCloud, p: float) -> np.ndarray:
     """Matrix D[i, j] = |x_i - y_j|^p used by the assignment solver.
 

@@ -21,10 +21,10 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import bounds
-from .dynamics import NonlocalField, Trajectory, integrate, snapped_index
+from .dynamics import Trajectory, integrate, snapped_index
 from .errors import ResolutionError
 from .filippov import FilippovCertificate, filippov_track
-from .inclusion import ControlledFamily, ControlSignal
+from .inclusion import ControlledFamily, ControlSignal, signal_field
 from .measure import moment, tail_norm, wasserstein_costs
 
 
@@ -256,11 +256,7 @@ def relax_approximate(
     boundaries = _equal_mass_boundaries(rates, n_blocks)
     realized_sig, meta = aumann_realize(relaxed_signal, chattering_family, boundaries)
 
-    # the realized field reads its measure argument from the mixture curve
-    def realized_rule(t, cloud, X):
-        return family.rule(t, relaxed_traj.at(t), [realized_sig.index_at(t)], X)[0]
-
-    w_realized = NonlocalField(rule=realized_rule, rates=rates, label=f"{family.label}|realized")
+    w_realized = signal_field(family, realized_sig, relaxed_traj)  # reads the mixture curve's measure
 
     int_grid = realized_sig.grid
     if integration_substeps > 1:

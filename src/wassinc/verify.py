@@ -20,7 +20,7 @@ from .config import ScenarioConfig, ref_seed, sample_initial
 from .dynamics import Trajectory, integrate, sup_norm, union_probes, velocity_gap
 from .errors import ConfigError
 from .inclusion import ControlledFamily
-from .measure import ParticleCloud, moment, tail_norm, wasserstein_cost, wasserstein_costs
+from .measure import ParticleCloud, localisation_tail, moment, tail_norm, wasserstein_cost, wasserstein_costs
 
 _ATOL = 1e-15
 
@@ -113,7 +113,7 @@ def verify_equi_integrability(config: ScenarioConfig) -> BoundReport:
     start = traj.clouds[0]
     times, measured, bound, r_col = [], [], [], []
     for R in radii:
-        level = ct * tail_norm(start, max(0.0, R / ct - 1.0), p, shifted=True)
+        level = ct * localisation_tail(start, R, ct, p)
         for k, t in enumerate(traj.grid):
             times.append(float(t))
             measured.append(tail_norm(traj.clouds[k], R, p))
@@ -165,7 +165,7 @@ def _gronwall(config: ScenarioConfig, kind: str, R: float) -> BoundReport:
     p = config.p
     joint = v.rates.maximum(w.rates)
     ct = bounds.horizon_factor(joint.integral("m", 0.0, config.T))
-    tail = 0.0 if math.isinf(R) else tail_norm(nu.clouds[0], max(0.0, R / ct - 1.0), p, shifted=True)
+    tail = localisation_tail(nu.clouds[0], R, ct, p)
     grid = mu.grid
     measured = wasserstein_costs(zip(mu.clouds, nu.clouds), p)
     w0 = float(measured[0])

@@ -212,8 +212,8 @@ def test_loop_counts_past_the_ceiling_exit_two_at_once(tmp_path, capsys, case):
 
 def integer_keys():
     """(scenario, path) of every integer of the bundled scenarios, list entries
-    too, but those that take 10^400: ``max_iter`` caps iterations that stop at
-    convergence, and a peano run's grid is n x substeps, not ``grid.steps``."""
+    too, but ``max_iter``, which takes 10^400: it caps iterations that stop at
+    convergence."""
     def paths(node, prefix=()):
         items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
         for key, value in items:
@@ -223,7 +223,7 @@ def integer_keys():
 
     for name in sorted(path.stem for path in SCENARIOS.glob("*.json")):
         for path in paths(scenario(name)):
-            if path[-1] != "max_iter" and (name, path) != ("peano_mean_gain", ("grid", "steps")):
+            if path[-1] != "max_iter":
                 yield name, path
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wassinc import (
-    FrozenMeasure,
     NonlocalField,
     ParticleCloud,
     RateFunctions,
@@ -123,20 +122,18 @@ class TestIntegrate:
                 whole.clouds[-1].points[i], single.clouds[-1].points[0]
             )
 
-    def test_frozen_source_uses_delayed_cloud(self):
-        # field = mean of the frozen measure; with delay 0.5 and left lookup
-        # the first half reads the initial cloud
+    def test_a_closure_reads_a_delayed_curve(self):
+        # field = mean of the base curve half a unit earlier, bound by a
+        # closure; with left lookup the first half reads the initial cloud
         base = integrate(
             constant_field([1.0], const_rates(1.0, 0.0, 0.0)), delta(0.0), np.linspace(0, 1, 11)
         )
         field = NonlocalField(
-            rule=lambda t, c, X: np.broadcast_to(c.mean(), X.shape).copy(),
+            rule=lambda t, c, X: np.broadcast_to(base.at(t - 0.5).mean(), X.shape).copy(),
             rates=const_rates(1.0, 0.0, 0.0),
             measure_dependent=True,
         )
-        traj = integrate(
-            field, delta(0.0), np.linspace(0, 1, 11), measure_source=FrozenMeasure(base, 0.5)
-        )
+        traj = integrate(field, delta(0.0), np.linspace(0, 1, 11))
         # velocity at t < 0.5 is base(t - 0.5 < 0) = initial = 0
         assert traj.clouds[5].points[0, 0] == 0.0
         assert traj.clouds[-1].points[0, 0] > 0.0

@@ -11,6 +11,10 @@
   for bit to the checked ``ParticleCloud`` of each row and to the
   per-step loop that built one cloud per step; the public constructors
   keep their checks.
+* A signal field bound to a curve (``signal_field(family, signal,
+  measure)``): integrating it equals, bit for bit, the per-step loop that
+  hands the unbound field ``measure.at(t)``, and its rule returns the same
+  bits whatever cloud it is handed.
 """
 
 import math
@@ -23,9 +27,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from wassinc import FrozenMeasure, NonlocalField, ParticleCloud, RateFunctions, Trajectory, integrate
+from wassinc import NonlocalField, ParticleCloud, RateFunctions, Trajectory, convexify, integrate, signal_field
 from wassinc import measure
-from wassinc.catalog import bounded_kernel_field, mean_attraction_field, rotation_field
+from wassinc.catalog import bounded_kernel_field, gain_family, mean_attraction_field, mean_gain_family, rotation_field
 from wassinc.dynamics import grid_snap, snapped_index
 from wassinc.errors import ShapeMismatchError
 from wassinc.inclusion import ControlledFamily, ControlSignal, peano_solve
@@ -289,18 +293,19 @@ def test_public_cloud_constructor_keeps_its_checks(points, error):
         ParticleCloud(np.asarray(points, dtype=float))
 
 
-def per_step_loop(field, start, grid, method="euler", frozen=None):
-    """The loop the buffer replaced: one checked ParticleCloud per step."""
+def per_step_loop(field, start, grid, method="euler", measure=None):
+    """The loop the buffer replaced: one checked ParticleCloud per step.
+    Given a ``measure`` curve, the rule is handed ``measure.at(t)`` instead."""
     X = start.points.copy()
     clouds = [ParticleCloud(X)]
     for k in range(len(grid) - 1):
         t0, t1 = float(grid[k]), float(grid[k + 1])
         dt = t1 - t0
         if method == "euler":
-            X = X + dt * field.rule(t0, frozen.at(t0) if frozen else clouds[-1], X)
+            X = X + dt * field.rule(t0, measure.at(t0) if measure else clouds[-1], X)
         else:
             def stage(t, Y):
-                return field.rule(t, frozen.at(t) if frozen else ParticleCloud(Y), Y)
+                return field.rule(t, measure.at(t) if measure else ParticleCloud(Y), Y)
             k1 = stage(t0, X)
             k2 = stage(t0 + 0.5 * dt, X + 0.5 * dt * k1)
             k3 = stage(t0 + 0.5 * dt, X + 0.5 * dt * k2)
@@ -325,13 +330,10 @@ def test_buffer_loop_equals_per_step_loop(rng, name, method):
     grid = random_grid(rng, 25, 1.0)
     traj = integrate(field, start, grid, method=method)
     assert traj.points.tobytes() == per_step_loop(field, start, grid, method).tobytes()
-    frozen = FrozenMeasure(traj, 0.3)
-    delayed = integrate(field, start, grid, method=method, measure_source=frozen)
-    assert delayed.points.tobytes() == per_step_loop(field, start, grid, method, frozen).tobytes()
 
 
 def test_rules_see_read_only_rows():
-    """Own and frozen measure, euler and rk4, and the delayed scheme: a rule
+    """Own and bound measure, euler and rk4, and the delayed scheme: a rule
     writing its arguments in place would change the stored trajectory."""
     seen = []
 
@@ -340,14 +342,51 @@ def test_rules_see_read_only_rows():
         return -X
 
     field = NonlocalField(rule=rule, rates=RateFunctions.constant(1, 1, 0, 1.0))
+    family = ControlledFamily(controls=(0, 1), rule=lambda t, cloud, idx, X: np.stack([rule(t, cloud, X)] * len(idx)),
+                              rates=field.rates)
     start, grid = ParticleCloud([[1.0], [2.0]]), np.linspace(0.0, 1.0, 4)
+    signal = ControlSignal(grid=grid, indices=[1, 0, 1])
     trajectories = []
     for method in ("euler", "rk4"):
         traj = integrate(field, start, grid, method=method)
-        frozen = FrozenMeasure(traj, 0.4)
-        trajectories += [traj, integrate(field, start, grid, method=method, measure_source=frozen)]
-    family = ControlledFamily(controls=(0, 1), rule=lambda t, cloud, idx, X: np.stack([rule(t, cloud, X)] * len(idx)),
-                              rates=field.rates)
+        trajectories += [traj, integrate(signal_field(family, signal, traj), start, grid, method=method)]
     trajectories.append(peano_solve(family, start, 3, 2, "first")[0])
     assert len(seen) == 2 * 3 + 2 * 12 + 6 and not any(flag for pair in seen for flag in pair)
     assert not any(traj.points.flags.writeable for traj in trajectories)
+
+
+# -- a signal field bound to a curve ------------------------------------------
+
+
+FAMILIES = {
+    "gain": lambda rates: gain_family([0.5, -1.0, 2.0], rates),
+    "mean_gain": lambda rates: mean_gain_family([0.5, 1.0, -0.0], rates),
+    "mixtures": lambda rates: convexify(mean_gain_family([0.5, 2.0], rates), q=2, weight_steps=3),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(list(FAMILIES)), method=st.sampled_from(["euler", "rk4"]),
+       n=st.integers(1, 6), d=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       nodes=st.tuples(st.integers(2, 12), st.integers(2, 12), st.integers(1, 12)))
+def test_a_bound_signal_field_reads_only_its_curve(name, method, n, d, seed, nodes):
+    """The signal, the integration and the curve each have a grid of their
+    own, the curve's possibly shorter than [0, T], as in relaxation."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    family = FAMILIES[name](RateFunctions.constant(2, 2, 2, 1.0))
+    signal_nodes, step_nodes, curve_nodes = nodes
+    signal = ControlSignal(grid=random_grid(rng, signal_nodes, 1.0),
+                           indices=rng.integers(family.size, size=signal_nodes - 1))
+    curve = Trajectory(grid=random_grid(rng, curve_nodes) * rng.uniform(0.2, 1.5),
+                       points=rng.standard_normal((curve_nodes, n, d)))
+    start, grid = ParticleCloud(rng.standard_normal((n, d))), random_grid(rng, step_nodes, 1.0)
+    bound, free = signal_field(family, signal, curve), signal_field(family, signal)
+
+    traj = integrate(bound, start, grid, method=method)
+    assert traj.points.tobytes() == per_step_loop(free, start, grid, method, curve).tobytes()
+
+    for t in [*grid.tolist(), *rng.uniform(-0.5, 1.5, 4).tolist()]:
+        X = rng.standard_normal((3, d))
+        expected = free.rule(t, curve.at(t), X).tobytes()
+        for cloud in (curve.at(t), start, ParticleCloud(rng.standard_normal((n + 2, d)) * 1e3)):
+            assert bound.rule(t, cloud, X).tobytes() == expected

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from wassinc import ParticleCloud, convexify, integrate, peano_solve, signal_field
 from wassinc.catalog import constants_family, gain_family, mean_gain_family
-from wassinc.dynamics import FrozenMeasure, ball_grid, union_probes
+from wassinc.dynamics import ball_grid, union_probes
 from wassinc.filippov import filippov_track, mismatch
 from wassinc.inclusion import ControlSignal, inclusion_residual
 
@@ -196,7 +196,7 @@ def test_tracking_reselection_equals_control_loop(kind, gains, d, n, seed, R):
                 for i in range(family.size)]
         first.append(loop_argmin(gaps))
     sig = ControlSignal(grid=grid, indices=first)
-    cur = integrate(signal_field(family, sig), start, grid, "euler", FrozenMeasure(ref, 0.0))
+    cur = integrate(signal_field(family, sig, ref), start, grid)
     # one re-selection against the previous slice, on the current measure
     second = []
     for j, t in enumerate(grid[:-1].tolist()):
