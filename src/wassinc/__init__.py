@@ -2,14 +2,12 @@
 space, with exact optimal-transport distances and certified stability
 bounds."""
 
-from .measure import ParticleCloud, TransportPlan, moment, tail_norm, wasserstein, wasserstein_cost
+from .measure import ParticleCloud, moment, tail_norm, wasserstein_cost
 from .dynamics import (
     NonlocalField,
     RateFunctions,
     Trajectory,
     ball_grid,
-    dcc_estimate,
-    dsup_probe,
     integrate,
 )
 from .inclusion import (
@@ -20,7 +18,7 @@ from .inclusion import (
     refinement_study,
     signal_field,
 )
-from .filippov import FilippovCertificate, compute_bound, filippov_track, mismatch
+from .filippov import FilippovCertificate, compute_bound, filippov_track
 from .relax import ChatteringControl, aumann_realize, convexify, relax_approximate
 from .verify import BoundReport, verify
 from .config import ScenarioConfig, load_config, parse_config, sample_initial
@@ -28,17 +26,13 @@ from .runner import run_scenario
 
 __all__ = [
     "ParticleCloud",
-    "TransportPlan",
     "moment",
     "tail_norm",
-    "wasserstein",
     "wasserstein_cost",
     "NonlocalField",
     "RateFunctions",
     "Trajectory",
     "ball_grid",
-    "dcc_estimate",
-    "dsup_probe",
     "integrate",
     "ControlledFamily",
     "ControlSignal",
@@ -49,7 +43,6 @@ __all__ = [
     "FilippovCertificate",
     "compute_bound",
     "filippov_track",
-    "mismatch",
     "ChatteringControl",
     "aumann_realize",
     "convexify",

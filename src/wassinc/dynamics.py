@@ -8,11 +8,6 @@ characteristics advances the empirical measure itself; a Trajectory holds
 the positions in one read-only (nodes, N, d) array, its clouds views of it.
 The integrator hands the rule the evolving cloud; a field that reads its
 measure from an earlier curve binds it (``inclusion.signal_field``).
-
-Two probe metrics between fields at a fixed time are provided: the
-supremum gap over a finite probe set (a lower estimate of the true uniform
-gap, exact for constant fields) and a weighted sum of truncated suprema
-over growing balls, reported together with its truncation tail.
 """
 
 from __future__ import annotations
@@ -259,25 +254,6 @@ def _rk4_step(field, X, t0, dt, step):
     return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def dsup_probe(
-    f: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray], np.ndarray],
-    probes: np.ndarray,
-) -> float:
-    """Max over probe points of |f(x) - g(x)|.
-
-    A lower estimate of the uniform gap between two fields at a fixed
-    time; exact when both fields are constant in x or the probes exhaust
-    the relevant support (e.g. the atoms of an empirical measure).
-    """
-    pts = np.asarray(probes, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.size == 0:
-        raise ValueError("probe set must be nonempty")
-    return float(sup_norm(np.asarray(f(pts)) - np.asarray(g(pts))))
-
-
 def sup_norm(diff: np.ndarray) -> np.ndarray:
     """Max over the probe rows of |diff| for velocity differences of shape
     (..., P, d): a (P, d) array gives one value, a control stack (U, P, d)
@@ -317,39 +293,6 @@ def ball_grid(radius: float, dim: int, spacing: float) -> np.ndarray:
     return pts[keep]
 
 
-def dcc_estimate(
-    f: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray], np.ndarray],
-    K: int,
-    grid_density: float = 0.25,
-    dim: int = 1,
-) -> tuple[float, float]:
-    """Truncated compact-convergence distance between two fields at a time.
-
-    Returns (value, tail) with value = sum_{k=1..K} 2^{-k} min(1, s_k),
-    where s_k estimates the supremum gap over B(0, k) on a lattice of the
-    given density, and tail = 2^{-K} bounds the dropped terms.  The true
-    distance lies in [value, value + tail + grid error].
-    """
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    total = 0.0
-    for k in range(1, K + 1):
-        probes = ball_grid(float(k), dim, grid_density)
-        sup_k = dsup_probe(f, g, probes)
-        total += 2.0 ** (-k) * min(1.0, sup_k)
-    return total, 2.0 ** (-K)
-
-
 def union_probes(*point_sets: np.ndarray) -> np.ndarray:
-    """Stack probe arrays; a 1-d input is read as a single point in R^d."""
-    arrays = []
-    for pts in point_sets:
-        a = np.asarray(pts, dtype=float)
-        if a.ndim == 1:
-            a = a[None, :]
-        if a.size:
-            arrays.append(a)
-    if not arrays:
-        raise ValueError("probe union must be nonempty")
-    return np.vstack(arrays)
+    """Stack (n, d) probe arrays into one."""
+    return np.concatenate(point_sets)

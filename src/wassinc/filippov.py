@@ -55,15 +55,19 @@ class FilippovCertificate:
     def distance_ok(self, slack: float = 0.05) -> bool:
         return bool(np.all(self.measured_W_p <= self.D_p * (1.0 + slack) + 1e-15))
 
+    @property
+    def velocity_bound(self) -> np.ndarray:
+        """eta_R + L(t) D_p(t), the bound on the velocity gap at every node."""
+        return self.eta_R + self.constants["L_at_nodes"] * self.D_p
+
     def velocity_ok(self, slack: float = 0.05) -> bool:
-        L_vals = self.constants["L_at_nodes"]
-        bound = self.eta_R + L_vals * self.D_p
-        return bool(np.all(self.velocity_gap <= bound * (1.0 + slack) + 1e-15))
+        return bool(np.all(self.velocity_gap <= self.velocity_bound * (1.0 + slack) + 1e-15))
 
 
 def _gap_table(family: ControlledFamily, ref: Trajectory, w: NonlocalField, R: float) -> np.ndarray:
     """(controls x nodes) largest velocity gap between w and each control
-    on the reference atoms of norm <= R."""
+    on the reference atoms of norm <= R, 0 for an empty ball; its min
+    over controls is the mismatch eta_R."""
     if not (R > 0):
         raise ValueError(f"radius R must be positive (or inf), got {R}")
     every = np.arange(family.size)
@@ -73,22 +77,6 @@ def _gap_table(family: ControlledFamily, ref: Trajectory, w: NonlocalField, R: f
         if pts.shape[0]:
             table[:, k] = sup_norm(w.rule(t, nu, pts) - family.rule(t, nu, every, pts))
     return table
-
-
-def mismatch(
-    family: ControlledFamily,
-    ref: Trajectory,
-    w: NonlocalField,
-    R: float,
-) -> np.ndarray:
-    """Distance from w to the admissible set along the reference curve.
-
-    At each grid node, the minimum over controls of the largest velocity
-    gap on the reference atoms of norm <= R; exact for empirical measures
-    since the essential sup is a max over atoms.  Empty balls contribute
-    zero.  R = inf gives the global variant.
-    """
-    return _gap_table(family, ref, w, R).min(axis=0)
 
 
 def compute_bound(

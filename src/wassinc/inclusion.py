@@ -61,19 +61,6 @@ class ControlledFamily:
     def size(self) -> int:
         return len(self.controls)
 
-    def field_for(self, index: int) -> NonlocalField:
-        """The fixed-control slice as a standalone velocity field."""
-
-        def rule(t, cloud, X):
-            return self.rule(t, cloud, [index], X)[0]
-
-        return NonlocalField(
-            rule=rule,
-            rates=self.rates,
-            label=f"{self.label}[{index}]",
-            measure_dependent=self.measure_dependent,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ControlSignal:

@@ -3,9 +3,10 @@
 A cloud of N points with uniform weights 1/N stands in for a probability
 measure with finite p-th moment.  Between two clouds of equal size the
 p-Wasserstein distance reduces to an optimal assignment problem over
-permutations, which is solved exactly; among cost-equal permutations the
-lexicographically smallest one is returned so transport plans are
-reproducible.  A W_p series runs on every usable core for N >= 64, same bits.
+permutations, which is solved exactly.  Only the W_p value is returned,
+from the exactly rounded (``fsum``) total of the solver's optimal
+assignment; no transport plan is kept.  A W_p series runs on every usable
+core for N >= 64, same bits.
 """
 
 from __future__ import annotations
@@ -69,27 +70,6 @@ class ParticleCloud:
 
     def mean(self) -> np.ndarray:
         return self.points.mean(axis=0)
-
-
-@dataclass(frozen=True, eq=False)
-class TransportPlan:
-    """Optimal coupling between two equal-size uniform clouds.
-
-    ``assignment[i] = j`` pairs particle i of the source with particle j of
-    the target; ``cost`` is the attained W_p value for the clouds the plan
-    was computed from.
-    """
-
-    assignment: np.ndarray
-    cost: float
-
-    def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=int)
-        if sorted(a.tolist()) != list(range(a.size)):
-            raise ValueError("assignment must be a permutation")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "assignment", a)
 
 
 def _check_p(p: float) -> float:
@@ -184,22 +164,9 @@ def _solve(a: ParticleCloud, b: ParticleCloud, p: float):
     return D, sigma, assignment_cost(D, sigma)
 
 
-def wasserstein(a: ParticleCloud, b: ParticleCloud, p: float) -> TransportPlan:
-    """Exact W_p between equal-size uniform clouds via optimal assignment.
-
-    Solves the N x N assignment problem on |x_i - y_j|^p, then tightens the
-    solution to the lexicographically smallest permutation among those
-    attaining the same (exactly rounded) total cost.  The returned cost is
-    W_p = (min total / N)^(1/p).
-    """
-    p = _check_p(p)
-    D, sigma, total = _solve(a, b, p)
-    sigma = _lexmin_refine(D, sigma, total)
-    return TransportPlan(assignment=sigma, cost=_root(total / a.n, p))
-
-
 def wasserstein_cost(a: ParticleCloud, b: ParticleCloud, p: float) -> float:
-    """W_p value only, skipping the lexicographic plan refinement."""
+    """Exact W_p between equal-size uniform clouds via optimal assignment:
+    (min total of |x_i - y_sigma(i)|^p / N)^(1/p)."""
     p = _check_p(p)
     _, _, total = _solve(a, b, p)
     return _root(total / a.n, p)
@@ -257,68 +224,3 @@ def sup_wasserstein_cost(pairs, p: float) -> float:
         best = max(best, _root(total / a.n, p))
     return best
 
-
-def _optimal_duals(D: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Feasible dual potentials (u, v) for an optimal assignment sigma.
-
-    Complementary slackness requires u_i + v_j = D[i, j] on matched edges
-    and u_i + v_j <= D[i, j] everywhere; eliminating v turns feasibility
-    into a shortest-path system over rows, solved by vectorized
-    Bellman-Ford relaxations (no negative cycles exist precisely because
-    sigma is optimal).
-    """
-    n = D.shape[0]
-    matched = D[np.arange(n), sigma]
-    A = D[:, sigma]  # A[i, k] = D[i, sigma_k]
-    W = A.T - matched[:, None]  # edge k -> i costs D[i, sigma_k] - D[k, sigma_k]
-    u = np.zeros(n)
-    for _ in range(n):
-        relaxed = np.minimum(u, (u[:, None] + W).min(axis=0))
-        if np.array_equal(relaxed, u):
-            break
-        u = relaxed
-    v = np.empty(n)
-    v[sigma] = matched - u
-    return u, v
-
-
-def _lexmin_refine(D: np.ndarray, sigma: np.ndarray, total: float) -> np.ndarray:
-    """Lexicographically smallest permutation among those of cost ``total``.
-
-    Greedy over rows: for each row try the available columns in increasing
-    order below the current choice, accepting a column when the remaining
-    rows still admit a completion whose exactly rounded total equals
-    ``total``.  Candidate columns are screened through the dual reduced
-    costs first: an edge with strictly positive reduced cost belongs to no
-    optimal assignment, so only genuine near-ties reach the exact
-    reduced-assignment probe.
-    """
-    n = D.shape[0]
-    work = sigma.copy()
-    u, v = _optimal_duals(D, sigma)
-    reduced = D - u[:, None] - v[None, :]
-    # accumulated float error of the potentials is O(n eps scale)
-    noise = 1e-9 * (1.0 + float(np.max(np.abs(D))))
-    avail = sorted(set(range(n)))
-    prefix: list[float] = []
-    for i in range(n):
-        current = int(work[i])
-        survivors = [j for j in avail if j < current and reduced[i, j] <= noise]
-        for j in survivors:
-            rest = list(range(i + 1, n))
-            rest_cols = [c for c in avail if c != j]
-            cand_terms = prefix + [float(D[i, j])]
-            completion = {}
-            if rest:
-                sub = D[np.ix_(rest, rest_cols)]
-                rr, cc = linear_sum_assignment(sub)
-                completion = {rest[r]: rest_cols[c] for r, c in zip(rr, cc)}
-                cand_terms += [float(D[r, completion[r]]) for r in completion]
-            if math.fsum(cand_terms) == total:
-                work[i] = j
-                for r, c in completion.items():
-                    work[r] = c
-                break
-        prefix.append(float(D[i, work[i]]))
-        avail.remove(int(work[i]))
-    return work

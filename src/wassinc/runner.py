@@ -153,8 +153,7 @@ def _run_filippov(config: ScenarioConfig, out: Path):
     write_trajectory_csv(out / "trajectory.csv", traj)
     write_signal_csv(out / "signal.csv", signal)
     write_report_csv(out / "report.csv", cert.grid, cert.measured_W_p, cert.D_p)
-    vel_bound = cert.eta_R + cert.constants["L_at_nodes"] * cert.D_p
-    write_report_csv(out / "velocity.csv", cert.grid, cert.velocity_gap, vel_bound)
+    write_report_csv(out / "velocity.csv", cert.grid, cert.velocity_gap, cert.velocity_bound)
     verdicts = {
         "distance_bound": cert.distance_ok(config.slack),
         "velocity_bound": cert.velocity_ok(config.slack),

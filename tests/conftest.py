@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wassinc import ParticleCloud, RateFunctions
+from wassinc import ControlSignal, ParticleCloud, RateFunctions, signal_field
 from wassinc.cli import main as cli_main
 
 
@@ -26,6 +26,11 @@ def rng():
 
 def const_rates(m, l, L, T=1.0) -> RateFunctions:
     return RateFunctions.constant(m, l, L, T)
+
+
+def control_field(family, k):
+    """Control k of ``family`` alone, as a velocity field on [0, T]."""
+    return signal_field(family, ControlSignal(np.array([0.0, family.rates.duration]), [k]))
 
 
 def fast_constant_field(rates=None, **top):

@@ -8,8 +8,6 @@ from wassinc import (
     ParticleCloud,
     RateFunctions,
     ball_grid,
-    dcc_estimate,
-    dsup_probe,
     integrate,
     moment,
     wasserstein_cost,
@@ -192,42 +190,6 @@ class TestCertifiedEnvelopes:
 
 
 class TestProbeMetrics:
-    def test_dsup_identical(self):
-        f = lambda X: 2.0 * X
-        assert dsup_probe(f, f, np.array([[0.0], [1.0]])) == 0.0
-
-    def test_dsup_constant_fields(self, rng):
-        f = lambda X: np.broadcast_to([1.0, 0.0], X.shape).copy()
-        g = lambda X: np.broadcast_to([-1.0, 0.0], X.shape).copy()
-        probes = rng.standard_normal((7, 2))
-        assert dsup_probe(f, g, probes) == 2.0
-
-    def test_dsup_grid_example(self):
-        probes = np.linspace(-2, 2, 41)[:, None]
-        assert dsup_probe(lambda X: X, lambda X: np.zeros_like(X), probes) == 2.0
-
-    def test_dsup_empty_probes_rejected(self):
-        with pytest.raises(ValueError):
-            dsup_probe(lambda X: X, lambda X: X, np.empty((0, 1)))
-
-    def test_dcc_identical(self):
-        value, tail = dcc_estimate(lambda X: X, lambda X: X, K=6)
-        assert value == 0.0 and tail == 2.0**-6
-
-    def test_dcc_saturating_constants(self):
-        f = lambda X: np.full_like(X, 3.0)
-        g = lambda X: np.zeros_like(X)
-        value, tail = dcc_estimate(f, g, K=20)
-        assert value == pytest.approx(1.0 - 2.0**-20, abs=1e-15)
-        assert tail == 2.0**-20
-
-    def test_dcc_linear_example(self):
-        value, tail = dcc_estimate(
-            lambda X: X, lambda X: np.zeros_like(X), K=2, grid_density=0.1
-        )
-        assert value == 0.75
-        assert tail == 0.25
-
     def test_ball_grid_includes_extremes(self):
         pts = ball_grid(2.0, 2, 0.5)
         norms = np.linalg.norm(pts, axis=1)

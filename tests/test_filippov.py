@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from wassinc import bounds, compute_bound, filippov, filippov_track, integrate, measure, mismatch, moment
+from wassinc import bounds, compute_bound, filippov, filippov_track, integrate, measure, moment
 from wassinc.catalog import constants_family, gain_family, linear_decay_field, zero_field
 
-from conftest import cloud, delta, random_cloud, const_rates
+from conftest import cloud, control_field, delta, random_cloud, const_rates
 
 INF = math.inf
 
@@ -15,10 +15,15 @@ def bang_bang(T=1.0):
     return constants_family([[-1.0], [1.0]], const_rates(1.0, 0.0, 0.0, T))
 
 
+def mismatch(fam, ref, w, R):
+    """The mismatch series eta_R of a tracking run along ``ref``."""
+    return filippov_track(fam, ref, w, ref.clouds[0], R, 1e-9, 1, p=1)[2].eta_R
+
+
 class TestMismatch:
     def test_member_field_zero(self):
         fam = bang_bang()
-        w = fam.field_for(1)
+        w = control_field(fam, 1)
         ref = integrate(w, delta(0.0), np.linspace(0, 1, 11))
         assert np.all(mismatch(fam, ref, w, INF) == 0.0)
 
@@ -143,7 +148,7 @@ class TestComputeBound:
 class TestTracking:
     def test_member_reference_converges_immediately(self):
         fam = bang_bang()
-        w = fam.field_for(0)
+        w = control_field(fam, 0)
         grid = np.linspace(0, 1, 101)
         ref = integrate(w, delta(0.0), grid)
         traj, signal, cert = filippov_track(fam, ref, w, delta(0.0), INF, 1e-9, 10, p=1)
@@ -210,7 +215,7 @@ class TestTracking:
         from wassinc.catalog import mean_gain_family
 
         fam = mean_gain_family([0.5, 1.0], const_rates(1.0, 1.0, 1.0))
-        w = fam.field_for(1)
+        w = control_field(fam, 1)
         grid = np.linspace(0, 1, 201)
         start = cloud([0.5], [1.5])
         ref = integrate(w, cloud([0.0], [1.0]), grid)

@@ -12,7 +12,7 @@ from wassinc import (
 from wassinc.catalog import constants_family, gain_family, mean_gain_family
 from wassinc.verify import momentum_bound_series
 
-from conftest import cloud, delta, random_cloud, const_rates
+from conftest import cloud, control_field, delta, random_cloud, const_rates
 
 
 def bang_bang(T=1.0):
@@ -84,7 +84,7 @@ class TestInclusionResidual:
         # trajectory driven by the constant field +2, checked against {-1, +1}
         driver = constants_family([[2.0]], const_rates(2.0, 0.0, 0.0))
         grid = np.linspace(0.0, 1.0, 9)
-        traj = integrate(driver.field_for(0), delta(0.0), grid)
+        traj = integrate(control_field(driver, 0), delta(0.0), grid)
         signal_idx = np.zeros(grid.size - 1, dtype=int)
         from wassinc import ControlSignal
 

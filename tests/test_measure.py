@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wassinc import ParticleCloud, moment, tail_norm, wasserstein, wasserstein_cost
+from wassinc import ParticleCloud, moment, tail_norm, wasserstein_cost
 from wassinc.errors import ShapeMismatchError
 from wassinc import measure
 from wassinc.measure import assignment_cost, pairwise_cost, sup_wasserstein_cost
@@ -89,33 +89,20 @@ class TestTailNorm:
 class TestWasserstein:
     def test_identical_clouds(self):
         a = cloud([0.0, 1.0], [2.0, -1.0], [0.5, 0.5])
-        plan = wasserstein(a, a, 2)
-        assert plan.cost == 0.0
-        assert list(plan.assignment) == [0, 1, 2]
+        assert wasserstein_cost(a, a, 2) == 0.0
 
     def test_singletons(self):
-        assert wasserstein(delta(0.0, 0.0), delta(3.0, 4.0), 1).cost == 5.0
+        assert wasserstein_cost(delta(0.0, 0.0), delta(3.0, 4.0), 1) == 5.0
 
     def test_two_point_example(self):
         # identity pairing gives ((1 + 1)/2)^(1/2) = 1, the swap sqrt(5)
-        plan = wasserstein(cloud([0.0], [2.0]), cloud([1.0], [3.0]), 2)
-        assert plan.cost == 1.0
-        assert list(plan.assignment) == [0, 1]
+        assert wasserstein_cost(cloud([0.0], [2.0]), cloud([1.0], [3.0]), 2) == 1.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            wasserstein(cloud([0.0], [1.0]), cloud([0.0]), 1)
+            wasserstein_cost(cloud([0.0], [1.0]), cloud([0.0]), 1)
         with pytest.raises(ShapeMismatchError):
-            wasserstein(delta(0.0), delta(0.0, 0.0), 1)
-
-    def test_lexicographic_tie_break(self):
-        # every permutation costs the same; the identity must come back
-        a = cloud([0.0], [0.0], [0.0])
-        b = cloud([1.0], [2.0], [3.0])
-        plan = wasserstein(a, b, 1)
-        assert list(plan.assignment) == [0, 1, 2]
-        swapped = wasserstein(cloud([0.0], [2.0]), cloud([1.0], [1.0]), 1)
-        assert list(swapped.assignment) == [0, 1]
+            wasserstein_cost(delta(0.0), delta(0.0, 0.0), 1)
 
     def test_matches_exhaustive_minimum_exactly(self, rng):
         for _ in range(40):
@@ -123,14 +110,13 @@ class TestWasserstein:
             d = int(rng.integers(1, 4))
             p = float(rng.choice([1.0, 2.0]))
             a, b = random_cloud(rng, n, d), random_cloud(rng, n, d)
-            assert wasserstein(a, b, p).cost == brute_force_cost(a, b, p)
+            assert wasserstein_cost(a, b, p) == brute_force_cost(a, b, p)
 
     def test_plan_cost_consistent(self, rng):
         a, b = random_cloud(rng, 9, 2), random_cloud(rng, 9, 2)
-        plan = wasserstein(a, b, 2)
-        D = pairwise_cost(a, b, 2)
-        recomputed = math.sqrt(assignment_cost(D, plan.assignment) / a.n)
-        assert plan.cost == recomputed
+        D, sigma, _ = measure._solve(a, b, 2)
+        recomputed = math.sqrt(assignment_cost(D, sigma) / a.n)
+        assert wasserstein_cost(a, b, 2) == recomputed
 
 
 coords = st.floats(-30, 30, allow_nan=False, width=64)
@@ -275,12 +261,6 @@ class TestFastPaths:
     @settings(max_examples=120, deadline=None)
     def test_sup_equals_max_of_exact_solves(self, pairs, p):
         assert sup_wasserstein_cost(pairs, p) == max(wasserstein_cost(a, b, p) for a, b in pairs)
-
-    @given(clouds=cloud_triple(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
-    @settings(max_examples=60, deadline=None)
-    def test_plan_cost_equals_value_only_cost(self, clouds, p):
-        a, b, _ = clouds
-        assert wasserstein(a, b, p).cost == wasserstein_cost(a, b, p)
 
     def test_sup_solves_only_the_widest_translation(self, rng, monkeypatch):
         # a translated cloud is matched optimally by the identity, so the

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 from wassinc import ParticleCloud, convexify, integrate, peano_solve, signal_field
 from wassinc.catalog import constants_family, gain_family, mean_gain_family
 from wassinc.dynamics import ball_grid, union_probes
-from wassinc.filippov import filippov_track, mismatch
+from wassinc.filippov import filippov_track
 from wassinc.inclusion import ControlSignal, inclusion_residual
 
-from conftest import const_rates
+from conftest import const_rates, control_field
 
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.sampled_from([1, 2, 3])
@@ -121,7 +121,7 @@ def test_convexify_zero_weight_skips_an_infinite_velocity():
 
 def reference(d, n, seed, steps=6):
     rng = np.random.Generator(np.random.Philox(key=seed))
-    w = mean_gain_family([1.25], const_rates(1.25, 1.25, 1.25)).field_for(0)
+    w = control_field(mean_gain_family([1.25], const_rates(1.25, 1.25, 1.25)), 0)
     nu0 = ParticleCloud(rng.standard_normal((n, d)))
     start = ParticleCloud(rng.standard_normal((n, d)))
     return w, integrate(w, nu0, np.linspace(0.0, 1.0, steps + 1)), start
@@ -131,7 +131,7 @@ def reference(d, n, seed, steps=6):
 @given(KINDS, GAINS, DIMS, st.integers(1, 4), SEEDS, st.sampled_from([math.inf, 1.0]))
 def test_mismatch_equals_control_loop(kind, gains, d, n, seed, R):
     family, controls = make_family(kind, gains, d)
-    w, ref, _ = reference(d, n, seed)
+    w, ref, start = reference(d, n, seed)
     expected = []
     for t, nu in zip(ref.grid.tolist(), ref.clouds):
         pts = nu.points if math.isinf(R) else nu.points[np.linalg.norm(nu.points, axis=1) <= R]
@@ -141,7 +141,8 @@ def test_mismatch_equals_control_loop(kind, gains, d, n, seed, R):
         target = w.rule(t, nu, pts)
         expected.append(min(sup_gap(target, oracle(kind, controls, k, nu, pts))
                             for k in range(family.size)))
-    assert_bitwise(mismatch(family, ref, w, R), np.array(expected))
+    _, _, cert = filippov_track(family, ref, w, start, R, tol=1e-300, max_iter=1, p=2.0)
+    assert_bitwise(cert.eta_R, np.array(expected))
 
 
 @settings(max_examples=30, deadline=None)
