@@ -13,6 +13,7 @@ from wassinc import (
     wasserstein_cost,
 )
 from wassinc.bounds import abs_continuity_constant, horizon_factor
+from wassinc.dynamics import union_probes, velocity_gap
 from wassinc.catalog import (
     bounded_kernel_field,
     constant_field,
@@ -195,6 +196,29 @@ class TestProbeMetrics:
         norms = np.linalg.norm(pts, axis=1)
         assert norms.max() <= 2.0 * (1 + 1e-12)
         assert any(np.array_equal(q, [2.0, 0.0]) for q in pts)
+
+    def test_ball_grid_spacing_in_one_dimension(self):
+        pts = ball_grid(1.0, 1, 0.3)
+        assert pts.shape[1] == 1
+        assert pts[0, 0] == -1.0 and pts[-1, 0] == 1.0
+        assert np.all(np.diff(pts[:, 0]) <= 0.3)
+
+    @pytest.mark.parametrize("radius,spacing", [(0.0, 0.5), (1.0, 0.0)])
+    def test_ball_grid_rejects_nonpositive(self, radius, spacing):
+        with pytest.raises(ValueError):
+            ball_grid(radius, 2, spacing)
+
+    def test_union_probes_stacks_rows(self, rng):
+        a, b = rng.standard_normal((3, 2)), rng.standard_normal((5, 2))
+        np.testing.assert_array_equal(union_probes(a, b), np.vstack([a, b]))
+
+    def test_velocity_gap_restricted_to_ball(self):
+        v = constant_field([1.0], const_rates(1.0, 0, 0))
+        w = zero_field(const_rates(0, 0, 0))
+        nu = cloud([0.5], [4.0])
+        assert velocity_gap(v, w, nu, nu, 0.0) == 1.0
+        assert velocity_gap(v, w, nu, nu, 0.0, R=1.0) == 1.0
+        assert velocity_gap(v, w, nu, nu, 0.0, R=0.25) == 0.0
 
 
 class TestCatalogRateProbes:

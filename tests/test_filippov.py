@@ -210,6 +210,25 @@ class TestTracking:
         np.testing.assert_allclose(cert.velocity_gap, np.ones_like(cert.velocity_gap))
         assert cert.velocity_ok(slack=0.0)
 
+    def test_velocity_bound_is_eta_plus_lipschitz_distance(self):
+        rates = const_rates(1.0, 1.0, 0.5)
+        fam = gain_family([1.0], rates)
+        w = linear_decay_field(rates)
+        ref = integrate(w, delta(0.0), np.linspace(0, 1, 51))
+        _, _, cert = filippov_track(fam, ref, w, delta(1.0), INF, 1e-9, 10, p=1)
+        np.testing.assert_array_equal(
+            cert.velocity_bound, cert.eta_R + cert.constants["L_at_nodes"] * cert.D_p
+        )
+        assert np.all(cert.velocity_bound >= cert.constants["L_at_nodes"] * cert.D_p)
+
+    def test_eta_is_gap_table_minimum(self):
+        fam = bang_bang()
+        w = zero_field(const_rates(1.0, 0.0, 0.0))
+        ref = integrate(w, delta(0.5), np.linspace(0, 1, 11))
+        table = filippov._gap_table(fam, ref, w, 5.0)
+        assert table.shape == (fam.size, ref.grid.size)
+        np.testing.assert_array_equal(mismatch(fam, ref, w, 5.0), table.min(axis=0))
+
     def test_iterate_gaps_summable(self):
         # measure-coupled family so several iterations are needed
         from wassinc.catalog import mean_gain_family

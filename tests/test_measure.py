@@ -104,6 +104,11 @@ class TestWasserstein:
         with pytest.raises(ShapeMismatchError):
             wasserstein_cost(delta(0.0), delta(0.0, 0.0), 1)
 
+    def test_tied_permutations(self):
+        # every permutation costs the same; the value is their common cost
+        assert wasserstein_cost(cloud([0.0], [0.0], [0.0]), cloud([1.0], [2.0], [3.0]), 1) == 2.0
+        assert wasserstein_cost(cloud([0.0], [2.0]), cloud([1.0], [1.0]), 1) == 1.0
+
     def test_matches_exhaustive_minimum_exactly(self, rng):
         for _ in range(40):
             n = int(rng.integers(1, 8))
@@ -261,6 +266,16 @@ class TestFastPaths:
     @settings(max_examples=120, deadline=None)
     def test_sup_equals_max_of_exact_solves(self, pairs, p):
         assert sup_wasserstein_cost(pairs, p) == max(wasserstein_cost(a, b, p) for a, b in pairs)
+
+    @given(clouds=cloud_triple(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_plan_cost_equals_value_only_cost(self, clouds, p):
+        # the assignment _solve returns is a permutation whose cost is W_p
+        a, b, _ = clouds
+        D, sigma, total = measure._solve(a, b, p)
+        assert sorted(sigma.tolist()) == list(range(a.n))
+        assert assignment_cost(D, sigma) == total
+        assert measure._root(total / a.n, p) == wasserstein_cost(a, b, p)
 
     def test_sup_solves_only_the_widest_translation(self, rng, monkeypatch):
         # a translated cloud is matched optimally by the identity, so the
