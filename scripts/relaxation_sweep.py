@@ -38,7 +38,7 @@ def main() -> int:
         _, _, rep = relax_approximate(family, relaxed, signal, chat, delta, p=1)
         print(
             f"{delta:8.3f} {rep.n_blocks:7d} {rep.measured_sup:12.6e} "
-            f"{str(rep.meets_raw):>6s} {rep.guaranteed_target:11.4f}"
+            f"{str(rep.density.passed):>6s} {rep.guaranteed_target:11.4f}"
         )
     return 0
 

@@ -20,7 +20,8 @@ from .inclusion import (
 )
 from .filippov import FilippovCertificate, compute_bound, filippov_track
 from .relax import ChatteringControl, aumann_realize, convexify, relax_approximate
-from .verify import BoundReport, verify
+from .bounds import BoundReport
+from .verify import verify
 from .config import ScenarioConfig, load_config, parse_config, sample_initial
 from .runner import run_scenario
 

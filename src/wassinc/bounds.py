@@ -1,4 +1,5 @@
-"""Closed-form constants and bound evaluators for the certified checks.
+"""Closed-form constants and bound evaluators for the certified checks,
+and ``BoundReport``, the one verdict type of every check.
 
 Every inequality verified by the harness is driven by two universal
 constants depending only on the moment order p,
@@ -24,8 +25,37 @@ inequalities, never invalidates them.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+
+ATOL = 1e-15  # the absolute allowance of every verdict
+
+
+@dataclass(frozen=True, eq=False)
+class BoundReport:
+    """Per-time measured values, bound values, and the resulting verdict;
+    ``passed`` is the pass rule of every certified check."""
+
+    kind: str
+    times: np.ndarray
+    measured: np.ndarray
+    bound: np.ndarray
+    slack: float
+    constants: dict = dc_field(default_factory=dict)
+    extras: dict = dc_field(default_factory=dict)
+
+    @property
+    def margins(self) -> np.ndarray:
+        return self.bound - self.measured
+
+    @property
+    def passed(self) -> bool:
+        """True when every margin is at least -slack * bound - ATOL; an
+        empty series checks nothing and does not pass, a NaN never passes,
+        and an inf bound passes every finite value at any slack."""
+        allowance = self.slack * self.bound if self.slack else 0.0  # 0 * inf would be NaN
+        return self.measured.size > 0 and bool(np.all(self.margins >= -allowance - ATOL))
 
 
 def _exp(x: float) -> float:

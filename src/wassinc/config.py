@@ -337,7 +337,7 @@ def parse_config(raw: dict, kind: str | None = None, **overrides) -> ScenarioCon
 def _check_sizes(top: dict) -> None:
     """ConfigError unless the grid and a relax run's mixtures fit MAX_NODES
     and the trajectory and the N x N x d arrays fit MAX_ENTRIES (and a relax
-    run's weights and bases fit its weight grid and family).
+    run's weights and its non-decreasing bases fit its weight grid and family).
     A peano run has n * substeps steps, each n of ``n_list`` too, and its unused
     grid is checked all the same; a relax run's tracked grid up to one node per
     weight slot and substep of each step."""
@@ -351,6 +351,8 @@ def _check_sizes(top: dict) -> None:
             raise ConfigError("experiment 'weights' must be one per base, summing to 'weight_steps'")
         if max(exp["bases"]) >= top["family"].size:
             raise ConfigError(f"experiment 'bases' must be control indices below {top['family'].size}")
+        if list(exp["bases"]) != sorted(exp["bases"]):
+            raise ConfigError("experiment 'bases' must be non-decreasing")
         steps *= q * exp["integration_substeps"]
     if max(steps, declared) + 1 > MAX_NODES:
         raise ConfigError(f"steps + 1 must be at most {MAX_NODES} grid nodes")

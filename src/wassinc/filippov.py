@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .dynamics import NonlocalField, RateFunctions, Trajectory, ball_atoms, ball_grid, integrate, sup_norm, union_probes, velocity_gap
+from .dynamics import NonlocalField, RateFunctions, Trajectory, ball_atoms, ball_grid, integrate, union_probes, velocity_gap
 from .inclusion import ControlledFamily, ControlSignal, signal_field
 from .measure import ParticleCloud, localisation_tail, moment, sup_wasserstein_cost, wasserstein_costs
 
@@ -52,16 +52,19 @@ class FilippovCertificate:
     converged: bool
     flags: tuple = ()
 
-    def distance_ok(self, slack: float = 0.05) -> bool:
-        return bool(np.all(self.measured_W_p <= self.D_p * (1.0 + slack) + 1e-15))
-
     @property
     def velocity_bound(self) -> np.ndarray:
-        """eta_R + L(t) D_p(t), the bound on the velocity gap at every node."""
-        return self.eta_R + self.constants["L_at_nodes"] * self.D_p
+        """eta_R + L(t) D_p(t), the bound on the velocity gap at every node;
+        L = 0 drops D_p even where it saturated to inf, as ``bounds.product`` does."""
+        L = self.constants["L_at_nodes"]
+        return self.eta_R + L * np.where(L == 0.0, 0.0, self.D_p)
 
-    def velocity_ok(self, slack: float = 0.05) -> bool:
-        return bool(np.all(self.velocity_gap <= self.velocity_bound * (1.0 + slack) + 1e-15))
+    def reports(self, slack: float) -> dict:
+        """The distance check (measured W_p against D_p) and the velocity
+        check (velocity gap against ``velocity_bound``), by verdict name."""
+        series = {"distance_bound": (self.measured_W_p, self.D_p),
+                  "velocity_bound": (self.velocity_gap, self.velocity_bound)}
+        return {kind: bounds.BoundReport(kind, self.grid, m, b, slack) for kind, (m, b) in series.items()}
 
 
 def _gap_table(family: ControlledFamily, ref: Trajectory, w: NonlocalField, R: float) -> np.ndarray:
@@ -70,12 +73,11 @@ def _gap_table(family: ControlledFamily, ref: Trajectory, w: NonlocalField, R: f
     over controls is the mismatch eta_R."""
     if not (R > 0):
         raise ValueError(f"radius R must be positive (or inf), got {R}")
-    every = np.arange(family.size)
     table = np.zeros((family.size, ref.grid.size))  # an empty ball leaves 0
     for k, (t, nu) in enumerate(zip(ref.grid.tolist(), ref.clouds)):
         pts = ball_atoms(nu, R)
         if pts.shape[0]:
-            table[:, k] = sup_norm(w.rule(t, nu, pts) - family.rule(t, nu, every, pts))
+            table[:, k] = family.gaps(t, nu, w.rule(t, nu, pts), pts)
     return table
 
 
@@ -163,7 +165,6 @@ def filippov_track(
     sel = table[:, :n_int].argmin(axis=0)
     lattice = [] if math.isinf(R) else [ball_grid(R, start.d, R / 8.0)]
 
-    every = np.arange(family.size)
     prior, gaps = ref, []
     while True:  # each iterate's field is bound to the curve before it
         sig = ControlSignal(grid=grid, indices=sel)
@@ -176,8 +177,7 @@ def filippov_track(
         for j in range(n_int):
             t = float(grid[j])
             probes = union_probes(cur.clouds[j].points, ref.clouds[j].points, *lattice)
-            prev = field.rule(t, cur.clouds[j], probes)
-            sel[j] = sup_norm(prev - family.rule(t, cur.clouds[j], every, probes)).argmin()
+            sel[j] = family.gaps(t, cur.clouds[j], field.rule(t, cur.clouds[j], probes), probes).argmin()
         prior = cur
     converged = gaps[-1] <= tol
 

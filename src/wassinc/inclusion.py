@@ -4,9 +4,10 @@ An admissible-velocity set is discretized as a finite list of controls
 plus a rule (t, cloud, idx, X) -> velocities sharing one set of rate
 functions.  The rule evaluates a stack of control indices at once, shape
 (len(idx), n, d); one control is the stack ``[k]``, and every selection
-evaluates ``np.arange(family.size)`` and takes an argmin over axis 0 (ties
-to the lowest index).  A measurable velocity selection becomes a
-piecewise-constant control index per sub-interval of a fine grid.
+takes the argmin of ``ControlledFamily.gaps``, which evaluates
+``np.arange(family.size)`` once (ties to the lowest index).  A measurable
+velocity selection becomes a piecewise-constant control index per
+sub-interval of a fine grid.
 
 ``peano_solve`` builds a trajectory-selection pair by splitting the
 horizon into n blocks and, on every euler sub-interval, choosing a
@@ -60,6 +61,12 @@ class ControlledFamily:
     @property
     def size(self) -> int:
         return len(self.controls)
+
+    def gaps(self, t: float, cloud: ParticleCloud, target, probes: np.ndarray) -> np.ndarray:
+        """Sup over ``probes`` of |target - control u's velocity|, one value
+        per control u; ``target`` is velocities at the probes (or 0), and the
+        argmin is the nearest control, ties to the lowest index."""
+        return sup_norm(target - self.rule(t, cloud, np.arange(self.size), probes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +136,7 @@ def _select_control(
         return 0
     if strategy == "min_norm":
         probes = union_probes(delayed_cloud.points, current)
-        return int(sup_norm(family.rule(t, delayed_cloud, np.arange(family.size), probes)).argmin())
+        return int(family.gaps(t, delayed_cloud, 0.0, probes).argmin())
     if strategy == "random":
         return int(rng.integers(family.size))
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -206,13 +213,12 @@ def inclusion_residual(
     dynamics against this family.
     """
     src = used_family if used_family is not None else family
-    every = np.arange(family.size)
     out = np.empty(signal.n_intervals)
     for k, t0 in enumerate(signal.times[:-1]):
         delayed = traj.at(t0 - delay)
         pts = union_probes(traj.at(t0).points, delayed.points)
         used = src.rule(t0, delayed, [signal.indices[k]], pts)
-        out[k] = sup_norm(used - family.rule(t0, delayed, every, pts)).min()
+        out[k] = family.gaps(t0, delayed, used, pts).min()
     return out
 
 

@@ -178,19 +178,19 @@ def _equal_mass_boundaries(rates, n_blocks: int) -> np.ndarray:
 class RelaxationReport:
     """Outcome of one density experiment.
 
-    ``measured_W_p`` is W_p between the mixture trajectory and the
-    returned pure-control one at every node of the latter's grid, and
-    ``measured_sup`` its max.  ``meets_raw``
-    compares against the requested delta; ``guaranteed_target`` is the
-    larger deviation the closed-form constants actually certify for this
-    delta (their ratio is the ``amplification``), exposed so callers can
-    judge which target matters for them.
+    ``density`` reports W_p between the mixture trajectory and the
+    returned pure-control one at every node of the latter's grid against
+    the requested delta, with slack 0: the raw target takes no relative
+    slack, only the absolute ``bounds.ATOL`` every verdict allows.
+    ``measured_sup`` is the largest measured value; ``guaranteed_target``
+    is the larger deviation the closed-form constants actually certify for
+    this delta (their ratio is the ``amplification``), exposed so callers
+    can judge which target matters for them.
     """
 
     delta: float
-    measured_W_p: np.ndarray
+    density: bounds.BoundReport
     measured_sup: float
-    meets_raw: bool
     guaranteed_target: float
     amplification: float
     radius: float
@@ -274,7 +274,6 @@ def relax_approximate(
     # the tracked grid carries every realized switch point, where the
     # deviation from the mixture curve peaks
     measured = wasserstein_costs([(relaxed_traj.at(t), tracked.at(t)) for t in tracked.times], p)
-    measured_sup = float(measured.max())
     l_total = rates.integral("l", 0.0, rates.duration)
     growth = bounds.exp_power(bounds.C_p_prime(p), l_total, p)
     chi_bar = bounds.product(bounds.C_p(p), rates.integral("L", 0.0, rates.duration), growth)
@@ -286,9 +285,10 @@ def relax_approximate(
     )
     report = RelaxationReport(
         delta=delta,
-        measured_W_p=measured,
-        measured_sup=measured_sup,
-        meets_raw=measured_sup <= delta,
+        density=bounds.BoundReport(
+            "density_raw_target", tracked.grid, measured, np.full_like(measured, delta), slack=0.0
+        ),
+        measured_sup=float(measured.max()),
         guaranteed_target=delta * amplification,
         amplification=amplification,
         radius=radius,

@@ -10,8 +10,10 @@ round-trip losslessly):
 * refinement.csv   ``n_coarse,n_fine,sup_wp`` (delayed-Euler studies only)
 * manifest.json    file digests, verdicts, constants
 
-Scenarios are deterministic: the same (config, seed) reproduces every file
-byte for byte.
+Each experiment hands back its checks as ``bounds.BoundReport``s, one per
+verdict; ``run_scenario`` writes each to its CSV, and a verdict is the
+report's ``passed``.  Scenarios are deterministic: the same (config, seed)
+reproduces every file byte for byte.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .bounds import BoundReport
 from .config import ScenarioConfig, ref_seed, sample_initial
 from .dynamics import Trajectory, integrate
-from .errors import ConfigError
 from .filippov import filippov_track
 from .inclusion import ControlSignal, inclusion_residual, peano_solve, refinement_study, signal_field
 from .relax import ChatteringControl, convexify, relax_approximate
-from .verify import BoundReport, verify
+from .verify import verify
 
 
 def _write_rows(path: Path, header: str, template: str, rows) -> None:
@@ -55,11 +57,9 @@ def write_signal_csv(path: Path, signal: ControlSignal) -> None:
     _write_rows(path, "t_start,t_end,control_index", "%.17g,%.17g,%d", rows)
 
 
-def write_report_csv(path: Path, times, measured, bound) -> None:
-    measured = np.asarray(measured, dtype=float)
-    bound = np.asarray(bound, dtype=float)
-    rows = zip(np.asarray(times, dtype=float).tolist(), measured.tolist(), bound.tolist(),
-               (bound - measured).tolist())
+def write_report_csv(path: Path, report: BoundReport) -> None:
+    columns = (report.times, report.measured, report.bound, report.margins)
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
     _write_rows(path, "t,measured,bound,margin", "%.17g,%.17g,%.17g,%.17g", rows)
 
 
@@ -82,9 +82,10 @@ def _jsonable(value):
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> dict:
-    """Run the configured experiment, write its artifacts, return the manifest.
-    The manifest is removed first and written last: a failed run leaves none,
-    and no ``out_dir`` if it made it."""
+    """Run the configured experiment, write its artifacts and one CSV per
+    verdict's report, return the manifest.  The manifest is removed first
+    and written last: a failed run leaves none, and no ``out_dir`` if it
+    made it."""
     out = Path(out_dir)
     made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
@@ -98,16 +99,19 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> dict:
         "verify": _run_verify,
     }[kind]
     try:
-        files, verdicts, constants = handler(config, out)
+        files, reports, constants = handler(config, out)
+        for name, report in reports.values():
+            write_report_csv(out / name, report)
     except BaseException:
         if made:
             shutil.rmtree(out)
         raise
+    files += [name for name, _ in reports.values()]
     manifest = {
         "experiment": kind,
         "seed": config.seed,
         "files": {name: _digest(out / name) for name in sorted(files)},
-        "verdicts": _jsonable(verdicts),
+        "verdicts": {verdict: report.passed for verdict, (_, report) in reports.items()},
         "constants": _jsonable(constants),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -128,18 +132,18 @@ def _run_peano(config: ScenarioConfig, out: Path):
     start = sample_initial(config.initial, config.N, config.d, config.seed)
     traj, signal = peano_solve(family, start, n, substeps, strategy, seed=config.seed)
     residual = inclusion_residual(traj, signal, family, delay=config.T / n)
+    report = BoundReport("delayed_membership", signal.grid[:-1], residual, np.zeros_like(residual),
+                         config.slack)
     write_trajectory_csv(out / "trajectory.csv", traj)
     write_signal_csv(out / "signal.csv", signal)
-    write_report_csv(out / "report.csv", signal.grid[:-1], residual, np.zeros_like(residual))
-    files = ["trajectory.csv", "signal.csv", "report.csv"]
-    verdicts = {"delayed_membership": bool(np.all(residual <= 1e-15))}
+    files = ["trajectory.csv", "signal.csv"]
     constants = {"n": n, "substeps": substeps, "strategy": strategy}
     if exp["n_list"] is not None:
         rows = refinement_study(family, start, exp["n_list"], substeps, strategy, config.p, seed=config.seed)
         _write_rows(out / "refinement.csv", "n_coarse,n_fine,sup_wp", "%d,%d,%.17g", rows)
         files.append("refinement.csv")
         constants["refinement_max"] = max(v for _, _, v in rows)
-    return files, verdicts, constants
+    return files, {report.kind: ("report.csv", report)}, constants
 
 
 def _run_filippov(config: ScenarioConfig, out: Path):
@@ -152,32 +156,24 @@ def _run_filippov(config: ScenarioConfig, out: Path):
     )
     write_trajectory_csv(out / "trajectory.csv", traj)
     write_signal_csv(out / "signal.csv", signal)
-    write_report_csv(out / "report.csv", cert.grid, cert.measured_W_p, cert.D_p)
-    write_report_csv(out / "velocity.csv", cert.grid, cert.velocity_gap, cert.velocity_bound)
-    verdicts = {
-        "distance_bound": cert.distance_ok(config.slack),
-        "velocity_bound": cert.velocity_ok(config.slack),
-    }
+    reports = cert.reports(config.slack)
+    verdicts = {"distance_bound": ("report.csv", reports["distance_bound"]),
+                "velocity_bound": ("velocity.csv", reports["velocity_bound"])}
     constants = {
         k: v for k, v in cert.constants.items() if k != "L_at_nodes"
     }
     constants.update(
         {"iterations": cert.iterations, "converged": cert.converged, "flags": list(cert.flags)}
     )
-    return ["trajectory.csv", "signal.csv", "report.csv", "velocity.csv"], verdicts, constants
+    return ["trajectory.csv", "signal.csv"], verdicts, constants
 
 
 def _run_relax(config: ScenarioConfig, out: Path):
     exp, family = config.experiment, config.family
     delta, bases, weights = exp["delta"], exp["bases"], exp["weights"]
     chat = convexify(family, q=len(bases), weight_steps=exp["weight_steps"])
-    target = ChatteringControl(bases, weights, exp["weight_steps"])
-    try:
-        idx = chat.controls.index(target)
-    except ValueError:
-        raise ConfigError(
-            f"chattering control bases={bases} weights={weights} not on the weight grid"
-        ) from None
+    # parse_config admits only non-decreasing bases, all of which convexify lists
+    idx = chat.controls.index(ChatteringControl(bases, weights, exp["weight_steps"]))
     grid = config.time_grid()
     relaxed_signal = ControlSignal(grid=grid, indices=np.full(grid.size - 1, idx, dtype=int))
     start = sample_initial(config.initial, config.N, config.d, config.seed)
@@ -196,9 +192,6 @@ def _run_relax(config: ScenarioConfig, out: Path):
     )
     write_trajectory_csv(out / "trajectory.csv", tracked)
     write_signal_csv(out / "signal.csv", signal)
-    measured = report.measured_W_p
-    write_report_csv(out / "report.csv", tracked.grid, measured, np.full_like(measured, delta))
-    verdicts = {"density_raw_target": report.meets_raw}
     constants = {
         "delta": delta,
         "measured_sup": report.measured_sup,
@@ -208,14 +201,9 @@ def _run_relax(config: ScenarioConfig, out: Path):
         "n_blocks": report.n_blocks,
         "metadata": report.metadata,
     }
-    return ["trajectory.csv", "signal.csv", "report.csv"], verdicts, constants
+    return ["trajectory.csv", "signal.csv"], {"density_raw_target": ("report.csv", report.density)}, constants
 
 
 def _run_verify(config: ScenarioConfig, out: Path):
-    what = config.experiment["what"]
-    report: BoundReport = verify(what, config)
-    write_report_csv(out / "report.csv", report.times, report.measured, report.bound)
-    verdicts = {what: report.passed}
-    constants = dict(report.constants)
-    constants["slack"] = report.slack
-    return ["report.csv"], verdicts, constants
+    report = verify(config.experiment["what"], config)
+    return [], {report.kind: ("report.csv", report)}, {**report.constants, "slack": report.slack}

@@ -1,54 +1,27 @@
 """Executable inequality checks: measured series against certified bounds.
 
 Each check runs the simulations a scenario declares, evaluates a
-closed-form bound at every grid time, and returns a BoundReport whose
-verdict passes when every margin bound - measured stays above
--slack * bound.  The bounds are continuum statements, so refining the
-grid only tightens the comparison; the default 5 percent slack absorbs
-first-order integration error.
+closed-form bound at every grid time, and returns a ``bounds.BoundReport``
+with the config slack, whose verdict passes when every margin
+bound - measured is at least -slack * bound - ``bounds.ATOL``.  The
+bounds are continuum statements, so refining the grid only tightens the
+comparison; the default 5 percent slack absorbs first-order integration
+error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import bounds
+from .bounds import BoundReport
 from .config import ScenarioConfig, ref_seed, sample_initial
-from .dynamics import Trajectory, integrate, sup_norm, union_probes, velocity_gap
+from .dynamics import Trajectory, integrate, union_probes, velocity_gap
 from .errors import ConfigError
 from .inclusion import ControlledFamily
 from .measure import ParticleCloud, localisation_tail, moment, tail_norm, wasserstein_cost, wasserstein_costs
-
-_ATOL = 1e-15
-
-
-@dataclass(frozen=True, eq=False)
-class BoundReport:
-    """Per-time measured values, bound values, and the resulting verdict."""
-
-    kind: str
-    times: np.ndarray
-    measured: np.ndarray
-    bound: np.ndarray
-    constants: dict
-    slack: float = 0.05
-    extras: dict = dc_field(default_factory=dict)
-
-    @property
-    def margins(self) -> np.ndarray:
-        return self.bound - self.measured
-
-    @property
-    def passed(self) -> bool:
-        """True when every margin is within slack; an empty series checks
-        nothing and does not pass."""
-        return self.measured.size > 0 and bool(
-            np.all(self.margins >= -self.slack * self.bound - _ATOL)
-        )
-
 
 def verify(kind: str, config: ScenarioConfig) -> BoundReport:
     try:
@@ -210,7 +183,7 @@ def verify_gronwall_local(config: ScenarioConfig) -> BoundReport:
 def _ratio(num: float, den: float) -> float:
     """num / den for a hypothesis ratio: 0 for a vanishing numerator, inf
     for a nonzero one over a zero declared rate (the hypothesis fails)."""
-    if num <= _ATOL:
+    if num <= bounds.ATOL:
         return 0.0
     return num / den if den > 0 else math.inf
 
@@ -232,7 +205,6 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> BoundReport:
             measure_dependent=field.measure_dependent,
         )
     rates = family.rates
-    every = np.arange(family.size)
 
     rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))
     p = config.p
@@ -261,7 +233,7 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> BoundReport:
             other = jitter_cloud()
             probes = union_probes(cloud.points, other.points)
             used = family.rule(t, cloud, u, probes)
-            best = float(sup_norm(used - family.rule(t, other, every, probes)).min())
+            best = float(family.gaps(t, other, used, probes).min())
             den = rates.at("L", t) * wasserstein_cost(cloud, other, p)
             samples.append((t, "L", _ratio(best, den)))
 

@@ -213,7 +213,7 @@ def test_criterion_08_filippov_certificate():
     _, _, cert = filippov_track(fam, ref, w, delta(0.0), math.inf, 1e-9, 20, p=1)
     tight = float(np.max(np.abs(cert.D_p - grid)))
     attained = float(np.max(np.abs(cert.measured_W_p - grid)))
-    constants_ok = tight <= 1e-6 and attained <= 1e-6 and cert.velocity_ok()
+    constants_ok = tight <= 1e-6 and attained <= 1e-6 and cert.reports(0.05)["velocity_bound"].passed
 
     rates = const_rates(1.0, 1.0, 0.0)
     gain = gain_family([1.0], rates)
@@ -223,8 +223,7 @@ def test_criterion_08_filippov_certificate():
     gain_ok = (
         bool(np.all(certg.measured_W_p <= np.exp(grid) + 1e-12))
         and abs(certg.measured_W_p[-1] - math.exp(-1)) < 5e-4
-        and certg.distance_ok()
-        and certg.velocity_ok()
+        and all(report.passed for report in certg.reports(0.05).values())
     )
     record(8, "tracking certificate", constants_ok and gain_ok,
            f"|D - t| <= {tight:.2e}, |W - t| <= {attained:.2e}")
@@ -243,7 +242,7 @@ def test_criterion_09_relaxation_density():
     for target in (0.2, 0.1, 0.05):
         _, _, report = relax_approximate(fam, relaxed, sig, chat, target, p=1)
         sups.append(report.measured_sup)
-        density_ok &= report.meets_raw and report.measured_sup <= target
+        density_ok &= report.density.passed and report.measured_sup <= target
 
     # block-average identity for time-constant base fields
     blocks = np.linspace(0.0, T, 6)

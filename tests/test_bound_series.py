@@ -1,15 +1,19 @@
 """Rate integrals over arrays and the one Gronwall-type series behind
 ``compute_bound``, the gronwall checks and ``momentum_bound_series``,
-against the per-node formulas written out here."""
+against the per-node formulas written out here; and the one pass rule,
+``BoundReport.passed``, at its edges."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wassinc import RateFunctions, bounds, compute_bound, tail_norm
+from wassinc import BoundReport, RateFunctions, bounds, compute_bound, parse_config, run_scenario, tail_norm
+from wassinc import relax
 from wassinc.verify import momentum_bound_series
 
 from conftest import cloud
@@ -141,3 +145,48 @@ def test_gronwall_series_overflows_without_a_numpy_warning():
                 m_int=np.array([1.0, 1.0]), horizon=1.0, tail=1.0,
             )
         assert D[1] == math.inf
+
+
+def report(measured, bound, slack):
+    measured, bound = np.asarray(measured, dtype=float), np.asarray(bound, dtype=float)
+    return BoundReport("edge", np.zeros(measured.size), measured, bound, slack)
+
+
+# bounds tiny next to ATOL, so that the margin can sit exactly on the allowance
+@pytest.mark.parametrize("slack, bound", [(0.0, 0.0), (0.05, 4e-17), (0.5, 4e-17)])
+def test_margin_at_the_allowance_passes_and_one_ulp_lower_fails(slack, bound):
+    edge = -slack * bound - bounds.ATOL
+    measured = bound - edge
+    assert bound - measured == edge
+    assert report([0.0, measured], [bound, bound], slack).passed
+    lower = np.nextafter(measured, math.inf)
+    assert bound - lower == np.nextafter(edge, -math.inf)
+    assert not report([0.0, lower], [bound, bound], slack).passed
+    if slack:  # the slack's share of the allowance counts
+        assert not report([measured], [bound], 0.0).passed
+
+
+@pytest.mark.parametrize("slack", [0.0, 0.05])
+def test_inf_bound_passes(slack):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0 * inf on the way
+        assert report([0.0, 1e300], [math.inf, math.inf], slack).passed
+
+
+@pytest.mark.parametrize("slack", [0.0, 0.05])
+def test_nan_measured_fails(slack):
+    assert not report([0.0, math.nan], [1.0, 1.0], slack).passed
+
+
+def test_empty_series_fails():
+    assert not report([], [], 0.05).passed
+
+
+def test_relax_raw_target_ignores_the_config_slack(tmp_path, monkeypatch):
+    raw = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / "relax_bangbang.json").read_text())
+    config = parse_config({**raw, "slack": 0.05})
+    over = config.experiment["delta"] * (1.0 + 1e-9)
+    monkeypatch.setattr(relax, "wasserstein_costs", lambda pairs, p: np.full(len(pairs), over))
+    manifest = run_scenario(config, tmp_path)
+    assert manifest["verdicts"] == {"density_raw_target": False}
+    assert report([over], [config.experiment["delta"]], config.slack).passed  # what a 0.05 slack would allow

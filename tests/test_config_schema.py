@@ -80,6 +80,7 @@ CASES = {
     "T_huge_integer": ("simulate_linear_decay", "T", 10**400, "'T'"),
     "p_huge_integer": ("verify_momentum_mean_attraction", "p", 10**400, "'p'"),
     "R_huge_integer": ("filippov_gain", "experiment.R", 10**400, "experiment 'R'"),
+    "bases_decreasing": ("relax_bangbang", "experiment.bases", [1, 0], "experiment 'bases'"),
 }
 
 
@@ -92,6 +93,19 @@ def test_bad_value_exits_two_naming_the_key(tmp_path, capsys, case):
     assert code == 2
     assert err.startswith(f"error: {key} ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bases, ok", [([1, 0], False), ([0, 1], True), ([1, 1], True), ([0, 0], True)])
+def test_relax_bases_are_non_decreasing(bases, ok):
+    # convexify lists only non-decreasing base tuples; any other would miss the weight grid at run time
+    raw = mutate(scenario("relax_bangbang"), "experiment.bases", bases)
+    if ok:
+        config = parse_config(raw)
+        target = ChatteringControl(config.experiment["bases"], config.experiment["weights"], 2)
+        assert target in convexify(config.family, q=2, weight_steps=2).controls
+    else:
+        with pytest.raises(ConfigError, match="^experiment 'bases' must be non-decreasing$"):
+            parse_config(raw)
 
 
 def test_config_error_leaves_no_directory(tmp_path, capsys):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wassinc import run_scenario
+from wassinc import BoundReport, run_scenario
 from wassinc.config import parse_config, sample_initial
 from wassinc.dynamics import Trajectory
 from wassinc.inclusion import ControlSignal, refinement_study
@@ -63,7 +63,7 @@ class TestWritersMatchPerRowFormat:
         bound = np.array([0.1, -0.0, 1e300, 5e-324, 0.2, 1.0, 3.0, -0.0, np.inf, np.inf])
         times = np.linspace(0.0, 1.0, measured.size)
         with np.errstate(invalid="ignore"):  # the inf - inf margin
-            write_report_csv(tmp_path / "r.csv", times, measured, bound)
+            write_report_csv(tmp_path / "r.csv", BoundReport("r", times, measured, bound, slack=0.0))
             expected = reference_report(times, measured, bound)
         text = (tmp_path / "r.csv").read_bytes()
         assert text == expected

@@ -187,7 +187,7 @@ class TestTracking:
         assert np.max(np.abs(cert.D_p - grid)) < 1e-12
         assert np.max(np.abs(cert.measured_W_p - grid)) < 1e-12
         assert np.all(signal.indices == 0)  # tie broken to the lower index
-        assert cert.distance_ok() and cert.velocity_ok()
+        assert all(report.passed for report in cert.reports(0.05).values())
 
     def test_gain_scenario_bound(self):
         rates = const_rates(1.0, 1.0, 0.0)
@@ -198,7 +198,7 @@ class TestTracking:
         traj, signal, cert = filippov_track(fam, ref, w, delta(1.0), INF, 1e-9, 10, p=1)
         assert abs(cert.measured_W_p[-1] - math.exp(-1)) < 5e-4
         np.testing.assert_allclose(cert.D_p, np.exp(grid), rtol=1e-12)
-        assert cert.distance_ok() and cert.velocity_ok()
+        assert all(report.passed for report in cert.reports(0.05).values())
 
     def test_velocity_gap_attains_estimate(self):
         fam = bang_bang()
@@ -208,7 +208,7 @@ class TestTracking:
         _, _, cert = filippov_track(fam, ref, w, delta(0.0), INF, 1e-9, 10, p=1)
         # |selected - w| = 1 on the reference atom, eta + L D = 1
         np.testing.assert_allclose(cert.velocity_gap, np.ones_like(cert.velocity_gap))
-        assert cert.velocity_ok(slack=0.0)
+        assert cert.reports(0.0)["velocity_bound"].passed
 
     def test_velocity_bound_is_eta_plus_lipschitz_distance(self):
         rates = const_rates(1.0, 1.0, 0.5)
@@ -259,7 +259,11 @@ class TestTracking:
         # moment of delta_0, so the bound is loose but finite or infinite,
         # never nan
         assert not np.any(np.isnan(cert.D_p))
-        assert cert.distance_ok()
+        assert cert.reports(0.05)["distance_bound"].passed
+        # L = 0: the velocity bound is eta_R, even where D_p is inf
+        assert np.isinf(cert.D_p[-1])
+        np.testing.assert_array_equal(cert.velocity_bound, cert.eta_R)
+        assert cert.reports(0.0)["velocity_bound"].passed
 
     def test_non_convergence_is_flagged_not_raised(self):
         fam = bang_bang()

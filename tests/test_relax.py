@@ -132,11 +132,11 @@ class TestRelaxApproximate:
     def test_bang_bang_density(self, delta_target):
         fam, chat, sig, traj = mixture_setup()
         tracked, _, report = relax_approximate(fam, traj, sig, chat, delta_target, p=1)
-        assert report.meets_raw
+        assert report.density.passed
         assert report.measured_sup <= delta_target
         assert report.certificate.converged
-        assert report.measured_W_p.shape == tracked.grid.shape
-        assert report.measured_sup == report.measured_W_p.max()
+        assert report.density.measured.shape == tracked.grid.shape
+        assert report.measured_sup == report.density.measured.max()
 
     def test_pure_signal_returns_input(self):
         fam, chat, _, _ = mixture_setup(T=0.25, steps=64)
@@ -153,7 +153,7 @@ class TestRelaxApproximate:
         fam, chat, sig, traj = mixture_setup(T=0.25, steps=64)
         # delta >= horizon * field magnitude: any realization passes
         _, _, report = relax_approximate(fam, traj, sig, chat, delta=0.3, p=1)
-        assert report.meets_raw
+        assert report.density.passed
 
     def test_resolution_error_names_remedy(self):
         fam, chat, sig, traj = mixture_setup(T=0.25, steps=20)

@@ -1,7 +1,9 @@
-"""The bundled scenario suite must pass end to end, and the verify kinds
-must stay green when the grid is refined (the bounds are continuum
-statements, so halving the step only removes discretization slack)."""
+"""The bundled scenario suite must pass end to end, every verdict must be
+the pass rule recomputed from its CSV, and the verify kinds must stay
+green when the grid is refined (the bounds are continuum statements, so
+halving the step only removes discretization slack)."""
 
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -14,6 +16,11 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
 
 
+# the CSV each verdict is written to, and the slack its rule takes
+CSV = {"velocity_bound": "velocity.csv"}
+SLACK = {"density_raw_target": 0.0}
+
+
 @pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
 def test_scenario_passes(path, tmp_path):
     config = load_config(path)
@@ -22,6 +29,17 @@ def test_scenario_passes(path, tmp_path):
     assert (tmp_path / "manifest.json").exists()
     for name in manifest["files"]:
         assert (tmp_path / name).exists()
+    # every verdict is the pass rule recomputed from the rows of its CSV
+    assert manifest["verdicts"] or config.experiment["kind"] == "simulate"
+    for verdict, passed in manifest["verdicts"].items():
+        name = CSV.get(verdict, "report.csv")
+        assert name in manifest["files"]
+        with open(tmp_path / name, newline="") as f:
+            rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(f)]
+        assert rows, name
+        slack = SLACK.get(verdict, config.slack)
+        assert all(r["margin"] == r["bound"] - r["measured"] for r in rows)
+        assert passed == all(r["margin"] >= -slack * r["bound"] - 1e-15 for r in rows), verdict
 
 
 VERIFY_SCENARIOS = [p for p in SCENARIOS if p.stem.startswith("verify_")]
