@@ -19,7 +19,8 @@ together with growth envelopes assembled from the integral of the rate m:
   measure's moment.
 
 These are deliberately loose: looseness only weakens the certified
-inequalities, never invalidates them.
+inequalities, never invalidates them.  Each constant and envelope
+saturates to +inf past the float range (C_p' from p = 1025 on).
 """
 
 from __future__ import annotations
@@ -66,14 +67,24 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def _power(x: float, p: float) -> float:
+    """x^p for x >= 0, saturating to +inf like ``_exp``."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
 def exp_power(c: float, x: float, p: float, shift: float = 0.0) -> float:
     """exp(c x^p + shift) for c, x >= 0, saturating to +inf: an x^p past
-    the float range counts as inf, like the exp it feeds."""
-    try:
-        xp = x**p
-    except OverflowError:
-        xp = math.inf
-    return _exp(c * xp + shift)
+    the float range counts as inf, like the exp it feeds.  c x^p is a
+    ``product``, so x = 0 gives exp(shift) beside a saturated c = inf too;
+    an x > 0 whose x^p underflows to 0 gives inf there, as its true product
+    with c is unknown."""
+    xp = _power(x, p)
+    if xp == 0.0 < x and c == math.inf:
+        return math.inf
+    return _exp(product(c, xp) + shift)
 
 
 def product(*factors: float) -> float:
@@ -114,7 +125,7 @@ def C_p(p: float) -> float:
 
 
 def C_p_prime(p: float) -> float:
-    return 2.0 ** (p - 1.0) / p
+    return _power(2.0, p - 1.0) / p
 
 
 def moment_bound(p: float, moment0: float, m_total: float) -> float:

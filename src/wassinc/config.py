@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import catalog
-from .dynamics import NonlocalField, RateFunctions
+from .dynamics import NonlocalField, RateFunctions, Trajectory, integrate
 from .errors import ConfigError
 from .inclusion import ControlledFamily
 from .measure import ParticleCloud
@@ -90,6 +90,16 @@ class ScenarioConfig:
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.steps + 1)
+
+    def start(self) -> ParticleCloud:
+        """The initial cloud: 'initial' drawn with the config's seed."""
+        return sample_initial(self.initial, self.N, self.d, self.seed)
+
+    def reference(self) -> Trajectory:
+        """The reference curve: 'w' by Euler steps from 'ref_initial' drawn with ``ref_seed``."""
+        exp = self.experiment
+        nu0 = sample_initial(exp["ref_initial"], self.N, self.d, ref_seed(self))
+        return integrate(exp["w"], nu0, self.time_grid(), method="euler")
 
 
 def _shown(value) -> str:
@@ -202,11 +212,11 @@ def _grid(raw, path: str, top: dict) -> int:
 
 
 def _field(spec, path: str, top: dict) -> NonlocalField:
-    return build_field(spec, top["T"], path)
+    return build_field(spec, top["T"], top["d"], path)
 
 
 def _family(spec, path: str, top: dict) -> ControlledFamily:
-    return build_family(spec, top["T"], path)
+    return build_family(spec, top["T"], top["d"], path)
 
 
 def _experiment(raw, path: str, top: dict) -> dict:
@@ -344,7 +354,10 @@ def _check_sizes(top: dict) -> None:
     exp, N, d = top["experiment"], top["N"], top["d"]
     steps = declared = top["grid"]
     if exp["kind"] == "peano":
-        steps = max([exp["n"], *(exp["n_list"] or ())]) * exp["substeps"]
+        ns = exp["n_list"]
+        if ns is not None and (len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:]))):
+            raise ConfigError("experiment 'n_list' must be strictly increasing with at least two entries")
+        steps = max([exp["n"], *(ns or ())]) * exp["substeps"]
     elif exp["kind"] == "relax":
         q = len(exp["bases"])
         if len(exp["weights"]) != q or sum(exp["weights"]) != exp["weight_steps"]:
@@ -398,14 +411,26 @@ def parse_rates(spec: dict, T: float, context: str) -> RateFunctions:
     return RateFunctions(merged, *(rate.at(name, merged[:-1]) for rate, name in zip(rates, "mlL")))
 
 
-def build_field(spec: dict, T: float, context: str = "config.field") -> NonlocalField:
+def _check_dims(params: dict, context: str, d: int) -> None:
+    """ConfigError unless a constant field's 'vector' and each control of a
+    constants family have d entries."""
+    name = {"constant": "vector", "constants": "controls"}.get(params["label"])
+    for i, row in enumerate([params[name]] if name == "vector" else params.get(name, ())):
+        if len(row) != d:
+            where = _subject(f"{context}.{name}") + (f"[{i}]" if name == "controls" else "")
+            raise ConfigError(f"{where} must have d = {d} entries, got {len(row)}")
+
+
+def build_field(spec: dict, T: float, d: int, context: str = "config.field") -> NonlocalField:
     params = _tagged(spec, context, {}, "label", FIELDS)
+    _check_dims(params, context, d)
     builder = getattr(catalog, params.pop("label") + "_field")
     return builder(**params, rates=parse_rates(spec.get("rates"), T, context))
 
 
-def build_family(spec: dict, T: float, context: str = "config.family") -> ControlledFamily:
+def build_family(spec: dict, T: float, d: int, context: str = "config.family") -> ControlledFamily:
     params = _tagged(spec, context, {}, "label", FAMILIES)
+    _check_dims(params, context, d)
     builder = getattr(catalog, params.pop("label") + "_family")
     return builder(**params, rates=parse_rates(spec.get("rates"), T, context))
 

@@ -33,10 +33,11 @@ from .measure import ParticleCloud, localisation_tail, moment, sup_wasserstein_c
 class FilippovCertificate:
     """Measured quantities and certified bounds of one tracking run.
 
-    All series live on ``grid``.  ``constants`` records C_p, C_p', the
-    uniform moment bound, the inflated travel envelope, and the radius
-    used, so alternative instantiations of the implicit constants can be
-    compared.  Non-convergence is recorded in ``flags``, not raised.
+    All series live on ``grid``; ``L_at_nodes`` is the rate L there.
+    ``constants`` records C_p, C_p', the uniform moment bound, the inflated
+    travel envelope, the radius used and ||m||_1, so alternative
+    instantiations of the implicit constants can be compared.
+    Non-convergence is recorded in ``flags``, not raised.
     """
 
     grid: np.ndarray
@@ -44,6 +45,7 @@ class FilippovCertificate:
     D_p: np.ndarray
     chi_p: np.ndarray
     E_term: np.ndarray
+    L_at_nodes: np.ndarray
     measured_W_p: np.ndarray
     velocity_gap: np.ndarray
     constants: dict
@@ -56,7 +58,7 @@ class FilippovCertificate:
     def velocity_bound(self) -> np.ndarray:
         """eta_R + L(t) D_p(t), the bound on the velocity gap at every node;
         L = 0 drops D_p even where it saturated to inf, as ``bounds.product`` does."""
-        L = self.constants["L_at_nodes"]
+        L = self.L_at_nodes
         return self.eta_R + L * np.where(L == 0.0, 0.0, self.D_p)
 
     def reports(self, slack: float) -> dict:
@@ -93,7 +95,8 @@ def compute_bound(
     moment_mu0: float,
     moment_nu0: float,
 ) -> dict:
-    """Evaluate the certified bound series and its constants.
+    """Evaluate the certified bound series, L at the nodes and the
+    constants, by their ``FilippovCertificate`` field names.
 
     Rate integrals are exact for the piecewise-constant rates; the
     mismatch series is integrated by the left-endpoint rule on the grid,
@@ -113,11 +116,11 @@ def compute_bound(
         p=p, w0=w0_dist, increments=eta[:-1] * np.diff(grid), l_int=l_int, L_int=L_int,
         m_int=m_int, horizon=script_ct, tail=tail,
     )
-    L_at_nodes = rates.at("L", grid)
     return {
         "D_p": D,
         "chi_p": chi,
         "E_term": E,
+        "L_at_nodes": rates.at("L", grid),
         "constants": {
             "C_p": bounds.C_p(p),
             "C_p_prime": bounds.C_p_prime(p),
@@ -125,7 +128,6 @@ def compute_bound(
             "horizon_factor": script_ct,
             "R": R,
             "m_total": m_total,
-            "L_at_nodes": L_at_nodes,
         },
     }
 
@@ -200,12 +202,9 @@ def filippov_track(
     cert = FilippovCertificate(
         grid=grid,
         eta_R=eta,
-        D_p=bound["D_p"],
-        chi_p=bound["chi_p"],
-        E_term=bound["E_term"],
         measured_W_p=measured,
         velocity_gap=vel_gap,
-        constants=bound["constants"],
+        **bound,
         iterate_gaps=tuple(gaps),
         iterations=len(gaps),
         converged=converged,

@@ -10,10 +10,13 @@ round-trip losslessly):
 * refinement.csv   ``n_coarse,n_fine,sup_wp`` (delayed-Euler studies only)
 * manifest.json    file digests, verdicts, constants
 
-Each experiment hands back its checks as ``bounds.BoundReport``s, one per
-verdict; ``run_scenario`` writes each to its CSV, and a verdict is the
-report's ``passed``.  Scenarios are deterministic: the same (config, seed)
-reproduces every file byte for byte.
+Each experiment handler maps a config to its outputs by file name (a
+``Trajectory``, ``ControlSignal``, ``bounds.BoundReport`` or refinement
+rows) and its constants, and writes nothing.  ``run_scenario`` alone
+writes: each output in the format of its type, then the manifest, whose
+``files`` are the outputs' digests and whose ``verdicts`` are each
+report's ``kind`` and ``passed``.  Scenarios are deterministic: the same
+(config, seed) reproduces every file byte for byte.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import BoundReport
-from .config import ScenarioConfig, ref_seed, sample_initial
+from .config import ScenarioConfig
 from .dynamics import Trajectory, integrate
 from .filippov import filippov_track
 from .inclusion import ControlSignal, inclusion_residual, peano_solve, refinement_study, signal_field
@@ -81,14 +84,26 @@ def _jsonable(value):
     return value
 
 
+def _write(path: Path, output) -> None:
+    """Write ``output`` in the format of its type.  Each writer is looked up by
+    its module-level name at call time, so a wrapper set on that name sees it."""
+    if isinstance(output, Trajectory):
+        write_trajectory_csv(path, output)
+    elif isinstance(output, ControlSignal):
+        write_signal_csv(path, output)
+    elif isinstance(output, BoundReport):
+        write_report_csv(path, output)
+    else:
+        _write_rows(path, "n_coarse,n_fine,sup_wp", "%d,%d,%.17g", output)
+
+
 def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> dict:
-    """Run the configured experiment, write its artifacts and one CSV per
-    verdict's report, return the manifest.  The manifest is removed first
-    and written last: a failed run leaves none, and no ``out_dir`` if it
-    made it."""
+    """Run the configured experiment, then write each of its outputs under
+    its file name and the manifest; return the manifest.  A stale manifest
+    is removed first and the new one written last, and nothing is written
+    before the experiment has returned: a failed run writes no file, and
+    leaves no ``out_dir`` if it made it."""
     out = Path(out_dir)
-    made = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
     kind = config.experiment["kind"]
     handler = {
@@ -98,77 +113,64 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> dict:
         "relax": _run_relax,
         "verify": _run_verify,
     }[kind]
+    outputs, constants = handler(config)
+    made = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
     try:
-        files, reports, constants = handler(config, out)
-        for name, report in reports.values():
-            write_report_csv(out / name, report)
+        for name, output in outputs.items():
+            _write(out / name, output)
     except BaseException:
         if made:
             shutil.rmtree(out)
         raise
-    files += [name for name, _ in reports.values()]
     manifest = {
         "experiment": kind,
         "seed": config.seed,
-        "files": {name: _digest(out / name) for name in sorted(files)},
-        "verdicts": {verdict: report.passed for verdict, (_, report) in reports.items()},
+        "files": {name: _digest(out / name) for name in sorted(outputs)},
+        "verdicts": {o.kind: o.passed for o in outputs.values() if isinstance(o, BoundReport)},
         "constants": _jsonable(constants),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
 
 
-def _run_simulate(config: ScenarioConfig, out: Path):
-    start = sample_initial(config.initial, config.N, config.d, config.seed)
+def _run_simulate(config: ScenarioConfig):
     method = config.experiment["method"]
-    traj = integrate(config.field, start, config.time_grid(), method=method)
-    write_trajectory_csv(out / "trajectory.csv", traj)
-    return ["trajectory.csv"], {}, {"method": method, "field": config.field.label}
+    traj = integrate(config.field, config.start(), config.time_grid(), method=method)
+    return {"trajectory.csv": traj}, {"method": method, "field": config.field.label}
 
 
-def _run_peano(config: ScenarioConfig, out: Path):
+def _run_peano(config: ScenarioConfig):
     exp, family = config.experiment, config.family
     n, substeps, strategy = exp["n"], exp["substeps"], exp["strategy"]
-    start = sample_initial(config.initial, config.N, config.d, config.seed)
+    start = config.start()
     traj, signal = peano_solve(family, start, n, substeps, strategy, seed=config.seed)
     residual = inclusion_residual(traj, signal, family, delay=config.T / n)
     report = BoundReport("delayed_membership", signal.grid[:-1], residual, np.zeros_like(residual),
                          config.slack)
-    write_trajectory_csv(out / "trajectory.csv", traj)
-    write_signal_csv(out / "signal.csv", signal)
-    files = ["trajectory.csv", "signal.csv"]
+    outputs = {"trajectory.csv": traj, "signal.csv": signal, "report.csv": report}
     constants = {"n": n, "substeps": substeps, "strategy": strategy}
     if exp["n_list"] is not None:
         rows = refinement_study(family, start, exp["n_list"], substeps, strategy, config.p, seed=config.seed)
-        _write_rows(out / "refinement.csv", "n_coarse,n_fine,sup_wp", "%d,%d,%.17g", rows)
-        files.append("refinement.csv")
+        outputs["refinement.csv"] = rows
         constants["refinement_max"] = max(v for _, _, v in rows)
-    return files, {report.kind: ("report.csv", report)}, constants
+    return outputs, constants
 
 
-def _run_filippov(config: ScenarioConfig, out: Path):
+def _run_filippov(config: ScenarioConfig):
     exp = config.experiment
-    start = sample_initial(config.initial, config.N, config.d, config.seed)
-    nu0 = sample_initial(exp["ref_initial"], config.N, config.d, ref_seed(config))
-    ref = integrate(exp["w"], nu0, config.time_grid(), method="euler")
     traj, signal, cert = filippov_track(
-        config.family, ref, exp["w"], start, exp["R"], exp["tol"], exp["max_iter"], config.p
+        config.family, config.reference(), exp["w"], config.start(), exp["R"], exp["tol"], exp["max_iter"], config.p
     )
-    write_trajectory_csv(out / "trajectory.csv", traj)
-    write_signal_csv(out / "signal.csv", signal)
     reports = cert.reports(config.slack)
-    verdicts = {"distance_bound": ("report.csv", reports["distance_bound"]),
-                "velocity_bound": ("velocity.csv", reports["velocity_bound"])}
-    constants = {
-        k: v for k, v in cert.constants.items() if k != "L_at_nodes"
-    }
-    constants.update(
-        {"iterations": cert.iterations, "converged": cert.converged, "flags": list(cert.flags)}
-    )
-    return ["trajectory.csv", "signal.csv"], verdicts, constants
+    outputs = {"trajectory.csv": traj, "signal.csv": signal,
+               "report.csv": reports["distance_bound"], "velocity.csv": reports["velocity_bound"]}
+    constants = {**cert.constants, "iterations": cert.iterations, "converged": cert.converged,
+                 "flags": list(cert.flags)}
+    return outputs, constants
 
 
-def _run_relax(config: ScenarioConfig, out: Path):
+def _run_relax(config: ScenarioConfig):
     exp, family = config.experiment, config.family
     delta, bases, weights = exp["delta"], exp["bases"], exp["weights"]
     chat = convexify(family, q=len(bases), weight_steps=exp["weight_steps"])
@@ -176,8 +178,7 @@ def _run_relax(config: ScenarioConfig, out: Path):
     idx = chat.controls.index(ChatteringControl(bases, weights, exp["weight_steps"]))
     grid = config.time_grid()
     relaxed_signal = ControlSignal(grid=grid, indices=np.full(grid.size - 1, idx, dtype=int))
-    start = sample_initial(config.initial, config.N, config.d, config.seed)
-    relaxed_traj = integrate(signal_field(chat, relaxed_signal), start, grid, method="euler")
+    relaxed_traj = integrate(signal_field(chat, relaxed_signal), config.start(), grid, method="euler")
     tracked, signal, report = relax_approximate(
         family,
         relaxed_traj,
@@ -190,8 +191,6 @@ def _run_relax(config: ScenarioConfig, out: Path):
         max_iter=exp["max_iter"],
         integration_substeps=exp["integration_substeps"],
     )
-    write_trajectory_csv(out / "trajectory.csv", tracked)
-    write_signal_csv(out / "signal.csv", signal)
     constants = {
         "delta": delta,
         "measured_sup": report.measured_sup,
@@ -201,9 +200,9 @@ def _run_relax(config: ScenarioConfig, out: Path):
         "n_blocks": report.n_blocks,
         "metadata": report.metadata,
     }
-    return ["trajectory.csv", "signal.csv"], {"density_raw_target": ("report.csv", report.density)}, constants
+    return {"trajectory.csv": tracked, "signal.csv": signal, "report.csv": report.density}, constants
 
 
-def _run_verify(config: ScenarioConfig, out: Path):
+def _run_verify(config: ScenarioConfig):
     report = verify(config.experiment["what"], config)
-    return [], {report.kind: ("report.csv", report)}, {**report.constants, "slack": report.slack}
+    return {"report.csv": report}, {**report.constants, "slack": report.slack}

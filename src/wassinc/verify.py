@@ -1,12 +1,14 @@
 """Executable inequality checks: measured series against certified bounds.
 
-Each check runs the simulations a scenario declares, evaluates a
-closed-form bound at every grid time, and returns a ``bounds.BoundReport``
-with the config slack, whose verdict passes when every margin
-bound - measured is at least -slack * bound - ``bounds.ATOL``.  The
-bounds are continuum statements, so refining the grid only tightens the
-comparison; the default 5 percent slack absorbs first-order integration
-error.
+Each check runs the simulations a scenario declares (the field's curve
+from ``ScenarioConfig.start``, the reference curve from
+``ScenarioConfig.reference``), evaluates a closed-form bound at every grid
+time, and returns its series, constants and extras.  ``verify`` makes them
+the ``bounds.BoundReport`` of the check's kind with the config slack,
+whose verdict passes when every margin bound - measured is at least
+-slack * bound - ``bounds.ATOL``.  The bounds are continuum statements,
+so refining the grid only tightens the comparison; the default 5 percent
+slack absorbs first-order integration error.
 """
 
 from __future__ import annotations
@@ -17,23 +19,24 @@ import numpy as np
 
 from . import bounds
 from .bounds import BoundReport
-from .config import ScenarioConfig, ref_seed, sample_initial
+from .config import ScenarioConfig
 from .dynamics import Trajectory, integrate, union_probes, velocity_gap
 from .errors import ConfigError
 from .inclusion import ControlledFamily
 from .measure import ParticleCloud, localisation_tail, moment, tail_norm, wasserstein_cost, wasserstein_costs
 
+
 def verify(kind: str, config: ScenarioConfig) -> BoundReport:
+    """The report of check ``kind`` on ``config``, with the config's slack."""
     try:
-        runner = _KINDS[kind]
+        check = _KINDS[kind]
     except KeyError:
         raise ConfigError(f"unknown verify kind {kind!r}") from None
-    return runner(config)
+    return BoundReport(kind=kind, slack=config.slack, **check(config))
 
 
-def _simulate(config: ScenarioConfig) -> tuple[Trajectory, "NonlocalField"]:
-    start = sample_initial(config.initial, config.N, config.d, config.seed)
-    return integrate(config.field, start, config.time_grid(), method="euler"), config.field
+def _simulate(config: ScenarioConfig) -> Trajectory:
+    return integrate(config.field, config.start(), config.time_grid(), method="euler")
 
 
 def momentum_bound_series(
@@ -56,29 +59,19 @@ def momentum_bound_series(
     return bounds.gronwall_series(p=p, w0=measured[0], increments=growth, l_int=m_int)[0]
 
 
-def verify_momentum(config: ScenarioConfig) -> BoundReport:
+def verify_momentum(config: ScenarioConfig) -> dict:
     """Moment growth of the evolved cloud against its certified envelope."""
-    traj, field = _simulate(config)
+    traj, field = _simulate(config), config.field
     p = config.p
     measured = np.array([moment(c, p) for c in traj.clouds])
     bound = momentum_bound_series(traj.grid, measured, field.rates, p, field.measure_dependent)
-    return BoundReport(
-        kind="momentum",
-        times=traj.grid,
-        measured=measured,
-        bound=bound,
-        constants={
-            "C_p": bounds.C_p(p),
-            "C_p_prime": bounds.C_p_prime(p),
-            "measure_dependent": field.measure_dependent,
-        },
-        slack=config.slack,
-    )
+    constants = {"C_p": bounds.C_p(p), "C_p_prime": bounds.C_p_prime(p), "measure_dependent": field.measure_dependent}
+    return dict(times=traj.grid, measured=measured, bound=bound, constants=constants)
 
 
-def verify_equi_integrability(config: ScenarioConfig) -> BoundReport:
+def verify_equi_integrability(config: ScenarioConfig) -> dict:
     """Tail mass of the evolved cloud against the shifted tail of the start."""
-    traj, field = _simulate(config)
+    traj, field = _simulate(config), config.field
     p = config.p
     radii = config.experiment["R_list"]
     m_total = field.rates.integral("m", 0.0, config.T)
@@ -92,49 +85,29 @@ def verify_equi_integrability(config: ScenarioConfig) -> BoundReport:
             measured.append(tail_norm(traj.clouds[k], R, p))
             bound.append(level)
             r_col.append(R)
-    return BoundReport(
-        kind="equi_integrability",
-        times=np.array(times),
-        measured=np.array(measured),
-        bound=np.array(bound),
-        constants={"C_T": ct, "R_list": radii},
-        slack=config.slack,
-        extras={"R": np.array(r_col)},
-    )
+    return dict(times=np.array(times), measured=np.array(measured), bound=np.array(bound),
+                constants={"C_T": ct, "R_list": radii}, extras={"R": np.array(r_col)})
 
 
-def verify_abs_continuity(config: ScenarioConfig) -> BoundReport:
+def verify_abs_continuity(config: ScenarioConfig) -> dict:
     """Per-step W_p displacement against c_p int m; by the triangle
     inequality consecutive steps also certify every grid pair."""
-    traj, field = _simulate(config)
+    traj, field = _simulate(config), config.field
     p = config.p
     m_total = field.rates.integral("m", 0.0, config.T)
     c_p = bounds.abs_continuity_constant(p, moment(traj.clouds[0], p), m_total)
     grid = traj.grid
-    return BoundReport(
-        kind="abs_continuity",
-        times=grid[1:],
-        measured=wasserstein_costs(zip(traj.clouds, traj.clouds[1:]), p),
-        bound=c_p * field.rates.integral("m", grid[:-1], grid[1:]),
-        constants={"c_p": c_p},
-        slack=config.slack,
-    )
+    measured = wasserstein_costs(zip(traj.clouds, traj.clouds[1:]), p)
+    bound = c_p * field.rates.integral("m", grid[:-1], grid[1:])
+    return dict(times=grid[1:], measured=measured, bound=bound, constants={"c_p": c_p})
 
 
-def _two_curves(config: ScenarioConfig):
+def _gronwall(config: ScenarioConfig, R: float, local: bool) -> dict:
+    """W_p between the curve of the field and the reference curve of ``w``
+    against ``bounds.gronwall_series`` with L = 0; its tail term E vanishes
+    for R = inf.  A local check also records C_T, R and the tail."""
     v, w = config.field, config.experiment["w"]
-    mu0 = sample_initial(config.initial, config.N, config.d, config.seed)
-    nu0 = sample_initial(config.experiment["ref_initial"], config.N, config.d, ref_seed(config))
-    grid = config.time_grid()
-    mu = integrate(v, mu0, grid, method="euler")
-    nu = integrate(w, nu0, grid, method="euler")
-    return v, w, mu, nu
-
-
-def _gronwall(config: ScenarioConfig, kind: str, R: float) -> BoundReport:
-    """W_p between the two curves against ``bounds.gronwall_series`` with
-    L = 0; its tail term E vanishes for R = inf."""
-    v, w, mu, nu = _two_curves(config)
+    mu, nu = _simulate(config), config.reference()
     p = config.p
     joint = v.rates.maximum(w.rates)
     ct = bounds.horizon_factor(joint.integral("m", 0.0, config.T))
@@ -154,30 +127,22 @@ def _gronwall(config: ScenarioConfig, kind: str, R: float) -> BoundReport:
     bound, _, e_term = series(tail)
     constants = {"C_p": bounds.C_p(p), "C_p_prime": bounds.C_p_prime(p), "W_p_initial": w0}
     extras = {}
-    if kind == "gronwall_local":
+    if local:
         constants.update(C_T=ct, R=R)
         extras = {"E_term": e_term, "bound_without_tail": series(0.0)[0]}
-    return BoundReport(
-        kind=kind,
-        times=grid,
-        measured=measured,
-        bound=bound,
-        constants=constants,
-        slack=config.slack,
-        extras=extras,
-    )
+    return dict(times=grid, measured=measured, bound=bound, constants=constants, extras=extras)
 
 
-def verify_gronwall_global(config: ScenarioConfig) -> BoundReport:
+def verify_gronwall_global(config: ScenarioConfig) -> dict:
     """W_p between two curves against the global stability estimate."""
-    return _gronwall(config, "gronwall_global", math.inf)
+    return _gronwall(config, math.inf, local=False)
 
 
-def verify_gronwall_local(config: ScenarioConfig) -> BoundReport:
+def verify_gronwall_local(config: ScenarioConfig) -> dict:
     """Localised stability estimate: ball-restricted discrepancy plus the
     tail error term, which is what keeps the bound valid when the curves
     separate outside the observation ball."""
-    return _gronwall(config, "gronwall_local", config.experiment["R"])
+    return _gronwall(config, config.experiment["R"], local=True)
 
 
 def _ratio(num: float, den: float) -> float:
@@ -188,7 +153,7 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else math.inf
 
 
-def verify_hypotheses_probe(config: ScenarioConfig) -> BoundReport:
+def verify_hypotheses_probe(config: ScenarioConfig) -> dict:
     """Sampled growth / Lipschitz / measure-Lipschitz ratios against 1.
 
     Draws at least 1000 (t, cloud, x) triples from jittered versions of
@@ -208,7 +173,7 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> BoundReport:
 
     rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))
     p = config.p
-    base = sample_initial(config.initial, config.N, config.d, config.seed).points
+    base = config.start().points
 
     def jitter_cloud():
         scale = rng.uniform(0.5, 2.0)
@@ -242,14 +207,8 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> BoundReport:
         f"max_ratio_{k}": max([0.0] + [r for _, rate, r in samples if rate == k]) for k in "mlL"
     }
     constants["n_triples"] = n_samples
-    return BoundReport(
-        kind="hypotheses_probe",
-        times=times,
-        measured=measured,
-        bound=np.ones_like(measured),
-        constants=constants,
-        slack=config.slack,
-        extras={"rate": labels},
+    return dict(
+        times=times, measured=measured, bound=np.ones_like(measured), constants=constants, extras={"rate": labels}
     )
 
 

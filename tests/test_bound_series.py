@@ -16,7 +16,7 @@ from wassinc import BoundReport, RateFunctions, bounds, compute_bound, parse_con
 from wassinc import relax
 from wassinc.verify import momentum_bound_series
 
-from conftest import cloud
+from conftest import cloud, run_cli
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -190,3 +190,57 @@ def test_relax_raw_target_ignores_the_config_slack(tmp_path, monkeypatch):
     manifest = run_scenario(config, tmp_path)
     assert manifest["verdicts"] == {"density_raw_target": False}
     assert report([over], [config.experiment["delta"]], config.slack).passed  # what a 0.05 slack would allow
+
+
+def test_C_p_prime_saturates_to_inf():
+    assert bounds.C_p_prime(1024.0) == 2.0**1023 / 1024.0
+    assert bounds.C_p_prime(1025.0) == math.inf and bounds.C_p_prime(2000.0) == math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.floats(0.0, 1e3), x=st.floats(0.0, 1e3), p=st.floats(1.0, 8.0), shift=st.floats(-10.0, 10.0))
+def test_exp_power_keeps_the_bits_of_finite_inputs(c, x, p, shift):
+    try:
+        expected = math.exp(c * x**p + shift)
+    except OverflowError:
+        expected = math.inf
+    assert bounds.exp_power(c, x, p, shift) == expected
+
+
+def test_exp_power_with_a_saturated_factor():
+    assert bounds.exp_power(math.inf, 0.0, 2000.0, 0.5) == math.exp(0.5)  # inf * 0 would be NaN
+    assert bounds.exp_power(math.inf, 0.6, 2000.0) == math.inf  # 0.6^2000 underflows to 0
+    assert bounds.exp_power(math.inf, 1.0, 2000.0) == math.inf
+
+
+def test_gronwall_series_at_a_saturated_C_p_prime():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        D, chi, E = bounds.gronwall_series(
+            p=2000.0, w0=1.0, increments=[0.0, 0.0], l_int=np.array([0.0, 0.6, 1.0]),
+            L_int=np.array([0.0, 1.0, 1.0]),
+        )
+    assert D[0] == bounds.C_p(2000.0) and chi[0] == 0.0
+    assert np.all(D[1:] == math.inf) and not np.any(np.isnan(chi))
+
+
+# the bundled scenarios whose bounds read C_p', which once overflowed at p >= 1025
+C_P_PRIME_SCENARIOS = [
+    "filippov_constants", "filippov_gain", "relax_bangbang", "verify_abs_continuity_bounded_kernel",
+    "verify_gronwall_global_decay", "verify_gronwall_local_far_atom", "verify_momentum_mean_attraction",
+]
+
+
+@pytest.mark.parametrize("name", C_P_PRIME_SCENARIOS)
+def test_large_p_ends_with_an_exit_code(tmp_path, capsys, name):
+    raw = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json").read_text())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the measured moments overflow at p = 2000
+        code, out = run_cli(tmp_path, raw["experiment"]["kind"], raw, "--p", "2000")
+    err = capsys.readouterr().err
+    if name == "relax_bangbang":  # its saturated moment envelope asks for inf blocks
+        assert code == 2 and err.startswith("error: delta = 0.1 needs inf blocks") and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
+        assert code == (0 if all(verdicts.values()) else 1) and err == ""

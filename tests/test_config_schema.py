@@ -81,6 +81,16 @@ CASES = {
     "p_huge_integer": ("verify_momentum_mean_attraction", "p", 10**400, "'p'"),
     "R_huge_integer": ("filippov_gain", "experiment.R", 10**400, "experiment 'R'"),
     "bases_decreasing": ("relax_bangbang", "experiment.bases", [1, 0], "experiment 'bases'"),
+    "vector_short": ("verify_momentum_mean_attraction", "field", {"label": "constant", "vector": [1.0], "rates": {
+        "m": 1.0, "l": 0.0, "L": 0.0}}, "field 'vector'"),
+    "vector_long": ("verify_gronwall_local_far_atom", "field.vector", [1.0, 2.0], "field 'vector'"),
+    "w_vector_long": ("filippov_constants", "experiment.w", {"label": "constant", "vector": [1.0, 0.0], "rates": {
+        "m": 1.0, "l": 0.0, "L": 0.0}}, "experiment.w 'vector'"),
+    "controls_short": ("peano_mean_gain", "family", {"label": "constants", "controls": [[1.0, 0.0], [1.0]], "rates": {
+        "m": 1.0, "l": 0.0, "L": 0.0}}, "family 'controls'[1]"),
+    "controls_ragged": ("relax_bangbang", "family.controls", [[-1.0], [1.0, 0.0]], "family 'controls'[1]"),
+    "n_list_decreasing": ("peano_mean_gain", "experiment.n_list", [8, 4], "experiment 'n_list'"),
+    "n_list_single": ("peano_mean_gain", "experiment.n_list", [4], "experiment 'n_list'"),
 }
 
 

@@ -217,9 +217,9 @@ class TestTracking:
         ref = integrate(w, delta(0.0), np.linspace(0, 1, 51))
         _, _, cert = filippov_track(fam, ref, w, delta(1.0), INF, 1e-9, 10, p=1)
         np.testing.assert_array_equal(
-            cert.velocity_bound, cert.eta_R + cert.constants["L_at_nodes"] * cert.D_p
+            cert.velocity_bound, cert.eta_R + cert.L_at_nodes * cert.D_p
         )
-        assert np.all(cert.velocity_bound >= cert.constants["L_at_nodes"] * cert.D_p)
+        assert np.all(cert.velocity_bound >= cert.L_at_nodes * cert.D_p)
 
     def test_eta_is_gap_table_minimum(self):
         fam = bang_bang()

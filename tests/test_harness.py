@@ -160,6 +160,15 @@ class TestVerifyKinds:
         assert np.max(np.abs(report.measured - closed)) < 1e-3
         np.testing.assert_allclose(report.bound, np.exp(report.times), rtol=1e-12)
 
+    def test_gronwall_local_at_infinite_radius_keeps_its_terms(self):
+        raw = json.loads((SCENARIOS / "verify_gronwall_local_far_atom.json").read_text())
+        raw["experiment"]["R"] = "inf"
+        report = verify("gronwall_local", parse_config(raw))
+        assert report.kind == "gronwall_local" and report.slack == 0.05
+        assert report.constants["R"] == math.inf and "C_T" in report.constants
+        np.testing.assert_array_equal(report.extras["E_term"], 0.0)  # no tail outside an infinite ball
+        np.testing.assert_array_equal(report.extras["bound_without_tail"], report.bound)
+
     def test_empty_series_does_not_pass(self):
         report = verify(
             "equi_integrability",
@@ -299,6 +308,20 @@ class TestCli:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: 'seed'")
+
+    def test_failing_experiment_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "trajectory.csv").write_bytes(b"sentinel\n")
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("refinement failed")
+
+        monkeypatch.setattr("wassinc.runner.refinement_study", fail)
+        code = cli_main(["peano", "--config", str(SCENARIOS / "peano_mean_gain.json"), "--out", str(out)])
+        assert code == 2 and capsys.readouterr().err == "error: refinement failed\n"
+        assert (out / "trajectory.csv").read_bytes() == b"sentinel\n"
+        assert [path.name for path in out.iterdir()] == ["trajectory.csv"]  # no signal.csv, no manifest
 
     def test_overflowing_bound_saturates(self, tmp_path, capsys):
         # exp(C_p' (l T)^p) = exp(5e5) is past the float range

@@ -109,9 +109,9 @@ BAD_RATES = {
 @pytest.mark.parametrize("case", sorted(BAD_RATES))
 def test_bad_rates_rejected_with_their_name(case):
     with pytest.raises(ConfigError, match=r"^config\.field\.rates\.m: "):
-        build_field({"label": "zero", "rates": BAD_RATES[case]}, 1.0)
+        build_field({"label": "zero", "rates": BAD_RATES[case]}, 1.0, 1)
     with pytest.raises(ConfigError, match=r"^config\.family\.rates\.m: "):
-        build_family({"label": "constants", "controls": [[1.0]], "rates": BAD_RATES[case]}, 1.0)
+        build_family({"label": "constants", "controls": [[1.0]], "rates": BAD_RATES[case]}, 1.0, 1)
 
 
 @pytest.mark.parametrize("name", ["l", "L"])
