@@ -6,6 +6,7 @@ measure-Lipschitz rate L, all piecewise constant in time with exact
 interval integrals.  Moving every particle of a cloud along the field's
 characteristics advances the empirical measure itself; a Trajectory holds
 the positions in one read-only (nodes, N, d) array, its clouds views of it.
+``march`` is the one loop that writes a curve's nodes, each checked finite.
 The integrator hands the rule the evolving cloud; a field that reads its
 measure from an earlier curve binds it (``inclusion.signal_field``).
 """
@@ -135,12 +136,12 @@ class Trajectory:
 
     ``points`` is a read-only (nodes, N, d) array; row i of every node is
     the same characteristic path throughout.  The constructor copies the
-    positions given and checks them finite; ``integrate`` and
-    ``peano_solve``, which check every step, hand over their buffer
-    uncopied.  ``clouds[k]`` is a ParticleCloud viewing ``points[k]``,
-    built with no copy and no re-check.  Off-grid evaluation returns the
-    nearest node at or before t (left constant); times before the grid
-    start return the initial cloud.
+    positions given and checks them finite; ``march``, which checks every
+    step, hands over its buffer and the clouds it built, uncopied.
+    ``clouds[k]`` is a ParticleCloud viewing ``points[k]``, built with no
+    copy and no re-check.  Off-grid evaluation returns the nearest node at
+    or before t (left constant); times before the grid start return the
+    initial cloud.
     """
 
     grid: np.ndarray
@@ -158,23 +159,16 @@ class Trajectory:
             raise ShapeMismatchError(f"need (nodes, N, d) positions for {g.size} nodes, got shape {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("trajectory coordinates must be finite")
-        self._freeze(g, pts)
+        self._freeze(g, pts, map(ParticleCloud._view, pts))
 
-    @classmethod
-    def _own(cls, grid: np.ndarray, points: np.ndarray) -> "Trajectory":
-        """A trajectory over an integrator's finished buffer, already checked
-        finite step by step: frozen in place, not copied or re-checked."""
-        traj = object.__new__(cls)
-        traj._freeze(grid, points)
-        return traj
-
-    def _freeze(self, g: np.ndarray, pts: np.ndarray) -> None:
+    def _freeze(self, g: np.ndarray, pts: np.ndarray, clouds) -> None:
+        """Hold positions already checked finite and their clouds, frozen in place, not copied."""
         pts.setflags(write=False)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "snap", grid_snap(g))
         object.__setattr__(self, "times", g.tolist())
-        object.__setattr__(self, "clouds", tuple(map(ParticleCloud._view, pts)))
+        object.__setattr__(self, "clouds", tuple(clouds))
 
     def node_index(self, t: float) -> int:
         """Index of the nearest node at or before t (snapped within 1e-9 dt)."""
@@ -182,6 +176,27 @@ class Trajectory:
 
     def at(self, t: float) -> ParticleCloud:
         return self.clouds[self.node_index(t)]
+
+
+def march(start: ParticleCloud, grid: np.ndarray, step: Callable) -> Trajectory:
+    """The one loop that writes curve nodes: node k + 1 over ``grid`` is
+    ``step(k, t_k, t_{k+1}, clouds)``, given the read-only clouds of nodes
+    0..k, and is checked finite (BlowUpError, see ``_check_finite``).  The
+    returned trajectory holds those same clouds."""
+    times = grid.tolist()
+    buf = np.empty((len(times),) + start.points.shape)
+    buf[0] = start.points
+    rows = buf.view()
+    rows.setflags(write=False)  # no step can change a stored node
+    clouds = [ParticleCloud._view(rows[0])]
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
+        for k in range(len(times) - 1):
+            buf[k + 1] = step(k, times[k], times[k + 1], clouds)
+            _check_finite(buf[k + 1], rows[k], k + 1, times[k + 1])
+            clouds.append(ParticleCloud._view(rows[k + 1]))
+    traj = object.__new__(Trajectory)  # every node is checked: no copy, no re-check
+    traj._freeze(grid, buf, clouds)
+    return traj
 
 
 def integrate(
@@ -206,28 +221,13 @@ def integrate(
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
 
-    times = g.tolist()
-    buf, rows = step_buffer(g.size, start.points)
-    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
-        for k in range(g.size - 1):
-            t0, t1, X = times[k], times[k + 1], rows[k]
-            if method == "euler":
-                buf[k + 1] = X + (t1 - t0) * field.rule(t0, ParticleCloud._view(X), X)
-            else:
-                buf[k + 1] = _rk4_step(field, X, t0, t1 - t0, k + 1)
-            _check_finite(buf[k + 1], X, k + 1, t1)
-    return Trajectory._own(g, buf)
+    def euler(k, t0, t1, clouds):
+        return clouds[k].points + (t1 - t0) * field.rule(t0, clouds[k], clouds[k].points)
 
+    def rk4(k, t0, t1, clouds):
+        return _rk4_step(field, clouds[k], t0, t1 - t0, k + 1)
 
-def step_buffer(nodes: int, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A (nodes, N, d) buffer holding ``start`` in row 0, and a read-only
-    view of it: a step loop writes row k + 1 of the buffer and hands the
-    rule row k of the view, so no rule can change a stored row."""
-    buf = np.empty((nodes,) + start.shape)
-    buf[0] = start
-    rows = buf.view()
-    rows.setflags(write=False)
-    return buf, rows
+    return march(start, g, euler if method == "euler" else rk4)
 
 
 def _check_finite(X: np.ndarray, last: np.ndarray, step: int, t: float) -> None:
@@ -238,8 +238,9 @@ def _check_finite(X: np.ndarray, last: np.ndarray, step: int, t: float) -> None:
                           f"last finite position {last[i].tolist()}")
 
 
-def _rk4_step(field, X, t0, dt, step):
-    """One rk4 step from X; a stage leaving the finite range raises the step's BlowUpError."""
+def _rk4_step(field, cloud, t0, dt, step):
+    """One rk4 step from ``cloud``; a stage leaving the finite range raises the step's BlowUpError."""
+    X = cloud.points
 
     def stage(t, Y):
         Y.setflags(write=False)
@@ -247,7 +248,7 @@ def _rk4_step(field, X, t0, dt, step):
         return field.rule(t, ParticleCloud._view(Y), Y)
 
     th = t0 + 0.5 * dt
-    k1 = stage(t0, X)
+    k1 = field.rule(t0, cloud, X)
     k2 = stage(th, X + 0.5 * dt * k1)
     k3 = stage(th, X + 0.5 * dt * k2)
     k4 = stage(t0 + dt, X + dt * k3)

@@ -37,7 +37,8 @@ class FilippovCertificate:
     ``constants`` records C_p, C_p', the uniform moment bound, the inflated
     travel envelope, the radius used and ||m||_1, so alternative
     instantiations of the implicit constants can be compared.
-    Non-convergence is recorded in ``flags``, not raised.
+    Non-convergence is recorded in ``flags``, not raised; ``iterations``
+    and ``flags`` follow from ``iterate_gaps`` and ``converged``.
     """
 
     grid: np.ndarray
@@ -50,9 +51,15 @@ class FilippovCertificate:
     velocity_gap: np.ndarray
     constants: dict
     iterate_gaps: tuple
-    iterations: int
     converged: bool
-    flags: tuple = ()
+
+    @property
+    def iterations(self) -> int:
+        return len(self.iterate_gaps)
+
+    @property
+    def flags(self) -> tuple:
+        return () if self.converged else ("iteration_not_converged",)
 
     @property
     def velocity_bound(self) -> np.ndarray:
@@ -206,8 +213,6 @@ def filippov_track(
         velocity_gap=vel_gap,
         **bound,
         iterate_gaps=tuple(gaps),
-        iterations=len(gaps),
         converged=converged,
-        flags=() if converged else ("iteration_not_converged",),
     )
     return cur, sig, cert

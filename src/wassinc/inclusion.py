@@ -12,10 +12,11 @@ sub-interval of a fine grid.
 ``peano_solve`` builds a trajectory-selection pair by splitting the
 horizon into n blocks and, on every euler sub-interval, choosing a
 control against the cloud delayed by one block (the start cloud stands in
-for negative times) and advancing with that same delayed cloud as the
-measure argument.  Sub-interval membership in the delayed velocity set is
-exact by construction and can be re-certified with
-``inclusion_residual``.
+for negative times) and taking ``delayed_step``: the particles advance
+with that same delayed cloud as the measure argument.
+``inclusion_residual`` replays ``delayed_step`` from the trajectory's own
+nodes and the signal's recorded controls, so it reads 0 for a pair the
+scheme built and more wherever trajectory and signal disagree.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import (NonlocalField, RateFunctions, Trajectory, _check_finite, grid_snap, snapped_index,
-                       step_buffer, sup_norm, union_probes)
+from .dynamics import NonlocalField, RateFunctions, Trajectory, grid_snap, march, snapped_index, sup_norm, union_probes
 from .errors import ShapeMismatchError
 from .measure import ParticleCloud, sup_wasserstein_cost
 
@@ -109,9 +109,8 @@ def signal_field(family: ControlledFamily, signal: ControlSignal, measure: Traje
     """Velocity field that follows the signal's control on each interval;
     given a ``measure`` Trajectory, its rule reads ``measure.at(t)`` in place
     of the cloud it is handed."""
-    for k in signal.indices:
-        if k >= family.size:
-            raise ValueError(f"signal index {k} outside family of size {family.size}")
+    if signal.indices.max() >= family.size:
+        raise ValueError(f"signal index {signal.indices.max()} outside family of size {family.size}")
 
     def rule(t, cloud, X):
         return family.rule(t, cloud if measure is None else measure.at(t), [signal.index_at(t)], X)[0]
@@ -179,46 +178,39 @@ def peano_solve(
     T = family.rates.duration
     steps = n * substeps
     grid = np.linspace(0.0, T, steps + 1)
-    times = grid.tolist()
-    buf, rows = step_buffer(steps + 1, start.points)
     indices = np.empty(steps, dtype=int)
-    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
-        for k in range(steps):
-            t0, X = times[k], rows[k]
-            # delay of one block == exactly `substeps` grid nodes
-            delayed = ParticleCloud._view(rows[max(0, k - substeps)])
-            u_idx = _select_control(family, t0, delayed, X, strategy, rng)
-            buf[k + 1] = X + (times[k + 1] - t0) * family.rule(t0, delayed, [u_idx], X)[0]
-            _check_finite(buf[k + 1], X, k + 1, times[k + 1])
-            indices[k] = u_idx
-    return Trajectory._own(grid, buf), ControlSignal(grid=grid, indices=indices)
+
+    def step(k, t0, t1, clouds):
+        # delay of one block == exactly `substeps` grid nodes
+        delayed, X = clouds[max(0, k - substeps)], clouds[k].points
+        indices[k] = u = _select_control(family, t0, delayed, X, strategy, rng)
+        return delayed_step(family, t0, t1, delayed, u, X)
+
+    return march(start, grid, step), ControlSignal(grid=grid, indices=indices)
 
 
-def inclusion_residual(
-    traj: Trajectory,
-    signal: ControlSignal,
-    family: ControlledFamily,
-    delay: float,
-    used_family: ControlledFamily | None = None,
-) -> np.ndarray:
-    """Probe-level membership defect of a trajectory-selection pair.
+def delayed_step(family: ControlledFamily, t0: float, t1: float, delayed: ParticleCloud, u: int,
+                 X: np.ndarray) -> np.ndarray:
+    """The delayed Euler step: positions X moved over [t0, t1] with control u's
+    velocity, read at t0 with the ``delayed`` cloud as measure argument."""
+    return X + (t1 - t0) * family.rule(t0, delayed, [u], X)[0]
 
-    For every signal sub-interval, the distance (sup over the atoms of the
-    current and the delayed cloud) from the field slice the pair actually
-    used to the nearest admissible slice of ``family`` evaluated on the
-    delayed cloud.  Zero certifies membership at probe level.  By default
-    the used slice is reconstructed from ``signal`` over ``family`` itself,
-    which makes the residual vanish identically for ``peano_solve``
-    output; pass ``used_family`` to check a pair produced by different
-    dynamics against this family.
+
+def inclusion_residual(traj: Trajectory, signal: ControlSignal, family: ControlledFamily, delay: float) -> np.ndarray:
+    """Velocity-unit defect of a trajectory-selection pair against the delayed
+    Euler scheme over ``family``.
+
+    For every signal sub-interval [t_k, t_{k+1}) of length h_k, replays
+    ``delayed_step`` from ``traj.at(t_k)`` with the recorded control and the
+    cloud ``traj.at(t_k - delay)``, and returns
+    max_i |x_{k+1,i} - step_i| / h_k against ``traj.at(t_{k+1})``.  A pair
+    from ``peano_solve`` (delay T/n) replays to exactly 0; a wrong step
+    length, control, delay or node reads above 0.
     """
-    src = used_family if used_family is not None else family
     out = np.empty(signal.n_intervals)
-    for k, t0 in enumerate(signal.times[:-1]):
-        delayed = traj.at(t0 - delay)
-        pts = union_probes(traj.at(t0).points, delayed.points)
-        used = src.rule(t0, delayed, [signal.indices[k]], pts)
-        out[k] = family.gaps(t0, delayed, used, pts).min()
+    for k, (t0, t1) in enumerate(zip(signal.times[:-1], signal.times[1:])):
+        step = delayed_step(family, t0, t1, traj.at(t0 - delay), int(signal.indices[k]), traj.at(t0).points)
+        out[k] = sup_norm(traj.at(t1).points - step) / (t1 - t0)
     return out
 
 

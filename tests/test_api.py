@@ -1,6 +1,7 @@
-"""The public surface: the package's re-export list, and a guard that
-every public function, class and method in ``src/wassinc`` has a caller in
-the package or its scripts."""
+"""The public surface: the package's re-export list, a guard that every
+public function, class and method in ``src/wassinc`` has a caller in the
+package or its scripts, and guards that private names and the unchecked
+constructors stay inside the module that defines them."""
 
 import ast
 import pathlib
@@ -54,3 +55,31 @@ def test_every_public_definition_has_a_caller():
         if name not in used and not (path.name == "catalog.py" and name.endswith(("_field", "_family")))
     ]
     assert uncalled == []
+
+
+def module_trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = [
+        f"{name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for name, tree in module_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("wassinc"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+def test_only_measure_and_dynamics_build_unchecked_curves():
+    # ParticleCloud._view and Trajectory._freeze skip the finite check: only
+    # the modules that check every node (``dynamics.march``) may reach them
+    users = {
+        name
+        for name, tree in module_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("_view", "_freeze")
+    }
+    assert users <= {"measure.py", "dynamics.py"}

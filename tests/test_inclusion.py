@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from wassinc import (
+    ControlledFamily,
+    ControlSignal,
+    ParticleCloud,
+    Trajectory,
     inclusion_residual,
     integrate,
     moment,
     peano_solve,
     refinement_study,
+    signal_field,
     wasserstein_cost,
 )
+from wassinc.bounds import ATOL, BoundReport
 from wassinc.catalog import constants_family, gain_family, mean_gain_family
 from wassinc.verify import momentum_bound_series
 
@@ -17,6 +23,35 @@ from conftest import cloud, control_field, delta, random_cloud, const_rates
 
 def bang_bang(T=1.0):
     return constants_family([[-1.0], [1.0]], const_rates(1.0, 0.0, 0.0, T))
+
+
+def mean_drive():
+    """v = k mean(mu), k in {0.5, 1}: unlike ``mean_gain``, the measure term
+    moves the mean, so reading the wrong cloud shows in the positions."""
+    gains = np.array([0.5, 1.0])
+
+    def rule(t, cloud, idx, X):
+        return gains[np.asarray(idx)][:, None, None] * np.broadcast_to(cloud.mean(), X.shape)
+
+    return ControlledFamily(controls=(0.5, 1.0), rule=rule, rates=const_rates(1.0, 1.0, 1.0), measure_dependent=True)
+
+
+def delayed_euler(family, start, n, substeps, stepped, h_scale=1.0, undelayed=False):
+    """The delayed Euler scheme written out: on sub-interval k, control
+    ``stepped[k]`` read at the cloud one block earlier (the current one if
+    ``undelayed``), over ``h_scale`` times the step."""
+    times = np.linspace(0.0, family.rates.duration, n * substeps + 1).tolist()
+    pts = [start.points]
+    for k in range(n * substeps):
+        delayed = ParticleCloud(pts[k if undelayed else max(0, k - substeps)])
+        pts.append(pts[k] + h_scale * (times[k + 1] - times[k]) * family.rule(times[k], delayed, [stepped[k]], pts[k])[0])
+    return Trajectory(grid=np.array(times), points=np.stack(pts))
+
+
+def membership(traj, indices, family, delay):
+    signal = ControlSignal(grid=traj.grid, indices=indices)
+    res = inclusion_residual(traj, signal, family, delay)
+    return res, BoundReport("delayed_membership", signal.grid[:-1], res, np.zeros_like(res), 0.05)
 
 
 class TestPeanoSolve:
@@ -81,18 +116,42 @@ class TestInclusionResidual:
         assert np.all(res == 0.0)
 
     def test_foreign_drive_measures_gap(self):
-        # trajectory driven by the constant field +2, checked against {-1, +1}
+        # trajectory driven by the constant field +2, replayed against {-1, +1}:
+        # every step is 2h, the replay moves -h or +h
         driver = constants_family([[2.0]], const_rates(2.0, 0.0, 0.0))
         grid = np.linspace(0.0, 1.0, 9)
         traj = integrate(control_field(driver, 0), delta(0.0), grid)
-        signal_idx = np.zeros(grid.size - 1, dtype=int)
-        from wassinc import ControlSignal
+        for index, expected in ((0, 3.0), (1, 1.0)):
+            res, report = membership(traj, np.full(grid.size - 1, index), bang_bang(), delay=0.0)
+            np.testing.assert_array_equal(res, np.full_like(res, expected))
+            assert not report.passed
 
-        signal = ControlSignal(grid=grid, indices=signal_idx)
-        res = inclusion_residual(
-            traj, signal, bang_bang(), delay=0.0, used_family=driver
-        )
-        np.testing.assert_array_equal(res, np.ones_like(res))
+    def test_written_out_scheme_replays_to_zero(self, rng):
+        fam, start = mean_drive(), ParticleCloud(random_cloud(rng, 6, 2).points + [1.0, -0.5])
+        stepped = rng.integers(2, size=8)
+        res, report = membership(delayed_euler(fam, start, 4, 2, stepped), stepped, fam, delay=0.25)
+        assert np.all(res == 0.0) and report.passed
+
+    @pytest.mark.parametrize("mutation", ["step_length", "recorded_index", "undelayed", "moved_node"])
+    def test_every_mutation_fails_the_verdict(self, rng, mutation):
+        fam, start = mean_drive(), ParticleCloud(random_cloud(rng, 6, 2).points + [1.0, -0.5])
+        stepped = rng.integers(2, size=8)
+        recorded = 1 - stepped if mutation == "recorded_index" else stepped
+        traj = delayed_euler(fam, start, 4, 2, stepped, h_scale=1.01 if mutation == "step_length" else 1.0,
+                             undelayed=mutation == "undelayed")
+        if mutation == "moved_node":
+            pts = traj.points.copy()
+            pts[5, 3, 1] += 1e-9
+            traj = Trajectory(grid=traj.grid, points=pts)
+        res, report = membership(traj, recorded, fam, delay=0.25)
+        assert res.max() > 1e6 * ATOL and not report.passed
+
+
+def test_signal_field_rejects_an_index_outside_the_family():
+    grid = np.linspace(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="^signal index 3 outside family of size 2$"):
+        signal_field(bang_bang(), ControlSignal(grid=grid, indices=[1, 3, 0]))
+    assert signal_field(bang_bang(), ControlSignal(grid=grid, indices=[1, 1, 0])).rule(0.5, delta(0.0), np.zeros((1, 1)))[0, 0] == 1.0
 
 
 class TestRefinementStudy:
