@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .runner import run_scenario
 
 # what exits 2: bad input, or a runtime error the package raises on purpose
-RUN_ERRORS = (ConfigError, OSError, ValueError, RuntimeError)
+RUN_ERRORS = (ConfigError, OSError, ValueError, RuntimeError, OverflowError)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,8 +7,10 @@ interval integrals.  Moving every particle of a cloud along the field's
 characteristics advances the empirical measure itself; a Trajectory holds
 the positions in one read-only (nodes, N, d) array, its clouds views of it.
 ``march`` is the one loop that writes a curve's nodes, each checked finite.
-The integrator hands the rule the evolving cloud; a field that reads its
-measure from an earlier curve binds it (``inclusion.signal_field``).
+``integrate`` hands the rule the evolving cloud; a step that reads its
+measure from an earlier curve is ``inclusion.delayed_step`` (peano's
+scheme and every tracking iterate), and a field bound to one is
+``inclusion.signal_field``.
 """
 
 from __future__ import annotations
@@ -267,15 +269,6 @@ def ball_atoms(cloud: ParticleCloud, R: float) -> np.ndarray:
     return cloud.points if math.isinf(R) else cloud.points[cloud.norms() <= R]
 
 
-def velocity_gap(v, w, mu: ParticleCloud, nu: ParticleCloud, t: float, R: float = math.inf) -> float:
-    """Max over the atoms x of nu with |x| <= R of |v(t, mu, x) - w(t, nu, x)|,
-    the exact ball-restricted sup gap; 0 when the ball holds no atom."""
-    pts = ball_atoms(nu, R)
-    if pts.shape[0] == 0:
-        return 0.0
-    return float(sup_norm(v.rule(t, mu, pts) - w.rule(t, nu, pts)))
-
-
 def ball_grid(radius: float, dim: int, spacing: float) -> np.ndarray:
     """Lattice of spacing <= ``spacing`` covering the closed ball B(0, radius).
 
@@ -293,7 +286,3 @@ def ball_grid(radius: float, dim: int, spacing: float) -> np.ndarray:
     keep = np.linalg.norm(pts, axis=1) <= radius * (1 + 1e-12)
     return pts[keep]
 
-
-def union_probes(*point_sets: np.ndarray) -> np.ndarray:
-    """Stack (n, d) probe arrays into one."""
-    return np.concatenate(point_sets)

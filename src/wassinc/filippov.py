@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .dynamics import NonlocalField, RateFunctions, Trajectory, ball_atoms, ball_grid, integrate, union_probes, velocity_gap
-from .inclusion import ControlledFamily, ControlSignal, signal_field
+from .dynamics import NonlocalField, RateFunctions, Trajectory, ball_grid, march
+from .inclusion import ControlledFamily, ControlSignal, ball_gaps, delayed_step
 from .measure import ParticleCloud, localisation_tail, moment, sup_wasserstein_cost, wasserstein_costs
 
 
@@ -74,20 +74,6 @@ class FilippovCertificate:
         series = {"distance_bound": (self.measured_W_p, self.D_p),
                   "velocity_bound": (self.velocity_gap, self.velocity_bound)}
         return {kind: bounds.BoundReport(kind, self.grid, m, b, slack) for kind, (m, b) in series.items()}
-
-
-def _gap_table(family: ControlledFamily, ref: Trajectory, w: NonlocalField, R: float) -> np.ndarray:
-    """(controls x nodes) largest velocity gap between w and each control
-    on the reference atoms of norm <= R, 0 for an empty ball; its min
-    over controls is the mismatch eta_R."""
-    if not (R > 0):
-        raise ValueError(f"radius R must be positive (or inf), got {R}")
-    table = np.zeros((family.size, ref.grid.size))  # an empty ball leaves 0
-    for k, (t, nu) in enumerate(zip(ref.grid.tolist(), ref.clouds)):
-        pts = ball_atoms(nu, R)
-        if pts.shape[0]:
-            table[:, k] = family.gaps(t, nu, w.rule(t, nu, pts), pts)
-    return table
 
 
 def compute_bound(
@@ -153,42 +139,45 @@ def filippov_track(
 
     The first selection minimizes the mismatch objective along the
     reference; each further selection minimizes, per grid time, the probe
-    sup distance to the previous iterate's field slice, evaluated on the
+    sup distance to the previous iterate's velocity slice, evaluated on the
     current iterate's measure; its probes are the atoms of both clouds
     plus, for finite R, a lattice of spacing R/8 on the ball of radius R.
-    Each iterate's field is ``signal_field(family, signal, previous curve)``;
-    its integration, the next re-selection and the velocity gap all read it.
-    Stops when consecutive iterates are within ``tol`` in sup-W_p or after
-    ``max_iter`` iterations, in which case the certificate is flagged
-    ``iteration_not_converged`` (the last iterate is still an admissible
-    trajectory).
+    Each iterate marches peano's ``delayed_step`` over the grid, with
+    control sigma_k and the previous curve's node k as measure; the next
+    re-selection and the velocity gap (node M with sigma_{M-1}) read that
+    same slice.  Stops when consecutive iterates are within ``tol`` in
+    sup-W_p or after ``max_iter`` iterations, in which case the certificate
+    is flagged ``iteration_not_converged`` (the last iterate is still an
+    admissible trajectory).
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    grid = ref.grid
+    if not R > 0:
+        raise ValueError(f"radius R must be positive (or inf), got {R}")
+    grid, times = ref.grid, ref.times
     n_int = grid.size - 1
-    # initial selection: mismatch argmin along the reference
-    table = _gap_table(family, ref, w, R)
+    # initial selection: mismatch argmin along the reference, from the (controls x nodes) gaps
+    table = np.column_stack([ball_gaps(family, t, nu, w, nu, R) for t, nu in zip(times, ref.clouds)])
     sel = table[:, :n_int].argmin(axis=0)
     lattice = [] if math.isinf(R) else [ball_grid(R, start.d, R / 8.0)]
 
     prior, gaps = ref, []
-    while True:  # each iterate's field is bound to the curve before it
-        sig = ControlSignal(grid=grid, indices=sel)
-        field = signal_field(family, sig, prior)
-        cur = integrate(field, start, grid)
+    while True:  # each iterate steps with the measure of the curve before it
+        cur = march(start, grid, lambda k, t0, t1, clouds: delayed_step(
+            family, t0, t1, prior.clouds[k], int(sel[k]), clouds[k].points))
         gaps.append(sup_wasserstein_cost(zip(cur.clouds, prior.clouds), p))
         if not (gaps[-1] > tol and len(gaps) < max_iter):
             break
-        sel = np.empty(n_int, dtype=int)
-        for j in range(n_int):
-            t = float(grid[j])
-            probes = union_probes(cur.clouds[j].points, ref.clouds[j].points, *lattice)
-            sel[j] = family.gaps(t, cur.clouds[j], field.rule(t, cur.clouds[j], probes), probes).argmin()
+        last, sel = sel, np.empty(n_int, dtype=int)
+        for j, t in enumerate(times[:-1]):
+            probes = np.concatenate([cur.clouds[j].points, ref.clouds[j].points, *lattice])
+            used = family.rule(t, prior.clouds[j], [int(last[j])], probes)[0]
+            sel[j] = family.gaps(t, cur.clouds[j], used, probes).argmin()
         prior = cur
     converged = gaps[-1] <= tol
+    sig = ControlSignal(grid=grid, indices=sel)
 
     eta = table.min(axis=0)
     measured = wasserstein_costs(zip(cur.clouds, ref.clouds), p)
@@ -203,8 +192,9 @@ def filippov_track(
         moment_mu0=moment(start, p),
         moment_nu0=moment(ref.clouds[0], p),
     )
-    # node M reuses the last interval's control; field ignores the cloud it is handed
-    vel_gap = np.array([velocity_gap(field, w, nu, nu, t, R) for t, nu in zip(grid.tolist(), ref.clouds)])
+    # the last iterate's velocity against w on the reference atoms; node M reuses the last control
+    vel_gap = np.array([ball_gaps(family, t, mu, w, nu, R)[u]
+                        for t, mu, nu, u in zip(times, prior.clouds, ref.clouds, [*sel, sel[-1]])])
 
     cert = FilippovCertificate(
         grid=grid,

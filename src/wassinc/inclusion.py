@@ -5,9 +5,11 @@ plus a rule (t, cloud, idx, X) -> velocities sharing one set of rate
 functions.  The rule evaluates a stack of control indices at once, shape
 (len(idx), n, d); one control is the stack ``[k]``, and every selection
 takes the argmin of ``ControlledFamily.gaps``, which evaluates
-``np.arange(family.size)`` once (ties to the lowest index).  A measurable
-velocity selection becomes a piecewise-constant control index per
-sub-interval of a fine grid.
+``np.arange(family.size)`` once (ties to the lowest index); ``ball_gaps``
+is every velocity gap on the atoms of a ball, a field being the family of
+one control (``ControlledFamily.of_field``).  A measurable velocity
+selection becomes a piecewise-constant control index per sub-interval of
+a fine grid.
 
 ``peano_solve`` builds a trajectory-selection pair by splitting the
 horizon into n blocks and, on every euler sub-interval, choosing a
@@ -27,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import NonlocalField, RateFunctions, Trajectory, grid_snap, march, snapped_index, sup_norm, union_probes
+from .dynamics import NonlocalField, RateFunctions, Trajectory, ball_atoms, grid_snap, march, snapped_index, sup_norm
 from .errors import ShapeMismatchError
 from .measure import ParticleCloud, sup_wasserstein_cost
 
@@ -58,6 +60,12 @@ class ControlledFamily:
             raise ValueError("control set must be nonempty")
         object.__setattr__(self, "controls", tuple(self.controls))
 
+    @classmethod
+    def of_field(cls, field: NonlocalField) -> "ControlledFamily":
+        """``field`` as the family of its one control."""
+        return cls(controls=(0,), rule=lambda t, cloud, idx, X: field.rule(t, cloud, X)[None], rates=field.rates,
+                   measure_dependent=field.measure_dependent)
+
     @property
     def size(self) -> int:
         return len(self.controls)
@@ -67,6 +75,14 @@ class ControlledFamily:
         per control u; ``target`` is velocities at the probes (or 0), and the
         argmin is the nearest control, ties to the lowest index."""
         return sup_norm(target - self.rule(t, cloud, np.arange(self.size), probes))
+
+
+def ball_gaps(family: ControlledFamily, t: float, measure: ParticleCloud, w: NonlocalField, nu: ParticleCloud,
+              R: float) -> np.ndarray:
+    """Max over the atoms x of ``nu`` with |x| <= R of |w(t, nu, x) - f_u(t, measure, x)|,
+    one value per control u of ``family``; zeros when the ball holds no atom."""
+    pts = ball_atoms(nu, R)
+    return family.gaps(t, measure, w.rule(t, nu, pts), pts) if pts.shape[0] else np.zeros(family.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +150,7 @@ def _select_control(
     if strategy == "first":
         return 0
     if strategy == "min_norm":
-        probes = union_probes(delayed_cloud.points, current)
+        probes = np.concatenate((delayed_cloud.points, current))
         return int(family.gaps(t, delayed_cloud, 0.0, probes).argmin())
     if strategy == "random":
         return int(rng.integers(family.size))

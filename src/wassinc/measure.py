@@ -105,8 +105,14 @@ def _root(x: float, p: float) -> float:
 
 
 def _power_mean(values: np.ndarray, p: float, n: int) -> float:
-    """(fsum(values^p) / n)^(1/p); 0 for no values."""
-    return _root(math.fsum(_pow(values, p).tolist()) / n, p)
+    """(fsum(values^p) / n)^(1/p); 0 for no values.  Where that sum overflows,
+    M (fsum((values / M)^p) / n)^(1/p) with M = max(values), finite for finite values."""
+    try:
+        with np.errstate(over="raise"):
+            return _root(math.fsum(_pow(values, p).tolist()) / n, p)
+    except (OverflowError, FloatingPointError):
+        top = float(values.max())  # inf where a norm itself overflowed; the mean is inf then
+        return top * _root(math.fsum(_pow(values / top, p).tolist()) / n, p) if top < math.inf else top
 
 
 def tail_norm(cloud: ParticleCloud, R: float, p: float, shifted: bool = False) -> float:

@@ -47,10 +47,6 @@ class ChatteringControl:
         if any(k < 0 for k in self.weight_numerators) or sum(self.weight_numerators) != self.weight_den:
             raise ValueError("weight numerators must be nonnegative and sum to the denominator")
 
-    @property
-    def weights(self) -> tuple:
-        return tuple(k / self.weight_den for k in self.weight_numerators)
-
 
 def _compositions(total: int, parts: int):
     """All tuples of ``parts`` nonnegative ints summing to ``total``, ascending."""
@@ -190,13 +186,19 @@ class RelaxationReport:
 
     delta: float
     density: bounds.BoundReport
-    measured_sup: float
-    guaranteed_target: float
     amplification: float
     radius: float
     n_blocks: int
     metadata: dict
     certificate: FilippovCertificate
+
+    @property
+    def measured_sup(self) -> float:
+        return float(self.density.measured.max())
+
+    @property
+    def guaranteed_target(self) -> float:
+        return self.delta * self.amplification
 
 
 def relax_approximate(
@@ -273,7 +275,7 @@ def relax_approximate(
 
     # the tracked grid carries every realized switch point, where the
     # deviation from the mixture curve peaks
-    measured = wasserstein_costs([(relaxed_traj.at(t), tracked.at(t)) for t in tracked.times], p)
+    measured = wasserstein_costs([(relaxed_traj.at(t), c) for t, c in zip(tracked.times, tracked.clouds)], p)
     l_total = rates.integral("l", 0.0, rates.duration)
     growth = bounds.exp_power(bounds.C_p_prime(p), l_total, p)
     chi_bar = bounds.product(bounds.C_p(p), rates.integral("L", 0.0, rates.duration), growth)
@@ -288,8 +290,6 @@ def relax_approximate(
         density=bounds.BoundReport(
             "density_raw_target", tracked.grid, measured, np.full_like(measured, delta), slack=0.0
         ),
-        measured_sup=float(measured.max()),
-        guaranteed_target=delta * amplification,
         amplification=amplification,
         radius=radius,
         n_blocks=n_blocks,

@@ -20,9 +20,9 @@ import numpy as np
 from . import bounds
 from .bounds import BoundReport
 from .config import ScenarioConfig
-from .dynamics import Trajectory, integrate, union_probes, velocity_gap
+from .dynamics import Trajectory, integrate
 from .errors import ConfigError
-from .inclusion import ControlledFamily
+from .inclusion import ControlledFamily, ball_gaps
 from .measure import ParticleCloud, localisation_tail, moment, tail_norm, wasserstein_cost, wasserstein_costs
 
 
@@ -115,7 +115,8 @@ def _gronwall(config: ScenarioConfig, R: float, local: bool) -> dict:
     grid = mu.grid
     measured = wasserstein_costs(zip(mu.clouds, nu.clouds), p)
     w0 = float(measured[0])
-    gaps = [velocity_gap(v, w, mu.clouds[k], nu.clouds[k], t, R) for k, t in enumerate(grid[:-1].tolist())]
+    own = ControlledFamily.of_field(v)
+    gaps = [ball_gaps(own, t, mu.clouds[k], w, nu.clouds[k], R)[0] for k, t in enumerate(grid[:-1].tolist())]
     l_int, m_int = v.rates.integral("l", 0.0, grid), joint.integral("m", 0.0, grid)
 
     def series(tail):
@@ -161,14 +162,7 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> dict:
     the declared rate; the bound row is the constant 1.
     """
     n_samples = max(1000, config.experiment["samples"])
-    family, field = config.family, config.field
-    if family is None:  # a field is a family of one control
-        family = ControlledFamily(
-            controls=(0,),
-            rule=lambda t, cloud, idx, X: field.rule(t, cloud, X)[None],
-            rates=field.rates,
-            measure_dependent=field.measure_dependent,
-        )
+    family = config.family or ControlledFamily.of_field(config.field)
     rates = family.rates
 
     rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))
@@ -196,7 +190,7 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> dict:
 
         if family.measure_dependent:
             other = jitter_cloud()
-            probes = union_probes(cloud.points, other.points)
+            probes = np.concatenate((cloud.points, other.points))
             used = family.rule(t, cloud, u, probes)
             best = float(family.gaps(t, other, used, probes).min())
             den = rates.at("L", t) * wasserstein_cost(cloud, other, p)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wassinc import bounds, compute_bound, filippov, filippov_track, integrate, measure, moment
+from wassinc.inclusion import ball_gaps
 from wassinc.catalog import constants_family, gain_family, linear_decay_field, zero_field
 
 from conftest import cloud, control_field, delta, random_cloud, const_rates
@@ -225,7 +226,7 @@ class TestTracking:
         fam = bang_bang()
         w = zero_field(const_rates(1.0, 0.0, 0.0))
         ref = integrate(w, delta(0.5), np.linspace(0, 1, 11))
-        table = filippov._gap_table(fam, ref, w, 5.0)
+        table = np.column_stack([ball_gaps(fam, t, nu, w, nu, 5.0) for t, nu in zip(ref.times, ref.clouds)])
         assert table.shape == (fam.size, ref.grid.size)
         np.testing.assert_array_equal(mismatch(fam, ref, w, 5.0), table.min(axis=0))
 

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,46 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
         bounds = [float(r.split(",")[2]) for r in (out / "report.csv").read_text().split()[1:]]
         assert not any(math.isnan(b) for b in bounds) and bounds[-1] == math.inf
+
+    def test_overflowing_moment_ends_by_its_verdict(self, tmp_path, capsys):
+        # |x|^2 = 1e308 per atom: the direct sum of the moment passes the float range
+        raw = json.loads(json.dumps(BASE))
+        raw.update(p=2, N=2, initial={"kind": "atoms", "atoms": [[1e154], [1e154]]})
+        raw["experiment"] = {"kind": "verify", "what": "momentum"}
+        out = tmp_path / "o"
+        code = cli_main(["verify", "--config", self._write(tmp_path, raw), "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        measured = [float(r.split(",")[1]) for r in (out / "report.csv").read_text().split()[1:]]
+        assert measured[0] == 1e154 and all(math.isfinite(m) for m in measured)
+
+    def test_overflowing_transport_cost_exits_two(self, tmp_path, capsys):
+        # the matched |x - y|^2 are finite, their total is not: W_2 has no float value
+        raw = json.loads(json.dumps(BASE))
+        raw.update(p=2, N=2, initial={"kind": "atoms", "atoms": [[0.0], [3e154]]})
+        raw["experiment"] = {
+            "kind": "verify",
+            "what": "gronwall_global",
+            "w": {"label": "linear_decay", "rates": {"m": 1.0, "l": 1.0, "L": 0.0}},
+            "ref_initial": {"kind": "atoms", "atoms": [[1e154], [4e154]]},
+        }
+        out = tmp_path / "o"
+        assert cli_main(["verify", "--config", self._write(tmp_path, raw), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["verify_equi_two_clusters", "verify_momentum_mean_attraction"])
+    def test_large_p_keeps_power_means_finite(self, tmp_path, capsys, name):
+        # |x|^2000 overflows for |x| > 1.43: the power means scale by their largest value
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli_main(["verify", "--config", str(SCENARIOS / f"{name}.json"), "--out", str(out), "--p", "2000"])
+        verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
+        assert code == 0 and all(verdicts.values())
+        assert capsys.readouterr().err == ""
+        measured = [float(r.split(",")[1]) for r in (out / "report.csv").read_text().split()[1:]]
+        assert all(math.isfinite(m) for m in measured)
 
     def test_zero_declared_rate_fails_honestly(self, tmp_path, capsys):
         # the bundled catalog probe with m = 0 and a nonzero rule

@@ -36,7 +36,7 @@ class TestConvexify:
         chat = convexify(fam, q=1, weight_steps=3)
         assert chat.size == fam.size
         for k, c in enumerate(chat.controls):
-            assert c.base_indices == (k,) and c.weights == (1.0,)
+            assert c.base_indices == (k,) and c.weight_numerators == (3,) and c.weight_den == 3
 
     def test_contains_zero_mixture(self):
         fam = bang_bang()
@@ -50,7 +50,7 @@ class TestConvexify:
         fam = bang_bang()
         chat = convexify(fam, q=2, weight_steps=1)
         for c in chat.controls:
-            assert set(c.weights) <= {0.0, 1.0}
+            assert c.weight_den == 1 and set(c.weight_numerators) <= {0, 1}
 
     def test_rates_preserved_exactly(self):
         fam = mean_gain_family([0.5, 1.0], const_rates(1.0, 1.0, 1.0))

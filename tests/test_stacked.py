@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from wassinc import ParticleCloud, convexify, integrate, peano_solve, signal_field
 from wassinc.catalog import constants_family, gain_family, mean_gain_family
-from wassinc.dynamics import ball_grid, union_probes
+from wassinc.dynamics import ball_grid
 from wassinc.filippov import filippov_track
-from wassinc.inclusion import ControlSignal, inclusion_residual
+from wassinc.inclusion import ControlledFamily, ControlSignal, ball_gaps, inclusion_residual
 
 from conftest import const_rates, control_field
 
@@ -146,6 +146,45 @@ def test_mismatch_equals_control_loop(kind, gains, d, n, seed, R):
 
 
 @settings(max_examples=30, deadline=None)
+@given(KINDS, GAINS, DIMS, st.integers(2, 5), SEEDS)
+def test_ball_gaps_equal_control_loop(kind, gains, d, n, seed):
+    family, controls = make_family(kind, gains, d)
+    w, ref, measure = reference(d, n, seed)
+    t, nu = ref.times[2], ref.clouds[2]
+    norms = np.linalg.norm(nu.points, axis=1)
+    field = ControlledFamily.of_field(control_field(family, family.size - 1))
+    for R in (0.5 * norms.min(), 0.5 * (norms.min() + norms.max()), math.inf):  # empty, partial, full ball
+        pts = nu.points[norms <= R]
+        expected = np.array([sup_gap(w.rule(t, nu, pts), oracle(kind, controls, k, measure, pts)) if pts.size else 0.0
+                             for k in range(family.size)])
+        assert_bitwise(ball_gaps(family, t, measure, w, nu, R), expected)
+        assert_bitwise(ball_gaps(field, t, measure, w, nu, R), expected[-1:])
+
+
+@settings(max_examples=30, deadline=None)
+@given(KINDS, GAINS, DIMS, st.integers(1, 4), SEEDS, st.sampled_from([math.inf, 1.0]))
+def test_one_iteration_velocity_gap_is_the_mismatch(kind, gains, d, n, seed, R):
+    # the first iterate steps with the mismatch argmin and the reference's measure
+    family, _ = make_family(kind, gains, d)
+    w, ref, start = reference(d, n, seed)
+    _, _, cert = filippov_track(family, ref, w, start, R, tol=1e-300, max_iter=1, p=2.0)
+    assert_bitwise(cert.velocity_gap[:-1], cert.eta_R[:-1])
+    assert cert.velocity_gap[-1] >= cert.eta_R[-1]  # node M keeps the last interval's control
+
+
+@settings(max_examples=30, deadline=None)
+@given(GAINS, DIMS, st.integers(1, 4), SEEDS)
+def test_one_iteration_is_the_euler_loop_on_the_reference_measure(gains, d, n, seed):
+    family, controls = make_family("mean_gain", gains, d)
+    w, ref, start = reference(d, n, seed)
+    traj, signal, _ = filippov_track(family, ref, w, start, math.inf, tol=1e-300, max_iter=1, p=2.0)
+    X = [start.points]  # X_{k+1} = X_k + h f_{sigma_k}(t_k, ref_k, X_k)
+    for k, (t0, t1) in enumerate(zip(ref.times, ref.times[1:])):
+        X.append(X[k] + (t1 - t0) * oracle("mean_gain", controls, signal.indices[k], ref.clouds[k], X[k]))
+    assert_bitwise(traj.points, np.array(X))
+
+
+@settings(max_examples=30, deadline=None)
 @given(KINDS, GAINS, DIMS, st.integers(1, 4), SEEDS, st.sampled_from([1, 2]))
 def test_min_norm_selection_equals_control_loop(kind, gains, d, n, seed, substeps):
     family, controls = make_family(kind, gains, d)
@@ -154,7 +193,7 @@ def test_min_norm_selection_equals_control_loop(kind, gains, d, n, seed, substep
     traj, signal = peano_solve(family, start, 3, substeps, "min_norm")
     for k in range(signal.n_intervals):
         delayed = traj.clouds[max(0, k - substeps)]
-        probes = union_probes(delayed.points, traj.clouds[k].points)
+        probes = np.concatenate((delayed.points, traj.clouds[k].points))
         norms = [sup_gap(oracle(kind, controls, i, delayed, probes), 0.0)
                  for i in range(family.size)]
         assert signal.indices[k] == loop_argmin(norms)
@@ -201,7 +240,7 @@ def test_tracking_reselection_equals_control_loop(kind, gains, d, n, seed, R):
         pieces = [cur.clouds[j].points, ref.clouds[j].points]
         if not math.isinf(R):
             pieces.append(ball_grid(R, d, R / 8.0))
-        probes = union_probes(*pieces)
+        probes = np.concatenate(pieces)
         prev = oracle(kind, controls, first[j], ref.clouds[j], probes)
         second.append(loop_argmin([sup_gap(prev, oracle(kind, controls, i, cur.clouds[j], probes))
                                    for i in range(family.size)]))
