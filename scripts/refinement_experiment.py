@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from wassinc import ParticleCloud, RateFunctions, refinement_study
+from wassinc import ParticleCloud, RateFunctions, peano_solve, refinement_study
 from wassinc.catalog import mean_gain_family
 
 
@@ -21,7 +21,8 @@ def main() -> int:
     family = mean_gain_family([0.5, 1.0], RateFunctions.constant(1.0, 1.0, 1.0, 1.0))
     print(f"N = {n_particles}, controls = {family.controls}, strategy = min_norm")
     print(f"{'n_coarse':>9s} {'n_fine':>7s} {'sup W_1':>12s}")
-    for a, b, v in refinement_study(family, start, [4, 8, 16, 32, 64], 4, "min_norm", p=1):
+    curves = {n: peano_solve(family, start, n, 4, "min_norm")[0] for n in [4, 8, 16, 32, 64]}
+    for a, b, v in refinement_study(curves, p=1):
         print(f"{a:9d} {b:7d} {v:12.6e}")
     return 0
 

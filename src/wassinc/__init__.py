@@ -4,14 +4,13 @@ bounds."""
 
 from .measure import ParticleCloud, moment, tail_norm, wasserstein_cost
 from .dynamics import (
-    NonlocalField,
+    ControlledFamily,
     RateFunctions,
     Trajectory,
     ball_grid,
     integrate,
 )
 from .inclusion import (
-    ControlledFamily,
     ControlSignal,
     inclusion_residual,
     peano_solve,
@@ -30,12 +29,11 @@ __all__ = [
     "moment",
     "tail_norm",
     "wasserstein_cost",
-    "NonlocalField",
+    "ControlledFamily",
     "RateFunctions",
     "Trajectory",
     "ball_grid",
     "integrate",
-    "ControlledFamily",
     "ControlSignal",
     "inclusion_residual",
     "peano_solve",

@@ -59,7 +59,7 @@ class BoundReport:
         return self.measured.size > 0 and bool(np.all(self.margins >= -allowance - ATOL))
 
 
-def _exp(x: float) -> float:
+def saturating_exp(x: float) -> float:
     """exp saturating to +inf; the envelopes stay valid bounds either way."""
     try:
         return math.exp(x)
@@ -68,7 +68,7 @@ def _exp(x: float) -> float:
 
 
 def _power(x: float, p: float) -> float:
-    """x^p for x >= 0, saturating to +inf like ``_exp``."""
+    """x^p for x >= 0, saturating to +inf like ``saturating_exp``."""
     try:
         return x**p
     except OverflowError:
@@ -84,12 +84,12 @@ def exp_power(c: float, x: float, p: float, shift: float = 0.0) -> float:
     xp = _power(x, p)
     if xp == 0.0 < x and c == math.inf:
         return math.inf
-    return _exp(product(c, xp) + shift)
+    return saturating_exp(product(c, xp) + shift)
 
 
 def product(*factors: float) -> float:
     """Left-to-right product; a zero factor gives 0 even beside an inf,
-    which stands for a finite value past the float range (``_exp``)."""
+    which stands for a finite value past the float range (``saturating_exp``)."""
     out = 1.0
     for f in factors:
         if f == 0.0:
@@ -145,7 +145,7 @@ def abs_continuity_constant(p: float, moment0: float, m_total: float) -> float:
 
 def horizon_factor(m_total: float) -> float:
     """C_T = max(1, ||m||_1) exp(||m||_1), the characteristic travel envelope."""
-    return max(1.0, m_total) * _exp(m_total)
+    return max(1.0, m_total) * saturating_exp(m_total)
 
 
 def uniform_moment(p: float, moment_mu0: float, moment_nu0: float, m_total: float) -> float:
@@ -154,7 +154,7 @@ def uniform_moment(p: float, moment_mu0: float, moment_nu0: float, m_total: floa
     growth = exp_power(cpp, m_total, p)
     f0 = product(cp, moment_nu0 + m_total, growth)
     alpha = product(cp, 1.0 + moment_mu0 + m_total * (1.0 + f0), growth)
-    return product(alpha + f0, _exp(alpha * m_total))
+    return product(alpha + f0, saturating_exp(alpha * m_total))
 
 
 def script_horizon_factor(uniform_moment_bound: float, m_total: float) -> float:

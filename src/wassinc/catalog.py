@@ -2,7 +2,10 @@
 
 Labels understood by scenario files, each naming the builder
 ``<label>_field`` or ``<label>_family`` whose parameters the config's
-schema checks:
+schema checks.  Every builder returns a ``dynamics.ControlledFamily`` whose
+rule evaluates a stack of control indices at once; a field is the family
+of one control, its rule returning the stack of that one velocity.
+Fields:
 
 * ``zero``                 v = 0
 * ``constant``             v = c, parameter ``vector``
@@ -11,8 +14,7 @@ schema checks:
 * ``bounded_kernel``       v(x) = (1/N) sum_j -(x - y_j) / (1 + |x - y_j|)
 * ``rotation``             v = (-x2, x1), d = 2 only
 
-Control families (each rule evaluates a stack of control indices at
-once, see ``ControlledFamily``):
+Control families:
 
 * ``constants``  controls are vectors u, v = u
 * ``gain``       controls are scalars k, v = -k x
@@ -27,53 +29,55 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dynamics import NonlocalField, RateFunctions
+from .dynamics import ControlledFamily, RateFunctions
 from .errors import ConfigError
-from .inclusion import ControlledFamily
 from .measure import ParticleCloud
 
 
-def zero_field(rates: RateFunctions) -> NonlocalField:
+def _field(rule, rates: RateFunctions, label: str, measure_dependent: bool = False) -> ControlledFamily:
+    """The field of ``rule`` as the family of its one control."""
+    return ControlledFamily(controls=(0,), rule=rule, rates=rates, label=label, measure_dependent=measure_dependent)
+
+
+def zero_field(rates: RateFunctions) -> ControlledFamily:
     """Zero velocity; natural rates m = l = L = 0."""
 
-    def rule(t, cloud, X):
-        return np.zeros_like(X)
+    def rule(t, cloud, idx, X):
+        return np.zeros((1,) + X.shape)
 
-    return NonlocalField(rule=rule, rates=rates, label="zero")
+    return _field(rule, rates, "zero")
 
 
-def constant_field(vector: np.ndarray, rates: RateFunctions) -> NonlocalField:
+def constant_field(vector: np.ndarray, rates: RateFunctions) -> ControlledFamily:
     """Constant velocity c; natural rates m = |c|, l = L = 0."""
     c = np.asarray(vector, dtype=float)
 
-    def rule(t, cloud, X):
-        return np.broadcast_to(c, X.shape).copy()
+    def rule(t, cloud, idx, X):
+        return np.broadcast_to(c, (1,) + X.shape).copy()
 
-    return NonlocalField(rule=rule, rates=rates, label=f"constant:{c.tolist()}")
+    return _field(rule, rates, f"constant:{c.tolist()}")
 
 
-def linear_decay_field(rates: RateFunctions) -> NonlocalField:
+def linear_decay_field(rates: RateFunctions) -> ControlledFamily:
     """v = -x; natural rates m = 1, l = 1, L = 0."""
 
-    def rule(t, cloud, X):
-        return -X
+    def rule(t, cloud, idx, X):
+        return -X[None]
 
-    return NonlocalField(rule=rule, rates=rates, label="linear_decay")
+    return _field(rule, rates, "linear_decay")
 
 
-def mean_attraction_field(kappa: float, rates: RateFunctions) -> NonlocalField:
+def mean_attraction_field(kappa: float, rates: RateFunctions) -> ControlledFamily:
     """v = kappa (mean(mu) - x); natural rates m = l = L = kappa."""
     kappa = float(kappa)
 
-    def rule(t, cloud, X):
-        return kappa * (cloud.mean()[None, :] - X)
+    def rule(t, cloud, idx, X):
+        return (kappa * (cloud.mean()[None, :] - X))[None]
 
-    return NonlocalField(
-        rule=rule, rates=rates, label=f"mean_attraction:{kappa}", measure_dependent=True
-    )
+    return _field(rule, rates, f"mean_attraction:{kappa}", measure_dependent=True)
 
 
-def bounded_kernel_field(rates: RateFunctions) -> NonlocalField:
+def bounded_kernel_field(rates: RateFunctions) -> ControlledFamily:
     """Saturating pairwise attraction; natural rates m = 1, l = 1, L = 1.
 
     The reference form of the rule is ``mean(axis=1)`` of the (points,
@@ -95,27 +99,27 @@ def bounded_kernel_field(rates: RateFunctions) -> NonlocalField:
     in the last bit.
     """
 
-    def rule(t, cloud, X):
+    def rule(t, cloud, idx, X):
         Y = cloud.points
         if X.shape[1] == 1:
             q = (Y.T - X) / (1.0 + cdist(X, Y))  # laid out (i, j)
-            return q.sum(axis=1, keepdims=True) / len(Y)
+            return (q.sum(axis=1, keepdims=True) / len(Y))[None]
         q = Y[:, :, None] - np.ascontiguousarray(X.T)  # -(x_i - y_j), laid out (j, c, i)
         q /= 1.0 + cdist(Y, X)[:, None, :]
-        return np.ascontiguousarray(q.sum(axis=0).T) / len(Y)
+        return (np.ascontiguousarray(q.sum(axis=0).T) / len(Y))[None]
 
-    return NonlocalField(rule=rule, rates=rates, label="bounded_kernel", measure_dependent=True)
+    return _field(rule, rates, "bounded_kernel", measure_dependent=True)
 
 
-def rotation_field(rates: RateFunctions) -> NonlocalField:
+def rotation_field(rates: RateFunctions) -> ControlledFamily:
     """Planar rotation v = (-x2, x1); natural rates m = 1, l = 1, L = 0."""
 
-    def rule(t, cloud, X):
+    def rule(t, cloud, idx, X):
         if X.shape[1] != 2:
             raise ConfigError("rotation field requires dimension d = 2")
-        return np.stack([-X[:, 1], X[:, 0]], axis=1)
+        return np.stack([-X[:, 1], X[:, 0]], axis=1)[None]
 
-    return NonlocalField(rule=rule, rates=rates, label="rotation")
+    return _field(rule, rates, "rotation")
 
 
 def constants_family(controls, rates: RateFunctions) -> ControlledFamily:

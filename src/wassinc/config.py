@@ -35,9 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import catalog
-from .dynamics import NonlocalField, RateFunctions, Trajectory, integrate
+from .dynamics import ControlledFamily, RateFunctions, Trajectory, integrate
 from .errors import ConfigError
-from .inclusion import ControlledFamily
 from .measure import ParticleCloud
 
 _REQUIRED = object()
@@ -84,7 +83,7 @@ class ScenarioConfig:
     initial: dict
     steps: int
     experiment: dict
-    field: NonlocalField | None = None
+    field: ControlledFamily | None = None
     family: ControlledFamily | None = None
     slack: float = 0.05
 
@@ -211,7 +210,7 @@ def _grid(raw, path: str, top: dict) -> int:
     return grid["steps"] or max(1, round(top["T"] / grid["dt"]))
 
 
-def _field(spec, path: str, top: dict) -> NonlocalField:
+def _field(spec, path: str, top: dict) -> ControlledFamily:
     return build_field(spec, top["T"], top["d"], path)
 
 
@@ -421,7 +420,7 @@ def _check_dims(params: dict, context: str, d: int) -> None:
             raise ConfigError(f"{where} must have d = {d} entries, got {len(row)}")
 
 
-def build_field(spec: dict, T: float, d: int, context: str = "config.field") -> NonlocalField:
+def build_field(spec: dict, T: float, d: int, context: str = "config.field") -> ControlledFamily:
     params = _tagged(spec, context, {}, "label", FIELDS)
     _check_dims(params, context, d)
     builder = getattr(catalog, params.pop("label") + "_field")

@@ -1,16 +1,17 @@
-"""Nonlocal velocity fields and the characteristics integrator.
+"""Velocity families, the delayed Euler step and the characteristics integrator.
 
-A velocity field here is a rule (t, cloud, x) -> vector together with
-declared rate functions: a growth rate m, a spatial Lipschitz rate l, and a
-measure-Lipschitz rate L, all piecewise constant in time with exact
-interval integrals.  Moving every particle of a cloud along the field's
+A ``ControlledFamily`` is a finite control set plus a rule
+(t, cloud, idx, X) -> velocities, shape (len(idx), n, d), sharing one set
+of declared rate functions: a growth rate m, a spatial Lipschitz rate l,
+and a measure-Lipschitz rate L, all piecewise constant in time with exact
+interval integrals.  A velocity field is the family of one control,
+``controls=(0,)``.  Moving every particle of a cloud along a field's
 characteristics advances the empirical measure itself; a Trajectory holds
 the positions in one read-only (nodes, N, d) array, its clouds views of it.
 ``march`` is the one loop that writes a curve's nodes, each checked finite.
-``integrate`` hands the rule the evolving cloud; a step that reads its
-measure from an earlier curve is ``inclusion.delayed_step`` (peano's
-scheme and every tracking iterate), and a field bound to one is
-``inclusion.signal_field``.
+Every Euler curve steps with ``delayed_step``: ``integrate`` hands it the
+evolving cloud, peano's scheme and every tracking iterate a cloud from an
+earlier curve, and a field bound to a curve is ``inclusion.signal_field``.
 """
 
 from __future__ import annotations
@@ -112,24 +113,55 @@ def snapped_index(times: list, t: float, snap: float) -> int:
     return max(bisect_right(times, t + snap) - 1, 0)
 
 
-FieldRule = Callable[[float, ParticleCloud, np.ndarray], np.ndarray]
+FamilyRule = Callable[[float, ParticleCloud, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
-class NonlocalField:
-    """Velocity field rule (t, cloud, points) -> velocities with its rates.
+class ControlledFamily:
+    """Finite control set U with a shared rule and rate functions.
 
+    ``rule(t, cloud, idx, X)`` takes a 1-d integer array (or list) of
+    control indices and returns the stacked velocities, shape
+    (len(idx), n, d); entry i must not depend on the other entries of
+    ``idx``.  Each fixed-control slice is a valid velocity field under the
+    shared rates, and a velocity field is a family with ``controls=(0,)``.
     ``rule`` must be pure: given the same arguments it returns the same
-    array, with no hidden state.  The integrators pass it read-only
-    positions.  ``measure_dependent`` records whether the
-    rule actually reads its cloud argument; measure-independent fields
-    admit the tighter moment bounds.
+    array, with no hidden state; the integrators pass it read-only
+    positions.  ``measure_dependent`` records whether the rule actually
+    reads its cloud argument; measure-independent fields admit the
+    tighter moment bounds.  ``convex_images`` is informational: the
+    delayed Euler scheme still runs without it, but its existence
+    guarantee may fail.
     """
 
-    rule: FieldRule
+    controls: tuple
+    rule: FamilyRule
     rates: RateFunctions
+    convex_images: bool = False
     label: str = ""
     measure_dependent: bool = False
+
+    def __post_init__(self):
+        if len(self.controls) == 0:
+            raise ValueError("control set must be nonempty")
+        object.__setattr__(self, "controls", tuple(self.controls))
+
+    @property
+    def size(self) -> int:
+        return len(self.controls)
+
+    def gaps(self, t: float, cloud: ParticleCloud, target, probes: np.ndarray) -> np.ndarray:
+        """Sup over ``probes`` of |target - control u's velocity|, one value
+        per control u; ``target`` is velocities at the probes (or 0), and the
+        argmin is the nearest control, ties to the lowest index."""
+        return sup_norm(target - self.rule(t, cloud, np.arange(self.size), probes))
+
+
+def delayed_step(family: ControlledFamily, t0: float, t1: float, delayed: ParticleCloud, u: int,
+                 X: np.ndarray) -> np.ndarray:
+    """The delayed Euler step: positions X moved over [t0, t1] with control u's
+    velocity, read at t0 with the ``delayed`` cloud as measure argument."""
+    return X + (t1 - t0) * family.rule(t0, delayed, [u], X)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,18 +234,21 @@ def march(start: ParticleCloud, grid: np.ndarray, step: Callable) -> Trajectory:
 
 
 def integrate(
-    field: NonlocalField,
+    field: ControlledFamily,
     start: ParticleCloud,
     grid: Sequence[float],
     method: str = "euler",
 ) -> Trajectory:
     """Advance every particle of ``start`` along the field over ``grid``.
 
-    The measure argument handed to the rule is the integrator's own
-    current cloud (for rk4, each stage's intermediate cloud); a field bound
-    to another curve (``inclusion.signal_field`` with a ``measure``) reads
-    that curve instead and ignores it.  Raises BlowUpError (see
-    ``_check_finite``) if a coordinate leaves the finite range.
+    ``field`` is a family of one control (ValueError otherwise, so a
+    larger family is never cut down to its control 0).  An euler step is
+    ``delayed_step`` with control 0 and the integrator's own current cloud
+    as measure argument; rk4 hands the rule each stage's intermediate
+    cloud.  A field bound to another curve (``inclusion.signal_field`` with
+    a ``measure``) reads that curve instead and ignores it.  Raises
+    BlowUpError (see ``_check_finite``) if a coordinate leaves the finite
+    range.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size < 1:
@@ -222,9 +257,11 @@ def integrate(
         raise ShapeMismatchError("grid must be strictly increasing")
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
+    if field.size != 1:
+        raise ValueError(f"integrate needs a field, a family of one control; got {field.size} controls")
 
     def euler(k, t0, t1, clouds):
-        return clouds[k].points + (t1 - t0) * field.rule(t0, clouds[k], clouds[k].points)
+        return delayed_step(field, t0, t1, clouds[k], 0, clouds[k].points)
 
     def rk4(k, t0, t1, clouds):
         return _rk4_step(field, clouds[k], t0, t1 - t0, k + 1)
@@ -247,10 +284,10 @@ def _rk4_step(field, cloud, t0, dt, step):
     def stage(t, Y):
         Y.setflags(write=False)
         _check_finite(Y, X, step, t0 + dt)
-        return field.rule(t, ParticleCloud._view(Y), Y)
+        return field.rule(t, ParticleCloud._view(Y), [0], Y)[0]
 
     th = t0 + 0.5 * dt
-    k1 = field.rule(t0, cloud, X)
+    k1 = field.rule(t0, cloud, [0], X)[0]
     k2 = stage(th, X + 0.5 * dt * k1)
     k3 = stage(th, X + 0.5 * dt * k2)
     k4 = stage(t0 + dt, X + dt * k3)

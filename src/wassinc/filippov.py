@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .dynamics import NonlocalField, RateFunctions, Trajectory, ball_grid, march
-from .inclusion import ControlledFamily, ControlSignal, ball_gaps, delayed_step
+from .dynamics import ControlledFamily, RateFunctions, Trajectory, ball_grid, delayed_step, march
+from .inclusion import ControlSignal, ball_gaps
 from .measure import ParticleCloud, localisation_tail, moment, sup_wasserstein_cost, wasserstein_costs
 
 
@@ -128,7 +128,7 @@ def compute_bound(
 def filippov_track(
     family: ControlledFamily,
     ref: Trajectory,
-    w: NonlocalField,
+    w: ControlledFamily,
     start: ParticleCloud,
     R: float,
     tol: float,

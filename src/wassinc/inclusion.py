@@ -1,21 +1,21 @@
 """Set-valued dynamics over finite control sets and the delayed Euler scheme.
 
-An admissible-velocity set is discretized as a finite list of controls
-plus a rule (t, cloud, idx, X) -> velocities sharing one set of rate
-functions.  The rule evaluates a stack of control indices at once, shape
-(len(idx), n, d); one control is the stack ``[k]``, and every selection
-takes the argmin of ``ControlledFamily.gaps``, which evaluates
-``np.arange(family.size)`` once (ties to the lowest index); ``ball_gaps``
-is every velocity gap on the atoms of a ball, a field being the family of
-one control (``ControlledFamily.of_field``).  A measurable velocity
-selection becomes a piecewise-constant control index per sub-interval of
-a fine grid.
+An admissible-velocity set is discretized as a ``dynamics.ControlledFamily``:
+a finite list of controls plus a rule (t, cloud, idx, X) -> velocities
+sharing one set of rate functions.  The rule evaluates a stack of control
+indices at once, shape (len(idx), n, d); one control is the stack ``[k]``,
+and every selection takes the argmin of ``ControlledFamily.gaps``, which
+evaluates ``np.arange(family.size)`` once (ties to the lowest index);
+``ball_gaps`` is every velocity gap on the atoms of a ball, a field being
+the family of one control.  A measurable velocity selection becomes a
+piecewise-constant control index per sub-interval of a fine grid, and
+``signal_field`` is the field that follows it.
 
 ``peano_solve`` builds a trajectory-selection pair by splitting the
 horizon into n blocks and, on every euler sub-interval, choosing a
 control against the cloud delayed by one block (the start cloud stands in
-for negative times) and taking ``delayed_step``: the particles advance
-with that same delayed cloud as the measure argument.
+for negative times) and taking ``dynamics.delayed_step``: the particles
+advance with that same delayed cloud as the measure argument.
 ``inclusion_residual`` replays ``delayed_step`` from the trajectory's own
 nodes and the signal's recorded controls, so it reads 0 for a pair the
 scheme built and more wherever trajectory and signal disagree.
@@ -25,64 +25,22 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .dynamics import NonlocalField, RateFunctions, Trajectory, ball_atoms, grid_snap, march, snapped_index, sup_norm
+from .dynamics import (ControlledFamily, Trajectory, ball_atoms, delayed_step, grid_snap, march, snapped_index,
+                       sup_norm)
 from .errors import ShapeMismatchError
 from .measure import ParticleCloud, sup_wasserstein_cost
 
-FamilyRule = Callable[[float, ParticleCloud, np.ndarray, np.ndarray], np.ndarray]
 
-
-@dataclass(frozen=True, eq=False)
-class ControlledFamily:
-    """Finite control set U with a shared rule and rate functions.
-
-    ``rule(t, cloud, idx, X)`` takes a 1-d integer array (or list) of
-    control indices and returns the stacked velocities, shape
-    (len(idx), n, d); entry i must not depend on the other entries of
-    ``idx``.  Each fixed-control slice is a valid velocity field under the
-    shared rates.  ``convex_images`` is informational: the delayed Euler
-    scheme still runs without it, but its existence guarantee may fail.
-    """
-
-    controls: tuple
-    rule: FamilyRule
-    rates: RateFunctions
-    convex_images: bool = False
-    label: str = ""
-    measure_dependent: bool = False
-
-    def __post_init__(self):
-        if len(self.controls) == 0:
-            raise ValueError("control set must be nonempty")
-        object.__setattr__(self, "controls", tuple(self.controls))
-
-    @classmethod
-    def of_field(cls, field: NonlocalField) -> "ControlledFamily":
-        """``field`` as the family of its one control."""
-        return cls(controls=(0,), rule=lambda t, cloud, idx, X: field.rule(t, cloud, X)[None], rates=field.rates,
-                   measure_dependent=field.measure_dependent)
-
-    @property
-    def size(self) -> int:
-        return len(self.controls)
-
-    def gaps(self, t: float, cloud: ParticleCloud, target, probes: np.ndarray) -> np.ndarray:
-        """Sup over ``probes`` of |target - control u's velocity|, one value
-        per control u; ``target`` is velocities at the probes (or 0), and the
-        argmin is the nearest control, ties to the lowest index."""
-        return sup_norm(target - self.rule(t, cloud, np.arange(self.size), probes))
-
-
-def ball_gaps(family: ControlledFamily, t: float, measure: ParticleCloud, w: NonlocalField, nu: ParticleCloud,
+def ball_gaps(family: ControlledFamily, t: float, measure: ParticleCloud, w: ControlledFamily, nu: ParticleCloud,
               R: float) -> np.ndarray:
     """Max over the atoms x of ``nu`` with |x| <= R of |w(t, nu, x) - f_u(t, measure, x)|,
-    one value per control u of ``family``; zeros when the ball holds no atom."""
+    one value per control u of ``family``, for a field ``w``; zeros when the ball holds no atom."""
     pts = ball_atoms(nu, R)
-    return family.gaps(t, measure, w.rule(t, nu, pts), pts) if pts.shape[0] else np.zeros(family.size)
+    return family.gaps(t, measure, w.rule(t, nu, [0], pts)[0], pts) if pts.shape[0] else np.zeros(family.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,17 +79,19 @@ class ControlSignal:
         return int(self.indices[min(k, self.indices.size - 1)])
 
 
-def signal_field(family: ControlledFamily, signal: ControlSignal, measure: Trajectory | None = None) -> NonlocalField:
-    """Velocity field that follows the signal's control on each interval;
-    given a ``measure`` Trajectory, its rule reads ``measure.at(t)`` in place
-    of the cloud it is handed."""
+def signal_field(family: ControlledFamily, signal: ControlSignal,
+                 measure: Trajectory | None = None) -> ControlledFamily:
+    """Velocity field (a family of one control) that follows the signal's
+    control on each interval; given a ``measure`` Trajectory, its rule reads
+    ``measure.at(t)`` in place of the cloud it is handed."""
     if signal.indices.max() >= family.size:
         raise ValueError(f"signal index {signal.indices.max()} outside family of size {family.size}")
 
-    def rule(t, cloud, X):
-        return family.rule(t, cloud if measure is None else measure.at(t), [signal.index_at(t)], X)[0]
+    def rule(t, cloud, idx, X):
+        return family.rule(t, cloud if measure is None else measure.at(t), [signal.index_at(t)], X)
 
-    return NonlocalField(
+    return ControlledFamily(
+        controls=(0,),
         rule=rule,
         rates=family.rates,
         label=f"{family.label}|signal",
@@ -205,13 +165,6 @@ def peano_solve(
     return march(start, grid, step), ControlSignal(grid=grid, indices=indices)
 
 
-def delayed_step(family: ControlledFamily, t0: float, t1: float, delayed: ParticleCloud, u: int,
-                 X: np.ndarray) -> np.ndarray:
-    """The delayed Euler step: positions X moved over [t0, t1] with control u's
-    velocity, read at t0 with the ``delayed`` cloud as measure argument."""
-    return X + (t1 - t0) * family.rule(t0, delayed, [u], X)[0]
-
-
 def inclusion_residual(traj: Trajectory, signal: ControlSignal, family: ControlledFamily, delay: float) -> np.ndarray:
     """Velocity-unit defect of a trajectory-selection pair against the delayed
     Euler scheme over ``family``.
@@ -230,26 +183,19 @@ def inclusion_residual(traj: Trajectory, signal: ControlSignal, family: Controll
     return out
 
 
-def refinement_study(
-    family: ControlledFamily,
-    start: ParticleCloud,
-    n_list: Sequence[int],
-    substeps: int,
-    strategy: str,
-    p: float,
-    seed: int | None = None,
-) -> list[tuple[int, int, float]]:
+def refinement_study(curves: Mapping[int, Trajectory], p: float) -> list[tuple[int, int, float]]:
     """Distances between consecutive delayed-Euler refinements.
 
-    Runs ``peano_solve`` for each n and reports, per consecutive pair,
-    the sup over the coarsest solve's grid of W_p between the two
+    ``curves`` maps each n, strictly increasing with at least two entries,
+    to its ``peano_solve`` trajectory.  Reports, per consecutive pair, the
+    sup over the coarsest curve's grid of W_p between the two
     trajectories.  The reported numbers are recorded observations, not a
     convergence guarantee.
     """
-    ns = list(n_list)
+    ns = list(curves)
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing with at least two entries")
-    solutions = [peano_solve(family, start, n, substeps, strategy, seed)[0] for n in ns]
+    solutions = list(curves.values())
     common = solutions[0].times
     return [
         (n_a, n_b, sup_wasserstein_cost([(a.at(t), b.at(t)) for t in common], p))

@@ -21,10 +21,10 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import bounds
-from .dynamics import Trajectory, integrate, snapped_index
+from .dynamics import ControlledFamily, Trajectory, integrate, snapped_index
 from .errors import ResolutionError
 from .filippov import FilippovCertificate, filippov_track
-from .inclusion import ControlledFamily, ControlSignal, signal_field
+from .inclusion import ControlSignal, signal_field
 from .measure import moment, tail_norm, wasserstein_costs
 
 
@@ -279,7 +279,7 @@ def relax_approximate(
     l_total = rates.integral("l", 0.0, rates.duration)
     growth = bounds.exp_power(bounds.C_p_prime(p), l_total, p)
     chi_bar = bounds.product(bounds.C_p(p), rates.integral("L", 0.0, rates.duration), growth)
-    chi_growth = bounds._exp(chi_bar)
+    chi_growth = bounds.saturating_exp(chi_bar)
     amplification = bounds.product(
         bounds.C_p(p),
         (3.0 + l_total) * (1.0 + bounds.product(chi_bar, chi_growth)) + chi_growth,

@@ -22,7 +22,7 @@ from .bounds import BoundReport
 from .config import ScenarioConfig
 from .dynamics import Trajectory, integrate
 from .errors import ConfigError
-from .inclusion import ControlledFamily, ball_gaps
+from .inclusion import ball_gaps
 from .measure import ParticleCloud, localisation_tail, moment, tail_norm, wasserstein_cost, wasserstein_costs
 
 
@@ -115,8 +115,7 @@ def _gronwall(config: ScenarioConfig, R: float, local: bool) -> dict:
     grid = mu.grid
     measured = wasserstein_costs(zip(mu.clouds, nu.clouds), p)
     w0 = float(measured[0])
-    own = ControlledFamily.of_field(v)
-    gaps = [ball_gaps(own, t, mu.clouds[k], w, nu.clouds[k], R)[0] for k, t in enumerate(grid[:-1].tolist())]
+    gaps = [ball_gaps(v, t, mu.clouds[k], w, nu.clouds[k], R)[0] for k, t in enumerate(grid[:-1].tolist())]
     l_int, m_int = v.rates.integral("l", 0.0, grid), joint.integral("m", 0.0, grid)
 
     def series(tail):
@@ -162,7 +161,7 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> dict:
     the declared rate; the bound row is the constant 1.
     """
     n_samples = max(1000, config.experiment["samples"])
-    family = config.family or ControlledFamily.of_field(config.field)
+    family = config.family or config.field
     rates = family.rates
 
     rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))

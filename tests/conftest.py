@@ -29,7 +29,7 @@ def const_rates(m, l, L, T=1.0) -> RateFunctions:
 
 
 def control_field(family, k):
-    """Control k of ``family`` alone, as a velocity field on [0, T]."""
+    """Control k of ``family`` alone, as a velocity field (a family of one control) on [0, T]."""
     return signal_field(family, ControlSignal(np.array([0.0, family.rates.duration]), [k]))
 
 

@@ -65,16 +65,41 @@ def module_trees():
     return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
+def private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def imported_modules(tree):
+    """The names a module binds to wassinc modules: ``from . import bounds``,
+    ``from wassinc import bounds as b``, ``import wassinc.bounds as b``."""
+    stems = {path.stem for path in PACKAGE.glob("*.py")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module is None if node.level else node.module == "wassinc"):
+            yield from (alias.asname or alias.name for alias in node.names if alias.name in stems)
+        elif isinstance(node, ast.Import):
+            yield from (alias.asname for alias in node.names if alias.name.startswith("wassinc.") and alias.asname)
+
+
 def test_no_module_imports_a_private_name_of_another():
-    private = [
+    # by import (from .measure import _root) or as an attribute of an imported module (bounds._exp)
+    trees = module_trees()
+    imports = [
         f"{name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
-        for name, tree in module_trees().items()
+        for name, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("wassinc"))
         for alias in node.names
-        if alias.name.startswith("_")
+        if private(alias.name)
     ]
-    assert private == []
+    reads = [
+        f"{name}:{node.lineno}: {node.value.id}.{node.attr}"
+        for name, tree in trees.items()
+        for modules in [set(imported_modules(tree))]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and private(node.attr)
+    ]
+    assert imports + reads == []
 
 
 def test_only_measure_and_dynamics_build_unchecked_curves():

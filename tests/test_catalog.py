@@ -3,7 +3,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wassinc import ParticleCloud
-from wassinc.catalog import bounded_kernel_field
+from wassinc.catalog import (
+    bounded_kernel_field,
+    constant_field,
+    linear_decay_field,
+    mean_attraction_field,
+    rotation_field,
+    zero_field,
+)
 
 from conftest import const_rates
 
@@ -58,7 +65,7 @@ class TestBoundedKernelRule:
             points[1::2] = points[0]  # coincident cloud atoms
         cloud = ParticleCloud(points)
         X = probe_set(rng, points, kind, k)
-        assert_bitwise(RULE(0.0, cloud, X), kernel_tensor_rule(cloud, X))
+        assert_bitwise(RULE(0.0, cloud, [0], X)[0], kernel_tensor_rule(cloud, X))
 
     @given(
         data=st.data(),
@@ -74,12 +81,58 @@ class TestBoundedKernelRule:
         )
         cloud = ParticleCloud(data.draw(hnp.arrays(np.float64, (n, d), elements=values)))
         X = data.draw(hnp.arrays(np.float64, (m, d), elements=values))
-        assert_bitwise(RULE(0.0, cloud, X), kernel_tensor_rule(cloud, X))
+        assert_bitwise(RULE(0.0, cloud, [0], X)[0], kernel_tensor_rule(cloud, X))
 
     def test_single_atom_at_its_own_position(self):
         # every term is -0.0 / 1; the reference sum starts from +0.0
         for d in (1, 2, 3, 5):
             cloud = ParticleCloud(np.ones((1, d)))
-            out = RULE(0.0, cloud, np.ones((1, d)))
+            out = RULE(0.0, cloud, [0], np.ones((1, d)))[0]
             assert_bitwise(out, kernel_tensor_rule(cloud, np.ones((1, d))))
             assert not np.signbit(out).any()
+
+
+# each field's velocity at one point x, as the field was first written
+POINT_FORMULAS = {
+    "zero": lambda c, kappa, mean, x: np.zeros_like(x),
+    "constant": lambda c, kappa, mean, x: c.copy(),
+    "linear_decay": lambda c, kappa, mean, x: -x,
+    "mean_attraction": lambda c, kappa, mean, x: kappa * (mean - x),
+    "rotation": lambda c, kappa, mean, x: np.array([-x[1], x[0]]),
+}
+
+
+def catalog_field(name, c, kappa):
+    rates = const_rates(1, 1, 1)
+    if name == "constant":
+        return constant_field(c, rates), f"constant:{c.tolist()}"
+    if name == "mean_attraction":
+        return mean_attraction_field(kappa, rates), f"mean_attraction:{kappa}"
+    builder = {"zero": zero_field, "linear_decay": linear_decay_field, "rotation": rotation_field}[name]
+    return builder(rates), name
+
+
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(POINT_FORMULAS)),
+    n=st.integers(1, 6),
+    m=st.integers(1, 6),
+    d=st.sampled_from([1, 2, 3]),
+    kappa=st.sampled_from([0.0, -0.0, 1.25, -3.0, 1e300]),
+)
+@settings(max_examples=200, deadline=None)
+def test_field_stack_is_its_point_formula(data, name, n, m, d, kappa):
+    # a field is the family of one control: row 0 of its stack, bit for bit
+    d = 2 if name == "rotation" else d
+    values = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324]) | st.floats(-1e3, 1e3, allow_nan=False, width=64)
+    cloud = ParticleCloud(data.draw(hnp.arrays(np.float64, (n, d), elements=values)))
+    X = data.draw(hnp.arrays(np.float64, (m, d), elements=values))
+    c = data.draw(hnp.arrays(np.float64, (d,), elements=values))
+    field, label = catalog_field(name, c, kappa)
+    assert (field.controls, field.label) == ((0,), label)
+    with np.errstate(over="ignore", invalid="ignore"):  # kappa = 1e300 may overflow, in both
+        stack = field.rule(0.5, cloud, [0], X)
+        mean = cloud.mean()
+        expected = np.array([POINT_FORMULAS[name](c, kappa, mean, x) for x in X])
+    assert stack.shape == (1, m, d)
+    assert_bitwise(stack[0], expected)

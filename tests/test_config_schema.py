@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import wassinc.config as config_module
-from wassinc import NonlocalField, ParticleCloud, RateFunctions, integrate, parse_config
+from wassinc import ControlledFamily, ParticleCloud, RateFunctions, integrate, parse_config
 from wassinc.catalog import constants_family, gain_family, zero_field
 from wassinc.errors import BlowUpError, ConfigError
 from wassinc.filippov import filippov_track
@@ -379,7 +379,8 @@ def test_relax_rejects_bad_radius_policy(policy):
 
 
 def test_blow_up_names_particle_and_last_position():
-    field = NonlocalField(rule=lambda t, c, X: X * 1e308, rates=RateFunctions.constant(1, 0, 0, 1.0))
+    field = ControlledFamily(controls=(0,), rule=lambda t, c, idx, X: X[None] * 1e308,
+                             rates=RateFunctions.constant(1, 0, 0, 1.0))
     start = ParticleCloud(np.array([[0.0], [1.0]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning besides the error
@@ -403,11 +404,11 @@ def test_rk4_stage_blow_up_uses_the_same_report(tmp_path, capsys, method):
 
 
 def test_rk4_rule_never_sees_a_non_finite_stage():
-    def rule(t, cloud, X):
+    def rule(t, cloud, idx, X):
         assert np.isfinite(cloud.points).all() and np.isfinite(X).all()
-        return -X
+        return -X[None]
 
-    field = NonlocalField(rule=rule, rates=RateFunctions.constant(1, 1, 0, 10.0))
+    field = ControlledFamily(controls=(0,), rule=rule, rates=RateFunctions.constant(1, 1, 0, 10.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning besides the error
         with pytest.raises(BlowUpError, match=r"^non-finite coordinate after step 1 \(t = 10\): particle 0"):

@@ -7,7 +7,7 @@ import pytest
 from wassinc import BoundReport, run_scenario
 from wassinc.config import parse_config, sample_initial
 from wassinc.dynamics import Trajectory
-from wassinc.inclusion import ControlSignal, refinement_study
+from wassinc.inclusion import ControlSignal, peano_solve, refinement_study
 from wassinc.runner import write_report_csv, write_signal_csv, write_trajectory_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -74,10 +74,9 @@ class TestWritersMatchPerRowFormat:
         config = parse_config(raw)
         run_scenario(config, tmp_path)
         exp = config.experiment
-        rows = refinement_study(
-            config.family,
-            sample_initial(config.initial, config.N, config.d, config.seed),
-            exp["n_list"], exp["substeps"], exp["strategy"], config.p, seed=config.seed,
-        )
+        start = sample_initial(config.initial, config.N, config.d, config.seed)
+        curves = {n: peano_solve(config.family, start, n, exp["substeps"], exp["strategy"], seed=config.seed)[0]
+                  for n in exp["n_list"]}
+        rows = refinement_study(curves, config.p)
         expected = ["n_coarse,n_fine,sup_wp"] + [f"{a},{b},{_fmt(v)}" for a, b, v in rows]
         assert (tmp_path / "refinement.csv").read_text() == "\n".join(expected) + "\n"

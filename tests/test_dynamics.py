@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wassinc import (
-    NonlocalField,
+    ControlledFamily,
     ParticleCloud,
     RateFunctions,
     ball_grid,
@@ -15,6 +15,7 @@ from wassinc import (
 from wassinc.bounds import abs_continuity_constant, horizon_factor
 from wassinc.catalog import (
     bounded_kernel_field,
+    gain_family,
     constant_field,
     linear_decay_field,
     mean_attraction_field,
@@ -95,13 +96,18 @@ class TestIntegrate:
         traj = integrate(decay_field(), delta(1.0), np.linspace(0, 1, 101), method="rk4")
         assert abs(traj.clouds[-1].points[0, 0] - math.exp(-1)) < 1e-10
 
+    def test_a_family_of_two_controls_is_no_field(self):
+        family = gain_family([1.0, 2.0], const_rates(2.0, 2.0, 0.0))
+        with pytest.raises(ValueError, match="^integrate needs a field, a family of one control; got 2 controls$"):
+            integrate(family, delta(1.0), np.linspace(0, 1, 3))
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ShapeMismatchError):
             integrate(decay_field(), delta(1.0), np.array([]))
 
     def test_blow_up_named_step(self):
-        bad = NonlocalField(
-            rule=lambda t, c, X: X * 1e308, rates=const_rates(1, 0, 0), label="explode"
+        bad = ControlledFamily(
+            controls=(0,), rule=lambda t, c, idx, X: X[None] * 1e308, rates=const_rates(1, 0, 0), label="explode"
         )
         with np.errstate(over="ignore"), pytest.raises(BlowUpError, match="step"):
             integrate(bad, delta(1.0), np.linspace(0, 1, 5))
@@ -126,8 +132,9 @@ class TestIntegrate:
         base = integrate(
             constant_field([1.0], const_rates(1.0, 0.0, 0.0)), delta(0.0), np.linspace(0, 1, 11)
         )
-        field = NonlocalField(
-            rule=lambda t, c, X: np.broadcast_to(base.at(t - 0.5).mean(), X.shape).copy(),
+        field = ControlledFamily(
+            controls=(0,),
+            rule=lambda t, c, idx, X: np.broadcast_to(base.at(t - 0.5).mean(), (1,) + X.shape).copy(),
             rates=const_rates(1.0, 0.0, 0.0),
             measure_dependent=True,
         )
@@ -219,7 +226,7 @@ class TestCatalogRateProbes:
         for _ in range(50):
             c = random_cloud(rng, 8, 1)
             x = 3.0 * rng.standard_normal((1, 1))
-            v = field.rule(0.5, c, x)
+            v = field.rule(0.5, c, [0], x)[0]
             m = field.rates.at("m", 0.5)
             bound = m * (1.0 + float(np.linalg.norm(x)) + moment(c, 2))
             assert float(np.linalg.norm(v)) <= bound + 1e-12
@@ -230,5 +237,5 @@ class TestCatalogRateProbes:
         for _ in range(50):
             x = 2.0 * rng.standard_normal((1, 2))
             y = 2.0 * rng.standard_normal((1, 2))
-            gap = float(np.linalg.norm(field.rule(0.1, c, x) - field.rule(0.1, c, y)))
+            gap = float(np.linalg.norm(field.rule(0.1, c, [0], x)[0] - field.rule(0.1, c, [0], y)[0]))
             assert gap <= field.rates.at("l", 0.1) * float(np.linalg.norm(x - y)) + 1e-12

@@ -27,12 +27,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from wassinc import NonlocalField, ParticleCloud, RateFunctions, Trajectory, convexify, integrate, signal_field
+from wassinc import ControlledFamily, ParticleCloud, RateFunctions, Trajectory, convexify, integrate, signal_field
 from wassinc import measure
 from wassinc.catalog import bounded_kernel_field, gain_family, mean_attraction_field, mean_gain_family, rotation_field
 from wassinc.dynamics import grid_snap, snapped_index
 from wassinc.errors import ShapeMismatchError
-from wassinc.inclusion import ControlledFamily, ControlSignal, peano_solve
+from wassinc.inclusion import ControlSignal, peano_solve
 from wassinc.measure import assignment_cost, pairwise_cost, wasserstein_cost, wasserstein_costs
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -2.5]
@@ -300,10 +300,10 @@ def per_step_loop(field, start, grid, method="euler", measure=None):
         t0, t1 = float(grid[k]), float(grid[k + 1])
         dt = t1 - t0
         if method == "euler":
-            X = X + dt * field.rule(t0, measure.at(t0) if measure else clouds[-1], X)
+            X = X + dt * field.rule(t0, measure.at(t0) if measure else clouds[-1], [0], X)[0]
         else:
             def stage(t, Y):
-                return field.rule(t, measure.at(t) if measure else ParticleCloud(Y), Y)
+                return field.rule(t, measure.at(t) if measure else ParticleCloud(Y), [0], Y)[0]
             k1 = stage(t0, X)
             k2 = stage(t0 + 0.5 * dt, X + 0.5 * dt * k1)
             k3 = stage(t0 + 0.5 * dt, X + 0.5 * dt * k2)
@@ -335,13 +335,12 @@ def test_rules_see_read_only_rows():
     writing its arguments in place would change the stored trajectory."""
     seen = []
 
-    def rule(t, cloud, X):
+    def rule(t, cloud, idx, X):
         seen.append((X.flags.writeable, cloud.points.flags.writeable))
-        return -X
+        return np.stack([-X] * len(idx))
 
-    field = NonlocalField(rule=rule, rates=RateFunctions.constant(1, 1, 0, 1.0))
-    family = ControlledFamily(controls=(0, 1), rule=lambda t, cloud, idx, X: np.stack([rule(t, cloud, X)] * len(idx)),
-                              rates=field.rates)
+    field = ControlledFamily(controls=(0,), rule=rule, rates=RateFunctions.constant(1, 1, 0, 1.0))
+    family = ControlledFamily(controls=(0, 1), rule=rule, rates=field.rates)
     start, grid = ParticleCloud([[1.0], [2.0]]), np.linspace(0.0, 1.0, 4)
     signal = ControlSignal(grid=grid, indices=[1, 0, 1])
     trajectories = []
@@ -385,6 +384,6 @@ def test_a_bound_signal_field_reads_only_its_curve(name, method, n, d, seed, nod
 
     for t in [*grid.tolist(), *rng.uniform(-0.5, 1.5, 4).tolist()]:
         X = rng.standard_normal((3, d))
-        expected = free.rule(t, curve.at(t), X).tobytes()
+        expected = free.rule(t, curve.at(t), [0], X).tobytes()
         for cloud in (curve.at(t), start, ParticleCloud(rng.standard_normal((n + 2, d)) * 1e3)):
-            assert bound.rule(t, cloud, X).tobytes() == expected
+            assert bound.rule(t, cloud, [0], X).tobytes() == expected

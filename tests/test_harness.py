@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wassinc import measure, parse_config, run_scenario, sample_initial, verify
+from wassinc import measure, parse_config, run_scenario, runner, sample_initial, verify
 from wassinc.cli import main as cli_main
 from wassinc.errors import ConfigError
 
@@ -275,6 +275,20 @@ class TestRunScenario:
         run_scenario(config, out_b)
         for name in ("trajectory.csv", "signal.csv", "report.csv", "manifest.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+    def test_peano_solves_each_n_once_and_warns_once(self, tmp_path, monkeypatch):
+        # peano_mean_gain: n = 8 and n_list [4, 8, 16, 32]
+        config = parse_config(json.loads((SCENARIOS / "peano_mean_gain.json").read_text()))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # the interpreter's action: once per call site
+            run_scenario(config, tmp_path / "a")
+        assert ["convex-valued" in str(w.message) for w in caught] == [True]
+        solved, solve = [], runner.peano_solve
+        monkeypatch.setattr(runner, "peano_solve", lambda family, start, n, *args, **kw: (
+            solved.append(n) or solve(family, start, n, *args, **kw)))
+        run_scenario(config, tmp_path / "b")
+        assert solved == [4, 8, 16, 32]
 
 
 class TestCli:

@@ -151,30 +151,34 @@ def test_signal_field_rejects_an_index_outside_the_family():
     grid = np.linspace(0.0, 1.0, 4)
     with pytest.raises(ValueError, match="^signal index 3 outside family of size 2$"):
         signal_field(bang_bang(), ControlSignal(grid=grid, indices=[1, 3, 0]))
-    assert signal_field(bang_bang(), ControlSignal(grid=grid, indices=[1, 1, 0])).rule(0.5, delta(0.0), np.zeros((1, 1)))[0, 0] == 1.0
+    field = signal_field(bang_bang(), ControlSignal(grid=grid, indices=[1, 1, 0]))
+    assert field.size == 1 and field.rule(0.5, delta(0.0), [0], np.zeros((1, 1))).tolist() == [[[1.0]]]
+
+
+def refinements(family, start, n_list, substeps, strategy):
+    """The peano curve of each n, as ``refinement_study`` takes them."""
+    return {n: peano_solve(family, start, n, substeps, strategy)[0] for n in n_list}
 
 
 class TestRefinementStudy:
     def test_measure_independent_family_identical(self, rng):
-        fam = bang_bang()
-        rows = refinement_study(fam, delta(0.0), [2, 4, 8], substeps=4, strategy="first", p=1)
+        rows = refinement_study(refinements(bang_bang(), delta(0.0), [2, 4, 8], 4, "first"), p=1)
         assert all(v == 0.0 for _, _, v in rows)
 
     def test_mean_gain_distances_recorded(self, rng):
         fam = mean_gain_family([0.5, 1.0], const_rates(1.0, 1.0, 1.0))
         start = random_cloud(rng, 8, 2)
-        rows = refinement_study(
-            fam, start, [4, 8, 16, 32], substeps=4, strategy="min_norm", p=1
-        )
+        rows = refinement_study(refinements(fam, start, [4, 8, 16, 32], 4, "min_norm"), p=1)
         values = [v for _, _, v in rows]
         assert all(np.isfinite(values))
         assert [r[:2] for r in rows] == [(4, 8), (8, 16), (16, 32)]
 
     def test_short_n_list_rejected(self):
+        curves = refinements(bang_bang(), delta(0.0), [4, 8], 2, "first")
         with pytest.raises(ValueError):
-            refinement_study(bang_bang(), delta(0.0), [4], substeps=2, strategy="first", p=1)
+            refinement_study({4: curves[4]}, p=1)
         with pytest.raises(ValueError):
-            refinement_study(bang_bang(), delta(0.0), [4, 4], substeps=2, strategy="first", p=1)
+            refinement_study({8: curves[8], 4: curves[4]}, p=1)
 
 
 class TestPeanoEstimates:

@@ -13,7 +13,7 @@ from wassinc import ParticleCloud, convexify, integrate, peano_solve, signal_fie
 from wassinc.catalog import constants_family, gain_family, mean_gain_family
 from wassinc.dynamics import ball_grid
 from wassinc.filippov import filippov_track
-from wassinc.inclusion import ControlledFamily, ControlSignal, ball_gaps, inclusion_residual
+from wassinc.inclusion import ControlSignal, ball_gaps, inclusion_residual
 
 from conftest import const_rates, control_field
 
@@ -138,7 +138,7 @@ def test_mismatch_equals_control_loop(kind, gains, d, n, seed, R):
         if pts.shape[0] == 0:
             expected.append(0.0)
             continue
-        target = w.rule(t, nu, pts)
+        target = w.rule(t, nu, [0], pts)[0]
         expected.append(min(sup_gap(target, oracle(kind, controls, k, nu, pts))
                             for k in range(family.size)))
     _, _, cert = filippov_track(family, ref, w, start, R, tol=1e-300, max_iter=1, p=2.0)
@@ -152,10 +152,10 @@ def test_ball_gaps_equal_control_loop(kind, gains, d, n, seed):
     w, ref, measure = reference(d, n, seed)
     t, nu = ref.times[2], ref.clouds[2]
     norms = np.linalg.norm(nu.points, axis=1)
-    field = ControlledFamily.of_field(control_field(family, family.size - 1))
+    field = control_field(family, family.size - 1)
     for R in (0.5 * norms.min(), 0.5 * (norms.min() + norms.max()), math.inf):  # empty, partial, full ball
         pts = nu.points[norms <= R]
-        expected = np.array([sup_gap(w.rule(t, nu, pts), oracle(kind, controls, k, measure, pts)) if pts.size else 0.0
+        expected = np.array([sup_gap(w.rule(t, nu, [0], pts)[0], oracle(kind, controls, k, measure, pts)) if pts.size else 0.0
                              for k in range(family.size)])
         assert_bitwise(ball_gaps(family, t, measure, w, nu, R), expected)
         assert_bitwise(ball_gaps(field, t, measure, w, nu, R), expected[-1:])
@@ -229,7 +229,7 @@ def test_tracking_reselection_equals_control_loop(kind, gains, d, n, seed, R):
     first = []
     for t, nu in zip(grid[:-1].tolist(), ref.clouds):
         pts = nu.points if math.isinf(R) else nu.points[np.linalg.norm(nu.points, axis=1) <= R]
-        gaps = [sup_gap(w.rule(t, nu, pts), oracle(kind, controls, i, nu, pts)) if pts.size else 0.0
+        gaps = [sup_gap(w.rule(t, nu, [0], pts)[0], oracle(kind, controls, i, nu, pts)) if pts.size else 0.0
                 for i in range(family.size)]
         first.append(loop_argmin(gaps))
     sig = ControlSignal(grid=grid, indices=first)
