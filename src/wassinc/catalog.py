@@ -3,9 +3,9 @@
 Labels understood by scenario files, each naming the builder
 ``<label>_field`` or ``<label>_family`` whose parameters the config's
 schema checks.  Every builder returns a ``dynamics.ControlledFamily`` whose
-rule evaluates a stack of control indices at once; a field is the family
-of one control, its rule returning the stack of that one velocity.
-Fields:
+rule evaluates a stack of control indices at once, and whose node form
+(all but ``bounded_kernel``) the same at many curve nodes, bit for bit; a
+field is the family of one control.  Fields:
 
 * ``zero``                 v = 0
 * ``constant``             v = c, parameter ``vector``
@@ -34,9 +34,10 @@ from .errors import ConfigError
 from .measure import ParticleCloud
 
 
-def _field(rule, rates: RateFunctions, label: str, measure_dependent: bool = False) -> ControlledFamily:
-    """The field of ``rule`` as the family of its one control."""
-    return ControlledFamily(controls=(0,), rule=rule, rates=rates, label=label, measure_dependent=measure_dependent)
+def _field(rule, nodes, rates: RateFunctions, label: str, measure_dependent: bool = False) -> ControlledFamily:
+    """The field of ``rule`` (node form ``nodes``) as the family of its one control."""
+    return ControlledFamily(controls=(0,), rule=rule, rates=rates, label=label, measure_dependent=measure_dependent,
+                            nodes=nodes)
 
 
 def zero_field(rates: RateFunctions) -> ControlledFamily:
@@ -45,7 +46,10 @@ def zero_field(rates: RateFunctions) -> ControlledFamily:
     def rule(t, cloud, idx, X):
         return np.zeros((1,) + X.shape)
 
-    return _field(rule, rates, "zero")
+    def nodes(times, points, idx, X):
+        return np.zeros((len(X), 1) + X.shape[1:])
+
+    return _field(rule, nodes, rates, "zero")
 
 
 def constant_field(vector: np.ndarray, rates: RateFunctions) -> ControlledFamily:
@@ -55,7 +59,10 @@ def constant_field(vector: np.ndarray, rates: RateFunctions) -> ControlledFamily
     def rule(t, cloud, idx, X):
         return np.broadcast_to(c, (1,) + X.shape).copy()
 
-    return _field(rule, rates, f"constant:{c.tolist()}")
+    def nodes(times, points, idx, X):
+        return np.broadcast_to(c, (len(X), 1) + X.shape[1:]).copy()
+
+    return _field(rule, nodes, rates, f"constant:{c.tolist()}")
 
 
 def linear_decay_field(rates: RateFunctions) -> ControlledFamily:
@@ -64,7 +71,10 @@ def linear_decay_field(rates: RateFunctions) -> ControlledFamily:
     def rule(t, cloud, idx, X):
         return -X[None]
 
-    return _field(rule, rates, "linear_decay")
+    def nodes(times, points, idx, X):
+        return -X[:, None]
+
+    return _field(rule, nodes, rates, "linear_decay")
 
 
 def mean_attraction_field(kappa: float, rates: RateFunctions) -> ControlledFamily:
@@ -74,7 +84,10 @@ def mean_attraction_field(kappa: float, rates: RateFunctions) -> ControlledFamil
     def rule(t, cloud, idx, X):
         return (kappa * (cloud.mean()[None, :] - X))[None]
 
-    return _field(rule, rates, f"mean_attraction:{kappa}", measure_dependent=True)
+    def nodes(times, points, idx, X):  # each node's mean(axis=0), bit for bit
+        return (kappa * (points.mean(axis=1)[:, None, :] - X))[:, None]
+
+    return _field(rule, nodes, rates, f"mean_attraction:{kappa}", measure_dependent=True)
 
 
 def bounded_kernel_field(rates: RateFunctions) -> ControlledFamily:
@@ -108,18 +121,21 @@ def bounded_kernel_field(rates: RateFunctions) -> ControlledFamily:
         q /= 1.0 + cdist(Y, X)[:, None, :]
         return (np.ascontiguousarray(q.sum(axis=0).T) / len(Y))[None]
 
-    return _field(rule, rates, "bounded_kernel", measure_dependent=True)
+    return _field(rule, None, rates, "bounded_kernel", measure_dependent=True)
 
 
 def rotation_field(rates: RateFunctions) -> ControlledFamily:
     """Planar rotation v = (-x2, x1); natural rates m = 1, l = 1, L = 0."""
 
     def rule(t, cloud, idx, X):
-        if X.shape[1] != 2:
-            raise ConfigError("rotation field requires dimension d = 2")
-        return np.stack([-X[:, 1], X[:, 0]], axis=1)[None]
+        return nodes(None, None, None, X[None])[0]
 
-    return _field(rule, rates, "rotation")
+    def nodes(times, points, idx, X):
+        if X.shape[-1] != 2:
+            raise ConfigError("rotation field requires dimension d = 2")
+        return np.stack([-X[..., 1], X[..., 0]], axis=-1)[:, None]
+
+    return _field(rule, nodes, rates, "rotation")
 
 
 def constants_family(controls, rates: RateFunctions) -> ControlledFamily:
@@ -132,7 +148,10 @@ def constants_family(controls, rates: RateFunctions) -> ControlledFamily:
         out[:] = table[idx].reshape(len(idx), 1, -1)
         return out
 
-    return ControlledFamily(controls=vecs, rule=rule, rates=rates, label="constants")
+    def nodes(times, points, idx, X):
+        return np.broadcast_to(table[idx].reshape(idx.shape + (1, -1)), idx.shape + X.shape[1:]).copy()
+
+    return ControlledFamily(controls=vecs, rule=rule, rates=rates, label="constants", nodes=nodes)
 
 
 def gain_family(controls, rates: RateFunctions) -> ControlledFamily:
@@ -143,7 +162,10 @@ def gain_family(controls, rates: RateFunctions) -> ControlledFamily:
     def rule(t, cloud, idx, X):
         return -table[idx][:, None, None] * X
 
-    return ControlledFamily(controls=gains, rule=rule, rates=rates, label="gain")
+    def nodes(times, points, idx, X):
+        return -table[idx][:, :, None, None] * X[:, None]
+
+    return ControlledFamily(controls=gains, rule=rule, rates=rates, label="gain", nodes=nodes)
 
 
 def mean_gain_family(controls, rates: RateFunctions) -> ControlledFamily:
@@ -154,6 +176,9 @@ def mean_gain_family(controls, rates: RateFunctions) -> ControlledFamily:
     def rule(t, cloud: ParticleCloud, idx, X):
         return table[idx][:, None, None] * (cloud.mean()[None, :] - X)
 
+    def nodes(times, points, idx, X):  # each node's mean(axis=0), bit for bit
+        return table[idx][:, :, None, None] * (points.mean(axis=1)[:, None, :] - X)[:, None]
+
     return ControlledFamily(
-        controls=gains, rule=rule, rates=rates, label="mean_gain", measure_dependent=True
+        controls=gains, rule=rule, rates=rates, label="mean_gain", measure_dependent=True, nodes=nodes
     )

@@ -12,6 +12,8 @@ the positions in one read-only (nodes, N, d) array, its clouds views of it.
 Every Euler curve steps with ``delayed_step``: ``integrate`` hands it the
 evolving cloud, peano's scheme and every tracking iterate a cloud from an
 earlier curve, and a field bound to a curve is ``inclusion.signal_field``.
+Once a curve is built, ``rule_nodes`` and ``gaps`` sweep all its nodes at
+once, in blocks of ``node_blocks``.
 """
 
 from __future__ import annotations
@@ -113,6 +115,7 @@ def snapped_index(times: list, t: float, snap: float) -> int:
     return max(bisect_right(times, t + snap) - 1, 0)
 
 
+BLOCK_ENTRIES = 2**14  # 128 KiB of doubles per block array: a sweep's temporaries stay in cache
 FamilyRule = Callable[[float, ParticleCloud, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -123,15 +126,17 @@ class ControlledFamily:
     ``rule(t, cloud, idx, X)`` takes a 1-d integer array (or list) of
     control indices and returns the stacked velocities, shape
     (len(idx), n, d); entry i must not depend on the other entries of
-    ``idx``.  Each fixed-control slice is a valid velocity field under the
-    shared rates, and a velocity field is a family with ``controls=(0,)``.
-    ``rule`` must be pure: given the same arguments it returns the same
-    array, with no hidden state; the integrators pass it read-only
-    positions.  ``measure_dependent`` records whether the rule actually
-    reads its cloud argument; measure-independent fields admit the
-    tighter moment bounds.  ``convex_images`` is informational: the
-    delayed Euler scheme still runs without it, but its existence
-    guarantee may fail.
+    ``idx``, nor a velocity row on the other rows of ``X``.  Each
+    fixed-control slice is a valid velocity field under the shared rates,
+    and a velocity field is a family with ``controls=(0,)``.  ``rule``
+    must be pure: given the same arguments it returns the same array,
+    with no hidden state; the integrators pass it read-only positions.
+    ``nodes``, if set, is the rule over a node axis (``rule_nodes``).
+    ``measure_dependent`` records whether the rule actually reads its
+    cloud argument; measure-independent fields admit the tighter moment
+    bounds.  ``convex_images`` is informational: the delayed Euler scheme
+    still runs without it, but its existence guarantee may fail.  One
+    velocity is a convex set, so a family of one control has it.
     """
 
     controls: tuple
@@ -140,21 +145,51 @@ class ControlledFamily:
     convex_images: bool = False
     label: str = ""
     measure_dependent: bool = False
+    nodes: Callable | None = None
 
     def __post_init__(self):
         if len(self.controls) == 0:
             raise ValueError("control set must be nonempty")
         object.__setattr__(self, "controls", tuple(self.controls))
+        object.__setattr__(self, "convex_images", self.convex_images or len(self.controls) == 1)
 
     @property
     def size(self) -> int:
         return len(self.controls)
 
-    def gaps(self, t: float, cloud: ParticleCloud, target, probes: np.ndarray) -> np.ndarray:
-        """Sup over ``probes`` of |target - control u's velocity|, one value
-        per control u; ``target`` is velocities at the probes (or 0), and the
-        argmin is the nearest control, ties to the lowest index."""
-        return sup_norm(target - self.rule(t, cloud, np.arange(self.size), probes))
+    def rule_nodes(self, times, points: np.ndarray, idx, X: np.ndarray) -> np.ndarray:
+        """The rule at K nodes at once: times (K,), clouds ``points`` (K, N, d),
+        control indices ``idx`` (K, U) and positions ``X`` (K, P, d) give
+        (K, U, P, d), node k being ``rule(times[k], points[k], idx[k], X[k])``
+        bit for bit; a field gives (K, 1, P, d).  Calls ``nodes``, or loops
+        ``rule`` over the nodes where it is None."""
+        if self.nodes is not None:
+            return self.nodes(np.asarray(times, dtype=float), points, np.asarray(idx), X)
+        return np.stack([self.rule(t, ParticleCloud._view(c), u, x)
+                         for t, c, u, x in zip(np.asarray(times).tolist(), points, np.asarray(idx), X)])
+
+    def gaps(self, times, points: np.ndarray, target: np.ndarray, probes: np.ndarray,
+             inside: np.ndarray | None = None) -> np.ndarray:
+        """Sup over ``probes`` (K, P, d) of |target - control u's velocity| at
+        each of K nodes, shape (K, U); ``target`` is (K, P, d) velocities at
+        the probes, and a probe outside the (K, P) mask ``inside`` counts 0
+        (so no probe gives 0).  The argmin over axis 1 is the nearest
+        control, ties to the lowest index."""
+        times, out = np.asarray(times, dtype=float), np.empty((len(points), self.size))
+        every = np.broadcast_to(np.arange(self.size), out.shape)
+        for b in node_blocks(len(points), self.size * probes.shape[1] * probes.shape[2]):
+            diff = target[b, None] - self.rule_nodes(times[b], points[b], every[b], probes[b])
+            out[b] = sup_norm(diff if inside is None else np.where(inside[b, None, :, None], diff, 0.0))
+        return out
+
+
+def node_blocks(nodes: int, per_node: int) -> list:
+    """Slices that split a node axis of length ``nodes`` into blocks whose
+    arrays of ``per_node`` entries a node hold at most ``BLOCK_ENTRIES``
+    entries (one node at least), so a curve-at-once sweep keeps a bounded
+    working set however long the curve or large the control set."""
+    size = max(1, BLOCK_ENTRIES // max(per_node, 1))
+    return [slice(lo, min(lo + size, nodes)) for lo in range(0, nodes, size)]
 
 
 def delayed_step(family: ControlledFamily, t0: float, t1: float, delayed: ParticleCloud, u: int,
@@ -296,14 +331,9 @@ def _rk4_step(field, cloud, t0, dt, step):
 
 def sup_norm(diff: np.ndarray) -> np.ndarray:
     """Max over the probe rows of |diff| for velocity differences of shape
-    (..., P, d): a (P, d) array gives one value, a control stack (U, P, d)
-    one value per control, so a selection is an argmin over axis 0."""
+    (..., P, d): a (P, d) array gives one value, a stack (K, U, P, d) one
+    value per node and control."""
     return np.linalg.norm(diff, axis=-1).max(axis=-1)
-
-
-def ball_atoms(cloud: ParticleCloud, R: float) -> np.ndarray:
-    """The atoms x of ``cloud`` with |x| <= R (all of them for R = inf)."""
-    return cloud.points if math.isinf(R) else cloud.points[cloud.norms() <= R]
 
 
 def ball_grid(radius: float, dim: int, spacing: float) -> np.ndarray:

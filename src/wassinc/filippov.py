@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .dynamics import ControlledFamily, RateFunctions, Trajectory, ball_grid, delayed_step, march
+from .dynamics import ControlledFamily, RateFunctions, Trajectory, ball_grid, delayed_step, march, node_blocks
 from .inclusion import ControlSignal, ball_gaps
 from .measure import ParticleCloud, localisation_tail, moment, sup_wasserstein_cost, wasserstein_costs
 
@@ -156,12 +156,12 @@ def filippov_track(
         raise ValueError("max_iter must be at least 1")
     if not R > 0:
         raise ValueError(f"radius R must be positive (or inf), got {R}")
-    grid, times = ref.grid, ref.times
+    grid = ref.grid
     n_int = grid.size - 1
-    # initial selection: mismatch argmin along the reference, from the (controls x nodes) gaps
-    table = np.column_stack([ball_gaps(family, t, nu, w, nu, R) for t, nu in zip(times, ref.clouds)])
-    sel = table[:, :n_int].argmin(axis=0)
-    lattice = [] if math.isinf(R) else [ball_grid(R, start.d, R / 8.0)]
+    # initial selection: mismatch argmin along the reference, from the (nodes x controls) gaps
+    table = ball_gaps(family, grid, ref.points, w, ref.points, R)
+    sel = table[:n_int].argmin(axis=1)
+    lattice = np.empty((0, start.d)) if math.isinf(R) else ball_grid(R, start.d, R / 8.0)
 
     prior, gaps = ref, []
     while True:  # each iterate steps with the measure of the curve before it
@@ -171,15 +171,17 @@ def filippov_track(
         if not (gaps[-1] > tol and len(gaps) < max_iter):
             break
         last, sel = sel, np.empty(n_int, dtype=int)
-        for j, t in enumerate(times[:-1]):
-            probes = np.concatenate([cur.clouds[j].points, ref.clouds[j].points, *lattice])
-            used = family.rule(t, prior.clouds[j], [int(last[j])], probes)[0]
-            sel[j] = family.gaps(t, cur.clouds[j], used, probes).argmin()
+        for b in node_blocks(n_int, family.size * (2 * start.n + len(lattice)) * start.d):
+            # the probes of a block of nodes: the atoms of both clouds, then the lattice
+            probes = np.concatenate([cur.points[b], ref.points[b], np.broadcast_to(
+                lattice, (b.stop - b.start,) + lattice.shape)], axis=1)
+            used = family.rule_nodes(grid[b], prior.points[b], last[b, None], probes)[:, 0]
+            sel[b] = family.gaps(grid[b], cur.points[b], used, probes).argmin(axis=1)
         prior = cur
     converged = gaps[-1] <= tol
     sig = ControlSignal(grid=grid, indices=sel)
 
-    eta = table.min(axis=0)
+    eta = table.min(axis=1)
     measured = wasserstein_costs(zip(cur.clouds, ref.clouds), p)
     bound = compute_bound(
         grid=grid,
@@ -193,8 +195,7 @@ def filippov_track(
         moment_nu0=moment(ref.clouds[0], p),
     )
     # the last iterate's velocity against w on the reference atoms; node M reuses the last control
-    vel_gap = np.array([ball_gaps(family, t, mu, w, nu, R)[u]
-                        for t, mu, nu, u in zip(times, prior.clouds, ref.clouds, [*sel, sel[-1]])])
+    vel_gap = ball_gaps(family, grid, prior.points, w, ref.points, R)[np.arange(grid.size), np.append(sel, sel[-1])]
 
     cert = FilippovCertificate(
         grid=grid,

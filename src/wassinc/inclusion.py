@@ -3,11 +3,11 @@
 An admissible-velocity set is discretized as a ``dynamics.ControlledFamily``:
 a finite list of controls plus a rule (t, cloud, idx, X) -> velocities
 sharing one set of rate functions.  The rule evaluates a stack of control
-indices at once, shape (len(idx), n, d); one control is the stack ``[k]``,
-and every selection takes the argmin of ``ControlledFamily.gaps``, which
-evaluates ``np.arange(family.size)`` once (ties to the lowest index);
-``ball_gaps`` is every velocity gap on the atoms of a ball, a field being
-the family of one control.  A measurable velocity selection becomes a
+indices at once, shape (len(idx), n, d), and its node form at many nodes;
+every selection takes the argmin of ``ControlledFamily.gaps`` over every
+control at every node (ties to the lowest index), and ``ball_gaps`` is
+every velocity gap on the atoms of a ball along a whole curve, a field
+being the family of one control.  A measurable velocity selection becomes a
 piecewise-constant control index per sub-interval of a fine grid, and
 ``signal_field`` is the field that follows it.
 
@@ -16,31 +16,33 @@ horizon into n blocks and, on every euler sub-interval, choosing a
 control against the cloud delayed by one block (the start cloud stands in
 for negative times) and taking ``dynamics.delayed_step``: the particles
 advance with that same delayed cloud as the measure argument.
-``inclusion_residual`` replays ``delayed_step`` from the trajectory's own
+``inclusion_residual`` replays that step from the trajectory's own
 nodes and the signal's recorded controls, so it reads 0 for a pair the
 scheme built and more wherever trajectory and signal disagree.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping
 
 import numpy as np
 
-from .dynamics import (ControlledFamily, Trajectory, ball_atoms, delayed_step, grid_snap, march, snapped_index,
-                       sup_norm)
+from .dynamics import ControlledFamily, Trajectory, delayed_step, grid_snap, march, snapped_index, sup_norm
 from .errors import ShapeMismatchError
 from .measure import ParticleCloud, sup_wasserstein_cost
 
 
-def ball_gaps(family: ControlledFamily, t: float, measure: ParticleCloud, w: ControlledFamily, nu: ParticleCloud,
+def ball_gaps(family: ControlledFamily, times, measure: np.ndarray, w: ControlledFamily, nu: np.ndarray,
               R: float) -> np.ndarray:
-    """Max over the atoms x of ``nu`` with |x| <= R of |w(t, nu, x) - f_u(t, measure, x)|,
-    one value per control u of ``family``, for a field ``w``; zeros when the ball holds no atom."""
-    pts = ball_atoms(nu, R)
-    return family.gaps(t, measure, w.rule(t, nu, [0], pts)[0], pts) if pts.shape[0] else np.zeros(family.size)
+    """Max over the atoms x of ``nu[k]`` with |x| <= R of |w(t_k, nu_k, x) - f_u(t_k, measure_k, x)|,
+    shape (K, U) for K nodes (clouds ``measure`` and ``nu`` (K, N, d)) and the controls u of
+    ``family``, for a field ``w``; 0 where the ball holds no atom.  The ball is a mask: max is
+    exact, so zeroing the atoms outside it gives the bits of the max over the atoms inside."""
+    target = w.rule_nodes(times, nu, np.zeros((len(nu), 1), dtype=int), nu)[:, 0]
+    return family.gaps(times, measure, target, nu, None if math.isinf(R) else np.linalg.norm(nu, axis=-1) <= R)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,12 +92,19 @@ def signal_field(family: ControlledFamily, signal: ControlSignal,
     def rule(t, cloud, idx, X):
         return family.rule(t, cloud if measure is None else measure.at(t), [signal.index_at(t)], X)
 
+    def nodes(times, points, idx, X):
+        times = times.tolist()
+        if measure is not None:
+            points = measure.points[[measure.node_index(t) for t in times]]
+        return family.rule_nodes(times, points, [[signal.index_at(t)] for t in times], X)
+
     return ControlledFamily(
         controls=(0,),
         rule=rule,
         rates=family.rates,
         label=f"{family.label}|signal",
         measure_dependent=family.measure_dependent,
+        nodes=nodes,
     )
 
 
@@ -110,8 +119,8 @@ def _select_control(
     if strategy == "first":
         return 0
     if strategy == "min_norm":
-        probes = np.concatenate((delayed_cloud.points, current))
-        return int(family.gaps(t, delayed_cloud, 0.0, probes).argmin())
+        probes = np.concatenate((delayed_cloud.points, current))[None]
+        return int(family.gaps([t], delayed_cloud.points[None], np.zeros_like(probes), probes)[0].argmin())
     if strategy == "random":
         return int(rng.integers(family.size))
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -170,17 +179,18 @@ def inclusion_residual(traj: Trajectory, signal: ControlSignal, family: Controll
     Euler scheme over ``family``.
 
     For every signal sub-interval [t_k, t_{k+1}) of length h_k, replays
-    ``delayed_step`` from ``traj.at(t_k)`` with the recorded control and the
-    cloud ``traj.at(t_k - delay)``, and returns
-    max_i |x_{k+1,i} - step_i| / h_k against ``traj.at(t_{k+1})``.  A pair
-    from ``peano_solve`` (delay T/n) replays to exactly 0; a wrong step
-    length, control, delay or node reads above 0.
+    the delayed Euler step from ``traj.at(t_k)`` with the recorded control
+    and the cloud ``traj.at(t_k - delay)``, all in one ``rule_nodes`` call,
+    and returns max_i |x_{k+1,i} - step_i| / h_k against ``traj.at(t_{k+1})``.
+    A pair from ``peano_solve`` (delay T/n) replays to exactly 0; a wrong
+    step length, control, delay or node reads above 0.
     """
-    out = np.empty(signal.n_intervals)
-    for k, (t0, t1) in enumerate(zip(signal.times[:-1], signal.times[1:])):
-        step = delayed_step(family, t0, t1, traj.at(t0 - delay), int(signal.indices[k]), traj.at(t0).points)
-        out[k] = sup_norm(traj.at(t1).points - step) / (t1 - t0)
-    return out
+    t0, t1 = signal.grid[:-1], signal.grid[1:]
+    at = [[traj.node_index(t) for t in times.tolist()] for times in (t0 - delay, t0, t1)]
+    delayed, X, after = (traj.points[k] for k in at)
+    h = (t1 - t0)[:, None, None]
+    step = X + h * family.rule_nodes(t0, delayed, signal.indices[:, None], X)[:, 0]
+    return sup_norm(after - step) / (t1 - t0)
 
 
 def refinement_study(curves: Mapping[int, Trajectory], p: float) -> list[tuple[int, int, float]]:

@@ -56,6 +56,14 @@ class ParticleCloud:
         object.__setattr__(cloud, "points", points)
         return cloud
 
+    @classmethod
+    def rows(cls, points: np.ndarray):
+        """The clouds of the rows of a (K, N, d) array, checked finite at once
+        over the stack (ValueError), then made lazily, each a read-only view."""
+        if not np.isfinite(points).all():
+            raise ValueError("cloud coordinates must be finite")
+        return map(cls._view, points)
+
     @property
     def n(self) -> int:
         return self.points.shape[0]
@@ -81,9 +89,12 @@ def _check_p(p: float) -> float:
 
 def moment(cloud: ParticleCloud, p: float) -> float:
     """Discrete p-th moment ((1/N) sum_i |x_i|^p)^(1/p)."""
-    p = _check_p(p)
-    norms = cloud.norms()
-    return _power_mean(norms, p, cloud.n)
+    return float(moments(cloud.points[None], p)[0])
+
+
+def moments(points: np.ndarray, p: float) -> np.ndarray:
+    """``moment`` of the cloud of every row of a (K, N, d) stack, bit for bit."""
+    return np.array(_power_means(np.linalg.norm(points, axis=-1), _check_p(p), points.shape[1]))
 
 
 def _pow(x, p: float):
@@ -104,15 +115,22 @@ def _root(x: float, p: float) -> float:
     return x ** (1.0 / p)
 
 
-def _power_mean(values: np.ndarray, p: float, n: int) -> float:
-    """(fsum(values^p) / n)^(1/p); 0 for no values.  Where that sum overflows,
-    M (fsum((values / M)^p) / n)^(1/p) with M = max(values), finite for finite values."""
-    try:
-        with np.errstate(over="raise"):
-            return _root(math.fsum(_pow(values, p).tolist()) / n, p)
-    except (OverflowError, FloatingPointError):
-        top = float(values.max())  # inf where a norm itself overflowed; the mean is inf then
-        return top * _root(math.fsum(_pow(values / top, p).tolist()) / n, p) if top < math.inf else top
+def _power_means(values: np.ndarray, p: float, n: int) -> list:
+    """(fsum(row^p) / n)^(1/p) of every row of a (K, m) array; 0 for an empty
+    row.  Where a row's sum overflows, M (fsum((row / M)^p) / n)^(1/p) with
+    M = max(row), finite for finite values."""
+    with np.errstate(over="ignore"):  # an overflowing power makes its row's sum inf
+        powered = _pow(values, p).tolist()
+    out = []
+    for row, terms in zip(values, powered):
+        try:
+            out.append(_root(math.fsum(terms) / n, p))
+        except OverflowError:
+            out.append(math.inf)
+        if out[-1] == math.inf:
+            top = float(row.max())  # inf where a norm itself overflowed; the mean is inf then
+            out[-1] = top * _root(math.fsum(_pow(row / top, p).tolist()) / n, p) if top < math.inf else top
+    return out
 
 
 def tail_norm(cloud: ParticleCloud, R: float, p: float, shifted: bool = False) -> float:
@@ -128,7 +146,7 @@ def tail_norm(cloud: ParticleCloud, R: float, p: float, shifted: bool = False) -
     norms = cloud.norms()
     sel = norms >= R
     vals = 1.0 + norms[sel] if shifted else norms[sel]
-    return _power_mean(vals, p, cloud.n)
+    return _power_means(vals[None], p, cloud.n)[0]
 
 
 def localisation_tail(cloud: ParticleCloud, R: float, horizon: float, p: float) -> float:
@@ -212,11 +230,10 @@ def sup_wasserstein_cost(pairs, p: float) -> float:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("sup over an empty sequence of pairs")
-    upper = []
     for a, b in pairs:
         _check_pair(a, b)
-        gaps = np.linalg.norm(a.points - b.points, axis=1)
-        upper.append((1.0 + 1e-9) * _power_mean(gaps, p, a.n))
+    gaps = np.stack([a.points for a, _ in pairs]) - np.stack([b.points for _, b in pairs])
+    upper = [(1.0 + 1e-9) * u for u in _power_means(np.linalg.norm(gaps, axis=-1), p, pairs[0][0].n)]
     best, sigma = -math.inf, None
     for k in sorted(range(len(pairs)), key=upper.__getitem__, reverse=True):
         if upper[k] <= best:
@@ -224,7 +241,7 @@ def sup_wasserstein_cost(pairs, p: float) -> float:
         a, b = pairs[k]
         if sigma is not None:
             gaps = np.linalg.norm(a.points - b.points[sigma], axis=1)
-            if (1.0 + 1e-9) * _power_mean(gaps, p, a.n) <= best:
+            if (1.0 + 1e-9) * _power_means(gaps[None], p, a.n)[0] <= best:
                 continue
         _, sigma, total = _solve(a, b, p)
         best = max(best, _root(total / a.n, p))

@@ -87,6 +87,15 @@ def convexify(family: ControlledFamily, q: int = 2, weight_steps: int = 4) -> Co
             acc += k * np.where(k != 0, vels[b], 0.0)  # a zero weight never meets an inf
         return acc / weight_steps
 
+    def nodes(times, points, idx, X):  # the slot loop of ``rule`` at every node
+        vels = family.rule_nodes(times, points, np.broadcast_to(parents, (len(X), family.size)), X)
+        acc = np.zeros(idx.shape + X.shape[1:])
+        at = np.arange(len(X))[:, None]
+        for slot in range(q):
+            k = numerators[idx, slot][..., None, None]
+            acc += k * np.where(k != 0, vels[at, bases[idx, slot]], 0.0)
+        return acc / weight_steps
+
     return ControlledFamily(
         controls=tuple(controls),
         rule=rule,
@@ -94,6 +103,7 @@ def convexify(family: ControlledFamily, q: int = 2, weight_steps: int = 4) -> Co
         convex_images=True,
         label=f"{family.label}|chattering(q={q},steps={weight_steps})",
         measure_dependent=family.measure_dependent,
+        nodes=nodes,
     )
 
 

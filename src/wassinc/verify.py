@@ -20,10 +20,10 @@ import numpy as np
 from . import bounds
 from .bounds import BoundReport
 from .config import ScenarioConfig
-from .dynamics import Trajectory, integrate
+from .dynamics import Trajectory, integrate, node_blocks
 from .errors import ConfigError
 from .inclusion import ball_gaps
-from .measure import ParticleCloud, localisation_tail, moment, tail_norm, wasserstein_cost, wasserstein_costs
+from .measure import ParticleCloud, localisation_tail, moment, moments, tail_norm, wasserstein_costs
 
 
 def verify(kind: str, config: ScenarioConfig) -> BoundReport:
@@ -63,7 +63,7 @@ def verify_momentum(config: ScenarioConfig) -> dict:
     """Moment growth of the evolved cloud against its certified envelope."""
     traj, field = _simulate(config), config.field
     p = config.p
-    measured = np.array([moment(c, p) for c in traj.clouds])
+    measured = moments(traj.points, p)
     bound = momentum_bound_series(traj.grid, measured, field.rates, p, field.measure_dependent)
     constants = {"C_p": bounds.C_p(p), "C_p_prime": bounds.C_p_prime(p), "measure_dependent": field.measure_dependent}
     return dict(times=traj.grid, measured=measured, bound=bound, constants=constants)
@@ -115,12 +115,12 @@ def _gronwall(config: ScenarioConfig, R: float, local: bool) -> dict:
     grid = mu.grid
     measured = wasserstein_costs(zip(mu.clouds, nu.clouds), p)
     w0 = float(measured[0])
-    gaps = [ball_gaps(v, t, mu.clouds[k], w, nu.clouds[k], R)[0] for k, t in enumerate(grid[:-1].tolist())]
+    gaps = ball_gaps(v, grid[:-1], mu.points[:-1], w, nu.points[:-1], R)[:, 0]
     l_int, m_int = v.rates.integral("l", 0.0, grid), joint.integral("m", 0.0, grid)
 
     def series(tail):
         return bounds.gronwall_series(
-            p=p, w0=w0, increments=np.array(gaps) * np.diff(grid), l_int=l_int, m_int=m_int,
+            p=p, w0=w0, increments=gaps * np.diff(grid), l_int=l_int, m_int=m_int,
             horizon=ct, tail=tail,
         )
 
@@ -145,12 +145,17 @@ def verify_gronwall_local(config: ScenarioConfig) -> dict:
     return _gronwall(config, config.experiment["R"], local=True)
 
 
-def _ratio(num: float, den: float) -> float:
-    """num / den for a hypothesis ratio: 0 for a vanishing numerator, inf
+def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den of each hypothesis ratio: 0 for a vanishing numerator, inf
     for a nonzero one over a zero declared rate (the hypothesis fails)."""
-    if num <= bounds.ATOL:
-        return 0.0
-    return num / den if den > 0 else math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(num <= bounds.ATOL, 0.0, np.where(den > 0, num / den, math.inf))
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """|v_i| of every row of an (S, d) array as ``np.linalg.norm`` of one row,
+    the root of its dot product (a sum of squares may differ in the last bit)."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
 
 def verify_hypotheses_probe(config: ScenarioConfig) -> dict:
@@ -158,50 +163,52 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> dict:
 
     Draws at least 1000 (t, cloud, x) triples from jittered versions of
     the scenario's initial sampler and reports each observed ratio against
-    the declared rate; the bound row is the constant 1.
+    the declared rate; the bound row is the constant 1.  The draws run one
+    sample at a time, then each rule use is one ``rule_nodes`` call.
     """
     n_samples = max(1000, config.experiment["samples"])
     family = config.family or config.field
-    rates = family.rates
+    rates, d, coupled = family.rates, config.d, family.measure_dependent
 
     rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))
     p = config.p
     base = config.start().points
 
-    def jitter_cloud():
-        scale = rng.uniform(0.5, 2.0)
-        shift = rng.normal(0.0, 0.5, config.d)
-        return ParticleCloud(scale * base + shift)
+    # per sample: t, the jitter (scale, shift) of its cloud and of the other cloud, control, atom, step to y
+    t, scale, shift = np.empty(n_samples), np.empty((2, n_samples)), np.empty((2, n_samples, d))
+    u, atom, step = np.empty((n_samples, 1), dtype=int), np.empty(n_samples, dtype=int), np.empty((n_samples, d))
+    for s in range(n_samples):
+        t[s], scale[0, s], shift[0, s] = rng.uniform(0.0, config.T), rng.uniform(0.5, 2.0), rng.normal(0.0, 0.5, d)
+        u[s], atom[s], step[s] = rng.integers(family.size), rng.integers(len(base)), rng.normal(0.0, 0.3, d)
+        if coupled:
+            scale[1, s], shift[1, s] = rng.uniform(0.5, 2.0), rng.normal(0.0, 0.5, d)
 
-    samples = []  # (t, rate, ratio)
-    for _ in range(n_samples):
-        t = float(rng.uniform(0.0, config.T))
-        cloud = jitter_cloud()
-        u = [int(rng.integers(family.size))]
-        x = cloud.points[int(rng.integers(cloud.n))][None, :]
-        vx = family.rule(t, cloud, u, x)[0]
-        den = rates.at("m", t) * (1.0 + float(np.linalg.norm(x)) + moment(cloud, p))
-        samples.append((t, "m", _ratio(float(np.linalg.norm(vx)), den)))
+    def jittered(k, b):  # jitter k of the samples b, checked finite as a stack and as its clouds
+        points = scale[k, b, None, None] * base + shift[k, b, None, :]
+        return points, ParticleCloud.rows(points)
 
-        y = x + rng.normal(0.0, 0.3, config.d)
-        num = float(np.linalg.norm(vx - family.rule(t, cloud, u, y)[0]))
-        samples.append((t, "l", _ratio(num, rates.at("l", t) * float(np.linalg.norm(x - y)))))
+    kinds = "mlL" if coupled else "ml"
+    measured = np.empty((n_samples, len(kinds)))  # each sample's ratios in the order of ``kinds``
+    for b in node_blocks(n_samples, family.size * 2 * base.size):
+        (points, clouds), tb = jittered(0, b), t[b]
+        x = points[np.arange(len(points)), atom[b]]
+        y = x + step[b]
+        vx, vy = (family.rule_nodes(tb, points, u[b], z[:, None])[:, 0, 0] for z in (x, y))
+        measured[b, 0] = _ratios(_row_norms(vx), rates.at("m", tb) * (1.0 + _row_norms(x) + moments(points, p)))
+        measured[b, 1] = _ratios(_row_norms(vx - vy), rates.at("l", tb) * _row_norms(x - y))
+        if coupled:
+            other, other_clouds = jittered(1, b)
+            probes = np.concatenate((points, other), axis=1)
+            used = family.rule_nodes(tb, points, u[b], probes)[:, 0]
+            best = family.gaps(tb, other, used, probes).min(axis=1)
+            measured[b, 2] = _ratios(best, rates.at("L", tb) * wasserstein_costs(zip(clouds, other_clouds), p))
 
-        if family.measure_dependent:
-            other = jitter_cloud()
-            probes = np.concatenate((cloud.points, other.points))
-            used = family.rule(t, cloud, u, probes)
-            best = float(family.gaps(t, other, used, probes).min())
-            den = rates.at("L", t) * wasserstein_cost(cloud, other, p)
-            samples.append((t, "L", _ratio(best, den)))
-
-    times, labels, measured = (np.array(column) for column in zip(*samples))
-    constants = {
-        f"max_ratio_{k}": max([0.0] + [r for _, rate, r in samples if rate == k]) for k in "mlL"
-    }
+    constants = {f"max_ratio_{k}": max([0.0, *measured[:, kinds.index(k)].tolist()]) if k in kinds else 0.0
+                 for k in "mlL"}
     constants["n_triples"] = n_samples
     return dict(
-        times=times, measured=measured, bound=np.ones_like(measured), constants=constants, extras={"rate": labels}
+        times=np.repeat(t, len(kinds)), measured=measured.ravel(), bound=np.ones(measured.size), constants=constants,
+        extras={"rate": np.tile(np.array(list(kinds)), n_samples)},
     )
 
 

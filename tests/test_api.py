@@ -7,6 +7,7 @@ import ast
 import pathlib
 
 import wassinc
+from wassinc import config
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wassinc"
@@ -112,3 +113,16 @@ def test_only_measure_and_dynamics_build_unchecked_curves():
         if isinstance(node, ast.Attribute) and node.attr in ("_view", "_freeze")
     }
     assert users <= {"measure.py", "dynamics.py"}
+
+
+def test_every_catalog_label_but_bounded_kernel_has_a_node_form():
+    # a catalog entry without ``nodes`` falls back to a per-node loop in every curve-at-once sweep;
+    # bounded_kernel keeps it, since its summation order is what keeps its bits
+    rates = {"m": 1.0, "l": 1.0, "L": 1.0}
+    params = {"constant": {"vector": [1.0, 0.0]}, "mean_attraction": {"kappa": 1.0},
+              "constants": {"controls": [[1.0, 0.0]]}, "gain": {"controls": [1.0]}, "mean_gain": {"controls": [1.0]}}
+    built = {label: config.build_field({"label": label, **params.get(label, {}), "rates": rates}, 1.0, 2)
+             for label in config.FIELDS}
+    built.update((label, config.build_family({"label": label, **params[label], "rates": rates}, 1.0, 2))
+                 for label in config.FAMILIES)
+    assert sorted(label for label, family in built.items() if family.nodes is None) == ["bounded_kernel"]

@@ -226,9 +226,9 @@ class TestTracking:
         fam = bang_bang()
         w = zero_field(const_rates(1.0, 0.0, 0.0))
         ref = integrate(w, delta(0.5), np.linspace(0, 1, 11))
-        table = np.column_stack([ball_gaps(fam, t, nu, w, nu, 5.0) for t, nu in zip(ref.times, ref.clouds)])
-        assert table.shape == (fam.size, ref.grid.size)
-        np.testing.assert_array_equal(mismatch(fam, ref, w, 5.0), table.min(axis=0))
+        table = ball_gaps(fam, ref.grid, ref.points, w, ref.points, 5.0)
+        assert table.shape == (ref.grid.size, fam.size)
+        np.testing.assert_array_equal(mismatch(fam, ref, w, 5.0), table.min(axis=1))
 
     def test_iterate_gaps_summable(self):
         # measure-coupled family so several iterations are needed

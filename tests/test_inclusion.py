@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from wassinc import (
     wasserstein_cost,
 )
 from wassinc.bounds import ATOL, BoundReport
-from wassinc.catalog import constants_family, gain_family, mean_gain_family
+from wassinc.catalog import constants_family, gain_family, linear_decay_field, mean_gain_family
 from wassinc.verify import momentum_bound_series
 
 from conftest import cloud, control_field, delta, random_cloud, const_rates
@@ -98,6 +100,15 @@ class TestPeanoSolve:
         with pytest.warns(UserWarning, match="convex"):
             traj, _ = peano_solve(bang_bang(), delta(0.0), n=2, substeps=2)
         assert traj.grid.size == 5
+
+    def test_one_control_is_convex_valued(self):
+        # one velocity is a convex set: a field, or a family of one control, warns nothing
+        field = linear_decay_field(const_rates(1.0, 1.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            peano_solve(field, ParticleCloud([[1.0]]), 4)
+            peano_solve(constants_family([[0.5]], const_rates(0.5, 0.0, 0.0)), delta(0.0), 2)
+        assert field.convex_images and control_field(bang_bang(), 1).convex_images
 
 
 class TestInclusionResidual:

@@ -7,13 +7,18 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from wassinc import ParticleCloud, convexify, integrate, peano_solve, signal_field
+from wassinc import ParticleCloud, Trajectory, convexify, integrate, peano_solve, signal_field
+from wassinc import bounds, config as config_module, dynamics
 from wassinc.catalog import constants_family, gain_family, mean_gain_family
-from wassinc.dynamics import ball_grid
+from wassinc.config import parse_config
+from wassinc.dynamics import ControlledFamily, ball_grid
 from wassinc.filippov import filippov_track
 from wassinc.inclusion import ControlSignal, ball_gaps, inclusion_residual
+from wassinc.measure import moment, wasserstein_cost
+from wassinc.verify import verify_gronwall_local, verify_hypotheses_probe
 
 from conftest import const_rates, control_field
 
@@ -111,9 +116,13 @@ def test_convexify_zero_weight_skips_an_infinite_velocity():
     family = constants_family(controls, const_rates(1.0, 0.0, 0.0))
     chat = convexify(family, q=2, weight_steps=2)
     cloud, X = ParticleCloud(np.zeros((1, 2))), np.zeros((3, 2))
+    every = np.arange(chat.size)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no 0 * inf on the way
-        stack = chat.rule(0.0, cloud, np.arange(chat.size), X)
+        stack = chat.rule(0.0, cloud, every, X)
+        nodes = chat.rule_nodes([0.0, 1.0], np.stack([cloud.points] * 2), np.stack([every, every[::-1]]), np.stack([X] * 2))
+    assert_bitwise(nodes[0], stack)
+    assert_bitwise(nodes[1], stack[::-1])
     for i, c in enumerate(chat.controls):
         with np.errstate(invalid="ignore"):  # the oracle may add inf and -inf
             assert_bitwise(stack[i], mixture_oracle("constants", controls, c, cloud, X))
@@ -148,17 +157,22 @@ def test_mismatch_equals_control_loop(kind, gains, d, n, seed, R):
 @settings(max_examples=30, deadline=None)
 @given(KINDS, GAINS, DIMS, st.integers(2, 5), SEEDS)
 def test_ball_gaps_equal_control_loop(kind, gains, d, n, seed):
+    # the masked gaps of every node against the parent's per-node loop over the atoms inside the ball
     family, controls = make_family(kind, gains, d)
     w, ref, measure = reference(d, n, seed)
-    t, nu = ref.times[2], ref.clouds[2]
-    norms = np.linalg.norm(nu.points, axis=1)
+    mu = integrate(control_field(family, 0), measure, ref.grid)
+    norms = np.linalg.norm(ref.points, axis=-1)
     field = control_field(family, family.size - 1)
-    for R in (0.5 * norms.min(), 0.5 * (norms.min() + norms.max()), math.inf):  # empty, partial, full ball
-        pts = nu.points[norms <= R]
-        expected = np.array([sup_gap(w.rule(t, nu, [0], pts)[0], oracle(kind, controls, k, measure, pts)) if pts.size else 0.0
-                             for k in range(family.size)])
-        assert_bitwise(ball_gaps(family, t, measure, w, nu, R), expected)
-        assert_bitwise(ball_gaps(field, t, measure, w, nu, R), expected[-1:])
+    for R in (0.5 * norms.min(), 0.5 * (norms.min() + norms.max()), norms.max(), math.inf):  # empty ... full
+        expected = []
+        for t, mu_k, nu in zip(ref.times, mu.clouds, ref.clouds):
+            pts = nu.points[np.linalg.norm(nu.points, axis=1) <= R]
+            expected.append([sup_gap(w.rule(t, nu, [0], pts)[0], oracle(kind, controls, k, mu_k, pts)) if pts.size
+                             else 0.0 for k in range(family.size)])
+        expected = np.array(expected)
+        assert_bitwise(ball_gaps(family, ref.grid, mu.points, w, ref.points, R), expected)
+        assert_bitwise(ball_gaps(field, ref.grid, mu.points, w, ref.points, R), expected[:, -1:])
+    assert (norms <= 0.5 * norms.min()).sum() == 0  # the first ball is empty at every node
 
 
 @settings(max_examples=30, deadline=None)
@@ -246,3 +260,189 @@ def test_tracking_reselection_equals_control_loop(kind, gains, d, n, seed, R):
                                    for i in range(family.size)]))
     _, signal, cert = filippov_track(family, ref, w, start, R, tol=1e-300, max_iter=2, p=2.0)
     assert list(signal.indices) == (second if cert.iterations == 2 else first)
+
+
+def signed_zeros(rng, values):
+    """``values`` with about a fifth of its entries set to +0.0 or -0.0."""
+    zeros = np.copysign(0.0, rng.standard_normal(values.shape))
+    return np.where(rng.random(values.shape) < 0.2, zeros, values)
+
+
+def catalog_entries(d, gains):
+    """Every catalog field and family, by label, as the config builds it: the rotation field needs d = 2."""
+    rates = {"m": 1.0, "l": 1.0, "L": 1.0}
+    vector = [float(g) for g in (gains * d)[:d]]
+    fields = {"zero": {}, "constant": {"vector": vector}, "linear_decay": {}, "mean_attraction": {"kappa": -1.5},
+              "bounded_kernel": {}, "rotation": {}}
+    families = {"constants": {"controls": [vector, [-v for v in vector]]}, "gain": {"controls": gains},
+                "mean_gain": {"controls": gains}}
+    assert set(fields) == set(config_module.FIELDS) and set(families) == set(config_module.FAMILIES)
+    out = {label: config_module.build_field({"label": label, **spec, "rates": rates}, 1.0, d)
+           for label, spec in fields.items() if label != "rotation" or d == 2}
+    out.update((label, config_module.build_family({"label": label, **spec, "rates": rates}, 1.0, d))
+               for label, spec in families.items())
+    return out
+
+
+def stacked(family, times, points, idx, X):
+    """The per-node rule at every node, stacked: the reference of ``rule_nodes``."""
+    return np.stack([family.rule(t, ParticleCloud(c), u, x) for t, c, u, x in zip(times.tolist(), points, idx, X)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(GAINS, DIMS, st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3]),
+       st.sampled_from([2, 3]), SEEDS)
+def test_node_form_equals_per_node_rule(gains, d, K, n, q, steps, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    times = np.sort(rng.uniform(0.0, 1.0, K))
+    points = signed_zeros(rng, rng.standard_normal((K, n, d)))
+    X = signed_zeros(rng, 2.0 * rng.standard_normal((K, n + 1, d)))
+    grid = np.linspace(0.0, 1.0, 4)
+    curve = Trajectory(grid, signed_zeros(rng, rng.standard_normal((grid.size, n, d))))
+    entries = catalog_entries(d, gains + [float(rng.uniform(-2.0, 2.0))])  # a gain whose mixtures round
+    for label, family in list(entries.items()):
+        signal = ControlSignal(grid, rng.integers(family.size, size=grid.size - 1))
+        entries[f"{label}|signal"] = signal_field(family, signal)
+        entries[f"{label}|signal|curve"] = signal_field(family, signal, curve)
+        entries[f"{label}|chattering"] = convexify(family, q=q, weight_steps=steps)
+    for label, family in entries.items():
+        # a field evaluates its one control; a family a stack of repeated indices
+        idx = rng.integers(family.size, size=(K, 1 if family.size == 1 else family.size + 2))
+        expected = stacked(family, times, points, idx, X)
+        assert_bitwise(family.rule_nodes(times, points, idx, X), expected)
+        assert (family.nodes is None) == (label == "bounded_kernel"), label
+
+
+def test_default_loop_serves_a_family_without_node_form():
+    calls = []
+
+    def rule(t, cloud, idx, X):
+        calls.append(t)
+        return np.asarray(idx, dtype=float)[:, None, None] * (X - t * cloud.mean())
+
+    family = ControlledFamily(controls=(0, 1, 2), rule=rule, rates=const_rates(1.0, 1.0, 1.0))
+    assert family.nodes is None
+    rng = np.random.Generator(np.random.Philox(key=5))
+    times, points, X = np.array([0.0, 0.5, 1.0]), rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 2, 2))
+    idx = np.array([[2, 0, 2], [1, 1, 0], [0, 2, 1]])
+    assert_bitwise(family.rule_nodes(times, points, idx, X), stacked(family, times, points, idx, X))
+    assert calls == [0.0, 0.5, 1.0] * 2  # one per-node call at each node, then the reference's
+    target = rng.standard_normal((3, 2, 2))
+    expected = [[sup_gap(target[k], rule(t, ParticleCloud(points[k]), [u], X[k])[0]) for u in range(3)]
+                for k, t in enumerate(times.tolist())]
+    assert_bitwise(family.gaps(times, points, target, X), np.array(expected))
+
+
+def parent_probe(config):
+    """The per-sample loop of ``verify_hypotheses_probe`` before its rule uses were batched:
+    one checked ParticleCloud and 1-row rule calls per sample, in the same draw order."""
+    n_samples = max(1000, config.experiment["samples"])
+    family = config.family or config.field
+    rates = family.rates
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))
+    base = config.start().points
+
+    def jitter_cloud():
+        scale = rng.uniform(0.5, 2.0)
+        shift = rng.normal(0.0, 0.5, config.d)
+        return ParticleCloud(scale * base + shift)
+
+    def ratio(num, den):
+        return 0.0 if num <= 1e-15 else num / den if den > 0 else math.inf
+
+    samples = []
+    for _ in range(n_samples):
+        t = float(rng.uniform(0.0, config.T))
+        cloud = jitter_cloud()
+        u = [int(rng.integers(family.size))]
+        x = cloud.points[int(rng.integers(cloud.n))][None, :]
+        vx = family.rule(t, cloud, u, x)[0]
+        den = rates.at("m", t) * (1.0 + float(np.linalg.norm(x)) + moment(cloud, config.p))
+        samples.append((t, "m", ratio(float(np.linalg.norm(vx)), den)))
+        y = x + rng.normal(0.0, 0.3, config.d)
+        num = float(np.linalg.norm(vx - family.rule(t, cloud, u, y)[0]))
+        samples.append((t, "l", ratio(num, rates.at("l", t) * float(np.linalg.norm(x - y)))))
+        if family.measure_dependent:
+            other = jitter_cloud()
+            probes = np.concatenate((cloud.points, other.points))
+            used = family.rule(t, cloud, u, probes)
+            gaps = np.linalg.norm(used - family.rule(t, other, np.arange(family.size), probes), axis=-1).max(axis=-1)
+            samples.append((t, "L", ratio(float(gaps.min()), rates.at("L", t) * wasserstein_cost(cloud, other, config.p))))
+    times, labels, measured = (np.array(column) for column in zip(*samples))
+    constants = {f"max_ratio_{k}": max([0.0] + [r for _, rate, r in samples if rate == k]) for k in "mlL"}
+    return times, labels, measured, constants
+
+
+PROBED = {
+    "field": {"label": "mean_attraction", "kappa": 1.5, "rates": {"m": 1.5, "l": 1.5, "L": 1.5}},
+    "measure-free field": {"label": "linear_decay", "rates": {"m": 1.0, "l": 1.0, "L": 0.0}},
+    "family": {"label": "mean_gain", "controls": [0.5, -1.0, 2.0], "rates": {"m": 2.0, "l": 2.0, "L": 2.0}},
+    "measure-free family": {"label": "constants", "controls": [[1.0, -0.5], [0.0, 2.0]],
+                            "rates": {"m": 2.0, "l": 0.0, "L": 0.0}},
+}
+
+
+@pytest.mark.parametrize("seed", [0, 21, 2**32 - 1])
+@pytest.mark.parametrize("subject", PROBED)
+def test_batched_probe_equals_per_sample_loop(subject, seed):
+    block = "field" if "field" in subject else "family"
+    raw = {"p": 2, "T": 1.0, "d": 2, "N": 5, "seed": seed, "initial": {"kind": "gaussian", "sigma": 1.0},
+           block: PROBED[subject], "grid": {"steps": 10},
+           "experiment": {"kind": "verify", "what": "hypotheses_probe", "samples": 1000}}
+    config = parse_config(raw)
+    result = verify_hypotheses_probe(config)
+    times, labels, measured, constants = parent_probe(config)
+    assert_bitwise(result["times"], times)
+    assert_bitwise(result["measured"], measured)
+    np.testing.assert_array_equal(result["extras"]["rate"], labels)
+    assert result["constants"] == {**constants, "n_triples": 1000}
+    assert (labels == "L").any() == (subject in ("field", "family"))
+
+
+def test_node_blocks_split_the_node_axis(monkeypatch):
+    monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 10)
+    for nodes, per_node in [(0, 3), (1, 100), (7, 3), (9, 3), (5, 0)]:
+        blocks = dynamics.node_blocks(nodes, per_node)
+        assert [k for b in blocks for k in range(b.start, b.stop)] == list(range(nodes))
+        assert all(b.stop - b.start == max(1, 10 // max(per_node, 1)) for b in blocks[:-1])
+
+
+@pytest.mark.parametrize("entries", [1, 40])
+def test_sweeps_in_node_blocks_keep_the_bits(monkeypatch, entries):
+    # one node or a few per block, against the one block every bundled sweep fits in
+    family, _ = make_family("mean_gain", [0.5, -0.0, 2.0], 2)
+    w, ref, start = reference(2, 3, 11)
+    probe = parse_config({"p": 2, "T": 1.0, "d": 2, "N": 3, "seed": 4, "initial": {"kind": "gaussian", "sigma": 1.0},
+                          "family": PROBED["family"], "grid": {"steps": 10},
+                          "experiment": {"kind": "verify", "what": "hypotheses_probe", "samples": 1000}})
+
+    def sweeps():
+        traj, signal, cert = filippov_track(family, ref, w, start, 1.5, tol=1e-300, max_iter=3, p=2.0)
+        return [traj.points, signal.indices, cert.eta_R, cert.velocity_gap, verify_hypotheses_probe(probe)["measured"]]
+
+    whole = sweeps()
+    monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", entries)
+    for blocked, expected in zip(sweeps(), whole):
+        assert_bitwise(blocked, expected)
+
+
+@pytest.mark.parametrize("R", [0.5, math.inf])
+def test_gronwall_gap_series_equals_per_node_loop(monkeypatch, R):
+    # a measure-dependent field reads its own curve mu, the reference field w the reference curve nu
+    increments, series = [], bounds.gronwall_series
+    monkeypatch.setattr(bounds, "gronwall_series", lambda **kw: increments.append(kw["increments"]) or series(**kw))
+    config = parse_config({
+        "p": 2, "T": 1.0, "d": 2, "N": 6, "seed": 3, "initial": {"kind": "gaussian", "sigma": 1.0},
+        "field": {"label": "mean_attraction", "kappa": 1.5, "rates": {"m": 1.5, "l": 1.5, "L": 1.5}},
+        "grid": {"steps": 12},
+        "experiment": {"kind": "verify", "what": "gronwall_local", "R": R, "ref_initial": {"kind": "uniform", "halfwidth": 1.0},
+                       "w": {"label": "linear_decay", "rates": {"m": 1.0, "l": 1.0, "L": 0.0}}},
+    })
+    verify_gronwall_local(config)
+    v, w, grid = config.field, config.experiment["w"], config.time_grid()
+    mu, nu = integrate(v, config.start(), grid), config.reference()
+    gaps = []
+    for t, mu_k, nu_k in zip(grid[:-1].tolist(), mu.clouds, nu.clouds):
+        pts = nu_k.points[np.linalg.norm(nu_k.points, axis=1) <= R]
+        gaps.append(sup_gap(w.rule(t, nu_k, [0], pts)[0], v.rule(t, mu_k, [0], pts)[0]) if pts.size else 0.0)
+    assert_bitwise(increments[0], np.array(gaps) * np.diff(grid))
