@@ -3,9 +3,10 @@
 Labels understood by scenario files, each naming the builder
 ``<label>_field`` or ``<label>_family`` whose parameters the config's
 schema checks.  Every builder returns a ``dynamics.ControlledFamily`` whose
-rule evaluates a stack of control indices at once, and whose node form
-(all but ``bounded_kernel``) the same at many curve nodes, bit for bit; a
-field is the family of one control.  Fields:
+one rule evaluates a stack of control indices at once, at one node or at a
+block of curve nodes, bit for bit the same; a field is the family of one
+control.  Each rule is written once over an optional leading node axis
+(``...`` indexing, the cloud's mean over axis -2).  Fields:
 
 * ``zero``                 v = 0
 * ``constant``             v = c, parameter ``vector``
@@ -31,63 +32,49 @@ from scipy.spatial.distance import cdist
 
 from .dynamics import ControlledFamily, RateFunctions
 from .errors import ConfigError
-from .measure import ParticleCloud
 
 
-def _field(rule, nodes, rates: RateFunctions, label: str, measure_dependent: bool = False) -> ControlledFamily:
-    """The field of ``rule`` (node form ``nodes``) as the family of its one control."""
-    return ControlledFamily(controls=(0,), rule=rule, rates=rates, label=label, measure_dependent=measure_dependent,
-                            nodes=nodes)
+def _field(rule, rates: RateFunctions, label: str, measure_dependent: bool = False) -> ControlledFamily:
+    """The field of ``rule`` as the family of its one control."""
+    return ControlledFamily(controls=(0,), rule=rule, rates=rates, label=label, measure_dependent=measure_dependent)
 
 
 def zero_field(rates: RateFunctions) -> ControlledFamily:
     """Zero velocity; natural rates m = l = L = 0."""
 
-    def rule(t, cloud, idx, X):
-        return np.zeros((1,) + X.shape)
+    def rule(t, points, idx, X):
+        return np.zeros(np.shape(idx) + X.shape[-2:])
 
-    def nodes(times, points, idx, X):
-        return np.zeros((len(X), 1) + X.shape[1:])
-
-    return _field(rule, nodes, rates, "zero")
+    return _field(rule, rates, "zero")
 
 
 def constant_field(vector: np.ndarray, rates: RateFunctions) -> ControlledFamily:
     """Constant velocity c; natural rates m = |c|, l = L = 0."""
     c = np.asarray(vector, dtype=float)
 
-    def rule(t, cloud, idx, X):
-        return np.broadcast_to(c, (1,) + X.shape).copy()
+    def rule(t, points, idx, X):
+        return np.full(np.shape(idx) + X.shape[-2:], c)
 
-    def nodes(times, points, idx, X):
-        return np.broadcast_to(c, (len(X), 1) + X.shape[1:]).copy()
-
-    return _field(rule, nodes, rates, f"constant:{c.tolist()}")
+    return _field(rule, rates, f"constant:{c.tolist()}")
 
 
 def linear_decay_field(rates: RateFunctions) -> ControlledFamily:
     """v = -x; natural rates m = 1, l = 1, L = 0."""
 
-    def rule(t, cloud, idx, X):
-        return -X[None]
+    def rule(t, points, idx, X):
+        return -X[..., None, :, :]
 
-    def nodes(times, points, idx, X):
-        return -X[:, None]
-
-    return _field(rule, nodes, rates, "linear_decay")
+    return _field(rule, rates, "linear_decay")
 
 
 def mean_attraction_field(kappa: float, rates: RateFunctions) -> ControlledFamily:
     """v = kappa (mean(mu) - x); natural rates m = l = L = kappa."""
     kappa = float(kappa)
 
-    def rule(t, cloud, idx, X):
-        return (kappa * (cloud.mean()[None, :] - X))[None]
+    def rule(t, points, idx, X):
+        return (kappa * (points.mean(axis=-2)[..., None, :] - X))[..., None, :, :]
 
-    def nodes(times, points, idx, X):  # each node's mean(axis=0), bit for bit
-        return (kappa * (points.mean(axis=1)[:, None, :] - X))[:, None]
-
-    return _field(rule, nodes, rates, f"mean_attraction:{kappa}", measure_dependent=True)
+    return _field(rule, rates, f"mean_attraction:{kappa}", measure_dependent=True)
 
 
 def bounded_kernel_field(rates: RateFunctions) -> ControlledFamily:
@@ -109,11 +96,13 @@ def bounded_kernel_field(rates: RateFunctions) -> ControlledFamily:
 
     ``cdist`` adds the d squares in order, as ``np.linalg.norm`` does for
     d < 8; from d = 8 on numpy sums them pairwise and the two may differ
-    in the last bit.
+    in the last bit.  A block of nodes is the one-node rule at each node,
+    stacked, since a sum over a longer slab would change that order.
     """
 
-    def rule(t, cloud, idx, X):
-        Y = cloud.points
+    def rule(t, Y, idx, X):
+        if getattr(t, "ndim", 0):  # a block (times (K,)): each node on its own
+            return np.stack([rule(*node) for node in zip(t, Y, idx, X)])
         if X.shape[1] == 1:
             q = (Y.T - X) / (1.0 + cdist(X, Y))  # laid out (i, j)
             return (q.sum(axis=1, keepdims=True) / len(Y))[None]
@@ -121,37 +110,32 @@ def bounded_kernel_field(rates: RateFunctions) -> ControlledFamily:
         q /= 1.0 + cdist(Y, X)[:, None, :]
         return (np.ascontiguousarray(q.sum(axis=0).T) / len(Y))[None]
 
-    return _field(rule, None, rates, "bounded_kernel", measure_dependent=True)
+    return _field(rule, rates, "bounded_kernel", measure_dependent=True)
 
 
 def rotation_field(rates: RateFunctions) -> ControlledFamily:
     """Planar rotation v = (-x2, x1); natural rates m = 1, l = 1, L = 0."""
 
-    def rule(t, cloud, idx, X):
-        return nodes(None, None, None, X[None])[0]
-
-    def nodes(times, points, idx, X):
+    def rule(t, points, idx, X):
         if X.shape[-1] != 2:
             raise ConfigError("rotation field requires dimension d = 2")
-        return np.stack([-X[..., 1], X[..., 0]], axis=-1)[:, None]
+        return np.stack([-X[..., 1], X[..., 0]], axis=-1)[..., None, :, :]
 
-    return _field(rule, nodes, rates, "rotation")
+    return _field(rule, rates, "rotation")
 
 
 def constants_family(controls, rates: RateFunctions) -> ControlledFamily:
     """Finite set of constant velocities; natural rates m = max |u|, l = L = 0."""
     vecs = tuple(np.asarray(u, dtype=float) for u in controls)
-    table = np.array(vecs)  # (U,) scalars or (U, d) vectors
+    table = np.array(vecs).reshape(len(vecs), -1)  # (U, d) vectors, or (U, 1) scalars
 
-    def rule(t, cloud, idx, X):
-        out = np.empty((len(idx),) + X.shape)
-        out[:] = table[idx].reshape(len(idx), 1, -1)
+    def rule(t, points, idx, X):
+        u = table[idx]
+        out = np.empty(u.shape[:-1] + X.shape[-2:])
+        out[...] = u[..., None, :]
         return out
 
-    def nodes(times, points, idx, X):
-        return np.broadcast_to(table[idx].reshape(idx.shape + (1, -1)), idx.shape + X.shape[1:]).copy()
-
-    return ControlledFamily(controls=vecs, rule=rule, rates=rates, label="constants", nodes=nodes)
+    return ControlledFamily(controls=vecs, rule=rule, rates=rates, label="constants")
 
 
 def gain_family(controls, rates: RateFunctions) -> ControlledFamily:
@@ -159,13 +143,10 @@ def gain_family(controls, rates: RateFunctions) -> ControlledFamily:
     gains = tuple(float(u) for u in controls)
     table = np.array(gains)
 
-    def rule(t, cloud, idx, X):
-        return -table[idx][:, None, None] * X
+    def rule(t, points, idx, X):
+        return -table[idx][..., None, None] * X[..., None, :, :]
 
-    def nodes(times, points, idx, X):
-        return -table[idx][:, :, None, None] * X[:, None]
-
-    return ControlledFamily(controls=gains, rule=rule, rates=rates, label="gain", nodes=nodes)
+    return ControlledFamily(controls=gains, rule=rule, rates=rates, label="gain")
 
 
 def mean_gain_family(controls, rates: RateFunctions) -> ControlledFamily:
@@ -173,12 +154,7 @@ def mean_gain_family(controls, rates: RateFunctions) -> ControlledFamily:
     gains = tuple(float(u) for u in controls)
     table = np.array(gains)
 
-    def rule(t, cloud: ParticleCloud, idx, X):
-        return table[idx][:, None, None] * (cloud.mean()[None, :] - X)
+    def rule(t, points, idx, X):
+        return table[idx][..., None, None] * (points.mean(axis=-2)[..., None, :] - X)[..., None, :, :]
 
-    def nodes(times, points, idx, X):  # each node's mean(axis=0), bit for bit
-        return table[idx][:, :, None, None] * (points.mean(axis=1)[:, None, :] - X)[:, None]
-
-    return ControlledFamily(
-        controls=gains, rule=rule, rates=rates, label="mean_gain", measure_dependent=True, nodes=nodes
-    )
+    return ControlledFamily(controls=gains, rule=rule, rates=rates, label="mean_gain", measure_dependent=True)

@@ -1,20 +1,20 @@
 """Velocity families, the delayed Euler step and the characteristics integrator.
 
-A ``ControlledFamily`` is a finite control set plus a rule
-(t, cloud, idx, X) -> velocities, shape (len(idx), n, d), sharing one set
-of declared rate functions: a growth rate m, a spatial Lipschitz rate l,
-and a measure-Lipschitz rate L, all piecewise constant in time with exact
-interval integrals.  A velocity field is the family of one control,
-``controls=(0,)``.  Moving every particle of a cloud along a field's
-characteristics advances the empirical measure itself; a Trajectory holds
-the positions in one read-only (nodes, N, d) array, its clouds views of it.
-``march`` is the one loop that writes a curve's nodes, each checked finite.
-Every Euler curve steps with ``delayed_step``: ``integrate`` hands it the
-evolving cloud, peano's scheme and every tracking iterate a cloud from an
-earlier curve, and a field bound to a curve is ``inclusion.signal_field``.
-Once a curve is built, ``rule_nodes`` and ``gaps`` sweep all its nodes at
-once, in blocks of ``node_blocks``.
-"""
+A ``ControlledFamily`` is a finite control set plus one velocity rule
+(t, points, idx, X) -> velocities, read at one node or at a block of
+nodes, sharing one set of declared rate functions: a growth rate m, a
+spatial Lipschitz rate l, and a measure-Lipschitz rate L, all piecewise
+constant in time with exact interval integrals.  A velocity field is the
+family of one control, ``controls=(0,)``.  Moving every particle of a
+cloud along a field's characteristics advances the empirical measure
+itself; a Trajectory holds the positions in one read-only (nodes, N, d)
+array, its clouds views of it.  ``march`` is the one loop that writes a
+curve's nodes, each checked finite.  Every Euler curve steps with
+``delayed_step``: ``integrate`` hands it the evolving positions, peano's
+scheme and every tracking iterate those of an earlier curve, and a field
+bound to a curve is ``inclusion.signal_field``.  Once a curve is built,
+``rule`` and ``gaps`` sweep all its nodes at once, in blocks of
+``node_blocks``."""
 
 from __future__ import annotations
 
@@ -116,27 +116,34 @@ def snapped_index(times: list, t: float, snap: float) -> int:
 
 
 BLOCK_ENTRIES = 2**14  # 128 KiB of doubles per block array: a sweep's temporaries stay in cache
-FamilyRule = Callable[[float, ParticleCloud, np.ndarray, np.ndarray], np.ndarray]
+FamilyRule = Callable[[float | np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
 class ControlledFamily:
     """Finite control set U with a shared rule and rate functions.
 
-    ``rule(t, cloud, idx, X)`` takes a 1-d integer array (or list) of
-    control indices and returns the stacked velocities, shape
-    (len(idx), n, d); entry i must not depend on the other entries of
-    ``idx``, nor a velocity row on the other rows of ``X``.  Each
-    fixed-control slice is a valid velocity field under the shared rates,
-    and a velocity field is a family with ``controls=(0,)``.  ``rule``
-    must be pure: given the same arguments it returns the same array,
-    with no hidden state; the integrators pass it read-only positions.
-    ``nodes``, if set, is the rule over a node axis (``rule_nodes``).
-    ``measure_dependent`` records whether the rule actually reads its
-    cloud argument; measure-independent fields admit the tighter moment
-    bounds.  ``convex_images`` is informational: the delayed Euler scheme
-    still runs without it, but its existence guarantee may fail.  One
-    velocity is a convex set, so a family of one control has it.
+    ``rule(t, points, idx, X)`` reads the velocities of the controls
+    ``idx`` at positions X, with the cloud ``points`` as measure argument,
+    at one node or at a block of K nodes:
+
+    * one node: a time t, points (N, d), a 1-d integer array (or list)
+      ``idx`` of U control indices and X (P, d) give (U, P, d);
+    * K nodes: times (K,), points (K, N, d), idx (K, U) and X (K, P, d)
+      give (K, U, P, d), node k equal bit for bit to the one-node call
+      with the k-th entry of each.
+
+    Entry i must not depend on the other entries of ``idx``, nor a
+    velocity row on the other rows of ``X``.  Each fixed-control slice is
+    a valid velocity field under the shared rates, and a velocity field is
+    a family with ``controls=(0,)``.  ``rule`` must be pure: given the
+    same arguments it returns the same array, with no hidden state; the
+    integrators pass it read-only positions.  ``measure_dependent``
+    records whether the rule actually reads its ``points`` argument;
+    measure-independent fields admit the tighter moment bounds.
+    ``convex_images`` is informational: the delayed Euler scheme still
+    runs without it, but its existence guarantee may fail.  One velocity
+    is a convex set, so a family of one control has it.
     """
 
     controls: tuple
@@ -145,7 +152,6 @@ class ControlledFamily:
     convex_images: bool = False
     label: str = ""
     measure_dependent: bool = False
-    nodes: Callable | None = None
 
     def __post_init__(self):
         if len(self.controls) == 0:
@@ -157,17 +163,6 @@ class ControlledFamily:
     def size(self) -> int:
         return len(self.controls)
 
-    def rule_nodes(self, times, points: np.ndarray, idx, X: np.ndarray) -> np.ndarray:
-        """The rule at K nodes at once: times (K,), clouds ``points`` (K, N, d),
-        control indices ``idx`` (K, U) and positions ``X`` (K, P, d) give
-        (K, U, P, d), node k being ``rule(times[k], points[k], idx[k], X[k])``
-        bit for bit; a field gives (K, 1, P, d).  Calls ``nodes``, or loops
-        ``rule`` over the nodes where it is None."""
-        if self.nodes is not None:
-            return self.nodes(np.asarray(times, dtype=float), points, np.asarray(idx), X)
-        return np.stack([self.rule(t, ParticleCloud._view(c), u, x)
-                         for t, c, u, x in zip(np.asarray(times).tolist(), points, np.asarray(idx), X)])
-
     def gaps(self, times, points: np.ndarray, target: np.ndarray, probes: np.ndarray,
              inside: np.ndarray | None = None) -> np.ndarray:
         """Sup over ``probes`` (K, P, d) of |target - control u's velocity| at
@@ -178,7 +173,7 @@ class ControlledFamily:
         times, out = np.asarray(times, dtype=float), np.empty((len(points), self.size))
         every = np.broadcast_to(np.arange(self.size), out.shape)
         for b in node_blocks(len(points), self.size * probes.shape[1] * probes.shape[2]):
-            diff = target[b, None] - self.rule_nodes(times[b], points[b], every[b], probes[b])
+            diff = target[b, None] - self.rule(times[b], points[b], every[b], probes[b])
             out[b] = sup_norm(diff if inside is None else np.where(inside[b, None, :, None], diff, 0.0))
         return out
 
@@ -192,10 +187,10 @@ def node_blocks(nodes: int, per_node: int) -> list:
     return [slice(lo, min(lo + size, nodes)) for lo in range(0, nodes, size)]
 
 
-def delayed_step(family: ControlledFamily, t0: float, t1: float, delayed: ParticleCloud, u: int,
+def delayed_step(family: ControlledFamily, t0: float, t1: float, delayed: np.ndarray, u: int,
                  X: np.ndarray) -> np.ndarray:
     """The delayed Euler step: positions X moved over [t0, t1] with control u's
-    velocity, read at t0 with the ``delayed`` cloud as measure argument."""
+    velocity, read at t0 with the ``delayed`` (N, d) cloud as measure argument."""
     return X + (t1 - t0) * family.rule(t0, delayed, [u], X)[0]
 
 
@@ -280,7 +275,7 @@ def integrate(
     larger family is never cut down to its control 0).  An euler step is
     ``delayed_step`` with control 0 and the integrator's own current cloud
     as measure argument; rk4 hands the rule each stage's intermediate
-    cloud.  A field bound to another curve (``inclusion.signal_field`` with
+    positions.  A field bound to another curve (``inclusion.signal_field`` with
     a ``measure``) reads that curve instead and ignores it.  Raises
     BlowUpError (see ``_check_finite``) if a coordinate leaves the finite
     range.
@@ -296,10 +291,11 @@ def integrate(
         raise ValueError(f"integrate needs a field, a family of one control; got {field.size} controls")
 
     def euler(k, t0, t1, clouds):
-        return delayed_step(field, t0, t1, clouds[k], 0, clouds[k].points)
+        X = clouds[k].points
+        return delayed_step(field, t0, t1, X, 0, X)
 
     def rk4(k, t0, t1, clouds):
-        return _rk4_step(field, clouds[k], t0, t1 - t0, k + 1)
+        return _rk4_step(field, clouds[k].points, t0, t1 - t0, k + 1)
 
     return march(start, g, euler if method == "euler" else rk4)
 
@@ -312,17 +308,16 @@ def _check_finite(X: np.ndarray, last: np.ndarray, step: int, t: float) -> None:
                           f"last finite position {last[i].tolist()}")
 
 
-def _rk4_step(field, cloud, t0, dt, step):
-    """One rk4 step from ``cloud``; a stage leaving the finite range raises the step's BlowUpError."""
-    X = cloud.points
+def _rk4_step(field, X, t0, dt, step):
+    """One rk4 step from positions X; a stage leaving the finite range raises the step's BlowUpError."""
 
     def stage(t, Y):
         Y.setflags(write=False)
         _check_finite(Y, X, step, t0 + dt)
-        return field.rule(t, ParticleCloud._view(Y), [0], Y)[0]
+        return field.rule(t, Y, [0], Y)[0]
 
     th = t0 + 0.5 * dt
-    k1 = field.rule(t0, cloud, [0], X)[0]
+    k1 = field.rule(t0, X, [0], X)[0]
     k2 = stage(th, X + 0.5 * dt * k1)
     k3 = stage(th, X + 0.5 * dt * k2)
     k4 = stage(t0 + dt, X + dt * k3)

@@ -166,7 +166,7 @@ def filippov_track(
     prior, gaps = ref, []
     while True:  # each iterate steps with the measure of the curve before it
         cur = march(start, grid, lambda k, t0, t1, clouds: delayed_step(
-            family, t0, t1, prior.clouds[k], int(sel[k]), clouds[k].points))
+            family, t0, t1, prior.points[k], int(sel[k]), clouds[k].points))
         gaps.append(sup_wasserstein_cost(zip(cur.clouds, prior.clouds), p))
         if not (gaps[-1] > tol and len(gaps) < max_iter):
             break
@@ -175,7 +175,7 @@ def filippov_track(
             # the probes of a block of nodes: the atoms of both clouds, then the lattice
             probes = np.concatenate([cur.points[b], ref.points[b], np.broadcast_to(
                 lattice, (b.stop - b.start,) + lattice.shape)], axis=1)
-            used = family.rule_nodes(grid[b], prior.points[b], last[b, None], probes)[:, 0]
+            used = family.rule(grid[b], prior.points[b], last[b, None], probes)[:, 0]
             sel[b] = family.gaps(grid[b], cur.points[b], used, probes).argmin(axis=1)
         prior = cur
     converged = gaps[-1] <= tol

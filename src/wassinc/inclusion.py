@@ -1,15 +1,16 @@
 """Set-valued dynamics over finite control sets and the delayed Euler scheme.
 
 An admissible-velocity set is discretized as a ``dynamics.ControlledFamily``:
-a finite list of controls plus a rule (t, cloud, idx, X) -> velocities
+a finite list of controls plus one rule (t, points, idx, X) -> velocities
 sharing one set of rate functions.  The rule evaluates a stack of control
-indices at once, shape (len(idx), n, d), and its node form at many nodes;
-every selection takes the argmin of ``ControlledFamily.gaps`` over every
-control at every node (ties to the lowest index), and ``ball_gaps`` is
-every velocity gap on the atoms of a ball along a whole curve, a field
-being the family of one control.  A measurable velocity selection becomes a
-piecewise-constant control index per sub-interval of a fine grid, and
-``signal_field`` is the field that follows it.
+indices at once, at one node or at a block of nodes (see
+``ControlledFamily``); every selection takes the argmin of
+``ControlledFamily.gaps`` over every control at every node (ties to the
+lowest index), and ``ball_gaps`` is every velocity gap on the atoms of a
+ball along a whole curve, a field being the family of one control.  A
+measurable velocity selection becomes a piecewise-constant control index
+per sub-interval of a fine grid, and ``signal_field`` is the field that
+follows it.
 
 ``peano_solve`` builds a trajectory-selection pair by splitting the
 horizon into n blocks and, on every euler sub-interval, choosing a
@@ -41,7 +42,7 @@ def ball_gaps(family: ControlledFamily, times, measure: np.ndarray, w: Controlle
     shape (K, U) for K nodes (clouds ``measure`` and ``nu`` (K, N, d)) and the controls u of
     ``family``, for a field ``w``; 0 where the ball holds no atom.  The ball is a mask: max is
     exact, so zeroing the atoms outside it gives the bits of the max over the atoms inside."""
-    target = w.rule_nodes(times, nu, np.zeros((len(nu), 1), dtype=int), nu)[:, 0]
+    target = w.rule(times, nu, np.zeros((len(nu), 1), dtype=int), nu)[:, 0]
     return family.gaps(times, measure, target, nu, None if math.isinf(R) else np.linalg.norm(nu, axis=-1) <= R)
 
 
@@ -85,18 +86,18 @@ def signal_field(family: ControlledFamily, signal: ControlSignal,
                  measure: Trajectory | None = None) -> ControlledFamily:
     """Velocity field (a family of one control) that follows the signal's
     control on each interval; given a ``measure`` Trajectory, its rule reads
-    ``measure.at(t)`` in place of the cloud it is handed."""
+    that curve's node at t in place of the cloud it is handed."""
     if signal.indices.max() >= family.size:
         raise ValueError(f"signal index {signal.indices.max()} outside family of size {family.size}")
 
-    def rule(t, cloud, idx, X):
-        return family.rule(t, cloud if measure is None else measure.at(t), [signal.index_at(t)], X)
-
-    def nodes(times, points, idx, X):
-        times = times.tolist()
+    def rule(t, points, idx, X):
+        block = getattr(t, "ndim", 0) > 0  # one node (a float t), or a block (times (K,))
+        times = t.tolist() if block else [t]
+        u = [[signal.index_at(s)] for s in times]
         if measure is not None:
-            points = measure.points[[measure.node_index(t) for t in times]]
-        return family.rule_nodes(times, points, [[signal.index_at(t)] for t in times], X)
+            k = [measure.node_index(s) for s in times]
+            points = measure.points[k if block else k[0]]
+        return family.rule(t, points, u if block else u[0], X)
 
     return ControlledFamily(
         controls=(0,),
@@ -104,14 +105,13 @@ def signal_field(family: ControlledFamily, signal: ControlSignal,
         rates=family.rates,
         label=f"{family.label}|signal",
         measure_dependent=family.measure_dependent,
-        nodes=nodes,
     )
 
 
 def _select_control(
     family: ControlledFamily,
     t: float,
-    delayed_cloud: ParticleCloud,
+    delayed: np.ndarray,
     current: np.ndarray,
     strategy: str,
     rng,
@@ -119,8 +119,8 @@ def _select_control(
     if strategy == "first":
         return 0
     if strategy == "min_norm":
-        probes = np.concatenate((delayed_cloud.points, current))[None]
-        return int(family.gaps([t], delayed_cloud.points[None], np.zeros_like(probes), probes)[0].argmin())
+        probes = np.concatenate((delayed, current))[None]
+        return int(family.gaps([t], delayed[None], np.zeros_like(probes), probes)[0].argmin())
     if strategy == "random":
         return int(rng.integers(family.size))
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -167,7 +167,7 @@ def peano_solve(
 
     def step(k, t0, t1, clouds):
         # delay of one block == exactly `substeps` grid nodes
-        delayed, X = clouds[max(0, k - substeps)], clouds[k].points
+        delayed, X = clouds[max(0, k - substeps)].points, clouds[k].points
         indices[k] = u = _select_control(family, t0, delayed, X, strategy, rng)
         return delayed_step(family, t0, t1, delayed, u, X)
 
@@ -180,7 +180,7 @@ def inclusion_residual(traj: Trajectory, signal: ControlSignal, family: Controll
 
     For every signal sub-interval [t_k, t_{k+1}) of length h_k, replays
     the delayed Euler step from ``traj.at(t_k)`` with the recorded control
-    and the cloud ``traj.at(t_k - delay)``, all in one ``rule_nodes`` call,
+    and the cloud ``traj.at(t_k - delay)``, all in one block ``rule`` call,
     and returns max_i |x_{k+1,i} - step_i| / h_k against ``traj.at(t_{k+1})``.
     A pair from ``peano_solve`` (delay T/n) replays to exactly 0; a wrong
     step length, control, delay or node reads above 0.
@@ -189,7 +189,7 @@ def inclusion_residual(traj: Trajectory, signal: ControlSignal, family: Controll
     at = [[traj.node_index(t) for t in times.tolist()] for times in (t0 - delay, t0, t1)]
     delayed, X, after = (traj.points[k] for k in at)
     h = (t1 - t0)[:, None, None]
-    step = X + h * family.rule_nodes(t0, delayed, signal.indices[:, None], X)[:, 0]
+    step = X + h * family.rule(t0, delayed, signal.indices[:, None], X)[:, 0]
     return sup_norm(after - step) / (t1 - t0)
 
 

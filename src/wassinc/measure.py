@@ -76,9 +76,6 @@ class ParticleCloud:
         """Euclidean norm of every particle, shape (N,)."""
         return np.linalg.norm(self.points, axis=1)
 
-    def mean(self) -> np.ndarray:
-        return self.points.mean(axis=0)
-
 
 def _check_p(p: float) -> float:
     p = float(p)

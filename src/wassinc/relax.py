@@ -75,25 +75,18 @@ def convexify(family: ControlledFamily, q: int = 2, weight_steps: int = 4) -> Co
                 ChatteringControl(base_indices=base, weight_numerators=comp, weight_den=weight_steps)
             )
 
-    bases = np.array([c.base_indices for c in controls])  # (M, q)
-    numerators = np.array([c.weight_numerators for c in controls])  # (M, q)
+    bases = np.array([c.base_indices for c in controls]).T  # (q, M): slot j of every mixture
+    numerators = np.array([c.weight_numerators for c in controls]).T  # (q, M)
     parents = np.arange(family.size)
 
-    def rule(t, cloud, idx, X):
-        vels = family.rule(t, cloud, parents, X)
-        acc = np.zeros((len(idx),) + X.shape)
-        for b, k in zip(bases[idx].T, numerators[idx].T):  # in slot order, as one mixture's sum
-            k = k[:, None, None]
-            acc += k * np.where(k != 0, vels[b], 0.0)  # a zero weight never meets an inf
-        return acc / weight_steps
-
-    def nodes(times, points, idx, X):  # the slot loop of ``rule`` at every node
-        vels = family.rule_nodes(times, points, np.broadcast_to(parents, (len(X), family.size)), X)
-        acc = np.zeros(idx.shape + X.shape[1:])
-        at = np.arange(len(X))[:, None]
-        for slot in range(q):
-            k = numerators[idx, slot][..., None, None]
-            acc += k * np.where(k != 0, vels[at, bases[idx, slot]], 0.0)
+    def rule(t, points, idx, X):
+        idx = np.asarray(idx)
+        node = (np.arange(len(idx))[:, None],) if idx.ndim > 1 else ()  # a block node reads its own parents
+        vels = family.rule(t, points, np.zeros(idx.shape[:-1] + (1,), dtype=int) + parents, X)
+        acc = np.zeros(idx.shape + X.shape[-2:])
+        for b, k in zip(bases[:, idx], numerators[:, idx]):  # in slot order, as one mixture's sum
+            k = k[..., None, None]
+            acc += k * np.where(k != 0, vels[node + (b,)], 0.0)  # a zero weight never meets an inf
         return acc / weight_steps
 
     return ControlledFamily(
@@ -103,7 +96,6 @@ def convexify(family: ControlledFamily, q: int = 2, weight_steps: int = 4) -> Co
         convex_images=True,
         label=f"{family.label}|chattering(q={q},steps={weight_steps})",
         measure_dependent=family.measure_dependent,
-        nodes=nodes,
     )
 
 

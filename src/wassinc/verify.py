@@ -164,7 +164,7 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> dict:
     Draws at least 1000 (t, cloud, x) triples from jittered versions of
     the scenario's initial sampler and reports each observed ratio against
     the declared rate; the bound row is the constant 1.  The draws run one
-    sample at a time, then each rule use is one ``rule_nodes`` call.
+    sample at a time, then each rule use is one block ``rule`` call.
     """
     n_samples = max(1000, config.experiment["samples"])
     family = config.family or config.field
@@ -193,13 +193,13 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> dict:
         (points, clouds), tb = jittered(0, b), t[b]
         x = points[np.arange(len(points)), atom[b]]
         y = x + step[b]
-        vx, vy = (family.rule_nodes(tb, points, u[b], z[:, None])[:, 0, 0] for z in (x, y))
+        vx, vy = (family.rule(tb, points, u[b], z[:, None])[:, 0, 0] for z in (x, y))
         measured[b, 0] = _ratios(_row_norms(vx), rates.at("m", tb) * (1.0 + _row_norms(x) + moments(points, p)))
         measured[b, 1] = _ratios(_row_norms(vx - vy), rates.at("l", tb) * _row_norms(x - y))
         if coupled:
             other, other_clouds = jittered(1, b)
             probes = np.concatenate((points, other), axis=1)
-            used = family.rule_nodes(tb, points, u[b], probes)[:, 0]
+            used = family.rule(tb, points, u[b], probes)[:, 0]
             best = family.gaps(tb, other, used, probes).min(axis=1)
             measured[b, 2] = _ratios(best, rates.at("L", tb) * wasserstein_costs(zip(clouds, other_clouds), p))
 

@@ -251,7 +251,7 @@ def test_criterion_09_relaxation_density():
 
     realized, _ = aumann_realize(sig, chat, blocks)
     x = np.array([[0.4]])
-    c = delta(0.0)
+    c = delta(0.0).points
     identity_gap = 0.0
     for a, b in zip(blocks[:-1], blocks[1:]):
         mix = (b - a) * chat.rule(a, c, [idx], x)[0]

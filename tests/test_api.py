@@ -4,6 +4,7 @@ package or its scripts, and guards that private names and the unchecked
 constructors stay inside the module that defines them."""
 
 import ast
+import dataclasses
 import pathlib
 
 import wassinc
@@ -115,14 +116,20 @@ def test_only_measure_and_dynamics_build_unchecked_curves():
     assert users <= {"measure.py", "dynamics.py"}
 
 
-def test_every_catalog_label_but_bounded_kernel_has_a_node_form():
-    # a catalog entry without ``nodes`` falls back to a per-node loop in every curve-at-once sweep;
-    # bounded_kernel keeps it, since its summation order is what keeps its bits
+def test_a_family_has_exactly_one_velocity_callable():
+    # one rule reads one node or a block of nodes: no second form of it beside it on any
+    # catalog entry, signal field or convexified family, and no method that picks between forms
     rates = {"m": 1.0, "l": 1.0, "L": 1.0}
     params = {"constant": {"vector": [1.0, 0.0]}, "mean_attraction": {"kappa": 1.0},
               "constants": {"controls": [[1.0, 0.0]]}, "gain": {"controls": [1.0]}, "mean_gain": {"controls": [1.0]}}
-    built = {label: config.build_field({"label": label, **params.get(label, {}), "rates": rates}, 1.0, 2)
-             for label in config.FIELDS}
-    built.update((label, config.build_family({"label": label, **params[label], "rates": rates}, 1.0, 2))
-                 for label in config.FAMILIES)
-    assert sorted(label for label, family in built.items() if family.nodes is None) == ["bounded_kernel"]
+    built = [config.build_field({"label": label, **params.get(label, {}), "rates": rates}, 1.0, 2)
+             for label in config.FIELDS]
+    built += [config.build_family({"label": label, **params[label], "rates": rates}, 1.0, 2)
+              for label in config.FAMILIES]
+    signal = wassinc.ControlSignal(grid=[0.0, 1.0], indices=[0])
+    built += [wassinc.signal_field(built[-1], signal), wassinc.convexify(built[-1])]
+    for family in built:
+        assert [f.name for f in dataclasses.fields(family) if callable(getattr(family, f.name))] == ["rule"]
+    methods = [name for name, member in vars(wassinc.ControlledFamily).items()
+               if callable(member) and not name.startswith("_")]
+    assert methods == ["gaps"]

@@ -65,7 +65,7 @@ class TestBoundedKernelRule:
             points[1::2] = points[0]  # coincident cloud atoms
         cloud = ParticleCloud(points)
         X = probe_set(rng, points, kind, k)
-        assert_bitwise(RULE(0.0, cloud, [0], X)[0], kernel_tensor_rule(cloud, X))
+        assert_bitwise(RULE(0.0, cloud.points, [0], X)[0], kernel_tensor_rule(cloud, X))
 
     @given(
         data=st.data(),
@@ -81,13 +81,13 @@ class TestBoundedKernelRule:
         )
         cloud = ParticleCloud(data.draw(hnp.arrays(np.float64, (n, d), elements=values)))
         X = data.draw(hnp.arrays(np.float64, (m, d), elements=values))
-        assert_bitwise(RULE(0.0, cloud, [0], X)[0], kernel_tensor_rule(cloud, X))
+        assert_bitwise(RULE(0.0, cloud.points, [0], X)[0], kernel_tensor_rule(cloud, X))
 
     def test_single_atom_at_its_own_position(self):
         # every term is -0.0 / 1; the reference sum starts from +0.0
         for d in (1, 2, 3, 5):
             cloud = ParticleCloud(np.ones((1, d)))
-            out = RULE(0.0, cloud, [0], np.ones((1, d)))[0]
+            out = RULE(0.0, cloud.points, [0], np.ones((1, d)))[0]
             assert_bitwise(out, kernel_tensor_rule(cloud, np.ones((1, d))))
             assert not np.signbit(out).any()
 
@@ -131,8 +131,8 @@ def test_field_stack_is_its_point_formula(data, name, n, m, d, kappa):
     field, label = catalog_field(name, c, kappa)
     assert (field.controls, field.label) == ((0,), label)
     with np.errstate(over="ignore", invalid="ignore"):  # kappa = 1e300 may overflow, in both
-        stack = field.rule(0.5, cloud, [0], X)
-        mean = cloud.mean()
+        stack = field.rule(0.5, cloud.points, [0], X)
+        mean = cloud.points.mean(axis=0)
         expected = np.array([POINT_FORMULAS[name](c, kappa, mean, x) for x in X])
     assert stack.shape == (1, m, d)
     assert_bitwise(stack[0], expected)

@@ -404,8 +404,8 @@ def test_rk4_stage_blow_up_uses_the_same_report(tmp_path, capsys, method):
 
 
 def test_rk4_rule_never_sees_a_non_finite_stage():
-    def rule(t, cloud, idx, X):
-        assert np.isfinite(cloud.points).all() and np.isfinite(X).all()
+    def rule(t, points, idx, X):
+        assert np.isfinite(points).all() and np.isfinite(X).all()
         return -X[None]
 
     field = ControlledFamily(controls=(0,), rule=rule, rates=RateFunctions.constant(1, 1, 0, 10.0))

@@ -134,7 +134,7 @@ class TestIntegrate:
         )
         field = ControlledFamily(
             controls=(0,),
-            rule=lambda t, c, idx, X: np.broadcast_to(base.at(t - 0.5).mean(), (1,) + X.shape).copy(),
+            rule=lambda t, points, idx, X: np.broadcast_to(base.at(t - 0.5).points.mean(axis=0), (1,) + X.shape).copy(),
             rates=const_rates(1.0, 0.0, 0.0),
             measure_dependent=True,
         )
@@ -226,7 +226,7 @@ class TestCatalogRateProbes:
         for _ in range(50):
             c = random_cloud(rng, 8, 1)
             x = 3.0 * rng.standard_normal((1, 1))
-            v = field.rule(0.5, c, [0], x)[0]
+            v = field.rule(0.5, c.points, [0], x)[0]
             m = field.rates.at("m", 0.5)
             bound = m * (1.0 + float(np.linalg.norm(x)) + moment(c, 2))
             assert float(np.linalg.norm(v)) <= bound + 1e-12
@@ -237,5 +237,5 @@ class TestCatalogRateProbes:
         for _ in range(50):
             x = 2.0 * rng.standard_normal((1, 2))
             y = 2.0 * rng.standard_normal((1, 2))
-            gap = float(np.linalg.norm(field.rule(0.1, c, [0], x)[0] - field.rule(0.1, c, [0], y)[0]))
+            gap = float(np.linalg.norm(field.rule(0.1, c.points, [0], x)[0] - field.rule(0.1, c.points, [0], y)[0]))
             assert gap <= field.rates.at("l", 0.1) * float(np.linalg.norm(x - y)) + 1e-12

@@ -300,10 +300,10 @@ def per_step_loop(field, start, grid, method="euler", measure=None):
         t0, t1 = float(grid[k]), float(grid[k + 1])
         dt = t1 - t0
         if method == "euler":
-            X = X + dt * field.rule(t0, measure.at(t0) if measure else clouds[-1], [0], X)[0]
+            X = X + dt * field.rule(t0, measure.at(t0).points if measure else clouds[-1].points, [0], X)[0]
         else:
             def stage(t, Y):
-                return field.rule(t, measure.at(t) if measure else ParticleCloud(Y), [0], Y)[0]
+                return field.rule(t, measure.at(t).points if measure else ParticleCloud(Y).points, [0], Y)[0]
             k1 = stage(t0, X)
             k2 = stage(t0 + 0.5 * dt, X + 0.5 * dt * k1)
             k3 = stage(t0 + 0.5 * dt, X + 0.5 * dt * k2)
@@ -335,8 +335,8 @@ def test_rules_see_read_only_rows():
     writing its arguments in place would change the stored trajectory."""
     seen = []
 
-    def rule(t, cloud, idx, X):
-        seen.append((X.flags.writeable, cloud.points.flags.writeable))
+    def rule(t, points, idx, X):
+        seen.append((X.flags.writeable, points.flags.writeable))
         return np.stack([-X] * len(idx))
 
     field = ControlledFamily(controls=(0,), rule=rule, rates=RateFunctions.constant(1, 1, 0, 1.0))
@@ -384,6 +384,6 @@ def test_a_bound_signal_field_reads_only_its_curve(name, method, n, d, seed, nod
 
     for t in [*grid.tolist(), *rng.uniform(-0.5, 1.5, 4).tolist()]:
         X = rng.standard_normal((3, d))
-        expected = free.rule(t, curve.at(t), [0], X).tobytes()
-        for cloud in (curve.at(t), start, ParticleCloud(rng.standard_normal((n + 2, d)) * 1e3)):
-            assert bound.rule(t, cloud, [0], X).tobytes() == expected
+        expected = free.rule(t, curve.at(t).points, [0], X).tobytes()
+        for points in (curve.at(t).points, start.points, rng.standard_normal((n + 2, d)) * 1e3):
+            assert bound.rule(t, points, [0], X).tobytes() == expected

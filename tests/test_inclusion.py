@@ -32,8 +32,9 @@ def mean_drive():
     moves the mean, so reading the wrong cloud shows in the positions."""
     gains = np.array([0.5, 1.0])
 
-    def rule(t, cloud, idx, X):
-        return gains[np.asarray(idx)][:, None, None] * np.broadcast_to(cloud.mean(), X.shape)
+    def rule(t, points, idx, X):
+        drive = np.broadcast_to(points.mean(axis=-2)[..., None, :], X.shape)
+        return gains[np.asarray(idx)][..., None, None] * drive[..., None, :, :]
 
     return ControlledFamily(controls=(0.5, 1.0), rule=rule, rates=const_rates(1.0, 1.0, 1.0), measure_dependent=True)
 
@@ -45,7 +46,7 @@ def delayed_euler(family, start, n, substeps, stepped, h_scale=1.0, undelayed=Fa
     times = np.linspace(0.0, family.rates.duration, n * substeps + 1).tolist()
     pts = [start.points]
     for k in range(n * substeps):
-        delayed = ParticleCloud(pts[k if undelayed else max(0, k - substeps)])
+        delayed = pts[k if undelayed else max(0, k - substeps)]
         pts.append(pts[k] + h_scale * (times[k + 1] - times[k]) * family.rule(times[k], delayed, [stepped[k]], pts[k])[0])
     return Trajectory(grid=np.array(times), points=np.stack(pts))
 
@@ -163,7 +164,7 @@ def test_signal_field_rejects_an_index_outside_the_family():
     with pytest.raises(ValueError, match="^signal index 3 outside family of size 2$"):
         signal_field(bang_bang(), ControlSignal(grid=grid, indices=[1, 3, 0]))
     field = signal_field(bang_bang(), ControlSignal(grid=grid, indices=[1, 1, 0]))
-    assert field.size == 1 and field.rule(0.5, delta(0.0), [0], np.zeros((1, 1))).tolist() == [[[1.0]]]
+    assert field.size == 1 and field.rule(0.5, delta(0.0).points, [0], np.zeros((1, 1))).tolist() == [[[1.0]]]
 
 
 def refinements(family, start, n_list, substeps, strategy):

@@ -318,6 +318,20 @@ class TestFastPaths:
         assert sup_wasserstein_cost(pairs, p) == max(exact)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_a_bound_just_above_the_best_so_far_is_solved(self, p):
+        # both screening bounds are inflated by a relative 1e-9, never deflated: a second
+        # node whose bound equals its W_p, 5e-10 above the first node's W_p, must be solved
+        s, s_up = 0.25, 0.25 * (1.0 + 5e-10)
+        first = (ParticleCloud([[0.0], [2.0]]), ParticleCloud([[2.0 + s], [s]]))  # U_k near 2, W_p = s, sigma swaps
+        translated = (ParticleCloud([[0.0], [1.0]]), ParticleCloud([[s_up], [1.0 + s_up]]))  # U_k = W_p
+        swapped = (ParticleCloud([[0.0], [1.0]]), ParticleCloud([[1.0 + s_up], [s_up]]))  # U_k near 1, sigma bound = W_p
+        for second in (translated, swapped):
+            pairs = [first, second]
+            exact = [wasserstein_cost(a, b, p) for a, b in pairs]
+            assert exact[0] < exact[1] < exact[0] * (1.0 + 1e-9)
+            assert sup_wasserstein_cost(pairs, p) == exact[1]
+
     def test_sup_rejects_mismatch_and_empty(self):
         with pytest.raises(ShapeMismatchError):
             sup_wasserstein_cost([(delta(0.0), delta(1.0)), (delta(0.0), delta(0.0, 0.0))], 1)

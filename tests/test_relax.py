@@ -43,7 +43,7 @@ class TestConvexify:
         chat = convexify(fam, q=2, weight_steps=2)
         target = ChatteringControl((0, 1), (1, 1), 2)
         idx = chat.controls.index(target)
-        vals = chat.rule(0.0, delta(0.0), [idx], np.array([[0.3]]))[0]
+        vals = chat.rule(0.0, delta(0.0).points, [idx], np.array([[0.3]]))[0]
         assert vals[0, 0] == 0.0
 
     def test_weight_steps_one_gives_vertices(self):
@@ -69,10 +69,10 @@ class TestConvexify:
             u = [int(rng.integers(chat.size))]
             x = 2.0 * rng.standard_normal((1, 2))
             y = 2.0 * rng.standard_normal((1, 2))
-            vx = chat.rule(0.3, c, u, x)[0]
+            vx = chat.rule(0.3, c.points, u, x)[0]
             m = chat.rates.at("m", 0.3)
             assert np.linalg.norm(vx) <= m * (1 + np.linalg.norm(x) + moment(c, 2)) + 1e-12
-            gap = np.linalg.norm(vx - chat.rule(0.3, c, u, y)[0])
+            gap = np.linalg.norm(vx - chat.rule(0.3, c.points, u, y)[0])
             assert gap <= chat.rates.at("l", 0.3) * np.linalg.norm(x - y) + 1e-12
 
 
@@ -102,7 +102,7 @@ class TestAumannRealize:
         blocks = np.linspace(0.0, 1.0, 9)
         realized, _ = aumann_realize(sig, chat, blocks)
         x = np.array([[0.37]])
-        c = delta(0.0)
+        c = delta(0.0).points
         for a, b in zip(blocks[:-1], blocks[1:]):
             mix = (b - a) * chat.rule(0.5 * (a + b), c, [sig.index_at(a)], x)[0]
             seg_nodes = realized.grid

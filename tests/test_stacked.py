@@ -1,6 +1,7 @@
-"""The stacked family contract: ``rule(t, cloud, idx, X)[i]`` is control
-``idx[i]`` alone, and every selection over a stack equals a per-control
-loop, ties going to the lowest index.  The oracles below are the
+"""The stacked family contract: ``rule(t, points, idx, X)[i]`` is control
+``idx[i]`` alone, a block call over K nodes is the K one-node calls
+stacked, and every selection over a stack equals a per-control loop, ties
+going to the lowest index.  The oracles below are the
 one-control formulas and loops, written out here."""
 
 import math
@@ -35,7 +36,7 @@ def one_control(kind, u, cloud, X):
         return np.broadcast_to(np.asarray(u, dtype=float), X.shape).copy()
     if kind == "gain":
         return -float(u) * X
-    return float(u) * (cloud.mean()[None, :] - X)
+    return float(u) * (cloud.points.mean(axis=0)[None, :] - X)
 
 
 def make_family(kind, gains, d):
@@ -88,12 +89,12 @@ def test_catalog_stack_equals_one_control(kind, gains, d, n, seed):
     rng, cloud, X = draw(seed, n, d)
     family, controls = make_family(kind, gains, d)
     idx = rng.integers(family.size, size=int(rng.integers(1, 2 * family.size + 1)))
-    stack = family.rule(0.3, cloud, idx, X)
+    stack = family.rule(0.3, cloud.points, idx, X)
     assert stack.shape == (idx.size,) + X.shape
     for i, k in enumerate(idx):
         assert_bitwise(stack[i], oracle(kind, controls, k, cloud, X))
     for k in range(family.size):
-        assert_bitwise(family.rule(0.3, cloud, [k], X)[0], oracle(kind, controls, k, cloud, X))
+        assert_bitwise(family.rule(0.3, cloud.points, [k], X)[0], oracle(kind, controls, k, cloud, X))
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,7 +107,7 @@ def test_convexify_stack_equals_mixture_loop(kind, gains, d, q, steps, seed):
         assert any(len(set(c.base_indices)) < q for c in chat.controls)
         assert any(0 in c.weight_numerators for c in chat.controls)
     idx = np.concatenate([np.arange(chat.size), rng.integers(chat.size, size=3)])
-    stack = chat.rule(0.7, cloud, idx, X)
+    stack = chat.rule(0.7, cloud.points, idx, X)
     for i, k in enumerate(idx):
         assert_bitwise(stack[i], mixture_oracle(kind, controls, chat.controls[k], cloud, X))
 
@@ -119,8 +120,9 @@ def test_convexify_zero_weight_skips_an_infinite_velocity():
     every = np.arange(chat.size)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no 0 * inf on the way
-        stack = chat.rule(0.0, cloud, every, X)
-        nodes = chat.rule_nodes([0.0, 1.0], np.stack([cloud.points] * 2), np.stack([every, every[::-1]]), np.stack([X] * 2))
+        stack = chat.rule(0.0, cloud.points, every, X)
+        nodes = chat.rule(np.array([0.0, 1.0]), np.stack([cloud.points] * 2), np.stack([every, every[::-1]]),
+                          np.stack([X] * 2))
     assert_bitwise(nodes[0], stack)
     assert_bitwise(nodes[1], stack[::-1])
     for i, c in enumerate(chat.controls):
@@ -147,7 +149,7 @@ def test_mismatch_equals_control_loop(kind, gains, d, n, seed, R):
         if pts.shape[0] == 0:
             expected.append(0.0)
             continue
-        target = w.rule(t, nu, [0], pts)[0]
+        target = w.rule(t, nu.points, [0], pts)[0]
         expected.append(min(sup_gap(target, oracle(kind, controls, k, nu, pts))
                             for k in range(family.size)))
     _, _, cert = filippov_track(family, ref, w, start, R, tol=1e-300, max_iter=1, p=2.0)
@@ -167,7 +169,7 @@ def test_ball_gaps_equal_control_loop(kind, gains, d, n, seed):
         expected = []
         for t, mu_k, nu in zip(ref.times, mu.clouds, ref.clouds):
             pts = nu.points[np.linalg.norm(nu.points, axis=1) <= R]
-            expected.append([sup_gap(w.rule(t, nu, [0], pts)[0], oracle(kind, controls, k, mu_k, pts)) if pts.size
+            expected.append([sup_gap(w.rule(t, nu.points, [0], pts)[0], oracle(kind, controls, k, mu_k, pts)) if pts.size
                              else 0.0 for k in range(family.size)])
         expected = np.array(expected)
         assert_bitwise(ball_gaps(family, ref.grid, mu.points, w, ref.points, R), expected)
@@ -243,7 +245,7 @@ def test_tracking_reselection_equals_control_loop(kind, gains, d, n, seed, R):
     first = []
     for t, nu in zip(grid[:-1].tolist(), ref.clouds):
         pts = nu.points if math.isinf(R) else nu.points[np.linalg.norm(nu.points, axis=1) <= R]
-        gaps = [sup_gap(w.rule(t, nu, [0], pts)[0], oracle(kind, controls, i, nu, pts)) if pts.size else 0.0
+        gaps = [sup_gap(w.rule(t, nu.points, [0], pts)[0], oracle(kind, controls, i, nu, pts)) if pts.size else 0.0
                 for i in range(family.size)]
         first.append(loop_argmin(gaps))
     sig = ControlSignal(grid=grid, indices=first)
@@ -285,14 +287,16 @@ def catalog_entries(d, gains):
 
 
 def stacked(family, times, points, idx, X):
-    """The per-node rule at every node, stacked: the reference of ``rule_nodes``."""
-    return np.stack([family.rule(t, ParticleCloud(c), u, x) for t, c, u, x in zip(times.tolist(), points, idx, X)])
+    """The one-node rule at every node, stacked: the reference of a block call."""
+    return np.stack([family.rule(t, c, u, x) for t, c, u, x in zip(times.tolist(), points, idx, X)])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(GAINS, DIMS, st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3]),
        st.sampled_from([2, 3]), SEEDS)
-def test_node_form_equals_per_node_rule(gains, d, K, n, q, steps, seed):
+def test_block_call_equals_per_node_calls(gains, d, K, n, q, steps, seed):
+    # every catalog label (bounded_kernel too), each as a signal field with and without a
+    # measure curve, and each convexified: the block gathers are what this reaches
     rng = np.random.Generator(np.random.Philox(key=seed))
     times = np.sort(rng.uniform(0.0, 1.0, K))
     points = signed_zeros(rng, rng.standard_normal((K, n, d)))
@@ -300,6 +304,7 @@ def test_node_form_equals_per_node_rule(gains, d, K, n, q, steps, seed):
     grid = np.linspace(0.0, 1.0, 4)
     curve = Trajectory(grid, signed_zeros(rng, rng.standard_normal((grid.size, n, d))))
     entries = catalog_entries(d, gains + [float(rng.uniform(-2.0, 2.0))])  # a gain whose mixtures round
+    assert set(entries) == {*config_module.FIELDS, *config_module.FAMILIES} - ({"rotation"} if d != 2 else set())
     for label, family in list(entries.items()):
         signal = ControlSignal(grid, rng.integers(family.size, size=grid.size - 1))
         entries[f"{label}|signal"] = signal_field(family, signal)
@@ -308,27 +313,23 @@ def test_node_form_equals_per_node_rule(gains, d, K, n, q, steps, seed):
     for label, family in entries.items():
         # a field evaluates its one control; a family a stack of repeated indices
         idx = rng.integers(family.size, size=(K, 1 if family.size == 1 else family.size + 2))
-        expected = stacked(family, times, points, idx, X)
-        assert_bitwise(family.rule_nodes(times, points, idx, X), expected)
-        assert (family.nodes is None) == (label == "bounded_kernel"), label
+        block = family.rule(times, points, idx, X)
+        assert block.shape == (K, idx.shape[1], n + 1, d), label
+        assert_bitwise(block, stacked(family, times, points, idx, X))
 
 
-def test_default_loop_serves_a_family_without_node_form():
-    calls = []
-
-    def rule(t, cloud, idx, X):
-        calls.append(t)
-        return np.asarray(idx, dtype=float)[:, None, None] * (X - t * cloud.mean())
+def test_gaps_of_a_rule_over_the_node_axis_equal_per_node_loop():
+    def rule(t, points, idx, X):  # v_u = u (X - t mean(mu)), written once over an optional node axis
+        drift = X - np.asarray(t)[..., None, None] * points.mean(axis=-2)[..., None, :]
+        return np.asarray(idx, dtype=float)[..., None, None] * drift[..., None, :, :]
 
     family = ControlledFamily(controls=(0, 1, 2), rule=rule, rates=const_rates(1.0, 1.0, 1.0))
-    assert family.nodes is None
     rng = np.random.Generator(np.random.Philox(key=5))
     times, points, X = np.array([0.0, 0.5, 1.0]), rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 2, 2))
     idx = np.array([[2, 0, 2], [1, 1, 0], [0, 2, 1]])
-    assert_bitwise(family.rule_nodes(times, points, idx, X), stacked(family, times, points, idx, X))
-    assert calls == [0.0, 0.5, 1.0] * 2  # one per-node call at each node, then the reference's
+    assert_bitwise(family.rule(times, points, idx, X), stacked(family, times, points, idx, X))
     target = rng.standard_normal((3, 2, 2))
-    expected = [[sup_gap(target[k], rule(t, ParticleCloud(points[k]), [u], X[k])[0]) for u in range(3)]
+    expected = [[sup_gap(target[k], rule(t, points[k], [u], X[k])[0]) for u in range(3)]
                 for k, t in enumerate(times.tolist())]
     assert_bitwise(family.gaps(times, points, target, X), np.array(expected))
 
@@ -356,17 +357,17 @@ def parent_probe(config):
         cloud = jitter_cloud()
         u = [int(rng.integers(family.size))]
         x = cloud.points[int(rng.integers(cloud.n))][None, :]
-        vx = family.rule(t, cloud, u, x)[0]
+        vx = family.rule(t, cloud.points, u, x)[0]
         den = rates.at("m", t) * (1.0 + float(np.linalg.norm(x)) + moment(cloud, config.p))
         samples.append((t, "m", ratio(float(np.linalg.norm(vx)), den)))
         y = x + rng.normal(0.0, 0.3, config.d)
-        num = float(np.linalg.norm(vx - family.rule(t, cloud, u, y)[0]))
+        num = float(np.linalg.norm(vx - family.rule(t, cloud.points, u, y)[0]))
         samples.append((t, "l", ratio(num, rates.at("l", t) * float(np.linalg.norm(x - y)))))
         if family.measure_dependent:
             other = jitter_cloud()
             probes = np.concatenate((cloud.points, other.points))
-            used = family.rule(t, cloud, u, probes)
-            gaps = np.linalg.norm(used - family.rule(t, other, np.arange(family.size), probes), axis=-1).max(axis=-1)
+            used = family.rule(t, cloud.points, u, probes)
+            gaps = np.linalg.norm(used - family.rule(t, other.points, np.arange(family.size), probes), axis=-1).max(axis=-1)
             samples.append((t, "L", ratio(float(gaps.min()), rates.at("L", t) * wasserstein_cost(cloud, other, config.p))))
     times, labels, measured = (np.array(column) for column in zip(*samples))
     constants = {f"max_ratio_{k}": max([0.0] + [r for _, rate, r in samples if rate == k]) for k in "mlL"}
@@ -444,5 +445,5 @@ def test_gronwall_gap_series_equals_per_node_loop(monkeypatch, R):
     gaps = []
     for t, mu_k, nu_k in zip(grid[:-1].tolist(), mu.clouds, nu.clouds):
         pts = nu_k.points[np.linalg.norm(nu_k.points, axis=1) <= R]
-        gaps.append(sup_gap(w.rule(t, nu_k, [0], pts)[0], v.rule(t, mu_k, [0], pts)[0]) if pts.size else 0.0)
+        gaps.append(sup_gap(w.rule(t, nu_k.points, [0], pts)[0], v.rule(t, mu_k.points, [0], pts)[0]) if pts.size else 0.0)
     assert_bitwise(increments[0], np.array(gaps) * np.diff(grid))
