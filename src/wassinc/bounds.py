@@ -89,12 +89,13 @@ def exp_power(c: float, x: float, p: float, shift: float = 0.0) -> float:
 
 def product(*factors: float) -> float:
     """Left-to-right product; a zero factor gives 0 even beside an inf,
-    which stands for a finite value past the float range (``saturating_exp``)."""
+    which stands for a finite value past the float range (``saturating_exp``).
+    Python floats throughout: an overflowing step gives inf, with no numpy warning."""
     out = 1.0
     for f in factors:
         if f == 0.0:
             return 0.0
-        out *= f
+        out *= float(f)
     return out
 
 

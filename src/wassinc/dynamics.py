@@ -7,9 +7,10 @@ spatial Lipschitz rate l, and a measure-Lipschitz rate L, all piecewise
 constant in time with exact interval integrals.  A velocity field is the
 family of one control, ``controls=(0,)``.  Moving every particle of a
 cloud along a field's characteristics advances the empirical measure
-itself; a Trajectory holds the positions in one read-only (nodes, N, d)
-array, its clouds views of it.  ``march`` is the one loop that writes a
-curve's nodes, each checked finite.  Every Euler curve steps with
+itself; a curve is its positions, one read-only (nodes, N, d) array,
+which every step and sweep reads, and ``Trajectory.at`` makes one node a
+cloud.  ``march`` is the one loop that writes a curve's nodes, each
+checked finite.  Every Euler curve steps with
 ``delayed_step``: ``integrate`` hands it the evolving positions, peano's
 scheme and every tracking iterate those of an earlier curve, and a field
 bound to a curve is ``inclusion.signal_field``.  Once a curve is built,
@@ -201,18 +202,15 @@ class Trajectory:
     ``points`` is a read-only (nodes, N, d) array; row i of every node is
     the same characteristic path throughout.  The constructor copies the
     positions given and checks them finite; ``march``, which checks every
-    step, hands over its buffer and the clouds it built, uncopied.
-    ``clouds[k]`` is a ParticleCloud viewing ``points[k]``, built with no
-    copy and no re-check.  Off-grid evaluation returns the nearest node at
-    or before t (left constant); times before the grid start return the
-    initial cloud.
+    step, hands over its buffer uncopied.  ``at(t)`` is the cloud of the
+    nearest node at or before t (left constant), a checked copy; times
+    before the grid start return the initial cloud.
     """
 
     grid: np.ndarray
     points: np.ndarray
     snap: float = dc_field(init=False, repr=False)
     times: list = dc_field(init=False, repr=False)
-    clouds: tuple = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -223,43 +221,41 @@ class Trajectory:
             raise ShapeMismatchError(f"need (nodes, N, d) positions for {g.size} nodes, got shape {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("trajectory coordinates must be finite")
-        self._freeze(g, pts, map(ParticleCloud._view, pts))
+        self._freeze(g, pts)
 
-    def _freeze(self, g: np.ndarray, pts: np.ndarray, clouds) -> None:
-        """Hold positions already checked finite and their clouds, frozen in place, not copied."""
+    def _freeze(self, g: np.ndarray, pts: np.ndarray) -> None:
+        """Hold positions already checked finite, frozen in place, not copied."""
         pts.setflags(write=False)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "snap", grid_snap(g))
         object.__setattr__(self, "times", g.tolist())
-        object.__setattr__(self, "clouds", tuple(clouds))
 
     def node_index(self, t: float) -> int:
         """Index of the nearest node at or before t (snapped within 1e-9 dt)."""
         return snapped_index(self.times, t, self.snap)
 
     def at(self, t: float) -> ParticleCloud:
-        return self.clouds[self.node_index(t)]
+        return ParticleCloud(self.points[self.node_index(t)])
 
 
 def march(start: ParticleCloud, grid: np.ndarray, step: Callable) -> Trajectory:
     """The one loop that writes curve nodes: node k + 1 over ``grid`` is
-    ``step(k, t_k, t_{k+1}, clouds)``, given the read-only clouds of nodes
-    0..k, and is checked finite (BlowUpError, see ``_check_finite``).  The
-    returned trajectory holds those same clouds."""
+    ``step(k, t_k, t_{k+1}, rows)``, given ``rows``, a read-only view of the
+    curve's (nodes, N, d) buffer whose nodes 0..k are written, and is
+    checked finite (BlowUpError, see ``_check_finite``).  The returned
+    trajectory holds that buffer."""
     times = grid.tolist()
     buf = np.empty((len(times),) + start.points.shape)
     buf[0] = start.points
     rows = buf.view()
     rows.setflags(write=False)  # no step can change a stored node
-    clouds = [ParticleCloud._view(rows[0])]
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
         for k in range(len(times) - 1):
-            buf[k + 1] = step(k, times[k], times[k + 1], clouds)
+            buf[k + 1] = step(k, times[k], times[k + 1], rows)
             _check_finite(buf[k + 1], rows[k], k + 1, times[k + 1])
-            clouds.append(ParticleCloud._view(rows[k + 1]))
     traj = object.__new__(Trajectory)  # every node is checked: no copy, no re-check
-    traj._freeze(grid, buf, clouds)
+    traj._freeze(grid, buf)
     return traj
 
 
@@ -290,12 +286,11 @@ def integrate(
     if field.size != 1:
         raise ValueError(f"integrate needs a field, a family of one control; got {field.size} controls")
 
-    def euler(k, t0, t1, clouds):
-        X = clouds[k].points
-        return delayed_step(field, t0, t1, X, 0, X)
+    def euler(k, t0, t1, rows):
+        return delayed_step(field, t0, t1, rows[k], 0, rows[k])
 
-    def rk4(k, t0, t1, clouds):
-        return _rk4_step(field, clouds[k].points, t0, t1 - t0, k + 1)
+    def rk4(k, t0, t1, rows):
+        return _rk4_step(field, rows[k], t0, t1 - t0, k + 1)
 
     return march(start, g, euler if method == "euler" else rk4)
 

@@ -165,9 +165,9 @@ def filippov_track(
 
     prior, gaps = ref, []
     while True:  # each iterate steps with the measure of the curve before it
-        cur = march(start, grid, lambda k, t0, t1, clouds: delayed_step(
-            family, t0, t1, prior.points[k], int(sel[k]), clouds[k].points))
-        gaps.append(sup_wasserstein_cost(zip(cur.clouds, prior.clouds), p))
+        cur = march(start, grid, lambda k, t0, t1, rows: delayed_step(
+            family, t0, t1, prior.points[k], int(sel[k]), rows[k]))
+        gaps.append(sup_wasserstein_cost(cur.points, prior.points, p))
         if not (gaps[-1] > tol and len(gaps) < max_iter):
             break
         last, sel = sel, np.empty(n_int, dtype=int)
@@ -182,17 +182,18 @@ def filippov_track(
     sig = ControlSignal(grid=grid, indices=sel)
 
     eta = table.min(axis=1)
-    measured = wasserstein_costs(zip(cur.clouds, ref.clouds), p)
+    measured = wasserstein_costs(cur.points, ref.points, p)
+    nu0 = ParticleCloud(ref.points[0])
     bound = compute_bound(
         grid=grid,
         eta=eta,
         rates=family.rates,
         p=p,
         R=R,
-        nu0=ref.clouds[0],
+        nu0=nu0,
         w0_dist=float(measured[0]),  # cur starts at ``start``
         moment_mu0=moment(start, p),
-        moment_nu0=moment(ref.clouds[0], p),
+        moment_nu0=moment(nu0, p),
     )
     # the last iterate's velocity against w on the reference atoms; node M reuses the last control
     vel_gap = ball_gaps(family, grid, prior.points, w, ref.points, R)[np.arange(grid.size), np.append(sel, sel[-1])]

@@ -165,9 +165,9 @@ def peano_solve(
     grid = np.linspace(0.0, T, steps + 1)
     indices = np.empty(steps, dtype=int)
 
-    def step(k, t0, t1, clouds):
+    def step(k, t0, t1, rows):
         # delay of one block == exactly `substeps` grid nodes
-        delayed, X = clouds[max(0, k - substeps)].points, clouds[k].points
+        delayed, X = rows[max(0, k - substeps)], rows[k]
         indices[k] = u = _select_control(family, t0, delayed, X, strategy, rng)
         return delayed_step(family, t0, t1, delayed, u, X)
 
@@ -207,7 +207,8 @@ def refinement_study(curves: Mapping[int, Trajectory], p: float) -> list[tuple[i
         raise ValueError("n_list must be strictly increasing with at least two entries")
     solutions = list(curves.values())
     common = solutions[0].times
+    on_common = [c.points[[c.node_index(t) for t in common]] for c in solutions]
     return [
-        (n_a, n_b, sup_wasserstein_cost([(a.at(t), b.at(t)) for t in common], p))
-        for n_a, n_b, a, b in zip(ns, ns[1:], solutions, solutions[1:])
+        (n_a, n_b, sup_wasserstein_cost(a, b, p))
+        for n_a, n_b, a, b in zip(ns, ns[1:], on_common, on_common[1:])
     ]

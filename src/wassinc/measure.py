@@ -5,14 +5,19 @@ measure with finite p-th moment.  Between two clouds of equal size the
 p-Wasserstein distance reduces to an optimal assignment problem over
 permutations, which is solved exactly.  Only the W_p value is returned,
 from the exactly rounded (``fsum``) total of the solver's optimal
-assignment; no transport plan is kept.  A W_p series runs on every usable
-core for N >= 64, same bits.
+assignment; no transport plan is kept.  A ``ParticleCloud`` is one
+checked measure; a curve of them is its (K, N, d) array of positions, and
+``moments``, ``tail_norms`` and the W_p series ``wasserstein_costs`` and
+``sup_wasserstein_cost`` read two such stacks node by node, each equal bit
+for bit to the one-cloud call.  A W_p series runs on every usable core for
+N >= 64, same bits.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,22 +52,6 @@ class ParticleCloud:
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def _view(cls, points: np.ndarray) -> "ParticleCloud":
-        """A cloud over an (N, d) float array checked finite, made read-only, not copied."""
-        points.setflags(write=False)
-        cloud = object.__new__(cls)
-        object.__setattr__(cloud, "points", points)
-        return cloud
-
-    @classmethod
-    def rows(cls, points: np.ndarray):
-        """The clouds of the rows of a (K, N, d) array, checked finite at once
-        over the stack (ValueError), then made lazily, each a read-only view."""
-        if not np.isfinite(points).all():
-            raise ValueError("cloud coordinates must be finite")
-        return map(cls._view, points)
 
     @property
     def n(self) -> int:
@@ -113,20 +102,23 @@ def _root(x: float, p: float) -> float:
 
 
 def _power_means(values: np.ndarray, p: float, n: int) -> list:
-    """(fsum(row^p) / n)^(1/p) of every row of a (K, m) array; 0 for an empty
-    row.  Where a row's sum overflows, M (fsum((row / M)^p) / n)^(1/p) with
-    M = max(row), finite for finite values."""
+    """(fsum(row^p) / n)^(1/p) of every row of a (K, m) array, m >= 1.  Where
+    a row's sum overflows, or falls below the smallest normal double while
+    M = max(row) > 0, M (fsum((row / M)^p) / n)^(1/p), finite for finite
+    values; a zero row stays 0."""
     with np.errstate(over="ignore"):  # an overflowing power makes its row's sum inf
         powered = _pow(values, p).tolist()
     out = []
     for row, terms in zip(values, powered):
         try:
-            out.append(_root(math.fsum(terms) / n, p))
+            total = math.fsum(terms)
         except OverflowError:
-            out.append(math.inf)
-        if out[-1] == math.inf:
-            top = float(row.max())  # inf where a norm itself overflowed; the mean is inf then
-            out[-1] = top * _root(math.fsum(_pow(row / top, p).tolist()) / n, p) if top < math.inf else top
+            total = math.inf
+        top = float(row.max())
+        if total < math.inf and not (total < sys.float_info.min and top > 0.0):
+            out.append(_root(total / n, p))
+        else:  # scaled: its largest term is 1; inf where a norm itself overflowed
+            out.append(top * _root(math.fsum(_pow(row / top, p).tolist()) / n, p) if top < math.inf else top)
     return out
 
 
@@ -137,13 +129,18 @@ def tail_norm(cloud: ParticleCloud, R: float, p: float, shifted: bool = False) -
     appearing in the localisation error of the stability bounds.  Returns 0
     when no particle reaches radius R.
     """
+    return float(tail_norms(cloud.points[None], R, p, shifted)[0])
+
+
+def tail_norms(points: np.ndarray, R: float, p: float, shifted: bool = False) -> np.ndarray:
+    """``tail_norm`` of the cloud of every row of a (K, N, d) stack, bit for
+    bit: an atom inside radius R enters as an exact 0.0 term."""
     p = _check_p(p)
     if R < 0:
         raise ValueError(f"radius R must be nonnegative, got {R}")
-    norms = cloud.norms()
-    sel = norms >= R
-    vals = 1.0 + norms[sel] if shifted else norms[sel]
-    return _power_means(vals[None], p, cloud.n)[0]
+    norms = np.linalg.norm(points, axis=-1)
+    vals = np.where(norms >= R, 1.0 + norms if shifted else norms, 0.0)
+    return np.array(_power_means(vals, p, points.shape[1]))
 
 
 def localisation_tail(cloud: ParticleCloud, R: float, horizon: float, p: float) -> float:
@@ -153,14 +150,15 @@ def localisation_tail(cloud: ParticleCloud, R: float, horizon: float, p: float) 
     return 0.0 if math.isinf(R) else tail_norm(cloud, max(0.0, R / horizon - 1.0), p, shifted=True)
 
 
-def pairwise_cost(a: ParticleCloud, b: ParticleCloud, p: float) -> np.ndarray:
-    """Matrix D[i, j] = |x_i - y_j|^p used by the assignment solver.
+def pairwise_cost(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """Matrix D[i, j] = |a_i - b_j|^p of two (N, d) position arrays, used by
+    the assignment solver.
 
     Exposed so independent minimizers (e.g. exhaustive search over
     permutations in tests) share the exact same arithmetic.
     """
     p = _check_p(p)
-    return _pow(cdist(a.points, b.points), p)
+    return _pow(cdist(a, b), p)
 
 
 def assignment_cost(D: np.ndarray, assignment: np.ndarray) -> float:
@@ -169,78 +167,76 @@ def assignment_cost(D: np.ndarray, assignment: np.ndarray) -> float:
     return math.fsum(D[rows, np.asarray(assignment, dtype=int)].tolist())
 
 
-def _check_pair(a: ParticleCloud, b: ParticleCloud) -> None:
-    if a.n != b.n or a.d != b.d:
-        raise ShapeMismatchError(
-            f"clouds must match in size and dimension, got ({a.n},{a.d}) and ({b.n},{b.d})"
-        )
+def _check_stacks(a: np.ndarray, b: np.ndarray) -> None:
+    """Two curves' positions as nonempty (K, N, d) stacks of one shape
+    (ShapeMismatchError), every entry finite (ValueError)."""
+    if a.shape != b.shape or a.ndim != 3 or 0 in a.shape:
+        raise ShapeMismatchError(f"need two nonempty (K, N, d) stacks of one shape, got {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("cloud coordinates must be finite")
 
 
-def _solve(a: ParticleCloud, b: ParticleCloud, p: float):
-    """Cost matrix, an optimal assignment sigma, and its exactly rounded total."""
-    _check_pair(a, b)
+def _solve(a: np.ndarray, b: np.ndarray, p: float):
+    """Cost matrix, an optimal assignment sigma, and its exactly rounded total
+    for two (N, d) position arrays."""
     D = pairwise_cost(a, b, p)
     # one permutation for N = 1 (the solver only rejects an inf cost); else cols is sigma
-    sigma = np.zeros(1, dtype=int) if a.n == 1 and D[0, 0] < math.inf else linear_sum_assignment(D)[1]
+    sigma = np.zeros(1, dtype=int) if len(a) == 1 and D[0, 0] < math.inf else linear_sum_assignment(D)[1]
     return D, sigma, assignment_cost(D, sigma)
 
 
 def wasserstein_cost(a: ParticleCloud, b: ParticleCloud, p: float) -> float:
     """Exact W_p between equal-size uniform clouds via optimal assignment:
     (min total of |x_i - y_sigma(i)|^p / N)^(1/p)."""
+    return float(wasserstein_costs(a.points[None], b.points[None], p)[0])
+
+
+def wasserstein_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """W_p between the clouds of rows k of two (K, N, d) stacks, for every k,
+    as a float64 array; both stacks are checked before any solve."""
     p = _check_p(p)
-    _, _, total = _solve(a, b, p)
-    return _root(total / a.n, p)
+    _check_stacks(a, b)
+    n = a.shape[1]
 
+    def cost(x, y):
+        return _root(_solve(x, y, p)[2] / n, p)
 
-def wasserstein_costs(pairs, p: float) -> np.ndarray:
-    """wasserstein_cost(a_k, b_k, p) of every pair, in input order, bit for
-    bit; every pair is checked before any solve."""
-    p, pairs = _check_p(p), list(pairs)
-    for a, b in pairs:
-        _check_pair(a, b)
-    # The solver releases the GIL: two or more pairs of N >= 64 run on a thread per
-    # usable core.  Pooled / serial time of a 21-pair series, pool start included,
+    # The solver releases the GIL: two or more nodes of N >= 64 run on a thread per
+    # usable core.  Pooled / serial time of a 21-node series, pool start included,
     # 2-core x86_64: N = 32 1.8-3.9, 48 1.0-2.1, 64 0.8-1.6 (even), 96 0.7-1.0, 256 0.5-0.7.
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if len(pairs) < 2 or min(a.n for a, _ in pairs) < 64 or cores < 2:
-        return np.array([wasserstein_cost(a, b, p) for a, b in pairs])
+    if len(a) < 2 or n < 64 or cores < 2:
+        return np.array([cost(x, y) for x, y in zip(a, b)])
     with ThreadPoolExecutor(cores) as pool:
-        return np.array(list(pool.map(lambda pair: wasserstein_cost(*pair, p), pairs)))
+        return np.array(list(pool.map(cost, a, b)))
 
 
-def sup_wasserstein_cost(pairs, p: float) -> float:
-    """max_k W_p(a_k, b_k) over a nonempty sequence of equal-size cloud pairs.
+def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
+    """max_k W_p between the clouds of rows k of two (K, N, d) stacks.
 
     Pairing particle i with particle i is a coupling, so
-    U_k = (mean_i |x_i - y_i|^p)^(1/p) >= W_p(a_k, b_k).  Pairs are taken
+    U_k = (mean_i |a_ki - b_ki|^p)^(1/p) >= W_p at node k.  Nodes are taken
     in descending U_k until U_k <= the largest exact value so far.  Pairing
-    i with sigma(i), for the optimal sigma of the last pair solved, is a
+    i with sigma(i), for the optimal sigma of the last node solved, is a
     coupling too, and close to optimal, since particles keep their identity
-    along a curve: a pair whose bound under sigma is <= the largest value so
+    along a curve: a node whose bound under sigma is <= the largest value so
     far is skipped, any other solved exactly.  Both bounds are inflated by a
     relative 1e-9, far above their rounding and that of the solver's total,
-    so every pair skipped has W_p <= that value and the result equals
-    max_k wasserstein_cost(a_k, b_k, p) bit for bit.
+    so every node skipped has W_p <= that value and the result equals
+    max(wasserstein_costs(a, b, p)) bit for bit.
     """
     p = _check_p(p)
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("sup over an empty sequence of pairs")
-    for a, b in pairs:
-        _check_pair(a, b)
-    gaps = np.stack([a.points for a, _ in pairs]) - np.stack([b.points for _, b in pairs])
-    upper = [(1.0 + 1e-9) * u for u in _power_means(np.linalg.norm(gaps, axis=-1), p, pairs[0][0].n)]
+    _check_stacks(a, b)
+    n = a.shape[1]
+    upper = [(1.0 + 1e-9) * u for u in _power_means(np.linalg.norm(a - b, axis=-1), p, n)]
     best, sigma = -math.inf, None
-    for k in sorted(range(len(pairs)), key=upper.__getitem__, reverse=True):
+    for k in sorted(range(len(a)), key=upper.__getitem__, reverse=True):
         if upper[k] <= best:
             break
-        a, b = pairs[k]
         if sigma is not None:
-            gaps = np.linalg.norm(a.points - b.points[sigma], axis=1)
-            if (1.0 + 1e-9) * _power_means(gaps[None], p, a.n)[0] <= best:
+            gaps = np.linalg.norm(a[k] - b[k][sigma], axis=1)
+            if (1.0 + 1e-9) * _power_means(gaps[None], p, n)[0] <= best:
                 continue
-        _, sigma, total = _solve(a, b, p)
-        best = max(best, _root(total / a.n, p))
+        _, sigma, total = _solve(a[k], b[k], p)
+        best = max(best, _root(total / n, p))
     return best
-

@@ -23,7 +23,7 @@ from .config import ScenarioConfig
 from .dynamics import Trajectory, integrate, node_blocks
 from .errors import ConfigError
 from .inclusion import ball_gaps
-from .measure import ParticleCloud, localisation_tail, moment, moments, tail_norm, wasserstein_costs
+from .measure import ParticleCloud, localisation_tail, moment, moments, tail_norms, wasserstein_costs
 
 
 def verify(kind: str, config: ScenarioConfig) -> BoundReport:
@@ -76,17 +76,11 @@ def verify_equi_integrability(config: ScenarioConfig) -> dict:
     radii = config.experiment["R_list"]
     m_total = field.rates.integral("m", 0.0, config.T)
     ct = bounds.horizon_factor(m_total)
-    start = traj.clouds[0]
-    times, measured, bound, r_col = [], [], [], []
-    for R in radii:
-        level = ct * localisation_tail(start, R, ct, p)
-        for k, t in enumerate(traj.grid):
-            times.append(float(t))
-            measured.append(tail_norm(traj.clouds[k], R, p))
-            bound.append(level)
-            r_col.append(R)
-    return dict(times=np.array(times), measured=np.array(measured), bound=np.array(bound),
-                constants={"C_T": ct, "R_list": radii}, extras={"R": np.array(r_col)})
+    start, nodes = ParticleCloud(traj.points[0]), len(traj.grid)
+    levels = [ct * localisation_tail(start, R, ct, p) for R in radii]
+    measured = np.array([tail_norms(traj.points, R, p) for R in radii]).ravel()
+    return dict(times=np.tile(traj.grid, len(radii)), measured=measured, bound=np.repeat(levels, nodes),
+                constants={"C_T": ct, "R_list": radii}, extras={"R": np.repeat(radii, nodes)})
 
 
 def verify_abs_continuity(config: ScenarioConfig) -> dict:
@@ -95,9 +89,9 @@ def verify_abs_continuity(config: ScenarioConfig) -> dict:
     traj, field = _simulate(config), config.field
     p = config.p
     m_total = field.rates.integral("m", 0.0, config.T)
-    c_p = bounds.abs_continuity_constant(p, moment(traj.clouds[0], p), m_total)
+    c_p = bounds.abs_continuity_constant(p, moment(ParticleCloud(traj.points[0]), p), m_total)
     grid = traj.grid
-    measured = wasserstein_costs(zip(traj.clouds, traj.clouds[1:]), p)
+    measured = wasserstein_costs(traj.points[:-1], traj.points[1:], p)
     bound = c_p * field.rates.integral("m", grid[:-1], grid[1:])
     return dict(times=grid[1:], measured=measured, bound=bound, constants={"c_p": c_p})
 
@@ -111,9 +105,9 @@ def _gronwall(config: ScenarioConfig, R: float, local: bool) -> dict:
     p = config.p
     joint = v.rates.maximum(w.rates)
     ct = bounds.horizon_factor(joint.integral("m", 0.0, config.T))
-    tail = localisation_tail(nu.clouds[0], R, ct, p)
+    tail = localisation_tail(ParticleCloud(nu.points[0]), R, ct, p)
     grid = mu.grid
-    measured = wasserstein_costs(zip(mu.clouds, nu.clouds), p)
+    measured = wasserstein_costs(mu.points, nu.points, p)
     w0 = float(measured[0])
     gaps = ball_gaps(v, grid[:-1], mu.points[:-1], w, nu.points[:-1], R)[:, 0]
     l_int, m_int = v.rates.integral("l", 0.0, grid), joint.integral("m", 0.0, grid)
@@ -183,25 +177,28 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> dict:
         if coupled:
             scale[1, s], shift[1, s] = rng.uniform(0.5, 2.0), rng.normal(0.0, 0.5, d)
 
-    def jittered(k, b):  # jitter k of the samples b, checked finite as a stack and as its clouds
-        points = scale[k, b, None, None] * base + shift[k, b, None, :]
-        return points, ParticleCloud.rows(points)
+    def jittered(k, b):  # jitter k of the samples b, checked finite
+        with np.errstate(over="ignore"):  # the check below reports it
+            points = scale[k, b, None, None] * base + shift[k, b, None, :]
+        if not np.isfinite(points).all():
+            raise ValueError("cloud coordinates must be finite")
+        return points
 
     kinds = "mlL" if coupled else "ml"
     measured = np.empty((n_samples, len(kinds)))  # each sample's ratios in the order of ``kinds``
     for b in node_blocks(n_samples, family.size * 2 * base.size):
-        (points, clouds), tb = jittered(0, b), t[b]
+        points, tb = jittered(0, b), t[b]
         x = points[np.arange(len(points)), atom[b]]
         y = x + step[b]
         vx, vy = (family.rule(tb, points, u[b], z[:, None])[:, 0, 0] for z in (x, y))
         measured[b, 0] = _ratios(_row_norms(vx), rates.at("m", tb) * (1.0 + _row_norms(x) + moments(points, p)))
         measured[b, 1] = _ratios(_row_norms(vx - vy), rates.at("l", tb) * _row_norms(x - y))
         if coupled:
-            other, other_clouds = jittered(1, b)
+            other = jittered(1, b)
             probes = np.concatenate((points, other), axis=1)
             used = family.rule(tb, points, u[b], probes)[:, 0]
             best = family.gaps(tb, other, used, probes).min(axis=1)
-            measured[b, 2] = _ratios(best, rates.at("L", tb) * wasserstein_costs(zip(clouds, other_clouds), p))
+            measured[b, 2] = _ratios(best, rates.at("L", tb) * wasserstein_costs(points, other, p))
 
     constants = {f"max_ratio_{k}": max([0.0, *measured[:, kinds.index(k)].tolist()]) if k in kinds else 0.0
                  for k in "mlL"}

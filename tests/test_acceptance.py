@@ -49,7 +49,7 @@ def test_criterion_01_ot_oracle():
         d = int(rng.integers(1, 4))
         p = float(rng.choice([1.0, 2.0]))
         a, b = random_cloud(rng, n, d), random_cloud(rng, n, d)
-        D = pairwise_cost(a, b, p)
+        D = pairwise_cost(a.points, b.points, p)
         best = min(
             assignment_cost(D, perm) for perm in itertools.permutations(range(n))
         )
@@ -76,10 +76,10 @@ def test_criterion_02_integrator_order():
     for dt in (1e-2, 5e-3, 2.5e-3):
         steps = int(round(1.0 / dt))
         traj = integrate(field, delta(1.0), np.linspace(0, 1, steps + 1))
-        errs.append(abs(traj.clouds[-1].points[0, 0] - math.exp(-1)))
+        errs.append(abs(traj.points[-1, 0, 0] - math.exp(-1)))
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]
     rk4 = integrate(field, delta(1.0), np.linspace(0, 1, 101), method="rk4")
-    rk4_err = abs(rk4.clouds[-1].points[0, 0] - math.exp(-1))
+    rk4_err = abs(rk4.points[-1, 0, 0] - math.exp(-1))
     ok = all(1.8 <= r <= 2.2 for r in ratios) and rk4_err < 1e-10
     record(2, "integrator order", ok,
            f"euler ratios {ratios[0]:.3f}, {ratios[1]:.3f}; rk4 err {rk4_err:.2e}")
@@ -195,7 +195,7 @@ def test_criterion_07_peano_scheme():
         res = inclusion_residual(traj, signal, fam, delay=1.0 / n)
         residual_zero &= bool(np.all(res == 0.0))
         for p in (1.0, 2.0):
-            measured = np.array([moment(c, p) for c in traj.clouds])
+            measured = np.array([moment(traj.at(t), p) for t in traj.times])
             bound = momentum_bound_series(traj.grid, measured, fam.rates, p, True)
             momentum_ok &= bool(np.all(measured <= bound * 1.05 + 1e-12))
     curves = {n: peano_solve(fam, start, n=n, substeps=4, strategy="min_norm")[0] for n in (4, 8, 16, 32)}

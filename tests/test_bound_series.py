@@ -186,7 +186,7 @@ def test_relax_raw_target_ignores_the_config_slack(tmp_path, monkeypatch):
     raw = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / "relax_bangbang.json").read_text())
     config = parse_config({**raw, "slack": 0.05})
     over = config.experiment["delta"] * (1.0 + 1e-9)
-    monkeypatch.setattr(relax, "wasserstein_costs", lambda pairs, p: np.full(len(pairs), over))
+    monkeypatch.setattr(relax, "wasserstein_costs", lambda a, b, p: np.full(len(a), over))
     manifest = run_scenario(config, tmp_path)
     assert manifest["verdicts"] == {"density_raw_target": False}
     assert report([over], [config.experiment["delta"]], config.slack).passed  # what a 0.05 slack would allow

@@ -22,7 +22,7 @@ def reference_trajectory(traj):
     """Per-row, per-coordinate ``format(x, ".17g")``."""
     lines = ["t,particle," + ",".join(f"x{i + 1}" for i in range(traj.points.shape[2]))]
     for k, t in enumerate(traj.grid):
-        for i, row in enumerate(traj.clouds[k].points):
+        for i, row in enumerate(traj.points[k]):
             lines.append(f"{_fmt(t)},{i}," + ",".join(_fmt(c) for c in row))
     return ("\n".join(lines) + "\n").encode()
 

@@ -69,17 +69,17 @@ class TestIntegrate:
     def test_zero_field_constant_trajectory(self, rng):
         start = random_cloud(rng, 6, 2)
         traj = integrate(zero_field(const_rates(0, 0, 0)), start, np.linspace(0, 1, 11))
-        for c in traj.clouds:
-            np.testing.assert_array_equal(c.points, start.points)
+        for row in traj.points:
+            np.testing.assert_array_equal(row, start.points)
 
     def test_linear_decay_endpoint(self):
         traj = integrate(decay_field(), delta(1.0), np.linspace(0, 1, 1001))
-        assert abs(traj.clouds[-1].points[0, 0] - math.exp(-1)) < 2e-4
+        assert abs(traj.points[-1, 0, 0] - math.exp(-1)) < 2e-4
 
     def test_mean_field_symmetric_decay(self):
         field = mean_attraction_field(1.0, const_rates(1.0, 1.0, 1.0))
         traj = integrate(field, cloud([-1.0], [1.0]), np.linspace(0, 1, 1001))
-        final = traj.clouds[-1].points
+        final = traj.points[-1]
         # the mean stays exactly zero by symmetry of the arithmetic
         assert final[0, 0] == -final[1, 0]
         assert abs(final[1, 0] - math.exp(-1)) < 5e-4
@@ -88,13 +88,13 @@ class TestIntegrate:
         errors = []
         for steps in (100, 200, 400):
             traj = integrate(decay_field(), delta(1.0), np.linspace(0, 1, steps + 1))
-            errors.append(abs(traj.clouds[-1].points[0, 0] - math.exp(-1)))
+            errors.append(abs(traj.points[-1, 0, 0] - math.exp(-1)))
         assert 1.8 <= errors[0] / errors[1] <= 2.2
         assert 1.8 <= errors[1] / errors[2] <= 2.2
 
     def test_rk4_tight(self):
         traj = integrate(decay_field(), delta(1.0), np.linspace(0, 1, 101), method="rk4")
-        assert abs(traj.clouds[-1].points[0, 0] - math.exp(-1)) < 1e-10
+        assert abs(traj.points[-1, 0, 0] - math.exp(-1)) < 1e-10
 
     def test_a_family_of_two_controls_is_no_field(self):
         family = gain_family([1.0, 2.0], const_rates(2.0, 2.0, 0.0))
@@ -123,7 +123,7 @@ class TestIntegrate:
         for i in range(start.n):
             single = integrate(field, ParticleCloud(start.points[i : i + 1]), grid, method=method)
             np.testing.assert_array_equal(
-                whole.clouds[-1].points[i], single.clouds[-1].points[0]
+                whole.points[-1, i], single.points[-1, 0]
             )
 
     def test_a_closure_reads_a_delayed_curve(self):
@@ -140,8 +140,8 @@ class TestIntegrate:
         )
         traj = integrate(field, delta(0.0), np.linspace(0, 1, 11))
         # velocity at t < 0.5 is base(t - 0.5 < 0) = initial = 0
-        assert traj.clouds[5].points[0, 0] == 0.0
-        assert traj.clouds[-1].points[0, 0] > 0.0
+        assert traj.points[5, 0, 0] == 0.0
+        assert traj.points[-1, 0, 0] > 0.0
 
 
 class TestTrajectoryLookup:
@@ -180,7 +180,7 @@ class TestCertifiedEnvelopes:
             j, k = sorted(rng.integers(0, 101, size=2).tolist())
             if j == k:
                 continue
-            lhs = wasserstein_cost(traj.clouds[j], traj.clouds[k], p)
+            lhs = wasserstein_cost(traj.at(traj.times[j]), traj.at(traj.times[k]), p)
             rhs = c_p * field.rates.integral("m", float(traj.grid[j]), float(traj.grid[k]))
             assert lhs <= rhs * 1.05 + 1e-12
 

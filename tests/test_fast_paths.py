@@ -2,15 +2,16 @@
 
 * N = 1 W_p skips the assignment solver: bitwise equal to the solver path,
   including the inf cost the solver rejects.
-* A per-node W_p series runs on a thread per usable core for N >= 64:
-  bitwise equal to one ``wasserstein_cost`` per pair, in input order, with
-  the checks before any solve and the solver's error from a worker.
+* A per-node W_p series over two (K, N, d) stacks runs on a thread per
+  usable core for N >= 64: bitwise equal to one ``wasserstein_cost`` per
+  node, in input order, with the checks before any solve and the solver's
+  error from a worker.
 * Scalar time lookups bisect a Python list: equal to the ``np.searchsorted``
   formulas they replace, on nodes, one ulp either side and outside [0, T].
-* A Trajectory is one read-only array whose clouds are views: equal bit
-  for bit to the checked ``ParticleCloud`` of each row and to the
-  per-step loop that built one cloud per step; the public constructors
-  keep their checks.
+* A Trajectory is one read-only array: ``at(t)`` is a checked copy of a
+  row, equal bit for bit to it, the array equals the per-step loop that
+  built one cloud per step, no step can write it, and the public
+  constructors keep their checks.
 * A signal field bound to a curve (``signal_field(family, signal,
   measure)``): integrating it equals, bit for bit, the per-step loop that
   hands the unbound field ``measure.at(t)``, and its rule returns the same
@@ -30,7 +31,7 @@ from scipy.optimize import linear_sum_assignment
 from wassinc import ControlledFamily, ParticleCloud, RateFunctions, Trajectory, convexify, integrate, signal_field
 from wassinc import measure
 from wassinc.catalog import bounded_kernel_field, gain_family, mean_attraction_field, mean_gain_family, rotation_field
-from wassinc.dynamics import grid_snap, snapped_index
+from wassinc.dynamics import grid_snap, march, snapped_index
 from wassinc.errors import ShapeMismatchError
 from wassinc.inclusion import ControlSignal, peano_solve
 from wassinc.measure import assignment_cost, pairwise_cost, wasserstein_cost, wasserstein_costs
@@ -47,7 +48,7 @@ def bits(x) -> bytes:
 
 def solver_cost(a, b, p):
     """The solver path: assignment on the cost matrix, exactly rounded total."""
-    D = pairwise_cost(a, b, p)
+    D = pairwise_cost(a.points, b.points, p)
     _, sigma = linear_sum_assignment(D)
     return measure._root(assignment_cost(D, sigma) / a.n, p), sigma
 
@@ -67,7 +68,7 @@ def test_single_atom_wp_equals_the_solver_path(d, p, data):
             wasserstein_cost(a, b, p)
         return
     assert bits(wasserstein_cost(a, b, p)) == bits(expected)
-    assert measure._solve(a, b, p)[1].tolist() == sigma.tolist() == [0]
+    assert measure._solve(a.points, b.points, p)[1].tolist() == sigma.tolist() == [0]
 
 
 def test_single_atom_wp_calls_no_solver(monkeypatch):
@@ -84,16 +85,17 @@ def test_single_atom_wp_calls_no_solver(monkeypatch):
 # -- a per-node W_p series on every usable core --------------------------------------
 
 
-def series_pairs(rng, n, d, count=3):
-    """``count`` pairs of n-point clouds with coincident atoms and +-0.0."""
-    pairs = []
-    for _ in range(count):
-        a, b = rng.standard_normal((2, n, d))
-        a[: n // 3] = a[0]  # coincident atoms: many cost-equal assignments
-        a[n // 3 : n // 2] = rng.choice([0.0, -0.0], (n // 2 - n // 3, d))
-        b[: n // 4] = -0.0
-        pairs.append((ParticleCloud(a), ParticleCloud(b)))
-    return pairs
+def series_stacks(rng, n, d, count=3):
+    """Two (count, n, d) stacks of n-point clouds with coincident atoms and +-0.0."""
+    a, b = rng.standard_normal((2, count, n, d))
+    a[:, : n // 3] = a[:, :1]  # coincident atoms: many cost-equal assignments
+    a[:, n // 3 : n // 2] = rng.choice([0.0, -0.0], (count, n // 2 - n // 3, d))
+    b[:, : n // 4] = -0.0
+    return a, b
+
+
+def one_solve_per_node(a, b, p):
+    return [wasserstein_cost(ParticleCloud(x), ParticleCloud(y), p) for x, y in zip(a, b)]
 
 
 @pytest.fixture
@@ -116,69 +118,85 @@ def solver_threads(monkeypatch):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_series_is_bitwise_equal_to_one_solve_per_pair(rng, cores, n, d, p):
-    cores(2)
-    pairs = series_pairs(rng, n, d)
-    series = wasserstein_costs(iter(pairs), p)
-    assert series.dtype == np.float64 and series.shape == (len(pairs),)
-    assert [bits(x) for x in series] == [bits(wasserstein_cost(a, b, p)) for a, b in pairs]
+    cores(2)  # serial below N = 64, pooled from it
+    a, b = series_stacks(rng, n, d)
+    series = wasserstein_costs(a, b, p)
+    assert series.dtype == np.float64 and series.shape == (len(a),)
+    assert [bits(x) for x in series] == [bits(x) for x in one_solve_per_node(a, b, p)]
 
 
 def test_series_under_more_threads_than_cores_and_fast_switching(rng, cores):
     cores(8)
-    pairs = series_pairs(rng, 64, 2, 16)
+    a, b = series_stacks(rng, 64, 2, 16)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        series = wasserstein_costs(pairs, 1.5)
+        series = wasserstein_costs(a, b, 1.5)
     finally:
         sys.setswitchinterval(interval)
-    assert [bits(x) for x in series] == [bits(wasserstein_cost(a, b, 1.5)) for a, b in pairs]
+    assert [bits(x) for x in series] == [bits(x) for x in one_solve_per_node(a, b, 1.5)]
 
 
 @pytest.mark.parametrize("count, n, usable, pooled", [
-    (2, 64, 2, True), (5, 256, 4, True),  # the pool: >= 2 pairs, N >= 64, > 1 core
-    (1, 256, 2, False), (2, 63, 2, False), (2, 64, 1, False), (0, 64, 2, False),
+    (2, 64, 2, True), (5, 256, 4, True),  # the pool: >= 2 nodes, N >= 64, > 1 core
+    (1, 256, 2, False), (2, 63, 2, False), (2, 64, 1, False),
 ])
 def test_pool_only_for_two_pairs_of_64_on_two_cores(rng, cores, solver_threads, count, n, usable, pooled):
     cores(usable)
-    pairs = series_pairs(rng, n, 1, count)
-    assert wasserstein_costs(pairs, 2.0).shape == (count,)
+    assert wasserstein_costs(*series_stacks(rng, n, 1, count), 2.0).shape == (count,)
     main = threading.get_ident()
     assert len(solver_threads) == count
     assert main not in solver_threads if pooled else set(solver_threads) <= {main}
 
 
-def test_series_checks_every_pair_before_any_solve(rng, cores, solver_threads):
+def bad_stacks(rng):
+    """Pairs of stacks each series must reject, with the error and its message."""
+    a, b = series_stacks(rng, 64, 2, 4)
+    nan, inf = a.copy(), b.copy()
+    nan[3, 5, 1], inf[0, 63, 0] = np.nan, -np.inf
+    mismatch = (ShapeMismatchError, "need two nonempty")
+    return [
+        ((a, b[..., :1]), mismatch),
+        ((a, b[:3]), mismatch),
+        ((a[:, :0], b[:, :0]), mismatch),
+        ((a[:0], b[:0]), mismatch),
+        ((a[0], b[0]), mismatch),
+        ((nan, b), (ValueError, "must be finite")),
+        ((a, inf), (ValueError, "must be finite")),
+    ]
+
+
+@pytest.mark.parametrize("series", [wasserstein_costs, measure.sup_wasserstein_cost])
+def test_series_checks_both_stacks_before_any_solve(rng, cores, solver_threads, series):
     cores(2)
-    pairs = series_pairs(rng, 64, 2, 4)
-    pairs.append((pairs[0][0], ParticleCloud(np.zeros((64, 1)))))
-    with pytest.raises(ShapeMismatchError, match=r"got \(64,2\) and \(64,1\)"):
-        wasserstein_costs(pairs, 1.0)
+    for stacks, (error, message) in bad_stacks(rng):
+        with pytest.raises(error, match=message):
+            series(*stacks, 1.0)
     with pytest.raises(ValueError, match="order p must satisfy p >= 1"):
-        wasserstein_costs(pairs[:2], 0.5)
+        series(*series_stacks(rng, 64, 2, 2), 0.5)
     assert solver_threads == []
 
 
 def test_solver_error_raised_from_a_worker(cores, solver_threads):
     cores(2)
     # |1e300 - (-1e300)|^2 overflows: every entry of the last cost matrix is inf
-    far = (ParticleCloud(np.full((64, 1), 1e300)), ParticleCloud(np.full((64, 1), -1e300)))
+    a = np.stack([np.zeros((64, 1)), np.full((64, 1), 1e300)])
+    b = np.stack([np.ones((64, 1)), np.full((64, 1), -1e300)])
     with pytest.raises(ValueError) as expected:
-        linear_sum_assignment(pairwise_cost(*far, 2.0))
-    near = (ParticleCloud(np.zeros((64, 1))), ParticleCloud(np.ones((64, 1))))
+        linear_sum_assignment(pairwise_cost(a[1], b[1], 2.0))
     with pytest.raises(ValueError, match=str(expected.value)):
-        wasserstein_costs([near, far], 2.0)
+        wasserstein_costs(a, b, 2.0)
     assert len(solver_threads) == 2 and threading.get_ident() not in solver_threads
 
 
 def test_series_keeps_input_order(rng, cores):
     cores(2)
-    # a slow pair first and fast ones after: they finish out of input order
-    pairs = [(ParticleCloud(rng.standard_normal((384, 1))), ParticleCloud(rng.standard_normal((384, 1))))]
-    start = ParticleCloud(rng.standard_normal((64, 1)))
-    pairs += [(start, ParticleCloud(start.points + shift)) for shift in (3.0, 2.0, 1.0, 0.0)]
-    series = wasserstein_costs(pairs, 1.0)
-    assert series.tolist() == [wasserstein_cost(a, b, 1.0) for a, b in pairs]
+    # a random pair first and translations after: they may finish out of input order
+    start = rng.standard_normal((64, 1))
+    a = np.stack([rng.standard_normal((64, 1))] + [start] * 4)
+    b = np.stack([rng.standard_normal((64, 1))] + [start + shift for shift in (3.0, 2.0, 1.0, 0.0)])
+    series = wasserstein_costs(a, b, 1.0)
+    assert series.tolist() == one_solve_per_node(a, b, 1.0)
     assert series[1:].tolist() == [3.0, 2.0, 1.0, 0.0]
 
 
@@ -224,7 +242,7 @@ def test_lookups_through_trajectory_and_signal(rng):
     signal = ControlSignal(grid=grid, indices=rng.integers(0, 5, 39))
     for t in probe_times(grid, rng):
         k = searchsorted_index(grid, t, traj.snap)
-        assert traj.node_index(t) == k and traj.at(t) is traj.clouds[k]
+        assert traj.node_index(t) == k and traj.at(t).points.tobytes() == traj.points[k].tobytes()
         assert signal.index_at(t) == signal.indices[min(searchsorted_index(grid, t, signal.snap), 38)]
 
 
@@ -245,20 +263,28 @@ def test_rate_lookup_equals_searchsorted(rng, segments):
 # -- a Trajectory is one array ------------------------------------------------------
 
 
-def test_clouds_are_read_only_views_equal_to_checked_clouds(rng):
+def test_at_is_a_checked_copy_of_its_row(rng):
     pts = rng.standard_normal((6, 4, 3)) * rng.choice([1e-300, 1.0, 1e300], (6, 4, 3))
     pts[0, 0] = [-0.0, 5e-324, -5e-324]
     traj = Trajectory(grid=np.linspace(0.0, 1.0, 6), points=pts)
     pts[1, 1, 1] = 7.0  # the trajectory holds its own copy
     assert not traj.points.flags.writeable
-    for k, view in enumerate(traj.clouds):
-        assert view.points.base is not None and np.shares_memory(view.points, traj.points)
-        assert not view.points.flags.writeable
-        with pytest.raises(ValueError):
-            view.points[0, 0] = 1.0
-        checked = ParticleCloud(traj.points[k])
-        assert view.points.tobytes() == checked.points.tobytes()
-        assert (view.n, view.d) == (checked.n, checked.d)
+    with pytest.raises(ValueError):
+        traj.points[0, 0, 0] = 1.0
+    for k, t in enumerate(traj.times):
+        cloud = traj.at(t)
+        assert not np.shares_memory(cloud.points, traj.points) and not cloud.points.flags.writeable
+        assert cloud.points.tobytes() == traj.points[k].tobytes()
+        assert (cloud.n, cloud.d) == traj.points.shape[1:]
+
+
+def test_a_step_writing_its_rows_raises():
+    def step(k, t0, t1, rows):
+        rows[k][0, 0] = 5.0
+        return rows[k]
+
+    with pytest.raises(ValueError, match="read-only"):
+        march(ParticleCloud([[1.0], [2.0]]), np.linspace(0.0, 1.0, 3), step)
 
 
 @pytest.mark.parametrize("points, error", [

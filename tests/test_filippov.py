@@ -18,7 +18,7 @@ def bang_bang(T=1.0):
 
 def mismatch(fam, ref, w, R):
     """The mismatch series eta_R of a tracking run along ``ref``."""
-    return filippov_track(fam, ref, w, ref.clouds[0], R, 1e-9, 1, p=1)[2].eta_R
+    return filippov_track(fam, ref, w, ref.at(0.0), R, 1e-9, 1, p=1)[2].eta_R
 
 
 class TestMismatch:
@@ -159,21 +159,18 @@ class TestTracking:
 
     def test_initial_distance_is_the_first_measured_node(self, rng, monkeypatch):
         # W_p(mu0, nu0) is measured once, at node 0, and the bound reuses it;
-        # calls counts the pairs of the per-node series (the iterate gaps'
-        # screened sups solve through measure.wasserstein_cost too)
+        # calls holds the node count of each per-node series
         calls = []
         solve, series = measure.wasserstein_cost, filippov.wasserstein_costs
-        monkeypatch.setattr(
-            filippov, "wasserstein_costs", lambda pairs, p: series([calls.append(1) or ab for ab in pairs], p)
-        )
+        monkeypatch.setattr(filippov, "wasserstein_costs", lambda a, b, p: calls.append(len(a)) or series(a, b, p))
         fam = bang_bang()
         w = zero_field(const_rates(1.0, 0.0, 0.0))
         grid = np.linspace(0, 1, 11)
         ref = integrate(w, random_cloud(rng, 5, 1), grid)
         start = random_cloud(rng, 5, 1)
         _, _, cert = filippov_track(fam, ref, w, start, INF, 1e-9, 10, p=2)
-        assert len(calls) == grid.size
-        assert cert.measured_W_p[0] == solve(start, ref.clouds[0], 2)
+        assert calls == [grid.size]
+        assert cert.measured_W_p[0] == solve(start, ref.at(0.0), 2)
         assert cert.D_p[0] == bounds.C_p(2.0) * cert.measured_W_p[0]
 
     def test_constants_scenario_tight(self):

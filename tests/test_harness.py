@@ -179,10 +179,8 @@ class TestVerifyKinds:
 
     def test_gronwall_reuses_initial_distance(self, monkeypatch):
         calls = []
-        solve = measure.wasserstein_cost
-        monkeypatch.setattr(
-            measure, "wasserstein_cost", lambda a, b, p: calls.append(1) or solve(a, b, p)
-        )
+        cost = measure.pairwise_cost
+        monkeypatch.setattr(measure, "pairwise_cost", lambda a, b, p: calls.append(1) or cost(a, b, p))
         report = verify(
             "gronwall_global",
             cfg(
@@ -415,6 +413,17 @@ class TestCli:
         assert capsys.readouterr().err == ""
         measured = [float(r.split(",")[1]) for r in (out / "report.csv").read_text().split()[1:]]
         assert all(math.isfinite(m) for m in measured)
+
+    def test_probe_jitter_overflow_exits_two_without_a_warning(self, tmp_path, capsys):
+        # scaling atoms at 1e308 by up to 2 overflows: the probe's finite check names it, numpy stays quiet
+        raw = json.loads((SCENARIOS / "verify_hypotheses_probe_catalog.json").read_text())
+        raw["initial"] = {"kind": "atoms", "atoms": [[1e308, -1e308]] * raw["N"]}
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli_main(["verify", "--config", self._write(tmp_path, raw), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: cloud coordinates must be finite\n"
 
     def test_zero_declared_rate_fails_honestly(self, tmp_path, capsys):
         # the bundled catalog probe with m = 0 and a nonzero rule

@@ -70,15 +70,15 @@ class TestPeanoSolve:
         fam = constants_family([[0.0]], const_rates(0.0, 0.0, 0.0))
         traj, signal = peano_solve(fam, delta(0.7), n=3, substeps=3)
         assert np.all(signal.indices == 0)
-        for c in traj.clouds:
-            assert c.points[0, 0] == 0.7
+        for row in traj.points:
+            assert row[0, 0] == 0.7
 
     def test_min_norm_picks_idle_gain(self):
         fam = gain_family([0.0, 1.0], const_rates(1.0, 1.0, 0.0))
         traj, signal = peano_solve(fam, delta(1.0), n=4, substeps=2, strategy="min_norm")
         assert np.all(signal.indices == 0)
-        for c in traj.clouds:
-            assert c.points[0, 0] == 1.0
+        for row in traj.points:
+            assert row[0, 0] == 1.0
 
     def test_deterministic_random_strategy(self):
         fam = bang_bang()
@@ -199,7 +199,7 @@ class TestPeanoEstimates:
         start = random_cloud(rng, 8, 2)
         for p in (1.0, 2.0):
             traj, _ = peano_solve(fam, start, n=8, substeps=4, strategy="min_norm")
-            measured = np.array([moment(c, p) for c in traj.clouds])
+            measured = np.array([moment(traj.at(t), p) for t in traj.times])
             bound = momentum_bound_series(traj.grid, measured, fam.rates, p, True)
             assert np.all(measured <= bound * 1.05 + 1e-12)
 
@@ -212,7 +212,7 @@ class TestPeanoEstimates:
         mp0 = moment(start, p)
         script_c = uniform_moment(p, mp0, mp0, fam.rates.integral("m", 0, 1))
         traj, _ = peano_solve(fam, start, n=8, substeps=4, strategy="min_norm")
-        assert all(moment(c, p) <= script_c * 1.05 for c in traj.clouds)
+        assert all(moment(traj.at(t), p) <= script_c * 1.05 for t in traj.times)
 
     def test_equicontinuity_along_solutions(self, rng):
         from wassinc.bounds import abs_continuity_constant
@@ -226,7 +226,7 @@ class TestPeanoEstimates:
             j, k = sorted(rng.integers(0, traj.grid.size, size=2).tolist())
             if j == k:
                 continue
-            lhs = wasserstein_cost(traj.clouds[j], traj.clouds[k], p)
+            lhs = wasserstein_cost(traj.at(traj.times[j]), traj.at(traj.times[k]), p)
             rhs = c_p * fam.rates.integral("m", float(traj.grid[j]), float(traj.grid[k]))
             assert lhs <= rhs * 1.05 + 1e-12
 

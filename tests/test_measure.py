@@ -9,14 +9,14 @@ from hypothesis.extra import numpy as hnp
 from wassinc import ParticleCloud, moment, tail_norm, wasserstein_cost
 from wassinc.errors import ShapeMismatchError
 from wassinc import measure
-from wassinc.measure import assignment_cost, pairwise_cost, sup_wasserstein_cost
+from wassinc.measure import assignment_cost, pairwise_cost, sup_wasserstein_cost, tail_norms
 
 from conftest import cloud, delta, random_cloud
 
 
 def brute_force_cost(a, b, p):
     """Exhaustive minimum over all permutations, sharing the cost matrix."""
-    D = pairwise_cost(a, b, p)
+    D = pairwise_cost(a.points, b.points, p)
     best = min(assignment_cost(D, perm) for perm in itertools.permutations(range(a.n)))
     if p == 1.0:
         return best / a.n
@@ -39,6 +39,13 @@ class TestMoment:
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
             moment(delta(1.0), 0.5)
+
+    @pytest.mark.parametrize("r", [0.3, 0.5, 0.9, 2.0**-300])
+    def test_norms_below_one_do_not_underflow(self, r):
+        # r^2000 underflows to 0 for r < 1: the mean is scaled by its largest norm
+        c = cloud([r, 0.0], [0.0, -r], [-r, 0.0], [0.0, r])
+        assert moment(c, 2000) == tail_norm(c, 0.0, 2000) == tail_norm(c, 0.5 * r, 2000) == r
+        assert moment(cloud([0.0, 0.0], [0.0, 0.0]), 2000) == 0.0
 
     @given(
         pts=hnp.arrays(
@@ -70,6 +77,18 @@ class TestTailNorm:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             tail_norm(delta(1.0), -0.1, 1)
+        with pytest.raises(ValueError):
+            tail_norms(cloud([1.0], [2.0]).points[None], -0.1, 1)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 2000.0])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_tail_norms_equal_one_call_per_row(self, rng, p, shifted):
+        # rows with every atom, some and none of them in the tail, and one whose power overflows
+        stack = rng.standard_normal((6, 9, 2)) * [[[1.0]], [[3.0]], [[0.1]], [[5.0]], [[1e-3]], [[2.0]]]
+        stack[5, 4] = [1e150, 0.0]
+        for R in (0.0, 0.5, 1.0, 4.0, 1e151):
+            per_row = [tail_norm(ParticleCloud(rows), R, p, shifted) for rows in stack]
+            assert tail_norms(stack, R, p, shifted).tolist() == per_row
 
     @given(
         pts=hnp.arrays(
@@ -119,7 +138,7 @@ class TestWasserstein:
 
     def test_plan_cost_consistent(self, rng):
         a, b = random_cloud(rng, 9, 2), random_cloud(rng, 9, 2)
-        D, sigma, _ = measure._solve(a, b, 2)
+        D, sigma, _ = measure._solve(a.points, b.points, 2)
         recomputed = math.sqrt(assignment_cost(D, sigma) / a.n)
         assert wasserstein_cost(a, b, 2) == recomputed
 
@@ -238,6 +257,11 @@ def count_cost_matrices(monkeypatch):
     return calls
 
 
+def stacks(pairs):
+    """The (K, N, d) stacks of the first and of the second clouds of ``pairs``."""
+    return tuple(np.stack([pair[i].points for pair in pairs]) for i in (0, 1))
+
+
 class TestFastPaths:
     @given(
         data=st.data(),
@@ -251,13 +275,13 @@ class TestFastPaths:
             ParticleCloud(data.draw(hnp.arrays(np.float64, (n, d), elements=coords)))
             for _ in range(2)
         )
-        np.testing.assert_array_equal(pairwise_cost(a, b, p), norm_tensor_cost(a, b, p))
+        np.testing.assert_array_equal(pairwise_cost(a.points, b.points, p), norm_tensor_cost(a, b, p))
 
     def test_pairwise_cost_matches_norm_tensor_at_size(self, rng):
         for d in (1, 2, 3, 5):
             a, b = random_cloud(rng, 300, d), random_cloud(rng, 300, d)
             for p in (1.0, 2.0, 3.0):
-                np.testing.assert_array_equal(pairwise_cost(a, b, p), norm_tensor_cost(a, b, p))
+                np.testing.assert_array_equal(pairwise_cost(a.points, b.points, p), norm_tensor_cost(a, b, p))
 
     @given(
         pairs=st.one_of(cloud_pairs(tight=True), cloud_pairs(), cloud_pairs(n_max=1)),
@@ -265,14 +289,14 @@ class TestFastPaths:
     )
     @settings(max_examples=120, deadline=None)
     def test_sup_equals_max_of_exact_solves(self, pairs, p):
-        assert sup_wasserstein_cost(pairs, p) == max(wasserstein_cost(a, b, p) for a, b in pairs)
+        assert sup_wasserstein_cost(*stacks(pairs), p) == max(wasserstein_cost(a, b, p) for a, b in pairs)
 
     @given(clouds=cloud_triple(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     @settings(max_examples=60, deadline=None)
     def test_plan_cost_equals_value_only_cost(self, clouds, p):
         # the assignment _solve returns is a permutation whose cost is W_p
         a, b, _ = clouds
-        D, sigma, total = measure._solve(a, b, p)
+        D, sigma, total = measure._solve(a.points, b.points, p)
         assert sorted(sigma.tolist()) == list(range(a.n))
         assert assignment_cost(D, sigma) == total
         assert measure._root(total / a.n, p) == wasserstein_cost(a, b, p)
@@ -284,7 +308,7 @@ class TestFastPaths:
         pairs = [(base, ParticleCloud(base.points + [0.1 * k, 0.0])) for k in (3, 1, 4, 2)]
         widest = wasserstein_cost(*pairs[2], 2)
         calls = count_cost_matrices(monkeypatch)
-        assert sup_wasserstein_cost(pairs, 2) == widest
+        assert sup_wasserstein_cost(*stacks(pairs), 2) == widest
         assert len(calls) == 1
 
     @given(
@@ -298,7 +322,7 @@ class TestFastPaths:
         # b_k = a_k[pi] + drift_k: the identity bound is loose at every node,
         # the bound under a solved node's sigma tight where the drift is a shift
         pairs = relabelled_series(data, n, d)
-        assert sup_wasserstein_cost(pairs, p) == max(wasserstein_cost(a, b, p) for a, b in pairs)
+        assert sup_wasserstein_cost(*stacks(pairs), p) == max(wasserstein_cost(a, b, p) for a, b in pairs)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_sup_of_a_relabelled_series_solves_one_node(self, rng, monkeypatch, p):
@@ -315,7 +339,7 @@ class TestFastPaths:
         identity = [measure.moment(ParticleCloud(a.points - b.points), p) for a, b in pairs]
         assert min(identity) > max(exact)
         calls = count_cost_matrices(monkeypatch)
-        assert sup_wasserstein_cost(pairs, p) == max(exact)
+        assert sup_wasserstein_cost(*stacks(pairs), p) == max(exact)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -330,10 +354,10 @@ class TestFastPaths:
             pairs = [first, second]
             exact = [wasserstein_cost(a, b, p) for a, b in pairs]
             assert exact[0] < exact[1] < exact[0] * (1.0 + 1e-9)
-            assert sup_wasserstein_cost(pairs, p) == exact[1]
+            assert sup_wasserstein_cost(*stacks(pairs), p) == exact[1]
 
     def test_sup_rejects_mismatch_and_empty(self):
         with pytest.raises(ShapeMismatchError):
-            sup_wasserstein_cost([(delta(0.0), delta(1.0)), (delta(0.0), delta(0.0, 0.0))], 1)
-        with pytest.raises(ValueError):
-            sup_wasserstein_cost([], 1)
+            sup_wasserstein_cost(np.zeros((2, 1, 1)), np.zeros((2, 1, 2)), 1)
+        with pytest.raises(ShapeMismatchError):
+            sup_wasserstein_cost(np.zeros((0, 1, 1)), np.zeros((0, 1, 1)), 1)

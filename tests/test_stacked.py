@@ -130,6 +130,11 @@ def test_convexify_zero_weight_skips_an_infinite_velocity():
             assert_bitwise(stack[i], mixture_oracle("constants", controls, c, cloud, X))
 
 
+def clouds(traj):
+    """The checked cloud of every node of ``traj``, the per-node loops' measure."""
+    return [traj.at(t) for t in traj.times]
+
+
 def reference(d, n, seed, steps=6):
     rng = np.random.Generator(np.random.Philox(key=seed))
     w = control_field(mean_gain_family([1.25], const_rates(1.25, 1.25, 1.25)), 0)
@@ -144,7 +149,7 @@ def test_mismatch_equals_control_loop(kind, gains, d, n, seed, R):
     family, controls = make_family(kind, gains, d)
     w, ref, start = reference(d, n, seed)
     expected = []
-    for t, nu in zip(ref.grid.tolist(), ref.clouds):
+    for t, nu in zip(ref.grid.tolist(), clouds(ref)):
         pts = nu.points if math.isinf(R) else nu.points[np.linalg.norm(nu.points, axis=1) <= R]
         if pts.shape[0] == 0:
             expected.append(0.0)
@@ -167,7 +172,7 @@ def test_ball_gaps_equal_control_loop(kind, gains, d, n, seed):
     field = control_field(family, family.size - 1)
     for R in (0.5 * norms.min(), 0.5 * (norms.min() + norms.max()), norms.max(), math.inf):  # empty ... full
         expected = []
-        for t, mu_k, nu in zip(ref.times, mu.clouds, ref.clouds):
+        for t, mu_k, nu in zip(ref.times, clouds(mu), clouds(ref)):
             pts = nu.points[np.linalg.norm(nu.points, axis=1) <= R]
             expected.append([sup_gap(w.rule(t, nu.points, [0], pts)[0], oracle(kind, controls, k, mu_k, pts)) if pts.size
                              else 0.0 for k in range(family.size)])
@@ -194,9 +199,9 @@ def test_one_iteration_is_the_euler_loop_on_the_reference_measure(gains, d, n, s
     family, controls = make_family("mean_gain", gains, d)
     w, ref, start = reference(d, n, seed)
     traj, signal, _ = filippov_track(family, ref, w, start, math.inf, tol=1e-300, max_iter=1, p=2.0)
-    X = [start.points]  # X_{k+1} = X_k + h f_{sigma_k}(t_k, ref_k, X_k)
+    X, nu = [start.points], clouds(ref)  # X_{k+1} = X_k + h f_{sigma_k}(t_k, ref_k, X_k)
     for k, (t0, t1) in enumerate(zip(ref.times, ref.times[1:])):
-        X.append(X[k] + (t1 - t0) * oracle("mean_gain", controls, signal.indices[k], ref.clouds[k], X[k]))
+        X.append(X[k] + (t1 - t0) * oracle("mean_gain", controls, signal.indices[k], nu[k], X[k]))
     assert_bitwise(traj.points, np.array(X))
 
 
@@ -207,9 +212,10 @@ def test_min_norm_selection_equals_control_loop(kind, gains, d, n, seed, substep
     rng = np.random.Generator(np.random.Philox(key=seed))
     start = ParticleCloud(rng.standard_normal((n, d)))
     traj, signal = peano_solve(family, start, 3, substeps, "min_norm")
+    nodes = clouds(traj)
     for k in range(signal.n_intervals):
-        delayed = traj.clouds[max(0, k - substeps)]
-        probes = np.concatenate((delayed.points, traj.clouds[k].points))
+        delayed = nodes[max(0, k - substeps)]
+        probes = np.concatenate((delayed.points, nodes[k].points))
         norms = [sup_gap(oracle(kind, controls, i, delayed, probes), 0.0)
                  for i in range(family.size)]
         assert signal.indices[k] == loop_argmin(norms)
@@ -243,7 +249,7 @@ def test_tracking_reselection_equals_control_loop(kind, gains, d, n, seed, R):
     grid = ref.grid
     # first selection: the mismatch argmin along the reference, as a loop
     first = []
-    for t, nu in zip(grid[:-1].tolist(), ref.clouds):
+    for t, nu in zip(grid[:-1].tolist(), clouds(ref)):
         pts = nu.points if math.isinf(R) else nu.points[np.linalg.norm(nu.points, axis=1) <= R]
         gaps = [sup_gap(w.rule(t, nu.points, [0], pts)[0], oracle(kind, controls, i, nu, pts)) if pts.size else 0.0
                 for i in range(family.size)]
@@ -251,14 +257,14 @@ def test_tracking_reselection_equals_control_loop(kind, gains, d, n, seed, R):
     sig = ControlSignal(grid=grid, indices=first)
     cur = integrate(signal_field(family, sig, ref), start, grid)
     # one re-selection against the previous slice, on the current measure
-    second = []
+    second, mu, nu = [], clouds(cur), clouds(ref)
     for j, t in enumerate(grid[:-1].tolist()):
-        pieces = [cur.clouds[j].points, ref.clouds[j].points]
+        pieces = [mu[j].points, nu[j].points]
         if not math.isinf(R):
             pieces.append(ball_grid(R, d, R / 8.0))
         probes = np.concatenate(pieces)
-        prev = oracle(kind, controls, first[j], ref.clouds[j], probes)
-        second.append(loop_argmin([sup_gap(prev, oracle(kind, controls, i, cur.clouds[j], probes))
+        prev = oracle(kind, controls, first[j], nu[j], probes)
+        second.append(loop_argmin([sup_gap(prev, oracle(kind, controls, i, mu[j], probes))
                                    for i in range(family.size)]))
     _, signal, cert = filippov_track(family, ref, w, start, R, tol=1e-300, max_iter=2, p=2.0)
     assert list(signal.indices) == (second if cert.iterations == 2 else first)
@@ -443,7 +449,7 @@ def test_gronwall_gap_series_equals_per_node_loop(monkeypatch, R):
     v, w, grid = config.field, config.experiment["w"], config.time_grid()
     mu, nu = integrate(v, config.start(), grid), config.reference()
     gaps = []
-    for t, mu_k, nu_k in zip(grid[:-1].tolist(), mu.clouds, nu.clouds):
+    for t, mu_k, nu_k in zip(grid[:-1].tolist(), clouds(mu), clouds(nu)):
         pts = nu_k.points[np.linalg.norm(nu_k.points, axis=1) <= R]
         gaps.append(sup_gap(w.rule(t, nu_k.points, [0], pts)[0], v.rule(t, mu_k.points, [0], pts)[0]) if pts.size else 0.0)
     assert_bitwise(increments[0], np.array(gaps) * np.diff(grid))
