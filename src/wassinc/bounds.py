@@ -88,9 +88,8 @@ def exp_power(c: float, x: float, p: float, shift: float = 0.0) -> float:
 
 
 def product(*factors: float) -> float:
-    """Left-to-right product; a zero factor gives 0 even beside an inf,
-    which stands for a finite value past the float range (``saturating_exp``).
-    Python floats throughout: an overflowing step gives inf, with no numpy warning."""
+    """Left-to-right product of Python floats (an overflow gives inf, no numpy warning); a zero
+    factor gives 0 even beside an inf, which stands for a finite value past the float range (``saturating_exp``)."""
     out = 1.0
     for f in factors:
         if f == 0.0:

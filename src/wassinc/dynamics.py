@@ -238,6 +238,10 @@ class Trajectory:
     def at(self, t: float) -> ParticleCloud:
         return ParticleCloud(self.points[self.node_index(t)])
 
+    def rows_at(self, times) -> np.ndarray:
+        """The positions ``at`` reads for each of ``times``, a (len(times), N, d) copy."""
+        return self.points[[self.node_index(t) for t in times]]
+
 
 def march(start: ParticleCloud, grid: np.ndarray, step: Callable) -> Trajectory:
     """The one loop that writes curve nodes: node k + 1 over ``grid`` is

@@ -183,7 +183,7 @@ def filippov_track(
 
     eta = table.min(axis=1)
     measured = wasserstein_costs(cur.points, ref.points, p)
-    nu0 = ParticleCloud(ref.points[0])
+    nu0 = ref.at(ref.times[0])
     bound = compute_bound(
         grid=grid,
         eta=eta,

@@ -96,7 +96,7 @@ def signal_field(family: ControlledFamily, signal: ControlSignal,
         u = [[signal.index_at(s)] for s in times]
         if measure is not None:
             k = [measure.node_index(s) for s in times]
-            points = measure.points[k if block else k[0]]
+            points = measure.points[k if block else k[0]]  # one node: a read-only view, no copy
         return family.rule(t, points, u if block else u[0], X)
 
     return ControlledFamily(
@@ -186,8 +186,7 @@ def inclusion_residual(traj: Trajectory, signal: ControlSignal, family: Controll
     step length, control, delay or node reads above 0.
     """
     t0, t1 = signal.grid[:-1], signal.grid[1:]
-    at = [[traj.node_index(t) for t in times.tolist()] for times in (t0 - delay, t0, t1)]
-    delayed, X, after = (traj.points[k] for k in at)
+    delayed, X, after = (traj.rows_at(times.tolist()) for times in (t0 - delay, t0, t1))
     h = (t1 - t0)[:, None, None]
     step = X + h * family.rule(t0, delayed, signal.indices[:, None], X)[:, 0]
     return sup_norm(after - step) / (t1 - t0)
@@ -207,7 +206,7 @@ def refinement_study(curves: Mapping[int, Trajectory], p: float) -> list[tuple[i
         raise ValueError("n_list must be strictly increasing with at least two entries")
     solutions = list(curves.values())
     common = solutions[0].times
-    on_common = [c.points[[c.node_index(t) for t in common]] for c in solutions]
+    on_common = [c.rows_at(common) for c in solutions]
     return [
         (n_a, n_b, sup_wasserstein_cost(a, b, p))
         for n_a, n_b, a, b in zip(ns, ns[1:], on_common, on_common[1:])

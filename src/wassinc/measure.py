@@ -1,16 +1,13 @@
 """Empirical measures on R^d and exact Wasserstein distances between them.
 
 A cloud of N points with uniform weights 1/N stands in for a probability
-measure with finite p-th moment.  Between two clouds of equal size the
-p-Wasserstein distance reduces to an optimal assignment problem over
-permutations, which is solved exactly.  Only the W_p value is returned,
-from the exactly rounded (``fsum``) total of the solver's optimal
-assignment; no transport plan is kept.  A ``ParticleCloud`` is one
-checked measure; a curve of them is its (K, N, d) array of positions, and
-``moments``, ``tail_norms`` and the W_p series ``wasserstein_costs`` and
-``sup_wasserstein_cost`` read two such stacks node by node, each equal bit
-for bit to the one-cloud call.  A W_p series runs on every usable core for
-N >= 64, same bits.
+measure with finite p-th moment; between two clouds of equal size W_p is
+an optimal assignment problem, solved exactly, and only its value is
+kept, from the exactly rounded (``fsum``) total.  A ``ParticleCloud`` is
+one checked measure, a curve its (K, N, d) array of positions: ``moments``
+and ``tail_norms`` read one such stack, the W_p series ``wasserstein_costs``
+and ``sup_wasserstein_cost`` two, node by node and bit for bit equal to
+the one-cloud calls.  A W_p series runs on every usable core for N >= 64.
 """
 
 from __future__ import annotations
@@ -101,19 +98,25 @@ def _root(x: float, p: float) -> float:
     return x ** (1.0 / p)
 
 
-def _power_means(values: np.ndarray, p: float, n: int) -> list:
-    """(fsum(row^p) / n)^(1/p) of every row of a (K, m) array, m >= 1.  Where
-    a row's sum overflows, or falls below the smallest normal double while
-    M = max(row) > 0, M (fsum((row / M)^p) / n)^(1/p), finite for finite
-    values; a zero row stays 0."""
+def _power_sums(values: np.ndarray, p: float) -> list:
+    """fsum(row^p) of every row of a (K, m) array, each power rounded as the solver's; inf on overflow."""
     with np.errstate(over="ignore"):  # an overflowing power makes its row's sum inf
         powered = _pow(values, p).tolist()
     out = []
-    for row, terms in zip(values, powered):
+    for terms in powered:
         try:
-            total = math.fsum(terms)
+            out.append(math.fsum(terms))
         except OverflowError:
-            total = math.inf
+            out.append(math.inf)
+    return out
+
+
+def _power_means(values: np.ndarray, p: float, n: int) -> list:
+    """(fsum(row^p) / n)^(1/p) of every row of a (K, m) array, m >= 1.  Where a row's sum
+    overflows, or falls below the smallest normal double while M = max(row) > 0,
+    M (fsum((row / M)^p) / n)^(1/p), finite for finite values; a zero row stays 0."""
+    out = []
+    for row, total in zip(values, _power_sums(values, p)):
         top = float(row.max())
         if total < math.inf and not (total < sys.float_info.min and top > 0.0):
             out.append(_root(total / n, p))
@@ -215,28 +218,30 @@ def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
     """max_k W_p between the clouds of rows k of two (K, N, d) stacks.
 
     Pairing particle i with particle i is a coupling, so
-    U_k = (mean_i |a_ki - b_ki|^p)^(1/p) >= W_p at node k.  Nodes are taken
-    in descending U_k until U_k <= the largest exact value so far.  Pairing
-    i with sigma(i), for the optimal sigma of the last node solved, is a
-    coupling too, and close to optimal, since particles keep their identity
-    along a curve: a node whose bound under sigma is <= the largest value so
-    far is skipped, any other solved exactly.  Both bounds are inflated by a
-    relative 1e-9, far above their rounding and that of the solver's total,
-    so every node skipped has W_p <= that value and the result equals
+    U_k = (mean_i |a_ki - b_ki|^p)^(1/p) >= W_p at node k; so is pairing i
+    with sigma(i), for the optimal sigma of the last node solved, and close
+    to optimal, as particles keep their identity along a curve.  Nodes are
+    taken in descending U_k until U_k <= the largest exact value so far;
+    one whose bound under sigma is <= that value is skipped, any other
+    solved.  Both bounds round as the solver's total does (``_power_sums``,
+    unscaled: a p-th power that underflows reads 0 in both), inflated by a
+    relative 1e-9 for the rounding of the distances, so the result equals
     max(wasserstein_costs(a, b, p)) bit for bit.
     """
     p = _check_p(p)
     _check_stacks(a, b)
     n = a.shape[1]
-    upper = [(1.0 + 1e-9) * u for u in _power_means(np.linalg.norm(a - b, axis=-1), p, n)]
+
+    def screen(gaps):  # inf where the sum overflows: such a node is solved
+        return [(1.0 + 1e-9) * _root(total / n, p) for total in _power_sums(np.linalg.norm(gaps, axis=-1), p)]
+
+    upper = screen(a - b)
     best, sigma = -math.inf, None
     for k in sorted(range(len(a)), key=upper.__getitem__, reverse=True):
         if upper[k] <= best:
             break
-        if sigma is not None:
-            gaps = np.linalg.norm(a[k] - b[k][sigma], axis=1)
-            if (1.0 + 1e-9) * _power_means(gaps[None], p, n)[0] <= best:
-                continue
+        if sigma is not None and screen((a[k] - b[k][sigma])[None])[0] <= best:
+            continue
         _, sigma, total = _solve(a[k], b[k], p)
         best = max(best, _root(total / n, p))
     return best

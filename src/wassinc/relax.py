@@ -25,7 +25,7 @@ from .dynamics import ControlledFamily, Trajectory, integrate, snapped_index
 from .errors import ResolutionError
 from .filippov import FilippovCertificate, filippov_track
 from .inclusion import ControlSignal, signal_field
-from .measure import ParticleCloud, moment, tail_norm, wasserstein_costs
+from .measure import moment, tail_norm, wasserstein_costs
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def relax_approximate(
     if delta <= 0:
         raise ValueError("delta must be positive")
     rates = family.rates
-    mu0 = ParticleCloud(relaxed_traj.points[0])
+    mu0 = relaxed_traj.at(relaxed_traj.times[0])
     mp0 = moment(mu0, p)
     m_total = rates.integral("m", 0.0, rates.duration)
     script_c = bounds.uniform_moment(p, mp0, mp0, m_total)
@@ -277,7 +277,7 @@ def relax_approximate(
 
     # the tracked grid carries every realized switch point, where the
     # deviation from the mixture curve peaks
-    on_tracked = relaxed_traj.points[[relaxed_traj.node_index(t) for t in tracked.times]]
+    on_tracked = relaxed_traj.rows_at(tracked.times)
     measured = wasserstein_costs(on_tracked, tracked.points, p)
     l_total = rates.integral("l", 0.0, rates.duration)
     growth = bounds.exp_power(bounds.C_p_prime(p), l_total, p)

@@ -23,7 +23,7 @@ from .config import ScenarioConfig
 from .dynamics import Trajectory, integrate, node_blocks
 from .errors import ConfigError
 from .inclusion import ball_gaps
-from .measure import ParticleCloud, localisation_tail, moment, moments, tail_norms, wasserstein_costs
+from .measure import localisation_tail, moment, moments, tail_norms, wasserstein_costs
 
 
 def verify(kind: str, config: ScenarioConfig) -> BoundReport:
@@ -76,7 +76,7 @@ def verify_equi_integrability(config: ScenarioConfig) -> dict:
     radii = config.experiment["R_list"]
     m_total = field.rates.integral("m", 0.0, config.T)
     ct = bounds.horizon_factor(m_total)
-    start, nodes = ParticleCloud(traj.points[0]), len(traj.grid)
+    start, nodes = traj.at(traj.times[0]), len(traj.grid)
     levels = [ct * localisation_tail(start, R, ct, p) for R in radii]
     measured = np.array([tail_norms(traj.points, R, p) for R in radii]).ravel()
     return dict(times=np.tile(traj.grid, len(radii)), measured=measured, bound=np.repeat(levels, nodes),
@@ -89,7 +89,7 @@ def verify_abs_continuity(config: ScenarioConfig) -> dict:
     traj, field = _simulate(config), config.field
     p = config.p
     m_total = field.rates.integral("m", 0.0, config.T)
-    c_p = bounds.abs_continuity_constant(p, moment(ParticleCloud(traj.points[0]), p), m_total)
+    c_p = bounds.abs_continuity_constant(p, moment(traj.at(traj.times[0]), p), m_total)
     grid = traj.grid
     measured = wasserstein_costs(traj.points[:-1], traj.points[1:], p)
     bound = c_p * field.rates.integral("m", grid[:-1], grid[1:])
@@ -105,7 +105,7 @@ def _gronwall(config: ScenarioConfig, R: float, local: bool) -> dict:
     p = config.p
     joint = v.rates.maximum(w.rates)
     ct = bounds.horizon_factor(joint.integral("m", 0.0, config.T))
-    tail = localisation_tail(ParticleCloud(nu.points[0]), R, ct, p)
+    tail = localisation_tail(nu.at(nu.times[0]), R, ct, p)
     grid = mu.grid
     measured = wasserstein_costs(mu.points, nu.points, p)
     w0 = float(measured[0])

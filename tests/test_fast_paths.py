@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -189,14 +190,28 @@ def test_solver_error_raised_from_a_worker(cores, solver_threads):
     assert len(solver_threads) == 2 and threading.get_ident() not in solver_threads
 
 
-def test_series_keeps_input_order(rng, cores):
+def test_series_keeps_input_order(rng, cores, monkeypatch):
     cores(2)
-    # a random pair first and translations after: they may finish out of input order
+    # a random pair first and translations after; the first node's solve is held
+    # back, so the workers finish out of input order
     start = rng.standard_normal((64, 1))
     a = np.stack([rng.standard_normal((64, 1))] + [start] * 4)
     b = np.stack([rng.standard_normal((64, 1))] + [start + shift for shift in (3.0, 2.0, 1.0, 0.0)])
+    expected = one_solve_per_node(a, b, 1.0)
+    costs, finished, solve = [pairwise_cost(x, y, 1.0) for x, y in zip(a, b)], [], measure.linear_sum_assignment
+
+    def held_solve(D):
+        node = next(k for k, C in enumerate(costs) if np.array_equal(C, D))
+        if node == 0:
+            time.sleep(0.1)
+        solved = solve(D)
+        finished.append(node)
+        return solved
+
+    monkeypatch.setattr(measure, "linear_sum_assignment", held_solve)
     series = wasserstein_costs(a, b, 1.0)
-    assert series.tolist() == one_solve_per_node(a, b, 1.0)
+    assert sorted(finished) == list(range(5)) and finished != sorted(finished)
+    assert series.tolist() == expected
     assert series[1:].tolist() == [3.0, 2.0, 1.0, 0.0]
 
 

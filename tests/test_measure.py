@@ -291,6 +291,28 @@ class TestFastPaths:
     def test_sup_equals_max_of_exact_solves(self, pairs, p):
         assert sup_wasserstein_cost(*stacks(pairs), p) == max(wasserstein_cost(a, b, p) for a, b in pairs)
 
+    @given(
+        data=st.data(),
+        n=st.sampled_from([1, 2, 3, 16]),
+        shifts=st.lists(st.floats(0.689, 0.694), min_size=2, max_size=12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_sup_equals_max_of_exact_solves_at_large_p(self, data, n, shifts):
+        # at p = 2000 a shift near 0.69 has a subnormal p-th power, where the
+        # solver's total is coarsely rounded; atoms within 0.3 keep every cost finite
+        base = data.draw(hnp.arrays(np.float64, (n, 1), elements=st.floats(0.0, 0.3)))
+        pairs = [(ParticleCloud(base), ParticleCloud(base + s)) for s in shifts]
+        assert sup_wasserstein_cost(*stacks(pairs), 2000.0) == max(wasserstein_cost(a, b, 2000.0) for a, b in pairs)
+
+    def test_sup_solves_one_node_where_every_power_underflows(self, rng, monkeypatch):
+        # 0.4^2000 underflows to 0: every W_p reads 0, and so does every screening bound
+        base = random_cloud(rng, 16, 1).points * 0.1
+        pairs = [(ParticleCloud(base), ParticleCloud(base + s)) for s in (0.1, 0.4, 0.2, 0.3)]
+        assert [wasserstein_cost(a, b, 2000.0) for a, b in pairs] == [0.0] * 4
+        calls = count_cost_matrices(monkeypatch)
+        assert sup_wasserstein_cost(*stacks(pairs), 2000.0) == 0.0
+        assert len(calls) == 1
+
     @given(clouds=cloud_triple(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     @settings(max_examples=60, deadline=None)
     def test_plan_cost_equals_value_only_cost(self, clouds, p):
