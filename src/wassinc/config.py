@@ -42,12 +42,12 @@ from .measure import ParticleCloud
 _REQUIRED = object()
 # Ceilings on a run's size, so that a config too large to run exits 2 before
 # anything is allocated.  MAX_ENTRIES bounds the trajectory's (steps + 1) x N
-# x d positions and the N x N x d of a W_p cost matrix and the kernel field's
-# slab; the trajectory dominates, since the CSV writer holds every entry as
-# text (about 270 bytes each at peak).  MAX_NODES bounds the steps + 1 grid
-# nodes, each of which carries Python objects of its own (a cloud view, a
-# time, per-node results; about 650 bytes).  Measured on Python 3.11 with
-# numpy 2.4: a run at either ceiling peaks below 360 MiB resident and
+# x d positions, the N x N x d of a W_p cost matrix and the kernel field's
+# slab, and the 17^d x d mesh of a tracking lattice; the trajectory dominates,
+# since the CSV writer holds every entry as text (about 270 bytes each at
+# peak).  MAX_NODES bounds the steps + 1 grid nodes, each of which carries
+# Python objects of its own (a time, per-node results).  Measured on Python
+# 3.11 with numpy 2.4: a run at either ceiling peaks below 360 MiB resident and
 # completes under `ulimit -v 786432` (768 MiB).  A probe sample (up to three
 # report rows) and a relax mixture count as nodes; at those ceilings < 130 MiB.
 MAX_ENTRIES = 2**20
@@ -345,7 +345,8 @@ def parse_config(raw: dict, kind: str | None = None, **overrides) -> ScenarioCon
 
 def _check_sizes(top: dict) -> None:
     """ConfigError unless the grid and a relax run's mixtures fit MAX_NODES
-    and the trajectory and the N x N x d arrays fit MAX_ENTRIES (and a relax
+    and the trajectory, the N x N x d arrays and the tracking lattice of a
+    relax run or a filippov run with finite R fit MAX_ENTRIES (and a relax
     run's weights and its non-decreasing bases fit its weight grid and family).
     A peano run has n * substeps steps, each n of ``n_list`` too, and its unused
     grid is checked all the same; a relax run's tracked grid up to one node per
@@ -368,7 +369,11 @@ def _check_sizes(top: dict) -> None:
         steps *= q * exp["integration_substeps"]
     if max(steps, declared) + 1 > MAX_NODES:
         raise ConfigError(f"steps + 1 must be at most {MAX_NODES} grid nodes")
-    for what, entries in (("(steps + 1) x 'N' x 'd'", (steps + 1) * N * d), ("'N' x 'N' x 'd'", N * N * d)):
+    sizes = [("(steps + 1) x 'N' x 'd'", (steps + 1) * N * d), ("'N' x 'N' x 'd'", N * N * d)]
+    if exp["kind"] == "relax" or exp["kind"] == "filippov" and exp["R"] < math.inf:
+        # ball_grid(R, d, R / 8) meshes 17 points an axis; 17^5 > MAX_ENTRIES, so d > 5 needs no power
+        sizes.append(("the tracking lattice's 17^'d' x 'd'", 17 ** min(d, 5) * d))
+    for what, entries in sizes:
         if entries > MAX_ENTRIES:
             raise ConfigError(f"{what} must be at most {MAX_ENTRIES} array entries")
     if exp["kind"] == "relax" and _mixtures(top["family"].size, q, exp["weight_steps"]) > MAX_NODES:

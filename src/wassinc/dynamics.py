@@ -9,9 +9,12 @@ family of one control, ``controls=(0,)``.  Moving every particle of a
 cloud along a field's characteristics advances the empirical measure
 itself; a curve is its positions, one read-only (nodes, N, d) array,
 which every step and sweep reads, and ``Trajectory.at`` makes one node a
-cloud.  ``march`` is the one loop that writes a curve's nodes, each
-checked finite.  Every Euler curve steps with
-``delayed_step``: ``integrate`` hands it the evolving positions, peano's
+cloud.  Every time grid, a curve's, a signal's or a rate set's, is a
+``time_axis``: a finite, strictly increasing, read-only copy, so none
+holds its caller's array, and ``snapped_index`` reads the node at or
+before a time.  ``march`` is the one loop that writes a curve's nodes,
+each checked finite.  Every Euler curve steps with ``delayed_step``:
+``integrate`` hands it the evolving positions, peano's
 scheme and every tracking iterate those of an earlier curve, and a field
 bound to a curve is ``inclusion.signal_field``.  Once a curve is built,
 ``rule`` and ``gaps`` sweep all its nodes at once, in blocks of
@@ -43,22 +46,19 @@ class RateFunctions:
     m_values: np.ndarray
     l_values: np.ndarray
     L_values: np.ndarray
-    times: list = dc_field(init=False, repr=False)
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        if bp.ndim != 1 or bp.size < 2 or not np.all(np.diff(bp) > 0) or not np.isfinite(bp[-1]):
-            raise ValueError("need at least two finite, strictly increasing breakpoints")
+        bp = time_axis(self.breakpoints, min_nodes=2)[0]
         if bp[0] != 0.0:
             raise ValueError(f"breakpoints must start at 0, got {bp[0]}")
         object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "times", bp.tolist())
         for name in ("m_values", "l_values", "L_values"):
-            v = np.asarray(getattr(self, name), dtype=float)
+            v = np.array(getattr(self, name), dtype=float)
             if v.shape != (bp.size - 1,):
                 raise ValueError(f"need one value per segment ({bp.size - 1}), got {v.tolist()}")
             if not np.all((v >= 0) & (v < np.inf)):
                 raise ValueError(f"values must be finite and nonnegative, got {v.tolist()}")
+            v.setflags(write=False)
             object.__setattr__(self, name, v)
 
     @classmethod
@@ -75,12 +75,11 @@ class RateFunctions:
         return float(self.breakpoints[-1])
 
     def at(self, which: str, t):
-        """Left-constant evaluation, clamped to [0, T]; for an array t an
-        array with each entry as a scalar call."""
+        """Left-constant evaluation, clamped to [0, T]: a float for a scalar
+        t, for an array t an array of the same values."""
         vals = getattr(self, f"{which}_values")
-        if np.ndim(t):
-            return vals[np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1, 0, vals.size - 1)]
-        return float(vals[min(snapped_index(self.times, t, 0.0), vals.size - 1)])
+        out = vals[np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1, 0, vals.size - 1)]
+        return out if np.ndim(t) else float(out)
 
     def integral(self, which: str, a, b):
         """Exact integral of the chosen rate over [a, b] ∩ [0, T]; for arrays
@@ -105,10 +104,16 @@ class RateFunctions:
         return RateFunctions(bp, *(np.maximum(self.at(r, left), other.at(r, left)) for r in "mlL"))
 
 
-def grid_snap(grid: np.ndarray) -> float:
-    """Lookup tolerance of a time grid: 1e-9 of its smallest step, 0 for
-    a single node."""
-    return 1e-9 * float(np.min(np.diff(grid))) if grid.size > 1 else 0.0
+def time_axis(grid, min_nodes: int = 1) -> tuple[np.ndarray, float, list]:
+    """The one check of a time grid: a read-only float copy of ``grid``, its
+    lookup tolerance (1e-9 of its smallest step, 0 for a single node) and its
+    times as a list.  ShapeMismatchError unless the grid is one-dimensional,
+    finite and strictly increasing, with at least ``min_nodes`` nodes."""
+    g = np.array(grid, dtype=float)
+    if g.ndim != 1 or g.size < min_nodes or not (np.isfinite(g).all() and np.all(np.diff(g) > 0)):
+        raise ShapeMismatchError(f"need a one-dimensional, finite, strictly increasing grid of >= {min_nodes} nodes")
+    g.setflags(write=False)
+    return g, 1e-9 * float(np.min(np.diff(g))) if g.size > 1 else 0.0, g.tolist()
 
 
 def snapped_index(times: list, t: float, snap: float) -> int:
@@ -200,11 +205,12 @@ class Trajectory:
     """A time grid and the particle positions at every node, one array.
 
     ``points`` is a read-only (nodes, N, d) array; row i of every node is
-    the same characteristic path throughout.  The constructor copies the
-    positions given and checks them finite; ``march``, which checks every
-    step, hands over its buffer uncopied.  ``at(t)`` is the cloud of the
-    nearest node at or before t (left constant), a checked copy; times
-    before the grid start return the initial cloud.
+    the same characteristic path throughout.  ``grid`` is a ``time_axis``
+    copy.  The constructor copies the positions given and checks them
+    finite; ``march``, which checks every step, hands over its buffer
+    uncopied.  ``at(t)`` is the cloud of the nearest node at or before t
+    (left constant), a checked copy; times before the grid start return
+    the initial cloud.
     """
 
     grid: np.ndarray
@@ -213,23 +219,19 @@ class Trajectory:
     times: list = dc_field(init=False, repr=False)
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 1 or g.size < 1 or not np.all(np.diff(g) > 0):
-            raise ShapeMismatchError("grid must be one-dimensional and strictly increasing")
+        axis = time_axis(self.grid)
         pts = np.array(self.points, dtype=float)
-        if pts.ndim != 3 or pts.shape[0] != g.size or 0 in pts.shape:
-            raise ShapeMismatchError(f"need (nodes, N, d) positions for {g.size} nodes, got shape {pts.shape}")
+        if pts.ndim != 3 or pts.shape[0] != len(axis[2]) or 0 in pts.shape:
+            raise ShapeMismatchError(f"need (nodes, N, d) positions for {len(axis[2])} nodes, got shape {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("trajectory coordinates must be finite")
-        self._freeze(g, pts)
+        self._freeze(axis, pts)
 
-    def _freeze(self, g: np.ndarray, pts: np.ndarray) -> None:
-        """Hold positions already checked finite, frozen in place, not copied."""
+    def _freeze(self, axis: tuple, pts: np.ndarray) -> None:
+        """Hold a ``time_axis`` and positions already checked finite, frozen in place, not copied."""
         pts.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "snap", grid_snap(g))
-        object.__setattr__(self, "times", g.tolist())
+        for name, value in zip(("grid", "snap", "times", "points"), (*axis, pts)):
+            object.__setattr__(self, name, value)
 
     def node_index(self, t: float) -> int:
         """Index of the nearest node at or before t (snapped within 1e-9 dt)."""
@@ -249,7 +251,8 @@ def march(start: ParticleCloud, grid: np.ndarray, step: Callable) -> Trajectory:
     curve's (nodes, N, d) buffer whose nodes 0..k are written, and is
     checked finite (BlowUpError, see ``_check_finite``).  The returned
     trajectory holds that buffer."""
-    times = grid.tolist()
+    axis = time_axis(grid)
+    times = axis[2]
     buf = np.empty((len(times),) + start.points.shape)
     buf[0] = start.points
     rows = buf.view()
@@ -259,7 +262,7 @@ def march(start: ParticleCloud, grid: np.ndarray, step: Callable) -> Trajectory:
             buf[k + 1] = step(k, times[k], times[k + 1], rows)
             _check_finite(buf[k + 1], rows[k], k + 1, times[k + 1])
     traj = object.__new__(Trajectory)  # every node is checked: no copy, no re-check
-    traj._freeze(grid, buf)
+    traj._freeze(axis, buf)
     return traj
 
 
@@ -280,11 +283,6 @@ def integrate(
     BlowUpError (see ``_check_finite``) if a coordinate leaves the finite
     range.
     """
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 1:
-        raise ShapeMismatchError("grid must be a nonempty one-dimensional array")
-    if g.size >= 2 and not np.all(np.diff(g) > 0):
-        raise ShapeMismatchError("grid must be strictly increasing")
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
     if field.size != 1:
@@ -296,7 +294,7 @@ def integrate(
     def rk4(k, t0, t1, rows):
         return _rk4_step(field, rows[k], t0, t1 - t0, k + 1)
 
-    return march(start, g, euler if method == "euler" else rk4)
+    return march(start, grid, euler if method == "euler" else rk4)
 
 
 def _check_finite(X: np.ndarray, last: np.ndarray, step: int, t: float) -> None:

@@ -14,13 +14,16 @@ follows it.
 
 ``peano_solve`` builds a trajectory-selection pair by splitting the
 horizon into n blocks and, on every euler sub-interval, choosing a
-control against the cloud delayed by one block (the start cloud stands in
-for negative times) and taking ``dynamics.delayed_step``: the particles
-advance with that same delayed cloud as the measure argument.
-``inclusion_residual`` replays that step from the trajectory's own
-nodes and the signal's recorded controls, so it reads 0 for a pair the
-scheme built and more wherever trajectory and signal disagree.
-"""
+control against the delayed cloud, the node at or before t_k - T/n (the
+start cloud stands in for negative times), and taking
+``dynamics.delayed_step``: the particles advance with that same delayed
+cloud as the measure argument.  ``inclusion_residual`` replays that step
+by the same rule from the trajectory's own nodes and the signal's
+recorded controls, so it reads 0 for a pair the scheme built and more
+wherever trajectory and signal disagree.  A ``ControlSignal`` reads its
+control at a time and the controls between two nodes
+(``controls_between``, which ``relax.aumann_realize`` reads block by
+block)."""
 
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dynamics import ControlledFamily, Trajectory, delayed_step, grid_snap, march, snapped_index, sup_norm
+from .dynamics import ControlledFamily, Trajectory, delayed_step, march, snapped_index, sup_norm, time_axis
 from .errors import ShapeMismatchError
 from .measure import ParticleCloud, sup_wasserstein_cost
 
@@ -56,22 +59,15 @@ class ControlSignal:
     times: list = dc_field(init=False, repr=False)
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        idx = np.asarray(self.indices, dtype=int)
-        if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
-            raise ShapeMismatchError("signal grid must be strictly increasing with >= 2 nodes")
-        if idx.shape != (g.size - 1,):
+        axis = time_axis(self.grid, min_nodes=2)
+        idx = np.array(self.indices, dtype=int)
+        if idx.shape != (axis[0].size - 1,):
             raise ShapeMismatchError("need one control index per grid interval")
         if np.any(idx < 0):
             raise ValueError("control indices must be nonnegative")
-        g = g.copy()
-        g.setflags(write=False)
-        idx = idx.copy()
         idx.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "snap", grid_snap(g))
-        object.__setattr__(self, "times", g.tolist())
+        for name, value in zip(("grid", "snap", "times", "indices"), (*axis, idx)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_intervals(self) -> int:
@@ -80,6 +76,11 @@ class ControlSignal:
     def index_at(self, t: float) -> int:
         k = snapped_index(self.times, t, self.snap)
         return int(self.indices[min(k, self.indices.size - 1)])
+
+    def controls_between(self, a: float, b: float) -> np.ndarray:
+        """The controls of the intervals from the node at a to the node at b
+        (each snapped within 1e-9 of the smallest step), a read-only view."""
+        return self.indices[snapped_index(self.times, a, self.snap) : snapped_index(self.times, b, -self.snap) + 1]
 
 
 def signal_field(family: ControlledFamily, signal: ControlSignal,
@@ -161,13 +162,11 @@ def peano_solve(
     rng = np.random.Generator(np.random.Philox(key=seed)) if strategy == "random" else None
 
     T = family.rates.duration
-    steps = n * substeps
-    grid = np.linspace(0.0, T, steps + 1)
-    indices = np.empty(steps, dtype=int)
+    grid, snap, times = time_axis(np.linspace(0.0, T, n * substeps + 1))
+    indices = np.empty(n * substeps, dtype=int)
 
     def step(k, t0, t1, rows):
-        # delay of one block == exactly `substeps` grid nodes
-        delayed, X = rows[max(0, k - substeps)], rows[k]
+        delayed, X = rows[snapped_index(times, t0 - T / n, snap)], rows[k]  # as inclusion_residual replays it
         indices[k] = u = _select_control(family, t0, delayed, X, strategy, rng)
         return delayed_step(family, t0, t1, delayed, u, X)
 

@@ -59,8 +59,23 @@ class ParticleCloud:
         return self.points.shape[1]
 
     def norms(self) -> np.ndarray:
-        """Euclidean norm of every particle, shape (N,)."""
-        return np.linalg.norm(self.points, axis=1)
+        """Euclidean norm of every particle, shape (N,) (see ``_norms``)."""
+        return _norms(self.points)
+
+
+def _norms(points: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, as ``np.linalg.norm``, but for a row of
+    finite coordinates whose norm reads 0 with a coordinate nonzero, or reads inf:
+    there M |row / M|, M its largest |coordinate|, so no square under- or overflows."""
+    with np.errstate(over="ignore"):  # a row whose squares overflow is rescaled below
+        norms = np.linalg.norm(points, axis=-1)
+        odd = (norms == 0.0) | (norms == math.inf)
+        if odd.any():
+            rows = points[odd]
+            top = np.abs(rows).max(axis=-1, keepdims=True)
+            top = np.where((top > 0.0) & (top < math.inf), top, 1.0)  # a zero or non-finite row keeps its norm
+            norms[odd] = top[:, 0] * np.linalg.norm(rows / top, axis=-1)
+    return norms
 
 
 def _check_p(p: float) -> float:
@@ -77,7 +92,7 @@ def moment(cloud: ParticleCloud, p: float) -> float:
 
 def moments(points: np.ndarray, p: float) -> np.ndarray:
     """``moment`` of the cloud of every row of a (K, N, d) stack, bit for bit."""
-    return np.array(_power_means(np.linalg.norm(points, axis=-1), _check_p(p), points.shape[1]))
+    return np.array(_power_means(_norms(points), _check_p(p), points.shape[1]))
 
 
 def _pow(x, p: float):
@@ -141,7 +156,7 @@ def tail_norms(points: np.ndarray, R: float, p: float, shifted: bool = False) ->
     p = _check_p(p)
     if R < 0:
         raise ValueError(f"radius R must be nonnegative, got {R}")
-    norms = np.linalg.norm(points, axis=-1)
+    norms = _norms(points)
     vals = np.where(norms >= R, 1.0 + norms if shifted else norms, 0.0)
     return np.array(_power_means(vals, p, points.shape[1]))
 

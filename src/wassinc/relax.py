@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import bounds
-from .dynamics import ControlledFamily, Trajectory, integrate, snapped_index
+from .dynamics import ControlledFamily, Trajectory, integrate
 from .errors import ResolutionError
 from .filippov import FilippovCertificate, filippov_track
 from .inclusion import ControlSignal, signal_field
@@ -127,10 +127,7 @@ def aumann_realize(
     out_indices = []
     n_majority = 0
     for a, b in zip(snapped[:-1], snapped[1:]):
-        lo = snapped_index(chattering_signal.times, a, chattering_signal.snap)
-        hi = snapped_index(chattering_signal.times, b, -chattering_signal.snap)
-        block_idx = chattering_signal.indices[lo : hi + 1]
-        values, counts = np.unique(block_idx, return_counts=True)
+        values, counts = np.unique(chattering_signal.controls_between(a, b), return_counts=True)
         if values.size > 1:
             n_majority += 1
         chat_index = int(values[np.argmax(counts)])

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import wassinc.config as config_module
+import wassinc.filippov as filippov_module
 from wassinc import ControlledFamily, ParticleCloud, RateFunctions, integrate, parse_config
 from wassinc.catalog import constants_family, gain_family, zero_field
 from wassinc.errors import BlowUpError, ConfigError
@@ -212,6 +213,35 @@ def test_ceilings_bound_the_grid_the_trajectory_and_the_n_by_n_arrays():
         config = parse_config(scenario(path.stem))
         assert config.steps + 1 < nodes // 50
         assert (config.steps + 1) * config.N * config.d < entries // 50 and config.N**2 * config.d < entries // 50
+
+
+def lattice_run(kind, d, R=2.0):
+    """A four-step filippov (radius R) or relax run in d dimensions."""
+    raw = scenario("filippov_gain" if kind == "filippov" else "relax_bangbang")
+    raw.update(d=d, initial={"kind": "gaussian", "sigma": 1.0}, grid={"steps": 4})
+    if kind == "filippov":
+        raw["experiment"].update(R=R, ref_initial={"kind": "gaussian", "sigma": 1.0})
+    else:
+        raw["family"]["controls"] = [[-1.0] * d, [1.0] * d]
+    return raw
+
+
+def test_the_tracking_lattice_has_a_ceiling(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(filippov_module, "ball_grid", refuse)
+    # ball_grid(R, d, R / 8) meshes 17^d points of d coordinates: 334084 entries at d = 4, 7099285 at d = 5
+    for raw in (lattice_run("filippov", 4), lattice_run("filippov", 8, "inf"), lattice_run("relax", 4)):
+        parse_config(raw)
+    message = r"^the tracking lattice's 17\^'d' x 'd' must be at most 1048576 array entries$"
+    for raw in (lattice_run("filippov", 5), lattice_run("relax", 5), lattice_run("filippov", 2**17)):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(raw)
+    code, out = run_cli(tmp_path, "filippov", lattice_run("filippov", 8))  # a 52 GiB mesh
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: the tracking lattice") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 # (scenario, path, the key the error names); with no ceiling, each value

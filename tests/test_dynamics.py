@@ -7,6 +7,7 @@ from wassinc import (
     ControlledFamily,
     ParticleCloud,
     RateFunctions,
+    Trajectory,
     ball_grid,
     integrate,
     moment,
@@ -22,7 +23,9 @@ from wassinc.catalog import (
     rotation_field,
     zero_field,
 )
+from wassinc.dynamics import time_axis
 from wassinc.errors import BlowUpError, ShapeMismatchError
+from wassinc.inclusion import ControlSignal
 
 from conftest import cloud, delta, random_cloud, const_rates
 
@@ -148,14 +151,65 @@ class TestTrajectoryLookup:
     def test_left_constant_and_snap(self):
         grid = np.linspace(0.0, 1.0, 5)
         clouds = tuple(delta(float(k)) for k in range(5))
-        from wassinc import Trajectory
-
         traj = Trajectory(grid=grid, points=[c.points for c in clouds])
         assert traj.node_index(0.3) == 1
         assert traj.node_index(0.25) == 1
         assert traj.node_index(0.25 - 1e-13) == 1  # snaps up to the node
         assert traj.node_index(-0.4) == 0
         assert traj.node_index(2.0) == 4
+
+
+class TestTimeAxis:
+    """Every grid is checked, copied and frozen by ``time_axis`` alone."""
+
+    def test_a_read_only_copy_its_tolerance_and_times(self):
+        grid = np.array([0.0, 0.5, 0.75, 2.0])
+        axis, tolerance, times = time_axis(grid)
+        grid[1] = 0.6
+        assert axis.tolist() == times == [0.0, 0.5, 0.75, 2.0] and not axis.flags.writeable
+        assert tolerance == 1e-9 * 0.25 and time_axis([3])[1:] == (0.0, [3.0])
+
+    @pytest.mark.parametrize("grid", [[], [[0.0, 1.0]], 1.0, [0.0, 0.0], [1.0, 0.5], [0.0, math.inf],
+                                      [-math.inf, 0.0], [0.0, math.nan, 1.0]])
+    def test_every_owner_rejects_a_bad_grid(self, grid):
+        for owner in (time_axis, lambda g: Trajectory(grid=g, points=np.zeros((np.size(g), 1, 1))),
+                      lambda g: integrate(zero_field(const_rates(0, 0, 0)), delta(0.0), g),
+                      lambda g: ControlSignal(grid=g, indices=np.zeros(max(np.size(g) - 1, 0), dtype=int)),
+                      lambda g: RateFunctions(g, *[np.ones(max(np.size(g) - 1, 0))] * 3)):
+            with pytest.raises(ShapeMismatchError, match="^need a one-dimensional, finite, strictly increasing"):
+                owner(grid)
+
+    def test_signals_and_rates_need_two_nodes(self):
+        with pytest.raises(ShapeMismatchError, match="grid of >= 2 nodes$"):
+            ControlSignal(grid=[0.0], indices=np.zeros(0, dtype=int))
+        with pytest.raises(ShapeMismatchError, match="grid of >= 2 nodes$"):
+            RateFunctions([0.0], [], [], [])
+
+    def test_an_infinite_node_is_no_node(self):
+        with pytest.raises(ShapeMismatchError):
+            Trajectory(grid=[0.0, math.inf], points=np.zeros((2, 1, 1)))
+        with pytest.raises(ShapeMismatchError):
+            integrate(zero_field(const_rates(0, 0, 0)), delta(0.0), [0.0, 1.0, math.inf])
+
+    def test_no_owner_holds_its_callers_array(self):
+        grid, points = np.linspace(0.0, 1.0, 5), np.zeros((5, 1, 1))
+        bp, m = np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0])
+        held = [Trajectory(grid=grid, points=points), integrate(decay_field(), delta(1.0), grid),
+                ControlSignal(grid=grid, indices=np.arange(4))]
+        rates = RateFunctions(bp, m, m, m)
+        grid[1], bp[1], m[1] = 0.3, 0.7, 5.0
+        for owner in held:
+            assert owner.grid.tolist() == owner.times == [0.0, 0.25, 0.5, 0.75, 1.0]
+            assert not owner.grid.flags.writeable and owner.snap == 1e-9 * 0.25
+        assert [held[0].node_index(0.26), held[2].index_at(0.26)] == [1, 1]
+        assert rates.at("m", 0.6) == rates.at("m", [0.6])[0] == 2.0 and rates.integral("m", 0.0, 1.0) == 1.5
+        assert not any(a.flags.writeable for a in (rates.breakpoints, rates.m_values, rates.l_values))
+
+    def test_controls_between_two_nodes(self):
+        signal = ControlSignal(grid=np.linspace(0.0, 1.0, 6), indices=[3, 1, 4, 1, 5])
+        for a, b, expected in [(0.0, 1.0, [3, 1, 4, 1, 5]), (0.2, 0.6, [1, 4]), (0.4, 0.6, [4]),
+                               (0.2 - 1e-15, 0.6 + 1e-15, [1, 4]), (0.2 + 1e-15, 0.6 - 1e-15, [1, 4])]:
+            assert signal.controls_between(a, b).tolist() == expected
 
 
 class TestCertifiedEnvelopes:

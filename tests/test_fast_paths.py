@@ -6,8 +6,10 @@
   usable core for N >= 64: bitwise equal to one ``wasserstein_cost`` per
   node, in input order, with the checks before any solve and the solver's
   error from a worker.
-* Scalar time lookups bisect a Python list: equal to the ``np.searchsorted``
-  formulas they replace, on nodes, one ulp either side and outside [0, T].
+* Scalar time lookups of curves and signals bisect a Python list: equal
+  to the ``np.searchsorted`` formula they replace, on nodes, one ulp
+  either side and outside [0, T]; a rate's scalar lookup is its array
+  lookup, as a float.
 * A Trajectory is one read-only array: ``at(t)`` is a checked copy of a
   row, equal bit for bit to it, the array equals the per-step loop that
   built one cloud per step, no step can write it, and the public
@@ -32,7 +34,7 @@ from scipy.optimize import linear_sum_assignment
 from wassinc import ControlledFamily, ParticleCloud, RateFunctions, Trajectory, convexify, integrate, signal_field
 from wassinc import measure
 from wassinc.catalog import bounded_kernel_field, gain_family, mean_attraction_field, mean_gain_family, rotation_field
-from wassinc.dynamics import grid_snap, march, snapped_index
+from wassinc.dynamics import march, snapped_index, time_axis
 from wassinc.errors import ShapeMismatchError
 from wassinc.inclusion import ControlSignal, peano_solve
 from wassinc.measure import assignment_cost, pairwise_cost, wasserstein_cost, wasserstein_costs
@@ -244,9 +246,8 @@ def random_grid(rng, nodes, T=None):
 @pytest.mark.parametrize("nodes", [1, 2, 3, 17, 200])
 def test_snapped_index_equals_searchsorted(rng, nodes):
     for _ in range(5):
-        grid = random_grid(rng, nodes)
-        times = grid.tolist()
-        for snap in (grid_snap(grid), -grid_snap(grid), 0.0):
+        grid, tolerance, times = time_axis(random_grid(rng, nodes))
+        for snap in (tolerance, -tolerance, 0.0):
             for t in probe_times(grid, rng):
                 assert snapped_index(times, t, snap) == searchsorted_index(grid, t, snap), (t, snap)
 

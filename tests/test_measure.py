@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ class TestMoment:
         c = cloud([r, 0.0], [0.0, -r], [-r, 0.0], [0.0, r])
         assert moment(c, 2000) == tail_norm(c, 0.0, 2000) == tail_norm(c, 0.5 * r, 2000) == r
         assert moment(cloud([0.0, 0.0], [0.0, 0.0]), 2000) == 0.0
+
+    @pytest.mark.parametrize("r", [1e-200, 1e-170, 1e160, 1e300, 1.7e308])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_norms_neither_underflow_nor_overflow(self, r, p):
+        # |x|^2 of every atom under- or overflows: each norm is scaled by its largest coordinate
+        c = cloud([r, 0.0], [0.0, -r], [0.6 * r, 0.8 * r])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [moment(c, p), tail_norm(c, 0.0, p), tail_norm(c, 0.5 * r, p), *c.norms()]
+        assert values == pytest.approx([r] * 6, rel=4 * 2.0**-52, abs=0.0)
 
     @given(
         pts=hnp.arrays(
