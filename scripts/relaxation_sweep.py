@@ -17,7 +17,6 @@ from wassinc import (
     convexify,
     integrate,
     relax_approximate,
-    signal_field,
 )
 from wassinc.catalog import constants_family
 
@@ -26,12 +25,10 @@ def main() -> int:
     T = float(sys.argv[1]) if len(sys.argv) > 1 else 0.25
     steps = int(sys.argv[2]) if len(sys.argv) > 2 else 2000
     family = constants_family([[-1.0], [1.0]], RateFunctions.constant(1.0, 0.0, 0.0, T))
-    chat = convexify(family, q=2, weight_steps=2)
-    idx = chat.controls.index(ChatteringControl((0, 1), (1, 1), 2))
+    chat = convexify(family, [ChatteringControl((0, 1), (1, 1), 2)])
     grid = np.linspace(0.0, T, steps + 1)
-    signal = ControlSignal(grid=grid, indices=np.full(grid.size - 1, idx, dtype=int))
-    start = ParticleCloud(np.array([[0.0]]))
-    relaxed = integrate(signal_field(chat, signal), start, grid)
+    signal = ControlSignal(grid=grid, indices=np.zeros(grid.size - 1, dtype=int))
+    relaxed = integrate(chat, ParticleCloud(np.array([[0.0]])), grid)
     print(f"T = {T}, fine grid = {steps} steps, mixture = (1/2, 1/2) of (-1, +1)")
     print(f"{'target':>8s} {'blocks':>7s} {'measured':>12s} {'meets':>6s} {'guaranteed':>11s}")
     for delta in (0.2, 0.1, 0.05, 0.02):

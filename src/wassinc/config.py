@@ -5,7 +5,9 @@ in one pass: each value is typed (an integer is never a bool or fractional,
 a real is a JSON number) and range-checked, an absent key takes its
 default, and the field, family and ``w`` arrive built.  A sampler, field,
 family or experiment has the keys of its "kind" or "label", a ``verify``
-experiment also those of its ``what``.  A seed is an integer in [0, 2^64),
+experiment also those of its ``what``; a key that no table of its block
+names is an error, and an experiment block may hold the keys of every kind
+and check, so a kind given on the command line replaces its own.  A seed is an integer in [0, 2^64),
 a null ``ref_seed`` (seed + 1) mod 2^64.  A grid has its ``steps``, or
 round(T / dt) steps, at least 1.  A run's grid must fit ``MAX_NODES``
 nodes and its largest arrays ``MAX_ENTRIES`` entries (see ``_check_sizes``).
@@ -49,7 +51,7 @@ _REQUIRED = object()
 # Python objects of its own (a time, per-node results).  Measured on Python
 # 3.11 with numpy 2.4: a run at either ceiling peaks below 360 MiB resident and
 # completes under `ulimit -v 786432` (768 MiB).  A probe sample (up to three
-# report rows) and a relax mixture count as nodes; at those ceilings < 130 MiB.
+# report rows) counts as nodes; at that ceiling < 130 MiB.
 MAX_ENTRIES = 2**20
 MAX_NODES = 2**17
 
@@ -181,6 +183,15 @@ def _check(table: dict, raw, path: str, top: dict | None = None) -> dict:
     return out
 
 
+def _known(raw: dict, path: str, *tables) -> None:
+    """ConfigError naming the first key of the object ``raw`` at ``path`` that no
+    table of ``tables`` names (a table: a dict of keys, or an iterable of names)."""
+    names = {name for table in tables for key in table for name in ([key] if isinstance(key, str) else key)}
+    unknown = [key for key in raw if key not in names]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {path}")
+
+
 def _tagged(raw, path: str, top: dict, tag: str, tables: dict) -> dict:
     """A block whose ``tag`` key names the table of its other keys."""
     name = _check({tag: Key("str")}, raw, path, top)[tag]
@@ -193,8 +204,9 @@ def _seed(value, path: str, top: dict) -> int:
     return _check_seed(value, path.rpartition(".")[2])
 
 
-def _sampler(spec, path: str, top: dict) -> dict:
-    spec = _tagged(spec, path, top, "kind", SAMPLERS)
+def _sampler(raw, path: str, top: dict) -> dict:
+    spec = _tagged(raw, path, top, "kind", SAMPLERS)
+    _known(raw, path, ["kind"], *SAMPLERS.values())
     if spec["kind"] == "atoms" and (len(spec["atoms"]), {len(row) for row in spec["atoms"]}) != (top["N"], {top["d"]}):
         rows, entries = _shown(top["N"]), _shown(top["d"])
         raise ConfigError(f"{_subject(path + '.atoms')} must be N = {rows} rows of d = {entries} entries")
@@ -203,6 +215,7 @@ def _sampler(spec, path: str, top: dict) -> dict:
 
 def _grid(raw, path: str, top: dict) -> int:
     grid = _check(GRID, raw, path)
+    _known(raw, path, GRID)
     if grid["steps"] is None and grid["dt"] is None:
         raise ConfigError("grid needs either 'steps' or 'dt'")
     if grid["steps"] is None and top["T"] / grid["dt"] == math.inf:
@@ -222,6 +235,7 @@ def _experiment(raw, path: str, top: dict) -> dict:
     exp = _tagged(raw, path, top, "kind", EXPERIMENTS)
     if exp["kind"] == "verify":
         exp.update(_tagged(raw, path, top, "what", CHECKS))
+    _known(raw, path, ["kind", "what"], *EXPERIMENTS.values(), *CHECKS.values())
     name = exp.get("what", exp["kind"])
     needs = NEEDS.get(name, ("field",))
     if all(top[block] is None for block in needs):
@@ -339,15 +353,16 @@ def parse_config(raw: dict, kind: str | None = None, **overrides) -> ScenarioCon
             given["experiment"] = {**raw["experiment"], "kind": kind}
         raw = {**raw, **given}
     top = _check(TOP, raw, "config")
+    _known(raw, "config", TOP)
     _check_sizes(top)
     return ScenarioConfig(steps=top.pop("grid"), **top)
 
 
 def _check_sizes(top: dict) -> None:
-    """ConfigError unless the grid and a relax run's mixtures fit MAX_NODES
-    and the trajectory, the N x N x d arrays and the tracking lattice of a
-    relax run or a filippov run with finite R fit MAX_ENTRIES (and a relax
-    run's weights and its non-decreasing bases fit its weight grid and family).
+    """ConfigError unless the grid fits MAX_NODES and the trajectory, the
+    N x N x d arrays and the tracking lattice of a relax run or a filippov
+    run with finite R fit MAX_ENTRIES (and a relax run's weights and bases
+    fit its weight grid and family).
     A peano run has n * substeps steps, each n of ``n_list`` too, and its unused
     grid is checked all the same; a relax run's tracked grid up to one node per
     weight slot and substep of each step."""
@@ -364,8 +379,6 @@ def _check_sizes(top: dict) -> None:
             raise ConfigError("experiment 'weights' must be one per base, summing to 'weight_steps'")
         if max(exp["bases"]) >= top["family"].size:
             raise ConfigError(f"experiment 'bases' must be control indices below {top['family'].size}")
-        if list(exp["bases"]) != sorted(exp["bases"]):
-            raise ConfigError("experiment 'bases' must be non-decreasing")
         steps *= q * exp["integration_substeps"]
     if max(steps, declared) + 1 > MAX_NODES:
         raise ConfigError(f"steps + 1 must be at most {MAX_NODES} grid nodes")
@@ -376,15 +389,6 @@ def _check_sizes(top: dict) -> None:
     for what, entries in sizes:
         if entries > MAX_ENTRIES:
             raise ConfigError(f"{what} must be at most {MAX_ENTRIES} array entries")
-    if exp["kind"] == "relax" and _mixtures(top["family"].size, q, exp["weight_steps"]) > MAX_NODES:
-        raise ConfigError(f"relax must enumerate at most {MAX_NODES} mixtures of 'bases' over 'weight_steps'")
-
-
-def _mixtures(controls: int, q: int, weight_steps: int) -> int:
-    """How many mixtures ``relax.convexify`` enumerates, or MAX_NODES + 1 where that
-    is a lower bound (comb(n, k) >= comb(20, 10) > MAX_NODES once min(k, n - k) >= 10)."""
-    pairs = ((controls + q - 1, q), (weight_steps + q - 1, q - 1))
-    return math.prod(math.comb(n, k) if min(k, n - k) < 10 else MAX_NODES + 1 for n, k in pairs)
 
 
 def parse_rates(spec: dict, T: float, context: str) -> RateFunctions:
@@ -394,11 +398,13 @@ def parse_rates(spec: dict, T: float, context: str) -> RateFunctions:
     increasing from 0 to T with one finite, nonnegative value per segment;
     the three rates then share the union of their breakpoints.
     """
-    rates = []
-    for name, val in _check(dict.fromkeys("mlL", ANY), spec, f"{context}.rates").items():
+    rates, given = [], _check(dict.fromkeys("mlL", ANY), spec, f"{context}.rates")
+    _known(spec, f"{context}.rates", given)
+    for name, val in given.items():
         where = f"{context}.rates.{name}"
         if isinstance(val, dict):
             bp, vv = _check({"breakpoints": ANY, "values": ANY}, val, where).values()
+            _known(val, where, ["breakpoints", "values"])
         else:
             bp, vv = [0.0, T], [val]
         try:
@@ -427,6 +433,7 @@ def _check_dims(params: dict, context: str, d: int) -> None:
 
 def build_field(spec: dict, T: float, d: int, context: str = "config.field") -> ControlledFamily:
     params = _tagged(spec, context, {}, "label", FIELDS)
+    _known(spec, context, ["label", "rates"], *FIELDS.values())
     _check_dims(params, context, d)
     builder = getattr(catalog, params.pop("label") + "_field")
     return builder(**params, rates=parse_rates(spec.get("rates"), T, context))
@@ -434,6 +441,7 @@ def build_field(spec: dict, T: float, d: int, context: str = "config.field") -> 
 
 def build_family(spec: dict, T: float, d: int, context: str = "config.family") -> ControlledFamily:
     params = _tagged(spec, context, {}, "label", FAMILIES)
+    _known(spec, context, ["label", "rates"], *FAMILIES.values())
     _check_dims(params, context, d)
     builder = getattr(catalog, params.pop("label") + "_family")
     return builder(**params, rates=parse_rates(spec.get("rates"), T, context))

@@ -65,11 +65,12 @@ class ParticleCloud:
 
 def _norms(points: np.ndarray) -> np.ndarray:
     """Euclidean norm along the last axis, as ``np.linalg.norm``, but for a row of
-    finite coordinates whose norm reads 0 with a coordinate nonzero, or reads inf:
-    there M |row / M|, M its largest |coordinate|, so no square under- or overflows."""
+    finite coordinates whose norm reads below 2^-511 (where its squares are
+    subnormal) with a coordinate nonzero, or reads inf: there M |row / M|, M its
+    largest |coordinate|, so no square under- or overflows."""
     with np.errstate(over="ignore"):  # a row whose squares overflow is rescaled below
         norms = np.linalg.norm(points, axis=-1)
-        odd = (norms == 0.0) | (norms == math.inf)
+        odd = (norms < 2.0**-511) | (norms == math.inf)
         if odd.any():
             rows = points[odd]
             top = np.abs(rows).max(axis=-1, keepdims=True)

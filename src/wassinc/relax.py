@@ -1,22 +1,21 @@
-"""Convexified control families and their realization by fast switching.
+"""Mixtures of a finite control family and their realization by fast switching.
 
-``convexify`` enlarges a finite control family with weighted mixtures of
-its members, the weights living on a finite rational grid so the enlarged
-family stays finite.  ``aumann_realize`` converts a signal over such a
-mixture family back into pure controls by splitting each time block into
-consecutive sub-segments whose lengths are proportional to the weights,
-so the block time-average of the realized field matches the mixture
-exactly for fields constant in time.  ``relax_approximate`` chains radius
-and block-size choices, realization, integration, and a tracking run into
-the end-to-end density experiment: how closely can pure-control
-trajectories follow a mixture trajectory.
+``convexify`` builds the family of the weighted mixtures it is given,
+each a ``ChatteringControl``: a convex combination of parent controls
+with rational weights on one grid of 1/weight_den.  ``aumann_realize``
+converts a signal over such a mixture family back into pure controls by
+splitting each time block into consecutive sub-segments whose lengths
+are proportional to the weights, so the block time-average of the
+realized field matches the mixture exactly for fields constant in time.
+``relax_approximate`` chains radius and block-size choices, realization,
+integration, and a tracking run into the end-to-end density experiment:
+how closely can pure-control trajectories follow a mixture trajectory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -48,33 +47,21 @@ class ChatteringControl:
             raise ValueError("weight numerators must be nonnegative and sum to the denominator")
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative ints summing to ``total``, ascending."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def convexify(family: ControlledFamily, mixtures) -> ControlledFamily:
+    """Family of the given ``ChatteringControl`` mixtures, in the order given.
 
-
-def convexify(family: ControlledFamily, q: int = 2, weight_steps: int = 4) -> ControlledFamily:
-    """Family of all q-fold mixtures with weights on a grid of 1/weight_steps.
-
-    The parent rates carry over unchanged (convex combinations preserve
-    the growth, Lipschitz, and measure-Lipschitz bounds).  All vertices
-    are present via degenerate weights, so the result is flagged as
-    convex-valued, at grid resolution.
+    Every mixture has the same number q of bases and the same
+    ``weight_den`` (ValueError otherwise).  The parent rates carry over
+    unchanged (convex combinations preserve the growth, Lipschitz, and
+    measure-Lipschitz bounds).  A listed set of mixtures is not the hull,
+    so only a family of one mixture is flagged convex-valued.
     """
-    if q < 1 or weight_steps < 1:
-        raise ValueError("q and weight_steps must be at least 1")
-    controls = []
-    for base in combinations_with_replacement(range(family.size), q):
-        for comp in _compositions(weight_steps, q):
-            controls.append(
-                ChatteringControl(base_indices=base, weight_numerators=comp, weight_den=weight_steps)
-            )
-
+    controls = tuple(mixtures)
+    if len({(len(c.base_indices), c.weight_den) for c in controls}) != 1:
+        raise ValueError("need at least one mixture, all with one q and one weight_den")
+    if not all(0 <= b < family.size for c in controls for b in c.base_indices):
+        raise ValueError(f"mixture bases must be control indices below {family.size}")
+    q, weight_den = len(controls[0].base_indices), controls[0].weight_den
     bases = np.array([c.base_indices for c in controls]).T  # (q, M): slot j of every mixture
     numerators = np.array([c.weight_numerators for c in controls]).T  # (q, M)
     parents = np.arange(family.size)
@@ -87,14 +74,13 @@ def convexify(family: ControlledFamily, q: int = 2, weight_steps: int = 4) -> Co
         for b, k in zip(bases[:, idx], numerators[:, idx]):  # in slot order, as one mixture's sum
             k = k[..., None, None]
             acc += k * np.where(k != 0, vels[node + (b,)], 0.0)  # a zero weight never meets an inf
-        return acc / weight_steps
+        return acc / weight_den
 
     return ControlledFamily(
-        controls=tuple(controls),
+        controls=controls,
         rule=rule,
         rates=family.rates,
-        convex_images=True,
-        label=f"{family.label}|chattering(q={q},steps={weight_steps})",
+        label=f"{family.label}|chattering(q={q},steps={weight_den})",
         measure_dependent=family.measure_dependent,
     )
 
@@ -110,7 +96,8 @@ def aumann_realize(
     (recorded in the metadata); a block whose signal is not constant is
     re-blocked by majority, ties to the smallest index (also recorded).
     Within a block of length h carrying weights (w_1..w_q), consecutive
-    pure sub-segments of lengths w_j h are emitted in base-index order.
+    pure sub-segments of lengths w_j h are emitted in the order of the
+    mixture's bases.
     """
     grid = chattering_signal.grid
     raw = np.asarray(blocks, dtype=float)

@@ -34,7 +34,7 @@ from .bounds import BoundReport
 from .config import ScenarioConfig
 from .dynamics import Trajectory, integrate
 from .filippov import filippov_track
-from .inclusion import ControlSignal, inclusion_residual, peano_solve, refinement_study, signal_field
+from .inclusion import ControlSignal, inclusion_residual, peano_solve, refinement_study
 from .relax import ChatteringControl, convexify, relax_approximate
 from .verify import verify
 
@@ -175,13 +175,11 @@ def _run_filippov(config: ScenarioConfig):
 
 def _run_relax(config: ScenarioConfig):
     exp, family = config.experiment, config.family
-    delta, bases, weights = exp["delta"], exp["bases"], exp["weights"]
-    chat = convexify(family, q=len(bases), weight_steps=exp["weight_steps"])
-    # parse_config admits only non-decreasing bases, all of which convexify lists
-    idx = chat.controls.index(ChatteringControl(bases, weights, exp["weight_steps"]))
+    delta = exp["delta"]
+    chat = convexify(family, [ChatteringControl(exp["bases"], exp["weights"], exp["weight_steps"])])
     grid = config.time_grid()
-    relaxed_signal = ControlSignal(grid=grid, indices=np.full(grid.size - 1, idx, dtype=int))
-    relaxed_traj = integrate(signal_field(chat, relaxed_signal), config.start(), grid, method="euler")
+    relaxed_signal = ControlSignal(grid=grid, indices=np.zeros(grid.size - 1, dtype=int))
+    relaxed_traj = integrate(chat, config.start(), grid)  # a family of one control is a field
     tracked, signal, report = relax_approximate(
         family,
         relaxed_traj,

@@ -1,9 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from wassinc import ControlSignal, ParticleCloud, RateFunctions, signal_field
+from wassinc import ChatteringControl, ControlSignal, ParticleCloud, RateFunctions, signal_field
 from wassinc.cli import main as cli_main
 
 
@@ -31,6 +32,13 @@ def const_rates(m, l, L, T=1.0) -> RateFunctions:
 def control_field(family, k):
     """Control k of ``family`` alone, as a velocity field (a family of one control) on [0, T]."""
     return signal_field(family, ControlSignal(np.array([0.0, family.rates.duration]), [k]))
+
+
+def mixtures(size, q, steps):
+    """Every q-fold mixture of ``size`` controls with weights on the grid of
+    1/steps: bases in any order, repeated too, and zero weights included."""
+    weights = [k for k in itertools.product(range(steps + 1), repeat=q) if sum(k) == steps]
+    return [ChatteringControl(b, k, steps) for b in itertools.product(range(size), repeat=q) for k in weights]
 
 
 def fast_constant_field(rates=None, **top):

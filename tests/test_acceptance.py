@@ -23,7 +23,6 @@ from wassinc import (
     refinement_study,
     relax_approximate,
     run_scenario,
-    signal_field,
     verify,
 )
 from wassinc.catalog import constants_family, gain_family, linear_decay_field, mean_gain_family, zero_field
@@ -233,11 +232,10 @@ def test_criterion_08_filippov_certificate():
 def test_criterion_09_relaxation_density():
     T = 0.25
     fam = constants_family([[-1.0], [1.0]], const_rates(1.0, 0.0, 0.0, T))
-    chat = convexify(fam, q=2, weight_steps=2)
-    idx = chat.controls.index(ChatteringControl((0, 1), (1, 1), 2))
+    chat = convexify(fam, [ChatteringControl((0, 1), (1, 1), 2)])
     grid = np.linspace(0.0, T, 2001)
-    sig = ControlSignal(grid=grid, indices=np.full(grid.size - 1, idx, dtype=int))
-    relaxed = integrate(signal_field(chat, sig), delta(0.0), grid)
+    sig = ControlSignal(grid=grid, indices=np.zeros(grid.size - 1, dtype=int))
+    relaxed = integrate(chat, delta(0.0), grid)
     density_ok = True
     sups = []
     for target in (0.2, 0.1, 0.05):
@@ -254,7 +252,7 @@ def test_criterion_09_relaxation_density():
     c = delta(0.0).points
     identity_gap = 0.0
     for a, b in zip(blocks[:-1], blocks[1:]):
-        mix = (b - a) * chat.rule(a, c, [idx], x)[0]
+        mix = (b - a) * chat.rule(a, c, [0], x)[0]
         total = np.zeros_like(x)
         for k in range(realized.n_intervals):
             lo, hi = realized.grid[k], realized.grid[k + 1]

@@ -131,7 +131,7 @@ def test_a_family_has_exactly_one_velocity_callable():
     built += [config.build_family({"label": label, **params[label], "rates": rates}, 1.0, 2)
               for label in config.FAMILIES]
     signal = wassinc.ControlSignal(grid=[0.0, 1.0], indices=[0])
-    built += [wassinc.signal_field(built[-1], signal), wassinc.convexify(built[-1])]
+    built += [wassinc.signal_field(built[-1], signal), wassinc.convexify(built[-1], [wassinc.ChatteringControl((0,), (1,), 1)])]
     for family in built:
         assert [f.name for f in dataclasses.fields(family) if callable(getattr(family, f.name))] == ["rule"]
     methods = [name for name, member in vars(wassinc.ControlledFamily).items()

@@ -8,7 +8,6 @@ README table against the schema it is rendered from."""
 import contextlib
 import importlib.util
 import io
-import itertools
 import json
 import math
 import shutil
@@ -26,7 +25,7 @@ from wassinc import ControlledFamily, ParticleCloud, RateFunctions, integrate, p
 from wassinc.catalog import constants_family, gain_family, zero_field
 from wassinc.errors import BlowUpError, ConfigError
 from wassinc.filippov import filippov_track
-from wassinc.inclusion import ControlSignal, peano_solve, signal_field
+from wassinc.inclusion import ControlSignal, peano_solve
 from wassinc.relax import ChatteringControl, convexify, relax_approximate
 
 from conftest import fast_constant_field, run_cli
@@ -81,7 +80,6 @@ CASES = {
     "T_huge_integer": ("simulate_linear_decay", "T", 10**400, "'T'"),
     "p_huge_integer": ("verify_momentum_mean_attraction", "p", 10**400, "'p'"),
     "R_huge_integer": ("filippov_gain", "experiment.R", 10**400, "experiment 'R'"),
-    "bases_decreasing": ("relax_bangbang", "experiment.bases", [1, 0], "experiment 'bases'"),
     "vector_short": ("verify_momentum_mean_attraction", "field", {"label": "constant", "vector": [1.0], "rates": {
         "m": 1.0, "l": 0.0, "L": 0.0}}, "field 'vector'"),
     "vector_long": ("verify_gronwall_local_far_atom", "field.vector", [1.0, 2.0], "field 'vector'"),
@@ -106,17 +104,61 @@ def test_bad_value_exits_two_naming_the_key(tmp_path, capsys, case):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bases, ok", [([1, 0], False), ([0, 1], True), ([1, 1], True), ([0, 0], True)])
-def test_relax_bases_are_non_decreasing(bases, ok):
-    # convexify lists only non-decreasing base tuples; any other would miss the weight grid at run time
-    raw = mutate(scenario("relax_bangbang"), "experiment.bases", bases)
-    if ok:
-        config = parse_config(raw)
-        target = ChatteringControl(config.experiment["bases"], config.experiment["weights"], 2)
-        assert target in convexify(config.family, q=2, weight_steps=2).controls
-    else:
-        with pytest.raises(ConfigError, match="^experiment 'bases' must be non-decreasing$"):
-            parse_config(raw)
+def test_relax_bases_in_any_order(tmp_path):
+    # the mixture is the bases and weights as listed; the order only orders each block's switches
+    sups = []
+    for bases in ([0, 1], [1, 0]):
+        (tmp_path / str(bases[0])).mkdir()
+        code, out = run_cli(tmp_path / str(bases[0]), "relax", mutate(scenario("relax_bangbang"), "experiment.bases", bases))
+        assert code == 0
+        sups.append(json.loads((out / "manifest.json").read_text())["constants"]["measured_sup"])
+    assert sups[0] == sups[1]
+    for bases in ([1, 1], [0, 0]):
+        parse_config(mutate(scenario("relax_bangbang"), "experiment.bases", bases))
+    with pytest.raises(ConfigError, match=r"^experiment 'bases' must be control indices below 2$"):
+        parse_config(mutate(scenario("relax_bangbang"), "experiment.bases", [0, 2]))
+
+
+# (scenario, dotted path of a key that no table of its block names)
+UNKNOWN_KEYS = {
+    "top": ("simulate_linear_decay", "typo"),
+    "grid": ("simulate_linear_decay", "grid.typo"),
+    "sampler": ("peano_mean_gain", "initial.typo"),
+    "field": ("simulate_linear_decay", "field.typo"),
+    "family": ("peano_mean_gain", "family.typo"),
+    "rates": ("peano_mean_gain", "family.rates.typo"),
+    "experiment": ("simulate_linear_decay", "experiment.methd"),
+    "check": ("verify_momentum_mean_attraction", "experiment.typo"),
+    "w": ("filippov_gain", "experiment.w.typo"),
+    "ref_initial": ("filippov_gain", "experiment.ref_initial.typo"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNKNOWN_KEYS))
+def test_an_unknown_key_exits_two_naming_it_and_its_block(tmp_path, capsys, case):
+    name, path = UNKNOWN_KEYS[case]
+    raw = mutate(scenario(name), path, 1)
+    code, out = run_cli(tmp_path, raw["experiment"]["kind"], raw)
+    block, _, key = f"config.{path}".rpartition(".")
+    assert code == 2 and capsys.readouterr().err == f"error: unknown key '{key}' in {block}\n"
+    assert not out.exists()
+
+
+def test_an_unknown_key_of_a_rate_segment_is_named():
+    raw = mutate(scenario("simulate_linear_decay"), "field.rates.m", {"breakpoints": [0, 1], "values": [1], "value": 1})
+    with pytest.raises(ConfigError, match=r"^unknown key 'value' in config.field.rates.m$"):
+        parse_config(raw)
+
+
+def test_a_kind_override_reads_the_keys_of_every_kind():
+    # an experiment block may hold any kind's or check's keys, so each bundled
+    # scenario runs as every kind it has the blocks for
+    for path in SCENARIOS.glob("*.json"):
+        for kind in ("simulate", "peano", "filippov", "relax", "verify"):
+            try:
+                parse_config(scenario(path.stem), kind)
+            except ConfigError as exc:
+                assert not str(exc).startswith("unknown key"), (path.stem, kind, exc)
 
 
 def test_config_error_leaves_no_directory(tmp_path, capsys):
@@ -300,33 +342,18 @@ def test_a_huge_integer_is_echoed_by_its_length(tmp_path, capsys, name, path):
     assert not out.exists()
 
 
-def test_probe_samples_and_relax_mixtures_have_ceilings():
+def test_probe_samples_have_a_ceiling():
     nodes = config_module.MAX_NODES
     probe = scenario("verify_hypotheses_probe_catalog")
     parse_config(mutate(probe, "experiment.samples", nodes // 3))
     with pytest.raises(ConfigError, match=r"^experiment 'samples' must be an integer in \[1, 43690\], got 43691$"):
         parse_config(mutate(probe, "experiment.samples", nodes // 3 + 1))
-    # two controls and two bases: 3 x (weight_steps + 1) mixtures
-    relax = scenario("relax_bangbang")
-    steps = nodes // 3 - 1
-    parse_config(mutate(mutate(relax, "experiment.weight_steps", steps), "experiment.weights", [steps - 1, 1]))
-    with pytest.raises(ConfigError, match=r"^relax must enumerate at most 131072 mixtures"):
-        parse_config(mutate(mutate(relax, "experiment.weight_steps", steps + 1), "experiment.weights", [steps, 1]))
+
+
+def test_relax_weights_are_one_per_base_summing_to_weight_steps():
     for weights in ([1, 2], [2], [1, 1, 0]):
         with pytest.raises(ConfigError, match=r"^experiment 'weights' must be one per base, summing to 'weight_steps'$"):
             parse_config(mutate(scenario("relax_bangbang"), "experiment.weights", weights))
-
-
-def test_mixture_count_is_what_convexify_enumerates():
-    rates = RateFunctions.constant(1.0, 0.0, 0.0, 1.0)
-    for size, q, steps in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 5)):
-        family = constants_family([[float(k)] for k in range(size)], rates)
-        assert config_module._mixtures(size, q, steps) == len(convexify(family, q, steps).controls)
-    # past the exact range the count is MAX_NODES + 1, a lower bound
-    cap = config_module.MAX_NODES + 1
-    for size, q, steps in itertools.product((1, 2, 19, 40), (1, 2, 10, 11, 19, 40), (1, 9, 10, 18, 40, 10**400)):
-        exact = math.comb(size + q - 1, q) * math.comb(steps + q - 1, q - 1)
-        assert min(config_module._mixtures(size, q, steps), cap) == min(exact, cap)
 
 # a run at each ceiling: N = d = 1 on MAX_NODES nodes, and one particle in
 # d = MAX_ENTRIES / 2 on two nodes
@@ -395,11 +422,10 @@ def test_filippov_track_rejects_nan_tol():
 @pytest.mark.parametrize("policy", [-1, 0, math.inf, math.nan, True, "tail"])
 def test_relax_rejects_bad_radius_policy(policy):
     family = constants_family([[-1.0], [1.0]], RateFunctions.constant(1.0, 0.0, 0.0, 0.25))
-    chat = convexify(family, q=2, weight_steps=2)
+    chat = convexify(family, [ChatteringControl((0, 1), (1, 1), 2)])
     grid = np.linspace(0.0, 0.25, 101)
-    idx = chat.controls.index(ChatteringControl((0, 1), (1, 1), 2))
-    signal = ControlSignal(grid=grid, indices=np.full(100, idx))
-    traj = integrate(signal_field(chat, signal), ParticleCloud(np.zeros((1, 1))), grid)
+    signal = ControlSignal(grid=grid, indices=np.zeros(100, dtype=int))
+    traj = integrate(chat, ParticleCloud(np.zeros((1, 1))), grid)
     with pytest.raises(ValueError, match="radius_policy must be 'tail_rule' or a finite radius > 0"):
         relax_approximate(family, traj, signal, chat, 0.1, 1.0, radius_policy=policy)
     assert relax_approximate(family, traj, signal, chat, 0.1, 1.0, radius_policy=2)[2].radius == 2.0

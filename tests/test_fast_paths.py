@@ -39,6 +39,8 @@ from wassinc.errors import ShapeMismatchError
 from wassinc.inclusion import ControlSignal, peano_solve
 from wassinc.measure import assignment_cost, pairwise_cost, wasserstein_cost, wasserstein_costs
 
+from conftest import mixtures
+
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -2.5]
 
 
@@ -400,7 +402,7 @@ def test_rules_see_read_only_rows():
 FAMILIES = {
     "gain": lambda rates: gain_family([0.5, -1.0, 2.0], rates),
     "mean_gain": lambda rates: mean_gain_family([0.5, 1.0, -0.0], rates),
-    "mixtures": lambda rates: convexify(mean_gain_family([0.5, 2.0], rates), q=2, weight_steps=3),
+    "mixtures": lambda rates: convexify(mean_gain_family([0.5, 2.0], rates), mixtures(2, 2, 3)),
 }
 
 

@@ -8,12 +8,11 @@ from wassinc import (
     convexify,
     integrate,
     relax_approximate,
-    signal_field,
 )
 from wassinc.catalog import constants_family, mean_gain_family
 from wassinc.errors import ResolutionError
 
-from conftest import cloud, delta, random_cloud, const_rates
+from conftest import delta, mixtures, random_cloud, const_rates
 
 
 def bang_bang(T=1.0):
@@ -21,49 +20,54 @@ def bang_bang(T=1.0):
 
 
 def mixture_setup(T=0.25, steps=2000, weight_steps=2, bases=(0, 1), weights=(1, 1)):
+    """The bang-bang family, its one mixture, that mixture's constant signal
+    and its curve from a point mass at 0 (a family of one control is a field)."""
     fam = bang_bang(T)
-    chat = convexify(fam, q=len(bases), weight_steps=weight_steps)
-    idx = chat.controls.index(ChatteringControl(bases, weights, weight_steps))
+    chat = convexify(fam, [ChatteringControl(bases, weights, weight_steps)])
     grid = np.linspace(0.0, T, steps + 1)
-    sig = ControlSignal(grid=grid, indices=np.full(grid.size - 1, idx, dtype=int))
-    traj = integrate(signal_field(chat, sig), delta(0.0), grid)
+    sig = ControlSignal(grid=grid, indices=np.zeros(grid.size - 1, dtype=int))
+    traj = integrate(chat, delta(0.0), grid)
     return fam, chat, sig, traj
 
 
 class TestConvexify:
-    def test_q1_order_isomorphic(self):
-        fam = bang_bang()
-        chat = convexify(fam, q=1, weight_steps=3)
-        assert chat.size == fam.size
-        for k, c in enumerate(chat.controls):
-            assert c.base_indices == (k,) and c.weight_numerators == (3,) and c.weight_den == 3
+    def test_lists_the_mixtures_given_in_order(self):
+        given = mixtures(2, 2, 2)[::-1]
+        chat = convexify(bang_bang(), given)
+        assert chat.controls == tuple(given)
+        velocities = chat.rule(0.0, delta(0.0).points, np.arange(len(given)), np.array([[0.3]]))
+        for c, v in zip(given, velocities):  # the bang-bang controls are -1 and +1
+            assert v[0, 0] == sum(k * (2 * b - 1) for b, k in zip(c.base_indices, c.weight_numerators)) / 2
 
     def test_contains_zero_mixture(self):
-        fam = bang_bang()
-        chat = convexify(fam, q=2, weight_steps=2)
-        target = ChatteringControl((0, 1), (1, 1), 2)
-        idx = chat.controls.index(target)
-        vals = chat.rule(0.0, delta(0.0).points, [idx], np.array([[0.3]]))[0]
+        fam, chat, _, _ = mixture_setup(T=1.0, steps=4)
+        vals = chat.rule(0.0, delta(0.0).points, [0], np.array([[0.3]]))[0]
         assert vals[0, 0] == 0.0
 
-    def test_weight_steps_one_gives_vertices(self):
-        fam = bang_bang()
-        chat = convexify(fam, q=2, weight_steps=1)
-        for c in chat.controls:
-            assert c.weight_den == 1 and set(c.weight_numerators) <= {0, 1}
+    @pytest.mark.parametrize("given", [
+        [],
+        [ChatteringControl((0, 1), (1, 1), 2), ChatteringControl((0,), (2,), 2)],
+        [ChatteringControl((0, 1), (1, 1), 2), ChatteringControl((0, 1), (2, 2), 4)],
+        [ChatteringControl((0, 2), (1, 1), 2)],
+        [ChatteringControl((-1, 0), (1, 1), 2)],
+    ], ids=["none", "two_q", "two_dens", "base_past_family", "negative_base"])
+    def test_rejects_mixtures_it_cannot_stack(self, given):
+        with pytest.raises(ValueError):
+            convexify(bang_bang(), given)
 
     def test_rates_preserved_exactly(self):
         fam = mean_gain_family([0.5, 1.0], const_rates(1.0, 1.0, 1.0))
-        chat = convexify(fam, q=2, weight_steps=4)
+        chat = convexify(fam, mixtures(2, 2, 4))
         assert chat.rates is fam.rates
-        assert chat.convex_images
+        # a listed set is not its hull; one mixture is a convex set
+        assert not chat.convex_images and convexify(fam, chat.controls[:1]).convex_images
 
     def test_mixture_respects_parent_bounds(self, rng):
         # sampled sublinearity and Lipschitz probes at the parent rates
         from wassinc import moment
 
         fam = mean_gain_family([0.5, 1.0], const_rates(1.0, 1.0, 1.0))
-        chat = convexify(fam, q=2, weight_steps=4)
+        chat = convexify(fam, mixtures(2, 2, 4))
         c = random_cloud(rng, 6, 2)
         for _ in range(30):
             u = [int(rng.integers(chat.size))]
@@ -85,11 +89,7 @@ class TestAumannRealize:
         assert meta["majority_reblocked"] == 0
 
     def test_pure_weight_passthrough(self):
-        fam = bang_bang()
-        chat = convexify(fam, q=2, weight_steps=2)
-        pure = chat.controls.index(ChatteringControl((0, 1), (2, 0), 2))
-        grid = np.linspace(0, 1, 5)
-        sig = ControlSignal(grid=grid, indices=np.full(4, pure, dtype=int))
+        fam, chat, sig, _ = mixture_setup(T=1.0, steps=4, weights=(2, 0))
         realized, _ = aumann_realize(sig, chat, np.array([0.0, 1.0]))
         # weight 0 on the second base: a single pure segment of the first
         np.testing.assert_allclose(realized.grid, [0.0, 1.0])
@@ -113,6 +113,17 @@ class TestAumannRealize:
                 if ov > 0:
                     total += ov * fam.rule(lo, c, [realized.indices[k]], x)[0]
             assert abs(total[0, 0] - mix[0, 0]) <= 1e-12
+
+    def test_a_block_whose_signal_changes_takes_its_majority_mixture(self):
+        # mixture 0 is all control 0, mixture 1 half and half; three blocks of four intervals:
+        # a 1:3 majority for mixture 1, a 2:2 tie that goes to mixture 0, and a constant block
+        fam = bang_bang()
+        chat = convexify(fam, [ChatteringControl((0, 1), (2, 0), 2), ChatteringControl((0, 1), (1, 1), 2)])
+        sig = ControlSignal(grid=np.linspace(0.0, 1.0, 13), indices=[0, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1])
+        realized, meta = aumann_realize(sig, chat, np.linspace(0.0, 1.0, 4))
+        assert meta == {"snapped_boundaries": 0, "majority_reblocked": 2}
+        assert list(realized.indices) == [0, 1, 0, 0, 1]
+        np.testing.assert_allclose(realized.grid, [0.0, 1 / 6, 1 / 3, 2 / 3, 5 / 6, 1.0], rtol=0, atol=1e-15)
 
     def test_boundaries_snap_to_grid(self):
         fam, chat, sig, _ = mixture_setup(T=1.0, steps=10)
@@ -139,11 +150,7 @@ class TestRelaxApproximate:
         assert report.measured_sup == report.density.measured.max()
 
     def test_pure_signal_returns_input(self):
-        fam, chat, _, _ = mixture_setup(T=0.25, steps=64)
-        pure = chat.controls.index(ChatteringControl((0, 1), (2, 0), 2))
-        grid = np.linspace(0, 0.25, 65)
-        sig = ControlSignal(grid=grid, indices=np.full(64, pure, dtype=int))
-        traj = integrate(signal_field(chat, sig), delta(0.0), grid)
+        fam, chat, sig, traj = mixture_setup(T=0.25, steps=64, weights=(2, 0))
         tracked, _, report = relax_approximate(
             fam, traj, sig, chat, delta=0.2, p=1, radius_policy=3.0
         )
@@ -163,11 +170,10 @@ class TestRelaxApproximate:
     def test_amplification_saturates_past_float_range(self):
         # (l T)^p = (2.5e199)^2 overflows as a float power
         fam = constants_family([[-1.0], [1.0]], const_rates(1.0, 1e200, 0.0, 0.25))
-        chat = convexify(fam, q=2, weight_steps=2)
-        idx = chat.controls.index(ChatteringControl((0, 1), (1, 1), 2))
+        chat = convexify(fam, [ChatteringControl((0, 1), (1, 1), 2)])
         grid = np.linspace(0.0, 0.25, 257)
-        sig = ControlSignal(grid=grid, indices=np.full(grid.size - 1, idx, dtype=int))
-        traj = integrate(signal_field(chat, sig), delta(0.0), grid)
+        sig = ControlSignal(grid=grid, indices=np.zeros(grid.size - 1, dtype=int))
+        traj = integrate(chat, delta(0.0), grid)
         _, _, report = relax_approximate(fam, traj, sig, chat, delta=0.3, p=2)
         assert report.amplification == np.inf and report.guaranteed_target == np.inf
 

@@ -21,7 +21,7 @@ from wassinc.inclusion import ControlSignal, ball_gaps, inclusion_residual
 from wassinc.measure import moment, wasserstein_cost
 from wassinc.verify import verify_gronwall_local, verify_hypotheses_probe
 
-from conftest import const_rates, control_field
+from conftest import const_rates, control_field, mixtures
 
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.sampled_from([1, 2, 3])
@@ -102,7 +102,7 @@ def test_catalog_stack_equals_one_control(kind, gains, d, n, seed):
 def test_convexify_stack_equals_mixture_loop(kind, gains, d, q, steps, seed):
     rng, cloud, X = draw(seed, 3, d)
     family, controls = make_family(kind, gains, d)
-    chat = convexify(family, q=q, weight_steps=steps)
+    chat = convexify(family, mixtures(family.size, q, steps))
     if q > 1:  # the mixtures repeat bases and carry zero weights
         assert any(len(set(c.base_indices)) < q for c in chat.controls)
         assert any(0 in c.weight_numerators for c in chat.controls)
@@ -115,7 +115,7 @@ def test_convexify_stack_equals_mixture_loop(kind, gains, d, q, steps, seed):
 def test_convexify_zero_weight_skips_an_infinite_velocity():
     controls = [np.array([np.inf, 1.0]), np.array([1.0, -np.inf]), np.array([0.5, 0.0])]
     family = constants_family(controls, const_rates(1.0, 0.0, 0.0))
-    chat = convexify(family, q=2, weight_steps=2)
+    chat = convexify(family, mixtures(3, 2, 2))
     cloud, X = ParticleCloud(np.zeros((1, 2))), np.zeros((3, 2))
     every = np.arange(chat.size)
     with warnings.catch_warnings():
@@ -315,7 +315,7 @@ def test_block_call_equals_per_node_calls(gains, d, K, n, q, steps, seed):
         signal = ControlSignal(grid, rng.integers(family.size, size=grid.size - 1))
         entries[f"{label}|signal"] = signal_field(family, signal)
         entries[f"{label}|signal|curve"] = signal_field(family, signal, curve)
-        entries[f"{label}|chattering"] = convexify(family, q=q, weight_steps=steps)
+        entries[f"{label}|chattering"] = convexify(family, mixtures(family.size, q, steps))
     for label, family in entries.items():
         # a field evaluates its one control; a family a stack of repeated indices
         idx = rng.integers(family.size, size=(K, 1 if family.size == 1 else family.size + 2))
