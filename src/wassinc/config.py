@@ -3,14 +3,16 @@
 ``parse_config`` reads a scenario's JSON object through the schema's tables
 in one pass: each value is typed (an integer is never a bool or fractional,
 a real is a JSON number) and range-checked, an absent key takes its
-default, and the field, family and ``w`` arrive built.  A sampler, field,
-family or experiment has the keys of its "kind" or "label", a ``verify``
-experiment also those of its ``what``; a key that no table of its block
-names is an error, and an experiment block may hold the keys of every kind
-and check, so a kind given on the command line replaces its own.  A seed is an integer in [0, 2^64),
-a null ``ref_seed`` (seed + 1) mod 2^64.  A grid has its ``steps``, or
-round(T / dt) steps, at least 1.  A run's grid must fit ``MAX_NODES``
-nodes and its largest arrays ``MAX_ENTRIES`` entries (see ``_check_sizes``).
+default, and the field, family and ``w`` arrive built.  Each block is read
+against its own table, and a key that the table does not name is an error:
+a sampler, field or family has the keys of its own "kind" or "label" (a
+field or family also "rates").  An experiment block may hold the keys of
+every kind and check, so a kind given on the command line replaces its
+own; a ``verify`` run reads those of its ``what``.  A seed is an integer
+in [0, 2^64), a null ``ref_seed`` (seed + 1) mod 2^64.  A grid has its
+``steps``, or round(T / dt) steps, at least 1.  A run's grid must fit
+``MAX_NODES`` nodes and its largest arrays ``MAX_ENTRIES`` entries (see
+``_check_sizes``).
 
 Rates must be declared explicitly (scalars for constant rates, or
 {"breakpoints": [...], "values": [...]} per rate); they are never inferred
@@ -60,8 +62,9 @@ class Key(NamedTuple):
     """One config key.  ``kind`` "int" or "real" is a number from ``lo`` to
     ``hi``, its ends as ``ends`` shows (a real closed at inf takes "inf");
     "str" is one of ``choices`` if any, which a real also takes; "list" a
-    list of ``item``; else a builder ``kind(value, path, top)``.  An absent
-    key, or a null one built with a None default, takes ``default``."""
+    list of at least ``lo`` entries ``item``; else a builder
+    ``kind(value, path, top)``.  An absent key, or a null one built with a
+    None default, takes ``default``."""
 
     kind: object
     lo: float = -math.inf
@@ -128,7 +131,8 @@ def _describe(key: Key) -> str:
     if callable(key.kind):
         return key.kind.__name__.strip("_")
     if key.kind == "list":
-        return f"a list, each entry {_describe(key.item)}"
+        least = f" of {key.lo:g} or more entries" if key.lo > 0 else ""
+        return f"a list{least}, each entry {_describe(key.item)}"
     choices = [f'"{c}"' for c in key.choices]
     if key.kind == "str":
         return " or ".join(choices) or "a string"
@@ -148,7 +152,7 @@ def _value(key: Key, value, path: str, subject: str, top: dict):
     """``value`` checked against ``key`` and converted to its type."""
     if callable(key.kind):
         return key.kind(value, path, top)
-    if key.kind == "list" and isinstance(value, (list, tuple)):
+    if key.kind == "list" and isinstance(value, (list, tuple)) and len(value) >= key.lo:
         return tuple(_value(key.item, v, path, f"{subject}[{i}]", top) for i, v in enumerate(value))
     if key.ends[1] == "]" and value == "inf":
         value = math.inf
@@ -164,9 +168,10 @@ def _value(key: Key, value, path: str, subject: str, top: dict):
     raise ConfigError(f"{subject} must be {_describe(key)}, got {_shown(value)}")
 
 
-def _check(table: dict, raw, path: str, top: dict | None = None) -> dict:
+def _check(table: dict, raw, path: str, top: dict | None = None, also=()) -> dict:
     """The keys of ``table`` read from the object ``raw`` at ``path``; a tuple
-    of names shares one entry.  Top-level builders see the values so far."""
+    of names shares one entry.  Top-level builders see the values so far.
+    A key of ``raw`` that neither ``table`` nor ``also`` names is an error."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{_subject(path)} must be an object, got {_shown(raw)}")
     out = {}
@@ -180,24 +185,19 @@ def _check(table: dict, raw, path: str, top: dict | None = None) -> dict:
                 out[name] = key.default
             else:
                 out[name] = _value(key, raw[name], f"{path}.{name}", subject, out if top is None else top)
+    for name in raw:
+        if name not in out and name not in also:
+            raise ConfigError(f"unknown key {name!r} in {path}")
     return out
 
 
-def _known(raw: dict, path: str, *tables) -> None:
-    """ConfigError naming the first key of the object ``raw`` at ``path`` that no
-    table of ``tables`` names (a table: a dict of keys, or an iterable of names)."""
-    names = {name for table in tables for key in table for name in ([key] if isinstance(key, str) else key)}
-    unknown = [key for key in raw if key not in names]
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {path}")
-
-
-def _tagged(raw, path: str, top: dict, tag: str, tables: dict) -> dict:
-    """A block whose ``tag`` key names the table of its other keys."""
-    name = _check({tag: Key("str")}, raw, path, top)[tag]
+def _tagged(raw, path: str, top: dict, tag: str, tables: dict, also=()) -> dict:
+    """A block whose ``tag`` key names the table of its other keys; a key of
+    neither, nor of ``also``, is an error."""
+    name = _check({tag: Key("str")}, raw, path, top, also=raw)[tag]  # the other keys are checked below
     if name not in tables:
         raise ConfigError(f"unknown {path.rpartition('.')[2]} {tag} {name!r}, not one of {list(tables)}")
-    return {tag: name, **_check(tables[name], raw, path, top)}
+    return {tag: name, **_check(tables[name], raw, path, top, (tag, *also))}
 
 
 def _seed(value, path: str, top: dict) -> int:
@@ -206,7 +206,6 @@ def _seed(value, path: str, top: dict) -> int:
 
 def _sampler(raw, path: str, top: dict) -> dict:
     spec = _tagged(raw, path, top, "kind", SAMPLERS)
-    _known(raw, path, ["kind"], *SAMPLERS.values())
     if spec["kind"] == "atoms" and (len(spec["atoms"]), {len(row) for row in spec["atoms"]}) != (top["N"], {top["d"]}):
         rows, entries = _shown(top["N"]), _shown(top["d"])
         raise ConfigError(f"{_subject(path + '.atoms')} must be N = {rows} rows of d = {entries} entries")
@@ -215,7 +214,6 @@ def _sampler(raw, path: str, top: dict) -> dict:
 
 def _grid(raw, path: str, top: dict) -> int:
     grid = _check(GRID, raw, path)
-    _known(raw, path, GRID)
     if grid["steps"] is None and grid["dt"] is None:
         raise ConfigError("grid needs either 'steps' or 'dt'")
     if grid["steps"] is None and top["T"] / grid["dt"] == math.inf:
@@ -232,10 +230,9 @@ def _family(spec, path: str, top: dict) -> ControlledFamily:
 
 
 def _experiment(raw, path: str, top: dict) -> dict:
-    exp = _tagged(raw, path, top, "kind", EXPERIMENTS)
+    exp = _tagged(raw, path, top, "kind", EXPERIMENTS, EVERY_KIND)
     if exp["kind"] == "verify":
-        exp.update(_tagged(raw, path, top, "what", CHECKS))
-    _known(raw, path, ["kind", "what"], *EXPERIMENTS.values(), *CHECKS.values())
+        exp.update(_tagged(raw, path, top, "what", CHECKS, EVERY_KIND))
     name = exp.get("what", exp["kind"])
     needs = NEEDS.get(name, ("field",))
     if all(top[block] is None for block in needs):
@@ -275,9 +272,9 @@ FIELDS = {
     "rotation": {},
 }
 FAMILIES = {
-    "constants": {"controls": Key("list", item=Key("list", item=FINITE))},
-    "gain": {"controls": Key("list", item=FINITE)},
-    "mean_gain": {"controls": Key("list", item=FINITE)},
+    "constants": {"controls": Key("list", 1, item=Key("list", item=FINITE))},
+    "gain": {"controls": Key("list", 1, item=FINITE)},
+    "mean_gain": {"controls": Key("list", 1, item=FINITE)},
 }
 TWO_CURVES = {"w": Key(_field), "ref_initial": Key(_sampler), "ref_seed": Key(_seed, default=None)}
 TRACKING = {"tol": POSITIVE._replace(default=1e-9), "max_iter": COUNT._replace(default=25)}
@@ -297,18 +294,20 @@ EXPERIMENTS = {
         "weight_steps": COUNT._replace(hi=MAX_NODES - 1, ends="[]"),
         "radius_policy": POSITIVE._replace(default="tail_rule", choices=("tail_rule",)),
         **TRACKING,
-        "integration_substeps": COUNT._replace(default=1),
     },
     "verify": {},
 }
 CHECKS = {
     "momentum": {},
-    "equi_integrability": {"R_list": Key("list", item=NONNEGATIVE, default=(1.0, 2.0, 5.0))},
+    "equi_integrability": {"R_list": Key("list", 1, item=NONNEGATIVE, default=(1.0, 2.0, 5.0))},
     "abs_continuity": {},
     "gronwall_global": TWO_CURVES,
     "gronwall_local": {**TWO_CURVES, "R": RADIUS},
     "hypotheses_probe": {"samples": COUNT._replace(default=1000, hi=MAX_NODES // 3, ends="[]")},
 }
+# an experiment block may hold the keys of every kind and check, so a kind
+# given on the command line still runs
+EVERY_KIND = ["kind", "what", *(name for table in [*EXPERIMENTS.values(), *CHECKS.values()] for name in table)]
 # the blocks a kind or check can run on (the first one present); the others need a field
 NEEDS = {
     "peano": ("family",), "filippov": ("family",), "relax": ("family",), "hypotheses_probe": ("family", "field"),
@@ -353,7 +352,6 @@ def parse_config(raw: dict, kind: str | None = None, **overrides) -> ScenarioCon
             given["experiment"] = {**raw["experiment"], "kind": kind}
         raw = {**raw, **given}
     top = _check(TOP, raw, "config")
-    _known(raw, "config", TOP)
     _check_sizes(top)
     return ScenarioConfig(steps=top.pop("grid"), **top)
 
@@ -365,7 +363,7 @@ def _check_sizes(top: dict) -> None:
     fit its weight grid and family).
     A peano run has n * substeps steps, each n of ``n_list`` too, and its unused
     grid is checked all the same; a relax run's tracked grid up to one node per
-    weight slot and substep of each step."""
+    weight slot of each step."""
     exp, N, d = top["experiment"], top["N"], top["d"]
     steps = declared = top["grid"]
     if exp["kind"] == "peano":
@@ -379,7 +377,7 @@ def _check_sizes(top: dict) -> None:
             raise ConfigError("experiment 'weights' must be one per base, summing to 'weight_steps'")
         if max(exp["bases"]) >= top["family"].size:
             raise ConfigError(f"experiment 'bases' must be control indices below {top['family'].size}")
-        steps *= q * exp["integration_substeps"]
+        steps *= q
     if max(steps, declared) + 1 > MAX_NODES:
         raise ConfigError(f"steps + 1 must be at most {MAX_NODES} grid nodes")
     sizes = [("(steps + 1) x 'N' x 'd'", (steps + 1) * N * d), ("'N' x 'N' x 'd'", N * N * d)]
@@ -399,12 +397,10 @@ def parse_rates(spec: dict, T: float, context: str) -> RateFunctions:
     the three rates then share the union of their breakpoints.
     """
     rates, given = [], _check(dict.fromkeys("mlL", ANY), spec, f"{context}.rates")
-    _known(spec, f"{context}.rates", given)
     for name, val in given.items():
         where = f"{context}.rates.{name}"
         if isinstance(val, dict):
             bp, vv = _check({"breakpoints": ANY, "values": ANY}, val, where).values()
-            _known(val, where, ["breakpoints", "values"])
         else:
             bp, vv = [0.0, T], [val]
         try:
@@ -432,16 +428,14 @@ def _check_dims(params: dict, context: str, d: int) -> None:
 
 
 def build_field(spec: dict, T: float, d: int, context: str = "config.field") -> ControlledFamily:
-    params = _tagged(spec, context, {}, "label", FIELDS)
-    _known(spec, context, ["label", "rates"], *FIELDS.values())
+    params = _tagged(spec, context, {}, "label", FIELDS, ["rates"])
     _check_dims(params, context, d)
     builder = getattr(catalog, params.pop("label") + "_field")
     return builder(**params, rates=parse_rates(spec.get("rates"), T, context))
 
 
 def build_family(spec: dict, T: float, d: int, context: str = "config.family") -> ControlledFamily:
-    params = _tagged(spec, context, {}, "label", FAMILIES)
-    _known(spec, context, ["label", "rates"], *FAMILIES.values())
+    params = _tagged(spec, context, {}, "label", FAMILIES, ["rates"])
     _check_dims(params, context, d)
     builder = getattr(catalog, params.pop("label") + "_family")
     return builder(**params, rates=parse_rates(spec.get("rates"), T, context))

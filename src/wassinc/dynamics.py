@@ -146,16 +146,15 @@ class ControlledFamily:
     same arguments it returns the same array, with no hidden state; the
     integrators pass it read-only positions.  ``measure_dependent``
     records whether the rule actually reads its ``points`` argument;
-    measure-independent fields admit the tighter moment bounds.
-    ``convex_images`` is informational: the delayed Euler scheme still
-    runs without it, but its existence guarantee may fail.  One velocity
-    is a convex set, so a family of one control has it.
+    measure-independent fields admit the tighter moment bounds.  One
+    velocity is a convex set, so a family of one control has convex
+    images; the delayed Euler scheme runs on more controls too, but its
+    existence guarantee may fail.
     """
 
     controls: tuple
     rule: FamilyRule
     rates: RateFunctions
-    convex_images: bool = False
     label: str = ""
     measure_dependent: bool = False
 
@@ -163,7 +162,6 @@ class ControlledFamily:
         if len(self.controls) == 0:
             raise ValueError("control set must be nonempty")
         object.__setattr__(self, "controls", tuple(self.controls))
-        object.__setattr__(self, "convex_images", self.convex_images or len(self.controls) == 1)
 
     @property
     def size(self) -> int:

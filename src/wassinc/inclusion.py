@@ -152,7 +152,7 @@ def peano_solve(
         raise ValueError("n and substeps must be at least 1")
     if strategy == "random" and seed is None:
         raise ValueError("random strategy needs a seed")
-    if not family.convex_images:
+    if family.size > 1:
         warnings.warn(
             "control family is not flagged convex-valued; the delayed scheme "
             "still runs but its existence guarantee may fail",

@@ -54,7 +54,7 @@ def convexify(family: ControlledFamily, mixtures) -> ControlledFamily:
     ``weight_den`` (ValueError otherwise).  The parent rates carry over
     unchanged (convex combinations preserve the growth, Lipschitz, and
     measure-Lipschitz bounds).  A listed set of mixtures is not the hull,
-    so only a family of one mixture is flagged convex-valued.
+    so only a family of one mixture is convex-valued.
     """
     controls = tuple(mixtures)
     if len({(len(c.base_indices), c.weight_den) for c in controls}) != 1:
@@ -197,7 +197,6 @@ def relax_approximate(
     radius_policy="tail_rule",
     tol: float = 1e-9,
     max_iter: int = 25,
-    integration_substeps: int = 1,
 ) -> tuple[Trajectory, ControlSignal, RelaxationReport]:
     """Approximate a mixture trajectory by pure controls within delta.
 
@@ -246,14 +245,7 @@ def relax_approximate(
 
     w_realized = signal_field(family, realized_sig, relaxed_traj)  # reads the mixture curve's measure
 
-    int_grid = realized_sig.grid
-    if integration_substeps > 1:
-        pieces = [
-            np.linspace(a, b, integration_substeps + 1)[:-1]
-            for a, b in zip(int_grid[:-1], int_grid[1:])
-        ]
-        int_grid = np.concatenate(pieces + [int_grid[-1:]])
-    nu_real = integrate(w_realized, mu0, int_grid, "euler")
+    nu_real = integrate(w_realized, mu0, realized_sig.grid, "euler")
 
     tracked, signal, cert = filippov_track(
         family, nu_real, w_realized, mu0, radius, tol, max_iter, p

@@ -190,7 +190,6 @@ def _run_relax(config: ScenarioConfig):
         radius_policy=exp["radius_policy"],
         tol=exp["tol"],
         max_iter=exp["max_iter"],
-        integration_substeps=exp["integration_substeps"],
     )
     constants = {
         "delta": delta,

@@ -90,6 +90,8 @@ CASES = {
     "controls_ragged": ("relax_bangbang", "family.controls", [[-1.0], [1.0, 0.0]], "family 'controls'[1]"),
     "n_list_decreasing": ("peano_mean_gain", "experiment.n_list", [8, 4], "experiment 'n_list'"),
     "n_list_single": ("peano_mean_gain", "experiment.n_list", [4], "experiment 'n_list'"),
+    "R_list_empty": ("verify_equi_two_clusters", "experiment.R_list", [], "experiment 'R_list'"),
+    "controls_empty": ("filippov_constants", "family.controls", [], "family 'controls'"),
 }
 
 
@@ -131,6 +133,11 @@ UNKNOWN_KEYS = {
     "check": ("verify_momentum_mean_attraction", "experiment.typo"),
     "w": ("filippov_gain", "experiment.w.typo"),
     "ref_initial": ("filippov_gain", "experiment.ref_initial.typo"),
+    # a key of another sampler kind or field label
+    "other_kind": ("simulate_linear_decay", "initial.halfwidth"),
+    "other_label": ("simulate_linear_decay", "field.kappa"),
+    "w_other_label": ("filippov_gain", "experiment.w.vector"),
+    "ref_initial_other_kind": ("filippov_gain", "experiment.ref_initial.sigma"),
 }
 
 
@@ -205,7 +212,7 @@ def test_subcommand_kind_is_the_one_checked(tmp_path, capsys):
 def test_defaults_filled_in_and_typed():
     config = parse_config(mutate(scenario("relax_bangbang"), "experiment.max_iter", drop=True))
     exp = config.experiment
-    assert exp["max_iter"] == 25 and exp["integration_substeps"] == 1 and exp["tol"] == 1e-9
+    assert exp["max_iter"] == 25 and exp["tol"] == 1e-9
     assert exp["bases"] == (0, 1) and exp["delta"] == 0.1
     config = parse_config(scenario("verify_equi_two_clusters"))
     assert config.experiment["R_list"] == (1.0, 2.0, 5.0)
@@ -223,7 +230,7 @@ TOO_LARGE = {
     "d_huge": ("verify_momentum_mean_attraction", "d", 10**12),
     "peano_n": ("peano_mean_gain", "experiment.n", 10**9),
     "n_list_entry": ("peano_mean_gain", "experiment.n_list", [4, 10**9]),
-    "relax_substeps": ("relax_bangbang", "experiment.integration_substeps", 10**9),
+    "relax_steps": ("relax_bangbang", "grid.steps", 70000),  # 2 bases: 140001 nodes
 }
 
 

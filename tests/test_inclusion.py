@@ -109,7 +109,7 @@ class TestPeanoSolve:
             warnings.simplefilter("error")
             peano_solve(field, ParticleCloud([[1.0]]), 4)
             peano_solve(constants_family([[0.5]], const_rates(0.5, 0.0, 0.0)), delta(0.0), 2)
-        assert field.convex_images and control_field(bang_bang(), 1).convex_images
+        assert field.size == 1 and control_field(bang_bang(), 1).size == 1
 
 
 class TestInclusionResidual:

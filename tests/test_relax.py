@@ -60,7 +60,7 @@ class TestConvexify:
         chat = convexify(fam, mixtures(2, 2, 4))
         assert chat.rates is fam.rates
         # a listed set is not its hull; one mixture is a convex set
-        assert not chat.convex_images and convexify(fam, chat.controls[:1]).convex_images
+        assert chat.size > 1 and convexify(fam, chat.controls[:1]).size == 1
 
     def test_mixture_respects_parent_bounds(self, rng):
         # sampled sublinearity and Lipschitz probes at the parent rates
