@@ -28,10 +28,10 @@ files must still declare rates explicitly.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dynamics import ControlledFamily, RateFunctions
 from .errors import ConfigError
+from .measure import cdist
 
 
 def _field(rule, rates: RateFunctions, label: str, measure_dependent: bool = False) -> ControlledFamily:

@@ -149,7 +149,8 @@ class ControlledFamily:
     measure-independent fields admit the tighter moment bounds.  One
     velocity is a convex set, so a family of one control has convex
     images; the delayed Euler scheme runs on more controls too, but its
-    existence guarantee may fail.
+    existence guarantee may fail.  ``alone[u]`` is control u alone as a
+    one-entry ``idx``, a read-only view, so a step builds no index array.
     """
 
     controls: tuple
@@ -157,11 +158,15 @@ class ControlledFamily:
     rates: RateFunctions
     label: str = ""
     measure_dependent: bool = False
+    alone: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.controls) == 0:
             raise ValueError("control set must be nonempty")
         object.__setattr__(self, "controls", tuple(self.controls))
+        alone = np.arange(len(self.controls))[:, None]
+        alone.setflags(write=False)
+        object.__setattr__(self, "alone", alone)
 
     @property
     def size(self) -> int:
@@ -195,7 +200,7 @@ def delayed_step(family: ControlledFamily, t0: float, t1: float, delayed: np.nda
                  X: np.ndarray) -> np.ndarray:
     """The delayed Euler step: positions X moved over [t0, t1] with control u's
     velocity, read at t0 with the ``delayed`` (N, d) cloud as measure argument."""
-    return X + (t1 - t0) * family.rule(t0, delayed, [u], X)[0]
+    return X + (t1 - t0) * family.rule(t0, delayed, family.alone[u], X)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,8 +262,10 @@ def march(start: ParticleCloud, grid: np.ndarray, step: Callable) -> Trajectory:
     rows.setflags(write=False)  # no step can change a stored node
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
         for k in range(len(times) - 1):
-            buf[k + 1] = step(k, times[k], times[k + 1], rows)
-            _check_finite(buf[k + 1], rows[k], k + 1, times[k + 1])
+            node = buf[k + 1]
+            node[...] = step(k, times[k], times[k + 1], rows)
+            if not math.isfinite(node.sum()):  # a finite sum has finite entries; an overflowing one may too
+                _check_finite(node, rows[k], k + 1, times[k + 1])
     traj = object.__new__(Trajectory)  # every node is checked: no copy, no re-check
     traj._freeze(axis, buf)
     return traj
@@ -309,10 +316,10 @@ def _rk4_step(field, X, t0, dt, step):
     def stage(t, Y):
         Y.setflags(write=False)
         _check_finite(Y, X, step, t0 + dt)
-        return field.rule(t, Y, [0], Y)[0]
+        return field.rule(t, Y, field.alone[0], Y)[0]
 
     th = t0 + 0.5 * dt
-    k1 = field.rule(t0, X, [0], X)[0]
+    k1 = field.rule(t0, X, field.alone[0], X)[0]
     k2 = stage(th, X + 0.5 * dt * k1)
     k3 = stage(th, X + 0.5 * dt * k2)
     k4 = stage(t0 + dt, X + dt * k3)

@@ -94,11 +94,11 @@ def signal_field(family: ControlledFamily, signal: ControlSignal,
     def rule(t, points, idx, X):
         block = getattr(t, "ndim", 0) > 0  # one node (a float t), or a block (times (K,))
         times = t.tolist() if block else [t]
-        u = [[signal.index_at(s)] for s in times]
+        u = [signal.index_at(s) for s in times]
         if measure is not None:
             k = [measure.node_index(s) for s in times]
             points = measure.points[k if block else k[0]]  # one node: a read-only view, no copy
-        return family.rule(t, points, u if block else u[0], X)
+        return family.rule(t, points, family.alone[u if block else u[0]], X)
 
     return ControlledFamily(
         controls=(0,),

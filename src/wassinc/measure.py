@@ -7,11 +7,15 @@ kept, from the exactly rounded (``fsum``) total.  A ``ParticleCloud`` is
 one checked measure, a curve its (K, N, d) array of positions: ``moments``
 and ``tail_norms`` read one such stack, the W_p series ``wasserstein_costs``
 and ``sup_wasserstein_cost`` two, node by node and bit for bit equal to
-the one-cloud calls.  A W_p series runs on every usable core for N >= 64.
+the one-cloud calls.  A series of one-atom clouds (N = 1) is one array
+pass with no solver; from N = 64 on a series runs on every usable core.
+scipy is imported on the first assignment solve or pairwise distance, so
+a run that needs neither never loads it.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import os
 import sys
@@ -19,10 +23,25 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .errors import ShapeMismatchError
+
+
+class _OnFirstCall:
+    """A scipy function, imported on its first call (cold start stays at numpy's cost)."""
+
+    def __init__(self, module: str, name: str):
+        self._where, self._fn = (module, name), None
+
+    def __call__(self, *args):
+        if self._fn is None:
+            self._fn = getattr(importlib.import_module(self._where[0]), self._where[1])
+        return self._fn(*args)
+
+
+# module attributes read at call time, so a caller (a test, a tracer) may replace them
+linear_sum_assignment = _OnFirstCall("scipy.optimize", "linear_sum_assignment")
+cdist = _OnFirstCall("scipy.spatial.distance", "cdist")
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,9 +218,26 @@ def _solve(a: np.ndarray, b: np.ndarray, p: float):
     """Cost matrix, an optimal assignment sigma, and its exactly rounded total
     for two (N, d) position arrays."""
     D = pairwise_cost(a, b, p)
-    # one permutation for N = 1 (the solver only rejects an inf cost); else cols is sigma
-    sigma = np.zeros(1, dtype=int) if len(a) == 1 and D[0, 0] < math.inf else linear_sum_assignment(D)[1]
+    sigma = linear_sum_assignment(D)[1]
     return D, sigma, assignment_cost(D, sigma)
+
+
+def _one_atom_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """W_p of every node of two checked (K, 1, d) stacks in one array pass, bit
+    for bit the solve of each node's 1 x 1 cost matrix: each distance adds its
+    squares coordinate by coordinate, as ``cdist`` does (``np.linalg.norm``
+    sums pairwise from d = 8 on), then ``_pow`` and, per node, ``_root``.  A
+    cost that overflows raises the solver's ValueError."""
+    gaps = a[:, 0] - b[:, 0]
+    with np.errstate(over="ignore"):  # an inf cost is rejected below
+        squares = gaps * gaps
+        total = squares[:, 0].copy()
+        for column in squares.T[1:]:
+            total += column
+        costs = _pow(np.sqrt(total), p)
+    if not (costs < math.inf).all():
+        raise ValueError("cost matrix is infeasible")
+    return np.array([_root(c, p) for c in costs.tolist()])
 
 
 def wasserstein_cost(a: ParticleCloud, b: ParticleCloud, p: float) -> float:
@@ -212,10 +248,13 @@ def wasserstein_cost(a: ParticleCloud, b: ParticleCloud, p: float) -> float:
 
 def wasserstein_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """W_p between the clouds of rows k of two (K, N, d) stacks, for every k,
-    as a float64 array; both stacks are checked before any solve."""
+    as a float64 array; both stacks are checked before any solve.  One-atom
+    clouds (N = 1) take ``_one_atom_costs``, one pass over every node."""
     p = _check_p(p)
     _check_stacks(a, b)
     n = a.shape[1]
+    if n == 1:
+        return _one_atom_costs(a, b, p)
 
     def cost(x, y):
         return _root(_solve(x, y, p)[2] / n, p)
@@ -242,11 +281,14 @@ def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
     solved.  Both bounds round as the solver's total does (``_power_sums``,
     unscaled: a p-th power that underflows reads 0 in both), inflated by a
     relative 1e-9 for the rounding of the distances, so the result equals
-    max(wasserstein_costs(a, b, p)) bit for bit.
+    max(wasserstein_costs(a, b, p)) bit for bit.  One-atom clouds (N = 1)
+    need no screen: the max of ``_one_atom_costs``.
     """
     p = _check_p(p)
     _check_stacks(a, b)
     n = a.shape[1]
+    if n == 1:
+        return float(_one_atom_costs(a, b, p).max())
 
     def screen(gaps):  # inf where the sum overflows: such a node is solved
         return [(1.0 + 1e-9) * _root(total / n, p) for total in _power_sums(np.linalg.norm(gaps, axis=-1), p)]

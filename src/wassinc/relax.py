@@ -43,6 +43,8 @@ class ChatteringControl:
     def __post_init__(self):
         if len(self.base_indices) != len(self.weight_numerators) or not self.base_indices:
             raise ValueError("need one weight per base index")
+        if self.weight_den < 1:
+            raise ValueError(f"weight_den must be at least 1, got {self.weight_den}")
         if any(k < 0 for k in self.weight_numerators) or sum(self.weight_numerators) != self.weight_den:
             raise ValueError("weight numerators must be nonnegative and sum to the denominator")
 
@@ -70,10 +72,11 @@ def convexify(family: ControlledFamily, mixtures) -> ControlledFamily:
         idx = np.asarray(idx)
         node = (np.arange(len(idx))[:, None],) if idx.ndim > 1 else ()  # a block node reads its own parents
         vels = family.rule(t, points, np.zeros(idx.shape[:-1] + (1,), dtype=int) + parents, X)
-        acc = np.zeros(idx.shape + X.shape[-2:])
-        for b, k in zip(bases[:, idx], numerators[:, idx]):  # in slot order, as one mixture's sum
-            k = k[..., None, None]
-            acc += k * np.where(k != 0, vels[node + (b,)], 0.0)  # a zero weight never meets an inf
+        k = numerators[:, idx][..., None, None]  # one gather of every slot: terms are (q, ..., U, P, d)
+        terms = k * np.where(k != 0, vels[node + (bases[:, idx],)], 0.0)  # a zero weight never meets an inf
+        acc = np.zeros(terms.shape[1:])
+        for term in terms:  # in slot order from +0.0: np.add.reduce may sum a one-entry block pairwise
+            acc += term
         return acc / weight_den
 
     return ControlledFamily(

@@ -1,7 +1,8 @@
 """Each fast path of the step loops against the exact path it replaces.
 
-* N = 1 W_p skips the assignment solver: bitwise equal to the solver path,
-  including the inf cost the solver rejects.
+* A series of one-atom (N = 1) W_p is one array pass with no solver:
+  each node bitwise equal to the solver on its 1 x 1 cost matrix, for d
+  up to 9, including the inf cost the solver rejects.
 * A per-node W_p series over two (K, N, d) stacks runs on a thread per
   usable core for N >= 64: bitwise equal to one ``wasserstein_cost`` per
   node, in input order, with the checks before any solve and the solver's
@@ -14,6 +15,12 @@
   row, equal bit for bit to it, the array equals the per-step loop that
   built one cloud per step, no step can write it, and the public
   constructors keep their checks.
+* ``march`` checks a node finite by its sum: a blow-up raises the
+  per-entry check's BlowUpError at the same step, and a node whose sum
+  overflows while its entries are finite passes.
+* The mixture rule gathers every slot at once: bitwise equal to the slot
+  loop it replaces, for q up to 9, one node or a block, -0.0 parent
+  velocities and an inf parent under a zero weight.
 * A signal field bound to a curve (``signal_field(family, signal,
   measure)``): integrating it equals, bit for bit, the per-step loop that
   hands the unbound field ``measure.at(t)``, and its rule returns the same
@@ -25,21 +32,24 @@ import os
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from wassinc import ControlledFamily, ParticleCloud, RateFunctions, Trajectory, convexify, integrate, signal_field
+from wassinc import (ChatteringControl, ControlledFamily, ParticleCloud, RateFunctions, Trajectory, convexify, dynamics,
+                     integrate, signal_field)
 from wassinc import measure
-from wassinc.catalog import bounded_kernel_field, gain_family, mean_attraction_field, mean_gain_family, rotation_field
+from wassinc.catalog import (bounded_kernel_field, constants_family, gain_family, mean_attraction_field, mean_gain_family,
+                             rotation_field)
 from wassinc.dynamics import march, snapped_index, time_axis
-from wassinc.errors import ShapeMismatchError
+from wassinc.errors import BlowUpError, ShapeMismatchError
 from wassinc.inclusion import ControlSignal, peano_solve
 from wassinc.measure import assignment_cost, pairwise_cost, wasserstein_cost, wasserstein_costs
 
-from conftest import mixtures
+from conftest import const_rates, mixtures
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -2.5]
 
@@ -53,27 +63,37 @@ def bits(x) -> bytes:
 
 def solver_cost(a, b, p):
     """The solver path: assignment on the cost matrix, exactly rounded total."""
-    D = pairwise_cost(a.points, b.points, p)
+    D = pairwise_cost(a, b, p)
     _, sigma = linear_sum_assignment(D)
-    return measure._root(assignment_cost(D, sigma) / a.n, p), sigma
+    return measure._root(assignment_cost(D, sigma) / len(a), p)
 
 
 coordinate = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3))
 
 
 @settings(max_examples=300, deadline=None)
-@given(d=st.sampled_from([1, 2, 3]), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]), data=st.data())
-def test_single_atom_wp_equals_the_solver_path(d, p, data):
-    a, b = (ParticleCloud(np.array([data.draw(st.lists(coordinate, min_size=d, max_size=d))]))
-            for _ in range(2))
+@given(d=st.integers(1, 9), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]), nodes=st.integers(1, 4), data=st.data())
+def test_single_atom_wp_equals_the_solver_path(d, p, nodes, data):
+    # d >= 8 too, where np.linalg.norm would sum the squares pairwise and cdist does not
+    a, b = (np.array(data.draw(st.lists(st.lists(coordinate, min_size=d, max_size=d), min_size=nodes,
+                                        max_size=nodes)))[:, None] for _ in range(2))
     try:
-        expected, sigma = solver_cost(a, b, p)
+        expected = [solver_cost(x, y, p) for x, y in zip(a, b)]
     except ValueError as exc:  # an inf cost: the solver finds no finite assignment
-        with pytest.raises(ValueError, match=str(exc)):
-            wasserstein_cost(a, b, p)
+        for series in (wasserstein_costs, measure.sup_wasserstein_cost):
+            with pytest.raises(ValueError, match=str(exc)):
+                series(a, b, p)
         return
-    assert bits(wasserstein_cost(a, b, p)) == bits(expected)
-    assert measure._solve(a.points, b.points, p)[1].tolist() == sigma.tolist() == [0]
+    assert [bits(x) for x in wasserstein_costs(a, b, p)] == [bits(x) for x in expected]
+    assert bits(measure.sup_wasserstein_cost(a, b, p)) == bits(max(expected))
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_single_atom_series_of_random_nodes(rng, d, p):
+    # rounded coordinates: about one node in five tells a pairwise sum of squares (d >= 8) from cdist's
+    a, b = rng.uniform(-1e3, 1e3, (2, 200, 1, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, 200, 1, d))
+    assert [bits(x) for x in wasserstein_costs(a, b, p)] == [bits(solver_cost(x, y, p)) for x, y in zip(a, b)]
 
 
 def test_single_atom_wp_calls_no_solver(monkeypatch):
@@ -81,10 +101,24 @@ def test_single_atom_wp_calls_no_solver(monkeypatch):
         raise AssertionError(f"solver called on a {D.shape} matrix")
 
     monkeypatch.setattr(measure, "linear_sum_assignment", refuse)
+    monkeypatch.setattr(measure, "pairwise_cost", lambda a, b, p: refuse(np.empty((len(a), len(b)))))
     assert wasserstein_cost(ParticleCloud([[3.0, 0.0]]), ParticleCloud([[0.0, 4.0]]), 2.0) == 5.0
     assert wasserstein_cost(ParticleCloud([[1.0]]), ParticleCloud([[-1.0]]), 1.0) == 2.0
+    assert measure.sup_wasserstein_cost(np.zeros((3, 1, 2)), np.ones((3, 1, 2)), 2.0) == math.sqrt(2.0)
     with pytest.raises(AssertionError, match=r"\(2, 2\) matrix"):
         wasserstein_cost(ParticleCloud([[0.0], [1.0]]), ParticleCloud([[1.0], [0.0]]), 1.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_single_atom_overflow_raises_the_solver_error(p):
+    # |1e300 - (-1e300)| overflows for every p; so does 1e300^2 inside the distance
+    a = np.array([[[0.0]], [[1e300]], [[0.0]]])
+    for far in (np.array([[[1.0]], [[-1e300]], [[2.0]]]), np.array([[[1.0]], [[0.0]], [[2.0]]])):
+        with pytest.raises(ValueError) as expected:
+            linear_sum_assignment(pairwise_cost(a[1], far[1], p))
+        for series in (wasserstein_costs, measure.sup_wasserstein_cost):
+            with pytest.raises(ValueError, match=str(expected.value)):
+                series(a, far, p)
 
 
 # -- a per-node W_p series on every usable core --------------------------------------
@@ -305,6 +339,37 @@ def test_a_step_writing_its_rows_raises():
         march(ParticleCloud([[1.0], [2.0]]), np.linspace(0.0, 1.0, 3), step)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("node, particle", [(1, 0), (3, 2)])
+def test_a_blow_up_is_the_per_entry_report(bad, node, particle):
+    grid = np.linspace(0.0, 1.0, 6)
+    nodes = [np.full((3, 2), float(k)) for k in range(6)]
+    nodes[node][particle, 1] = nodes[node + 1][0, 0] = bad
+    with pytest.raises(BlowUpError) as expected:  # the reference: every entry checked at every node
+        for k in range(1, 6):
+            dynamics._check_finite(nodes[k], nodes[k - 1], k, float(grid[k]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning besides the error
+        with pytest.raises(BlowUpError) as info:
+            march(ParticleCloud(nodes[0]), grid, lambda k, t0, t1, rows: nodes[k + 1])
+    assert str(info.value) == str(expected.value)
+    assert f"after step {node} " in str(info.value)
+
+
+@pytest.mark.parametrize("node", [
+    [[1e308, 1e308], [1.0, 2.0]],  # the sum overflows to inf
+    [[1e308, 1e308], [-1e308, -1e308], [0.0, 0.0], [0.0, 0.0]],  # summed pairwise: inf + -inf is nan
+])
+def test_a_finite_node_whose_sum_overflows_passes(node):
+    node = np.array(node)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(node.sum())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = march(ParticleCloud(np.zeros_like(node)), np.linspace(0.0, 1.0, 3), lambda k, t0, t1, rows: node)
+    assert traj.points[1:].tobytes() == np.stack([node, node]).tobytes()
+
+
 @pytest.mark.parametrize("points, error", [
     (np.zeros((3, 1, 2)), None),
     (np.zeros((3, 2)), ShapeMismatchError),
@@ -394,6 +459,59 @@ def test_rules_see_read_only_rows():
     trajectories.append(peano_solve(family, start, 3, 2, "first")[0])
     assert len(seen) == 2 * 3 + 2 * 12 + 6 and not any(flag for pair in seen for flag in pair)
     assert not any(traj.points.flags.writeable for traj in trajectories)
+
+
+# -- the mixture rule in one gather --------------------------------------------------
+
+
+def slot_loop(family, given):
+    """The mixture rule as one gather per slot, summed in slot order: the
+    reference the one-gather rule of ``convexify`` keeps bit for bit."""
+    bases = np.array([c.base_indices for c in given]).T
+    numerators = np.array([c.weight_numerators for c in given]).T
+    parents = np.arange(family.size)
+
+    def rule(t, points, idx, X):
+        idx = np.asarray(idx)
+        node = (np.arange(len(idx))[:, None],) if idx.ndim > 1 else ()
+        vels = family.rule(t, points, np.zeros(idx.shape[:-1] + (1,), dtype=int) + parents, X)
+        acc = np.zeros(idx.shape + X.shape[-2:])
+        for b, k in zip(bases[:, idx], numerators[:, idx]):
+            k = k[..., None, None]
+            acc += k * np.where(k != 0, vels[node + (b,)], 0.0)
+        return acc / given[0].weight_den
+
+    return rule
+
+
+velocity = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -2.5]), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from([1, 2, 9]), d=st.sampled_from([1, 2]), den=st.integers(1, 12), data=st.data())
+def test_mixture_rule_equals_the_slot_loop(q, d, den, data):
+    finite = data.draw(st.lists(st.lists(velocity, min_size=d, max_size=d), min_size=1, max_size=3))
+    # the last parent is inf, and every mixture gives it weight 0
+    family = constants_family(finite + [[math.inf] * d], const_rates(1.0, 0.0, 0.0))
+
+    def mixture():
+        bases = [data.draw(st.integers(0, len(finite) - 1))] + data.draw(
+            st.lists(st.integers(0, len(finite)), min_size=q - 1, max_size=q - 1))
+        live = [j for j, b in enumerate(bases) if b < len(finite)]
+        cuts = sorted(data.draw(st.lists(st.integers(0, den), min_size=len(live) - 1, max_size=len(live) - 1)))
+        weights = [0] * q
+        for j, lo, hi in zip(live, [0] + cuts, cuts + [den]):
+            weights[j] = hi - lo
+        return ChatteringControl(tuple(bases), tuple(weights), den)
+
+    given_mixtures = [mixture() for _ in range(data.draw(st.integers(1, 3)))]
+    chat, reference = convexify(family, given_mixtures), slot_loop(family, given_mixtures)
+    K, U, P = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    idx = np.array(data.draw(st.lists(st.integers(0, chat.size - 1), min_size=K * U, max_size=K * U))).reshape(K, U)
+    X, points = np.zeros((K, P, d)), np.zeros((K, 1, d))
+    times = np.linspace(0.0, 0.5, K)
+    for args in [(0.25, points[0], idx[0], X[0]), (times, points, idx, X)]:  # one node, a block
+        assert chat.rule(*args).tobytes() == reference(*args).tobytes()
 
 
 # -- a signal field bound to a curve ------------------------------------------

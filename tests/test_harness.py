@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -179,9 +180,11 @@ class TestVerifyKinds:
         assert report.measured.size == 0 and not report.passed
 
     def test_gronwall_reuses_initial_distance(self, monkeypatch):
-        calls = []
-        cost = measure.pairwise_cost
-        monkeypatch.setattr(measure, "pairwise_cost", lambda a, b, p: calls.append(1) or cost(a, b, p))
+        series, solves = [], []
+        checks = sys.modules["wassinc.verify"]  # the package's ``verify`` is the function
+        costs, solve = checks.wasserstein_costs, measure._solve
+        monkeypatch.setattr(checks, "wasserstein_costs", lambda a, b, p: series.append(len(a)) or costs(a, b, p))
+        monkeypatch.setattr(measure, "_solve", lambda *args: solves.append(1) or solve(*args))
         report = verify(
             "gronwall_global",
             cfg(
@@ -194,7 +197,7 @@ class TestVerifyKinds:
                 },
             ),
         )
-        assert len(calls) == 11  # one W_p solve per node, none repeated
+        assert series == [11] and solves == []  # one-atom clouds: one array pass over every node, no solve
         assert report.constants["W_p_initial"] == report.measured[0]
 
     def test_missing_kind_parameter_named(self):
@@ -517,3 +520,30 @@ class TestCli:
             text=True,
         )
         assert proc.returncode == 0
+
+    def test_paths_without_a_solve_never_load_scipy(self, tmp_path):
+        # a fresh interpreter: scipy loads on the first assignment solve or pairwise distance only
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**BASE, "typo": 1}))
+        script = f"""
+import sys
+from pathlib import Path
+from wassinc import load_config
+from wassinc.cli import main
+
+def loaded(stage):
+    print(stage, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')[:3])
+
+for path in sorted(Path({str(SCENARIOS)!r}).glob('*.json')):
+    load_config(path)
+loaded('load_config')
+code = main(['simulate', '--config', {str(SCENARIOS / 'simulate_linear_decay.json')!r}, '--out', {str(tmp_path / 'o')!r}])
+loaded(f'simulate exit {{code}}')
+code = main(['verify', '--config', {str(bad)!r}, '--out', {str(tmp_path / 'bad')!r}])
+loaded(f'bad config exit {{code}}')
+"""
+        path = os.pathsep.join([str(SCENARIOS.parent / "src"), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["load_config []", "simulate exit 0 []", "bad config exit 2 []"]

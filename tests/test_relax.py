@@ -55,6 +55,12 @@ class TestConvexify:
         with pytest.raises(ValueError):
             convexify(bang_bang(), given)
 
+    @pytest.mark.parametrize("bases, weights", [((0,), (0,)), ((0, 1), (0, 0))])
+    def test_a_mixture_needs_a_positive_den(self, bases, weights):
+        # zero weights over weight_den 0 sum to it, but the mixture's velocity would read 0/0 = nan
+        with pytest.raises(ValueError, match="weight_den must be at least 1, got 0"):
+            ChatteringControl(bases, weights, 0)
+
     def test_rates_preserved_exactly(self):
         fam = mean_gain_family([0.5, 1.0], const_rates(1.0, 1.0, 1.0))
         chat = convexify(fam, mixtures(2, 2, 4))
