@@ -30,13 +30,18 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .errors import ShapeMismatchError
+
 ATOL = 1e-15  # the absolute allowance of every verdict
 
 
 @dataclass(frozen=True, eq=False)
 class BoundReport:
     """Per-time measured values, bound values, and the resulting verdict;
-    ``passed`` is the pass rule of every certified check."""
+    ``passed`` is the pass rule of every certified check.  ``times``,
+    ``measured`` and ``bound`` are held as float arrays; ShapeMismatchError
+    unless they are one-dimensional and of one length, so every row of the
+    verdict is a row of ``report.csv``."""
 
     kind: str
     times: np.ndarray
@@ -45,6 +50,14 @@ class BoundReport:
     slack: float
     constants: dict = dc_field(default_factory=dict)
     extras: dict = dc_field(default_factory=dict)
+
+    def __post_init__(self):
+        series = [np.asarray(getattr(self, name), dtype=float) for name in ("times", "measured", "bound")]
+        if any(a.ndim != 1 or a.size != series[0].size for a in series):
+            raise ShapeMismatchError(f"need 1-d times, measured and bound of one length, got shapes "
+                                     f"{', '.join(str(a.shape) for a in series)}")
+        for name, a in zip(("times", "measured", "bound"), series):
+            object.__setattr__(self, name, a)
 
     @property
     def margins(self) -> np.ndarray:
@@ -75,16 +88,21 @@ def _power(x: float, p: float) -> float:
         return math.inf
 
 
-def exp_power(c: float, x: float, p: float, shift: float = 0.0) -> float:
-    """exp(c x^p + shift) for c, x >= 0, saturating to +inf: an x^p past
-    the float range counts as inf, like the exp it feeds.  c x^p is a
-    ``product``, so x = 0 gives exp(shift) beside a saturated c = inf too;
-    an x > 0 whose x^p underflows to 0 gives inf there, as its true product
-    with c is unknown."""
+def _scaled_power(c: float, x: float, p: float) -> float:
+    """c x^p for c, x >= 0, saturating to +inf: an x^p past the float range
+    counts as inf.  c x^p is a ``product``, so x = 0 gives 0 beside a
+    saturated c = inf too; an x > 0 whose x^p underflows to 0 gives inf
+    there, as its true product with c is unknown."""
     xp = _power(x, p)
     if xp == 0.0 < x and c == math.inf:
         return math.inf
-    return saturating_exp(product(c, xp) + shift)
+    return product(c, xp)
+
+
+def exp_power(c: float, x: float, p: float, shift: float = 0.0) -> float:
+    """exp(c x^p + shift) for c, x >= 0, with c x^p the ``_scaled_power``,
+    saturating to +inf like the exp it feeds."""
+    return saturating_exp(_scaled_power(c, x, p) + shift)
 
 
 def product(*factors: float) -> float:
@@ -115,8 +133,9 @@ def gronwall_series(*, p, w0, increments, l_int, L_int=0.0, m_int=0.0, horizon=0
     for k, (l, L, m) in enumerate(rows):
         if k > 0:
             total += increments[k - 1]
-        chi_k, E_k = product(cp, L, exp_power(cpp, l, p)), product(2.0, m, 1.0 + horizon, tail)
-        chi[k], E[k], D[k] = chi_k, E_k, product(cp, w0 + total + E_k, exp_power(cpp, l, p, chi_k))
+        growth = _scaled_power(cpp, l, p)  # C_p' l^p, formed once for chi_p and D_p
+        chi_k, E_k = product(cp, L, saturating_exp(growth)), product(2.0, m, 1.0 + horizon, tail)
+        chi[k], E[k], D[k] = chi_k, E_k, product(cp, w0 + total + E_k, saturating_exp(growth + chi_k))
     return D, chi, E
 
 

@@ -22,7 +22,6 @@ report's ``kind`` and ``passed``.  Scenarios are deterministic: the same
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import shutil
@@ -32,42 +31,68 @@ import numpy as np
 
 from .bounds import BoundReport
 from .config import ScenarioConfig
-from .dynamics import Trajectory, integrate
+from .dynamics import Trajectory, integrate, node_blocks
 from .filippov import filippov_track
 from .inclusion import ControlSignal, inclusion_residual, peano_solve, refinement_study
 from .relax import ChatteringControl, convexify, relax_approximate
 from .verify import verify
 
 
-def _write_rows(path: Path, header: str, template: str, rows) -> None:
-    """Write ``header`` and then ``template % row`` for every row, one line
-    each.  ``%.17g`` prints the same text as ``format(x, ".17g")``."""
-    path.write_text("\n".join([header, *(template % row for row in rows)]) + "\n")
+def _stream(path: Path, header: str, node_template: str, nodes: int, per_node: int, columns) -> None:
+    """Write ``header`` and then the rows of ``nodes`` nodes, one slice ``b``
+    of ``node_blocks(nodes, per_node)`` at a time: ``columns(b)`` gives the
+    block's columns (one entry per row, row by row), and the block's text is
+    one ``%`` pass of ``node_template`` repeated once per node of ``b``, written
+    before the next block is formatted.  So write memory is bounded by a
+    block.  ``%.17g`` prints the same text as ``format(x, ".17g")``."""
+    templates = {}  # nodes per block -> its template: the full size and the last block's
+    with path.open("w") as f:
+        f.write(header + "\n")
+        for b in node_blocks(nodes, per_node):
+            k = b.stop - b.start
+            if k not in templates:
+                templates[k] = node_template * k
+            cols = columns(b)
+            args = [None] * (len(cols) * len(cols[0]))
+            for j, col in enumerate(cols):
+                args[j :: len(cols)] = col
+            f.write(templates[k] % tuple(args))
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    _, n, d = traj.points.shape
-    times = [format(t, ".17g") for t in traj.times]
-    coords = traj.points.reshape(-1, d).tolist()
-    rows = ((t, i, *x) for (t, i), x in zip(itertools.product(times, range(n)), coords))
+    nodes, n, d = traj.points.shape
+    # the particle index is fixed text of the template, and each node time is formatted once
+    node_template = "".join(f"%s,{i}" + ",%.17g" * d + "\n" for i in range(n))
+
+    def columns(b):
+        times = [format(t, ".17g") for t in traj.times[b]]
+        return [[t for t in times for _ in range(n)], *traj.points[b].reshape(-1, d).T.tolist()]
+
     header = "t,particle," + ",".join(f"x{c + 1}" for c in range(d))
-    _write_rows(path, header, "%s,%d" + ",%.17g" * d, rows)
+    _stream(path, header, node_template, nodes, n * d, columns)
 
 
 def write_signal_csv(path: Path, signal: ControlSignal) -> None:
-    grid = signal.grid.tolist()
-    rows = zip(grid[:-1], grid[1:], signal.indices.tolist())
-    _write_rows(path, "t_start,t_end,control_index", "%.17g,%.17g,%d", rows)
+    def columns(b):
+        grid = signal.grid[b.start : b.stop + 1].tolist()
+        return [grid[:-1], grid[1:], signal.indices[b].tolist()]
+
+    _stream(path, "t_start,t_end,control_index", "%.17g,%.17g,%d\n", len(signal.indices), 3, columns)
 
 
 def write_report_csv(path: Path, report: BoundReport) -> None:
-    columns = (report.times, report.measured, report.bound, report.margins)
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    _write_rows(path, "t,measured,bound,margin", "%.17g,%.17g,%.17g,%.17g", rows)
+    series = (report.times, report.measured, report.bound, report.margins)
+    _stream(path, "t,measured,bound,margin", "%.17g,%.17g,%.17g,%.17g\n", len(report.times), 4,
+            lambda b: [c[b].tolist() for c in series])
 
 
 def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's sha256, read in 64 KiB chunks."""
+    digest = hashlib.sha256()
+    with path.open("rb") as f:
+        while chunk := f.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _jsonable(value):
@@ -94,7 +119,7 @@ def _write(path: Path, output) -> None:
     elif isinstance(output, BoundReport):
         write_report_csv(path, output)
     else:
-        _write_rows(path, "n_coarse,n_fine,sup_wp", "%d,%d,%.17g", output)
+        _stream(path, "n_coarse,n_fine,sup_wp", "%d,%d,%.17g\n", len(output), 3, lambda b: list(zip(*output[b])))
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> dict:
