@@ -9,8 +9,8 @@ a sampler, field or family has the keys of its own "kind" or "label" (a
 field or family also "rates").  An experiment block may hold the keys of
 every kind and check, so a kind given on the command line replaces its
 own; a ``verify`` run reads those of its ``what``.  A seed is an integer
-in [0, 2^64), a null ``ref_seed`` (seed + 1) mod 2^64.  A grid has its
-``steps``, or round(T / dt) steps, at least 1.  A run's grid must fit
+in [0, 2^64), a null ``ref_seed`` (seed + 1) mod 2^64.  A grid is its
+``steps``, at least 1.  A run's grid must fit
 ``MAX_NODES`` nodes and its largest arrays ``MAX_ENTRIES`` entries (see
 ``_check_sizes``).
 
@@ -47,13 +47,15 @@ _REQUIRED = object()
 # Ceilings on a run's size, so that a config too large to run exits 2 before
 # anything is allocated.  MAX_ENTRIES bounds the trajectory's (steps + 1) x N
 # x d positions, the N x N x d of a W_p cost matrix and the kernel field's
-# slab, and the 17^d x d mesh of a tracking lattice; the trajectory dominates,
-# since the CSV writer holds every entry as text (about 270 bytes each at
-# peak).  MAX_NODES bounds the steps + 1 grid nodes, each of which carries
+# slab, and the 17^d x d mesh of a tracking lattice.  The CSV writers hold the
+# text of one node block at a time, and a block is at least one node, so one
+# particle in d = MAX_ENTRIES / 2 peaks highest: it formats every entry at
+# once.  MAX_NODES bounds the steps + 1 grid nodes, each of which carries
 # Python objects of its own (a time, per-node results).  Measured on Python
-# 3.11 with numpy 2.4: a run at either ceiling peaks below 360 MiB resident and
-# completes under `ulimit -v 786432` (768 MiB).  A probe sample (up to three
-# report rows) counts as nodes; at that ceiling < 130 MiB.
+# 3.11 with numpy 2.4, one process per run (ru_maxrss): 181 MiB at that d,
+# 50 MiB on MAX_NODES nodes, and each completes under `ulimit -v 786432`
+# (768 MiB).  A probe sample (up to three report rows) counts as nodes; at
+# that ceiling 87 MiB.
 MAX_ENTRIES = 2**20
 MAX_NODES = 2**17
 
@@ -213,12 +215,7 @@ def _sampler(raw, path: str, top: dict) -> dict:
 
 
 def _grid(raw, path: str, top: dict) -> int:
-    grid = _check(GRID, raw, path)
-    if grid["steps"] is None and grid["dt"] is None:
-        raise ConfigError("grid needs either 'steps' or 'dt'")
-    if grid["steps"] is None and top["T"] / grid["dt"] == math.inf:
-        raise ConfigError(f"grid 'dt' must leave T / dt finite, got {grid['dt']!r}")
-    return grid["steps"] or max(1, round(top["T"] / grid["dt"]))
+    return _check(GRID, raw, path)["steps"]
 
 
 def _field(spec, path: str, top: dict) -> ControlledFamily:
@@ -255,7 +252,7 @@ TOP = {
     "family": Key(_family, default=None),
     "experiment": Key(_experiment),
 }
-GRID = {"steps": COUNT._replace(default=None), "dt": POSITIVE._replace(default=None)}
+GRID = {"steps": COUNT}
 SAMPLERS = {
     "gaussian": {"sigma": NONNEGATIVE},
     "uniform": {"halfwidth": NONNEGATIVE},
@@ -291,8 +288,6 @@ EXPERIMENTS = {
         "delta": POSITIVE,
         "bases": Key("list", item=INDEX),
         "weights": Key("list", item=INDEX),
-        "weight_steps": COUNT._replace(hi=MAX_NODES - 1, ends="[]"),
-        "radius_policy": POSITIVE._replace(default="tail_rule", choices=("tail_rule",)),
         **TRACKING,
     },
     "verify": {},
@@ -303,7 +298,7 @@ CHECKS = {
     "abs_continuity": {},
     "gronwall_global": TWO_CURVES,
     "gronwall_local": {**TWO_CURVES, "R": RADIUS},
-    "hypotheses_probe": {"samples": COUNT._replace(default=1000, hi=MAX_NODES // 3, ends="[]")},
+    "hypotheses_probe": {"samples": Key("int", 1000, MAX_NODES // 3, "[]", default=1000)},
 }
 # an experiment block may hold the keys of every kind and check, so a kind
 # given on the command line still runs
@@ -359,8 +354,8 @@ def parse_config(raw: dict, kind: str | None = None, **overrides) -> ScenarioCon
 def _check_sizes(top: dict) -> None:
     """ConfigError unless the grid fits MAX_NODES and the trajectory, the
     N x N x d arrays and the tracking lattice of a relax run or a filippov
-    run with finite R fit MAX_ENTRIES (and a relax run's weights and bases
-    fit its weight grid and family).
+    run with finite R fit MAX_ENTRIES (and a relax run has one weight per
+    base, a weight sum in [1, MAX_NODES - 1], and bases of its family).
     A peano run has n * substeps steps, each n of ``n_list`` too, and its unused
     grid is checked all the same; a relax run's tracked grid up to one node per
     weight slot of each step."""
@@ -373,8 +368,8 @@ def _check_sizes(top: dict) -> None:
         steps = max([exp["n"], *(ns or ())]) * exp["substeps"]
     elif exp["kind"] == "relax":
         q = len(exp["bases"])
-        if len(exp["weights"]) != q or sum(exp["weights"]) != exp["weight_steps"]:
-            raise ConfigError("experiment 'weights' must be one per base, summing to 'weight_steps'")
+        if len(exp["weights"]) != q or not 1 <= sum(exp["weights"]) < MAX_NODES:
+            raise ConfigError(f"experiment 'weights' must be one per base, with a sum in [1, {MAX_NODES - 1}]")
         if max(exp["bases"]) >= top["family"].size:
             raise ConfigError(f"experiment 'bases' must be control indices below {top['family'].size}")
         steps *= q

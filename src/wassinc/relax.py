@@ -2,14 +2,15 @@
 
 ``convexify`` builds the family of the weighted mixtures it is given,
 each a ``ChatteringControl``: a convex combination of parent controls
-with rational weights on one grid of 1/weight_den.  ``aumann_realize``
-converts a signal over such a mixture family back into pure controls by
-splitting each time block into consecutive sub-segments whose lengths
-are proportional to the weights, so the block time-average of the
-realized field matches the mixture exactly for fields constant in time.
-``relax_approximate`` chains radius and block-size choices, realization,
-integration, and a tracking run into the end-to-end density experiment:
-how closely can pure-control trajectories follow a mixture trajectory.
+with integer weights over their sum.  ``aumann_realize`` converts a
+signal over such a mixture family back into pure controls by splitting
+each time block into consecutive sub-segments whose lengths are
+proportional to the weights, so the block time-average of the realized
+field matches the mixture exactly for fields constant in time.
+``relax_approximate`` chains the tail-rule radius, the block-size choice,
+realization, integration, and a tracking run into the end-to-end density
+experiment: how closely can pure-control trajectories follow a mixture
+trajectory.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import bounds
 from .dynamics import ControlledFamily, Trajectory, integrate
 from .errors import ResolutionError
-from .filippov import FilippovCertificate, filippov_track
+from .filippov import filippov_track
 from .inclusion import ControlSignal, signal_field
 from .measure import moment, tail_norm, wasserstein_costs
 
@@ -31,22 +32,24 @@ from .measure import moment, tail_norm, wasserstein_costs
 class ChatteringControl:
     """Weighted mixture of q parent controls.
 
-    Weights are the rationals ``weight_numerators[j] / weight_den`` and sum
-    to one exactly; the induced field is the corresponding convex
-    combination of the parent fields.
+    Weights are the rationals ``weight_numerators[j] / weight_den``, where
+    ``weight_den`` is the numerators' sum, so they sum to one exactly; the
+    induced field is the corresponding convex combination of the parent
+    fields.
     """
 
     base_indices: tuple
     weight_numerators: tuple
-    weight_den: int
 
     def __post_init__(self):
         if len(self.base_indices) != len(self.weight_numerators) or not self.base_indices:
             raise ValueError("need one weight per base index")
-        if self.weight_den < 1:
-            raise ValueError(f"weight_den must be at least 1, got {self.weight_den}")
-        if any(k < 0 for k in self.weight_numerators) or sum(self.weight_numerators) != self.weight_den:
-            raise ValueError("weight numerators must be nonnegative and sum to the denominator")
+        if any(k < 0 for k in self.weight_numerators) or sum(self.weight_numerators) < 1:
+            raise ValueError("weight numerators must be nonnegative with a sum of at least 1")
+
+    @property
+    def weight_den(self) -> int:
+        return sum(self.weight_numerators)
 
 
 def convexify(family: ControlledFamily, mixtures) -> ControlledFamily:
@@ -124,13 +127,13 @@ def aumann_realize(
         chat = chattering_family.controls[chat_index]
         if not isinstance(chat, ChatteringControl):
             raise TypeError("signal does not address a chattering family")
-        h = b - a
+        h, den = b - a, chat.weight_den
         cum = 0
         for base, k in zip(chat.base_indices, chat.weight_numerators):
             if k == 0:
                 continue
             cum += k
-            seg_end = b if cum == chat.weight_den else a + h * (cum / chat.weight_den)
+            seg_end = b if cum == den else a + h * (cum / den)
             out_indices.append(base)
             out_times.append(seg_end)
     realized = ControlSignal(grid=np.array(out_times), indices=np.array(out_indices, dtype=int))
@@ -159,37 +162,6 @@ def _equal_mass_boundaries(rates, n_blocks: int) -> np.ndarray:
     return np.array(out)
 
 
-@dataclass(frozen=True, eq=False)
-class RelaxationReport:
-    """Outcome of one density experiment.
-
-    ``density`` reports W_p between the mixture trajectory and the
-    returned pure-control one at every node of the latter's grid against
-    the requested delta, with slack 0: the raw target takes no relative
-    slack, only the absolute ``bounds.ATOL`` every verdict allows.
-    ``measured_sup`` is the largest measured value; ``guaranteed_target``
-    is the larger deviation the closed-form constants actually certify for
-    this delta (their ratio is the ``amplification``), exposed so callers
-    can judge which target matters for them.
-    """
-
-    delta: float
-    density: bounds.BoundReport
-    amplification: float
-    radius: float
-    n_blocks: int
-    metadata: dict
-    certificate: FilippovCertificate
-
-    @property
-    def measured_sup(self) -> float:
-        return float(self.density.measured.max())
-
-    @property
-    def guaranteed_target(self) -> float:
-        return self.delta * self.amplification
-
-
 def relax_approximate(
     family: ControlledFamily,
     relaxed_traj: Trajectory,
@@ -197,18 +169,24 @@ def relax_approximate(
     chattering_family: ControlledFamily,
     delta: float,
     p: float,
-    radius_policy="tail_rule",
     tol: float = 1e-9,
     max_iter: int = 25,
-) -> tuple[Trajectory, ControlSignal, RelaxationReport]:
+) -> tuple[Trajectory, ControlSignal, bounds.BoundReport]:
     """Approximate a mixture trajectory by pure controls within delta.
 
-    The radius is chosen so the shifted tail of the start cloud beyond
+    The radius R is chosen so the shifted tail of the start cloud beyond
     R/C_T - 1 is below delta / (2 (1+C) (1+C_T) (1+||m||_1)); blocks split
     the integral of m into parts of at most delta / (2 (1+C) (1+R)); the
     realized signal is integrated against the mixture curve's measures and
-    tracked back into the pure solution set.  ``radius_policy`` is
-    ``"tail_rule"`` for that choice or a finite radius > 0, not a bool.
+    tracked back into the pure solution set.
+
+    The report is the ``density_raw_target`` BoundReport: W_p between the
+    mixture curve and the returned pure-control one at every node of the
+    latter's grid against delta, with slack 0 (only ``bounds.ATOL``).  Its
+    ``constants`` are ``delta``, ``measured_sup``, the ``guaranteed_target``
+    the closed-form constants certify (delta times their ``amplification``),
+    ``radius``, ``n_blocks`` and the realization's ``metadata``; its
+    ``extras`` hold the tracking ``certificate``.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -219,21 +197,14 @@ def relax_approximate(
     script_c = bounds.uniform_moment(p, mp0, mp0, m_total)
     script_ct = bounds.script_horizon_factor(script_c, m_total)
 
-    if radius_policy == "tail_rule":
-        tail_cap = delta / (2.0 * (1.0 + script_c) * (1.0 + script_ct) * (1.0 + m_total))
-        norms = np.unique(mu0.norms())
-        radius = None
-        for threshold in [0.0] + [float(nm) * (1.0 + 1e-12) + 1e-300 for nm in norms]:
-            if tail_norm(mu0, threshold, p, shifted=True) <= tail_cap:
-                radius = script_ct * (1.0 + threshold)
-                break
-        if radius is None:  # tail past the largest atom is exactly zero
-            radius = script_ct * (1.0 + float(norms[-1]) * (1.0 + 1e-9) + 1e-12)
-    elif (isinstance(radius_policy, (int, float)) and not isinstance(radius_policy, bool)
-          and 0 < radius_policy < math.inf):
-        radius = float(radius_policy)
-    else:
-        raise ValueError(f"radius_policy must be 'tail_rule' or a finite radius > 0, got {radius_policy!r}")
+    tail_cap = delta / (2.0 * (1.0 + script_c) * (1.0 + script_ct) * (1.0 + m_total))
+    norms = np.unique(mu0.norms())
+    for threshold in [0.0] + [float(nm) * (1.0 + 1e-12) + 1e-300 for nm in norms]:
+        if tail_norm(mu0, threshold, p, shifted=True) <= tail_cap:
+            radius = script_ct * (1.0 + threshold)
+            break
+    else:  # tail past the largest atom is exactly zero
+        radius = script_ct * (1.0 + float(norms[-1]) * (1.0 + 1e-9) + 1e-12)
 
     block_cap = delta / (2.0 * (1.0 + script_c) * (1.0 + radius))
     ratio = m_total / block_cap if block_cap > 0 else math.inf  # block_cap is 0 once C overflows
@@ -267,15 +238,15 @@ def relax_approximate(
         (3.0 + l_total) * (1.0 + bounds.product(chi_bar, chi_growth)) + chi_growth,
         growth,
     )
-    report = RelaxationReport(
-        delta=delta,
-        density=bounds.BoundReport(
-            "density_raw_target", tracked.grid, measured, np.full_like(measured, delta), slack=0.0
-        ),
-        amplification=amplification,
-        radius=radius,
-        n_blocks=n_blocks,
-        metadata=meta,
-        certificate=cert,
-    )
+    constants = {
+        "delta": delta,
+        "measured_sup": float(measured.max()),
+        "guaranteed_target": delta * amplification,
+        "amplification": amplification,
+        "radius": radius,
+        "n_blocks": n_blocks,
+        "metadata": meta,
+    }
+    report = bounds.BoundReport("density_raw_target", tracked.grid, measured, np.full_like(measured, delta),
+                                slack=0.0, constants=constants, extras={"certificate": cert})
     return tracked, signal, report

@@ -200,32 +200,14 @@ def _run_filippov(config: ScenarioConfig):
 
 def _run_relax(config: ScenarioConfig):
     exp, family = config.experiment, config.family
-    delta = exp["delta"]
-    chat = convexify(family, [ChatteringControl(exp["bases"], exp["weights"], exp["weight_steps"])])
+    chat = convexify(family, [ChatteringControl(exp["bases"], exp["weights"])])
     grid = config.time_grid()
     relaxed_signal = ControlSignal(grid=grid, indices=np.zeros(grid.size - 1, dtype=int))
     relaxed_traj = integrate(chat, config.start(), grid)  # a family of one control is a field
     tracked, signal, report = relax_approximate(
-        family,
-        relaxed_traj,
-        relaxed_signal,
-        chat,
-        delta,
-        config.p,
-        radius_policy=exp["radius_policy"],
-        tol=exp["tol"],
-        max_iter=exp["max_iter"],
+        family, relaxed_traj, relaxed_signal, chat, exp["delta"], config.p, tol=exp["tol"], max_iter=exp["max_iter"]
     )
-    constants = {
-        "delta": delta,
-        "measured_sup": report.measured_sup,
-        "guaranteed_target": report.guaranteed_target,
-        "amplification": report.amplification,
-        "radius": report.radius,
-        "n_blocks": report.n_blocks,
-        "metadata": report.metadata,
-    }
-    return {"trajectory.csv": tracked, "signal.csv": signal, "report.csv": report.density}, constants
+    return {"trajectory.csv": tracked, "signal.csv": signal, "report.csv": report}, report.constants
 
 
 def _run_verify(config: ScenarioConfig):

@@ -155,12 +155,12 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 def verify_hypotheses_probe(config: ScenarioConfig) -> dict:
     """Sampled growth / Lipschitz / measure-Lipschitz ratios against 1.
 
-    Draws at least 1000 (t, cloud, x) triples from jittered versions of
+    Draws ``samples`` (t, cloud, x) triples from jittered versions of
     the scenario's initial sampler and reports each observed ratio against
     the declared rate; the bound row is the constant 1.  The draws run one
     sample at a time, then each rule use is one block ``rule`` call.
     """
-    n_samples = max(1000, config.experiment["samples"])
+    n_samples = config.experiment["samples"]
     family = config.family or config.field
     rates, d, coupled = family.rates, config.d, family.measure_dependent
 

@@ -38,7 +38,7 @@ def mixtures(size, q, steps):
     """Every q-fold mixture of ``size`` controls with weights on the grid of
     1/steps: bases in any order, repeated too, and zero weights included."""
     weights = [k for k in itertools.product(range(steps + 1), repeat=q) if sum(k) == steps]
-    return [ChatteringControl(b, k, steps) for b in itertools.product(range(size), repeat=q) for k in weights]
+    return [ChatteringControl(b, k) for b in itertools.product(range(size), repeat=q) for k in weights]
 
 
 def fast_constant_field(rates=None, **top):

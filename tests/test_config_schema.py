@@ -63,16 +63,17 @@ CASES = {
     "w_null": ("filippov_gain", "experiment.w", None, "experiment 'w'"),
     "R_list": ("filippov_gain", "experiment.R", [1], "experiment 'R'"),
     "n_list_null": ("peano_mean_gain", "experiment.n_list", None, "experiment 'n_list'"),
-    "dt_underflow": ("simulate_linear_decay", "grid", {"dt": 1e-320}, "grid 'dt'"),
-    "radius_negative": ("relax_bangbang", "experiment.radius_policy", -1, "experiment 'radius_policy'"),
+    "steps_zero": ("simulate_linear_decay", "grid.steps", 0, "grid 'steps'"),
+    "delta_negative": ("relax_bangbang", "experiment.delta", -1, "experiment 'delta'"),
     "N_fraction": ("simulate_linear_decay", "N", 2.9, "'d' and 'N'"),
     "steps_fraction": ("simulate_linear_decay", "grid.steps", 20.9, "grid 'steps'"),
     "max_iter_fraction": ("filippov_gain", "experiment.max_iter", 2.5, "experiment 'max_iter'"),
     "n_fraction": ("peano_mean_gain", "experiment.n", 8.7, "experiment 'n'"),
     "T_string": ("simulate_linear_decay", "T", "1", "'T'"),
     "slack_string": ("verify_momentum_mean_attraction", "slack", "0.1", "'slack'"),
-    "dt_string": ("simulate_linear_decay", "grid", {"dt": "0.1"}, "grid 'dt'"),
-    "radius_bool": ("relax_bangbang", "experiment.radius_policy", True, "experiment 'radius_policy'"),
+    "steps_string": ("simulate_linear_decay", "grid.steps", "20", "grid 'steps'"),
+    "delta_bool": ("relax_bangbang", "experiment.delta", True, "experiment 'delta'"),
+    "samples_below_floor": ("verify_hypotheses_probe_catalog", "experiment.samples", 999, "experiment 'samples'"),
     "tol_nan": ("filippov_gain", "experiment.tol", math.nan, "experiment 'tol'"),
     "n_list_fraction": ("peano_mean_gain", "experiment.n_list", [4, 4.5], "experiment 'n_list'[1]"),
     "weights_fraction": ("relax_bangbang", "experiment.weights", [1.5, 0.5], "experiment 'weights'[0]"),
@@ -138,6 +139,11 @@ UNKNOWN_KEYS = {
     "other_label": ("simulate_linear_decay", "field.kappa"),
     "w_other_label": ("filippov_gain", "experiment.w.vector"),
     "ref_initial_other_kind": ("filippov_gain", "experiment.ref_initial.sigma"),
+    # keys that no longer exist: a grid is its steps, a mixture's denominator its
+    # weights' sum, and a relax run's radius the tail rule
+    "grid_dt": ("simulate_linear_decay", "grid.dt"),
+    "weight_steps": ("relax_bangbang", "experiment.weight_steps"),
+    "radius_policy": ("relax_bangbang", "experiment.radius_policy"),
 }
 
 
@@ -217,7 +223,8 @@ def test_defaults_filled_in_and_typed():
     config = parse_config(scenario("verify_equi_two_clusters"))
     assert config.experiment["R_list"] == (1.0, 2.0, 5.0)
     assert parse_config(mutate(scenario("filippov_gain"), "experiment.R", drop=True)).experiment["R"] == math.inf
-    assert parse_config(mutate(scenario("simulate_linear_decay"), "grid", {"dt": 0.3})).steps == 3
+    with pytest.raises(ConfigError, match=r"^missing field 'steps' in config.grid$"):
+        parse_config(mutate(scenario("simulate_linear_decay"), "grid.steps", drop=True))
 
 
 # (scenario, path, value); each asked numpy for an array it could not index
@@ -297,7 +304,6 @@ def test_the_tracking_lattice_has_a_ceiling(tmp_path, capsys, monkeypatch):
 # drove a loop that was still running when `timeout 20` killed it
 UNBOUNDED_LOOPS = {
     "samples": ("verify_hypotheses_probe_catalog", "experiment.samples", "experiment 'samples'"),
-    "weight_steps": ("relax_bangbang", "experiment.weight_steps", "experiment 'weight_steps'"),
 }
 
 
@@ -309,7 +315,7 @@ def test_loop_counts_past_the_ceiling_exit_two_at_once(tmp_path, capsys, case):
     code, out = run_cli(tmp_path, raw["experiment"]["kind"], raw)
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert code == 2 and err.startswith(f"error: {key} must be an integer in [1, ") and err.count("\n") == 1, err
+    assert code == 2 and err.startswith(f"error: {key} must be an integer in [1000, ") and err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -353,14 +359,21 @@ def test_probe_samples_have_a_ceiling():
     nodes = config_module.MAX_NODES
     probe = scenario("verify_hypotheses_probe_catalog")
     parse_config(mutate(probe, "experiment.samples", nodes // 3))
-    with pytest.raises(ConfigError, match=r"^experiment 'samples' must be an integer in \[1, 43690\], got 43691$"):
+    with pytest.raises(ConfigError, match=r"^experiment 'samples' must be an integer in \[1000, 43690\], got 43691$"):
         parse_config(mutate(probe, "experiment.samples", nodes // 3 + 1))
+    # and a floor: fewer than 1000 samples is refused, not run as 1000
+    assert parse_config(mutate(probe, "experiment.samples", 1000)).experiment["samples"] == 1000
+    with pytest.raises(ConfigError, match=r"^experiment 'samples' must be an integer in \[1000, 43690\], got 999$"):
+        parse_config(mutate(probe, "experiment.samples", 999))
 
 
-def test_relax_weights_are_one_per_base_summing_to_weight_steps():
-    for weights in ([1, 2], [2], [1, 1, 0]):
-        with pytest.raises(ConfigError, match=r"^experiment 'weights' must be one per base, summing to 'weight_steps'$"):
-            parse_config(mutate(scenario("relax_bangbang"), "experiment.weights", weights))
+def test_relax_weights_are_one_per_base_with_a_sum_from_one_to_the_node_ceiling():
+    # the mixture's denominator is the weights' sum
+    relax = scenario("relax_bangbang")
+    parse_config(mutate(relax, "experiment.weights", [config_module.MAX_NODES - 2, 1]))
+    for weights in ([1], [1, 1, 0], [0, 0], [config_module.MAX_NODES - 1, 1], [10**400, 1]):
+        with pytest.raises(ConfigError, match=r"^experiment 'weights' must be one per base, with a sum in \[1, 131071\]$"):
+            parse_config(mutate(relax, "experiment.weights", weights))
 
 # a run at each ceiling: N = d = 1 on MAX_NODES nodes, and one particle in
 # d = MAX_ENTRIES / 2 on two nodes
@@ -426,16 +439,16 @@ def test_filippov_track_rejects_nan_tol():
         filippov_track(family, ref, w, start, math.inf, math.nan, 5, 1.0)
 
 
-@pytest.mark.parametrize("policy", [-1, 0, math.inf, math.nan, True, "tail"])
-def test_relax_rejects_bad_radius_policy(policy):
+@pytest.mark.parametrize("delta", [0.0, -0.1])
+def test_relax_rejects_a_nonpositive_delta(delta):
     family = constants_family([[-1.0], [1.0]], RateFunctions.constant(1.0, 0.0, 0.0, 0.25))
-    chat = convexify(family, [ChatteringControl((0, 1), (1, 1), 2)])
+    chat = convexify(family, [ChatteringControl((0, 1), (1, 1))])
     grid = np.linspace(0.0, 0.25, 101)
     signal = ControlSignal(grid=grid, indices=np.zeros(100, dtype=int))
     traj = integrate(chat, ParticleCloud(np.zeros((1, 1))), grid)
-    with pytest.raises(ValueError, match="radius_policy must be 'tail_rule' or a finite radius > 0"):
-        relax_approximate(family, traj, signal, chat, 0.1, 1.0, radius_policy=policy)
-    assert relax_approximate(family, traj, signal, chat, 0.1, 1.0, radius_policy=2)[2].radius == 2.0
+    with pytest.raises(ValueError, match="delta must be positive"):
+        relax_approximate(family, traj, signal, chat, delta, 1.0)
+    assert relax_approximate(family, traj, signal, chat, 0.1, 1.0)[2].passed
 
 
 # -- the blow-up report --------------------------------------------------------

@@ -502,7 +502,7 @@ def test_mixture_rule_equals_the_slot_loop(q, d, den, data):
         weights = [0] * q
         for j, lo, hi in zip(live, [0] + cuts, cuts + [den]):
             weights[j] = hi - lo
-        return ChatteringControl(tuple(bases), tuple(weights), den)
+        return ChatteringControl(tuple(bases), tuple(weights))
 
     given_mixtures = [mixture() for _ in range(data.draw(st.integers(1, 3)))]
     chat, reference = convexify(family, given_mixtures), slot_loop(family, given_mixtures)

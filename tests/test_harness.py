@@ -70,7 +70,7 @@ class TestConfigParsing:
     def test_largest_seed_accepted(self):
         assert cfg(seed=2**64 - 1).seed == 2**64 - 1
 
-    @pytest.mark.parametrize("grid", [{"steps": 0}, {"steps": -3}, {"dt": 0.0}, {"dt": -0.1}])
+    @pytest.mark.parametrize("grid", [{"steps": 0}, {"steps": -3}, {}, {"steps": 2.5}])
     def test_grid_needs_a_step(self, grid):
         with pytest.raises(ConfigError, match="grid"):
             cfg(grid=grid)
@@ -120,11 +120,11 @@ class TestVerifyKinds:
                 initial={"kind": "gaussian", "sigma": 1.0},
                 field={"label": "mean_attraction", "kappa": 1.5,
                        "rates": {"m": 1.5, "l": 1.5, "L": 1.5}},
-                experiment={"kind": "verify", "what": "hypotheses_probe", "samples": 400},
+                experiment={"kind": "verify", "what": "hypotheses_probe", "samples": 1000},
             ),
         )
-        assert report.constants["n_triples"] >= 1000  # floor enforced
-        assert report.times.size >= 3 * 1000  # three ratio rows per triple
+        assert report.constants["n_triples"] == 1000
+        assert report.times.size == 3 * 1000  # three ratio rows per triple
         assert report.passed
         ratios = [v for k, v in report.constants.items() if k.startswith("max_ratio_")]
         assert max(ratios) <= 1.0 + 1e-9

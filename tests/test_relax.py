@@ -9,6 +9,7 @@ from wassinc import (
     integrate,
     relax_approximate,
 )
+from wassinc.bounds import BoundReport
 from wassinc.catalog import constants_family, mean_gain_family
 from wassinc.errors import ResolutionError
 
@@ -19,11 +20,11 @@ def bang_bang(T=1.0):
     return constants_family([[-1.0], [1.0]], const_rates(1.0, 0.0, 0.0, T))
 
 
-def mixture_setup(T=0.25, steps=2000, weight_steps=2, bases=(0, 1), weights=(1, 1)):
+def mixture_setup(T=0.25, steps=2000, bases=(0, 1), weights=(1, 1)):
     """The bang-bang family, its one mixture, that mixture's constant signal
     and its curve from a point mass at 0 (a family of one control is a field)."""
     fam = bang_bang(T)
-    chat = convexify(fam, [ChatteringControl(bases, weights, weight_steps)])
+    chat = convexify(fam, [ChatteringControl(bases, weights)])
     grid = np.linspace(0.0, T, steps + 1)
     sig = ControlSignal(grid=grid, indices=np.zeros(grid.size - 1, dtype=int))
     traj = integrate(chat, delta(0.0), grid)
@@ -46,20 +47,25 @@ class TestConvexify:
 
     @pytest.mark.parametrize("given", [
         [],
-        [ChatteringControl((0, 1), (1, 1), 2), ChatteringControl((0,), (2,), 2)],
-        [ChatteringControl((0, 1), (1, 1), 2), ChatteringControl((0, 1), (2, 2), 4)],
-        [ChatteringControl((0, 2), (1, 1), 2)],
-        [ChatteringControl((-1, 0), (1, 1), 2)],
+        [ChatteringControl((0, 1), (1, 1)), ChatteringControl((0,), (2,))],
+        [ChatteringControl((0, 1), (1, 1)), ChatteringControl((0, 1), (2, 2))],
+        [ChatteringControl((0, 2), (1, 1))],
+        [ChatteringControl((-1, 0), (1, 1))],
     ], ids=["none", "two_q", "two_dens", "base_past_family", "negative_base"])
     def test_rejects_mixtures_it_cannot_stack(self, given):
         with pytest.raises(ValueError):
             convexify(bang_bang(), given)
 
-    @pytest.mark.parametrize("bases, weights", [((0,), (0,)), ((0, 1), (0, 0))])
+    @pytest.mark.parametrize("bases, weights", [((0,), (0,)), ((0, 1), (0, 0)), ((0, 1), (2, -1))])
     def test_a_mixture_needs_a_positive_den(self, bases, weights):
-        # zero weights over weight_den 0 sum to it, but the mixture's velocity would read 0/0 = nan
-        with pytest.raises(ValueError, match="weight_den must be at least 1, got 0"):
-            ChatteringControl(bases, weights, 0)
+        # all-zero weights would read 0/0 = nan as the mixture's velocity
+        with pytest.raises(ValueError, match="nonnegative with a sum of at least 1"):
+            ChatteringControl(bases, weights)
+
+    @pytest.mark.parametrize("weights", [(1,), (1, 1), (3, 0, 2)])
+    def test_the_denominator_is_the_weight_sum(self, weights):
+        chat = ChatteringControl(tuple(range(len(weights))), weights)
+        assert chat.weight_den == sum(chat.weight_numerators) == sum(weights)
 
     def test_rates_preserved_exactly(self):
         fam = mean_gain_family([0.5, 1.0], const_rates(1.0, 1.0, 1.0))
@@ -104,7 +110,7 @@ class TestAumannRealize:
     def test_block_average_identity(self):
         # for fields constant in time, the realized block average equals the
         # mixture exactly at every fixed spatial point
-        fam, chat, sig, _ = mixture_setup(T=1.0, steps=64, weight_steps=4, weights=(1, 3))
+        fam, chat, sig, _ = mixture_setup(T=1.0, steps=64, weights=(1, 3))
         blocks = np.linspace(0.0, 1.0, 9)
         realized, _ = aumann_realize(sig, chat, blocks)
         x = np.array([[0.37]])
@@ -124,7 +130,7 @@ class TestAumannRealize:
         # mixture 0 is all control 0, mixture 1 half and half; three blocks of four intervals:
         # a 1:3 majority for mixture 1, a 2:2 tie that goes to mixture 0, and a constant block
         fam = bang_bang()
-        chat = convexify(fam, [ChatteringControl((0, 1), (2, 0), 2), ChatteringControl((0, 1), (1, 1), 2)])
+        chat = convexify(fam, [ChatteringControl((0, 1), (2, 0)), ChatteringControl((0, 1), (1, 1))])
         sig = ControlSignal(grid=np.linspace(0.0, 1.0, 13), indices=[0, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1])
         realized, meta = aumann_realize(sig, chat, np.linspace(0.0, 1.0, 4))
         assert meta == {"snapped_boundaries": 0, "majority_reblocked": 2}
@@ -149,24 +155,22 @@ class TestRelaxApproximate:
     def test_bang_bang_density(self, delta_target):
         fam, chat, sig, traj = mixture_setup()
         tracked, _, report = relax_approximate(fam, traj, sig, chat, delta_target, p=1)
-        assert report.density.passed
-        assert report.measured_sup <= delta_target
-        assert report.certificate.converged
-        assert report.density.measured.shape == tracked.grid.shape
-        assert report.measured_sup == report.density.measured.max()
+        assert report.passed
+        assert report.constants["measured_sup"] <= delta_target
+        assert report.extras["certificate"].converged
+        assert report.measured.shape == tracked.grid.shape
+        assert report.constants["measured_sup"] == report.measured.max()
 
     def test_pure_signal_returns_input(self):
         fam, chat, sig, traj = mixture_setup(T=0.25, steps=64, weights=(2, 0))
-        tracked, _, report = relax_approximate(
-            fam, traj, sig, chat, delta=0.2, p=1, radius_policy=3.0
-        )
-        assert report.measured_sup == 0.0
+        _, _, report = relax_approximate(fam, traj, sig, chat, delta=0.2, p=1)
+        assert report.constants["measured_sup"] == 0.0
 
     def test_coarse_delta_passes(self):
         fam, chat, sig, traj = mixture_setup(T=0.25, steps=64)
         # delta >= horizon * field magnitude: any realization passes
         _, _, report = relax_approximate(fam, traj, sig, chat, delta=0.3, p=1)
-        assert report.density.passed
+        assert report.passed
 
     def test_resolution_error_names_remedy(self):
         fam, chat, sig, traj = mixture_setup(T=0.25, steps=20)
@@ -176,15 +180,29 @@ class TestRelaxApproximate:
     def test_amplification_saturates_past_float_range(self):
         # (l T)^p = (2.5e199)^2 overflows as a float power
         fam = constants_family([[-1.0], [1.0]], const_rates(1.0, 1e200, 0.0, 0.25))
-        chat = convexify(fam, [ChatteringControl((0, 1), (1, 1), 2)])
+        chat = convexify(fam, [ChatteringControl((0, 1), (1, 1))])
         grid = np.linspace(0.0, 0.25, 257)
         sig = ControlSignal(grid=grid, indices=np.zeros(grid.size - 1, dtype=int))
         traj = integrate(chat, delta(0.0), grid)
         _, _, report = relax_approximate(fam, traj, sig, chat, delta=0.3, p=2)
-        assert report.amplification == np.inf and report.guaranteed_target == np.inf
+        assert report.constants["amplification"] == report.constants["guaranteed_target"] == np.inf
 
     def test_report_carries_both_targets(self):
         fam, chat, sig, traj = mixture_setup()
         _, _, report = relax_approximate(fam, traj, sig, chat, 0.1, p=1)
-        assert report.guaranteed_target == report.delta * report.amplification
-        assert report.amplification >= 1.0
+        c = report.constants
+        assert c["guaranteed_target"] == c["delta"] * c["amplification"]
+        assert c["amplification"] >= 1.0
+
+    def test_report_is_the_raw_target_bound_report(self):
+        # the one result type of every check: delta at every tracked node, slack 0,
+        # the manifest's seven constants and the tracking certificate
+        fam, chat, sig, traj = mixture_setup()
+        tracked, _, report = relax_approximate(fam, traj, sig, chat, 0.1, p=1)
+        assert isinstance(report, BoundReport) and report.kind == "density_raw_target" and report.slack == 0.0
+        np.testing.assert_array_equal(report.times, tracked.grid)
+        assert (report.bound == 0.1).all()
+        assert set(report.constants) == {
+            "delta", "measured_sup", "guaranteed_target", "amplification", "radius", "n_blocks", "metadata"}
+        assert report.constants["metadata"] == {"snapped_boundaries": 0, "majority_reblocked": 0}
+        assert set(report.extras) == {"certificate"}

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts at small sizes: each exits 0 and
-prints its table's header and one row per target or refinement pair."""
+prints its table's header and one row per target or refinement pair; the
+suite script prints one row per bundled scenario."""
 
 import os
 import subprocess
@@ -28,3 +29,11 @@ def test_script_prints_its_table(script, args, header, rows):
     assert lines[1] == header
     assert len(lines) == 2 + rows and all(len(line) == len(lines[2]) for line in lines[2:])
     assert all(float(cell) >= 0.0 for line in lines[2:] for cell in line if cell not in ("True", "False"))
+
+
+def test_run_suite_prints_a_row_per_bundled_scenario(tmp_path):
+    lines = run_script("run_suite.py", str(tmp_path))
+    names = sorted(path.stem for path in (ROOT / "scenarios").glob("*.json"))
+    assert [line[0] for line in lines] == [*names, "total"]
+    assert all(line[1] == "pass" for line in lines[:-1])
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
