@@ -21,6 +21,10 @@ Control families:
 * ``gain``       controls are scalars k, v = -k x
 * ``mean_gain``  controls are scalars k, v = k (mean(mu) - x)
 
+``zero``, ``constant`` and ``constants`` read neither positions nor
+measure (``position_dependent`` and ``measure_dependent`` are False), so
+their Euler curves are running sums (``dynamics.euler_curve``).
+
 Natural rates for each label are documented next to its builder; scenario
 files must still declare rates explicitly.
 """
@@ -34,9 +38,11 @@ from .errors import ConfigError
 from .measure import cdist
 
 
-def _field(rule, rates: RateFunctions, label: str, measure_dependent: bool = False) -> ControlledFamily:
+def _field(rule, rates: RateFunctions, label: str, measure_dependent: bool = False,
+           position_dependent: bool = True) -> ControlledFamily:
     """The field of ``rule`` as the family of its one control."""
-    return ControlledFamily(controls=(0,), rule=rule, rates=rates, label=label, measure_dependent=measure_dependent)
+    return ControlledFamily(controls=(0,), rule=rule, rates=rates, label=label, measure_dependent=measure_dependent,
+                            position_dependent=position_dependent)
 
 
 def zero_field(rates: RateFunctions) -> ControlledFamily:
@@ -45,7 +51,7 @@ def zero_field(rates: RateFunctions) -> ControlledFamily:
     def rule(t, points, idx, X):
         return np.zeros(np.shape(idx) + X.shape[-2:])
 
-    return _field(rule, rates, "zero")
+    return _field(rule, rates, "zero", position_dependent=False)
 
 
 def constant_field(vector: np.ndarray, rates: RateFunctions) -> ControlledFamily:
@@ -55,7 +61,7 @@ def constant_field(vector: np.ndarray, rates: RateFunctions) -> ControlledFamily
     def rule(t, points, idx, X):
         return np.full(np.shape(idx) + X.shape[-2:], c)
 
-    return _field(rule, rates, f"constant:{c.tolist()}")
+    return _field(rule, rates, f"constant:{c.tolist()}", position_dependent=False)
 
 
 def linear_decay_field(rates: RateFunctions) -> ControlledFamily:
@@ -135,7 +141,7 @@ def constants_family(controls, rates: RateFunctions) -> ControlledFamily:
         out[...] = u[..., None, :]
         return out
 
-    return ControlledFamily(controls=vecs, rule=rule, rates=rates, label="constants")
+    return ControlledFamily(controls=vecs, rule=rule, rates=rates, label="constants", position_dependent=False)
 
 
 def gain_family(controls, rates: RateFunctions) -> ControlledFamily:

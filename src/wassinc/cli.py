@@ -14,6 +14,7 @@ new output directory and no stale manifest).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import EXPERIMENTS, load_config
@@ -24,6 +25,7 @@ from .runner import run_scenario
 RUN_ERRORS = (ConfigError, OSError, ValueError, RuntimeError, OverflowError)
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wassinc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

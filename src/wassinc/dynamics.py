@@ -12,10 +12,15 @@ which every step and sweep reads, and ``Trajectory.at`` makes one node a
 cloud.  Every time grid, a curve's, a signal's or a rate set's, is a
 ``time_axis``: a finite, strictly increasing, read-only copy, so none
 holds its caller's array, and ``snapped_index`` reads the node at or
-before a time.  ``march`` is the one loop that writes a curve's nodes,
-each checked finite.  Every Euler curve steps with ``delayed_step``:
-``integrate`` hands it the evolving positions, peano's
-scheme and every tracking iterate those of an earlier curve, and a field
+before a time.  ``march`` is the loop that writes a curve's nodes one
+step at a time, each checked finite.  Every Euler curve is
+``euler_curve``: ``delayed_step`` with a control per interval and, as
+measure argument, the curve's own node (``integrate``) or an earlier
+curve's (every tracking iterate).  A state-free family, whose rule
+reads neither positions nor measure, has every velocity before the first
+step, so its curve is a running sum over ``node_blocks`` with the same
+bits and checks as the loop; peano's scheme selects its control step by
+step and rk4 reads intermediate positions, so both march.  A field
 bound to a curve is ``inclusion.signal_field``.  Once a curve is built,
 ``rule`` and ``gaps`` sweep all its nodes at once, in blocks of
 ``node_blocks``."""
@@ -146,7 +151,12 @@ class ControlledFamily:
     same arguments it returns the same array, with no hidden state; the
     integrators pass it read-only positions.  ``measure_dependent``
     records whether the rule actually reads its ``points`` argument;
-    measure-independent fields admit the tighter moment bounds.  One
+    measure-independent fields admit the tighter moment bounds.
+    ``position_dependent`` records whether it reads ``X`` beyond its
+    shape; a family with neither flag set is state-free, and
+    ``euler_curve`` sums its velocities without stepping.  Both flags are
+    declarations a builder makes, and a family that leaves
+    ``position_dependent`` at its default is stepped.  One
     velocity is a convex set, so a family of one control has convex
     images; the delayed Euler scheme runs on more controls too, but its
     existence guarantee may fail.  ``alone[u]`` is control u alone as a
@@ -158,6 +168,7 @@ class ControlledFamily:
     rates: RateFunctions
     label: str = ""
     measure_dependent: bool = False
+    position_dependent: bool = True
     alone: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
@@ -266,7 +277,50 @@ def march(start: ParticleCloud, grid: np.ndarray, step: Callable) -> Trajectory:
             node[...] = step(k, times[k], times[k + 1], rows)
             if not math.isfinite(node.sum()):  # a finite sum has finite entries; an overflowing one may too
                 _check_finite(node, rows[k], k + 1, times[k + 1])
-    traj = object.__new__(Trajectory)  # every node is checked: no copy, no re-check
+    return _checked_curve(axis, buf)
+
+
+def euler_curve(family: ControlledFamily, start: ParticleCloud, grid, controls,
+                measure: np.ndarray | None = None) -> Trajectory:
+    """The delayed Euler curve from ``start`` over ``grid``: node k + 1 is
+    ``delayed_step`` from node k with control ``controls[k]`` (one per
+    interval) and, as measure argument, ``measure[k]`` of a (nodes, N, d)
+    curve on the same grid, or the curve's own node k when ``measure`` is
+    None.
+
+    A state-free family (neither ``position_dependent`` nor
+    ``measure_dependent``) takes one block ``rule`` call per
+    ``node_blocks`` slice and a running sum along the node axis from the
+    last node written: ``X + (t1 - t0) * V`` in the same IEEE operations
+    and order as ``march``, so the same bits, and the first non-finite
+    node raises ``march``'s BlowUpError.  Any other family marches."""
+    axis = time_axis(grid)
+    times = axis[2]
+    controls = np.asarray(controls)
+    if controls.shape != (len(times) - 1,):
+        raise ShapeMismatchError(f"need one control per interval ({len(times) - 1}), got shape {controls.shape}")
+    if family.position_dependent or family.measure_dependent:
+        return march(start, grid, lambda k, t0, t1, rows: delayed_step(
+            family, t0, t1, rows[k] if measure is None else measure[k], int(controls[k]), rows[k]))
+    cloud = start.points
+    buf = np.empty((len(times),) + cloud.shape)
+    buf[0] = cloud
+    dt = np.diff(axis[0])[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
+        for b in node_blocks(len(times) - 1, cloud.size):
+            X = np.broadcast_to(cloud, (b.stop - b.start,) + cloud.shape)  # read by shape only
+            nodes = buf[b.start : b.stop + 1]  # node b.start is written: the sum runs on from it
+            np.multiply(dt[b], family.rule(axis[0][b], X, controls[b, None], X)[:, 0], out=nodes[1:])
+            np.add.accumulate(nodes, axis=0, out=nodes)
+            if not math.isfinite(nodes[1:].sum()):  # as in march: a finite sum has finite entries
+                k = b.start + 1 + int(np.isfinite(nodes[1:]).all(axis=(1, 2)).argmin())
+                _check_finite(buf[k], buf[k - 1], k, times[k])
+    return _checked_curve(axis, buf)
+
+
+def _checked_curve(axis: tuple, buf: np.ndarray) -> Trajectory:
+    """The trajectory holding ``buf``, every node of which is checked finite: no copy, no re-check."""
+    traj = object.__new__(Trajectory)
     traj._freeze(axis, buf)
     return traj
 
@@ -280,10 +334,10 @@ def integrate(
     """Advance every particle of ``start`` along the field over ``grid``.
 
     ``field`` is a family of one control (ValueError otherwise, so a
-    larger family is never cut down to its control 0).  An euler step is
-    ``delayed_step`` with control 0 and the integrator's own current cloud
-    as measure argument; rk4 hands the rule each stage's intermediate
-    positions.  A field bound to another curve (``inclusion.signal_field`` with
+    larger family is never cut down to its control 0).  The euler curve
+    is ``euler_curve`` with control 0 and the integrator's own current
+    cloud as measure argument; rk4 marches, handing the rule each stage's
+    intermediate positions.  A field bound to another curve (``inclusion.signal_field`` with
     a ``measure``) reads that curve instead and ignores it.  Raises
     BlowUpError (see ``_check_finite``) if a coordinate leaves the finite
     range.
@@ -293,13 +347,9 @@ def integrate(
     if field.size != 1:
         raise ValueError(f"integrate needs a field, a family of one control; got {field.size} controls")
 
-    def euler(k, t0, t1, rows):
-        return delayed_step(field, t0, t1, rows[k], 0, rows[k])
-
-    def rk4(k, t0, t1, rows):
-        return _rk4_step(field, rows[k], t0, t1 - t0, k + 1)
-
-    return march(start, grid, euler if method == "euler" else rk4)
+    if method == "euler":
+        return euler_curve(field, start, grid, np.zeros(time_axis(grid)[0].size - 1, dtype=int))
+    return march(start, grid, lambda k, t0, t1, rows: _rk4_step(field, rows[k], t0, t1 - t0, k + 1))
 
 
 def _check_finite(X: np.ndarray, last: np.ndarray, step: int, t: float) -> None:

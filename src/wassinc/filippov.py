@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .dynamics import ControlledFamily, RateFunctions, Trajectory, ball_grid, delayed_step, march, node_blocks
+from .dynamics import ControlledFamily, RateFunctions, Trajectory, ball_grid, euler_curve, node_blocks
 from .inclusion import ControlSignal, ball_gaps
 from .measure import ParticleCloud, localisation_tail, moment, sup_wasserstein_cost, wasserstein_costs
 
@@ -142,10 +142,10 @@ def filippov_track(
     sup distance to the previous iterate's velocity slice, evaluated on the
     current iterate's measure; its probes are the atoms of both clouds
     plus, for finite R, a lattice of spacing R/8 on the ball of radius R.
-    Each iterate marches peano's ``delayed_step`` over the grid, with
-    control sigma_k and the previous curve's node k as measure; the next
-    re-selection and the velocity gap (node M with sigma_{M-1}) read that
-    same slice.  Stops when consecutive iterates are within ``tol`` in
+    Each iterate is the ``euler_curve`` of peano's ``delayed_step`` over
+    the grid, with control sigma_k and the previous curve's node k as
+    measure; the next re-selection and the velocity gap (node M with
+    sigma_{M-1}) read that same slice.  Stops when consecutive iterates are within ``tol`` in
     sup-W_p or after ``max_iter`` iterations, in which case the certificate
     is flagged ``iteration_not_converged`` (the last iterate is still an
     admissible trajectory).
@@ -165,8 +165,7 @@ def filippov_track(
 
     prior, gaps = ref, []
     while True:  # each iterate steps with the measure of the curve before it
-        cur = march(start, grid, lambda k, t0, t1, rows: delayed_step(
-            family, t0, t1, prior.points[k], int(sel[k]), rows[k]))
+        cur = euler_curve(family, start, grid, sel, prior.points)
         gaps.append(sup_wasserstein_cost(cur.points, prior.points, p))
         if not (gaps[-1] > tol and len(gaps) < max_iter):
             break

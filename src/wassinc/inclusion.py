@@ -106,6 +106,7 @@ def signal_field(family: ControlledFamily, signal: ControlSignal,
         rates=family.rates,
         label=f"{family.label}|signal",
         measure_dependent=family.measure_dependent,
+        position_dependent=family.position_dependent,
     )
 
 

@@ -88,6 +88,7 @@ def convexify(family: ControlledFamily, mixtures) -> ControlledFamily:
         rates=family.rates,
         label=f"{family.label}|chattering(q={q},steps={weight_den})",
         measure_dependent=family.measure_dependent,
+        position_dependent=family.position_dependent,
     )
 
 

@@ -25,8 +25,14 @@
   measure)``): integrating it equals, bit for bit, the per-step loop that
   hands the unbound field ``measure.at(t)``, and its rule returns the same
   bits whatever cloud it is handed.
+* A state-free family's Euler curve (``euler_curve``) is a running sum:
+  bitwise equal to ``march`` over ``delayed_step``, with the same
+  BlowUpError and no RuntimeWarning, one block at a time; only a family
+  whose flags say it reads neither positions nor measure takes it, and
+  the catalog's flags are truthful.
 """
 
+import dataclasses
 import math
 import os
 import sys
@@ -42,8 +48,8 @@ from scipy.optimize import linear_sum_assignment
 from wassinc import (ChatteringControl, ControlledFamily, ParticleCloud, RateFunctions, Trajectory, convexify, dynamics,
                      integrate, signal_field)
 from wassinc import measure
-from wassinc.catalog import (bounded_kernel_field, constants_family, gain_family, mean_attraction_field, mean_gain_family,
-                             rotation_field)
+from wassinc.catalog import (bounded_kernel_field, constant_field, constants_family, gain_family, linear_decay_field,
+                             mean_attraction_field, mean_gain_family, rotation_field, zero_field)
 from wassinc.dynamics import march, snapped_index, time_axis
 from wassinc.errors import BlowUpError, ShapeMismatchError
 from wassinc.inclusion import ControlSignal, peano_solve
@@ -549,3 +555,174 @@ def test_a_bound_signal_field_reads_only_its_curve(name, method, n, d, seed, nod
         expected = free.rule(t, curve.at(t).points, [0], X).tobytes()
         for points in (curve.at(t).points, start.points, rng.standard_normal((n + 2, d)) * 1e3):
             assert bound.rule(t, points, [0], X).tobytes() == expected
+
+
+# -- state-free Euler curves as running sums ------------------------------------
+
+
+def stepped_curve(family, start, grid, controls, measure=None):
+    """The loop a state-free curve replaces: ``march`` over ``delayed_step``,
+    node k + 1 from node k with controls[k] and measure[k] (or node k)."""
+    return march(start, grid, lambda k, t0, t1, rows: dynamics.delayed_step(
+        family, t0, t1, rows[k] if measure is None else measure[k], int(controls[k]), rows[k]))
+
+
+def outcome(build):
+    """The curve's bytes, or the text of the BlowUpError building it raised."""
+    try:
+        return build().points.tobytes()
+    except BlowUpError as exc:
+        return str(exc)
+
+
+def state_free_family(kind, d, data):
+    """A state-free family of ``kind`` in dimension d with drawn velocities."""
+    rates = const_rates(1.0, 0.0, 0.0)
+    vector = st.lists(st.one_of(velocity, st.sampled_from([1e300, -1e300])), min_size=d, max_size=d)
+    if kind == "zero":
+        return zero_field(rates)
+    if kind == "constant":
+        return constant_field(data.draw(vector), rates)
+    family = constants_family(data.draw(st.lists(vector, min_size=1, max_size=4)), rates)
+    if kind == "mixture":
+        return convexify(family, mixtures(family.size, 2, data.draw(st.integers(1, 3))))
+    return family
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["zero", "constant", "constants", "mixture", "signal", "bound signal"]),
+       n=st.integers(1, 64), d=st.integers(1, 3), nodes=st.integers(1, 80), uniform=st.booleans(),
+       entries=st.sampled_from([1, 50, 2**14]), own=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_a_state_free_curve_is_the_stepped_curve(kind, n, d, nodes, uniform, entries, own, seed, data):
+    """Block sizes down to one node per block, so every block boundary is
+    crossed; a measure curve given or not, read or not."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    family = state_free_family(kind.split()[-1] if "signal" not in kind else "constants", d, data)
+    grid = np.linspace(0.0, rng.uniform(0.1, 10.0), nodes) if uniform else random_grid(rng, nodes)
+    curve = Trajectory(grid=grid, points=rng.standard_normal((nodes, n + 1, d)))
+    if "signal" in kind:
+        signal = ControlSignal(grid=random_grid(rng, 7, max(grid[-1], 1.0)), indices=rng.integers(family.size, size=6))
+        family = signal_field(family, signal, curve if kind == "bound signal" else None)
+    assert not (family.position_dependent or family.measure_dependent)
+    start = ParticleCloud(rng.standard_normal((n, d)))
+    controls = rng.integers(family.size, size=nodes - 1)
+    measure = None if own else curve.points
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "BLOCK_ENTRIES", entries)
+        fast = outcome(lambda: dynamics.euler_curve(family, start, grid, controls, measure))
+    assert fast == outcome(lambda: stepped_curve(family, start, grid, controls, measure))
+
+
+def catalog_families(d):
+    """Every catalog builder in dimension d (rotation only for d = 2), by name."""
+    rates = const_rates(2.0, 2.0, 2.0)
+    built = {
+        "zero": zero_field(rates),
+        "constant": constant_field(np.linspace(-1.0, 2.0, d), rates),
+        "linear_decay": linear_decay_field(rates),
+        "mean_attraction": mean_attraction_field(1.5, rates),
+        "bounded_kernel": bounded_kernel_field(rates),
+        "constants": constants_family([np.full(d, 0.5), np.full(d, -2.0)], rates),
+        "gain": gain_family([0.5, -1.0], rates),
+        "mean_gain": mean_gain_family([0.5, 2.0], rates),
+    }
+    return built | ({"rotation": rotation_field(rates)} if d == 2 else {})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_flags_are_truthful(rng, d):
+    """A rule that declares it reads no positions (no measure) gives the same
+    bits for any positions (any cloud), at one node and at a block."""
+    state_free = set()
+    for name, family in catalog_families(d).items():
+        idx = np.arange(family.size)
+        cloud, X = rng.standard_normal((5, d)), rng.standard_normal((3, d))
+        one = (0.25, cloud, idx, X)
+        block = (np.array([0.0, 0.5]), np.stack([cloud, cloud + 1.0]), np.stack([idx, idx[::-1]]),
+                 np.stack([X, X - 2.0]))
+        for t, points, index, positions in (one, block):
+            expected = family.rule(t, points, index, positions).tobytes()
+            if not family.position_dependent:
+                assert family.rule(t, points, index, 1e3 * rng.standard_normal(positions.shape)).tobytes() == expected
+            if not family.measure_dependent:
+                assert family.rule(t, rng.standard_normal(points.shape), index, positions).tobytes() == expected
+        if not (family.position_dependent or family.measure_dependent):
+            state_free.add(name)
+    assert state_free == {"zero", "constant", "constants"}
+
+
+@pytest.mark.parametrize("name", list(catalog_families(2)))
+def test_derived_families_copy_both_flags(name):
+    family = catalog_families(2)[name]
+    signal = ControlSignal(grid=[0.0, 0.5, 1.0], indices=[0, family.size - 1])
+    curve = Trajectory(grid=[0.0, 1.0], points=np.zeros((2, 3, 2)))
+    derived = [convexify(family, [ChatteringControl((0, family.size - 1), (1, 2))]),
+               signal_field(family, signal), signal_field(family, signal, curve)]
+    for other in derived:
+        assert (other.position_dependent, other.measure_dependent) == (family.position_dependent,
+                                                                       family.measure_dependent)
+
+
+def test_only_a_state_free_family_skips_the_loop(monkeypatch):
+    """A family that leaves ``position_dependent`` at its default marches,
+    even when its rule reads nothing; a catalog constant field does not."""
+    marched = []
+    monkeypatch.setattr(dynamics, "march", lambda *args: marched.append(args) or march(*args))
+    lambda_field = ControlledFamily(controls=(0,), rule=lambda t, points, idx, X: np.ones(np.shape(idx) + X.shape[-2:]),
+                                    rates=const_rates(1.0, 0.0, 0.0))
+    constant = constant_field([1.0], const_rates(1.0, 0.0, 0.0))
+    start, grid = ParticleCloud([[0.0], [2.0]]), np.linspace(0.0, 1.0, 9)
+    curves = [integrate(field, start, grid) for field in (lambda_field, constant)]
+    assert len(marched) == 1 and marched[0][0] is start
+    assert curves[0].points.tobytes() == curves[1].points.tobytes()
+
+
+@pytest.mark.parametrize("n, d, at", [(1, 1, 0), (3, 2, 2)])
+def test_a_state_free_blow_up_is_the_loop_report(n, d, at):
+    """A control of 1e308 takes the particle starting at 1e308 out of the
+    finite range at the second step: the same BlowUpError text as the
+    loop, and no RuntimeWarning."""
+    vectors = [np.zeros(d), np.full(d, 1e308)]
+    family = constants_family(vectors, const_rates(1e308, 0.0, 0.0))
+    points = np.zeros((n, d))
+    points[at, -1] = 1e308
+    start = ParticleCloud(points)
+    grid, controls = np.linspace(0.0, 4.0, 5), np.array([0, 1, 1, 0])
+    with pytest.raises(BlowUpError) as expected:
+        stepped_curve(family, start, grid, controls)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError) as info:
+            dynamics.euler_curve(family, start, grid, controls)
+    assert str(info.value) == str(expected.value)
+    assert str(info.value).startswith(f"non-finite coordinate after step 2 (t = 2): particle {at}, ")
+
+
+def test_a_state_free_curve_holds_one_curve_array():
+    """With N d = 8192 entries a node a block is two nodes: every rule call
+    reads at most one block, and the peak beyond the curve is a few blocks."""
+    import tracemalloc
+
+    shapes = []
+    family = constants_family([[1.0, -1.0], [0.5, 2.0]], const_rates(2.0, 0.0, 0.0))
+    recorded = dataclasses.replace(family, rule=lambda *args: shapes.append(args[3].shape) or family.rule(*args))
+    start, grid = ParticleCloud(np.zeros((4096, 2))), np.linspace(0.0, 1.0, 41)
+    controls = np.arange(40) % 2
+    block = dynamics.node_blocks(40, start.points.size)[0]
+    tracemalloc.start()
+    try:
+        traj = dynamics.euler_curve(recorded, start, grid, controls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.stop == 2 and shapes == [(2, 4096, 2)] * 20
+    assert peak < traj.points.nbytes + 4 * block.stop * start.points.nbytes
+    assert traj.points.tobytes() == stepped_curve(family, start, grid, controls).points.tobytes()
+
+
+def test_controls_must_cover_every_interval():
+    family = constants_family([[1.0]], const_rates(1.0, 0.0, 0.0))
+    for controls in ([0, 0], [[0, 0, 0]]):
+        with pytest.raises(ShapeMismatchError, match="one control per interval"):
+            dynamics.euler_curve(family, ParticleCloud([[0.0]]), np.linspace(0.0, 1.0, 4), controls)

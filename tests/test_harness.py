@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wassinc import measure, parse_config, run_scenario, runner, sample_initial, verify
+from wassinc import cli, measure, parse_config, run_scenario, runner, sample_initial, verify
 from wassinc.cli import main as cli_main
 from wassinc.errors import ConfigError
 
@@ -305,6 +305,27 @@ class TestCli:
             ["simulate", "--config", self._write(tmp_path, raw), "--out", str(tmp_path / "o")]
         )
         assert code == 0
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys, monkeypatch):
+        """The parser is built once per process, and no call leaves a value
+        or an error behind for the next."""
+        seen = []
+        run = cli.run_scenario
+        monkeypatch.setattr(cli, "run_scenario", lambda config, out: seen.append(config.p) or run(config, out))
+        path = self._write(tmp_path, BASE)
+
+        def main(out, *flags):
+            return cli_main(["simulate", "--config", path, "--out", str(tmp_path / out), *flags])
+
+        assert cli.build_parser() is cli.build_parser()
+        assert main("a", "--p", "3") == 0 and main("b") == 0
+        assert seen == [3.0, BASE["p"]]
+        with pytest.raises(SystemExit) as info:
+            main("c", "--bogus")
+        assert info.value.code == 2 and "--bogus" in capsys.readouterr().err
+        assert main("d", "--steps", "7") == 0 and seen[-1] == BASE["p"]
+        assert len((tmp_path / "d" / "trajectory.csv").read_text().splitlines()) == 1 + 8 * BASE["N"]
+        assert not (tmp_path / "c").exists()
 
     def test_exit_two_on_config_error(self, tmp_path):
         raw = json.loads(json.dumps(BASE))
