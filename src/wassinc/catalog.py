@@ -38,6 +38,12 @@ from .errors import ConfigError
 from .measure import cdist
 
 
+def _mean(points: np.ndarray) -> np.ndarray:
+    """The cloud mean over axis -2, bit for bit ``points.mean(axis=-2)``: the
+    same ``np.add.reduce`` and division by N, without ``mean``'s Python wrapper."""
+    return np.add.reduce(points, axis=-2) / points.shape[-2]
+
+
 def _field(rule, rates: RateFunctions, label: str, measure_dependent: bool = False,
            position_dependent: bool = True) -> ControlledFamily:
     """The field of ``rule`` as the family of its one control."""
@@ -78,7 +84,7 @@ def mean_attraction_field(kappa: float, rates: RateFunctions) -> ControlledFamil
     kappa = float(kappa)
 
     def rule(t, points, idx, X):
-        return (kappa * (points.mean(axis=-2)[..., None, :] - X))[..., None, :, :]
+        return (kappa * (_mean(points)[..., None, :] - X))[..., None, :, :]
 
     return _field(rule, rates, f"mean_attraction:{kappa}", measure_dependent=True)
 
@@ -100,10 +106,10 @@ def bounded_kernel_field(rates: RateFunctions) -> ControlledFamily:
     * d = 1: numpy drops the unit axis and sums each row pairwise, so the
       terms form an (i, j) slab summed over its contiguous last axis.
 
-    ``cdist`` adds the d squares in order, as ``np.linalg.norm`` does for
-    d < 8; from d = 8 on numpy sums them pairwise and the two may differ
-    in the last bit.  A block of nodes is the one-node rule at each node,
-    stacked, since a sum over a longer slab would change that order.
+    ``cdist`` adds the d squares coordinate by coordinate, the convention
+    of every norm in the package (``measure.squared_norms``).  A block of
+    nodes is the one-node rule at each node, stacked, since a sum over a
+    longer slab would change that order.
     """
 
     def rule(t, Y, idx, X):
@@ -161,6 +167,6 @@ def mean_gain_family(controls, rates: RateFunctions) -> ControlledFamily:
     table = np.array(gains)
 
     def rule(t, points, idx, X):
-        return table[idx][..., None, None] * (points.mean(axis=-2)[..., None, :] - X)[..., None, :, :]
+        return table[idx][..., None, None] * (_mean(points)[..., None, :] - X)[..., None, :, :]
 
     return ControlledFamily(controls=gains, rule=rule, rates=rates, label="mean_gain", measure_dependent=True)

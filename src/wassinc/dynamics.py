@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BlowUpError, ShapeMismatchError
-from .measure import ParticleCloud
+from .measure import ParticleCloud, squared_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +194,7 @@ class ControlledFamily:
         every = np.broadcast_to(np.arange(self.size), out.shape)
         for b in node_blocks(len(points), self.size * probes.shape[1] * probes.shape[2]):
             diff = target[b, None] - self.rule(times[b], points[b], every[b], probes[b])
-            out[b] = sup_norm(diff if inside is None else np.where(inside[b, None, :, None], diff, 0.0))
+            out[b] = sup_norm(diff, None if inside is None else inside[b, None])
         return out
 
 
@@ -376,11 +376,18 @@ def _rk4_step(field, X, t0, dt, step):
     return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def sup_norm(diff: np.ndarray) -> np.ndarray:
+def sup_norm(diff: np.ndarray, inside: np.ndarray | None = None) -> np.ndarray:
     """Max over the probe rows of |diff| for velocity differences of shape
     (..., P, d): a (P, d) array gives one value, a stack (K, U, P, d) one
-    value per node and control."""
-    return np.linalg.norm(diff, axis=-1).max(axis=-1)
+    value per node and control.  A row outside the mask ``inside``
+    (broadcast against (..., P)) counts 0.  |diff|^2 is ``squared_norms``
+    (squares added coordinate by coordinate, as ``cdist`` does); sqrt is
+    monotone and correctly rounded, so the sqrt of the max squared norm is
+    the max norm, bit for bit."""
+    squares = squared_norms(diff)
+    if inside is not None:
+        squares = np.where(inside, squares, 0.0)
+    return np.sqrt(squares.max(axis=-1))
 
 
 def ball_grid(radius: float, dim: int, spacing: float) -> np.ndarray:
@@ -397,6 +404,6 @@ def ball_grid(radius: float, dim: int, spacing: float) -> np.ndarray:
         return axis[:, None]
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    keep = np.linalg.norm(pts, axis=1) <= radius * (1 + 1e-12)
+    keep = np.sqrt(squared_norms(pts)) <= radius * (1 + 1e-12)
     return pts[keep]
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .dynamics import ControlledFamily, Trajectory, delayed_step, march, snapped_index, sup_norm, time_axis
 from .errors import ShapeMismatchError
-from .measure import ParticleCloud, sup_wasserstein_cost
+from .measure import ParticleCloud, squared_norms, sup_wasserstein_cost
 
 
 def ball_gaps(family: ControlledFamily, times, measure: np.ndarray, w: ControlledFamily, nu: np.ndarray,
@@ -46,7 +46,7 @@ def ball_gaps(family: ControlledFamily, times, measure: np.ndarray, w: Controlle
     ``family``, for a field ``w``; 0 where the ball holds no atom.  The ball is a mask: max is
     exact, so zeroing the atoms outside it gives the bits of the max over the atoms inside."""
     target = w.rule(times, nu, np.zeros((len(nu), 1), dtype=int), nu)[:, 0]
-    return family.gaps(times, measure, target, nu, None if math.isinf(R) else np.linalg.norm(nu, axis=-1) <= R)
+    return family.gaps(times, measure, target, nu, None if math.isinf(R) else np.sqrt(squared_norms(nu)) <= R)
 
 
 @dataclass(frozen=True, eq=False)

@@ -82,19 +82,30 @@ class ParticleCloud:
         return _norms(self.points)
 
 
+def squared_norms(x: np.ndarray) -> np.ndarray:
+    """|x|^2 along the last axis: the squares added coordinate by coordinate,
+    first to last, as ``cdist`` does (``np.linalg.norm`` does too for d < 8,
+    but sums pairwise from d = 8 on).  A square may overflow to inf."""
+    total = x[..., 0] * x[..., 0]
+    for k in range(1, x.shape[-1]):
+        total += x[..., k] * x[..., k]
+    return total
+
+
 def _norms(points: np.ndarray) -> np.ndarray:
-    """Euclidean norm along the last axis, as ``np.linalg.norm``, but for a row of
+    """Euclidean norm along the last axis, sqrt of ``squared_norms`` (squares
+    added coordinate by coordinate, as ``cdist`` does), but for a row of
     finite coordinates whose norm reads below 2^-511 (where its squares are
     subnormal) with a coordinate nonzero, or reads inf: there M |row / M|, M its
     largest |coordinate|, so no square under- or overflows."""
     with np.errstate(over="ignore"):  # a row whose squares overflow is rescaled below
-        norms = np.linalg.norm(points, axis=-1)
+        norms = np.sqrt(squared_norms(points))
         odd = (norms < 2.0**-511) | (norms == math.inf)
         if odd.any():
             rows = points[odd]
             top = np.abs(rows).max(axis=-1, keepdims=True)
             top = np.where((top > 0.0) & (top < math.inf), top, 1.0)  # a zero or non-finite row keeps its norm
-            norms[odd] = top[:, 0] * np.linalg.norm(rows / top, axis=-1)
+            norms[odd] = top[:, 0] * np.sqrt(squared_norms(rows / top))
     return norms
 
 
@@ -224,17 +235,12 @@ def _solve(a: np.ndarray, b: np.ndarray, p: float):
 
 def _one_atom_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """W_p of every node of two checked (K, 1, d) stacks in one array pass, bit
-    for bit the solve of each node's 1 x 1 cost matrix: each distance adds its
-    squares coordinate by coordinate, as ``cdist`` does (``np.linalg.norm``
-    sums pairwise from d = 8 on), then ``_pow`` and, per node, ``_root``.  A
-    cost that overflows raises the solver's ValueError."""
-    gaps = a[:, 0] - b[:, 0]
+    for bit the solve of each node's 1 x 1 cost matrix: each distance is the
+    sqrt of ``squared_norms`` (squares added coordinate by coordinate, as
+    ``cdist`` does), then ``_pow`` and, per node, ``_root``.  A cost that
+    overflows raises the solver's ValueError."""
     with np.errstate(over="ignore"):  # an inf cost is rejected below
-        squares = gaps * gaps
-        total = squares[:, 0].copy()
-        for column in squares.T[1:]:
-            total += column
-        costs = _pow(np.sqrt(total), p)
+        costs = _pow(np.sqrt(squared_norms(a[:, 0] - b[:, 0])), p)
     if not (costs < math.inf).all():
         raise ValueError("cost matrix is infeasible")
     return np.array([_root(c, p) for c in costs.tolist()])
@@ -269,6 +275,13 @@ def wasserstein_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
         return np.array(list(pool.map(cost, a, b)))
 
 
+def _coupling_sums(gaps: np.ndarray, p: float) -> list:
+    """fsum_i |gaps_ki|^p of every row k of a (K, N, d) stack of particle gaps,
+    the total of a coupling's costs in the solver's own arithmetic (the diagonal
+    of ``pairwise_cost``); inf where a sum overflows."""
+    return _power_sums(np.sqrt(squared_norms(gaps)), p)
+
+
 def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
     """max_k W_p between the clouds of rows k of two (K, N, d) stacks.
 
@@ -278,9 +291,11 @@ def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
     to optimal, as particles keep their identity along a curve.  Nodes are
     taken in descending U_k until U_k <= the largest exact value so far;
     one whose bound under sigma is <= that value is skipped, any other
-    solved.  Both bounds round as the solver's total does (``_power_sums``,
-    unscaled: a p-th power that underflows reads 0 in both), inflated by a
-    relative 1e-9 for the rounding of the distances, so the result equals
+    solved.  Both bounds are totals in the solver's own arithmetic
+    (``_coupling_sums``: the same distances, p-th powers and ``fsum``; a
+    power that underflows reads 0 in both), so neither is below the node's
+    exact value; a relative 1e-9 inflation keeps that margin for a distance
+    routine that rounds otherwise, so the result equals
     max(wasserstein_costs(a, b, p)) bit for bit.  One-atom clouds (N = 1)
     need no screen: the max of ``_one_atom_costs``.
     """
@@ -291,7 +306,7 @@ def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
         return float(_one_atom_costs(a, b, p).max())
 
     def screen(gaps):  # inf where the sum overflows: such a node is solved
-        return [(1.0 + 1e-9) * _root(total / n, p) for total in _power_sums(np.linalg.norm(gaps, axis=-1), p)]
+        return [(1.0 + 1e-9) * _root(total / n, p) for total in _coupling_sums(gaps, p)]
 
     upper = screen(a - b)
     best, sigma = -math.inf, None

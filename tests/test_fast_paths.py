@@ -30,6 +30,13 @@
   BlowUpError and no RuntimeWarning, one block at a time; only a family
   whose flags say it reads neither positions nor measure takes it, and
   the catalog's flags are truthful.
+* Every norm adds its squares coordinate by coordinate
+  (``measure.squared_norms``): bitwise ``np.linalg.norm`` for d < 8 and
+  ``cdist`` for every d, with inf, nan, subnormal and overflowing
+  coordinates; ``sup_norm`` is the sqrt of the max squared norm, with or
+  without a mask, and the screen's identity-coupling total is the fsum of
+  the solver's diagonal costs.  The catalog's cloud mean is ``mean``'s
+  own reduction.
 """
 
 import dataclasses
@@ -44,13 +51,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from wassinc import (ChatteringControl, ControlledFamily, ParticleCloud, RateFunctions, Trajectory, convexify, dynamics,
                      integrate, signal_field)
-from wassinc import measure
+from wassinc import catalog, measure
 from wassinc.catalog import (bounded_kernel_field, constant_field, constants_family, gain_family, linear_decay_field,
                              mean_attraction_field, mean_gain_family, rotation_field, zero_field)
-from wassinc.dynamics import march, snapped_index, time_axis
+from wassinc.dynamics import march, snapped_index, sup_norm, time_axis
 from wassinc.errors import BlowUpError, ShapeMismatchError
 from wassinc.inclusion import ControlSignal, peano_solve
 from wassinc.measure import assignment_cost, pairwise_cost, wasserstein_cost, wasserstein_costs
@@ -726,3 +734,71 @@ def test_controls_must_cover_every_interval():
     for controls in ([0, 0], [[0, 0, 0]]):
         with pytest.raises(ShapeMismatchError, match="one control per interval"):
             dynamics.euler_curve(family, ParticleCloud([[0.0]]), np.linspace(0.0, 1.0, 4), controls)
+
+
+# -- one norm convention: squares added coordinate by coordinate ---------------
+
+EXTREME = [math.inf, -math.inf, math.nan, 5e-324, -2.5e-320, 1e-160, 1e200, -1.5e300]
+wide_coordinate = st.one_of(st.sampled_from(SPECIAL + EXTREME), st.floats(-1e3, 1e3))
+
+
+def stacks(data, d, shape=st.tuples(st.integers(1, 3), st.integers(1, 5))):
+    lead = data.draw(shape)
+    size = int(np.prod(lead)) * d
+    return np.array(data.draw(st.lists(wide_coordinate, min_size=size, max_size=size))).reshape(lead + (d,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 7), data=st.data())
+def test_squared_norms_are_linalg_norm_below_eight_coordinates(d, data):
+    x = stacks(data, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.sqrt(measure.squared_norms(x)).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 12), data=st.data())
+def test_squared_norms_are_cdist_at_every_dimension(d, data):
+    x = stacks(data, d, st.tuples(st.integers(1, 6)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.sqrt(measure.squared_norms(x)).tobytes() == cdist(x, np.zeros((1, d)))[:, 0].tobytes()
+
+
+def test_overflowing_squares_warn_as_numpy_does():
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        measure.squared_norms(np.array([[1e200, 0.0]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 7), masked=st.booleans(), data=st.data())
+def test_sup_norm_is_the_max_of_linalg_norms(d, masked, data):
+    diff = stacks(data, d, st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)))
+    inside = np.array(data.draw(st.lists(st.booleans(), min_size=diff.shape[0] * diff.shape[2],
+                                         max_size=diff.shape[0] * diff.shape[2]))).reshape(diff.shape[0], 1, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if masked:
+            expected = np.linalg.norm(np.where(inside[..., None], diff, 0.0), axis=-1).max(axis=-1)
+            assert sup_norm(diff, inside).tobytes() == expected.tobytes()
+        else:
+            assert sup_norm(diff).tobytes() == np.linalg.norm(diff, axis=-1).max(axis=-1).tobytes()
+            assert sup_norm(diff[0, 0]).tobytes() == np.linalg.norm(diff[0, 0], axis=-1).max().tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from([(1, 1), (5, 2), (7, 3), (2, 9, 2), (3, 1, 4), (4, 33, 1)]), data=st.data())
+def test_cloud_mean_is_numpy_mean(shape, data):
+    size = int(np.prod(shape))
+    points = np.array(data.draw(st.lists(coordinate, min_size=size, max_size=size))).reshape(shape)
+    with np.errstate(over="ignore"):
+        assert catalog._mean(points).tobytes() == points.mean(axis=-2).tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_screen_total_is_the_solver_diagonal(rng, d, p):
+    # before its 1e-9 inflation the identity-coupling bound is the solver's own total of the
+    # diagonal: d >= 8 too, where np.linalg.norm's pairwise sum would differ on some pairs
+    a, b = rng.uniform(-1e3, 1e3, (2, 30, 7, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, 30, 7, d))
+    totals = measure._coupling_sums(a - b, p)
+    expected = [math.fsum(np.diag(pairwise_cost(x, y, p)).tolist()) for x, y in zip(a, b)]
+    assert [bits(t) for t in totals] == [bits(t) for t in expected]
