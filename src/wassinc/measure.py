@@ -275,13 +275,6 @@ def wasserstein_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
         return np.array(list(pool.map(cost, a, b)))
 
 
-def _coupling_sums(gaps: np.ndarray, p: float) -> list:
-    """fsum_i |gaps_ki|^p of every row k of a (K, N, d) stack of particle gaps,
-    the total of a coupling's costs in the solver's own arithmetic (the diagonal
-    of ``pairwise_cost``); inf where a sum overflows."""
-    return _power_sums(np.sqrt(squared_norms(gaps)), p)
-
-
 def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
     """max_k W_p between the clouds of rows k of two (K, N, d) stacks.
 
@@ -292,8 +285,9 @@ def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
     taken in descending U_k until U_k <= the largest exact value so far;
     one whose bound under sigma is <= that value is skipped, any other
     solved.  Both bounds are totals in the solver's own arithmetic
-    (``_coupling_sums``: the same distances, p-th powers and ``fsum``; a
-    power that underflows reads 0 in both), so neither is below the node's
+    (``_power_sums`` of the sqrt of ``squared_norms``: the same distances,
+    p-th powers and ``fsum`` as ``pairwise_cost``'s diagonal; a power that
+    underflows reads 0 in both), so neither is below the node's
     exact value; a relative 1e-9 inflation keeps that margin for a distance
     routine that rounds otherwise, so the result equals
     max(wasserstein_costs(a, b, p)) bit for bit.  One-atom clouds (N = 1)
@@ -306,7 +300,7 @@ def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
         return float(_one_atom_costs(a, b, p).max())
 
     def screen(gaps):  # inf where the sum overflows: such a node is solved
-        return [(1.0 + 1e-9) * _root(total / n, p) for total in _coupling_sums(gaps, p)]
+        return [(1.0 + 1e-9) * _root(total / n, p) for total in _power_sums(np.sqrt(squared_norms(gaps)), p)]
 
     upper = screen(a - b)
     best, sigma = -math.inf, None

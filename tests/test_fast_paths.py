@@ -799,6 +799,6 @@ def test_screen_total_is_the_solver_diagonal(rng, d, p):
     # before its 1e-9 inflation the identity-coupling bound is the solver's own total of the
     # diagonal: d >= 8 too, where np.linalg.norm's pairwise sum would differ on some pairs
     a, b = rng.uniform(-1e3, 1e3, (2, 30, 7, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, 30, 7, d))
-    totals = measure._coupling_sums(a - b, p)
+    totals = measure._power_sums(np.sqrt(measure.squared_norms(a - b)), p)
     expected = [math.fsum(np.diag(pairwise_cost(x, y, p)).tolist()) for x, y in zip(a, b)]
     assert [bits(t) for t in totals] == [bits(t) for t in expected]
