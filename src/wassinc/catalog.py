@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import ControlledFamily, RateFunctions
+from .dynamics import BLOCK_ENTRIES, ControlledFamily, RateFunctions
 from .errors import ConfigError
 from .measure import cdist
 
@@ -97,14 +97,21 @@ def bounded_kernel_field(rates: RateFunctions) -> ControlledFamily:
     as the oracle.  The rule itself takes the distances from ``cdist``
     and lays its terms out so that numpy's sum over the cloud rows j adds
     the same terms in the same order as that reference, hence gives the
-    same bits with no (points, cloud, d) tensor and no length-d norm loop:
+    same bits with no (points, cloud, d) tensor and no length-d norm loop.
+    It works in blocks of probe rows, each a slice of X whose slab holds
+    at most ``4 * BLOCK_ENTRIES`` terms (one row at least), so a call's
+    memory stays bounded however large the cloud and the probe set; an
+    output entry's sum never spans two blocks, so its bits do not depend
+    on the block size:
 
-    * d >= 2: numpy sums the tensor sequentially in j, so the terms form
-      a (j, c, i) slab summed over its leading axis, which numpy also
-      does sequentially because the trailing (c, i) block has at least
-      two entries, even for a single probe row;
-    * d = 1: numpy drops the unit axis and sums each row pairwise, so the
-      terms form an (i, j) slab summed over its contiguous last axis.
+    * d >= 2: numpy sums the tensor sequentially in j, so a block's terms
+      form a (j, c, i) slab summed over its leading axis into the block's
+      columns of the (c, i) output, which numpy also does sequentially
+      because the trailing (c, i) block has at least two entries, even
+      for a single probe row;
+    * d = 1: numpy drops the unit axis and sums each row pairwise, so a
+      block's terms form an (i, j) slab each of whose rows is summed
+      along its contiguous last axis, whole.
 
     ``cdist`` adds the d squares coordinate by coordinate, the convention
     of every norm in the package (``measure.squared_norms``).  A block of
@@ -115,12 +122,17 @@ def bounded_kernel_field(rates: RateFunctions) -> ControlledFamily:
     def rule(t, Y, idx, X):
         if getattr(t, "ndim", 0):  # a block (times (K,)): each node on its own
             return np.stack([rule(*node) for node in zip(t, Y, idx, X)])
-        if X.shape[1] == 1:
-            q = (Y.T - X) / (1.0 + cdist(X, Y))  # laid out (i, j)
-            return (q.sum(axis=1, keepdims=True) / len(Y))[None]
-        q = Y[:, :, None] - np.ascontiguousarray(X.T)  # -(x_i - y_j), laid out (j, c, i)
-        q /= 1.0 + cdist(Y, X)[:, None, :]
-        return (np.ascontiguousarray(q.sum(axis=0).T) / len(Y))[None]
+        (P, d), out = X.shape, np.empty(X.shape[::-1])  # the sums, laid out (c, i)
+        rows = max(1, 4 * BLOCK_ENTRIES // (len(Y) * d))
+        for block in (slice(lo, lo + rows) for lo in range(0, P, rows)):
+            b = X[block]
+            if d == 1:
+                np.add.reduce((Y.T - b) / (1.0 + cdist(b, Y)), axis=1, out=out[0, block])  # laid out (i, j)
+            else:
+                q = Y[:, :, None] - np.ascontiguousarray(b.T)  # -(x_i - y_j), laid out (j, c, i)
+                q /= 1.0 + cdist(Y, b)[:, None, :]
+                np.add.reduce(q, axis=0, out=out[:, block])
+        return (np.ascontiguousarray(out.T) / len(Y))[None]
 
     return _field(rule, rates, "bounded_kernel", measure_dependent=True)
 

@@ -46,8 +46,9 @@ from .measure import ParticleCloud
 _REQUIRED = object()
 # Ceilings on a run's size, so that a config too large to run exits 2 before
 # anything is allocated.  MAX_ENTRIES bounds the trajectory's (steps + 1) x N
-# x d positions, the N x N x d of a W_p cost matrix and the kernel field's
-# slab, and the 17^d x d mesh of a tracking lattice.  The CSV writers hold the
+# x d positions, the N x N of a W_p cost matrix (``cdist`` allocates no N x N
+# x d array, and the kernel field works in blocks of probe rows), and the 17^d
+# x d mesh of a tracking lattice.  The CSV writers hold the
 # text of one node block at a time, and a block is at least one node, so one
 # particle in d = MAX_ENTRIES / 2 peaks highest: it formats every entry at
 # once.  MAX_NODES bounds the steps + 1 grid nodes, each of which carries
@@ -353,7 +354,7 @@ def parse_config(raw: dict, kind: str | None = None, **overrides) -> ScenarioCon
 
 def _check_sizes(top: dict) -> None:
     """ConfigError unless the grid fits MAX_NODES and the trajectory, the
-    N x N x d arrays and the tracking lattice of a relax run or a filippov
+    N x N cost matrix and the tracking lattice of a relax run or a filippov
     run with finite R fit MAX_ENTRIES (and a relax run has one weight per
     base, a weight sum in [1, MAX_NODES - 1], and bases of its family).
     A peano run has n * substeps steps, each n of ``n_list`` too, and its unused
@@ -375,7 +376,7 @@ def _check_sizes(top: dict) -> None:
         steps *= q
     if max(steps, declared) + 1 > MAX_NODES:
         raise ConfigError(f"steps + 1 must be at most {MAX_NODES} grid nodes")
-    sizes = [("(steps + 1) x 'N' x 'd'", (steps + 1) * N * d), ("'N' x 'N' x 'd'", N * N * d)]
+    sizes = [("(steps + 1) x 'N' x 'd'", (steps + 1) * N * d), ("'N' x 'N'", N * N)]
     if exp["kind"] == "relax" or exp["kind"] == "filippov" and exp["R"] < math.inf:
         # ball_grid(R, d, R / 8) meshes 17 points an axis; 17^5 > MAX_ENTRIES, so d > 5 needs no power
         sizes.append(("the tracking lattice's 17^'d' x 'd'", 17 ** min(d, 5) * d))

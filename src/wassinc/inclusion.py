@@ -87,9 +87,14 @@ def signal_field(family: ControlledFamily, signal: ControlSignal,
                  measure: Trajectory | None = None) -> ControlledFamily:
     """Velocity field (a family of one control) that follows the signal's
     control on each interval; given a ``measure`` Trajectory, its rule reads
-    that curve's node at t in place of the cloud it is handed."""
+    that curve's node at t in place of the cloud it is handed.  A family
+    that does not read its measure (``measure_dependent`` False) is handed
+    that cloud as it is, with no lookup: its rule gives the same bits for
+    any cloud."""
     if signal.indices.max() >= family.size:
         raise ValueError(f"signal index {signal.indices.max()} outside family of size {family.size}")
+    if not family.measure_dependent:
+        measure = None
 
     def rule(t, points, idx, X):
         block = getattr(t, "ndim", 0) > 0  # one node (a float t), or a block (times (K,))

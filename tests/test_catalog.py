@@ -1,4 +1,7 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -11,6 +14,7 @@ from wassinc.catalog import (
     rotation_field,
     zero_field,
 )
+from wassinc.dynamics import BLOCK_ENTRIES
 
 from conftest import const_rates
 
@@ -82,6 +86,43 @@ class TestBoundedKernelRule:
         cloud = ParticleCloud(data.draw(hnp.arrays(np.float64, (n, d), elements=values)))
         X = data.draw(hnp.arrays(np.float64, (m, d), elements=values))
         assert_bitwise(RULE(0.0, cloud.points, [0], X)[0], kernel_tensor_rule(cloud, X))
+
+    @pytest.mark.parametrize("n, p, d", [
+        (200, 1000, 1),  # 327-row blocks: three and 19 rows
+        (384, 300, 2),  # 85-row blocks: three and 45 rows
+        (500, 140, 3),  # 43-row blocks: three and 11 rows
+        (BLOCK_ENTRIES * 2 + 1, 3, 2),  # one row a block
+    ])
+    def test_probe_row_blocks_keep_the_bits(self, n, p, d):
+        rows = max(1, 4 * BLOCK_ENTRIES // (n * d))
+        assert p // rows >= 3 and (p % rows or rows == 1)
+        rng = np.random.Generator(np.random.Philox(key=n * p * d))
+        points = rng.standard_normal((n, d))
+        cloud = ParticleCloud(points)
+        for X in (rng.standard_normal((p, d)), points[rng.integers(n, size=p)]):  # coincident probes too
+            assert_bitwise(RULE(0.0, points, [0], X)[0], kernel_tensor_rule(cloud, X))
+
+    def test_a_block_of_nodes_is_each_node_in_probe_row_blocks(self):
+        rng = np.random.Generator(np.random.Philox(key=7))
+        points, X = rng.standard_normal((3, 384, 2)), rng.standard_normal((3, 300, 2))
+        out = RULE(np.array([0.0, 0.5, 1.0]), points, np.zeros((3, 1), dtype=int), X)
+        assert out.shape == (3, 1, 300, 2)
+        for k in range(3):
+            assert_bitwise(out[k, 0], kernel_tensor_rule(ParticleCloud(points[k]), X[k]))
+
+    @pytest.mark.parametrize("n, d", [(724, 2), (1024, 1)])
+    def test_a_call_at_the_ceiling_holds_a_few_blocks(self, n, d):
+        """One call with N = P probes at N^2 d = 2^20 traces about 1 MiB; the
+        whole pair slab with its distances took 16 MiB."""
+        points = np.random.Generator(np.random.Philox(key=n)).standard_normal((n, d))
+        RULE(0.0, points, [0], points)
+        tracemalloc.start()
+        try:
+            RULE(0.0, points, [0], points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_single_atom_at_its_own_position(self):
         # every term is -0.0 / 1; the reference sum starts from +0.0

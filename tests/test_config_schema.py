@@ -260,15 +260,15 @@ def test_ceilings_bound_the_grid_the_trajectory_and_the_n_by_n_arrays():
     parse_config(mutate(raw, "grid.steps", 2047), N=entries // 4096)
     with pytest.raises(ConfigError, match=r"^\(steps \+ 1\) x 'N' x 'd' must be at most 1048576 array entries$"):
         parse_config(mutate(raw, "grid.steps", 2047), N=entries // 4096 + 1)
-    N = math.isqrt(entries // 2)
+    N = math.isqrt(entries)  # 1024: no array holds N x N x d
     parse_config(mutate(raw, "grid.steps", 1), N=N)
-    with pytest.raises(ConfigError, match=r"^'N' x 'N' x 'd' must be at most"):
+    with pytest.raises(ConfigError, match=r"^'N' x 'N' must be at most 1048576 array entries$"):
         parse_config(mutate(raw, "grid.steps", 1), N=N + 1)
     # every bundled scenario is far below the ceilings
     for path in SCENARIOS.glob("*.json"):
         config = parse_config(scenario(path.stem))
         assert config.steps + 1 < nodes // 50
-        assert (config.steps + 1) * config.N * config.d < entries // 50 and config.N**2 * config.d < entries // 50
+        assert (config.steps + 1) * config.N * config.d < entries // 50 and config.N**2 < entries // 50
 
 
 def lattice_run(kind, d, R=2.0):
@@ -375,12 +375,16 @@ def test_relax_weights_are_one_per_base_with_a_sum_from_one_to_the_node_ceiling(
         with pytest.raises(ConfigError, match=r"^experiment 'weights' must be one per base, with a sum in \[1, 131071\]$"):
             parse_config(mutate(relax, "experiment.weights", weights))
 
-# a run at each ceiling: N = d = 1 on MAX_NODES nodes, and one particle in
-# d = MAX_ENTRIES / 2 on two nodes
+# a run at each ceiling: N = d = 1 on MAX_NODES nodes, one particle in
+# d = MAX_ENTRIES / 2 on two nodes, and the kernel field at N x N =
+# MAX_ENTRIES in d = 2 for one step
+UNIFORM = {"kind": "uniform", "halfwidth": 1.0}
+KERNEL = {"label": "bounded_kernel", "rates": {"m": 1.0, "l": 1.0, "L": 1.0}}
 AT_THE_CEILING = {
     "nodes": ({"grid": {"steps": config_module.MAX_NODES - 1}}, config_module.MAX_NODES),
-    "entries": ({"grid": {"steps": 1}, "d": config_module.MAX_ENTRIES // 2,
-                 "initial": {"kind": "uniform", "halfwidth": 1.0}}, 2),
+    "entries": ({"grid": {"steps": 1}, "d": config_module.MAX_ENTRIES // 2, "initial": UNIFORM}, 2),
+    "pairs": ({"grid": {"steps": 1}, "d": 2, "N": math.isqrt(config_module.MAX_ENTRIES), "initial": UNIFORM,
+               "field": KERNEL}, 2 * math.isqrt(config_module.MAX_ENTRIES)),
 }
 
 

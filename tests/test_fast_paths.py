@@ -24,7 +24,8 @@
 * A signal field bound to a curve (``signal_field(family, signal,
   measure)``): integrating it equals, bit for bit, the per-step loop that
   hands the unbound field ``measure.at(t)``, and its rule returns the same
-  bits whatever cloud it is handed.
+  bits whatever cloud it is handed; over a family that reads no measure it
+  looks up no node and gives the unbound field's curve.
 * A state-free family's Euler curve (``euler_curve``) is a running sum:
   bitwise equal to ``march`` over ``delayed_step``, with the same
   BlowUpError and no RuntimeWarning, one block at a time; only a family
@@ -563,6 +564,24 @@ def test_a_bound_signal_field_reads_only_its_curve(name, method, n, d, seed, nod
         expected = free.rule(t, curve.at(t).points, [0], X).tobytes()
         for points in (curve.at(t).points, start.points, rng.standard_normal((n + 2, d)) * 1e3):
             assert bound.rule(t, points, [0], X).tobytes() == expected
+
+
+@pytest.mark.parametrize("name", ["gain", "constants"])
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_a_measure_free_family_bound_to_a_curve_is_its_unbound_field(rng, monkeypatch, name, method):
+    """A family that does not read its measure is handed the cloud it is
+    given: the bound field looks up no node and gives the unbound curve."""
+    rates = RateFunctions.constant(2, 2, 2, 1.0)
+    family = {"gain": gain_family([0.5, -1.0, 2.0], rates),
+              "constants": constants_family([[0.5, 1.0], [-2.0, 0.0]], rates)}[name]
+    grid = random_grid(rng, 40, 1.0)
+    signal = ControlSignal(grid=grid, indices=rng.integers(family.size, size=39))
+    curve = Trajectory(grid=grid, points=rng.standard_normal((40, 3, 2)))
+    start = ParticleCloud(rng.standard_normal((5, 2)))
+    free = integrate(signal_field(family, signal), start, grid, method=method)
+    monkeypatch.setattr(Trajectory, "node_index", None)  # a lookup would raise
+    bound = integrate(signal_field(family, signal, curve), start, grid, method=method)
+    assert bound.points.tobytes() == free.points.tobytes()
 
 
 # -- state-free Euler curves as running sums ------------------------------------
