@@ -116,26 +116,46 @@ def product(*factors: float) -> float:
     return out
 
 
+def _products(*factors) -> np.ndarray:
+    """``product`` elementwise over broadcast float arrays and scalars: the factors multiplied
+    left to right, 0 wherever a factor is 0 (an overflow gives inf, a 0 * inf no NaN or warning)."""
+    out, zero = 1.0, False
+    with np.errstate(over="ignore", invalid="ignore"):  # the mask below keeps 0 * inf at 0
+        for f in factors:
+            out, zero = out * f, zero | (f == 0.0)
+    return np.where(zero, 0.0, out)
+
+
+def _exps(x: np.ndarray) -> np.ndarray:
+    """``saturating_exp`` of every entry: libm's exp, as for a scalar (numpy's SIMD exp rounds otherwise)."""
+    return np.array([saturating_exp(v) for v in x.tolist()])
+
+
 def gronwall_series(*, p, w0, increments, l_int, L_int=0.0, m_int=0.0, horizon=0.0, tail=0.0):
     """The arrays (D_p, chi_p, E), one entry per grid node t_k, where
 
         D_p(t_k) = C_p (w0 + sum_{j<k} increments_j + E) exp(C_p' l^p + chi_p),
         chi_p = C_p L exp(C_p' l^p),   E = 2 m (1 + horizon) tail,
 
-    and l, L, m are the rate integrals over [0, t_k] (``l_int``, ``L_int``,
-    ``m_int``, scalars broadcast).  L = 0 gives the plain Gronwall bound,
-    tail = 0 drops E."""
+    and l, L, m are the rate integrals over [0, t_k] (``l_int`` a 1-d array,
+    ``L_int``, ``m_int`` arrays or scalars broadcast).  L = 0 gives the plain
+    Gronwall bound, tail = 0 drops E.  One array pass, bit for bit the node
+    loop of scalar calls: the running sum adds in node order, every product
+    is ``product``'s (``_products``), C_p' l^p is ``_scaled_power``'s, with
+    l^p from libm's pow (numpy's SIMD pow rounds otherwise, and l * l is not
+    libm's l^2 either), and every exp is ``saturating_exp``."""
     cp, cpp = C_p(p), C_p_prime(p)
-    rows = zip(*(np.broadcast_to(a, np.shape(l_int)).tolist() for a in (l_int, L_int, m_int)))
-    increments = np.asarray(increments).tolist()
-    D, chi, E = (np.empty(np.shape(l_int)) for _ in range(3))
-    total, w0 = 0.0, float(w0)  # Python floats: a product past the range is inf, with no numpy warning
-    for k, (l, L, m) in enumerate(rows):
-        if k > 0:
-            total += increments[k - 1]
-        growth = _scaled_power(cpp, l, p)  # C_p' l^p, formed once for chi_p and D_p
-        chi_k, E_k = product(cp, L, saturating_exp(growth)), product(2.0, m, 1.0 + horizon, tail)
-        chi[k], E[k], D[k] = chi_k, E_k, product(cp, w0 + total + E_k, saturating_exp(growth + chi_k))
+    l = np.asarray(l_int, dtype=float)
+    L, m = (np.broadcast_to(np.asarray(a, dtype=float), l.shape) for a in (L_int, m_int))
+    steps = np.asarray(increments, dtype=float)[: max(l.size - 1, 0)]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows saturate to inf, as in Python floats
+        totals = float(w0) + np.add.accumulate(np.concatenate(([0.0], steps)))[: l.size]
+        lp = l if p == 1.0 else np.array([_power(x, p) for x in l.tolist()])
+        # an l > 0 whose l^p underflows reads inf beside a saturated C_p'
+        growth = np.where((lp == 0.0) & (l > 0.0) & (cpp == math.inf), math.inf, _products(cpp, lp))
+        chi = _products(cp, L, _exps(growth))
+        E = _products(2.0, m, 1.0 + horizon, float(tail))
+        D = _products(cp, totals + E, _exps(growth + chi))
     return D, chi, E
 
 

@@ -97,9 +97,13 @@ class RateFunctions:
         a = np.maximum(a, bp[0])[..., None]
         b = np.minimum(b, bp[-1])[..., None]
         overlap = np.clip(np.minimum(bp[1:], b) - np.maximum(bp[:-1], a), 0.0, None)
-        terms = (vals * overlap).reshape(-1, vals.size).tolist()
-        sums = [math.fsum(row) if hi > lo else 0.0 for row, lo, hi in zip(terms, a.ravel(), b.ravel())]
-        return sums[0] if a.ndim == 1 else np.array(sums).reshape(a.shape[:-1])
+        terms = (vals * overlap).reshape(-1, vals.size)
+        # a row of at most one nonzero term sums exactly in any order (an empty interval
+        # has none); only a row across two or more segments needs fsum
+        sums = np.add.reduce(terms, axis=1)
+        for row in np.flatnonzero(np.count_nonzero(terms, axis=1) > 1).tolist():
+            sums[row] = math.fsum(terms[row].tolist())
+        return float(sums[0]) if a.ndim == 1 else sums.reshape(a.shape[:-1])
 
     def maximum(self, other: "RateFunctions") -> "RateFunctions":
         """Pointwise max of the m/l/L rates of two families of rates, on the

@@ -8,7 +8,11 @@ one checked measure, a curve its (K, N, d) array of positions: ``moments``
 and ``tail_norms`` read one such stack, the W_p series ``wasserstein_costs``
 and ``sup_wasserstein_cost`` two, node by node and bit for bit equal to
 the one-cloud calls.  A series of one-atom clouds (N = 1) is one array
-pass with no solver; from N = 64 on a series runs on every usable core.
+pass with no solver; from N = 64 on a series of two or more nodes runs on
+every usable core.  Any other series runs on one thread in node blocks:
+every cost matrix of a block in one ``squared_distances`` pass (bit for
+bit ``cdist``), one assignment solve per node, and the matched costs
+gathered at once.
 scipy is imported on the first assignment solve or pairwise distance, so
 a run that needs neither never loads it.
 """
@@ -89,6 +93,19 @@ def squared_norms(x: np.ndarray) -> np.ndarray:
     total = x[..., 0] * x[..., 0]
     for k in range(1, x.shape[-1]):
         total += x[..., k] * x[..., k]
+    return total
+
+
+def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x_i - y_j|^2 for the rows of (..., N, d) and (..., M, d) stacks, shape
+    (..., N, M): ``squared_norms`` of every pairwise difference, bit for bit,
+    with one coordinate's differences formed at a time, so no (..., N, M, d)
+    array is built; its sqrt is ``cdist``'s."""
+    total = np.zeros(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-2]))
+    for k in range(x.shape[-1]):
+        gap = x[..., :, None, k] - y[..., None, :, k]
+        gap *= gap
+        total += gap  # 0 + the first square is that square
     return total
 
 
@@ -255,24 +272,42 @@ def wasserstein_cost(a: ParticleCloud, b: ParticleCloud, p: float) -> float:
 def wasserstein_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """W_p between the clouds of rows k of two (K, N, d) stacks, for every k,
     as a float64 array; both stacks are checked before any solve.  One-atom
-    clouds (N = 1) take ``_one_atom_costs``, one pass over every node."""
+    clouds (N = 1) take ``_one_atom_costs``, one pass over every node; a
+    series that the pool below does not take, ``_serial_costs``."""
     p = _check_p(p)
     _check_stacks(a, b)
     n = a.shape[1]
     if n == 1:
         return _one_atom_costs(a, b, p)
 
-    def cost(x, y):
-        return _root(_solve(x, y, p)[2] / n, p)
-
     # The solver releases the GIL: two or more nodes of N >= 64 run on a thread per
     # usable core.  Pooled / serial time of a 21-node series, pool start included,
     # 2-core x86_64: N = 32 1.8-3.9, 48 1.0-2.1, 64 0.8-1.6 (even), 96 0.7-1.0, 256 0.5-0.7.
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if len(a) < 2 or n < 64 or cores < 2:
-        return np.array([cost(x, y) for x, y in zip(a, b)])
+        return _serial_costs(a, b, p)
     with ThreadPoolExecutor(cores) as pool:
-        return np.array(list(pool.map(cost, a, b)))
+        return np.array(list(pool.map(lambda x, y: _root(_solve(x, y, p)[2] / n, p), a, b)))
+
+
+def _serial_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """W_p of every node of two checked (K, N, d) stacks, N >= 2, on one thread, bit for
+    bit each node's ``_solve``: per ``node_blocks`` slice, every node's cost matrix in one
+    ``squared_distances`` pass (the sqrt of which is ``cdist``'s), ``_pow``, one assignment
+    solve per node, then the matched entries gathered at once, and per node ``fsum`` and
+    ``_root``.  An overflowing cost is left to the solver, which rejects an infeasible
+    matrix with its ValueError."""
+    from .dynamics import node_blocks  # dynamics imports this module
+
+    n, out = a.shape[1], []
+    for blk in node_blocks(len(a), 4 * n * n):  # about four (nodes, N, N) arrays live at once
+        with np.errstate(over="ignore"):  # an inf cost is the solver's to judge
+            costs = squared_distances(a[blk], b[blk])
+            costs = _pow(np.sqrt(costs, out=costs), p)
+        sigma = np.array([linear_sum_assignment(D)[1] for D in costs])
+        matched = np.take_along_axis(costs, sigma[:, :, None], axis=2)[:, :, 0]
+        out += [_root(math.fsum(row) / n, p) for row in matched.tolist()]
+    return np.array(out)
 
 
 def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:

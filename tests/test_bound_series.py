@@ -62,6 +62,28 @@ def test_array_integral_equals_scalar_calls(seed, segments, which):
     assert type(scalar) is float and scalar == got[0]
 
 
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(2, 6))
+def test_multi_segment_integral_is_the_per_row_fsum(seed, segments):
+    # magnitudes 1 to 1e-17 apart: a row across segments sums otherwise than fsum in any
+    # fixed order, so only fsum keeps its bits; one-term rows take the plain sum
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    T = 2.0
+    inner = np.sort(rng.choice(np.arange(1, 64), segments - 1, replace=False)) * (T / 64)
+    rates = RateFunctions(np.concatenate([[0.0], inner, [T]]),
+                          *(rng.uniform(0.5, 1.0, (3, segments)) * 10.0 ** rng.uniform(-17.0, 0.0, (3, segments))))
+    a = np.concatenate([rng.uniform(-0.5, 2.5, 40), rates.breakpoints, [-1.0, 3.0], rng.uniform(0.0, T, 5)])
+    b = a + np.concatenate([rng.uniform(0.0, 2.5, 40), np.zeros(segments + 8)])  # zero-length intervals last
+    for which in "mlL":
+        expected = [scalar_integral(rates, which, x, y) for x, y in zip(a, b)]
+        assert_bitwise(rates.integral(which, a, b), expected)
+        assert_bitwise(rates.integral(which, a[:, None], b[:, None]), np.reshape(expected, (-1, 1)))
+        scalars = [rates.integral(which, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert all(type(v) is float for v in scalars)
+        assert_bitwise(scalars, expected)
+        assert all(v == 0.0 for v in scalars[-(segments + 8):])
+
+
 def test_array_integral_rejects_reversed_bounds():
     rates = RateFunctions.constant(1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -124,6 +146,70 @@ def test_momentum_series_equals_node_loop(seed, segments, p, measure_dependent):
         m_int = scalar_integral(rates, "m", 0.0, float(t))
         expected[k] = bounds.product(cp, measured[0] + growth_int, bounds.exp_power(cpp, m_int, p))
     assert_bitwise(momentum_bound_series(grid, measured, rates, p, measure_dependent), expected)
+
+
+def loop_gronwall_series(*, p, w0, increments, l_int, L_int=0.0, m_int=0.0, horizon=0.0, tail=0.0):
+    """The node loop of scalar calls that ``bounds.gronwall_series`` replaced: Python floats,
+    one ``product`` and two ``saturating_exp`` a node."""
+    cp, cpp = bounds.C_p(p), bounds.C_p_prime(p)
+    rows = zip(*(np.broadcast_to(a, np.shape(l_int)).tolist() for a in (l_int, L_int, m_int)))
+    increments = np.asarray(increments).tolist()
+    D, chi, E = (np.empty(np.shape(l_int)) for _ in range(3))
+    total, w0 = 0.0, float(w0)
+    for k, (l, L, m) in enumerate(rows):
+        if k > 0:
+            total += increments[k - 1]
+        growth = bounds._scaled_power(cpp, l, p)
+        chi_k, E_k = bounds.product(cp, L, bounds.saturating_exp(growth)), bounds.product(2.0, m, 1.0 + horizon, tail)
+        chi[k], E[k], D[k] = chi_k, E_k, bounds.product(cp, w0 + total + E_k, bounds.saturating_exp(growth + chi_k))
+    return D, chi, E
+
+
+# rate integrals and increments with zeros, values whose p-th power underflows
+# (1e-300 from p = 2, 0.6 at p = 2000) or overflows, and values near 1
+SERIES_VALUES = st.one_of(st.sampled_from([0.0, 1e-300, 1e-6, 0.6, 1.0, 1.5, 700.0, 1e200]),
+                          st.floats(0.0, 10.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 64.0, 1025.0, 2000.0]), nodes=st.integers(1, 12),
+       scalar_L=st.booleans(), data=st.data())
+def test_gronwall_series_equals_the_node_loop(p, nodes, scalar_L, data):
+    # p >= 1025 saturates C_p' to inf, beside l = 0 and l^p that underflows
+    def values(size):
+        return np.array(data.draw(st.lists(SERIES_VALUES, min_size=size, max_size=size)))
+
+    kwargs = dict(
+        p=p, w0=data.draw(SERIES_VALUES), increments=values(nodes - 1),
+        l_int=np.sort(values(nodes)), L_int=data.draw(SERIES_VALUES) if scalar_L else values(nodes),
+        m_int=values(nodes), horizon=data.draw(SERIES_VALUES), tail=data.draw(SERIES_VALUES),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # saturation raises no numpy warning
+        got = bounds.gronwall_series(**kwargs)
+    for actual, expected in zip(got, loop_gronwall_series(**kwargs)):
+        assert_bitwise(actual, expected)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_long_gronwall_series_equals_the_node_loop(rng, p):
+    # libm's l ** 2.0 is not l * l on every l: about one l in a thousand of these differs in the last bit
+    l_int = np.sort(rng.uniform(0.0, 10.0, 20000))
+    kwargs = dict(p=p, w0=0.5, increments=rng.uniform(0.0, 1e-3, l_int.size - 1), l_int=l_int,
+                  L_int=l_int / 7.0, m_int=l_int / 3.0, horizon=2.0, tail=0.25)
+    for actual, expected in zip(bounds.gronwall_series(**kwargs), loop_gronwall_series(**kwargs)):
+        assert_bitwise(actual, expected)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 64.0, 2000.0])
+def test_gronwall_series_zero_factors_beside_saturated_ones(p):
+    # L = 0, tail = 0 and w0 = 0 beside an inf exp; 1e-300^p underflows beside a saturated C_p'
+    kwargs = dict(p=p, w0=0.0, increments=[0.0, 0.0, 1e308, 1e308], l_int=np.array([0.0, 1e-300, 0.6, 1e3, 1e200]),
+                  L_int=np.array([0.0, 0.0, 1.0, 0.0, 1.0]), m_int=1.0, horizon=1e308, tail=0.0)
+    got = bounds.gronwall_series(**kwargs)
+    for actual, expected in zip(got, loop_gronwall_series(**kwargs)):
+        assert_bitwise(actual, expected)
+    assert np.all(got[2] == 0.0) and not np.isnan(np.concatenate(got)).any()
 
 
 def test_gronwall_series_saturates_to_inf():

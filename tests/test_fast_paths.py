@@ -6,7 +6,11 @@
 * A per-node W_p series over two (K, N, d) stacks runs on a thread per
   usable core for N >= 64: bitwise equal to one ``wasserstein_cost`` per
   node, in input order, with the checks before any solve and the solver's
-  error from a worker.
+  error from a worker.  Below N = 64 it runs in node blocks, each block's
+  cost matrices from one ``squared_distances`` pass: bitwise equal to each
+  node's own solve for N up to 63, d up to 24 and coincident atoms, in
+  blocks of one node or several, with the solver's error on an
+  overflowing cost and no RuntimeWarning.
 * Scalar time lookups of curves and signals bisect a Python list: equal
   to the ``np.searchsorted`` formula they replace, on nodes, one ulp
   either side and outside [0, T]; a rate's scalar lookup is its array
@@ -33,8 +37,8 @@
   the catalog's flags are truthful.
 * Every norm adds its squares coordinate by coordinate
   (``measure.squared_norms``): bitwise ``np.linalg.norm`` for d < 8 and
-  ``cdist`` for every d, with inf, nan, subnormal and overflowing
-  coordinates; ``sup_norm`` is the sqrt of the max squared norm, with or
+  ``cdist`` for d up to 64, with inf, nan, subnormal and overflowing
+  coordinates, and so do pairwise distances (``squared_distances``); ``sup_norm`` is the sqrt of the max squared norm, with or
   without a mask, and the screen's identity-coupling total is the fsum of
   the solver's diagonal costs.  The catalog's cloud mean is ``mean``'s
   own reduction.
@@ -66,6 +70,7 @@ from wassinc.measure import assignment_cost, pairwise_cost, wasserstein_cost, wa
 
 from conftest import const_rates, mixtures
 
+SEED = st.integers(0, 2**32 - 1)
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -2.5]
 
 
@@ -177,6 +182,61 @@ def test_series_is_bitwise_equal_to_one_solve_per_pair(rng, cores, n, d, p):
     series = wasserstein_costs(a, b, p)
     assert series.dtype == np.float64 and series.shape == (len(a),)
     assert [bits(x) for x in series] == [bits(x) for x in one_solve_per_node(a, b, p)]
+
+
+def solve_root(x, y, p):
+    """The per-node solver path the batched small-cloud series replaced."""
+    return measure._root(measure._solve(x, y, p)[2] / len(x), p)
+
+
+def small_cloud_stacks(rng, nodes, n, d):
+    """Two (nodes, n, d) stacks with coincident atoms within a cloud and across the two, and +-0.0."""
+    a, b = rng.standard_normal((2, nodes, n, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    a[:, : n // 3] = a[:, :1]
+    b[:, n // 3 : n // 2] = a[:, n // 3 : n // 2]
+    b[:, n // 2 : n // 2 + n // 5] = rng.choice([0.0, -0.0], (nodes, n // 5, d))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEED, st.integers(2, 63), st.integers(1, 24), st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.integers(1, 4))
+def test_small_cloud_series_is_each_nodes_solve(seed, n, d, p, nodes):
+    a, b = small_cloud_stacks(np.random.Generator(np.random.Philox(key=seed)), nodes, n, d)
+    assert [bits(x) for x in wasserstein_costs(a, b, p)] == [bits(solve_root(x, y, p)) for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("nodes_a_block", [1, 2, 5])
+def test_small_cloud_series_in_node_blocks_keeps_the_bits(rng, monkeypatch, nodes_a_block):
+    # 7-point clouds over eleven nodes; a block holds four (nodes, 7, 7) arrays
+    a, b = small_cloud_stacks(rng, 11, 7, 3)
+    expected = [bits(solve_root(x, y, 1.5)) for x, y in zip(a, b)]
+    blocks, split = [], dynamics.node_blocks
+
+    def recorded(nodes, per_node):
+        out = split(nodes, per_node)
+        blocks.extend(out)
+        return out
+
+    monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", nodes_a_block * 4 * 7 * 7)
+    monkeypatch.setattr(dynamics, "node_blocks", recorded)
+    assert [bits(x) for x in wasserstein_costs(a, b, 1.5)] == expected
+    assert len(blocks) == math.ceil(11 / nodes_a_block)
+
+
+def test_small_cloud_cost_overflow_is_the_solvers():
+    # every |x - y|^p inf: the solver's error; some inf beside a finite assignment: its value
+    infeasible = (np.full((2, 3, 1), 1e200), np.full((2, 3, 1), -1e200))
+    feasible = (np.array([[[0.0], [1e200]]] * 2), np.array([[[1e200], [0.0]]] * 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the per-node path warns on the overflowing power
+        with pytest.raises(ValueError) as expected:
+            solve_root(infeasible[0][0], infeasible[1][0], 2.0)
+        finite = [bits(solve_root(x, y, 2.0)) for x, y in zip(*feasible)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the batched path leaves the inf to the solver, quietly
+        with pytest.raises(ValueError, match=str(expected.value)):
+            wasserstein_costs(*infeasible, 2.0)
+        assert [bits(x) for x in wasserstein_costs(*feasible, 2.0)] == finite == [bits(0.0)] * 2
 
 
 def test_series_under_more_threads_than_cores_and_fast_switching(rng, cores):
@@ -761,10 +821,13 @@ EXTREME = [math.inf, -math.inf, math.nan, 5e-324, -2.5e-320, 1e-160, 1e200, -1.5
 wide_coordinate = st.one_of(st.sampled_from(SPECIAL + EXTREME), st.floats(-1e3, 1e3))
 
 
-def stacks(data, d, shape=st.tuples(st.integers(1, 3), st.integers(1, 5))):
+finite_coordinate = st.one_of(st.sampled_from(SPECIAL + EXTREME[3:]), st.floats(-1e3, 1e3))
+
+
+def stacks(data, d, shape=st.tuples(st.integers(1, 3), st.integers(1, 5)), coordinate=wide_coordinate):
     lead = data.draw(shape)
     size = int(np.prod(lead)) * d
-    return np.array(data.draw(st.lists(wide_coordinate, min_size=size, max_size=size))).reshape(lead + (d,))
+    return np.array(data.draw(st.lists(coordinate, min_size=size, max_size=size))).reshape(lead + (d,))
 
 
 @settings(max_examples=300, deadline=None)
@@ -776,11 +839,22 @@ def test_squared_norms_are_linalg_norm_below_eight_coordinates(d, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(d=st.integers(1, 12), data=st.data())
+@given(d=st.integers(1, 64), data=st.data())
 def test_squared_norms_are_cdist_at_every_dimension(d, data):
     x = stacks(data, d, st.tuples(st.integers(1, 6)))
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.sqrt(measure.squared_norms(x)).tobytes() == cdist(x, np.zeros((1, d)))[:, 0].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 64), data=st.data())
+def test_squared_distances_are_squared_norms_of_the_differences(d, data):
+    # finite coordinates, as a W_p cost reads: inf - inf would be a NaN whose sign cdist does not share
+    x, y = (stacks(data, d, st.tuples(st.integers(1, 4)), finite_coordinate) for _ in range(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = measure.squared_distances(x, y)
+        assert pairs.tobytes() == measure.squared_norms(x[:, None] - y[None]).tobytes()
+        assert np.sqrt(pairs).tobytes() == cdist(x, y).tobytes()
 
 
 def test_overflowing_squares_warn_as_numpy_does():

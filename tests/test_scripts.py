@@ -1,6 +1,6 @@
 """Smoke runs of the experiment scripts at small sizes: each exits 0 and
-prints its table's header and one row per target or refinement pair; the
-suite script prints one row per bundled scenario."""
+prints its table's header and one row per target; the suite script prints
+one row per bundled scenario."""
 
 import os
 import subprocess
@@ -22,7 +22,6 @@ def run_script(name, *args):
 
 @pytest.mark.parametrize("script, args, header, rows", [
     ("relaxation_sweep.py", ("0.25", "400"), ["target", "blocks", "measured", "meets", "guaranteed"], 4),
-    ("refinement_experiment.py", ("4", "1"), ["n_coarse", "n_fine", "sup", "W_1"], 4),
 ])
 def test_script_prints_its_table(script, args, header, rows):
     lines = run_script(script, *args)
