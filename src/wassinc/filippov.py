@@ -148,11 +148,7 @@ def filippov_track(
     sigma_{M-1}) read that same slice.  Stops when consecutive iterates are within ``tol`` in
     sup-W_p or after ``max_iter`` iterations, in which case the certificate
     is flagged ``iteration_not_converged`` (the last iterate is still an
-    admissible trajectory).  A family that reads no measure
-    (``measure_dependent`` False) whose re-selection equals the selection
-    before it is at a fixed point: the next iterate would be the current
-    one bit for bit, at sup-W_p gap exactly 0, so that gap is recorded and
-    the iteration stops without integrating it.
+    admissible trajectory).
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -181,9 +177,6 @@ def filippov_track(
             used = family.rule(grid[b], prior.points[b], last[b, None], probes)[:, 0]
             sel[b] = family.gaps(grid[b], cur.points[b], used, probes).argmin(axis=1)
         prior = cur
-        if not family.measure_dependent and np.array_equal(sel, last):
-            gaps.append(0.0)  # the next iterate is ``cur`` again, bit for bit: a fixed point
-            break
     converged = gaps[-1] <= tol
     sig = ControlSignal(grid=grid, indices=sel)
 

@@ -10,9 +10,9 @@ and ``sup_wasserstein_cost`` two, node by node and bit for bit equal to
 the one-cloud calls.  A series of one-atom clouds (N = 1) is one array
 pass with no solver; from N = 64 on a series of two or more nodes runs on
 every usable core.  Any other series runs on one thread in node blocks:
-every cost matrix of a block in one ``squared_distances`` pass (bit for
-bit ``cdist``), one assignment solve per node, and the matched costs
-gathered at once.
+a block's cost matrices from one ``pairwise_cost`` call (one ``cdist``
+per node, one power over the block), one assignment solve per node, and
+the matched costs gathered at once.
 scipy is imported on the first assignment solve or pairwise distance, so
 a run that needs neither never loads it.
 """
@@ -37,10 +37,10 @@ class _OnFirstCall:
     def __init__(self, module: str, name: str):
         self._where, self._fn = (module, name), None
 
-    def __call__(self, *args):
+    def __call__(self, *args, **kwargs):
         if self._fn is None:
             self._fn = getattr(importlib.import_module(self._where[0]), self._where[1])
-        return self._fn(*args)
+        return self._fn(*args, **kwargs)
 
 
 # module attributes read at call time, so a caller (a test, a tracer) may replace them
@@ -93,19 +93,6 @@ def squared_norms(x: np.ndarray) -> np.ndarray:
     total = x[..., 0] * x[..., 0]
     for k in range(1, x.shape[-1]):
         total += x[..., k] * x[..., k]
-    return total
-
-
-def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|x_i - y_j|^2 for the rows of (..., N, d) and (..., M, d) stacks, shape
-    (..., N, M): ``squared_norms`` of every pairwise difference, bit for bit,
-    with one coordinate's differences formed at a time, so no (..., N, M, d)
-    array is built; its sqrt is ``cdist``'s."""
-    total = np.zeros(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-2]))
-    for k in range(x.shape[-1]):
-        gap = x[..., :, None, k] - y[..., None, :, k]
-        gap *= gap
-        total += gap  # 0 + the first square is that square
     return total
 
 
@@ -179,8 +166,7 @@ def _power_means(values: np.ndarray, p: float, n: int) -> list:
     overflows, or falls below the smallest normal double while M = max(row) > 0,
     M (fsum((row / M)^p) / n)^(1/p), finite for finite values; a zero row stays 0."""
     out = []
-    for row, total in zip(values, _power_sums(values, p)):
-        top = float(row.max())
+    for row, top, total in zip(values, values.max(axis=-1).tolist(), _power_sums(values, p)):
         if total < math.inf and not (total < sys.float_info.min and top > 0.0):
             out.append(_root(total / n, p))
         else:  # scaled: its largest term is 1; inf where a norm itself overflowed
@@ -218,13 +204,20 @@ def localisation_tail(cloud: ParticleCloud, R: float, horizon: float, p: float) 
 
 def pairwise_cost(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """Matrix D[i, j] = |a_i - b_j|^p of two (N, d) position arrays, used by
-    the assignment solver.
+    the assignment solver; of two (K, N, d) and (K, M, d) stacks, the
+    (K, N, M) stack of the matrices of their rows, each row's matrix one
+    ``cdist`` call written into the stack, then one ``_pow`` for all.
 
     Exposed so independent minimizers (e.g. exhaustive search over
     permutations in tests) share the exact same arithmetic.
     """
     p = _check_p(p)
-    return _pow(cdist(a, b), p)
+    if a.ndim == 2:
+        return _pow(cdist(a, b), p)
+    D = np.empty(a.shape[:2] + b.shape[1:2])
+    for x, y, out in zip(a, b, D):
+        cdist(x, y, out=out)
+    return _pow(D, p)
 
 
 def assignment_cost(D: np.ndarray, assignment: np.ndarray) -> float:
@@ -292,21 +285,21 @@ def wasserstein_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
 
 def _serial_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """W_p of every node of two checked (K, N, d) stacks, N >= 2, on one thread, bit for
-    bit each node's ``_solve``: per ``node_blocks`` slice, every node's cost matrix in one
-    ``squared_distances`` pass (the sqrt of which is ``cdist``'s), ``_pow``, one assignment
-    solve per node, then the matched entries gathered at once, and per node ``fsum`` and
-    ``_root``.  An overflowing cost is left to the solver, which rejects an infeasible
-    matrix with its ValueError."""
+    bit each node's ``_solve``: per ``node_blocks`` slice, every node's cost matrix from
+    one ``pairwise_cost`` call, one assignment solve per node, then the matched entries
+    gathered at once, and per node ``fsum`` and ``_root``.  An overflowing cost is left to
+    the solver, which rejects an infeasible matrix with its ValueError."""
     from .dynamics import node_blocks  # dynamics imports this module
 
     n, out = a.shape[1], []
-    for blk in node_blocks(len(a), 4 * n * n):  # about four (nodes, N, N) arrays live at once
-        with np.errstate(over="ignore"):  # an inf cost is the solver's to judge
-            costs = squared_distances(a[blk], b[blk])
-            costs = _pow(np.sqrt(costs, out=costs), p)
-        sigma = np.array([linear_sum_assignment(D)[1] for D in costs])
-        matched = np.take_along_axis(costs, sigma[:, :, None], axis=2)[:, :, 0]
-        out += [_root(math.fsum(row) / n, p) for row in matched.tolist()]
+    blocks = node_blocks(len(a), 4 * n * n)  # a block's cost stack: a quarter of BLOCK_ENTRIES
+    first = (np.arange(blocks[0].stop)[:, None] * n + np.arange(n)) * n  # flat index of each row's entry 0
+    with np.errstate(over="ignore"):  # an inf cost is the solver's to judge
+        for blk in blocks:
+            costs = pairwise_cost(a[blk], b[blk], p)
+            sigma = np.array([linear_sum_assignment(D)[1] for D in costs])
+            matched = costs.ravel()[first[: len(costs)] + sigma]
+            out += [_root(math.fsum(row) / n, p) for row in matched.tolist()]
     return np.array(out)
 
 

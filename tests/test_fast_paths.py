@@ -7,10 +7,10 @@
   usable core for N >= 64: bitwise equal to one ``wasserstein_cost`` per
   node, in input order, with the checks before any solve and the solver's
   error from a worker.  Below N = 64 it runs in node blocks, each block's
-  cost matrices from one ``squared_distances`` pass: bitwise equal to each
-  node's own solve for N up to 63, d up to 24 and coincident atoms, in
-  blocks of one node or several, with the solver's error on an
-  overflowing cost and no RuntimeWarning.
+  cost matrices from one ``pairwise_cost`` call on the block's stacks:
+  bitwise equal to each node's own ``cdist`` and solve for N up to 63, d
+  up to 24 and coincident atoms, in blocks of one node or several, with
+  the solver's error on an overflowing cost and no RuntimeWarning.
 * Scalar time lookups of curves and signals bisect a Python list: equal
   to the ``np.searchsorted`` formula they replace, on nodes, one ulp
   either side and outside [0, T]; a rate's scalar lookup is its array
@@ -38,10 +38,13 @@
 * Every norm adds its squares coordinate by coordinate
   (``measure.squared_norms``): bitwise ``np.linalg.norm`` for d < 8 and
   ``cdist`` for d up to 64, with inf, nan, subnormal and overflowing
-  coordinates, and so do pairwise distances (``squared_distances``); ``sup_norm`` is the sqrt of the max squared norm, with or
-  without a mask, and the screen's identity-coupling total is the fsum of
-  the solver's diagonal costs.  The catalog's cloud mean is ``mean``'s
-  own reduction.
+  coordinates; ``pairwise_cost`` of two stacks is the stack of each
+  pair's own cost matrix, for d up to 64; ``sup_norm`` is the sqrt of the
+  max squared norm, with or without a mask, and the screen's
+  identity-coupling total is the fsum of the solver's diagonal costs.
+  The power means of moments and tails take every row's max in one
+  reduction, bit for bit the row-by-row loop.  The catalog's cloud mean
+  is ``mean``'s own reduction.
 """
 
 import dataclasses
@@ -121,7 +124,8 @@ def test_single_atom_wp_calls_no_solver(monkeypatch):
         raise AssertionError(f"solver called on a {D.shape} matrix")
 
     monkeypatch.setattr(measure, "linear_sum_assignment", refuse)
-    monkeypatch.setattr(measure, "pairwise_cost", lambda a, b, p: refuse(np.empty((len(a), len(b)))))
+    # a cost matrix of each pair, from two clouds or two stacks of them
+    monkeypatch.setattr(measure, "pairwise_cost", lambda a, b, p: refuse(np.empty(a.shape[-2:-1] + b.shape[-2:-1])))
     assert wasserstein_cost(ParticleCloud([[3.0, 0.0]]), ParticleCloud([[0.0, 4.0]]), 2.0) == 5.0
     assert wasserstein_cost(ParticleCloud([[1.0]]), ParticleCloud([[-1.0]]), 1.0) == 2.0
     assert measure.sup_wasserstein_cost(np.zeros((3, 1, 2)), np.ones((3, 1, 2)), 2.0) == math.sqrt(2.0)
@@ -185,8 +189,11 @@ def test_series_is_bitwise_equal_to_one_solve_per_pair(rng, cores, n, d, p):
 
 
 def solve_root(x, y, p):
-    """The per-node solver path the batched small-cloud series replaced."""
-    return measure._root(measure._solve(x, y, p)[2] / len(x), p)
+    """The per-node solver path the batched small-cloud series replaced: its own
+    ``cdist``, power, solve and exactly rounded total."""
+    D = measure._pow(cdist(x, y), p)
+    sigma = linear_sum_assignment(D)[1]
+    return measure._root(math.fsum(D[np.arange(len(x)), sigma].tolist()) / len(x), p)
 
 
 def small_cloud_stacks(rng, nodes, n, d):
@@ -847,14 +854,18 @@ def test_squared_norms_are_cdist_at_every_dimension(d, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(d=st.integers(1, 64), data=st.data())
-def test_squared_distances_are_squared_norms_of_the_differences(d, data):
-    # finite coordinates, as a W_p cost reads: inf - inf would be a NaN whose sign cdist does not share
-    x, y = (stacks(data, d, st.tuples(st.integers(1, 4)), finite_coordinate) for _ in range(2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        pairs = measure.squared_distances(x, y)
-        assert pairs.tobytes() == measure.squared_norms(x[:, None] - y[None]).tobytes()
-        assert np.sqrt(pairs).tobytes() == cdist(x, y).tobytes()
+@given(d=st.integers(1, 64), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]), data=st.data())
+def test_pairwise_cost_of_stacks_is_each_pairs_matrix(d, p, data):
+    # finite coordinates, as a W_p cost reads; the powers may overflow to inf
+    lead = data.draw(st.sampled_from([(), (1,), (3,)]))
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    x = stacks(data, d, st.just(lead + (n,)), finite_coordinate)
+    y = stacks(data, d, st.just(lead + (m,)), finite_coordinate)
+    with np.errstate(over="ignore"):
+        costs = pairwise_cost(x, y, p)
+        assert costs.shape == lead + (n, m)
+        for k in np.ndindex(lead):
+            assert costs[k].tobytes() == measure._pow(cdist(x[k], y[k]), p).tobytes()
 
 
 def test_overflowing_squares_warn_as_numpy_does():
@@ -884,6 +895,28 @@ def test_cloud_mean_is_numpy_mean(shape, data):
     points = np.array(data.draw(st.lists(coordinate, min_size=size, max_size=size))).reshape(shape)
     with np.errstate(over="ignore"):
         assert catalog._mean(points).tobytes() == points.mean(axis=-2).tobytes()
+
+
+def power_means_row_by_row(values, p, n):
+    """The per-row loop ``measure._power_means`` replaced: each row's max read on its own."""
+    out = []
+    for row, total in zip(values, measure._power_sums(values, p)):
+        top = float(row.max())
+        if total < math.inf and not (total < sys.float_info.min and top > 0.0):
+            out.append(measure._root(total / n, p))
+        else:
+            out.append(top * measure._root(math.fsum(measure._pow(row / top, p).tolist()) / n, p) if top < math.inf else top)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 2000.0]), data=st.data())
+def test_power_means_are_the_row_by_row_loop(p, data):
+    # norms as the moments read them: zeros, subnormals, huge and inf values, so both the direct and the scaled rows
+    norm = st.sampled_from([0.0, 5e-324, 1e-160, 0.5, 1.0, 1e200, 1.5e300, math.inf]) | st.floats(0.0, 1e3)
+    values = np.array(data.draw(st.lists(st.lists(norm, min_size=3, max_size=3), min_size=1, max_size=5)))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        assert [bits(x) for x in measure._power_means(values, p, 3)] == [bits(x) for x in power_means_row_by_row(values, p, 3)]
 
 
 @pytest.mark.parametrize("d", range(1, 10))

@@ -1,18 +1,15 @@
-import dataclasses
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wassinc import bounds, compute_bound, filippov, filippov_track, integrate, load_config, measure, moment, run_scenario
+from wassinc import bounds, compute_bound, filippov, filippov_track, integrate, measure, moment
 from wassinc.inclusion import ball_gaps
 from wassinc.catalog import constants_family, gain_family, linear_decay_field, zero_field
 
 from conftest import cloud, control_field, delta, random_cloud, const_rates
 
 INF = math.inf
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def bang_bang(T=1.0):
@@ -275,55 +272,3 @@ class TestTracking:
         _, _, cert = filippov_track(fam, ref, w, delta(3.0), INF, 1e-15, 1, p=1)
         assert not cert.converged
         assert "iteration_not_converged" in cert.flags
-
-
-class TestFixedPointStop:
-    """A family that reads no measure stops once a re-selection repeats the
-    selection before it: the iterate it would build is the current one."""
-
-    @staticmethod
-    def tracked(monkeypatch, fam, *args):
-        """(trajectory, signal, certificate, Euler curves built) of one tracking run."""
-        built, curve = [], filippov.euler_curve
-        monkeypatch.setattr(filippov, "euler_curve", lambda *a: built.append(1) or curve(*a))
-        return (*filippov_track(fam, *args), len(built))
-
-    @pytest.mark.parametrize("fam", [
-        gain_family([0.5, 1.0, 2.0], const_rates(2.0, 2.0, 0.0)),  # stepped
-        constants_family([[-1.0, 0.5], [1.0, 0.0], [0.25, 0.25]], const_rates(1.5, 0.0, 0.0)),  # state-free
-    ])
-    @pytest.mark.parametrize("R", [INF, 2.0])
-    def test_stop_equals_building_the_extra_iterate(self, rng, monkeypatch, fam, R):
-        w = linear_decay_field(const_rates(1.0, 1.0, 0.0))
-        ref = integrate(w, random_cloud(rng, 6, 2), np.linspace(0, 1, 41))
-        args = (ref, w, random_cloud(rng, 6, 2), R, 1e-12, 10, 2.0)
-        traj, sig, cert, built = self.tracked(monkeypatch, fam, *args)
-        # the same family declared measure-dependent never takes the stop
-        f_traj, f_sig, f_cert, f_built = self.tracked(monkeypatch, dataclasses.replace(fam, measure_dependent=True), *args)
-        assert cert.iterate_gaps[-1] == 0.0 and cert.converged
-        assert built == f_built - 1 == cert.iterations - 1
-        assert traj.points.tobytes() == f_traj.points.tobytes() and traj.grid.tobytes() == f_traj.grid.tobytes()
-        assert sig.indices.tobytes() == f_sig.indices.tobytes() and sig.grid.tobytes() == f_sig.grid.tobytes()
-        assert cert.iterate_gaps == f_cert.iterate_gaps and cert.converged == f_cert.converged
-        for field in dataclasses.fields(cert):
-            mine, forced = getattr(cert, field.name), getattr(f_cert, field.name)
-            if isinstance(mine, np.ndarray):
-                assert mine.tobytes() == forced.tobytes(), field.name
-            else:
-                assert mine == forced, field.name
-
-    def test_a_measure_dependent_family_keeps_iterating(self, monkeypatch):
-        from wassinc.catalog import mean_gain_family
-
-        fam = mean_gain_family([0.5, 1.0], const_rates(1.0, 1.0, 1.0))
-        w = control_field(fam, 1)
-        ref = integrate(w, cloud([0.0], [1.0]), np.linspace(0, 1, 51))
-        _, _, cert, built = self.tracked(monkeypatch, fam, ref, w, cloud([0.5], [1.5]), INF, 1e-300, 4, 1.0)
-        assert built == cert.iterations == 4 and 0.0 not in cert.iterate_gaps
-
-    def test_gain_scenario_builds_one_iterate(self, tmp_path, monkeypatch):
-        # one control: the first re-selection repeats it, so one Euler curve, not two
-        built, curve = [], filippov.euler_curve
-        monkeypatch.setattr(filippov, "euler_curve", lambda *a: built.append(1) or curve(*a))
-        manifest = run_scenario(load_config(SCENARIOS / "filippov_gain.json"), tmp_path / "o")
-        assert built == [1] and all(manifest["verdicts"].values())
