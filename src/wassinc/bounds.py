@@ -116,7 +116,7 @@ def product(*factors: float) -> float:
     return out
 
 
-def _products(*factors) -> np.ndarray:
+def products(*factors) -> np.ndarray:
     """``product`` elementwise over broadcast float arrays and scalars: the factors multiplied
     left to right, 0 wherever a factor is 0 (an overflow gives inf, a 0 * inf no NaN or warning)."""
     out, zero = 1.0, False
@@ -141,7 +141,7 @@ def gronwall_series(*, p, w0, increments, l_int, L_int=0.0, m_int=0.0, horizon=0
     ``L_int``, ``m_int`` arrays or scalars broadcast).  L = 0 gives the plain
     Gronwall bound, tail = 0 drops E.  One array pass, bit for bit the node
     loop of scalar calls: the running sum adds in node order, every product
-    is ``product``'s (``_products``), C_p' l^p is ``_scaled_power``'s, with
+    is ``product``'s (``products``), C_p' l^p is ``_scaled_power``'s, with
     l^p from libm's pow (numpy's SIMD pow rounds otherwise, and l * l is not
     libm's l^2 either), and every exp is ``saturating_exp``."""
     cp, cpp = C_p(p), C_p_prime(p)
@@ -152,10 +152,10 @@ def gronwall_series(*, p, w0, increments, l_int, L_int=0.0, m_int=0.0, horizon=0
         totals = float(w0) + np.add.accumulate(np.concatenate(([0.0], steps)))[: l.size]
         lp = l if p == 1.0 else np.array([_power(x, p) for x in l.tolist()])
         # an l > 0 whose l^p underflows reads inf beside a saturated C_p'
-        growth = np.where((lp == 0.0) & (l > 0.0) & (cpp == math.inf), math.inf, _products(cpp, lp))
-        chi = _products(cp, L, _exps(growth))
-        E = _products(2.0, m, 1.0 + horizon, float(tail))
-        D = _products(cp, totals + E, _exps(growth + chi))
+        growth = np.where((lp == 0.0) & (l > 0.0) & (cpp == math.inf), math.inf, products(cpp, lp))
+        chi = products(cp, L, _exps(growth))
+        E = products(2.0, m, 1.0 + horizon, float(tail))
+        D = products(cp, totals + E, _exps(growth + chi))
     return D, chi, E
 
 

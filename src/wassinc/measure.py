@@ -8,11 +8,14 @@ one checked measure, a curve its (K, N, d) array of positions: ``moments``
 and ``tail_norms`` read one such stack, the W_p series ``wasserstein_costs``
 and ``sup_wasserstein_cost`` two, node by node and bit for bit equal to
 the one-cloud calls.  A series of one-atom clouds (N = 1) is one array
-pass with no solver; from N = 64 on a series of two or more nodes runs on
-every usable core.  Any other series runs on one thread in node blocks:
-a block's cost matrices from one ``pairwise_cost`` call (one ``cdist``
-per node, one power over the block), one assignment solve per node, and
-the matched costs gathered at once.
+pass with no solver.  Every other W_p goes through one block solver,
+``_solve_block``: a block of nodes' cost matrices from one ``pairwise_cost``
+call (one ``cdist`` per node, one power over the block), one assignment
+solve per node, the matched costs gathered at once.  A series maps it over
+node blocks, on one thread or, from N = 64 on, a node a block on every
+usable core; the sup solves each node its screen keeps as a block of one.
+At every entry point a cost past the float range is inf, with no warning,
+and a node with no finite assignment raises the solver's ValueError.
 scipy is imported on the first assignment solve or pairwise distance, so
 a run that needs neither never loads it.
 """
@@ -220,12 +223,6 @@ def pairwise_cost(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     return _pow(D, p)
 
 
-def assignment_cost(D: np.ndarray, assignment: np.ndarray) -> float:
-    """Exactly rounded sum of the matched entries (order independent)."""
-    rows = np.arange(D.shape[0])
-    return math.fsum(D[rows, np.asarray(assignment, dtype=int)].tolist())
-
-
 def _check_stacks(a: np.ndarray, b: np.ndarray) -> None:
     """Two curves' positions as nonempty (K, N, d) stacks of one shape
     (ShapeMismatchError), every entry finite (ValueError)."""
@@ -233,14 +230,6 @@ def _check_stacks(a: np.ndarray, b: np.ndarray) -> None:
         raise ShapeMismatchError(f"need two nonempty (K, N, d) stacks of one shape, got {a.shape} and {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("cloud coordinates must be finite")
-
-
-def _solve(a: np.ndarray, b: np.ndarray, p: float):
-    """Cost matrix, an optimal assignment sigma, and its exactly rounded total
-    for two (N, d) position arrays."""
-    D = pairwise_cost(a, b, p)
-    sigma = linear_sum_assignment(D)[1]
-    return D, sigma, assignment_cost(D, sigma)
 
 
 def _one_atom_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
@@ -265,42 +254,49 @@ def wasserstein_cost(a: ParticleCloud, b: ParticleCloud, p: float) -> float:
 def wasserstein_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """W_p between the clouds of rows k of two (K, N, d) stacks, for every k,
     as a float64 array; both stacks are checked before any solve.  One-atom
-    clouds (N = 1) take ``_one_atom_costs``, one pass over every node; a
-    series that the pool below does not take, ``_serial_costs``."""
+    clouds (N = 1) take ``_one_atom_costs``, one pass over every node; any
+    other series, ``_solve_block`` over its ``node_blocks`` slices."""
     p = _check_p(p)
     _check_stacks(a, b)
     n = a.shape[1]
     if n == 1:
         return _one_atom_costs(a, b, p)
+    from .dynamics import node_blocks  # dynamics imports this module
 
-    # The solver releases the GIL: two or more nodes of N >= 64 run on a thread per
-    # usable core.  Pooled / serial time of a 21-node series, pool start included,
+    blocks = node_blocks(len(a), 4 * n * n)  # a block's cost stack: a quarter of BLOCK_ENTRIES
+    first = _row_starts(blocks[0].stop, n)
+
+    def totals(blk):
+        return _solve_block(a[blk], b[blk], p, first)[0]
+
+    # The solver releases the GIL: two or more nodes of N >= 64 (a block each) run on a
+    # thread per usable core.  Pooled / serial time of a 21-node series, pool start included,
     # 2-core x86_64: N = 32 1.8-3.9, 48 1.0-2.1, 64 0.8-1.6 (even), 96 0.7-1.0, 256 0.5-0.7.
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if len(a) < 2 or n < 64 or cores < 2:
-        return _serial_costs(a, b, p)
-    with ThreadPoolExecutor(cores) as pool:
-        return np.array(list(pool.map(lambda x, y: _root(_solve(x, y, p)[2] / n, p), a, b)))
+        found = list(map(totals, blocks))
+    else:
+        with ThreadPoolExecutor(cores) as pool:
+            found = list(pool.map(totals, blocks))
+    return np.array([_root(total / n, p) for block in found for total in block])
 
 
-def _serial_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
-    """W_p of every node of two checked (K, N, d) stacks, N >= 2, on one thread, bit for
-    bit each node's ``_solve``: per ``node_blocks`` slice, every node's cost matrix from
-    one ``pairwise_cost`` call, one assignment solve per node, then the matched entries
-    gathered at once, and per node ``fsum`` and ``_root``.  An overflowing cost is left to
-    the solver, which rejects an infeasible matrix with its ValueError."""
-    from .dynamics import node_blocks  # dynamics imports this module
+def _row_starts(nodes: int, n: int) -> np.ndarray:
+    """Flat index of entry 0 of each row of a (nodes, n, n) stack, shape (nodes, n)."""
+    return np.arange(0, nodes * n * n, n).reshape(nodes, n)
 
-    n, out = a.shape[1], []
-    blocks = node_blocks(len(a), 4 * n * n)  # a block's cost stack: a quarter of BLOCK_ENTRIES
-    first = (np.arange(blocks[0].stop)[:, None] * n + np.arange(n)) * n  # flat index of each row's entry 0
-    with np.errstate(over="ignore"):  # an inf cost is the solver's to judge
-        for blk in blocks:
-            costs = pairwise_cost(a[blk], b[blk], p)
-            sigma = np.array([linear_sum_assignment(D)[1] for D in costs])
-            matched = costs.ravel()[first[: len(costs)] + sigma]
-            out += [_root(math.fsum(row) / n, p) for row in matched.tolist()]
-    return np.array(out)
+
+def _solve_block(a: np.ndarray, b: np.ndarray, p: float, first: np.ndarray):
+    """Optimal assignments of every node of two checked (K, N, d) stacks: the
+    exactly rounded (``fsum``) totals, a list, and the (K, N) sigmas.  The package's one
+    solver call: the cost matrices from one ``pairwise_cost`` call, a solve per node (an
+    infeasible matrix raises its ValueError), the matched costs gathered through
+    ``first``, the ``_row_starts`` of K nodes or more."""
+    with np.errstate(over="ignore"):  # set here: an errstate around a pool's map misses its threads
+        costs = pairwise_cost(a, b, p)
+    sigma = np.array([linear_sum_assignment(D)[1] for D in costs])
+    matched = costs.ravel()[first[: len(costs)] + sigma]
+    return [math.fsum(row) for row in matched.tolist()], sigma
 
 
 def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
@@ -327,16 +323,17 @@ def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
     if n == 1:
         return float(_one_atom_costs(a, b, p).max())
 
-    def screen(gaps):  # inf where the sum overflows: such a node is solved
+    def screen(gaps):  # inf where a square or the sum overflows: such a node is solved
         return [(1.0 + 1e-9) * _root(total / n, p) for total in _power_sums(np.sqrt(squared_norms(gaps)), p)]
 
-    upper = screen(a - b)
-    best, sigma = -math.inf, None
-    for k in sorted(range(len(a)), key=upper.__getitem__, reverse=True):
-        if upper[k] <= best:
-            break
-        if sigma is not None and screen((a[k] - b[k][sigma])[None])[0] <= best:
-            continue
-        _, sigma, total = _solve(a[k], b[k], p)
-        best = max(best, _root(total / n, p))
+    best, sigma, first = -math.inf, None, _row_starts(1, n)
+    with np.errstate(over="ignore"):  # for the screen's squares
+        upper = screen(a - b)
+        for k in sorted(range(len(a)), key=upper.__getitem__, reverse=True):
+            if upper[k] <= best:
+                break
+            if sigma is not None and screen((a[k] - b[k][sigma])[None])[0] <= best:
+                continue
+            (total,), (sigma,) = _solve_block(a[k : k + 1], b[k : k + 1], p, first)
+            best = max(best, _root(total / n, p))
     return best

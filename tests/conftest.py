@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,12 @@ def delta(*coords) -> ParticleCloud:
 
 def random_cloud(rng, n, d, scale=2.0) -> ParticleCloud:
     return ParticleCloud(scale * rng.standard_normal((n, d)))
+
+
+def assignment_cost(D, assignment) -> float:
+    """Exactly rounded sum of the entries D[i, assignment[i]] (order independent),
+    the total an exhaustive oracle compares with the solver's."""
+    return math.fsum(D[np.arange(len(D)), list(assignment)].tolist())
 
 
 @pytest.fixture

@@ -26,10 +26,10 @@ from wassinc import (
     verify,
 )
 from wassinc.catalog import constants_family, gain_family, linear_decay_field, mean_gain_family, zero_field
-from wassinc.measure import ParticleCloud, assignment_cost, pairwise_cost, wasserstein_cost
+from wassinc.measure import ParticleCloud, pairwise_cost, wasserstein_cost
 from wassinc.verify import momentum_bound_series
 
-from conftest import delta, random_cloud, const_rates
+from conftest import assignment_cost, delta, random_cloud, const_rates
 
 
 def record(number, name, ok, detail=""):

@@ -108,6 +108,19 @@ def test_no_module_imports_a_private_name_of_another():
     assert imports + reads == []
 
 
+def test_one_function_calls_the_assignment_solver():
+    # every W_p goes through one block solver, so no second solve path can creep back
+    caller = {}  # each solver call -> its innermost enclosing function (ast.walk visits outer ones first)
+    for name, tree in module_trees().items():
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.Lambda)):
+                for node in ast.walk(function):
+                    target = getattr(node, "func", None)
+                    if getattr(target, "id", getattr(target, "attr", None)) == "linear_sum_assignment":
+                        caller[id(node)] = f"{name}:{getattr(function, 'name', 'lambda')}"
+    assert sorted(caller.values()) == ["measure.py:_solve_block"]
+
+
 def test_only_dynamics_builds_unchecked_curves():
     # Trajectory._freeze skips the finite check: only the module that checks
     # every node (``dynamics.march``) may reach it

@@ -9,8 +9,9 @@
   error from a worker.  Below N = 64 it runs in node blocks, each block's
   cost matrices from one ``pairwise_cost`` call on the block's stacks:
   bitwise equal to each node's own ``cdist`` and solve for N up to 63, d
-  up to 24 and coincident atoms, in blocks of one node or several, with
-  the solver's error on an overflowing cost and no RuntimeWarning.
+  up to 24 and coincident atoms, in blocks of one node or several.  Every
+  W_p entry point, serial, pooled, one-atom or the sup, raises the
+  solver's error on an overflowing cost, with no RuntimeWarning.
 * Scalar time lookups of curves and signals bisect a Python list: equal
   to the ``np.searchsorted`` formula they replace, on nodes, one ulp
   either side and outside [0, T]; a rate's scalar lookup is its array
@@ -69,9 +70,9 @@ from wassinc.catalog import (bounded_kernel_field, constant_field, constants_fam
 from wassinc.dynamics import march, snapped_index, sup_norm, time_axis
 from wassinc.errors import BlowUpError, ShapeMismatchError
 from wassinc.inclusion import ControlSignal, peano_solve
-from wassinc.measure import assignment_cost, pairwise_cost, wasserstein_cost, wasserstein_costs
+from wassinc.measure import pairwise_cost, wasserstein_cost, wasserstein_costs
 
-from conftest import const_rates, mixtures
+from conftest import assignment_cost, const_rates, mixtures
 
 SEED = st.integers(0, 2**32 - 1)
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -2.5]
@@ -244,6 +245,18 @@ def test_small_cloud_cost_overflow_is_the_solvers():
         with pytest.raises(ValueError, match=str(expected.value)):
             wasserstein_costs(*infeasible, 2.0)
         assert [bits(x) for x in wasserstein_costs(*feasible, 2.0)] == finite == [bits(0.0)] * 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+@pytest.mark.parametrize("series", [wasserstein_costs, measure.sup_wasserstein_cost])
+@pytest.mark.parametrize("p, gap", [(2000.0, 2.0), (2.0, 2e200)])
+def test_every_entry_point_has_one_overflow_rule(cores, n, series, p, gap):
+    # every |x - y|^p is past the float range: a 2^2000 power, or a 2e200 distance's square;
+    # pyproject turns a RuntimeWarning into an error, so a warning on any path fails too
+    cores(2)  # three nodes of N = 64: the pooled series
+    a = np.full((3, n, 1), -gap / 2)
+    with pytest.raises(ValueError, match="cost matrix is infeasible"):
+        series(a, -a, p)
 
 
 def test_series_under_more_threads_than_cores_and_fast_switching(rng, cores):

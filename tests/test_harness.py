@@ -182,9 +182,9 @@ class TestVerifyKinds:
     def test_gronwall_reuses_initial_distance(self, monkeypatch):
         series, solves = [], []
         checks = sys.modules["wassinc.verify"]  # the package's ``verify`` is the function
-        costs, solve = checks.wasserstein_costs, measure._solve
+        costs, solve = checks.wasserstein_costs, measure.linear_sum_assignment
         monkeypatch.setattr(checks, "wasserstein_costs", lambda a, b, p: series.append(len(a)) or costs(a, b, p))
-        monkeypatch.setattr(measure, "_solve", lambda *args: solves.append(1) or solve(*args))
+        monkeypatch.setattr(measure, "linear_sum_assignment", lambda D: solves.append(1) or solve(D))
         report = verify(
             "gronwall_global",
             cfg(
@@ -438,6 +438,20 @@ class TestCli:
         assert capsys.readouterr().err == ""
         measured = [float(r.split(",")[1]) for r in (out / "report.csv").read_text().split()[1:]]
         assert all(math.isfinite(m) for m in measured)
+
+    def test_saturated_abs_continuity_constant_beside_a_zero_rate(self, tmp_path, capsys):
+        # c_p saturates to inf at p = 64: a step with int m = 0 is bounded by 0, not NaN
+        raw = json.loads(json.dumps(BASE))
+        raw.update(N=4, initial={"kind": "uniform", "halfwidth": 1.0}, grid={"steps": 10},
+                   field={"label": "zero", "rates": {"m": {"breakpoints": [0, 0.5, 1], "values": [2, 0]},
+                                                     "l": 0.0, "L": 0.0}},
+                   experiment={"kind": "verify", "what": "abs_continuity"})
+        out = tmp_path / "o"
+        code = cli_main(["verify", "--config", self._write(tmp_path, raw), "--out", str(out), "--p", "64"])
+        assert code == 0 and capsys.readouterr() == ("abs_continuity: pass\n", "")
+        rows = [[float(v) for v in r.split(",")] for r in (out / "report.csv").read_text().split()[1:]]
+        assert [r[1] for r in rows] == [0.0] * 10
+        assert [r[2] for r in rows] == [math.inf] * 5 + [0.0] * 5
 
     def test_probe_jitter_overflow_exits_two_without_a_warning(self, tmp_path, capsys):
         # scaling atoms at 1e308 by up to 2 overflows: the probe's finite check names it, numpy stays quiet

@@ -10,9 +10,15 @@ from hypothesis.extra import numpy as hnp
 from wassinc import ParticleCloud, moment, tail_norm, wasserstein_cost
 from wassinc.errors import ShapeMismatchError
 from wassinc import measure
-from wassinc.measure import assignment_cost, pairwise_cost, sup_wasserstein_cost, tail_norms
+from wassinc.measure import pairwise_cost, sup_wasserstein_cost, tail_norms
 
-from conftest import cloud, delta, random_cloud
+from conftest import assignment_cost, cloud, delta, random_cloud
+
+
+def solve_one(a, b, p):
+    """``measure._solve_block`` on one pair of (N, d) arrays: the optimal total and sigma."""
+    (total,), (sigma,) = measure._solve_block(a[None], b[None], p, measure._row_starts(1, len(a)))
+    return total, sigma
 
 
 def brute_force_cost(a, b, p):
@@ -150,8 +156,8 @@ class TestWasserstein:
 
     def test_plan_cost_consistent(self, rng):
         a, b = random_cloud(rng, 9, 2), random_cloud(rng, 9, 2)
-        D, sigma, _ = measure._solve(a.points, b.points, 2)
-        recomputed = math.sqrt(assignment_cost(D, sigma) / a.n)
+        _, sigma = solve_one(a.points, b.points, 2)
+        recomputed = math.sqrt(assignment_cost(pairwise_cost(a.points, b.points, 2), sigma) / a.n)
         assert wasserstein_cost(a, b, 2) == recomputed
 
 
@@ -328,11 +334,11 @@ class TestFastPaths:
     @given(clouds=cloud_triple(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     @settings(max_examples=60, deadline=None)
     def test_plan_cost_equals_value_only_cost(self, clouds, p):
-        # the assignment _solve returns is a permutation whose cost is W_p
+        # the assignment the block solver returns is a permutation whose cost is W_p
         a, b, _ = clouds
-        D, sigma, total = measure._solve(a.points, b.points, p)
+        total, sigma = solve_one(a.points, b.points, p)
         assert sorted(sigma.tolist()) == list(range(a.n))
-        assert assignment_cost(D, sigma) == total
+        assert assignment_cost(pairwise_cost(a.points, b.points, p), sigma) == total
         assert measure._root(total / a.n, p) == wasserstein_cost(a, b, p)
 
     def test_sup_solves_only_the_widest_translation(self, rng, monkeypatch):

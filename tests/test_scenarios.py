@@ -1,16 +1,19 @@
 """The bundled scenario suite must pass end to end, every verdict must be
 the pass rule recomputed from its CSV, and the verify kinds must stay
 green when the grid is refined (the bounds are continuum statements, so
-halving the step only removes discretization slack)."""
+halving the step only removes discretization slack).  Every scenario
+also passes at a general order p, where no exact p = 1 / p = 2 path of
+the powers and roots applies."""
 
 import csv
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from wassinc import load_config, run_scenario, verify
+from wassinc import load_config, parse_config, run_scenario, verify
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
@@ -52,3 +55,16 @@ def test_verify_pass_stable_under_refinement(path):
     assert verify(what, config).passed
     refined = dataclasses.replace(config, steps=2 * config.steps)
     assert verify(what, refined).passed
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
+@pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+def test_scenario_passes_at_a_general_order(path, tmp_path, p):
+    # the digests pin p in {1, 2} only; pyproject turns any RuntimeWarning into an error
+    manifest = run_scenario(parse_config({**json.loads(path.read_text()), "p": p}), tmp_path)
+    assert all(manifest["verdicts"].values()), manifest["verdicts"]
+    for name in manifest["files"]:
+        with open(tmp_path / name, newline="") as f:
+            rows = list(csv.DictReader(f))
+        if "bound" in (rows[0] if rows else {}):
+            assert any(math.isfinite(float(r["bound"])) for r in rows[1:]), name
