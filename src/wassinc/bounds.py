@@ -68,7 +68,7 @@ class BoundReport:
         """True when every margin is at least -slack * bound - ATOL; an
         empty series checks nothing and does not pass, a NaN never passes,
         and an inf bound passes every finite value at any slack."""
-        allowance = self.slack * self.bound if self.slack else 0.0  # 0 * inf would be NaN
+        allowance = products(self.slack, self.bound)  # slack 0 allows 0 beside an inf bound
         return self.measured.size > 0 and bool(np.all(self.margins >= -allowance - ATOL))
 
 
@@ -147,7 +147,7 @@ def gronwall_series(*, p, w0, increments, l_int, L_int=0.0, m_int=0.0, horizon=0
     cp, cpp = C_p(p), C_p_prime(p)
     l = np.asarray(l_int, dtype=float)
     L, m = (np.broadcast_to(np.asarray(a, dtype=float), l.shape) for a in (L_int, m_int))
-    steps = np.asarray(increments, dtype=float)[: max(l.size - 1, 0)]
+    steps = np.asarray(increments, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # overflows saturate to inf, as in Python floats
         totals = float(w0) + np.add.accumulate(np.concatenate(([0.0], steps)))[: l.size]
         lp = l if p == 1.0 else np.array([_power(x, p) for x in l.tolist()])

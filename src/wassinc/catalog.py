@@ -6,12 +6,15 @@ schema checks.  Every builder returns a ``dynamics.ControlledFamily`` whose
 one rule evaluates a stack of control indices at once, at one node or at a
 block of curve nodes, bit for bit the same; a field is the family of one
 control.  Each rule is written once over an optional leading node axis
-(``...`` indexing, the cloud's mean over axis -2).  Fields:
+(``...`` indexing, the cloud's mean over axis -2), and a field whose law
+is a family's control is that family's rule, rates and flags with
+``controls=(0,)`` and its own label.  Fields:
 
-* ``zero``                 v = 0
-* ``constant``             v = c, parameter ``vector``
-* ``linear_decay``         v = -x
-* ``mean_attraction``      v = kappa (mean(mu) - x), parameter ``kappa``
+* ``zero``                 v = 0, ``constants`` at u = 0
+* ``constant``             v = c, ``constants`` at u = c, parameter ``vector``
+* ``linear_decay``         v = -x, ``gain`` at k = 1
+* ``mean_attraction``      v = kappa (mean(mu) - x), ``mean_gain`` at k = kappa,
+                           parameter ``kappa``
 * ``bounded_kernel``       v(x) = (1/N) sum_j -(x - y_j) / (1 + |x - y_j|)
 * ``rotation``             v = (-x2, x1), d = 2 only
 
@@ -21,15 +24,17 @@ Control families:
 * ``gain``       controls are scalars k, v = -k x
 * ``mean_gain``  controls are scalars k, v = k (mean(mu) - x)
 
-``zero``, ``constant`` and ``constants`` read neither positions nor
-measure (``position_dependent`` and ``measure_dependent`` are False), so
-their Euler curves are running sums (``dynamics.euler_curve``).
+``constants``, hence ``zero`` and ``constant``, reads neither positions
+nor measure (``position_dependent`` and ``measure_dependent`` are False),
+so their Euler curves are running sums (``dynamics.euler_curve``).
 
 Natural rates for each label are documented next to its builder; scenario
 files must still declare rates explicitly.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,49 +49,31 @@ def _mean(points: np.ndarray) -> np.ndarray:
     return np.add.reduce(points, axis=-2) / points.shape[-2]
 
 
-def _field(rule, rates: RateFunctions, label: str, measure_dependent: bool = False,
-           position_dependent: bool = True) -> ControlledFamily:
+def _field(rule, rates: RateFunctions, label: str, measure_dependent: bool = False) -> ControlledFamily:
     """The field of ``rule`` as the family of its one control."""
-    return ControlledFamily(controls=(0,), rule=rule, rates=rates, label=label, measure_dependent=measure_dependent,
-                            position_dependent=position_dependent)
+    return ControlledFamily(controls=(0,), rule=rule, rates=rates, label=label, measure_dependent=measure_dependent)
 
 
 def zero_field(rates: RateFunctions) -> ControlledFamily:
-    """Zero velocity; natural rates m = l = L = 0."""
-
-    def rule(t, points, idx, X):
-        return np.zeros(np.shape(idx) + X.shape[-2:])
-
-    return _field(rule, rates, "zero", position_dependent=False)
+    """Zero velocity, ``constants`` at u = 0; natural rates m = l = L = 0."""
+    return replace(constants_family([0.0], rates), controls=(0,), label="zero")
 
 
 def constant_field(vector: np.ndarray, rates: RateFunctions) -> ControlledFamily:
-    """Constant velocity c; natural rates m = |c|, l = L = 0."""
+    """Constant velocity c, ``constants`` at u = c; natural rates m = |c|, l = L = 0."""
     c = np.asarray(vector, dtype=float)
-
-    def rule(t, points, idx, X):
-        return np.full(np.shape(idx) + X.shape[-2:], c)
-
-    return _field(rule, rates, f"constant:{c.tolist()}", position_dependent=False)
+    return replace(constants_family([c], rates), controls=(0,), label=f"constant:{c.tolist()}")
 
 
 def linear_decay_field(rates: RateFunctions) -> ControlledFamily:
-    """v = -x; natural rates m = 1, l = 1, L = 0."""
-
-    def rule(t, points, idx, X):
-        return -X[..., None, :, :]
-
-    return _field(rule, rates, "linear_decay")
+    """v = -x, ``gain`` at k = 1; natural rates m = 1, l = 1, L = 0."""
+    return replace(gain_family([1.0], rates), controls=(0,), label="linear_decay")
 
 
 def mean_attraction_field(kappa: float, rates: RateFunctions) -> ControlledFamily:
-    """v = kappa (mean(mu) - x); natural rates m = l = L = kappa."""
+    """v = kappa (mean(mu) - x), ``mean_gain`` at k = kappa; natural rates m = l = L = kappa."""
     kappa = float(kappa)
-
-    def rule(t, points, idx, X):
-        return (kappa * (_mean(points)[..., None, :] - X))[..., None, :, :]
-
-    return _field(rule, rates, f"mean_attraction:{kappa}", measure_dependent=True)
+    return replace(mean_gain_family([kappa], rates), controls=(0,), label=f"mean_attraction:{kappa}")
 
 
 def bounded_kernel_field(rates: RateFunctions) -> ControlledFamily:
@@ -165,10 +152,10 @@ def constants_family(controls, rates: RateFunctions) -> ControlledFamily:
 def gain_family(controls, rates: RateFunctions) -> ControlledFamily:
     """v = -k x for gains k; natural rates m = l = max k, L = 0."""
     gains = tuple(float(u) for u in controls)
-    table = np.array(gains)
+    table = -np.array(gains)  # -k once, not at every call: (-k) x is the same product
 
     def rule(t, points, idx, X):
-        return -table[idx][..., None, None] * X[..., None, :, :]
+        return table[idx][..., None, None] * X[..., None, :, :]
 
     return ControlledFamily(controls=gains, rule=rule, rates=rates, label="gain")
 

@@ -151,7 +151,11 @@ class ControlledFamily:
     Entry i must not depend on the other entries of ``idx``, nor a
     velocity row on the other rows of ``X``.  Each fixed-control slice is
     a valid velocity field under the shared rates, and a velocity field is
-    a family with ``controls=(0,)``.  ``rule`` must be pure: given the
+    a family with ``controls=(0,)``.  A family built from another, such
+    as a catalog field from the family whose control 0 it is, or
+    ``inclusion.signal_field`` and ``relax.convexify``, is its
+    ``dataclasses.replace`` with new controls, rule or label, so it
+    inherits the rates and every flag.  ``rule`` must be pure: given the
     same arguments it returns the same array, with no hidden state; the
     integrators pass it read-only positions.  ``measure_dependent``
     records whether the rule actually reads its ``points`` argument;
@@ -304,8 +308,13 @@ def euler_curve(family: ControlledFamily, start: ParticleCloud, grid, controls,
     if controls.shape != (len(times) - 1,):
         raise ShapeMismatchError(f"need one control per interval ({len(times) - 1}), got shape {controls.shape}")
     if family.position_dependent or family.measure_dependent:
-        return march(start, grid, lambda k, t0, t1, rows: delayed_step(
-            family, t0, t1, rows[k] if measure is None else measure[k], int(controls[k]), rows[k]))
+        us = controls.tolist()  # Python ints read once, not an array scalar converted every step
+
+        def step(k, t0, t1, rows):
+            X = rows[k]  # one view of node k: the positions and, unbound, the measure argument
+            return delayed_step(family, t0, t1, X if measure is None else measure[k], us[k], X)
+
+        return march(start, grid, step)
     cloud = start.points
     buf = np.empty((len(times),) + cloud.shape)
     buf[0] = cloud

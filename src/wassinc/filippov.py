@@ -64,9 +64,8 @@ class FilippovCertificate:
     @property
     def velocity_bound(self) -> np.ndarray:
         """eta_R + L(t) D_p(t), the bound on the velocity gap at every node;
-        L = 0 drops D_p even where it saturated to inf, as ``bounds.product`` does."""
-        L = self.L_at_nodes
-        return self.eta_R + L * np.where(L == 0.0, 0.0, self.D_p)
+        L = 0 drops D_p even where it saturated to inf (``bounds.products``)."""
+        return self.eta_R + bounds.products(self.L_at_nodes, self.D_p)
 
     def reports(self, slack: float) -> dict:
         """The distance check (measured W_p against D_p) and the velocity

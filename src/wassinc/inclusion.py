@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Mapping
 
 import numpy as np
@@ -90,7 +90,8 @@ def signal_field(family: ControlledFamily, signal: ControlSignal,
     that curve's node at t in place of the cloud it is handed.  A family
     that does not read its measure (``measure_dependent`` False) is handed
     that cloud as it is, with no lookup: its rule gives the same bits for
-    any cloud."""
+    any cloud.  It is ``family`` with one control, the signal's rule and
+    its own label, so it inherits the rates and every flag."""
     if signal.indices.max() >= family.size:
         raise ValueError(f"signal index {signal.indices.max()} outside family of size {family.size}")
     if not family.measure_dependent:
@@ -105,14 +106,7 @@ def signal_field(family: ControlledFamily, signal: ControlSignal,
             points = measure.points[k if block else k[0]]  # one node: a read-only view, no copy
         return family.rule(t, points, family.alone[u if block else u[0]], X)
 
-    return ControlledFamily(
-        controls=(0,),
-        rule=rule,
-        rates=family.rates,
-        label=f"{family.label}|signal",
-        measure_dependent=family.measure_dependent,
-        position_dependent=family.position_dependent,
-    )
+    return replace(family, controls=(0,), rule=rule, label=f"{family.label}|signal")
 
 
 def _select_control(

@@ -16,7 +16,7 @@ trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,10 +56,12 @@ def convexify(family: ControlledFamily, mixtures) -> ControlledFamily:
     """Family of the given ``ChatteringControl`` mixtures, in the order given.
 
     Every mixture has the same number q of bases and the same
-    ``weight_den`` (ValueError otherwise).  The parent rates carry over
-    unchanged (convex combinations preserve the growth, Lipschitz, and
-    measure-Lipschitz bounds).  A listed set of mixtures is not the hull,
-    so only a family of one mixture is convex-valued.
+    ``weight_den`` (ValueError otherwise).  It is the parent with new
+    controls, rule and label: the parent's rates carry over unchanged
+    (convex combinations preserve the growth, Lipschitz, and
+    measure-Lipschitz bounds), and so does every flag.  A listed set of
+    mixtures is not the hull, so only a family of one mixture is
+    convex-valued.
     """
     controls = tuple(mixtures)
     if len({(len(c.base_indices), c.weight_den) for c in controls}) != 1:
@@ -82,14 +84,8 @@ def convexify(family: ControlledFamily, mixtures) -> ControlledFamily:
             acc += term
         return acc / weight_den
 
-    return ControlledFamily(
-        controls=controls,
-        rule=rule,
-        rates=family.rates,
-        label=f"{family.label}|chattering(q={q},steps={weight_den})",
-        measure_dependent=family.measure_dependent,
-        position_dependent=family.position_dependent,
-    )
+    label = f"{family.label}|chattering(q={q},steps={weight_den})"
+    return replace(family, controls=controls, rule=rule, label=label)
 
 
 def aumann_realize(

@@ -121,6 +121,19 @@ def test_one_function_calls_the_assignment_solver():
     assert sorted(caller.values()) == ["measure.py:_solve_block"]
 
 
+def test_each_catalog_rule_is_written_once():
+    # a field whose law is a family's control is built from that family, so no field
+    # grows back its own copy of a family's rule
+    owner = {}  # each rule -> its innermost enclosing function (ast.walk visits outer ones first)
+    for function in ast.walk(module_trees()["catalog.py"]):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.FunctionDef) and node is not function and node.name == "rule":
+                    owner[id(node)] = function.name
+    assert sorted(owner.values()) == ["bounded_kernel_field", "constants_family", "gain_family", "mean_gain_family",
+                                      "rotation_field"]
+
+
 def test_only_dynamics_builds_unchecked_curves():
     # Trajectory._freeze skips the finite check: only the module that checks
     # every node (``dynamics.march``) may reach it

@@ -759,16 +759,50 @@ def test_the_flags_are_truthful(rng, d):
     assert state_free == {"zero", "constant", "constants"}
 
 
-@pytest.mark.parametrize("name", list(catalog_families(2)))
-def test_derived_families_copy_both_flags(name):
-    family = catalog_families(2)[name]
-    signal = ControlSignal(grid=[0.0, 0.5, 1.0], indices=[0, family.size - 1])
-    curve = Trajectory(grid=[0.0, 1.0], points=np.zeros((2, 3, 2)))
-    derived = [convexify(family, [ChatteringControl((0, family.size - 1), (1, 2))]),
-               signal_field(family, signal), signal_field(family, signal, curve)]
+def fields_of_families(d):
+    """Each catalog field built from a family, with that family given a second control after the field's."""
+    rates, c = const_rates(2.0, 2.0, 2.0), np.linspace(-1.0, 2.0, d)
+    return {
+        "zero": (zero_field(rates), constants_family([np.zeros(d), c], rates)),
+        "constant": (constant_field(c, rates), constants_family([c, np.zeros(d)], rates)),
+        "linear_decay": (linear_decay_field(rates), gain_family([1.0, 0.5], rates)),
+        "mean_attraction": (mean_attraction_field(1.5, rates), mean_gain_family([1.5, 2.0], rates)),
+    }
+
+
+def inherited(family):
+    """Every field a derived family keeps from its parent: all but its controls, rule, label and ``alone``."""
+    return {f.name: getattr(family, f.name) for f in dataclasses.fields(family)
+            if f.name not in ("controls", "rule", "label", "alone")}
+
+
+@pytest.mark.parametrize("name", [*catalog_families(2), *(f"{name} field" for name in fields_of_families(2))])
+def test_derived_families_copy_both_flags(rng, name):
+    """``convexify`` and ``signal_field``, bound to a curve or not, keep every
+    field of their parent but the controls, rule and label, the rates as the
+    same object; so does a catalog field built from a family, whose rule at
+    one node and at a block gives the bits of the family's control 0."""
+    if name.endswith(" field"):
+        field, family = fields_of_families(2)[name.removesuffix(" field")]
+        derived = [field]
+        cloud, X = rng.standard_normal((5, 2)), rng.standard_normal((3, 2))
+        one = (0.25, cloud, field.alone[0], X)
+        block = (np.array([0.0, 0.5]), np.stack([cloud, cloud + 1.0]), np.zeros((2, 1), dtype=int),
+                 np.stack([X, X - 2.0]))
+        assert field.controls == (0,)
+        for args in (one, block):
+            assert field.rule(*args).tobytes() == family.rule(*args).tobytes()
+    else:
+        family = catalog_families(2)[name]
+        signal = ControlSignal(grid=[0.0, 0.5, 1.0], indices=[0, family.size - 1])
+        curve = Trajectory(grid=[0.0, 1.0], points=np.zeros((2, 3, 2)))
+        derived = [convexify(family, [ChatteringControl((0, family.size - 1), (1, 2))]),
+                   signal_field(family, signal), signal_field(family, signal, curve)]
+    expected = inherited(family)
+    rates = expected.pop("rates")
     for other in derived:
-        assert (other.position_dependent, other.measure_dependent) == (family.position_dependent,
-                                                                       family.measure_dependent)
+        got = inherited(other)
+        assert got.pop("rates") is rates and got == expected
 
 
 def test_only_a_state_free_family_skips_the_loop(monkeypatch):
