@@ -99,10 +99,10 @@ def _scaled_power(c: float, x: float, p: float) -> float:
     return product(c, xp)
 
 
-def exp_power(c: float, x: float, p: float, shift: float = 0.0) -> float:
-    """exp(c x^p + shift) for c, x >= 0, with c x^p the ``_scaled_power``,
+def exp_power(c: float, x: float, p: float) -> float:
+    """exp(c x^p) for c, x >= 0, with c x^p the ``_scaled_power``,
     saturating to +inf like the exp it feeds."""
-    return saturating_exp(_scaled_power(c, x, p) + shift)
+    return saturating_exp(_scaled_power(c, x, p))
 
 
 def product(*factors: float) -> float:
@@ -141,18 +141,17 @@ def gronwall_series(*, p, w0, increments, l_int, L_int=0.0, m_int=0.0, horizon=0
     ``L_int``, ``m_int`` arrays or scalars broadcast).  L = 0 gives the plain
     Gronwall bound, tail = 0 drops E.  One array pass, bit for bit the node
     loop of scalar calls: the running sum adds in node order, every product
-    is ``product``'s (``products``), C_p' l^p is ``_scaled_power``'s, with
-    l^p from libm's pow (numpy's SIMD pow rounds otherwise, and l * l is not
-    libm's l^2 either), and every exp is ``saturating_exp``."""
+    is ``product``'s (``products``), C_p' l^p is ``_scaled_power``'s, node by
+    node (libm's pow: numpy's SIMD pow rounds otherwise, and l * l is not
+    libm's l^2 either; at p = 1 it is the ``products`` C_p' l), and every exp
+    is ``saturating_exp``."""
     cp, cpp = C_p(p), C_p_prime(p)
     l = np.asarray(l_int, dtype=float)
     L, m = (np.broadcast_to(np.asarray(a, dtype=float), l.shape) for a in (L_int, m_int))
     steps = np.asarray(increments, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # overflows saturate to inf, as in Python floats
         totals = float(w0) + np.add.accumulate(np.concatenate(([0.0], steps)))[: l.size]
-        lp = l if p == 1.0 else np.array([_power(x, p) for x in l.tolist()])
-        # an l > 0 whose l^p underflows reads inf beside a saturated C_p'
-        growth = np.where((lp == 0.0) & (l > 0.0) & (cpp == math.inf), math.inf, products(cpp, lp))
+        growth = products(cpp, l) if p == 1.0 else np.array([_scaled_power(cpp, x, p) for x in l.tolist()])
         chi = products(cp, L, _exps(growth))
         E = products(2.0, m, 1.0 + horizon, float(tail))
         D = products(cp, totals + E, _exps(growth + chi))

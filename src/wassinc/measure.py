@@ -7,13 +7,15 @@ kept, from the exactly rounded (``fsum``) total.  A ``ParticleCloud`` is
 one checked measure, a curve its (K, N, d) array of positions: ``moments``
 and ``tail_norms`` read one such stack, the W_p series ``wasserstein_costs``
 and ``sup_wasserstein_cost`` two, node by node and bit for bit equal to
-the one-cloud calls.  A series of one-atom clouds (N = 1) is one array
-pass with no solver.  Every other W_p goes through one block solver,
-``_solve_block``: a block of nodes' cost matrices from one ``pairwise_cost``
-call (one ``cdist`` per node, one power over the block), one assignment
-solve per node, the matched costs gathered at once.  A series maps it over
-node blocks, on one thread or, from N = 64 on, a node a block on every
-usable core; the sup solves each node its screen keeps as a block of one.
+the one-cloud calls.  Two kernels take every W_p's root.  ``_identity_costs``,
+W_p under the identity coupling in the solver's arithmetic, is one array pass:
+the exact W_p of one-atom clouds (N = 1), with no solver, and both screens of
+the sup.  ``_solve_block`` is the optimal W_p and assignment of a block of
+nodes: the cost matrices from one ``pairwise_cost`` call (one ``cdist`` per
+node, one power over the block), one solve per node, the matched costs
+gathered at once.  A series maps it over node blocks, on one thread or, from
+N = 64 on, a node a block on every usable core; the sup solves each node its
+screens keep as a block of one.
 At every entry point a cost past the float range is inf, with no warning,
 and a node with no finite assignment raises the solver's ValueError.
 scipy is imported on the first assignment solve or pairwise distance, so
@@ -152,11 +154,10 @@ def _root(x: float, p: float) -> float:
 
 
 def _power_sums(values: np.ndarray, p: float) -> list:
-    """fsum(row^p) of every row of a (K, m) array, each power rounded as the solver's; inf on overflow."""
-    with np.errstate(over="ignore"):  # an overflowing power makes its row's sum inf
-        powered = _pow(values, p).tolist()
+    """fsum(row^p) of every row of a (K, m) array, each power rounded as the solver's; inf on
+    overflow, where the caller holds ``np.errstate(over="ignore")`` (numpy warns otherwise)."""
     out = []
-    for terms in powered:
+    for terms in _pow(values, p).tolist():
         try:
             out.append(math.fsum(terms))
         except OverflowError:
@@ -168,8 +169,9 @@ def _power_means(values: np.ndarray, p: float, n: int) -> list:
     """(fsum(row^p) / n)^(1/p) of every row of a (K, m) array, m >= 1.  Where a row's sum
     overflows, or falls below the smallest normal double while M = max(row) > 0,
     M (fsum((row / M)^p) / n)^(1/p), finite for finite values; a zero row stays 0."""
-    out = []
-    for row, top, total in zip(values, values.max(axis=-1).tolist(), _power_sums(values, p)):
+    with np.errstate(over="ignore"):  # an overflowing power makes its row's sum inf: scaled below
+        sums, out = _power_sums(values, p), []
+    for row, top, total in zip(values, values.max(axis=-1).tolist(), sums):
         if total < math.inf and not (total < sys.float_info.min and top > 0.0):
             out.append(_root(total / n, p))
         else:  # scaled: its largest term is 1; inf where a norm itself overflowed
@@ -232,17 +234,18 @@ def _check_stacks(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError("cloud coordinates must be finite")
 
 
-def _one_atom_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
-    """W_p of every node of two checked (K, 1, d) stacks in one array pass, bit
-    for bit the solve of each node's 1 x 1 cost matrix: each distance is the
-    sqrt of ``squared_norms`` (squares added coordinate by coordinate, as
-    ``cdist`` does), then ``_pow`` and, per node, ``_root``.  A cost that
-    overflows raises the solver's ValueError."""
-    with np.errstate(over="ignore"):  # an inf cost is rejected below
-        costs = _pow(np.sqrt(squared_norms(a[:, 0] - b[:, 0])), p)
-    if not (costs < math.inf).all():
-        raise ValueError("cost matrix is infeasible")
-    return np.array([_root(c, p) for c in costs.tolist()])
+def _identity_costs(gaps: np.ndarray, p: float) -> list:
+    """W_p of every node of a (K, N, d) stack of gaps a - b under the identity coupling (i with
+    i) in the solver's arithmetic: each distance the sqrt of ``squared_norms`` (squares added
+    as ``cdist`` does), then ``_pow``, each node's ``fsum`` over N and ``_root``; so at N = 1,
+    where the identity is the one coupling, each node has the bits of its 1 x 1 solve.  A
+    square, power or total past the float range gives inf, with no numpy warning."""
+    n = gaps.shape[1]
+    with np.errstate(over="ignore"):  # a square or power past the float range reads inf
+        norms = np.sqrt(squared_norms(gaps))
+        if n == 1:  # one term: its own exactly rounded total and mean
+            return [_root(c, p) for c in _pow(norms[:, 0], p).tolist()]
+        return [_root(total / n, p) for total in _power_sums(norms, p)]
 
 
 def wasserstein_cost(a: ParticleCloud, b: ParticleCloud, p: float) -> float:
@@ -254,49 +257,50 @@ def wasserstein_cost(a: ParticleCloud, b: ParticleCloud, p: float) -> float:
 def wasserstein_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """W_p between the clouds of rows k of two (K, N, d) stacks, for every k,
     as a float64 array; both stacks are checked before any solve.  One-atom
-    clouds (N = 1) take ``_one_atom_costs``, one pass over every node; any
+    clouds (N = 1) take ``_identity_costs``, one pass over every node; any
     other series, ``_solve_block`` over its ``node_blocks`` slices."""
     p = _check_p(p)
     _check_stacks(a, b)
     n = a.shape[1]
     if n == 1:
-        return _one_atom_costs(a, b, p)
+        return _feasible(_identity_costs(a - b, p))
     from .dynamics import node_blocks  # dynamics imports this module
 
+    def costs(blk):
+        return _solve_block(a[blk], b[blk], p)[0]
+
     blocks = node_blocks(len(a), 4 * n * n)  # a block's cost stack: a quarter of BLOCK_ENTRIES
-    first = _row_starts(blocks[0].stop, n)
-
-    def totals(blk):
-        return _solve_block(a[blk], b[blk], p, first)[0]
-
     # The solver releases the GIL: two or more nodes of N >= 64 (a block each) run on a
     # thread per usable core.  Pooled / serial time of a 21-node series, pool start included,
     # 2-core x86_64: N = 32 1.8-3.9, 48 1.0-2.1, 64 0.8-1.6 (even), 96 0.7-1.0, 256 0.5-0.7.
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if len(a) < 2 or n < 64 or cores < 2:
-        found = list(map(totals, blocks))
+        found = list(map(costs, blocks))
     else:
         with ThreadPoolExecutor(cores) as pool:
-            found = list(pool.map(totals, blocks))
-    return np.array([_root(total / n, p) for block in found for total in block])
+            found = list(pool.map(costs, blocks))
+    return np.array([w for block in found for w in block])
 
 
-def _row_starts(nodes: int, n: int) -> np.ndarray:
-    """Flat index of entry 0 of each row of a (nodes, n, n) stack, shape (nodes, n)."""
-    return np.arange(0, nodes * n * n, n).reshape(nodes, n)
+def _feasible(costs: list) -> np.ndarray:
+    """``costs`` as an array; an inf one, past the float range, raises the solver's ValueError."""
+    out = np.array(costs)
+    if not (out < math.inf).all():
+        raise ValueError("cost matrix is infeasible")
+    return out
 
 
-def _solve_block(a: np.ndarray, b: np.ndarray, p: float, first: np.ndarray):
-    """Optimal assignments of every node of two checked (K, N, d) stacks: the
-    exactly rounded (``fsum``) totals, a list, and the (K, N) sigmas.  The package's one
-    solver call: the cost matrices from one ``pairwise_cost`` call, a solve per node (an
-    infeasible matrix raises its ValueError), the matched costs gathered through
-    ``first``, the ``_row_starts`` of K nodes or more."""
+def _solve_block(a: np.ndarray, b: np.ndarray, p: float):
+    """Optimal assignments of every node of two checked (K, N, d) stacks: each node's W_p
+    from the exactly rounded (``fsum``) total, a list, and the (K, N) sigmas.  The package's
+    one solver call: the cost matrices from one ``pairwise_cost`` call, a solve per node (an
+    infeasible matrix raises its ValueError), the matched costs gathered at once."""
     with np.errstate(over="ignore"):  # set here: an errstate around a pool's map misses its threads
         costs = pairwise_cost(a, b, p)
     sigma = np.array([linear_sum_assignment(D)[1] for D in costs])
-    matched = costs.ravel()[first[: len(costs)] + sigma]
-    return [math.fsum(row) for row in matched.tolist()], sigma
+    k, n = sigma.shape
+    matched = costs.ravel()[np.arange(0, k * n * n, n).reshape(k, n) + sigma]  # entry (i, sigma(i)) of each node
+    return [_root(math.fsum(row) / n, p) for row in matched.tolist()], sigma
 
 
 def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
@@ -308,32 +312,25 @@ def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
     to optimal, as particles keep their identity along a curve.  Nodes are
     taken in descending U_k until U_k <= the largest exact value so far;
     one whose bound under sigma is <= that value is skipped, any other
-    solved.  Both bounds are totals in the solver's own arithmetic
-    (``_power_sums`` of the sqrt of ``squared_norms``: the same distances,
-    p-th powers and ``fsum`` as ``pairwise_cost``'s diagonal; a power that
-    underflows reads 0 in both), so neither is below the node's
-    exact value; a relative 1e-9 inflation keeps that margin for a distance
-    routine that rounds otherwise, so the result equals
+    solved.  Both bounds are ``_identity_costs``, the solver's own arithmetic
+    (the same distances, p-th powers, ``fsum`` and root as ``pairwise_cost``'s
+    diagonal; a power that underflows reads 0 in both), so neither is below
+    the node's exact value; a relative 1e-9 inflation keeps that margin for a
+    distance routine that rounds otherwise, so the result equals
     max(wasserstein_costs(a, b, p)) bit for bit.  One-atom clouds (N = 1)
-    need no screen: the max of ``_one_atom_costs``.
+    need no solve: U_k is each node's W_p.
     """
     p = _check_p(p)
     _check_stacks(a, b)
-    n = a.shape[1]
-    if n == 1:
-        return float(_one_atom_costs(a, b, p).max())
-
-    def screen(gaps):  # inf where a square or the sum overflows: such a node is solved
-        return [(1.0 + 1e-9) * _root(total / n, p) for total in _power_sums(np.sqrt(squared_norms(gaps)), p)]
-
-    best, sigma, first = -math.inf, None, _row_starts(1, n)
-    with np.errstate(over="ignore"):  # for the screen's squares
-        upper = screen(a - b)
-        for k in sorted(range(len(a)), key=upper.__getitem__, reverse=True):
-            if upper[k] <= best:
-                break
-            if sigma is not None and screen((a[k] - b[k][sigma])[None])[0] <= best:
-                continue
-            (total,), (sigma,) = _solve_block(a[k : k + 1], b[k : k + 1], p, first)
-            best = max(best, _root(total / n, p))
+    upper = _identity_costs(a - b, p)  # inf where a square or the sum overflows: such a node is solved
+    if a.shape[1] == 1:
+        return float(_feasible(upper).max())
+    best, sigma = -math.inf, None
+    for k in sorted(range(len(a)), key=upper.__getitem__, reverse=True):
+        if (1.0 + 1e-9) * upper[k] <= best:
+            break
+        if sigma is not None and (1.0 + 1e-9) * _identity_costs((a[k] - b[k][sigma])[None], p)[0] <= best:
+            continue
+        (cost,), (sigma,) = _solve_block(a[k : k + 1], b[k : k + 1], p)
+        best = max(best, cost)
     return best

@@ -126,7 +126,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> dict:
     """Run the configured experiment, then write each of its outputs under
     its file name and the manifest; return the manifest.  A stale manifest
     is removed first and the new one written last, and nothing is written
-    before the experiment has returned: a failed run writes no file, and
+    before the experiment has returned: a failed run, or a verify run whose
+    report checked nothing (``_refuse_unchecked``), writes no file, and
     leaves no ``out_dir`` if it made it."""
     out = Path(out_dir)
     (out / "manifest.json").unlink(missing_ok=True)
@@ -157,6 +158,18 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> dict:
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
+
+
+def _refuse_unchecked(report: BoundReport, p: float) -> None:
+    """ValueError if ``report`` has rows past t = 0 and none of them a finite bound: an inf
+    bound passes any value, and a row at t = 0 compares only C_p w0 with w0, so such a report
+    checked nothing.  The error names the check, p and the first time its bound is inf.  A
+    verify run's report is its one result, so it is refused there; a filippov run's result is
+    its tracked curve, whose certificate is written as it is even where it saturates."""
+    later = report.bound[report.times > 0.0]
+    if later.size and not np.isfinite(later).any():
+        t = report.times[np.argmin(np.isfinite(report.bound))]
+        raise ValueError(f"{report.kind} checked nothing at p = {p:g}: its bound is inf from t = {t:.6g} on")
 
 
 def _run_simulate(config: ScenarioConfig):
@@ -212,4 +225,5 @@ def _run_relax(config: ScenarioConfig):
 
 def _run_verify(config: ScenarioConfig):
     report = verify(config.experiment["what"], config)
+    _refuse_unchecked(report, config.p)
     return {"report.csv": report}, {**report.constants, "slack": report.slack}

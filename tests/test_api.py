@@ -108,17 +108,33 @@ def test_no_module_imports_a_private_name_of_another():
     assert imports + reads == []
 
 
-def test_one_function_calls_the_assignment_solver():
-    # every W_p goes through one block solver, so no second solve path can creep back
-    caller = {}  # each solver call -> its innermost enclosing function (ast.walk visits outer ones first)
-    for name, tree in module_trees().items():
+def callers(callee, trees):
+    """The innermost enclosing function of every call of ``callee`` (by name or as an
+    attribute) in ``trees``, a module name -> tree dict, as sorted ``module:function``."""
+    caller = {}  # each call -> its innermost enclosing function (ast.walk visits outer ones first)
+    for name, tree in trees.items():
         for function in ast.walk(tree):
             if isinstance(function, (ast.FunctionDef, ast.Lambda)):
                 for node in ast.walk(function):
                     target = getattr(node, "func", None)
-                    if getattr(target, "id", getattr(target, "attr", None)) == "linear_sum_assignment":
+                    if getattr(target, "id", getattr(target, "attr", None)) == callee:
                         caller[id(node)] = f"{name}:{getattr(function, 'name', 'lambda')}"
-    assert sorted(caller.values()) == ["measure.py:_solve_block"]
+    return sorted(caller.values())
+
+
+def test_one_function_calls_the_assignment_solver():
+    # every W_p goes through one block solver, so no second solve path can creep back
+    assert callers("linear_sum_assignment", module_trees()) == ["measure.py:_solve_block"]
+
+
+def test_each_power_rule_is_written_once():
+    # the formulas a large-p rescaling must change: a W_p's root is taken by the identity
+    # coupling's kernel, the solver and the power means alone, and C_p' x^p by one function
+    trees = module_trees()
+    assert sorted(set(callers("_root", {"measure.py": trees["measure.py"]}))) == [
+        "measure.py:_identity_costs", "measure.py:_power_means", "measure.py:_solve_block"]
+    assert sorted(set(callers("_power", {"bounds.py": trees["bounds.py"]}))) == [
+        "bounds.py:C_p_prime", "bounds.py:_scaled_power"]
 
 
 def test_each_catalog_rule_is_written_once():

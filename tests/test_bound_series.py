@@ -103,7 +103,7 @@ def loop_compute_bound(grid, eta, rates, p, tail, script_ct, w0):
         growth = bounds.exp_power(cpp, l_int, p)
         chi[k] = bounds.product(cp, scalar_integral(rates, "L", 0.0, t), growth)
         E[k] = bounds.product(2.0, scalar_integral(rates, "m", 0.0, t), 1.0 + script_ct, tail)
-        D[k] = bounds.product(cp, w0 + eta_int + E[k], bounds.exp_power(cpp, l_int, p, chi[k]))
+        D[k] = bounds.product(cp, w0 + eta_int + E[k], bounds.saturating_exp(bounds._scaled_power(cpp, l_int, p) + chi[k]))
     return D, chi, E
 
 
@@ -286,15 +286,20 @@ def test_C_p_prime_saturates_to_inf():
 @settings(max_examples=300, deadline=None)
 @given(c=st.floats(0.0, 1e3), x=st.floats(0.0, 1e3), p=st.floats(1.0, 8.0), shift=st.floats(-10.0, 10.0))
 def test_exp_power_keeps_the_bits_of_finite_inputs(c, x, p, shift):
-    try:
-        expected = math.exp(c * x**p + shift)
-    except OverflowError:
-        expected = math.inf
-    assert bounds.exp_power(c, x, p, shift) == expected
+    def saturating(f):
+        try:
+            return f()
+        except OverflowError:
+            return math.inf
+
+    assert bounds.exp_power(c, x, p) == saturating(lambda: math.exp(c * x**p))
+    shifted = bounds.saturating_exp(bounds._scaled_power(c, x, p) + shift)  # a D_p node's exp(C_p' l^p + chi_p)
+    assert shifted == saturating(lambda: math.exp(c * x**p + shift))
 
 
 def test_exp_power_with_a_saturated_factor():
-    assert bounds.exp_power(math.inf, 0.0, 2000.0, 0.5) == math.exp(0.5)  # inf * 0 would be NaN
+    assert bounds.exp_power(math.inf, 0.0, 2000.0) == 1.0  # inf * 0 would be NaN
+    assert bounds.saturating_exp(bounds._scaled_power(math.inf, 0.0, 2000.0) + 0.5) == math.exp(0.5)
     assert bounds.exp_power(math.inf, 0.6, 2000.0) == math.inf  # 0.6^2000 underflows to 0
     assert bounds.exp_power(math.inf, 1.0, 2000.0) == math.inf
 
@@ -317,6 +322,15 @@ C_P_PRIME_SCENARIOS = [
 ]
 
 
+# the verify reports whose every bound past t = 0 is inf at p = 2000: each run checked nothing
+UNCHECKED_AT_P_2000 = {
+    "verify_abs_continuity_bounded_kernel":
+        "abs_continuity checked nothing at p = 2000: its bound is inf from t = 0.00666667 on",
+    "verify_gronwall_global_decay": "gronwall_global checked nothing at p = 2000: its bound is inf from t = 0.001 on",
+    "verify_momentum_mean_attraction": "momentum checked nothing at p = 2000: its bound is inf from t = 0.005 on",
+}
+
+
 @pytest.mark.parametrize("name", C_P_PRIME_SCENARIOS)
 def test_large_p_ends_with_an_exit_code(tmp_path, capsys, name):
     raw = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json").read_text())
@@ -327,6 +341,42 @@ def test_large_p_ends_with_an_exit_code(tmp_path, capsys, name):
     if name == "relax_bangbang":  # its saturated moment envelope asks for inf blocks
         assert code == 2 and err.startswith("error: delta = 0.1 needs inf blocks") and err.count("\n") == 1
         assert not out.exists()
+    elif name in UNCHECKED_AT_P_2000:
+        assert code == 2 and err == f"error: {UNCHECKED_AT_P_2000[name]}\n"
+        assert not out.exists()
     else:
         verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
         assert code == (0 if all(verdicts.values()) else 1) and err == ""
+
+
+def abs_continuity_scenario():
+    return json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                       / "verify_abs_continuity_bounded_kernel.json").read_text())
+
+
+def test_a_report_with_no_finite_bound_past_t0_exits_two(tmp_path, capsys):
+    # c_p saturates at p = 64: every abs_continuity bound is inf, which any measured value meets
+    code, out = run_cli(tmp_path, "verify", abs_continuity_scenario(), "--p", "64")
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == (
+        "error: abs_continuity checked nothing at p = 64: its bound is inf from t = 0.00666667 on\n")
+
+
+def test_one_finite_row_past_t0_is_a_check(tmp_path, capsys):
+    # abs_continuity's rows start at dt: a one-step run has no row at t = 0 and one finite row
+    code, out = run_cli(tmp_path, "verify", abs_continuity_scenario(), "--steps", "1")
+    rows = (out / "report.csv").read_text().split()[1:]
+    assert code == 0 and capsys.readouterr().out == "abs_continuity: pass\n"
+    assert len(rows) == 1 and float(rows[0].split(",")[0]) > 0.0 and math.isfinite(float(rows[0].split(",")[2]))
+
+
+def test_a_report_with_a_finite_row_past_t0_keeps_its_verdict(monkeypatch, tmp_path):
+    # inf bounds beside one finite row past t = 0 are checked on that row; a report whose one
+    # row is at t = 0 has no row past it, so it is not refused either
+    config = parse_config(abs_continuity_scenario())
+    for k, (times, bound, passed) in enumerate([([0.0, 0.5, 1.0], [1.0, math.inf, 2.0], True),
+                                                ([0.0, 0.5, 1.0], [math.inf, 0.5, math.inf], False),
+                                                ([0.0], [math.inf], True)]):
+        checked = BoundReport("abs_continuity", times, np.ones(len(times)), bound, 0.0)
+        monkeypatch.setattr("wassinc.runner.verify", lambda what, config: checked)
+        assert run_scenario(config, tmp_path / str(k))["verdicts"] == {"abs_continuity": passed}

@@ -327,6 +327,20 @@ class TestCli:
         assert len((tmp_path / "d" / "trajectory.csv").read_text().splitlines()) == 1 + 8 * BASE["N"]
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("experiment, key, spec, message", [
+        ({"kind": "simulate"}, "field", {"label": "constant", "vector": [1.0, 2.0, 3.0]},
+         "field 'vector' must have d = 1 entries, got 3"),
+        ({"kind": "peano", "n": 4, "substeps": 2, "strategy": "min_norm"}, "family",
+         {"label": "constants", "controls": [[1.0], [1.0, 2.0]]}, "family 'controls'[1] must have d = 1 entries, got 2"),
+    ])
+    def test_exit_two_on_a_vector_of_the_wrong_dimension(self, tmp_path, capsys, experiment, key, spec, message):
+        raw = json.loads(json.dumps(BASE))
+        raw.update({key: {**spec, "rates": {"m": 1.0, "l": 0.0, "L": 0.0}}, "experiment": experiment})
+        out = tmp_path / "o"
+        assert cli_main([experiment["kind"], "--config", self._write(tmp_path, raw), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_exit_two_on_config_error(self, tmp_path):
         raw = json.loads(json.dumps(BASE))
         raw["field"]["label"] = "does_not_exist"
@@ -381,7 +395,8 @@ class TestCli:
         assert not any(math.isnan(b) for b in bounds) and bounds[-1] == math.inf
 
     def test_overflowing_power_saturates(self, tmp_path, capsys):
-        # (l t)^p = (1e100 t)^4 is past the float range before exp sees it
+        # (l t)^p = (1e100 t)^4 is past the float range before exp sees it: every bound past
+        # t = 0 is inf, so the run checked nothing and is refused
         raw = json.loads(json.dumps(BASE))
         raw.update(p=4, T=10.0, grid={"steps": 20})
         raw["field"]["rates"]["l"] = 1e100
@@ -393,11 +408,11 @@ class TestCli:
         }
         out = tmp_path / "o"
         code = cli_main(["verify", "--config", self._write(tmp_path, raw), "--out", str(out)])
-        verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
-        assert code == (0 if all(verdicts.values()) else 1)
-        assert "Traceback" not in capsys.readouterr().err
-        bounds = [float(r.split(",")[2]) for r in (out / "report.csv").read_text().split()[1:]]
-        assert not any(math.isnan(b) for b in bounds) and bounds[-1] == math.inf
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: gronwall_global checked nothing at p = 4: its bound is inf from t = 0.5 on\n")
+        bounds = verify("gronwall_global", parse_config(raw)).bound
+        assert not np.isnan(bounds).any() and bounds[-1] == math.inf
 
     def test_overflowing_moment_ends_by_its_verdict(self, tmp_path, capsys):
         # |x|^2 = 1e308 per atom: the direct sum of the moment passes the float range
@@ -433,10 +448,17 @@ class TestCli:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = cli_main(["verify", "--config", str(SCENARIOS / f"{name}.json"), "--out", str(out), "--p", "2000"])
-        verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
-        assert code == 0 and all(verdicts.values())
-        assert capsys.readouterr().err == ""
-        measured = [float(r.split(",")[1]) for r in (out / "report.csv").read_text().split()[1:]]
+            config = parse_config({**json.loads((SCENARIOS / f"{name}.json").read_text()), "p": 2000.0})
+            measured = verify(config.experiment["what"], config).measured
+        if name == "verify_momentum_mean_attraction":  # its bound is inf past t = 0: nothing was checked
+            assert code == 2 and not out.exists()
+            assert capsys.readouterr().err == (
+                "error: momentum checked nothing at p = 2000: its bound is inf from t = 0.005 on\n")
+        else:
+            verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
+            assert code == 0 and all(verdicts.values())
+            assert capsys.readouterr().err == ""
+            assert [float(r.split(",")[1]) for r in (out / "report.csv").read_text().split()[1:]] == measured.tolist()
         assert all(math.isfinite(m) for m in measured)
 
     def test_saturated_abs_continuity_constant_beside_a_zero_rate(self, tmp_path, capsys):

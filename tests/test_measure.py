@@ -16,8 +16,11 @@ from conftest import assignment_cost, cloud, delta, random_cloud
 
 
 def solve_one(a, b, p):
-    """``measure._solve_block`` on one pair of (N, d) arrays: the optimal total and sigma."""
-    (total,), (sigma,) = measure._solve_block(a[None], b[None], p, measure._row_starts(1, len(a)))
+    """``measure._solve_block`` on one pair of (N, d) arrays: the total of its sigma's plan and
+    sigma, once the W_p it returned is checked to be the ``_root`` of that plan's mean cost."""
+    (cost,), (sigma,) = measure._solve_block(a[None], b[None], p)
+    total = assignment_cost(pairwise_cost(a, b, p), sigma)
+    assert cost == measure._root(total / len(a), p)
     return total, sigma
 
 
