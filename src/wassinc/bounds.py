@@ -20,13 +20,17 @@ together with growth envelopes assembled from the integral of the rate m:
 
 These are deliberately loose: looseness only weakens the certified
 inequalities, never invalidates them.  Each constant and envelope
-saturates to +inf past the float range (C_p' from p = 1025 on).
+saturates to +inf past the float range (C_p' from p = 1025 on).  Each
+numeric rule is one function of a float or an array, called once per
+series: ``products`` (a zero factor gives 0 beside inf), ``saturating_exp``
+(libm's exp), ``_power`` (libm's pow) and ``_scaled_power`` (C_p' x^p).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 
 import numpy as np
 
@@ -72,31 +76,35 @@ class BoundReport:
         return self.measured.size > 0 and bool(np.all(self.margins >= -allowance - ATOL))
 
 
-def saturating_exp(x: float) -> float:
-    """exp saturating to +inf; the envelopes stay valid bounds either way."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+_EXP_TOP = 709.782712893384  # log of the largest double: the largest x whose exp is finite
 
 
-def _power(x: float, p: float) -> float:
-    """x^p for x >= 0, saturating to +inf like ``saturating_exp``."""
-    try:
-        return x**p
-    except OverflowError:
-        return math.inf
+def saturating_exp(x):
+    """exp of a float or, entry by entry, of an array, saturating to +inf past ``_EXP_TOP`` (the
+    envelopes stay valid bounds either way): libm's exp (numpy's SIMD exp rounds otherwise)."""
+    x = np.asarray(x, dtype=float)
+    out = np.fromiter(map(math.exp, np.minimum(x, _EXP_TOP).ravel().tolist()), float, x.size).reshape(x.shape)
+    out[x > _EXP_TOP] = math.inf
+    return out if out.ndim else float(out)
 
 
-def _scaled_power(c: float, x: float, p: float) -> float:
-    """c x^p for c, x >= 0, saturating to +inf: an x^p past the float range
-    counts as inf.  c x^p is a ``product``, so x = 0 gives 0 beside a
-    saturated c = inf too; an x > 0 whose x^p underflows to 0 gives inf
-    there, as its true product with c is unknown."""
+def _power(x, p: float):
+    """x^p for x >= 0, a float or, entry by entry, an array, saturating to +inf like
+    ``saturating_exp``: libm's pow, which is x itself at p = 1, through numpy's scalar pow
+    (its SIMD array pow rounds otherwise)."""
+    x = np.asarray(x, dtype=float)
+    if p != 1.0:
+        with np.errstate(over="ignore"):  # an x^p past the float range reads inf
+            x = np.fromiter(map(pow, x.flat, repeat(p)), float, x.size).reshape(x.shape)
+    return x if x.ndim else float(x)
+
+
+def _scaled_power(c, x, p: float):
+    """c x^p for c, x >= 0, floats or broadcast arrays, saturating to +inf: an x^p past the float
+    range counts as inf.  c x^p is a ``products``, so x = 0 gives 0 beside a saturated c = inf
+    too; an x > 0 whose x^p underflows to 0 gives inf there, as its true product with c is unknown."""
     xp = _power(x, p)
-    if xp == 0.0 < x and c == math.inf:
-        return math.inf
-    return product(c, xp)
+    return products(c, np.where((xp == 0.0) & np.greater(x, 0.0) & (c == math.inf), math.inf, xp))
 
 
 def exp_power(c: float, x: float, p: float) -> float:
@@ -105,30 +113,16 @@ def exp_power(c: float, x: float, p: float) -> float:
     return saturating_exp(_scaled_power(c, x, p))
 
 
-def product(*factors: float) -> float:
-    """Left-to-right product of Python floats (an overflow gives inf, no numpy warning); a zero
-    factor gives 0 even beside an inf, which stands for a finite value past the float range (``saturating_exp``)."""
-    out = 1.0
-    for f in factors:
-        if f == 0.0:
-            return 0.0
-        out *= float(f)
-    return out
-
-
-def products(*factors) -> np.ndarray:
-    """``product`` elementwise over broadcast float arrays and scalars: the factors multiplied
-    left to right, 0 wherever a factor is 0 (an overflow gives inf, a 0 * inf no NaN or warning)."""
+def products(*factors):
+    """The product of floats or broadcast float arrays, multiplied left to right (an overflow
+    gives inf, with no numpy warning); 0 wherever a factor is 0, even beside an inf, which stands
+    for a finite value past the float range (``saturating_exp``).  Scalars give a Python float."""
     out, zero = 1.0, False
     with np.errstate(over="ignore", invalid="ignore"):  # the mask below keeps 0 * inf at 0
         for f in factors:
             out, zero = out * f, zero | (f == 0.0)
-    return np.where(zero, 0.0, out)
-
-
-def _exps(x: np.ndarray) -> np.ndarray:
-    """``saturating_exp`` of every entry: libm's exp, as for a scalar (numpy's SIMD exp rounds otherwise)."""
-    return np.array([saturating_exp(v) for v in x.tolist()])
+    out = np.where(zero, 0.0, out)
+    return out if out.ndim else float(out)
 
 
 def gronwall_series(*, p, w0, increments, l_int, L_int=0.0, m_int=0.0, horizon=0.0, tail=0.0):
@@ -141,20 +135,18 @@ def gronwall_series(*, p, w0, increments, l_int, L_int=0.0, m_int=0.0, horizon=0
     ``L_int``, ``m_int`` arrays or scalars broadcast).  L = 0 gives the plain
     Gronwall bound, tail = 0 drops E.  One array pass, bit for bit the node
     loop of scalar calls: the running sum adds in node order, every product
-    is ``product``'s (``products``), C_p' l^p is ``_scaled_power``'s, node by
-    node (libm's pow: numpy's SIMD pow rounds otherwise, and l * l is not
-    libm's l^2 either; at p = 1 it is the ``products`` C_p' l), and every exp
-    is ``saturating_exp``."""
+    is a ``products``, C_p' l^p the ``_scaled_power`` and every exp the
+    ``saturating_exp`` of the whole series."""
     cp, cpp = C_p(p), C_p_prime(p)
     l = np.asarray(l_int, dtype=float)
     L, m = (np.broadcast_to(np.asarray(a, dtype=float), l.shape) for a in (L_int, m_int))
     steps = np.asarray(increments, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # overflows saturate to inf, as in Python floats
         totals = float(w0) + np.add.accumulate(np.concatenate(([0.0], steps)))[: l.size]
-        growth = products(cpp, l) if p == 1.0 else np.array([_scaled_power(cpp, x, p) for x in l.tolist()])
-        chi = products(cp, L, _exps(growth))
+        growth = _scaled_power(cpp, l, p)
+        chi = products(cp, L, saturating_exp(growth))
         E = products(2.0, m, 1.0 + horizon, float(tail))
-        D = products(cp, totals + E, _exps(growth + chi))
+        D = products(cp, totals + E, saturating_exp(growth + chi))
     return D, chi, E
 
 
@@ -168,7 +160,7 @@ def C_p_prime(p: float) -> float:
 
 def moment_bound(p: float, moment0: float, m_total: float) -> float:
     """A priori p-th moment bound C_p (M_p(mu0) + ||m||_1) exp(C_p' ||m||_1^p)."""
-    return product(C_p(p), moment0 + m_total, exp_power(C_p_prime(p), m_total, p))
+    return products(C_p(p), moment0 + m_total, exp_power(C_p_prime(p), m_total, p))
 
 
 def abs_continuity_constant(p: float, moment0: float, m_total: float) -> float:
@@ -190,9 +182,9 @@ def uniform_moment(p: float, moment_mu0: float, moment_nu0: float, m_total: floa
     """Uniform moment bound over all iterates of a tracking construction."""
     cp, cpp = C_p(p), C_p_prime(p)
     growth = exp_power(cpp, m_total, p)
-    f0 = product(cp, moment_nu0 + m_total, growth)
-    alpha = product(cp, 1.0 + moment_mu0 + m_total * (1.0 + f0), growth)
-    return product(alpha + f0, saturating_exp(alpha * m_total))
+    f0 = products(cp, moment_nu0 + m_total, growth)
+    alpha = products(cp, 1.0 + moment_mu0 + m_total * (1.0 + f0), growth)
+    return products(alpha + f0, saturating_exp(alpha * m_total))
 
 
 def script_horizon_factor(uniform_moment_bound: float, m_total: float) -> float:

@@ -3,7 +3,9 @@
 A cloud of N points with uniform weights 1/N stands in for a probability
 measure with finite p-th moment; between two clouds of equal size W_p is
 an optimal assignment problem, solved exactly, and only its value is
-kept, from the exactly rounded (``fsum``) total.  A ``ParticleCloud`` is
+kept, from the exactly rounded total.  One rule each, a call per array of
+nodes: ``_sums`` is every exact total (each row's ``fsum``, inf past the
+float range) and ``_root`` every p-th root.  A ``ParticleCloud`` is
 one checked measure, a curve its (K, N, d) array of positions: ``moments``
 and ``tail_norms`` read one such stack, the W_p series ``wasserstein_costs``
 and ``sup_wasserstein_cost`` two, node by node and bit for bit equal to
@@ -16,8 +18,9 @@ node, one power over the block), one solve per node, the matched costs
 gathered at once.  A series maps it over node blocks, on one thread or, from
 N = 64 on, a node a block on every usable core; the sup solves each node its
 screens keep as a block of one.
-At every entry point a cost past the float range is inf, with no warning,
-and a node with no finite assignment raises the solver's ValueError.
+At every entry point a cost or total past the float range is inf, with no
+warning, and a node with no finite assignment, or an inf total, raises the
+solver's ValueError.
 scipy is imported on the first assignment solve or pairwise distance, so
 a run that needs neither never loads it.
 """
@@ -30,6 +33,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -132,7 +136,7 @@ def moment(cloud: ParticleCloud, p: float) -> float:
 
 def moments(points: np.ndarray, p: float) -> np.ndarray:
     """``moment`` of the cloud of every row of a (K, N, d) stack, bit for bit."""
-    return np.array(_power_means(_norms(points), _check_p(p), points.shape[1]))
+    return _power_means(_norms(points), _check_p(p), points.shape[1])
 
 
 def _pow(x, p: float):
@@ -144,38 +148,47 @@ def _pow(x, p: float):
     return x**p
 
 
-def _root(x: float, p: float) -> float:
-    """x^(1/p), with exact p = 1 and p = 2 paths."""
+def _root(x, p: float):
+    """x^(1/p) of a float or, entry by entry, an array: x itself at p = 1, its sqrt at p = 2
+    (``np.sqrt`` is correctly rounded, as ``math.sqrt`` is), libm's pow at any other p (numpy's
+    SIMD pow rounds otherwise)."""
     if p == 1.0:
         return x
     if p == 2.0:
-        return math.sqrt(x)
-    return x ** (1.0 / p)
+        return np.sqrt(x)
+    x = np.asarray(x, dtype=float)
+    out = np.fromiter(map(math.pow, x.ravel().tolist(), repeat(1.0 / p)), float, x.size).reshape(x.shape)
+    return out if out.ndim else float(out)
 
 
-def _power_sums(values: np.ndarray, p: float) -> list:
-    """fsum(row^p) of every row of a (K, m) array, each power rounded as the solver's; inf on
-    overflow, where the caller holds ``np.errstate(over="ignore")`` (numpy warns otherwise)."""
+def _sums(terms: np.ndarray) -> np.ndarray:
+    """The exactly rounded sum (``fsum``) of every row of a (K, m) array, inf where it overflows;
+    a one-term row is its own sum."""
+    if terms.shape[-1] == 1:
+        return terms[:, 0].copy()
     out = []
-    for terms in _pow(values, p).tolist():
+    for row in terms.tolist():
         try:
-            out.append(math.fsum(terms))
+            out.append(math.fsum(row))
         except OverflowError:
             out.append(math.inf)
-    return out
+    return np.array(out, dtype=float)
 
 
-def _power_means(values: np.ndarray, p: float, n: int) -> list:
+def _power_means(values: np.ndarray, p: float, n: int) -> np.ndarray:
     """(fsum(row^p) / n)^(1/p) of every row of a (K, m) array, m >= 1.  Where a row's sum
     overflows, or falls below the smallest normal double while M = max(row) > 0,
     M (fsum((row / M)^p) / n)^(1/p), finite for finite values; a zero row stays 0."""
     with np.errstate(over="ignore"):  # an overflowing power makes its row's sum inf: scaled below
-        sums, out = _power_sums(values, p), []
-    for row, top, total in zip(values, values.max(axis=-1).tolist(), sums):
-        if total < math.inf and not (total < sys.float_info.min and top > 0.0):
-            out.append(_root(total / n, p))
-        else:  # scaled: its largest term is 1; inf where a norm itself overflowed
-            out.append(top * _root(math.fsum(_pow(row / top, p).tolist()) / n, p) if top < math.inf else top)
+        sums = _sums(_pow(values, p))
+    top = values.max(axis=-1)
+    out = _root(sums / n, p)
+    odd = ~(sums < math.inf) | ((sums < sys.float_info.min) & (top > 0.0))
+    if odd.any():  # scaled: each largest term is 1; inf where a norm itself overflowed
+        top = top[odd]
+        with np.errstate(invalid="ignore"):  # inf / inf in a row of an overflowed norm, which keeps its inf
+            scaled = top * _root(_sums(_pow(values[odd] / top[:, None], p)) / n, p)
+        out[odd] = np.where(top < math.inf, scaled, top)
     return out
 
 
@@ -197,7 +210,7 @@ def tail_norms(points: np.ndarray, R: float, p: float, shifted: bool = False) ->
         raise ValueError(f"radius R must be nonnegative, got {R}")
     norms = _norms(points)
     vals = np.where(norms >= R, 1.0 + norms if shifted else norms, 0.0)
-    return np.array(_power_means(vals, p, points.shape[1]))
+    return _power_means(vals, p, points.shape[1])
 
 
 def localisation_tail(cloud: ParticleCloud, R: float, horizon: float, p: float) -> float:
@@ -234,18 +247,14 @@ def _check_stacks(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError("cloud coordinates must be finite")
 
 
-def _identity_costs(gaps: np.ndarray, p: float) -> list:
+def _identity_costs(gaps: np.ndarray, p: float) -> np.ndarray:
     """W_p of every node of a (K, N, d) stack of gaps a - b under the identity coupling (i with
     i) in the solver's arithmetic: each distance the sqrt of ``squared_norms`` (squares added
-    as ``cdist`` does), then ``_pow``, each node's ``fsum`` over N and ``_root``; so at N = 1,
+    as ``cdist`` does), then ``_pow``, each node's ``_sums`` over N and ``_root``; so at N = 1,
     where the identity is the one coupling, each node has the bits of its 1 x 1 solve.  A
     square, power or total past the float range gives inf, with no numpy warning."""
-    n = gaps.shape[1]
     with np.errstate(over="ignore"):  # a square or power past the float range reads inf
-        norms = np.sqrt(squared_norms(gaps))
-        if n == 1:  # one term: its own exactly rounded total and mean
-            return [_root(c, p) for c in _pow(norms[:, 0], p).tolist()]
-        return [_root(total / n, p) for total in _power_sums(norms, p)]
+        return _root(_sums(_pow(np.sqrt(squared_norms(gaps)), p)) / gaps.shape[1], p)
 
 
 def wasserstein_cost(a: ParticleCloud, b: ParticleCloud, p: float) -> float:
@@ -279,28 +288,27 @@ def wasserstein_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     else:
         with ThreadPoolExecutor(cores) as pool:
             found = list(pool.map(costs, blocks))
-    return np.array([w for block in found for w in block])
+    return _feasible(np.concatenate(found))
 
 
-def _feasible(costs: list) -> np.ndarray:
-    """``costs`` as an array; an inf one, past the float range, raises the solver's ValueError."""
-    out = np.array(costs)
-    if not (out < math.inf).all():
+def _feasible(costs):
+    """``costs`` as they are; an inf one, past the float range, raises the solver's ValueError."""
+    if not (np.asarray(costs) < math.inf).all():
         raise ValueError("cost matrix is infeasible")
-    return out
+    return costs
 
 
 def _solve_block(a: np.ndarray, b: np.ndarray, p: float):
-    """Optimal assignments of every node of two checked (K, N, d) stacks: each node's W_p
-    from the exactly rounded (``fsum``) total, a list, and the (K, N) sigmas.  The package's
-    one solver call: the cost matrices from one ``pairwise_cost`` call, a solve per node (an
-    infeasible matrix raises its ValueError), the matched costs gathered at once."""
+    """Optimal assignments of every node of two checked (K, N, d) stacks: each node's W_p from
+    the exactly rounded total (``_sums``, inf past the float range), and the (K, N) sigmas.  The
+    package's one solver call: the cost matrices from one ``pairwise_cost`` call, a solve per node
+    (an infeasible matrix raises its ValueError), the matched costs gathered at once."""
     with np.errstate(over="ignore"):  # set here: an errstate around a pool's map misses its threads
         costs = pairwise_cost(a, b, p)
     sigma = np.array([linear_sum_assignment(D)[1] for D in costs])
     k, n = sigma.shape
     matched = costs.ravel()[np.arange(0, k * n * n, n).reshape(k, n) + sigma]  # entry (i, sigma(i)) of each node
-    return [_root(math.fsum(row) / n, p) for row in matched.tolist()], sigma
+    return _root(_sums(matched) / n, p), sigma
 
 
 def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
@@ -326,11 +334,11 @@ def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
     if a.shape[1] == 1:
         return float(_feasible(upper).max())
     best, sigma = -math.inf, None
-    for k in sorted(range(len(a)), key=upper.__getitem__, reverse=True):
+    for k in sorted(range(len(a)), key=upper.tolist().__getitem__, reverse=True):
         if (1.0 + 1e-9) * upper[k] <= best:
             break
         if sigma is not None and (1.0 + 1e-9) * _identity_costs((a[k] - b[k][sigma])[None], p)[0] <= best:
             continue
         (cost,), (sigma,) = _solve_block(a[k : k + 1], b[k : k + 1], p)
         best = max(best, cost)
-    return best
+    return float(_feasible(best))

@@ -228,11 +228,11 @@ def relax_approximate(
     measured = wasserstein_costs(on_tracked, tracked.points, p)
     l_total = rates.integral("l", 0.0, rates.duration)
     growth = bounds.exp_power(bounds.C_p_prime(p), l_total, p)
-    chi_bar = bounds.product(bounds.C_p(p), rates.integral("L", 0.0, rates.duration), growth)
+    chi_bar = bounds.products(bounds.C_p(p), rates.integral("L", 0.0, rates.duration), growth)
     chi_growth = bounds.saturating_exp(chi_bar)
-    amplification = bounds.product(
+    amplification = bounds.products(
         bounds.C_p(p),
-        (3.0 + l_total) * (1.0 + bounds.product(chi_bar, chi_growth)) + chi_growth,
+        (3.0 + l_total) * (1.0 + bounds.products(chi_bar, chi_growth)) + chi_growth,
         growth,
     )
     constants = {

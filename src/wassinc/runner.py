@@ -96,10 +96,8 @@ def _digest(path: Path) -> str:
 
 
 def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.floating, np.integer, np.ndarray)):
+        value = value.tolist()  # Python numbers, which the inf rule below reads
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -137,6 +137,29 @@ def test_each_power_rule_is_written_once():
         "bounds.py:C_p_prime", "bounds.py:_scaled_power"]
 
 
+def test_one_function_takes_every_exact_sum():
+    # every W_p total and power-mean sum, rescaled rows too, is one exactly rounded sum, so its
+    # overflow rule (inf, which the W_p entry points raise as infeasible) is written once
+    assert callers("fsum", {"measure.py": module_trees()["measure.py"]}) == ["measure.py:_sums"]
+
+
+def test_no_numeric_rule_is_called_per_entry():
+    # roots, scaled powers and exps each take a whole array: a call per entry, in a comprehension
+    # or through map, is a second, slower form of the rule
+    rules = {"_root", "_scaled_power", "saturating_exp"}
+    trees = module_trees()
+    per_entry = [
+        f"{name}:{node.lineno}"
+        for name in ("bounds.py", "measure.py")
+        for loop in ast.walk(trees[name])
+        if isinstance(loop, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
+        or (isinstance(loop, ast.Call) and getattr(loop.func, "id", None) == "map")
+        for node in ast.walk(loop)
+        if getattr(node, "id", getattr(node, "attr", None)) in rules
+    ]
+    assert per_entry == []
+
+
 def test_each_catalog_rule_is_written_once():
     # a field whose law is a family's control is built from that family, so no field
     # grows back its own copy of a family's rule

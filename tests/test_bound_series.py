@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wassinc import BoundReport, RateFunctions, bounds, compute_bound, parse_config, run_scenario, tail_norm
-from wassinc import relax
+from wassinc import measure, relax
 from wassinc.verify import momentum_bound_series
 
 from conftest import cloud, run_cli
@@ -101,9 +101,9 @@ def loop_compute_bound(grid, eta, rates, p, tail, script_ct, w0):
             eta_int += float(eta[k - 1]) * float(grid[k] - grid[k - 1])
         l_int = scalar_integral(rates, "l", 0.0, t)
         growth = bounds.exp_power(cpp, l_int, p)
-        chi[k] = bounds.product(cp, scalar_integral(rates, "L", 0.0, t), growth)
-        E[k] = bounds.product(2.0, scalar_integral(rates, "m", 0.0, t), 1.0 + script_ct, tail)
-        D[k] = bounds.product(cp, w0 + eta_int + E[k], bounds.saturating_exp(bounds._scaled_power(cpp, l_int, p) + chi[k]))
+        chi[k] = bounds.products(cp, scalar_integral(rates, "L", 0.0, t), growth)
+        E[k] = bounds.products(2.0, scalar_integral(rates, "m", 0.0, t), 1.0 + script_ct, tail)
+        D[k] = bounds.products(cp, w0 + eta_int + E[k], bounds.saturating_exp(bounds._scaled_power(cpp, l_int, p) + chi[k]))
     return D, chi, E
 
 
@@ -144,13 +144,13 @@ def test_momentum_series_equals_node_loop(seed, segments, p, measure_dependent):
             seg = scalar_integral(rates, "m", float(grid[k - 1]), float(t))
             growth_int += (1.0 + envelope[k - 1]) * seg
         m_int = scalar_integral(rates, "m", 0.0, float(t))
-        expected[k] = bounds.product(cp, measured[0] + growth_int, bounds.exp_power(cpp, m_int, p))
+        expected[k] = bounds.products(cp, measured[0] + growth_int, bounds.exp_power(cpp, m_int, p))
     assert_bitwise(momentum_bound_series(grid, measured, rates, p, measure_dependent), expected)
 
 
 def loop_gronwall_series(*, p, w0, increments, l_int, L_int=0.0, m_int=0.0, horizon=0.0, tail=0.0):
     """The node loop of scalar calls that ``bounds.gronwall_series`` replaced: Python floats,
-    one ``product`` and two ``saturating_exp`` a node."""
+    one ``products`` and two ``saturating_exp`` a node."""
     cp, cpp = bounds.C_p(p), bounds.C_p_prime(p)
     rows = zip(*(np.broadcast_to(a, np.shape(l_int)).tolist() for a in (l_int, L_int, m_int)))
     increments = np.asarray(increments).tolist()
@@ -160,8 +160,8 @@ def loop_gronwall_series(*, p, w0, increments, l_int, L_int=0.0, m_int=0.0, hori
         if k > 0:
             total += increments[k - 1]
         growth = bounds._scaled_power(cpp, l, p)
-        chi_k, E_k = bounds.product(cp, L, bounds.saturating_exp(growth)), bounds.product(2.0, m, 1.0 + horizon, tail)
-        chi[k], E[k], D[k] = chi_k, E_k, bounds.product(cp, w0 + total + E_k, bounds.saturating_exp(growth + chi_k))
+        chi_k, E_k = bounds.products(cp, L, bounds.saturating_exp(growth)), bounds.products(2.0, m, 1.0 + horizon, tail)
+        chi[k], E[k], D[k] = chi_k, E_k, bounds.products(cp, w0 + total + E_k, bounds.saturating_exp(growth + chi_k))
     return D, chi, E
 
 
@@ -302,6 +302,56 @@ def test_exp_power_with_a_saturated_factor():
     assert bounds.saturating_exp(bounds._scaled_power(math.inf, 0.0, 2000.0) + 0.5) == math.exp(0.5)
     assert bounds.exp_power(math.inf, 0.6, 2000.0) == math.inf  # 0.6^2000 underflows to 0
     assert bounds.exp_power(math.inf, 1.0, 2000.0) == math.inf
+
+
+RULE_VALUES = [0.0, 5e-324, 1e-300, 1.0, 1e300, math.inf]
+
+
+def saturating(f, *args):
+    """``f(*args)`` on Python floats, +inf where it overflows."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
+
+
+def python_product(*factors):
+    """The scalar product rule ``products`` replaced: Python floats left to right, 0 at a zero factor."""
+    out = 1.0
+    for f in factors:
+        if f == 0.0:
+            return 0.0
+        out *= f
+    return out
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 1025.0, 2000.0])
+def test_array_rules_are_the_scalar_rules(p):
+    # each numeric rule of an array, entry by entry of it and the Python-float rule it replaced,
+    # bit for bit, with no numpy warning: zeros, a subnormal, powers that under- and overflow, inf
+    x = np.array(RULE_VALUES)
+    root = {1.0: float, 2.0: math.sqrt}.get(p, lambda v: v ** (1.0 / p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_bitwise(measure._root(x, p), [root(v) for v in RULE_VALUES])
+        assert_bitwise([measure._root(v, p) for v in RULE_VALUES], [root(v) for v in RULE_VALUES])
+        powers = [saturating(math.pow, v, p) for v in RULE_VALUES]
+        assert_bitwise(bounds._power(x, p), powers)
+        assert_bitwise([bounds._power(v, p) for v in RULE_VALUES], powers)
+        for c in (0.0, 1.5, bounds.C_p_prime(p), math.inf):
+            scaled = [math.inf if power == 0.0 < v and c == math.inf else python_product(c, power)
+                      for v, power in zip(RULE_VALUES, powers)]
+            assert_bitwise(bounds._scaled_power(c, x, p), scaled)
+            assert_bitwise([bounds._scaled_power(c, v, p) for v in RULE_VALUES], scaled)
+            assert_bitwise(bounds.products(c, x, p), [python_product(c, v, p) for v in RULE_VALUES])
+            assert all(type(bounds.products(c, v, p)) is float for v in RULE_VALUES)
+            assert_bitwise([bounds.products(c, v, p) for v in RULE_VALUES],
+                           [python_product(c, v, p) for v in RULE_VALUES])
+        exponents = np.concatenate([x, -x, x / p, [bounds._EXP_TOP, math.nextafter(bounds._EXP_TOP, math.inf)]])
+        exps = [saturating(math.exp, v) for v in exponents.tolist()]
+        assert_bitwise(bounds.saturating_exp(exponents), exps)
+        assert_bitwise([bounds.saturating_exp(v) for v in exponents.tolist()], exps)
+    assert exps[-2] < math.inf == exps[-1]  # _EXP_TOP is the last double whose exp is finite
 
 
 def test_gronwall_series_at_a_saturated_C_p_prime():

@@ -146,6 +146,20 @@ def test_single_atom_overflow_raises_the_solver_error(p):
                 series(a, far, p)
 
 
+def test_matched_total_overflow_raises_the_solver_error():
+    # every |x - y|^2 = 1.44e308 of the second node is finite, their matched total is not: the
+    # one overflow rule, at both series and the sup, with no numpy warning
+    a = np.zeros((2, 2, 1))
+    b = np.stack([np.ones((2, 1)), np.full((2, 1), 1.2e154)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stacks in ((a, b), (a[1:], b[1:])):
+            for series in (wasserstein_costs, measure.sup_wasserstein_cost):
+                with pytest.raises(ValueError, match="cost matrix is infeasible"):
+                    series(*stacks, 2.0)
+        assert wasserstein_costs(a[:1], b[:1], 2.0).tolist() == [1.0]
+
+
 # -- a per-node W_p series on every usable core --------------------------------------
 
 
@@ -947,7 +961,7 @@ def test_cloud_mean_is_numpy_mean(shape, data):
 def power_means_row_by_row(values, p, n):
     """The per-row loop ``measure._power_means`` replaced: each row's max read on its own."""
     out = []
-    for row, total in zip(values, measure._power_sums(values, p)):
+    for row, total in zip(values, measure._sums(measure._pow(values, p)).tolist()):
         top = float(row.max())
         if total < math.inf and not (total < sys.float_info.min and top > 0.0):
             out.append(measure._root(total / n, p))
@@ -972,6 +986,6 @@ def test_screen_total_is_the_solver_diagonal(rng, d, p):
     # before its 1e-9 inflation the identity-coupling bound is the solver's own total of the
     # diagonal: d >= 8 too, where np.linalg.norm's pairwise sum would differ on some pairs
     a, b = rng.uniform(-1e3, 1e3, (2, 30, 7, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, 30, 7, d))
-    totals = measure._power_sums(np.sqrt(measure.squared_norms(a - b)), p)
+    totals = measure._sums(measure._pow(np.sqrt(measure.squared_norms(a - b)), p))
     expected = [math.fsum(np.diag(pairwise_cost(x, y, p)).tolist()) for x, y in zip(a, b)]
     assert [bits(t) for t in totals] == [bits(t) for t in expected]

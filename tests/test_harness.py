@@ -279,6 +279,12 @@ class TestRunScenario:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+    def test_numpy_inf_constants_are_written_as_inf(self):
+        # a constant read off a kernel's array is a numpy scalar: it takes the inf rule too
+        constants = {"scalar": np.float64(math.inf), "series": np.array([1.0, math.inf]), "count": np.int64(3)}
+        text = json.dumps(runner._jsonable(constants), allow_nan=False)
+        assert json.loads(text) == {"scalar": "inf", "series": [1.0, "inf"], "count": 3}
+
     def test_peano_solves_each_n_once_and_warns_once(self, tmp_path, monkeypatch):
         # peano_mean_gain: n = 8 and n_list [4, 8, 16, 32]
         config = parse_config(json.loads((SCENARIOS / "peano_mean_gain.json").read_text()))
