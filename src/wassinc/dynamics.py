@@ -11,9 +11,11 @@ itself; a curve is its positions, one read-only (nodes, N, d) array,
 which every step and sweep reads, and ``Trajectory.at`` makes one node a
 cloud.  Every time grid, a curve's, a signal's or a rate set's, is a
 ``time_axis``: a finite, strictly increasing, read-only copy, so none
-holds its caller's array, and ``snapped_index`` reads the node at or
-before a time.  ``march`` is the loop that writes a curve's nodes one
-step at a time, each checked finite.  Every Euler curve is
+holds its caller's array, and ``snapped_index``, one ``searchsorted`` of
+a time or an array of times, is every lookup of the node at or before a
+time.  A rate integral's total is ``measure.exact_sums``.  ``march`` is
+the loop that writes a curve's nodes one step at a time, each checked
+finite.  Every Euler curve is
 ``euler_curve``: ``delayed_step`` with a control per interval and, as
 measure argument, the curve's own node (``integrate``) or an earlier
 curve's (every tracking iterate).  A state-free family, whose rule
@@ -28,14 +30,13 @@ bound to a curve is ``inclusion.signal_field``.  Once a curve is built,
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BlowUpError, ShapeMismatchError
-from .measure import ParticleCloud, squared_norms
+from .measure import ParticleCloud, exact_sums, squared_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +44,9 @@ class RateFunctions:
     """Piecewise-constant nonnegative rates m, l, L on [0, T].
 
     ``breakpoints`` has K + 1 strictly increasing entries spanning [0, T];
-    each rate holds K segment values, constant on [t_k, t_{k+1}).  Interval
-    integrals are computed segment by segment, hence exact for this data.
+    each rate holds K segment values, constant on [t_k, t_{k+1}).  An interval
+    integral is the exactly rounded sum of its segment terms, inf past the
+    float range.
     """
 
     breakpoints: np.ndarray
@@ -83,7 +85,7 @@ class RateFunctions:
         """Left-constant evaluation, clamped to [0, T]: a float for a scalar
         t, for an array t an array of the same values."""
         vals = getattr(self, f"{which}_values")
-        out = vals[np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1, 0, vals.size - 1)]
+        out = vals[np.minimum(snapped_index(self.breakpoints, t, 0.0), vals.size - 1)]
         return out if np.ndim(t) else float(out)
 
     def integral(self, which: str, a, b):
@@ -97,12 +99,8 @@ class RateFunctions:
         a = np.maximum(a, bp[0])[..., None]
         b = np.minimum(b, bp[-1])[..., None]
         overlap = np.clip(np.minimum(bp[1:], b) - np.maximum(bp[:-1], a), 0.0, None)
-        terms = (vals * overlap).reshape(-1, vals.size)
-        # a row of at most one nonzero term sums exactly in any order (an empty interval
-        # has none); only a row across two or more segments needs fsum
-        sums = np.add.reduce(terms, axis=1)
-        for row in np.flatnonzero(np.count_nonzero(terms, axis=1) > 1).tolist():
-            sums[row] = math.fsum(terms[row].tolist())
+        with np.errstate(over="ignore"):  # a term past the float range reads inf, as its sum does
+            sums = exact_sums((vals * overlap).reshape(-1, vals.size)) + 0.0  # a -0.0 rate integrates to 0.0
         return float(sums[0]) if a.ndim == 1 else sums.reshape(a.shape[:-1])
 
     def maximum(self, other: "RateFunctions") -> "RateFunctions":
@@ -125,9 +123,11 @@ def time_axis(grid, min_nodes: int = 1) -> tuple[np.ndarray, float, list]:
     return g, 1e-9 * float(np.min(np.diff(g))) if g.size > 1 else 0.0, g.tolist()
 
 
-def snapped_index(times: list, t: float, snap: float) -> int:
-    """Index of the last of the increasing ``times`` at or before t + snap, at least 0."""
-    return max(bisect_right(times, t + snap) - 1, 0)
+def snapped_index(grid: np.ndarray, t, snap):
+    """Index of the last entry of the increasing ``grid`` at or before t + snap, at least 0: an
+    int for a float t, for an array t (or list) an array of the indices, one ``searchsorted``."""
+    k = np.maximum(np.searchsorted(grid, np.add(t, snap), side="right") - 1, 0)
+    return k if np.ndim(t) else int(k)
 
 
 BLOCK_ENTRIES = 2**14  # 128 KiB of doubles per block array: a sweep's temporaries stay in cache
@@ -255,16 +255,17 @@ class Trajectory:
         for name, value in zip(("grid", "snap", "times", "points"), (*axis, pts)):
             object.__setattr__(self, name, value)
 
-    def node_index(self, t: float) -> int:
-        """Index of the nearest node at or before t (snapped within 1e-9 dt)."""
-        return snapped_index(self.times, t, self.snap)
+    def node_index(self, t):
+        """Index of the nearest node at or before t (snapped within 1e-9 dt); for an
+        array of times, the array of their indices."""
+        return snapped_index(self.grid, t, self.snap)
 
     def at(self, t: float) -> ParticleCloud:
         return ParticleCloud(self.points[self.node_index(t)])
 
     def rows_at(self, times) -> np.ndarray:
         """The positions ``at`` reads for each of ``times``, a (len(times), N, d) copy."""
-        return self.points[[self.node_index(t) for t in times]]
+        return self.points[self.node_index(times)]
 
 
 def march(start: ParticleCloud, grid: np.ndarray, step: Callable) -> Trajectory:

@@ -20,10 +20,11 @@ start cloud stands in for negative times), and taking
 cloud as the measure argument.  ``inclusion_residual`` replays that step
 by the same rule from the trajectory's own nodes and the signal's
 recorded controls, so it reads 0 for a pair the scheme built and more
-wherever trajectory and signal disagree.  A ``ControlSignal`` reads its
-control at a time and the controls between two nodes
-(``controls_between``, which ``relax.aumann_realize`` reads block by
-block)."""
+wherever trajectory and signal disagree; peano's delayed nodes are one
+``dynamics.snapped_index`` of every t_k - T/n before the first step.  A
+``ControlSignal`` reads its control at a time or an array of times and
+the controls between two nodes (``controls_between``, which
+``relax.aumann_realize`` reads block by block)."""
 
 from __future__ import annotations
 
@@ -56,31 +57,32 @@ class ControlSignal:
     grid: np.ndarray
     indices: np.ndarray
     snap: float = dc_field(init=False, repr=False)
-    times: list = dc_field(init=False, repr=False)
 
     def __post_init__(self):
-        axis = time_axis(self.grid, min_nodes=2)
+        grid, snap, _ = time_axis(self.grid, min_nodes=2)
         idx = np.array(self.indices, dtype=int)
-        if idx.shape != (axis[0].size - 1,):
+        if idx.shape != (grid.size - 1,):
             raise ShapeMismatchError("need one control index per grid interval")
         if np.any(idx < 0):
             raise ValueError("control indices must be nonnegative")
         idx.setflags(write=False)
-        for name, value in zip(("grid", "snap", "times", "indices"), (*axis, idx)):
+        for name, value in zip(("grid", "snap", "indices"), (grid, snap, idx)):
             object.__setattr__(self, name, value)
 
     @property
     def n_intervals(self) -> int:
         return self.indices.size
 
-    def index_at(self, t: float) -> int:
-        k = snapped_index(self.times, t, self.snap)
-        return int(self.indices[min(k, self.indices.size - 1)])
+    def index_at(self, t):
+        """The control at t, an int; for an array of times, the array of their controls."""
+        u = self.indices[np.minimum(snapped_index(self.grid, t, self.snap), self.indices.size - 1)]
+        return u if np.ndim(t) else int(u)
 
     def controls_between(self, a: float, b: float) -> np.ndarray:
         """The controls of the intervals from the node at a to the node at b
         (each snapped within 1e-9 of the smallest step), a read-only view."""
-        return self.indices[snapped_index(self.times, a, self.snap) : snapped_index(self.times, b, -self.snap) + 1]
+        lo, hi = snapped_index(self.grid, [a, b], [self.snap, -self.snap]).tolist()
+        return self.indices[lo : hi + 1]
 
 
 def signal_field(family: ControlledFamily, signal: ControlSignal,
@@ -97,14 +99,10 @@ def signal_field(family: ControlledFamily, signal: ControlSignal,
     if not family.measure_dependent:
         measure = None
 
-    def rule(t, points, idx, X):
-        block = getattr(t, "ndim", 0) > 0  # one node (a float t), or a block (times (K,))
-        times = t.tolist() if block else [t]
-        u = [signal.index_at(s) for s in times]
+    def rule(t, points, idx, X):  # one node (a float t: one row, a read-only view) or a block (times (K,))
         if measure is not None:
-            k = [measure.node_index(s) for s in times]
-            points = measure.points[k if block else k[0]]  # one node: a read-only view, no copy
-        return family.rule(t, points, family.alone[u if block else u[0]], X)
+            points = measure.points[measure.node_index(t)]
+        return family.rule(t, points, family.alone[signal.index_at(t)], X)
 
     return replace(family, controls=(0,), rule=rule, label=f"{family.label}|signal")
 
@@ -162,11 +160,12 @@ def peano_solve(
     rng = np.random.Generator(np.random.Philox(key=seed)) if strategy == "random" else None
 
     T = family.rates.duration
-    grid, snap, times = time_axis(np.linspace(0.0, T, n * substeps + 1))
+    grid, snap, _ = time_axis(np.linspace(0.0, T, n * substeps + 1))
+    delays = snapped_index(grid, grid[:-1] - T / n, snap).tolist()  # as inclusion_residual replays them
     indices = np.empty(n * substeps, dtype=int)
 
     def step(k, t0, t1, rows):
-        delayed, X = rows[snapped_index(times, t0 - T / n, snap)], rows[k]  # as inclusion_residual replays it
+        delayed, X = rows[delays[k]], rows[k]
         indices[k] = u = _select_control(family, t0, delayed, X, strategy, rng)
         return delayed_step(family, t0, t1, delayed, u, X)
 
@@ -185,7 +184,7 @@ def inclusion_residual(traj: Trajectory, signal: ControlSignal, family: Controll
     step length, control, delay or node reads above 0.
     """
     t0, t1 = signal.grid[:-1], signal.grid[1:]
-    delayed, X, after = (traj.rows_at(times.tolist()) for times in (t0 - delay, t0, t1))
+    delayed, X, after = (traj.rows_at(times) for times in (t0 - delay, t0, t1))
     h = (t1 - t0)[:, None, None]
     step = X + h * family.rule(t0, delayed, signal.indices[:, None], X)[:, 0]
     return sup_norm(after - step) / (t1 - t0)

@@ -4,10 +4,10 @@ A cloud of N points with uniform weights 1/N stands in for a probability
 measure with finite p-th moment; between two clouds of equal size W_p is
 an optimal assignment problem, solved exactly, and only its value is
 kept, from the exactly rounded total.  One rule each, a call per array of
-nodes: ``_sums`` is every exact total (each row's ``fsum``, inf past the
-float range) and ``_root`` every p-th root.  A ``ParticleCloud`` is
-one checked measure, a curve its (K, N, d) array of positions: ``moments``
-and ``tail_norms`` read one such stack, the W_p series ``wasserstein_costs``
+nodes: ``exact_sums`` is every exact total of the package, a rate
+integral's too (each row's ``fsum``, inf past the float range), and
+``_root`` every p-th root.  A ``ParticleCloud`` is one checked measure,
+a curve its (K, N, d) array of positions: ``moments`` and ``tail_norms`` read one such stack, the W_p series ``wasserstein_costs``
 and ``sup_wasserstein_cost`` two, node by node and bit for bit equal to
 the one-cloud calls.  Two kernels take every W_p's root.  ``_identity_costs``,
 W_p under the identity coupling in the solver's arithmetic, is one array pass:
@@ -161,7 +161,7 @@ def _root(x, p: float):
     return out if out.ndim else float(out)
 
 
-def _sums(terms: np.ndarray) -> np.ndarray:
+def exact_sums(terms: np.ndarray) -> np.ndarray:
     """The exactly rounded sum (``fsum``) of every row of a (K, m) array, inf where it overflows;
     a one-term row is its own sum."""
     if terms.shape[-1] == 1:
@@ -180,14 +180,14 @@ def _power_means(values: np.ndarray, p: float, n: int) -> np.ndarray:
     overflows, or falls below the smallest normal double while M = max(row) > 0,
     M (fsum((row / M)^p) / n)^(1/p), finite for finite values; a zero row stays 0."""
     with np.errstate(over="ignore"):  # an overflowing power makes its row's sum inf: scaled below
-        sums = _sums(_pow(values, p))
+        sums = exact_sums(_pow(values, p))
     top = values.max(axis=-1)
     out = _root(sums / n, p)
     odd = ~(sums < math.inf) | ((sums < sys.float_info.min) & (top > 0.0))
     if odd.any():  # scaled: each largest term is 1; inf where a norm itself overflowed
         top = top[odd]
         with np.errstate(invalid="ignore"):  # inf / inf in a row of an overflowed norm, which keeps its inf
-            scaled = top * _root(_sums(_pow(values[odd] / top[:, None], p)) / n, p)
+            scaled = top * _root(exact_sums(_pow(values[odd] / top[:, None], p)) / n, p)
         out[odd] = np.where(top < math.inf, scaled, top)
     return out
 
@@ -250,11 +250,11 @@ def _check_stacks(a: np.ndarray, b: np.ndarray) -> None:
 def _identity_costs(gaps: np.ndarray, p: float) -> np.ndarray:
     """W_p of every node of a (K, N, d) stack of gaps a - b under the identity coupling (i with
     i) in the solver's arithmetic: each distance the sqrt of ``squared_norms`` (squares added
-    as ``cdist`` does), then ``_pow``, each node's ``_sums`` over N and ``_root``; so at N = 1,
+    as ``cdist`` does), then ``_pow``, each node's ``exact_sums`` over N and ``_root``; so at N = 1,
     where the identity is the one coupling, each node has the bits of its 1 x 1 solve.  A
     square, power or total past the float range gives inf, with no numpy warning."""
     with np.errstate(over="ignore"):  # a square or power past the float range reads inf
-        return _root(_sums(_pow(np.sqrt(squared_norms(gaps)), p)) / gaps.shape[1], p)
+        return _root(exact_sums(_pow(np.sqrt(squared_norms(gaps)), p)) / gaps.shape[1], p)
 
 
 def wasserstein_cost(a: ParticleCloud, b: ParticleCloud, p: float) -> float:
@@ -300,7 +300,7 @@ def _feasible(costs):
 
 def _solve_block(a: np.ndarray, b: np.ndarray, p: float):
     """Optimal assignments of every node of two checked (K, N, d) stacks: each node's W_p from
-    the exactly rounded total (``_sums``, inf past the float range), and the (K, N) sigmas.  The
+    the exactly rounded total (``exact_sums``, inf past the float range), and the (K, N) sigmas.  The
     package's one solver call: the cost matrices from one ``pairwise_cost`` call, a solve per node
     (an infeasible matrix raises its ValueError), the matched costs gathered at once."""
     with np.errstate(over="ignore"):  # set here: an errstate around a pool's map misses its threads
@@ -308,7 +308,7 @@ def _solve_block(a: np.ndarray, b: np.ndarray, p: float):
     sigma = np.array([linear_sum_assignment(D)[1] for D in costs])
     k, n = sigma.shape
     matched = costs.ravel()[np.arange(0, k * n * n, n).reshape(k, n) + sigma]  # entry (i, sigma(i)) of each node
-    return _root(_sums(matched) / n, p), sigma
+    return _root(exact_sums(matched) / n, p), sigma
 
 
 def sup_wasserstein_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds
-from .dynamics import ControlledFamily, Trajectory, integrate
+from .dynamics import ControlledFamily, Trajectory, integrate, snapped_index
 from .errors import ResolutionError
 from .filippov import filippov_track
 from .inclusion import ControlSignal, signal_field
@@ -148,15 +148,10 @@ def _equal_mass_boundaries(rates, n_blocks: int) -> np.ndarray:
     bp = rates.breakpoints
     vals = rates.m_values
     cum = rates.integral("m", 0.0, bp)  # cum[-1] == total
-    out = [0.0]
-    for tgt in targets:
-        seg = int(np.searchsorted(cum, tgt, side="right")) - 1
-        seg = min(max(seg, 0), vals.size - 1)
-        v = vals[seg]
-        t = bp[seg] + ((tgt - cum[seg]) / v if v > 0 else 0.0)
-        out.append(float(t))
-    out.append(T)
-    return np.array(out)
+    seg = np.minimum(snapped_index(cum, targets, 0.0), vals.size - 1)
+    v = vals[seg]
+    inside = np.divide(targets - cum[seg], v, out=np.zeros_like(targets), where=v > 0)
+    return np.concatenate(([0.0], bp[seg] + inside, [T]))
 
 
 def relax_approximate(

@@ -54,7 +54,7 @@ def momentum_bound_series(
     current or delayed measure argument).
     """
     envelope = np.maximum.accumulate(measured) if measure_dependent else np.zeros_like(measured)
-    growth = (1.0 + envelope[:-1]) * rates.integral("m", grid[:-1], grid[1:])
+    growth = bounds.products(1.0 + envelope[:-1], rates.integral("m", grid[:-1], grid[1:]))
     m_int = rates.integral("m", 0.0, grid)
     return bounds.gronwall_series(p=p, w0=measured[0], increments=growth, l_int=m_int)[0]
 
@@ -191,14 +191,15 @@ def verify_hypotheses_probe(config: ScenarioConfig) -> dict:
         x = points[np.arange(len(points)), atom[b]]
         y = x + step[b]
         vx, vy = (family.rule(tb, points, u[b], z[:, None])[:, 0, 0] for z in (x, y))
-        measured[b, 0] = _ratios(_row_norms(vx), rates.at("m", tb) * (1.0 + _row_norms(x) + moments(points, p)))
-        measured[b, 1] = _ratios(_row_norms(vx - vy), rates.at("l", tb) * _row_norms(x - y))
+        growth = 1.0 + _row_norms(x) + moments(points, p)
+        measured[b, 0] = _ratios(_row_norms(vx), bounds.products(rates.at("m", tb), growth))
+        measured[b, 1] = _ratios(_row_norms(vx - vy), bounds.products(rates.at("l", tb), _row_norms(x - y)))
         if coupled:
             other = jittered(1, b)
             probes = np.concatenate((points, other), axis=1)
             used = family.rule(tb, points, u[b], probes)[:, 0]
             best = family.gaps(tb, other, used, probes).min(axis=1)
-            measured[b, 2] = _ratios(best, rates.at("L", tb) * wasserstein_costs(points, other, p))
+            measured[b, 2] = _ratios(best, bounds.products(rates.at("L", tb), wasserstein_costs(points, other, p)))
 
     constants = {f"max_ratio_{k}": max([0.0, *measured[:, kinds.index(k)].tolist()]) if k in kinds else 0.0
                  for k in "mlL"}

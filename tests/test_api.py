@@ -138,9 +138,24 @@ def test_each_power_rule_is_written_once():
 
 
 def test_one_function_takes_every_exact_sum():
-    # every W_p total and power-mean sum, rescaled rows too, is one exactly rounded sum, so its
+    # every W_p total, power-mean sum and rate integral is one exactly rounded sum, so its
     # overflow rule (inf, which the W_p entry points raise as infeasible) is written once
-    assert callers("fsum", {"measure.py": module_trees()["measure.py"]}) == ["measure.py:_sums"]
+    assert callers("fsum", module_trees()) == ["measure.py:exact_sums"]
+
+
+def test_one_function_looks_up_every_time():
+    # a curve's node, a signal's control, a rate's segment, peano's delayed node and relax's
+    # equal-mass segment are all the node at or before a time: one rule, with no bisection beside it
+    trees = module_trees()
+    assert callers("searchsorted", trees) == ["dynamics.py:snapped_index"]
+    imports = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(alias.name == "bisect" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "bisect"
+    ]
+    assert imports == []
 
 
 def test_no_numeric_rule_is_called_per_entry():

@@ -90,6 +90,26 @@ def test_array_integral_rejects_reversed_bounds():
         rates.integral("m", np.array([0.0, 0.5]), np.array([0.2, 0.4]))
 
 
+@pytest.mark.parametrize("breakpoints, values", [([0.0, 4.0], [1e308]), ([0.0, 1.0, 2.0], [1e308, 1e308])])
+def test_integral_past_the_float_range_reads_inf(breakpoints, values):
+    # a term past the range (1e308 x 4), or finite terms whose exact sum is: inf, with no warning
+    rates = RateFunctions(np.array(breakpoints), *[np.array(values)] * 3)
+    T = breakpoints[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rates.integral("m", 0.0, T) == math.inf
+        assert rates.integral("l", 0.0, np.array([0.0, 0.5, T])).tolist() == [0.0, 5e307, math.inf]
+
+
+@pytest.mark.parametrize("segments", [1, 3])
+def test_a_negative_zero_rate_integrates_to_zero(segments):
+    # -0.0 passes the nonnegative check; its integral is +0.0 on one segment as on several,
+    # as fsum gives, so a manifest never records "-0.0"
+    rates = RateFunctions(np.linspace(0.0, 1.0, segments + 1), *[np.full(segments, -0.0)] * 3)
+    assert_bitwise([rates.integral("m", 0.0, 1.0)], [0.0])
+    assert_bitwise(rates.integral("m", 0.0, np.array([0.0, 0.5, 1.0])), [0.0, 0.0, 0.0])
+
+
 def loop_compute_bound(grid, eta, rates, p, tail, script_ct, w0):
     """The per-node D_p loop: (D, chi, E)."""
     cp, cpp = bounds.C_p(p), bounds.C_p_prime(p)

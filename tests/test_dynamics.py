@@ -198,8 +198,9 @@ class TestTimeAxis:
                 ControlSignal(grid=grid, indices=np.arange(4))]
         rates = RateFunctions(bp, m, m, m)
         grid[1], bp[1], m[1] = 0.3, 0.7, 5.0
+        assert held[0].times == held[1].times == [0.0, 0.25, 0.5, 0.75, 1.0]
         for owner in held:
-            assert owner.grid.tolist() == owner.times == [0.0, 0.25, 0.5, 0.75, 1.0]
+            assert owner.grid.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
             assert not owner.grid.flags.writeable and owner.snap == 1e-9 * 0.25
         assert [held[0].node_index(0.26), held[2].index_at(0.26)] == [1, 1]
         assert rates.at("m", 0.6) == rates.at("m", [0.6])[0] == 2.0 and rates.integral("m", 0.0, 1.0) == 1.5

@@ -12,10 +12,11 @@
   up to 24 and coincident atoms, in blocks of one node or several.  Every
   W_p entry point, serial, pooled, one-atom or the sup, raises the
   solver's error on an overflowing cost, with no RuntimeWarning.
-* Scalar time lookups of curves and signals bisect a Python list: equal
-  to the ``np.searchsorted`` formula they replace, on nodes, one ulp
-  either side and outside [0, T]; a rate's scalar lookup is its array
-  lookup, as a float.
+* Every time lookup of curves, signals and rates is one ``searchsorted``
+  pass (``snapped_index``): a float's index is the bisection of the grid's
+  list that it replaces, and an array of times gives each float's index,
+  on nodes, one ulp either side and outside [0, T]; a rate's scalar
+  lookup is its array lookup, as a float.
 * A Trajectory is one read-only array: ``at(t)`` is a checked copy of a
   row, equal bit for bit to it, the array equals the per-step loop that
   built one cloud per step, no step can write it, and the public
@@ -55,6 +56,7 @@ import sys
 import threading
 import time
 import warnings
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -362,11 +364,11 @@ def test_series_keeps_input_order(rng, cores, monkeypatch):
     assert series[1:].tolist() == [3.0, 2.0, 1.0, 0.0]
 
 
-# -- scalar lookups by bisection ---------------------------------------------------
+# -- time lookups: one searchsorted pass, a float or an array --------------------
 
 
 def searchsorted_index(grid, t, snap):
-    """The lookup formula bisection replaces."""
+    """The scalar lookup formula."""
     return max(int(np.searchsorted(grid, t + snap, side="right")) - 1, 0)
 
 
@@ -393,8 +395,12 @@ def test_snapped_index_equals_searchsorted(rng, nodes):
     for _ in range(5):
         grid, tolerance, times = time_axis(random_grid(rng, nodes))
         for snap in (tolerance, -tolerance, 0.0):
-            for t in probe_times(grid, rng):
-                assert snapped_index(times, t, snap) == searchsorted_index(grid, t, snap), (t, snap)
+            ts = probe_times(grid, rng)
+            expected = [searchsorted_index(grid, t, snap) for t in ts]
+            assert expected == [max(bisect_right(times, t + snap) - 1, 0) for t in ts]  # the list rule it replaced
+            scalars = [snapped_index(grid, t, snap) for t in ts]
+            assert scalars == expected and all(type(k) is int for k in scalars)
+            assert snapped_index(grid, np.array(ts), snap).tolist() == expected  # one call, ±inf included
 
 
 def test_lookups_through_trajectory_and_signal(rng):
@@ -405,6 +411,11 @@ def test_lookups_through_trajectory_and_signal(rng):
         k = searchsorted_index(grid, t, traj.snap)
         assert traj.node_index(t) == k and traj.at(t).points.tobytes() == traj.points[k].tobytes()
         assert signal.index_at(t) == signal.indices[min(searchsorted_index(grid, t, signal.snap), 38)]
+    ts = probe_times(grid, rng)
+    assert traj.node_index(np.array(ts)).tolist() == [traj.node_index(t) for t in ts]
+    stacked = np.stack([traj.at(t).points for t in ts]).tobytes()
+    assert traj.rows_at(ts).tobytes() == traj.rows_at(np.array(ts)).tobytes() == stacked
+    assert signal.index_at(np.array(ts)).tolist() == [signal.index_at(t) for t in ts]
 
 
 @pytest.mark.parametrize("segments", [1, 2, 9])
@@ -961,7 +972,7 @@ def test_cloud_mean_is_numpy_mean(shape, data):
 def power_means_row_by_row(values, p, n):
     """The per-row loop ``measure._power_means`` replaced: each row's max read on its own."""
     out = []
-    for row, total in zip(values, measure._sums(measure._pow(values, p)).tolist()):
+    for row, total in zip(values, measure.exact_sums(measure._pow(values, p)).tolist()):
         top = float(row.max())
         if total < math.inf and not (total < sys.float_info.min and top > 0.0):
             out.append(measure._root(total / n, p))
@@ -986,6 +997,6 @@ def test_screen_total_is_the_solver_diagonal(rng, d, p):
     # before its 1e-9 inflation the identity-coupling bound is the solver's own total of the
     # diagonal: d >= 8 too, where np.linalg.norm's pairwise sum would differ on some pairs
     a, b = rng.uniform(-1e3, 1e3, (2, 30, 7, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, 30, 7, d))
-    totals = measure._sums(measure._pow(np.sqrt(measure.squared_norms(a - b)), p))
+    totals = measure.exact_sums(measure._pow(np.sqrt(measure.squared_norms(a - b)), p))
     expected = [math.fsum(np.diag(pairwise_cost(x, y, p)).tolist()) for x, y in zip(a, b)]
     assert [bits(t) for t in totals] == [bits(t) for t in expected]

@@ -492,6 +492,27 @@ class TestCli:
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err == "error: cloud coordinates must be finite\n"
 
+    @pytest.mark.parametrize("case, m, steps", [("momentum_mean_attraction", 1.7e308, 1),
+                                                 ("momentum_mean_attraction", {"breakpoints": [0, 0.5, 1],
+                                                                               "values": [1e308, 1e308]}, 1),
+                                                 ("hypotheses_probe_catalog", 1.7e308, 100)])
+    def test_saturated_rates_end_by_their_verdicts(self, tmp_path, capsys, case, m, steps):
+        # m (1 + M) and every rate x scale product past the float range read inf, with no numpy
+        # warning: a momentum bound inf past t = 0 checked nothing, the probe's ratios read 0
+        raw = json.loads((SCENARIOS / f"verify_{case}.json").read_text())
+        raw["field"]["rates"] = {"m": m, "l": 1.7e308, "L": 1.7e308}
+        raw["grid"]["steps"] = steps
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli_main(["verify", "--config", self._write(tmp_path, raw), "--out", str(out)])
+        if case == "hypotheses_probe_catalog":
+            assert code == 0 and capsys.readouterr() == ("hypotheses_probe: pass\n", "")
+        else:
+            assert code == 2 and not out.exists()
+            assert capsys.readouterr().err == (
+                "error: momentum checked nothing at p = 2: its bound is inf from t = 1 on\n")
+
     def test_zero_declared_rate_fails_honestly(self, tmp_path, capsys):
         # the bundled catalog probe with m = 0 and a nonzero rule
         raw = json.loads((SCENARIOS / "verify_hypotheses_probe_catalog.json").read_text())

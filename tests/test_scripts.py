@@ -14,8 +14,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def run_script(name, *args):
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    # a numpy warning ends the run, as in CI's suite step
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return [line.split() for line in proc.stdout.splitlines()]
 
