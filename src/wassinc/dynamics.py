@@ -15,10 +15,9 @@ holds its caller's array, and ``snapped_index``, one ``searchsorted`` of
 a time or an array of times, is every lookup of the node at or before a
 time.  A rate integral's total is ``measure.exact_sums``.  ``march`` is
 the loop that writes a curve's nodes one step at a time, each checked
-finite.  Every Euler curve is
-``euler_curve``: ``delayed_step`` with a control per interval and, as
-measure argument, the curve's own node (``integrate``) or an earlier
-curve's (every tracking iterate).  A state-free family, whose rule
+finite.  Every Euler curve is ``euler_curve``: ``delayed_step`` with a
+control per interval and, as measure argument, the curve's own node
+(``integrate``) or an earlier curve's (every tracking iterate).  A state-free family, whose rule
 reads neither positions nor measure, has every velocity before the first
 step, so its curve is a running sum over ``node_blocks`` with the same
 bits and checks as the loop; peano's scheme selects its control step by

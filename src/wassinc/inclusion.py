@@ -203,7 +203,7 @@ def refinement_study(curves: Mapping[int, Trajectory], p: float) -> list[tuple[i
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing with at least two entries")
     solutions = list(curves.values())
-    common = solutions[0].times
+    common = solutions[0].grid
     on_common = [c.rows_at(common) for c in solutions]
     return [
         (n_a, n_b, sup_wasserstein_cost(a, b, p))

@@ -7,9 +7,10 @@ kept, from the exactly rounded total.  One rule each, a call per array of
 nodes: ``exact_sums`` is every exact total of the package, a rate
 integral's too (each row's ``fsum``, inf past the float range), and
 ``_root`` every p-th root.  A ``ParticleCloud`` is one checked measure,
-a curve its (K, N, d) array of positions: ``moments`` and ``tail_norms`` read one such stack, the W_p series ``wasserstein_costs``
-and ``sup_wasserstein_cost`` two, node by node and bit for bit equal to
-the one-cloud calls.  Two kernels take every W_p's root.  ``_identity_costs``,
+a curve its (K, N, d) array of positions: ``moments`` and ``tail_norms``
+read one such stack, the W_p series ``wasserstein_costs`` and
+``sup_wasserstein_cost`` two, node by node and bit for bit equal to the
+one-cloud calls.  Two kernels take every W_p's root.  ``_identity_costs``,
 W_p under the identity coupling in the solver's arithmetic, is one array pass:
 the exact W_p of one-atom clouds (N = 1), with no solver, and both screens of
 the sup.  ``_solve_block`` is the optimal W_p and assignment of a block of

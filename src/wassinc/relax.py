@@ -219,7 +219,7 @@ def relax_approximate(
 
     # the tracked grid carries every realized switch point, where the
     # deviation from the mixture curve peaks
-    on_tracked = relaxed_traj.rows_at(tracked.times)
+    on_tracked = relaxed_traj.rows_at(tracked.grid)
     measured = wasserstein_costs(on_tracked, tracked.points, p)
     l_total = rates.integral("l", 0.0, rates.duration)
     growth = bounds.exp_power(bounds.C_p_prime(p), l_total, p)
