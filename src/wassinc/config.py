@@ -106,7 +106,7 @@ class ScenarioConfig:
         """The reference curve: 'w' by Euler steps from 'ref_initial' drawn with ``ref_seed``."""
         exp = self.experiment
         nu0 = sample_initial(exp["ref_initial"], self.N, self.d, ref_seed(self))
-        return integrate(exp["w"], nu0, self.time_grid(), method="euler")
+        return integrate(exp["w"], nu0, self.time_grid())
 
 
 def _shown(value) -> str:
@@ -277,7 +277,7 @@ FAMILIES = {
 TWO_CURVES = {"w": Key(_field), "ref_initial": Key(_sampler), "ref_seed": Key(_seed, default=None)}
 TRACKING = {"tol": POSITIVE._replace(default=1e-9), "max_iter": COUNT._replace(default=25)}
 EXPERIMENTS = {
-    "simulate": {"method": Key("str", choices=("euler", "rk4"), default="euler")},
+    "simulate": {"method": Key("str", choices=("euler",), default="euler")},
     "peano": {
         "n": COUNT,
         "substeps": COUNT._replace(default=1),

@@ -21,10 +21,9 @@ control per interval and, as measure argument, the curve's own node
 reads neither positions nor measure, has every velocity before the first
 step, so its curve is a running sum over ``node_blocks`` with the same
 bits and checks as the loop; peano's scheme selects its control step by
-step and rk4 reads intermediate positions, so both march.  A field
-bound to a curve is ``inclusion.signal_field``.  Once a curve is built,
-``rule`` and ``gaps`` sweep all its nodes at once, in blocks of
-``node_blocks``."""
+step, so it marches.  A field bound to a curve is
+``inclusion.signal_field``.  Once a curve is built, ``rule`` and
+``gaps`` sweep all its nodes at once, in blocks of ``node_blocks``."""
 
 from __future__ import annotations
 
@@ -338,31 +337,20 @@ def _checked_curve(axis: tuple, buf: np.ndarray) -> Trajectory:
     return traj
 
 
-def integrate(
-    field: ControlledFamily,
-    start: ParticleCloud,
-    grid: Sequence[float],
-    method: str = "euler",
-) -> Trajectory:
+def integrate(field: ControlledFamily, start: ParticleCloud, grid: Sequence[float]) -> Trajectory:
     """Advance every particle of ``start`` along the field over ``grid``.
 
     ``field`` is a family of one control (ValueError otherwise, so a
-    larger family is never cut down to its control 0).  The euler curve
-    is ``euler_curve`` with control 0 and the integrator's own current
-    cloud as measure argument; rk4 marches, handing the rule each stage's
-    intermediate positions.  A field bound to another curve (``inclusion.signal_field`` with
-    a ``measure``) reads that curve instead and ignores it.  Raises
-    BlowUpError (see ``_check_finite``) if a coordinate leaves the finite
-    range.
+    larger family is never cut down to its control 0).  The curve is
+    ``euler_curve`` with control 0 and the integrator's own current
+    cloud as measure argument.  A field bound to another curve
+    (``inclusion.signal_field`` with a ``measure``) reads that curve
+    instead and ignores it.  Raises BlowUpError (see ``_check_finite``)
+    if a coordinate leaves the finite range.
     """
-    if method not in ("euler", "rk4"):
-        raise ValueError(f"unknown method {method!r}")
     if field.size != 1:
         raise ValueError(f"integrate needs a field, a family of one control; got {field.size} controls")
-
-    if method == "euler":
-        return euler_curve(field, start, grid, np.zeros(time_axis(grid)[0].size - 1, dtype=int))
-    return march(start, grid, lambda k, t0, t1, rows: _rk4_step(field, rows[k], t0, t1 - t0, k + 1))
+    return euler_curve(field, start, grid, np.zeros(time_axis(grid)[0].size - 1, dtype=int))
 
 
 def _check_finite(X: np.ndarray, last: np.ndarray, step: int, t: float) -> None:
@@ -371,22 +359,6 @@ def _check_finite(X: np.ndarray, last: np.ndarray, step: int, t: float) -> None:
         i = int(np.isfinite(X).all(axis=1).argmin())
         raise BlowUpError(f"non-finite coordinate after step {step} (t = {t:.6g}): particle {i}, "
                           f"last finite position {last[i].tolist()}")
-
-
-def _rk4_step(field, X, t0, dt, step):
-    """One rk4 step from positions X; a stage leaving the finite range raises the step's BlowUpError."""
-
-    def stage(t, Y):
-        Y.setflags(write=False)
-        _check_finite(Y, X, step, t0 + dt)
-        return field.rule(t, Y, field.alone[0], Y)[0]
-
-    th = t0 + 0.5 * dt
-    k1 = field.rule(t0, X, field.alone[0], X)[0]
-    k2 = stage(th, X + 0.5 * dt * k1)
-    k3 = stage(th, X + 0.5 * dt * k2)
-    k4 = stage(t0 + dt, X + dt * k3)
-    return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def sup_norm(diff: np.ndarray, inside: np.ndarray | None = None) -> np.ndarray:

@@ -95,18 +95,20 @@ def aumann_realize(
 ) -> tuple[ControlSignal, dict]:
     """Realize a mixture signal by pure switching within each block.
 
-    Block boundaries are snapped to the nearest node of the signal grid
-    (recorded in the metadata); a block whose signal is not constant is
-    re-blocked by majority, ties to the smallest index (also recorded).
-    Within a block of length h carrying weights (w_1..w_q), consecutive
-    pure sub-segments of lengths w_j h are emitted in the order of the
-    mixture's bases.
+    Block boundaries are snapped to the nearest node of the signal grid,
+    a tie to the earlier node (recorded in the metadata); a block whose
+    signal is not constant is re-blocked by majority, ties to the smallest
+    index (also recorded).  Within a block of length h carrying weights
+    (w_1..w_q), consecutive pure sub-segments of lengths w_j h are emitted
+    in the order of the mixture's bases.
     """
     grid = chattering_signal.grid
     raw = np.asarray(blocks, dtype=float)
     if raw.ndim != 1 or raw.size < 2:
         raise ValueError("blocks must list at least two boundary times")
-    snapped = np.array([float(grid[np.argmin(np.abs(grid - b))]) for b in raw])
+    k = snapped_index(grid, raw, 0.0)  # the node at or before each boundary, or the one after
+    up = np.minimum(k + 1, grid.size - 1)
+    snapped = grid[np.where(np.abs(grid[up] - raw) < np.abs(grid[k] - raw), up, k)]  # a tie keeps the lower
     n_snap = int(np.sum(np.abs(snapped - raw) > 1e-12 * max(1.0, float(grid[-1]))))
     if not np.all(np.diff(snapped) > 0):
         raise ResolutionError(
@@ -211,7 +213,7 @@ def relax_approximate(
 
     w_realized = signal_field(family, realized_sig, relaxed_traj)  # reads the mixture curve's measure
 
-    nu_real = integrate(w_realized, mu0, realized_sig.grid, "euler")
+    nu_real = integrate(w_realized, mu0, realized_sig.grid)
 
     tracked, signal, cert = filippov_track(
         family, nu_real, w_realized, mu0, radius, tol, max_iter, p

@@ -36,7 +36,7 @@ def verify(kind: str, config: ScenarioConfig) -> BoundReport:
 
 
 def _simulate(config: ScenarioConfig) -> Trajectory:
-    return integrate(config.field, config.start(), config.time_grid(), method="euler")
+    return integrate(config.field, config.start(), config.time_grid())
 
 
 def momentum_bound_series(

@@ -200,6 +200,18 @@ def test_only_dynamics_builds_unchecked_curves():
     assert users == {"dynamics.py"}
 
 
+def test_every_curve_is_an_euler_curve():
+    # the step loop ``march`` is run by the stepped Euler curve and by peano's scheme alone,
+    # and ``integrate`` takes no integrator to pick: no scheme beside Euler's can come back
+    trees = module_trees()
+    assert callers("march", trees) == ["dynamics.py:euler_curve", "inclusion.py:peano_solve"]
+    integrate = next(node for node in trees["dynamics.py"].body
+                     if isinstance(node, ast.FunctionDef) and node.name == "integrate")
+    args = integrate.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["field", "start", "grid"]
+    assert args.vararg is None and args.kwarg is None
+
+
 def test_a_family_has_exactly_one_velocity_callable():
     # one rule reads one node or a block of nodes: no second form of it beside it on any
     # catalog entry, signal field or convexified family, and no method that picks between forms

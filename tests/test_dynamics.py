@@ -95,10 +95,6 @@ class TestIntegrate:
         assert 1.8 <= errors[0] / errors[1] <= 2.2
         assert 1.8 <= errors[1] / errors[2] <= 2.2
 
-    def test_rk4_tight(self):
-        traj = integrate(decay_field(), delta(1.0), np.linspace(0, 1, 101), method="rk4")
-        assert abs(traj.points[-1, 0, 0] - math.exp(-1)) < 1e-10
-
     def test_a_family_of_two_controls_is_no_field(self):
         family = gain_family([1.0, 2.0], const_rates(2.0, 2.0, 0.0))
         with pytest.raises(ValueError, match="^integrate needs a field, a family of one control; got 2 controls$"):
@@ -115,16 +111,15 @@ class TestIntegrate:
         with np.errstate(over="ignore"), pytest.raises(BlowUpError, match="step"):
             integrate(bad, delta(1.0), np.linspace(0, 1, 5))
 
-    @pytest.mark.parametrize("method", ["euler", "rk4"])
-    def test_pushforward_matches_per_particle(self, rng, method):
+    def test_pushforward_matches_per_particle(self, rng):
         # measure-independent field: whole-cloud integration must equal
         # per-particle integration bit for bit
         field = rotation_field(const_rates(1.0, 1.0, 0.0))
         start = random_cloud(rng, 5, 2)
         grid = np.linspace(0, 1, 21)
-        whole = integrate(field, start, grid, method=method)
+        whole = integrate(field, start, grid)
         for i in range(start.n):
-            single = integrate(field, ParticleCloud(start.points[i : i + 1]), grid, method=method)
+            single = integrate(field, ParticleCloud(start.points[i : i + 1]), grid)
             np.testing.assert_array_equal(
                 whole.points[-1, i], single.points[-1, 0]
             )

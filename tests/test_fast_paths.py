@@ -520,24 +520,14 @@ def test_public_cloud_constructor_keeps_its_checks(points, error):
         ParticleCloud(np.asarray(points, dtype=float))
 
 
-def per_step_loop(field, start, grid, method="euler", measure=None):
+def per_step_loop(field, start, grid, measure=None):
     """The loop the buffer replaced: one checked ParticleCloud per step.
     Given a ``measure`` curve, the rule is handed ``measure.at(t)`` instead."""
     X = start.points.copy()
     clouds = [ParticleCloud(X)]
     for k in range(len(grid) - 1):
         t0, t1 = float(grid[k]), float(grid[k + 1])
-        dt = t1 - t0
-        if method == "euler":
-            X = X + dt * field.rule(t0, measure.at(t0).points if measure else clouds[-1].points, [0], X)[0]
-        else:
-            def stage(t, Y):
-                return field.rule(t, measure.at(t).points if measure else ParticleCloud(Y).points, [0], Y)[0]
-            k1 = stage(t0, X)
-            k2 = stage(t0 + 0.5 * dt, X + 0.5 * dt * k1)
-            k3 = stage(t0 + 0.5 * dt, X + 0.5 * dt * k2)
-            k4 = stage(t0 + dt, X + dt * k3)
-            X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        X = X + (t1 - t0) * field.rule(t0, measure.at(t0).points if measure else clouds[-1].points, [0], X)[0]
         clouds.append(ParticleCloud(X))
     return np.stack([c.points for c in clouds])
 
@@ -549,18 +539,17 @@ FIELDS = {
 }
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
 @pytest.mark.parametrize("name", list(FIELDS))
-def test_buffer_loop_equals_per_step_loop(rng, name, method):
+def test_buffer_loop_equals_per_step_loop(rng, name):
     field = FIELDS[name]()
     start = ParticleCloud(rng.standard_normal((5, 2)))
     grid = random_grid(rng, 25, 1.0)
-    traj = integrate(field, start, grid, method=method)
-    assert traj.points.tobytes() == per_step_loop(field, start, grid, method).tobytes()
+    traj = integrate(field, start, grid)
+    assert traj.points.tobytes() == per_step_loop(field, start, grid).tobytes()
 
 
 def test_rules_see_read_only_rows():
-    """Own and bound measure, euler and rk4, and the delayed scheme: a rule
+    """Own and bound measure, and the delayed scheme: a rule
     writing its arguments in place would change the stored trajectory."""
     seen = []
 
@@ -572,12 +561,10 @@ def test_rules_see_read_only_rows():
     family = ControlledFamily(controls=(0, 1), rule=rule, rates=field.rates)
     start, grid = ParticleCloud([[1.0], [2.0]]), np.linspace(0.0, 1.0, 4)
     signal = ControlSignal(grid=grid, indices=[1, 0, 1])
-    trajectories = []
-    for method in ("euler", "rk4"):
-        traj = integrate(field, start, grid, method=method)
-        trajectories += [traj, integrate(signal_field(family, signal, traj), start, grid, method=method)]
-    trajectories.append(peano_solve(family, start, 3, 2, "first")[0])
-    assert len(seen) == 2 * 3 + 2 * 12 + 6 and not any(flag for pair in seen for flag in pair)
+    traj = integrate(field, start, grid)
+    trajectories = [traj, integrate(signal_field(family, signal, traj), start, grid),
+                    peano_solve(family, start, 3, 2, "first")[0]]
+    assert len(seen) == 2 * 3 + 6 and not any(flag for pair in seen for flag in pair)
     assert not any(traj.points.flags.writeable for traj in trajectories)
 
 
@@ -645,10 +632,9 @@ FAMILIES = {
 
 
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(list(FAMILIES)), method=st.sampled_from(["euler", "rk4"]),
-       n=st.integers(1, 6), d=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
-       nodes=st.tuples(st.integers(2, 12), st.integers(2, 12), st.integers(1, 12)))
-def test_a_bound_signal_field_reads_only_its_curve(name, method, n, d, seed, nodes):
+@given(name=st.sampled_from(list(FAMILIES)), n=st.integers(1, 6), d=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1), nodes=st.tuples(st.integers(2, 12), st.integers(2, 12), st.integers(1, 12)))
+def test_a_bound_signal_field_reads_only_its_curve(name, n, d, seed, nodes):
     """The signal, the integration and the curve each have a grid of their
     own, the curve's possibly shorter than [0, T], as in relaxation."""
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -661,8 +647,8 @@ def test_a_bound_signal_field_reads_only_its_curve(name, method, n, d, seed, nod
     start, grid = ParticleCloud(rng.standard_normal((n, d))), random_grid(rng, step_nodes, 1.0)
     bound, free = signal_field(family, signal, curve), signal_field(family, signal)
 
-    traj = integrate(bound, start, grid, method=method)
-    assert traj.points.tobytes() == per_step_loop(free, start, grid, method, curve).tobytes()
+    traj = integrate(bound, start, grid)
+    assert traj.points.tobytes() == per_step_loop(free, start, grid, curve).tobytes()
 
     for t in [*grid.tolist(), *rng.uniform(-0.5, 1.5, 4).tolist()]:
         X = rng.standard_normal((3, d))
@@ -672,8 +658,7 @@ def test_a_bound_signal_field_reads_only_its_curve(name, method, n, d, seed, nod
 
 
 @pytest.mark.parametrize("name", ["gain", "constants"])
-@pytest.mark.parametrize("method", ["euler", "rk4"])
-def test_a_measure_free_family_bound_to_a_curve_is_its_unbound_field(rng, monkeypatch, name, method):
+def test_a_measure_free_family_bound_to_a_curve_is_its_unbound_field(rng, monkeypatch, name):
     """A family that does not read its measure is handed the cloud it is
     given: the bound field looks up no node and gives the unbound curve."""
     rates = RateFunctions.constant(2, 2, 2, 1.0)
@@ -683,9 +668,9 @@ def test_a_measure_free_family_bound_to_a_curve_is_its_unbound_field(rng, monkey
     signal = ControlSignal(grid=grid, indices=rng.integers(family.size, size=39))
     curve = Trajectory(grid=grid, points=rng.standard_normal((40, 3, 2)))
     start = ParticleCloud(rng.standard_normal((5, 2)))
-    free = integrate(signal_field(family, signal), start, grid, method=method)
+    free = integrate(signal_field(family, signal), start, grid)
     monkeypatch.setattr(Trajectory, "node_index", None)  # a lookup would raise
-    bound = integrate(signal_field(family, signal, curve), start, grid, method=method)
+    bound = integrate(signal_field(family, signal, curve), start, grid)
     assert bound.points.tobytes() == free.points.tobytes()
 
 

@@ -144,6 +144,27 @@ class TestAumannRealize:
         # nearest node of the 0.1-spaced grid
         assert np.any(np.isclose(realized.grid, 0.3, atol=1e-12))
 
+    def test_boundaries_snap_as_the_argmin_does(self):
+        # one lookup per boundary gives the nearest node of a per-boundary argmin bit for bit,
+        # ties (exact midpoints) to the lower node, and collapses where the argmin collapses
+        rng = np.random.default_rng(11)
+        chat = convexify(bang_bang(4.0), [ChatteringControl((0, 1), (2, 0))])  # one segment per block, ending at it
+        for _ in range(300):
+            grid = np.cumsum(np.concatenate([[rng.uniform(-1.0, 1.0)], rng.uniform(1e-3, 0.5, rng.integers(1, 12))]))
+            mids = 0.5 * (grid[:-1] + grid[1:])
+            pool = np.concatenate([grid, mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
+                                   rng.uniform(grid[0] - 1.0, grid[-1] + 1.0, 6)])
+            raw = np.sort(rng.choice(pool, size=int(rng.integers(2, 7)), replace=False))
+            expected = np.array([grid[np.argmin(np.abs(grid - b))] for b in raw])
+            sig = ControlSignal(grid=grid, indices=np.zeros(grid.size - 1, dtype=int))
+            if np.all(np.diff(expected) > 0):
+                realized, meta = aumann_realize(sig, chat, raw)
+                assert realized.grid.tobytes() == expected.tobytes()
+                assert meta["snapped_boundaries"] == int(np.sum(np.abs(expected - raw) > 1e-12 * max(1.0, grid[-1])))
+            else:
+                with pytest.raises(ResolutionError):
+                    aumann_realize(sig, chat, raw)
+
     def test_collapsing_blocks_rejected(self):
         fam, chat, sig, _ = mixture_setup(T=1.0, steps=4)
         with pytest.raises(ResolutionError):
