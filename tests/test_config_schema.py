@@ -481,11 +481,28 @@ def test_simulate_blow_up_uses_the_same_report(tmp_path, capsys):
     )
 
 
-def test_simulate_refuses_a_method_other_than_euler(tmp_path, capsys):
-    raw = dict(scenario("simulate_linear_decay"), experiment={"kind": "simulate", "method": "rk4"})
+@pytest.mark.parametrize("method", ["rk4", "midpoint", "Euler"])
+def test_simulate_refuses_a_method_other_than_euler(tmp_path, capsys, method):
+    # the removed integrator, one never offered, and the one offered under another spelling
+    raw = dict(scenario("simulate_linear_decay"), experiment={"kind": "simulate", "method": method})
     code, out = run_cli(tmp_path, "simulate", raw)
     assert code == 2 and not out.exists()
-    assert capsys.readouterr().err == 'error: experiment \'method\' must be "euler", got \'rk4\'\n'
+    assert capsys.readouterr().err == f'error: experiment \'method\' must be "euler", got {method!r}\n'
+
+
+def test_simulate_without_a_method_is_the_euler_run(tmp_path):
+    # the key defaults to its one choice: the same files and the same "method" constant
+    (tmp_path / "given").mkdir()
+    (tmp_path / "omitted").mkdir()
+    code, given = run_cli(tmp_path / "given", "simulate", scenario("simulate_linear_decay"))
+    assert code == 0
+    raw = mutate(scenario("simulate_linear_decay"), "experiment.method", drop=True)
+    code, omitted = run_cli(tmp_path / "omitted", "simulate", raw)
+    assert code == 0
+    manifest = (omitted / "manifest.json").read_text()
+    assert manifest == (given / "manifest.json").read_text()
+    assert json.loads(manifest)["constants"]["method"] == "euler"
+    assert (omitted / "trajectory.csv").read_bytes() == (given / "trajectory.csv").read_bytes()
 
 
 def test_peano_blow_up_uses_the_same_report():

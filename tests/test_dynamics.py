@@ -100,6 +100,11 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="^integrate needs a field, a family of one control; got 2 controls$"):
             integrate(family, delta(1.0), np.linspace(0, 1, 3))
 
+    def test_integrate_takes_no_method(self):
+        # Euler's is the one scheme: a caller still naming an integrator fails instead of being ignored
+        with pytest.raises(TypeError, match="method"):
+            integrate(decay_field(), delta(1.0), np.linspace(0, 1, 3), method="euler")
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ShapeMismatchError):
             integrate(decay_field(), delta(1.0), np.array([]))

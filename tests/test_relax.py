@@ -165,6 +165,25 @@ class TestAumannRealize:
                 with pytest.raises(ResolutionError):
                     aumann_realize(sig, chat, raw)
 
+    @pytest.mark.parametrize("side, node", [(-np.inf, 0.5), (0.0, 0.5), (np.inf, 1.0)],
+                             ids=["below", "at", "above"])
+    def test_a_boundary_near_a_midpoint_snaps_to_its_nearer_node(self, side, node):
+        # 0.75 is halfway between the nodes 0.5 and 1.0: the tie goes to the lower node, as the
+        # argmin's first minimum does, and each neighbouring double to the node on its side
+        chat = convexify(bang_bang(2.0), [ChatteringControl((0, 1), (2, 0))])  # one segment per block
+        sig = ControlSignal(grid=np.linspace(0.0, 2.0, 5), indices=np.zeros(4, dtype=int))
+        boundary = 0.75 if side == 0.0 else np.nextafter(0.75, side)
+        realized, meta = aumann_realize(sig, chat, np.array([0.0, boundary, 2.0]))
+        assert realized.grid.tolist() == [0.0, node, 2.0]
+        assert meta["snapped_boundaries"] == 1
+
+    def test_boundaries_past_the_grid_snap_to_its_end_nodes(self):
+        chat = convexify(bang_bang(), [ChatteringControl((0, 1), (2, 0))])
+        sig = ControlSignal(grid=np.linspace(0.0, 1.0, 11), indices=np.zeros(10, dtype=int))
+        realized, meta = aumann_realize(sig, chat, np.array([-0.3, 0.5, 1.7]))
+        assert realized.grid.tolist() == [0.0, 0.5, 1.0]
+        assert meta["snapped_boundaries"] == 2
+
     def test_collapsing_blocks_rejected(self):
         fam, chat, sig, _ = mixture_setup(T=1.0, steps=4)
         with pytest.raises(ResolutionError):
