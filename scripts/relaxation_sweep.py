@@ -15,7 +15,6 @@ from wassinc import (
     ParticleCloud,
     RateFunctions,
     convexify,
-    integrate,
     relax_approximate,
 )
 from wassinc.catalog import constants_family
@@ -28,11 +27,11 @@ def main() -> int:
     chat = convexify(family, [ChatteringControl((0, 1), (1, 1))])
     grid = np.linspace(0.0, T, steps + 1)
     signal = ControlSignal(grid=grid, indices=np.zeros(grid.size - 1, dtype=int))
-    relaxed = integrate(chat, ParticleCloud(np.array([[0.0]])), grid)
+    start = ParticleCloud(np.array([[0.0]]))
     print(f"T = {T}, fine grid = {steps} steps, mixture = (1/2, 1/2) of (-1, +1)")
     print(f"{'target':>8s} {'blocks':>7s} {'measured':>12s} {'meets':>6s} {'guaranteed':>11s}")
     for delta in (0.2, 0.1, 0.05, 0.02):
-        _, _, rep = relax_approximate(family, relaxed, signal, chat, delta, p=1)
+        _, _, rep = relax_approximate(family, chat, signal, start, delta, p=1)
         c = rep.constants
         print(
             f"{delta:8.3f} {c['n_blocks']:7d} {c['measured_sup']:12.6e} "

@@ -14,9 +14,9 @@ together with growth envelopes assembled from the integral of the rate m:
   along every curve produced by a tracking iteration, obtained by closing
   the recurrence f_{n+1} <= alpha (1 + int m f_n) at its fixed bound
   (alpha + f0) exp(alpha ||m||_1),
-* ``script_horizon_factor`` is the same travel envelope with m inflated by
-  the uniform moment bound, as needed when velocities grow with the
-  measure's moment.
+* ``tracking_envelope`` is the one localisation envelope of tracking and
+  relaxation: that moment bound C and the travel envelope with m inflated
+  by it, as needed when velocities grow with the measure's moment.
 
 These are deliberately loose: looseness only weakens the certified
 inequalities, never invalidates them.  Each constant and envelope
@@ -187,6 +187,8 @@ def uniform_moment(p: float, moment_mu0: float, moment_nu0: float, m_total: floa
     return products(alpha + f0, saturating_exp(alpha * m_total))
 
 
-def script_horizon_factor(uniform_moment_bound: float, m_total: float) -> float:
-    """Travel envelope with m inflated by the uniform moment bound."""
-    return horizon_factor((1.0 + uniform_moment_bound) * m_total)
+def tracking_envelope(p: float, moment_mu0: float, moment_nu0: float, m_total: float) -> tuple[float, float]:
+    """(C, C_T): the ``uniform_moment`` C and the travel envelope with m inflated by it,
+    C_T = ``horizon_factor``((1 + C) ||m||_1)."""
+    script_c = uniform_moment(p, moment_mu0, moment_nu0, m_total)
+    return script_c, horizon_factor((1.0 + script_c) * m_total)

@@ -41,22 +41,23 @@ import numpy as np
 from . import catalog
 from .dynamics import ControlledFamily, RateFunctions, Trajectory, integrate
 from .errors import ConfigError
+from .filippov import LATTICE_CELLS
 from .measure import ParticleCloud
 
 _REQUIRED = object()
 # Ceilings on a run's size, so that a config too large to run exits 2 before
 # anything is allocated.  MAX_ENTRIES bounds the trajectory's (steps + 1) x N
 # x d positions, the N x N of a W_p cost matrix (``cdist`` allocates no N x N
-# x d array, and the kernel field works in blocks of probe rows), and the 17^d
-# x d mesh of a tracking lattice.  The CSV writers hold the
-# text of one node block at a time, and a block is at least one node, so one
-# particle in d = MAX_ENTRIES / 2 peaks highest: it formats every entry at
-# once.  MAX_NODES bounds the steps + 1 grid nodes, each of which carries
-# Python objects of its own (a time, per-node results).  Measured on Python
-# 3.11 with numpy 2.4, one process per run (ru_maxrss): 181 MiB at that d,
-# 50 MiB on MAX_NODES nodes, and each completes under `ulimit -v 786432`
-# (768 MiB).  A probe sample (up to three report rows) counts as nodes; at
-# that ceiling 87 MiB.
+# x d array, and the kernel field works in blocks of probe rows), and the
+# (2 LATTICE_CELLS + 1)^d x d mesh of a tracking lattice.  The CSV writers
+# hold the text of one node block at a time, and a block is at least one
+# node, so one particle in d = MAX_ENTRIES / 2 peaks highest: it formats
+# every entry at once.  MAX_NODES bounds the steps + 1 grid nodes, each of
+# which carries Python objects of its own (a time, per-node results).
+# Measured on Python 3.11 with numpy 2.4, one process per run (ru_maxrss):
+# 181 MiB at that d, 50 MiB on MAX_NODES nodes, and each completes under
+# `ulimit -v 786432` (768 MiB).  A probe sample (up to three report rows)
+# counts as nodes; at that ceiling 87 MiB.
 MAX_ENTRIES = 2**20
 MAX_NODES = 2**17
 
@@ -378,8 +379,8 @@ def _check_sizes(top: dict) -> None:
         raise ConfigError(f"steps + 1 must be at most {MAX_NODES} grid nodes")
     sizes = [("(steps + 1) x 'N' x 'd'", (steps + 1) * N * d), ("'N' x 'N'", N * N)]
     if exp["kind"] == "relax" or exp["kind"] == "filippov" and exp["R"] < math.inf:
-        # ball_grid(R, d, R / 8) meshes 17 points an axis; 17^5 > MAX_ENTRIES, so d > 5 needs no power
-        sizes.append(("the tracking lattice's 17^'d' x 'd'", 17 ** min(d, 5) * d))
+        axis = 2 * LATTICE_CELLS + 1  # filippov's lattice points an axis; 3^20 > MAX_ENTRIES: d > 20 needs no power
+        sizes.append((f"the tracking lattice's {axis}^'d' x 'd'", axis ** min(d, 20) * d))
     for what, entries in sizes:
         if entries > MAX_ENTRIES:
             raise ConfigError(f"{what} must be at most {MAX_ENTRIES} array entries")

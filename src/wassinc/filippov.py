@@ -28,6 +28,8 @@ from .dynamics import ControlledFamily, RateFunctions, Trajectory, ball_grid, eu
 from .inclusion import ControlSignal, ball_gaps
 from .measure import ParticleCloud, localisation_tail, moment, sup_wasserstein_cost, wasserstein_costs
 
+LATTICE_CELLS = 8  # cells per radius on each axis of the probe lattice of a finite R
+
 
 @dataclass(frozen=True, eq=False)
 class FilippovCertificate:
@@ -97,8 +99,7 @@ def compute_bound(
     shifted moment of the reference start is charged.
     """
     m_total = rates.integral("m", 0.0, rates.duration)
-    script_c = bounds.uniform_moment(p, moment_mu0, moment_nu0, m_total)
-    script_ct = bounds.script_horizon_factor(script_c, m_total)
+    script_c, script_ct = bounds.tracking_envelope(p, moment_mu0, moment_nu0, m_total)
     if not R > 0:
         raise ValueError(f"radius R must be positive (or inf), got {R}")
     tail = localisation_tail(nu0, R, script_ct, p)
@@ -140,14 +141,15 @@ def filippov_track(
     reference; each further selection minimizes, per grid time, the probe
     sup distance to the previous iterate's velocity slice, evaluated on the
     current iterate's measure; its probes are the atoms of both clouds
-    plus, for finite R, a lattice of spacing R/8 on the ball of radius R.
-    Each iterate is the ``euler_curve`` of peano's ``delayed_step`` over
-    the grid, with control sigma_k and the previous curve's node k as
-    measure; the next re-selection and the velocity gap (node M with
-    sigma_{M-1}) read that same slice.  Stops when consecutive iterates are within ``tol`` in
-    sup-W_p or after ``max_iter`` iterations, in which case the certificate
-    is flagged ``iteration_not_converged`` (the last iterate is still an
-    admissible trajectory).
+    plus, for finite R, a lattice of spacing R / ``LATTICE_CELLS`` on the
+    ball of radius R.  Each iterate is the ``euler_curve`` of peano's
+    ``delayed_step`` over the grid, with control sigma_k and the previous
+    curve's node k as measure; the next re-selection and the velocity gap
+    (node M with sigma_{M-1}) read that same slice.  Stops when consecutive
+    iterates are within ``tol`` in sup-W_p or after ``max_iter``
+    iterations, in which case the certificate is flagged
+    ``iteration_not_converged`` (the last iterate is still an admissible
+    trajectory).
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -160,7 +162,7 @@ def filippov_track(
     # initial selection: mismatch argmin along the reference, from the (nodes x controls) gaps
     table = ball_gaps(family, grid, ref.points, w, ref.points, R)
     sel = table[:n_int].argmin(axis=1)
-    lattice = np.empty((0, start.d)) if math.isinf(R) else ball_grid(R, start.d, R / 8.0)
+    lattice = np.empty((0, start.d)) if math.isinf(R) else ball_grid(R, start.d, R / LATTICE_CELLS)
 
     prior, gaps = ref, []
     while True:  # each iterate steps with the measure of the curve before it

@@ -203,22 +203,25 @@ def tail_norm(cloud: ParticleCloud, R: float, p: float, shifted: bool = False) -
     return float(tail_norms(cloud.points[None], R, p, shifted)[0])
 
 
-def tail_norms(points: np.ndarray, R: float, p: float, shifted: bool = False) -> np.ndarray:
+def tail_norms(points: np.ndarray, R, p: float, shifted: bool = False) -> np.ndarray:
     """``tail_norm`` of the cloud of every row of a (K, N, d) stack, bit for
-    bit: an atom inside radius R enters as an exact 0.0 term."""
-    p = _check_p(p)
-    if R < 0:
+    bit: an atom inside radius R enters as an exact 0.0 term.  R is one
+    radius or one per row (a one-row stack is then read at each); ValueError
+    unless every radius is >= 0, so a NaN is refused."""
+    p, R = _check_p(p), np.asarray(R, dtype=float)
+    if not np.all(R >= 0):
         raise ValueError(f"radius R must be nonnegative, got {R}")
     norms = _norms(points)
-    vals = np.where(norms >= R, 1.0 + norms if shifted else norms, 0.0)
+    vals = np.where(norms >= R[..., None], 1.0 + norms if shifted else norms, 0.0)
     return _power_means(vals, p, points.shape[1])
 
 
 def localisation_tail(cloud: ParticleCloud, R: float, horizon: float, p: float) -> float:
     """Shifted tail of ``cloud`` beyond max(0, R / horizon - 1), the mass the
     localisation error charges for a ball of radius R under the travel
-    envelope ``horizon``; 0 for R = inf."""
-    return 0.0 if math.isinf(R) else tail_norm(cloud, max(0.0, R / horizon - 1.0), p, shifted=True)
+    envelope ``horizon``; 0 for R = inf.  A negative or NaN R is handed on as it is, for
+    ``tail_norms`` to refuse."""
+    return 0.0 if math.isinf(R) else tail_norm(cloud, max(0.0, R / horizon - 1.0) if R >= 0 else R, p, shifted=True)
 
 
 def pairwise_cost(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:

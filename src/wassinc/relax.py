@@ -7,10 +7,10 @@ signal over such a mixture family back into pure controls by splitting
 each time block into consecutive sub-segments whose lengths are
 proportional to the weights, so the block time-average of the realized
 field matches the mixture exactly for fields constant in time.
-``relax_approximate`` chains the tail-rule radius, the block-size choice,
-realization, integration, and a tracking run into the end-to-end density
-experiment: how closely can pure-control trajectories follow a mixture
-trajectory.
+``relax_approximate`` chains the mixture curve, the tail-rule radius, the
+block-size choice, realization, integration, and a tracking run into the
+end-to-end density experiment: how closely can pure-control trajectories
+follow a mixture trajectory.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .dynamics import ControlledFamily, Trajectory, integrate, snapped_index
 from .errors import ResolutionError
 from .filippov import filippov_track
 from .inclusion import ControlSignal, signal_field
-from .measure import moment, tail_norm, wasserstein_costs
+from .measure import ParticleCloud, moment, tail_norms, wasserstein_costs
 
 
 @dataclass(frozen=True)
@@ -156,11 +156,19 @@ def _equal_mass_boundaries(rates, n_blocks: int) -> np.ndarray:
     return np.concatenate(([0.0], bp[seg] + inside, [T]))
 
 
+def _tail_radius(cloud: ParticleCloud, p: float, horizon: float, tail_cap: float) -> float:
+    """horizon (1 + r) for the first threshold r (0, then just past each atom norm, the last past
+    all, where the tail is 0) whose shifted tail is at most ``tail_cap``: one ``tail_norms`` pass."""
+    thresholds = np.concatenate(([0.0], np.unique(cloud.norms()) * (1.0 + 1e-12) + 1e-300))
+    tails = tail_norms(cloud.points[None], thresholds, p, shifted=True)
+    return float(horizon * (1.0 + thresholds[np.argmax(tails <= tail_cap)]))
+
+
 def relax_approximate(
     family: ControlledFamily,
-    relaxed_traj: Trajectory,
-    relaxed_signal: ControlSignal,
     chattering_family: ControlledFamily,
+    relaxed_signal: ControlSignal,
+    start: ParticleCloud,
     delta: float,
     p: float,
     tol: float = 1e-9,
@@ -168,11 +176,13 @@ def relax_approximate(
 ) -> tuple[Trajectory, ControlSignal, bounds.BoundReport]:
     """Approximate a mixture trajectory by pure controls within delta.
 
-    The radius R is chosen so the shifted tail of the start cloud beyond
-    R/C_T - 1 is below delta / (2 (1+C) (1+C_T) (1+||m||_1)); blocks split
-    the integral of m into parts of at most delta / (2 (1+C) (1+R)); the
-    realized signal is integrated against the mixture curve's measures and
-    tracked back into the pure solution set.
+    The mixture curve is the ``integrate`` of the signal's field over its
+    grid from ``start``.  With (C, C_T) the ``bounds.tracking_envelope`` of
+    ``start``, the radius R is chosen so the shifted tail of the start cloud
+    beyond R/C_T - 1 is below delta / (2 (1+C) (1+C_T) (1+||m||_1)); blocks
+    split the integral of m into parts of at most delta / (2 (1+C) (1+R));
+    the realized signal is integrated against the mixture curve's measures
+    and tracked back into the pure solution set.
 
     The report is the ``density_raw_target`` BoundReport: W_p between the
     mixture curve and the returned pure-control one at every node of the
@@ -182,23 +192,15 @@ def relax_approximate(
     ``radius``, ``n_blocks`` and the realization's ``metadata``; its
     ``extras`` hold the tracking ``certificate``.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     rates = family.rates
-    mu0 = relaxed_traj.at(relaxed_traj.times[0])
-    mp0 = moment(mu0, p)
+    relaxed_traj = integrate(signal_field(chattering_family, relaxed_signal), start, relaxed_signal.grid)
+    mp0 = moment(start, p)
     m_total = rates.integral("m", 0.0, rates.duration)
-    script_c = bounds.uniform_moment(p, mp0, mp0, m_total)
-    script_ct = bounds.script_horizon_factor(script_c, m_total)
-
+    script_c, script_ct = bounds.tracking_envelope(p, mp0, mp0, m_total)
     tail_cap = delta / (2.0 * (1.0 + script_c) * (1.0 + script_ct) * (1.0 + m_total))
-    norms = np.unique(mu0.norms())
-    for threshold in [0.0] + [float(nm) * (1.0 + 1e-12) + 1e-300 for nm in norms]:
-        if tail_norm(mu0, threshold, p, shifted=True) <= tail_cap:
-            radius = script_ct * (1.0 + threshold)
-            break
-    else:  # tail past the largest atom is exactly zero
-        radius = script_ct * (1.0 + float(norms[-1]) * (1.0 + 1e-9) + 1e-12)
+    radius = _tail_radius(start, p, script_ct, tail_cap)
 
     block_cap = delta / (2.0 * (1.0 + script_c) * (1.0 + radius))
     ratio = m_total / block_cap if block_cap > 0 else math.inf  # block_cap is 0 once C overflows
@@ -212,12 +214,8 @@ def relax_approximate(
     realized_sig, meta = aumann_realize(relaxed_signal, chattering_family, boundaries)
 
     w_realized = signal_field(family, realized_sig, relaxed_traj)  # reads the mixture curve's measure
-
-    nu_real = integrate(w_realized, mu0, realized_sig.grid)
-
-    tracked, signal, cert = filippov_track(
-        family, nu_real, w_realized, mu0, radius, tol, max_iter, p
-    )
+    nu_real = integrate(w_realized, start, realized_sig.grid)
+    tracked, signal, cert = filippov_track(family, nu_real, w_realized, start, radius, tol, max_iter, p)
 
     # the tracked grid carries every realized switch point, where the
     # deviation from the mixture curve peaks

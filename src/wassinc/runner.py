@@ -213,9 +213,8 @@ def _run_relax(config: ScenarioConfig):
     chat = convexify(family, [ChatteringControl(exp["bases"], exp["weights"])])
     grid = config.time_grid()
     relaxed_signal = ControlSignal(grid=grid, indices=np.zeros(grid.size - 1, dtype=int))
-    relaxed_traj = integrate(chat, config.start(), grid)  # a family of one control is a field
     tracked, signal, report = relax_approximate(
-        family, relaxed_traj, relaxed_signal, chat, exp["delta"], config.p, tol=exp["tol"], max_iter=exp["max_iter"]
+        family, chat, relaxed_signal, config.start(), exp["delta"], config.p, tol=exp["tol"], max_iter=exp["max_iter"]
     )
     return {"trajectory.csv": tracked, "signal.csv": signal, "report.csv": report}, report.constants
 

@@ -8,7 +8,9 @@ the ``bounds.BoundReport`` of the check's kind with the config slack,
 whose verdict passes when every margin bound - measured is at least
 -slack * bound - ``bounds.ATOL``.  The bounds are continuum statements,
 so refining the grid only tightens the comparison; the default 5 percent
-slack absorbs first-order integration error.
+slack absorbs first-order integration error.  Both stability kinds are one
+check, ``verify_gronwall``: ``gronwall_global`` is its radius R = inf, as
+in tracking.
 """
 
 from __future__ import annotations
@@ -96,11 +98,16 @@ def verify_abs_continuity(config: ScenarioConfig) -> dict:
     return dict(times=grid[1:], measured=measured, bound=bound, constants={"c_p": c_p})
 
 
-def _gronwall(config: ScenarioConfig, R: float, local: bool) -> dict:
+def verify_gronwall(config: ScenarioConfig) -> dict:
     """W_p between the curve of the field and the reference curve of ``w``
-    against ``bounds.gronwall_series`` with L = 0; its tail term E vanishes
-    for R = inf.  A local check also records C_T, R and the tail."""
-    v, w = config.field, config.experiment["w"]
+    against the stability estimate ``bounds.gronwall_series`` with L = 0:
+    the discrepancy on the ball of radius R plus the tail term E, which
+    keeps the bound valid when the curves separate outside the ball.  An
+    experiment with no ``R`` (``gronwall_global``) reads R = inf, where E
+    vanishes; one with an ``R`` (``gronwall_local``) also records C_T, R,
+    E and the bound without it."""
+    exp = config.experiment
+    v, w, R = config.field, exp["w"], exp.get("R", math.inf)
     mu, nu = _simulate(config), config.reference()
     p = config.p
     joint = v.rates.maximum(w.rates)
@@ -113,30 +120,16 @@ def _gronwall(config: ScenarioConfig, R: float, local: bool) -> dict:
     l_int, m_int = v.rates.integral("l", 0.0, grid), joint.integral("m", 0.0, grid)
 
     def series(tail):
-        return bounds.gronwall_series(
-            p=p, w0=w0, increments=gaps * np.diff(grid), l_int=l_int, m_int=m_int,
-            horizon=ct, tail=tail,
-        )
+        return bounds.gronwall_series(p=p, w0=w0, increments=gaps * np.diff(grid), l_int=l_int, m_int=m_int,
+                                      horizon=ct, tail=tail)
 
     bound, _, e_term = series(tail)
     constants = {"C_p": bounds.C_p(p), "C_p_prime": bounds.C_p_prime(p), "W_p_initial": w0}
     extras = {}
-    if local:
+    if "R" in exp:
         constants.update(C_T=ct, R=R)
         extras = {"E_term": e_term, "bound_without_tail": series(0.0)[0]}
     return dict(times=grid, measured=measured, bound=bound, constants=constants, extras=extras)
-
-
-def verify_gronwall_global(config: ScenarioConfig) -> dict:
-    """W_p between two curves against the global stability estimate."""
-    return _gronwall(config, math.inf, local=False)
-
-
-def verify_gronwall_local(config: ScenarioConfig) -> dict:
-    """Localised stability estimate: ball-restricted discrepancy plus the
-    tail error term, which is what keeps the bound valid when the curves
-    separate outside the observation ball."""
-    return _gronwall(config, config.experiment["R"], local=True)
 
 
 def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -214,7 +207,7 @@ _KINDS = {
     "momentum": verify_momentum,
     "equi_integrability": verify_equi_integrability,
     "abs_continuity": verify_abs_continuity,
-    "gronwall_global": verify_gronwall_global,
-    "gronwall_local": verify_gronwall_local,
+    "gronwall_global": verify_gronwall,
+    "gronwall_local": verify_gronwall,
     "hypotheses_probe": verify_hypotheses_probe,
 }

@@ -5,6 +5,7 @@ constructors stay inside the module that defines them."""
 
 import ast
 import dataclasses
+import importlib
 import pathlib
 
 import wassinc
@@ -229,3 +230,38 @@ def test_a_family_has_exactly_one_velocity_callable():
     methods = [name for name, member in vars(wassinc.ControlledFamily).items()
                if callable(member) and not name.startswith("_")]
     assert methods == ["gaps"]
+
+
+def test_each_localisation_decision_has_one_owner():
+    # the tracking envelope (C, C_T) is built in one function, relax reads every threshold's
+    # tail in one pass, and both stability kinds are one check reading R = inf as global
+    kinds = importlib.import_module("wassinc.verify")._KINDS  # the package's ``verify`` is the function
+    trees = module_trees()
+    assert callers("uniform_moment", trees) == ["bounds.py:tracking_envelope"]
+    assert callers("tracking_envelope", trees) == ["filippov.py:compute_bound", "relax.py:relax_approximate"]
+    assert callers("tail_norm", {"relax.py": trees["relax.py"]}) == []
+    assert callers("tail_norms", {"relax.py": trees["relax.py"]}) == ["relax.py:_tail_radius"]
+    assert kinds["gronwall_global"] is kinds["gronwall_local"]
+
+
+def test_the_lattice_cell_count_is_written_once():
+    # filippov's probe lattice and config's ceiling on its mesh read one constant, so no
+    # R / 8 or 17^d is written beside it (the other 17 is MAX_NODES = 2**17)
+    trees = module_trees()
+    written = sorted(
+        f"{name}:{getattr(statement, 'name', None) or ast.unparse(getattr(statement, 'targets', [statement])[0])}"
+        for name, tree in trees.items()
+        for statement in tree.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value in (8, 17)
+    )
+    assert written == ["config.py:MAX_NODES", "filippov.py:LATTICE_CELLS"]
+    readers = {
+        f"{name}:{function.name}"
+        for name, tree in trees.items()
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and node.id == "LATTICE_CELLS"
+    }
+    assert readers == {"config.py:_check_sizes", "filippov.py:filippov_track"}

@@ -443,16 +443,16 @@ def test_filippov_track_rejects_nan_tol():
         filippov_track(family, ref, w, start, math.inf, math.nan, 5, 1.0)
 
 
-@pytest.mark.parametrize("delta", [0.0, -0.1])
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.nan])
 def test_relax_rejects_a_nonpositive_delta(delta):
     family = constants_family([[-1.0], [1.0]], RateFunctions.constant(1.0, 0.0, 0.0, 0.25))
     chat = convexify(family, [ChatteringControl((0, 1), (1, 1))])
     grid = np.linspace(0.0, 0.25, 101)
     signal = ControlSignal(grid=grid, indices=np.zeros(100, dtype=int))
-    traj = integrate(chat, ParticleCloud(np.zeros((1, 1))), grid)
+    start = ParticleCloud(np.zeros((1, 1)))
     with pytest.raises(ValueError, match="delta must be positive"):
-        relax_approximate(family, traj, signal, chat, delta, 1.0)
-    assert relax_approximate(family, traj, signal, chat, 0.1, 1.0)[2].passed
+        relax_approximate(family, chat, signal, start, delta, 1.0)
+    assert relax_approximate(family, chat, signal, start, 0.1, 1.0)[2].passed
 
 
 # -- the blow-up report --------------------------------------------------------

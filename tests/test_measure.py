@@ -100,6 +100,20 @@ class TestTailNorm:
             tail_norm(delta(1.0), -0.1, 1)
         with pytest.raises(ValueError):
             tail_norms(cloud([1.0], [2.0]).points[None], -0.1, 1)
+        with pytest.raises(ValueError):
+            measure.localisation_tail(delta(1.0), -0.1, 2.0, 1)
+
+    def test_nan_radius_rejected(self):
+        # a NaN fails every comparison, so a check of R < 0 lets it through as no tail (tail_norm 0)
+        # or, clamped to threshold 0, as the full shifted tail (localisation_tail 3 for atoms at 1 and 3)
+        c = cloud([1.0], [3.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            tail_norm(c, math.nan, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            measure.localisation_tail(c, math.nan, 2.0, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            tail_norms(np.stack([c.points] * 3), [0.0, math.nan, 1.0], 1)
+        assert measure.localisation_tail(c, 2.0, 2.0, 1) == tail_norm(c, 0.0, 1, shifted=True) == 3.0
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 2000.0])
     @pytest.mark.parametrize("shifted", [False, True])
@@ -110,6 +124,24 @@ class TestTailNorm:
         for R in (0.0, 0.5, 1.0, 4.0, 1e151):
             per_row = [tail_norm(ParticleCloud(rows), R, p, shifted) for rows in stack]
             assert tail_norms(stack, R, p, shifted).tolist() == per_row
+
+    @given(
+        stack=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 3)),
+                         elements=st.floats(-20, 20, allow_nan=False, width=64) | st.sampled_from([0.0, 3.0, -4.0])),
+        picks=st.lists(st.integers(0, 2**16), min_size=4, max_size=4),
+        p=st.sampled_from([1.0, 2.0, 3.5]),
+        shifted=st.booleans(),
+        one_row=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_radius_per_row_equals_one_call_per_radius(self, stack, picks, p, shifted, one_row):
+        # radii 0, inf and the atom norms themselves (an atom at exactly R is in the tail), on a
+        # stack of one row per radius or on one row read at every radius
+        pool = [0.0, math.inf, *np.concatenate([ParticleCloud(row).norms() for row in stack]).tolist()]
+        rows = stack[:1] if one_row else stack
+        radii = [pool[k % len(pool)] for k in picks][: 4 if one_row else len(stack)]
+        expected = [tail_norm(ParticleCloud(rows[0 if one_row else i]), R, p, shifted) for i, R in enumerate(radii)]
+        assert tail_norms(rows, np.array(radii), p, shifted).tolist() == expected
 
     @given(
         pts=hnp.arrays(

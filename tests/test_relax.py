@@ -1,14 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wassinc import (
     ChatteringControl,
     ControlSignal,
+    ParticleCloud,
     aumann_realize,
+    bounds,
     convexify,
     integrate,
+    moment,
     relax_approximate,
+    tail_norm,
 )
+from wassinc import relax as relax_module
 from wassinc.bounds import BoundReport
 from wassinc.catalog import constants_family, mean_gain_family
 from wassinc.errors import ResolutionError
@@ -22,13 +31,12 @@ def bang_bang(T=1.0):
 
 def mixture_setup(T=0.25, steps=2000, bases=(0, 1), weights=(1, 1)):
     """The bang-bang family, its one mixture, that mixture's constant signal
-    and its curve from a point mass at 0 (a family of one control is a field)."""
+    and a point mass at 0 to start its curve from."""
     fam = bang_bang(T)
     chat = convexify(fam, [ChatteringControl(bases, weights)])
     grid = np.linspace(0.0, T, steps + 1)
     sig = ControlSignal(grid=grid, indices=np.zeros(grid.size - 1, dtype=int))
-    traj = integrate(chat, delta(0.0), grid)
-    return fam, chat, sig, traj
+    return fam, chat, sig, delta(0.0)
 
 
 class TestConvexify:
@@ -193,8 +201,8 @@ class TestAumannRealize:
 class TestRelaxApproximate:
     @pytest.mark.parametrize("delta_target", [0.2, 0.1, 0.05])
     def test_bang_bang_density(self, delta_target):
-        fam, chat, sig, traj = mixture_setup()
-        tracked, _, report = relax_approximate(fam, traj, sig, chat, delta_target, p=1)
+        fam, chat, sig, start = mixture_setup()
+        tracked, _, report = relax_approximate(fam, chat, sig, start, delta_target, p=1)
         assert report.passed
         assert report.constants["measured_sup"] <= delta_target
         assert report.extras["certificate"].converged
@@ -202,20 +210,20 @@ class TestRelaxApproximate:
         assert report.constants["measured_sup"] == report.measured.max()
 
     def test_pure_signal_returns_input(self):
-        fam, chat, sig, traj = mixture_setup(T=0.25, steps=64, weights=(2, 0))
-        _, _, report = relax_approximate(fam, traj, sig, chat, delta=0.2, p=1)
+        fam, chat, sig, start = mixture_setup(T=0.25, steps=64, weights=(2, 0))
+        _, _, report = relax_approximate(fam, chat, sig, start, delta=0.2, p=1)
         assert report.constants["measured_sup"] == 0.0
 
     def test_coarse_delta_passes(self):
-        fam, chat, sig, traj = mixture_setup(T=0.25, steps=64)
+        fam, chat, sig, start = mixture_setup(T=0.25, steps=64)
         # delta >= horizon * field magnitude: any realization passes
-        _, _, report = relax_approximate(fam, traj, sig, chat, delta=0.3, p=1)
+        _, _, report = relax_approximate(fam, chat, sig, start, delta=0.3, p=1)
         assert report.passed
 
     def test_resolution_error_names_remedy(self):
-        fam, chat, sig, traj = mixture_setup(T=0.25, steps=20)
+        fam, chat, sig, start = mixture_setup(T=0.25, steps=20)
         with pytest.raises(ResolutionError, match="finer"):
-            relax_approximate(fam, traj, sig, chat, delta=0.01, p=1)
+            relax_approximate(fam, chat, sig, start, delta=0.01, p=1)
 
     def test_amplification_saturates_past_float_range(self):
         # (l T)^p = (2.5e199)^2 overflows as a float power
@@ -223,13 +231,12 @@ class TestRelaxApproximate:
         chat = convexify(fam, [ChatteringControl((0, 1), (1, 1))])
         grid = np.linspace(0.0, 0.25, 257)
         sig = ControlSignal(grid=grid, indices=np.zeros(grid.size - 1, dtype=int))
-        traj = integrate(chat, delta(0.0), grid)
-        _, _, report = relax_approximate(fam, traj, sig, chat, delta=0.3, p=2)
+        _, _, report = relax_approximate(fam, chat, sig, delta(0.0), delta=0.3, p=2)
         assert report.constants["amplification"] == report.constants["guaranteed_target"] == np.inf
 
     def test_report_carries_both_targets(self):
-        fam, chat, sig, traj = mixture_setup()
-        _, _, report = relax_approximate(fam, traj, sig, chat, 0.1, p=1)
+        fam, chat, sig, start = mixture_setup()
+        _, _, report = relax_approximate(fam, chat, sig, start, 0.1, p=1)
         c = report.constants
         assert c["guaranteed_target"] == c["delta"] * c["amplification"]
         assert c["amplification"] >= 1.0
@@ -237,8 +244,8 @@ class TestRelaxApproximate:
     def test_report_is_the_raw_target_bound_report(self):
         # the one result type of every check: delta at every tracked node, slack 0,
         # the manifest's seven constants and the tracking certificate
-        fam, chat, sig, traj = mixture_setup()
-        tracked, _, report = relax_approximate(fam, traj, sig, chat, 0.1, p=1)
+        fam, chat, sig, start = mixture_setup()
+        tracked, _, report = relax_approximate(fam, chat, sig, start, 0.1, p=1)
         assert isinstance(report, BoundReport) and report.kind == "density_raw_target" and report.slack == 0.0
         np.testing.assert_array_equal(report.times, tracked.grid)
         assert (report.bound == 0.1).all()
@@ -246,3 +253,68 @@ class TestRelaxApproximate:
             "delta", "measured_sup", "guaranteed_target", "amplification", "radius", "n_blocks", "metadata"}
         assert report.constants["metadata"] == {"snapped_boundaries": 0, "majority_reblocked": 0}
         assert set(report.extras) == {"certificate"}
+
+    @pytest.mark.parametrize("kind", ["constants", "mean_gain"])
+    def test_the_mixture_curve_is_the_integrate_of_the_one_mixture(self, monkeypatch, kind):
+        # the first curve relax integrates is its mixture curve: the signal's field over the
+        # signal's grid, which for a one-mixture family is that family's own Euler curve, bit for bit
+        if kind == "constants":
+            fam, chat, sig, start = mixture_setup(steps=400)
+        else:
+            fam = mean_gain_family([-1.0, 2.0], const_rates(0.05, 0.05, 0.05, 0.25))
+            chat = convexify(fam, [ChatteringControl((0, 1), (1, 2))])
+            grid = np.linspace(0.0, 0.25, 401)
+            sig = ControlSignal(grid=grid, indices=np.zeros(400, dtype=int))
+            start = random_cloud(np.random.default_rng(5), 4, 2, scale=0.5)
+        curves = []
+        monkeypatch.setattr(relax_module, "integrate", lambda *args: curves.append(integrate(*args)) or curves[-1])
+        relax_approximate(fam, chat, sig, start, 0.3, p=1)
+        expected = integrate(chat, start, sig.grid)
+        assert curves[0].grid.tobytes() == expected.grid.tobytes()
+        assert curves[0].points.tobytes() == expected.points.tobytes()
+
+    def test_a_signal_that_switches_inside_a_block_is_reblocked_by_majority(self):
+        # two mixtures of one q and one weight_den, alternating every interval: each of the
+        # blocks spans several intervals, so every block takes its majority mixture
+        fam = bang_bang(0.25)
+        chat = convexify(fam, [ChatteringControl((0, 1), (1, 1)), ChatteringControl((0, 1), (2, 0))])
+        grid = np.linspace(0.0, 0.25, 401)
+        sig = ControlSignal(grid=grid, indices=np.arange(400) % 2)
+        _, _, report = relax_approximate(fam, chat, sig, delta(0.0), 0.3, p=1)
+        assert report.constants["metadata"]["majority_reblocked"] == report.constants["n_blocks"] > 0
+
+
+def loop_radius(cloud, p, horizon, tail_cap):
+    """The radius relax took before its one tail pass, kept as the oracle: a loop of one-cloud
+    calls over the thresholds, with its fallback past the largest atom."""
+    norms = np.unique(cloud.norms())
+    for threshold in [0.0] + [float(nm) * (1.0 + 1e-12) + 1e-300 for nm in norms]:
+        if tail_norm(cloud, threshold, p, shifted=True) <= tail_cap:
+            return horizon * (1.0 + threshold)
+    return horizon * (1.0 + float(norms[-1]) * (1.0 + 1e-9) + 1e-12)
+
+
+@given(
+    points=hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 2)),
+                      elements=st.sampled_from([0.0, 1.0, -1.0, 3.0]) | st.floats(-4, 4, width=64)),
+    p=st.sampled_from([1.0, 2.0, 3.5]),
+    m_total=st.sampled_from([0.0, 0.25, 0.5, 5.0]),
+    delta_=st.sampled_from([0.0, 1e-3, 0.1, 10.0, 1e6]),
+)
+@settings(max_examples=300, deadline=None)
+def test_the_one_pass_radius_is_the_threshold_loop(points, p, m_total, delta_):
+    # repeated norms and zero atoms come from the sampled coordinates; delta 0 gives tail_cap 0,
+    # and m_total 5 an infinite C (so tail_cap 0 and an infinite radius)
+    cloud = ParticleCloud(points)
+    mp0 = moment(cloud, p)
+    script_c, script_ct = bounds.tracking_envelope(p, mp0, mp0, m_total)
+    tail_cap = delta_ / (2.0 * (1.0 + script_c) * (1.0 + script_ct) * (1.0 + m_total))
+    radius = relax_module._tail_radius(cloud, p, script_ct, tail_cap)
+    assert type(radius) is float and radius == loop_radius(cloud, p, script_ct, tail_cap)
+
+
+def test_the_envelope_reaches_an_infinite_c():
+    # the oracle test above covers C = inf only if m_total = 5 saturates it
+    for p in (1.0, 2.0, 3.5):
+        assert bounds.tracking_envelope(p, 0.0, 0.0, 5.0) == (math.inf, math.inf)
+        assert all(math.isfinite(c) for c in bounds.tracking_envelope(p, 1.0, 1.0, 0.25))

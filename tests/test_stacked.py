@@ -19,7 +19,7 @@ from wassinc.dynamics import ControlledFamily, ball_grid
 from wassinc.filippov import filippov_track
 from wassinc.inclusion import ControlSignal, ball_gaps, inclusion_residual
 from wassinc.measure import moment, wasserstein_cost
-from wassinc.verify import verify_gronwall_local, verify_hypotheses_probe
+from wassinc.verify import verify_gronwall, verify_hypotheses_probe
 
 from conftest import const_rates, control_field, mixtures
 
@@ -445,7 +445,7 @@ def test_gronwall_gap_series_equals_per_node_loop(monkeypatch, R):
         "experiment": {"kind": "verify", "what": "gronwall_local", "R": R, "ref_initial": {"kind": "uniform", "halfwidth": 1.0},
                        "w": {"label": "linear_decay", "rates": {"m": 1.0, "l": 1.0, "L": 0.0}}},
     })
-    verify_gronwall_local(config)
+    verify_gronwall(config)
     v, w, grid = config.field, config.experiment["w"], config.time_grid()
     mu, nu = integrate(v, config.start(), grid), config.reference()
     gaps = []
